@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ios/internal/schedule"
+	"ios/internal/sfcache"
 )
 
 // entryFor builds a trivially valid n-op entry: one concurrent stage per
@@ -26,18 +27,28 @@ func entryFor(n int) *Entry {
 	return e
 }
 
+// shardCount mirrors sfcache's shard count: the capacity test sizes its
+// cache at one completed entry per shard.
+const shardCount = 32
+
+// cacheFile mirrors the persisted file layout for the corruption cases.
+type cacheFile struct {
+	Version int         `json:"version"`
+	Entries []WireEntry `json:"entries"`
+}
+
 func key(s string) []byte { return append([]byte{KeyVersion}, s...) }
 
 func TestGetOrBeginMissCommitHit(t *testing.T) {
 	c := NewCache()
 	ctx := context.Background()
-	ent, claim, err := c.GetOrBegin(ctx, key("a"))
+	ent, claim, err := c.GetOrBegin(ctx.Done(), key("a"))
 	if err != nil || ent != nil || claim == nil {
 		t.Fatalf("first GetOrBegin = (%v, %v, %v), want a claim", ent, claim, err)
 	}
 	want := entryFor(2)
 	claim.Commit(want)
-	got, claim2, err := c.GetOrBegin(ctx, key("a"))
+	got, claim2, err := c.GetOrBegin(ctx.Done(), key("a"))
 	if err != nil || claim2 != nil {
 		t.Fatalf("second GetOrBegin = (_, %v, %v), want a hit", claim2, err)
 	}
@@ -56,7 +67,7 @@ func TestGetOrBeginMissCommitHit(t *testing.T) {
 func TestGetOrBeginKeyIsCopied(t *testing.T) {
 	c := NewCache()
 	k := key("scratch")
-	_, claim, _ := c.GetOrBegin(context.Background(), k)
+	_, claim, _ := c.GetOrBegin(nil, k)
 	claim.Commit(entryFor(1))
 	for i := range k {
 		k[i] = 0xFF // clobber the caller's buffer
@@ -68,13 +79,13 @@ func TestGetOrBeginKeyIsCopied(t *testing.T) {
 
 func TestGetOrBeginCancelledWaiter(t *testing.T) {
 	c := NewCache()
-	_, claim, _ := c.GetOrBegin(context.Background(), key("slow"))
+	_, claim, _ := c.GetOrBegin(nil, key("slow"))
 	defer claim.Abandon()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrBegin(ctx, key("slow"))
+		_, _, err := c.GetOrBegin(ctx.Done(), key("slow"))
 		done <- err
 	}()
 	// The waiter must park on the in-flight cell, then honor its own ctx.
@@ -82,8 +93,8 @@ func TestGetOrBeginCancelledWaiter(t *testing.T) {
 	cancel()
 	select {
 	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+		if err != sfcache.ErrCancelled {
+			t.Fatalf("cancelled waiter returned %v, want sfcache.ErrCancelled", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled waiter stayed wedged behind the in-flight search")
@@ -109,7 +120,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			ent, claim, err := c.GetOrBegin(context.Background(), key("k"))
+			ent, claim, err := c.GetOrBegin(nil, key("k"))
 			if err != nil {
 				t.Error(err)
 				return
@@ -150,12 +161,12 @@ func TestSingleflightCoalesces(t *testing.T) {
 // stays searchable — a cancelled fill never poisons it.
 func TestAbandonUnwedgesWaiters(t *testing.T) {
 	c := NewCache()
-	_, claim, _ := c.GetOrBegin(context.Background(), key("k"))
+	_, claim, _ := c.GetOrBegin(nil, key("k"))
 
 	want := entryFor(1)
 	got := make(chan *Entry, 1)
 	go func() {
-		ent, cl2, err := c.GetOrBegin(context.Background(), key("k"))
+		ent, cl2, err := c.GetOrBegin(nil, key("k"))
 		if err != nil {
 			t.Error(err)
 			got <- nil
@@ -190,7 +201,7 @@ func TestAbandonOnPanicUnwedges(t *testing.T) {
 	c := NewCache()
 	func() {
 		defer func() { recover() }()
-		_, claim, _ := c.GetOrBegin(context.Background(), key("p"))
+		_, claim, _ := c.GetOrBegin(nil, key("p"))
 		committed := false
 		defer func() {
 			if !committed {
@@ -202,7 +213,7 @@ func TestAbandonOnPanicUnwedges(t *testing.T) {
 	// The key must be claimable again, promptly.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	ent, claim, err := c.GetOrBegin(ctx, key("p"))
+	ent, claim, err := c.GetOrBegin(ctx.Done(), key("p"))
 	if err != nil || ent != nil || claim == nil {
 		t.Fatalf("GetOrBegin after panicked fill = (%v, %v, %v), want a fresh claim", ent, claim, err)
 	}
@@ -215,7 +226,7 @@ func TestAbandonOnPanicUnwedges(t *testing.T) {
 func TestCapacityBoundSheds(t *testing.T) {
 	c := NewCacheSize(shardCount) // one completed entry per shard
 	for i := 0; i < 10*shardCount; i++ {
-		_, claim, _ := c.GetOrBegin(context.Background(), key(fmt.Sprintf("k%d", i)))
+		_, claim, _ := c.GetOrBegin(nil, key(fmt.Sprintf("k%d", i)))
 		claim.Commit(entryFor(1))
 	}
 	if n := c.Len(); n > shardCount {
@@ -226,9 +237,9 @@ func TestCapacityBoundSheds(t *testing.T) {
 	}
 	// In-flight claims are never evicted: overflow the shard of a live claim.
 	c2 := NewCacheSize(shardCount)
-	_, live, _ := c2.GetOrBegin(context.Background(), key("live"))
+	_, live, _ := c2.GetOrBegin(nil, key("live"))
 	for i := 0; i < 10*shardCount; i++ {
-		_, cl, _ := c2.GetOrBegin(context.Background(), key(fmt.Sprintf("x%d", i)))
+		_, cl, _ := c2.GetOrBegin(nil, key(fmt.Sprintf("x%d", i)))
 		cl.Commit(entryFor(1))
 	}
 	live.Commit(entryFor(2))
@@ -261,13 +272,13 @@ func TestEntryValidate(t *testing.T) {
 func TestPersistRoundTrip(t *testing.T) {
 	c := NewCache()
 	for i := 1; i <= 5; i++ {
-		_, claim, _ := c.GetOrBegin(context.Background(), key(fmt.Sprintf("k%d", i)))
+		_, claim, _ := c.GetOrBegin(nil, key(fmt.Sprintf("k%d", i)))
 		e := entryFor(i)
 		e.Stages[0].Strategy = schedule.Merge
 		claim.Commit(e)
 	}
 	// An in-flight claim must be skipped, not persisted half-done.
-	_, pending, _ := c.GetOrBegin(context.Background(), key("pending"))
+	_, pending, _ := c.GetOrBegin(nil, key("pending"))
 	defer pending.Abandon()
 
 	var buf bytes.Buffer
@@ -322,7 +333,7 @@ func TestLoadCorruptWholeRejection(t *testing.T) {
 	// A valid file to mutate.
 	c := NewCache()
 	for i := 0; i < 3; i++ {
-		_, claim, _ := c.GetOrBegin(context.Background(), key(fmt.Sprintf("k%d", i)))
+		_, claim, _ := c.GetOrBegin(nil, key(fmt.Sprintf("k%d", i)))
 		claim.Commit(entryFor(2))
 	}
 	var buf bytes.Buffer
@@ -377,7 +388,7 @@ func TestSaveFileLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "blocks.json")
 	c := NewCache()
-	_, claim, _ := c.GetOrBegin(context.Background(), key("k"))
+	_, claim, _ := c.GetOrBegin(nil, key("k"))
 	claim.Commit(entryFor(4))
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package blockcache
 
 import (
-	"context"
 	"testing"
 )
 
@@ -9,11 +8,11 @@ func TestFetchHookHitCommitsRemotely(t *testing.T) {
 	c := NewCache()
 	want := entryFor(2)
 	var gotKey []byte
-	c.SetFetch(func(ctx context.Context, k []byte) (*Entry, bool) {
+	c.SetFetch(func(k []byte) (*Entry, bool) {
 		gotKey = append([]byte(nil), k...)
 		return want, true
 	})
-	got, cl, err := c.GetOrBegin(context.Background(), key("r"))
+	got, cl, err := c.GetOrBegin(nil, key("r"))
 	if err != nil || cl != nil || got != want {
 		t.Fatalf("GetOrBegin with fetch hit = (%v, %v, %v), want the fetched entry", got, cl, err)
 	}
@@ -25,19 +24,19 @@ func TestFetchHookHitCommitsRemotely(t *testing.T) {
 		t.Fatalf("stats after remote hit = %+v", st)
 	}
 	// Now a plain local hit; the hook must not run again.
-	c.SetFetch(func(ctx context.Context, k []byte) (*Entry, bool) {
+	c.SetFetch(func(k []byte) (*Entry, bool) {
 		t.Error("fetch hook ran on a local hit")
 		return nil, false
 	})
-	if got2, cl2, _ := c.GetOrBegin(context.Background(), key("r")); cl2 != nil || got2 != want {
+	if got2, cl2, _ := c.GetOrBegin(nil, key("r")); cl2 != nil || got2 != want {
 		t.Fatalf("second lookup = (%v, %v)", got2, cl2)
 	}
 }
 
 func TestFetchHookMissFallsThrough(t *testing.T) {
 	c := NewCache()
-	c.SetFetch(func(ctx context.Context, k []byte) (*Entry, bool) { return nil, false })
-	got, cl, err := c.GetOrBegin(context.Background(), key("m"))
+	c.SetFetch(func(k []byte) (*Entry, bool) { return nil, false })
+	got, cl, err := c.GetOrBegin(nil, key("m"))
 	if err != nil || cl == nil || got != nil {
 		t.Fatalf("GetOrBegin with fetch miss = (%v, %v, %v), want a claim", got, cl, err)
 	}
@@ -53,17 +52,17 @@ func TestFetchHookMissFallsThrough(t *testing.T) {
 // one.
 func TestFetchHookPanicAbandons(t *testing.T) {
 	c := NewCache()
-	c.SetFetch(func(ctx context.Context, k []byte) (*Entry, bool) { panic("boom") })
+	c.SetFetch(func(k []byte) (*Entry, bool) { panic("boom") })
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("panic did not propagate")
 			}
 		}()
-		c.GetOrBegin(context.Background(), key("p"))
+		c.GetOrBegin(nil, key("p"))
 	}()
 	c.SetFetch(nil)
-	got, cl, err := c.GetOrBegin(context.Background(), key("p"))
+	got, cl, err := c.GetOrBegin(nil, key("p"))
 	if err != nil || cl == nil || got != nil {
 		t.Fatalf("GetOrBegin after hook panic = (%v, %v, %v), want a fresh claim", got, cl, err)
 	}

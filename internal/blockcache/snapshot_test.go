@@ -1,7 +1,6 @@
 package blockcache
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -10,7 +9,7 @@ import (
 
 func fill(t *testing.T, c *Cache, name string, ops int) {
 	t.Helper()
-	_, cl, err := c.GetOrBegin(context.Background(), key(name))
+	_, cl, err := c.GetOrBegin(nil, key(name))
 	if err != nil || cl == nil {
 		t.Fatalf("fill %q: (_, %v, %v), want a claim", name, cl, err)
 	}
@@ -27,7 +26,7 @@ func TestSnapshotIncremental(t *testing.T) {
 		t.Fatalf("full snapshot has %d entries, want 2", len(first))
 	}
 	// Unfinished fills are invisible.
-	_, pending, _ := c.GetOrBegin(context.Background(), key("pending"))
+	_, pending, _ := c.GetOrBegin(nil, key("pending"))
 	if got, _ := c.Snapshot(0); len(got) != 2 {
 		t.Fatalf("snapshot saw an uncommitted fill: %d entries", len(got))
 	}
@@ -62,7 +61,7 @@ func TestMergeRoundTripAndDedup(t *testing.T) {
 	if err != nil || added != 2 {
 		t.Fatalf("Merge = (%d, %v), want (2, nil)", added, err)
 	}
-	got, cl, err := dst.GetOrBegin(context.Background(), key("y"))
+	got, cl, err := dst.GetOrBegin(nil, key("y"))
 	if err != nil || cl != nil || got == nil || got.Ops != 3 {
 		t.Fatalf("merged entry lookup = (%v, %v, %v)", got, cl, err)
 	}
@@ -126,7 +125,7 @@ func TestSaveFileDuringActiveFills(t *testing.T) {
 				default:
 				}
 				k := key(fmt.Sprintf("w%d-%d", w, i%200))
-				_, cl, err := c.GetOrBegin(context.Background(), k)
+				_, cl, err := c.GetOrBegin(nil, k)
 				if err != nil {
 					return
 				}

@@ -8,64 +8,20 @@ import (
 	"strings"
 )
 
-// maxFetchKeys bounds one batched fetch request; a peer asking for more
-// should page (the pusher never needs to — it POSTs entries, not keys).
-const maxFetchKeys = 65536
-
-// fetchKeysRequest is the POST /cache/<kind>/fetch body.
-type fetchKeysRequest struct {
-	// Keys are canonical fingerprints, base64 raw-URL — the same
-	// encoding the caches persist.
-	Keys []string `json:"keys"`
-}
-
-// handleBlockGet serves GET /cache/block/<fp>: the single canonical block
-// entry in wire form, 404 when this node has not finished it.
-func (n *Node) handleBlockGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := n.singleKey(w, r, "/cache/block/")
+// serveGet serves GET /cache/<kind>/<fp>: the single canonical entry in
+// wire form, 404 when this node has not finished it.
+func (x *exchange[V, W]) serveGet(w http.ResponseWriter, r *http.Request) {
+	n := x.n
+	key, ok := n.singleKey(w, r, "/cache/"+x.kind+"/")
 	if !ok {
 		return
 	}
-	entries := n.blocks.Export([][]byte{key})
+	entries := x.cache.Export([][]byte{key})
 	if len(entries) == 0 {
-		n.failJSON(w, http.StatusNotFound, fmt.Errorf("block entry not cached here"))
+		n.failJSON(w, http.StatusNotFound, fmt.Errorf("%s entry not cached here", x.noun))
 		return
 	}
 	n.writeJSON(w, map[string]any{"entries": entries})
-}
-
-// handleMeasureGet serves GET /cache/measure/<fp>; see handleBlockGet.
-func (n *Node) handleMeasureGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := n.singleKey(w, r, "/cache/measure/")
-	if !ok {
-		return
-	}
-	entries := n.measure.Export([][]byte{key})
-	if len(entries) == 0 {
-		n.failJSON(w, http.StatusNotFound, fmt.Errorf("measurement entry not cached here"))
-		return
-	}
-	n.writeJSON(w, map[string]any{"entries": entries})
-}
-
-// handleBlockFetch serves POST /cache/block/fetch: the batched variant —
-// every requested fingerprint this node has finished, absent keys simply
-// omitted (an empty list is a valid answer, not an error).
-func (n *Node) handleBlockFetch(w http.ResponseWriter, r *http.Request) {
-	keys, ok := n.batchKeys(w, r)
-	if !ok {
-		return
-	}
-	n.writeJSON(w, map[string]any{"entries": n.blocks.Export(keys)})
-}
-
-// handleMeasureFetch serves POST /cache/measure/fetch; see handleBlockFetch.
-func (n *Node) handleMeasureFetch(w http.ResponseWriter, r *http.Request) {
-	keys, ok := n.batchKeys(w, r)
-	if !ok {
-		return
-	}
-	n.writeJSON(w, map[string]any{"entries": n.measure.Export(keys)})
 }
 
 // handlePush serves POST /cluster/push: merge a peer's wire entries into
@@ -81,18 +37,18 @@ func (n *Node) handlePush(w http.ResponseWriter, r *http.Request) {
 		n.failJSON(w, http.StatusBadRequest, fmt.Errorf("parse push: %v", err))
 		return
 	}
-	blockAdded, err := n.blocks.Merge(preq.Block)
+	blockAdded, err := n.blocks.cache.Merge(preq.Block)
 	if err != nil {
 		n.failJSON(w, http.StatusBadRequest, err)
 		return
 	}
-	measureAdded, err := n.measure.Merge(preq.Measure)
+	measureAdded, err := n.measure.cache.Merge(preq.Measure)
 	if err != nil {
 		n.failJSON(w, http.StatusBadRequest, err)
 		return
 	}
-	n.mergedBlocks.Add(int64(blockAdded))
-	n.mergedMeasurements.Add(int64(measureAdded))
+	n.blocks.merged.Add(int64(blockAdded))
+	n.measure.merged.Add(int64(measureAdded))
 	n.writeJSON(w, pushResponse{BlockAdded: blockAdded, MeasureAdded: measureAdded})
 }
 
@@ -122,33 +78,6 @@ func (n *Node) singleKey(w http.ResponseWriter, r *http.Request, prefix string) 
 		return nil, false
 	}
 	return raw, true
-}
-
-// batchKeys parses and decodes a batched fetch body.
-func (n *Node) batchKeys(w http.ResponseWriter, r *http.Request) ([][]byte, bool) {
-	if r.Method != http.MethodPost {
-		n.failJSON(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return nil, false
-	}
-	var req fetchKeysRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil { //ioslint:untrusted fetch request JSON
-		n.failJSON(w, http.StatusBadRequest, fmt.Errorf("parse fetch: %v", err))
-		return nil, false
-	}
-	if len(req.Keys) > maxFetchKeys {
-		n.failJSON(w, http.StatusBadRequest, fmt.Errorf("too many keys (%d > %d)", len(req.Keys), maxFetchKeys))
-		return nil, false
-	}
-	keys := make([][]byte, 0, len(req.Keys))
-	for _, k := range req.Keys {
-		raw, err := base64.RawURLEncoding.DecodeString(k)
-		if err != nil {
-			n.failJSON(w, http.StatusBadRequest, fmt.Errorf("bad fingerprint %q: %v", k, err))
-			return nil, false
-		}
-		keys = append(keys, raw)
-	}
-	return keys, true
 }
 
 func (n *Node) writeJSON(w http.ResponseWriter, v any) {

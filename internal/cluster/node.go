@@ -19,6 +19,7 @@ import (
 	"ios/internal/measure"
 	"ios/internal/plan"
 	"ios/internal/serve"
+	"ios/internal/sfcache"
 )
 
 // Member identifies one cluster node: a stable ID (the ring hashes it)
@@ -93,16 +94,14 @@ const fetchFanout = 3
 // Endpoints (everything else falls through to the serve.Server):
 //
 //	GET  /cache/block/<fp>    one block entry, fp base64 raw-URL (404 if absent)
-//	POST /cache/block/fetch   {"keys":[fp...]} -> {"entries":[...]}
 //	GET  /cache/measure/<fp>  one measurement entry (404 if absent)
-//	POST /cache/measure/fetch {"keys":[fp...]} -> {"entries":[...]}
 //	POST /cluster/push        {"block":[...],"measure":[...]} -> counts merged
 //	GET  /cluster/stats       exchange counters (Stats)
 type Node struct {
 	cfg     Config
 	server  *serve.Server
-	blocks  *blockcache.Cache
-	measure *measure.Cache
+	blocks  exchange[*blockcache.Entry, blockcache.WireEntry]
+	measure exchange[float64, measure.WireEntry]
 	client  *http.Client
 	mux     *http.ServeMux
 	baseCtx context.Context
@@ -127,18 +126,8 @@ type Node struct {
 	lastBlock   uint64 // guarded by pushMu
 	lastMeasure uint64 // guarded by pushMu
 
-	blockFetchHits     atomic.Int64
-	blockFetchMisses   atomic.Int64
-	blockFetchErrors   atomic.Int64
-	measureFetchHits   atomic.Int64
-	measureFetchMisses atomic.Int64
-	measureFetchErrors atomic.Int64
-	pushedBlocks       atomic.Int64
-	pushedMeasurements atomic.Int64
-	mergedBlocks       atomic.Int64
-	mergedMeasurements atomic.Int64
-	plansPulled        atomic.Int64
-	peersMarkedDown    atomic.Int64
+	plansPulled     atomic.Int64
+	peersMarkedDown atomic.Int64
 }
 
 // Stats is a snapshot of one node's exchange counters (GET /cluster/stats).
@@ -196,8 +185,8 @@ func New(ctx context.Context, cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		server:  cfg.Server,
-		blocks:  cfg.Server.BlockCache(),
-		measure: cfg.Server.MeasureCache(),
+		blocks:  exchange[*blockcache.Entry, blockcache.WireEntry]{kind: "block", noun: "block", cache: cfg.Server.BlockCache()},
+		measure: exchange[float64, measure.WireEntry]{kind: "measure", noun: "measurement", cache: cfg.Server.MeasureCache()},
 		client:  client,
 		mux:     http.NewServeMux(),
 		baseCtx: ctx,
@@ -208,12 +197,11 @@ func New(ctx context.Context, cfg Config) (*Node, error) {
 	if err := n.SetMembers(cfg.Members); err != nil {
 		return nil, err
 	}
-	n.blocks.SetFetch(n.fetchBlock)
-	n.measure.SetFetch(n.fetchMeasure)
-	n.mux.HandleFunc("/cache/block/fetch", n.handleBlockFetch)
-	n.mux.HandleFunc("/cache/block/", n.handleBlockGet)
-	n.mux.HandleFunc("/cache/measure/fetch", n.handleMeasureFetch)
-	n.mux.HandleFunc("/cache/measure/", n.handleMeasureGet)
+	n.blocks.n, n.measure.n = n, n
+	n.blocks.cache.SetFetch(n.blocks.fetch)
+	n.measure.cache.SetFetch(n.fetchMeasure)
+	n.mux.HandleFunc("/cache/block/", n.blocks.serveGet)
+	n.mux.HandleFunc("/cache/measure/", n.measure.serveGet)
 	n.mux.HandleFunc("/cluster/push", n.handlePush)
 	n.mux.HandleFunc("/cluster/stats", n.handleStats)
 	n.mux.Handle("/", cfg.Server)
@@ -259,16 +247,16 @@ func (n *Node) SetMembers(members []Member) error {
 // Stats returns a snapshot of the exchange counters.
 func (n *Node) Stats() Stats {
 	return Stats{
-		BlockFetchHits:     n.blockFetchHits.Load(),
-		BlockFetchMisses:   n.blockFetchMisses.Load(),
-		BlockFetchErrors:   n.blockFetchErrors.Load(),
-		MeasureFetchHits:   n.measureFetchHits.Load(),
-		MeasureFetchMisses: n.measureFetchMisses.Load(),
-		MeasureFetchErrors: n.measureFetchErrors.Load(),
-		PushedBlocks:       n.pushedBlocks.Load(),
-		PushedMeasurements: n.pushedMeasurements.Load(),
-		MergedBlocks:       n.mergedBlocks.Load(),
-		MergedMeasurements: n.mergedMeasurements.Load(),
+		BlockFetchHits:     n.blocks.hits.Load(),
+		BlockFetchMisses:   n.blocks.misses.Load(),
+		BlockFetchErrors:   n.blocks.errors.Load(),
+		MeasureFetchHits:   n.measure.hits.Load(),
+		MeasureFetchMisses: n.measure.misses.Load(),
+		MeasureFetchErrors: n.measure.errors.Load(),
+		PushedBlocks:       n.blocks.pushed.Load(),
+		PushedMeasurements: n.measure.pushed.Load(),
+		MergedBlocks:       n.blocks.merged.Load(),
+		MergedMeasurements: n.measure.merged.Load(),
 		PlansPulled:        n.plansPulled.Load(),
 		PeersMarkedDown:    n.peersMarkedDown.Load(),
 	}
@@ -302,67 +290,57 @@ func (n *Node) markDown(id string) {
 
 // fetch hooks ----------------------------------------------------------
 
-// fetchBlock is the block cache's SetFetch hook: ask the key's ring
-// owners for the canonical entry before paying a local DP search. Any
-// returned entry passed WireEntry.Decode's structural validation — the
-// same bar a persisted cache file meets — and is then rebound to the
-// actual block by the existing blockcache.Rebind path at the call site.
-func (n *Node) fetchBlock(ctx context.Context, key []byte) (*blockcache.Entry, bool) {
-	wes, ok := n.fetchEntry(ctx, "block", key, &n.blockFetchErrors) //ioslint:untrusted peer HTTP body
-	if !ok || len(wes) == 0 {
-		n.blockFetchMisses.Add(1)
-		return nil, false
-	}
-	var we blockcache.WireEntry
-	if err := json.Unmarshal(wes[0], &we); err != nil {
-		n.logf("cluster %s: peer returned bad block entry: %v", n.cfg.Self, err)
-		n.blockFetchMisses.Add(1)
-		return nil, false
+// exchange is one cache's side of the peer exchange: the cache, the URL
+// segment its entries are served under, and its exchange counters. The
+// block and measurement caches differ only in their type arguments.
+type exchange[V any, W sfcache.Wire[V]] struct {
+	n     *Node
+	kind  string // URL segment: /cache/<kind>/<fp>
+	noun  string // what diagnostics call an entry
+	cache *sfcache.Cache[V, W]
+
+	hits, misses, errors atomic.Int64 // fetches by outcome
+	pushed, merged       atomic.Int64 // entries shipped to / accepted from peers
+}
+
+// fetch is the cache's SetFetch hook: ask the key's ring owners for the
+// entry before paying a local computation. A returned entry passed
+// W.Decode's validation — the same bar a persisted cache file meets —
+// and must echo the fingerprint that was asked for. The hook runs inside
+// the cache's singleflight claim, whose result is shared by every
+// coalesced waiter and which (on the DP hot path) carries no context, so
+// fetches are bounded by the node's lifetime context plus the fetch
+// timeout, not by the first requester's context.
+func (x *exchange[V, W]) fetch(key []byte) (V, bool) {
+	var zero V
+	n := x.n
+	we, ok := fetchEntry[W](n, x.kind, key, &x.errors) //ioslint:untrusted peer HTTP body
+	if !ok {
+		x.misses.Add(1)
+		return zero, false
 	}
 	raw, v, err := we.Decode()
 	if err != nil || !bytes.Equal(raw, key) {
-		n.logf("cluster %s: peer returned bad block entry: %v", n.cfg.Self, err)
-		n.blockFetchMisses.Add(1)
-		return nil, false
+		n.logf("cluster %s: peer returned bad %s entry: %v", n.cfg.Self, x.noun, err)
+		x.misses.Add(1)
+		return zero, false
 	}
-	n.blockFetchHits.Add(1)
+	x.hits.Add(1)
 	return v, true
 }
 
-// fetchMeasure is the measurement cache's SetFetch hook. The DP engine
-// issues tens of thousands of these per cold search and a local
+// fetchMeasure gates the measurement cache's fetch hook. The DP engine
+// issues tens of thousands of lookups per cold search and a local
 // simulation costs microseconds, so remote lookup only pays off against
 // a warm fleet: a consecutive-miss breaker (measureTripAfter) shuts the
 // path off during cold search storms and re-probes after the cooldown.
-// The hook runs on the DP hot path, which carries no context — fetches
-// are bounded by the node's lifetime context plus the fetch timeout.
 func (n *Node) fetchMeasure(key []byte) (float64, bool) {
 	if !n.measureFetchArmed() {
 		return 0, false
 	}
-	wes, ok := n.fetchEntry(n.baseCtx, "measure", key, &n.measureFetchErrors) //ioslint:untrusted peer HTTP body
-	if !ok || len(wes) == 0 {
-		n.measureFetchMisses.Add(1)
-		n.noteMeasureMiss()
-		return 0, false
-	}
-	var we measure.WireEntry
-	if err := json.Unmarshal(wes[0], &we); err != nil {
-		n.logf("cluster %s: peer returned bad measurement entry: %v", n.cfg.Self, err)
-		n.measureFetchMisses.Add(1)
-		n.noteMeasureMiss()
-		return 0, false
-	}
-	raw, lat, err := we.Decode()
-	if err != nil || !bytes.Equal(raw, key) {
-		n.logf("cluster %s: peer returned bad measurement entry: %v", n.cfg.Self, err)
-		n.measureFetchMisses.Add(1)
-		n.noteMeasureMiss()
-		return 0, false
-	}
-	n.measureFetchHits.Add(1)
-	n.noteMeasureHit()
-	return lat, true
+	lat, ok := n.measure.fetch(key)
+	n.noteMeasureFetch(ok)
+	return lat, ok
 }
 
 // measureFetchArmed reports whether the measurement breaker allows a
@@ -381,40 +359,47 @@ func (n *Node) measureFetchArmed() bool {
 	return true
 }
 
-func (n *Node) noteMeasureMiss() {
+// noteMeasureFetch feeds the breaker: any hit re-arms it, and the
+// measureTripAfter'th consecutive miss trips it for the cooldown.
+func (n *Node) noteMeasureFetch(hit bool) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	if hit {
+		n.measureMissRun = 0
+		return
+	}
 	n.measureMissRun++
 	if n.measureMissRun == measureTripAfter {
 		n.measureDownUntil = n.now().Add(n.cfg.FailureCooldown)
 	}
-	n.mu.Unlock()
 }
 
-func (n *Node) noteMeasureHit() {
-	n.mu.Lock()
-	n.measureMissRun = 0
-	n.mu.Unlock()
-}
+// maxPeerBody bounds a peer response body this node decodes (one wire
+// entry, or a plan listing): a lying or broken peer costs a failed fetch,
+// never an unbounded buffer. Well under serve's 16 MB request cap.
+const maxPeerBody = 4 << 20
 
 // fetchEntry asks each candidate peer for one entry of the given kind
 // ("block" or "measure"), bounded by FetchTimeout per attempt and
 // Retries extra attempts per peer for transport failures; a 404 is a
 // definitive per-peer miss and moves straight to the next candidate. A
 // peer that fails transport is marked down for the failure cooldown.
-// Returns (entries, true) on a 200, (nil, false) when every candidate
-// missed or failed — the caller computes locally, never errors.
-func (n *Node) fetchEntry(ctx context.Context, kind string, key []byte, errCounter *atomic.Int64) ([]json.RawMessage, bool) {
+// Returns (entry, true) on a 200, false when every candidate missed or
+// failed — the caller computes locally, never errors.
+func fetchEntry[W any](n *Node, kind string, key []byte, errCounter *atomic.Int64) (W, bool) {
+	var zero W
+	ctx := n.baseCtx
 	if ctx.Err() != nil {
-		return nil, false
+		return zero, false
 	}
 	fp := base64.RawURLEncoding.EncodeToString(key)
 	for _, peer := range n.candidates(key) {
 		for attempt := 0; attempt <= n.cfg.Retries; attempt++ {
-			entries, status, err := n.getEntries(ctx, peer.URL+"/cache/"+kind+"/"+fp)
+			entries, status, err := getEntries[W](ctx, n, peer.URL+"/cache/"+kind+"/"+fp)
 			if err != nil {
 				errCounter.Add(1)
 				if ctx.Err() != nil {
-					return nil, false
+					return zero, false
 				}
 				if attempt == n.cfg.Retries {
 					n.markDown(peer.ID)
@@ -428,16 +413,15 @@ func (n *Node) fetchEntry(ctx context.Context, kind string, key []byte, errCount
 				errCounter.Add(1)
 				break
 			}
-			return entries, true
+			return entries[0], true
 		}
 	}
-	return nil, false
+	return zero, false
 }
 
-// getEntries performs one GET of a wire-entry response. The entries come
-// back raw so block and measurement fetches share this transport path
-// and decode (with validation) at their call sites.
-func (n *Node) getEntries(ctx context.Context, rawurl string) ([]json.RawMessage, int, error) {
+// getEntries performs one GET of a wire-entry response, decoding at most
+// maxPeerBody bytes of it; the caller validates what comes back.
+func getEntries[W any](ctx context.Context, n *Node, rawurl string) ([]W, int, error) {
 	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawurl, nil)
@@ -454,9 +438,9 @@ func (n *Node) getEntries(ctx context.Context, rawurl string) ([]json.RawMessage
 		return nil, resp.StatusCode, nil
 	}
 	var body struct {
-		Entries []json.RawMessage `json:"entries"`
+		Entries []W `json:"entries"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxPeerBody)).Decode(&body); err != nil {
 		return nil, 0, err
 	}
 	return body.Entries, resp.StatusCode, nil
@@ -489,45 +473,25 @@ type pushResponse struct {
 func (n *Node) Sync(ctx context.Context) (int, error) {
 	n.pushMu.Lock()
 	defer n.pushMu.Unlock()
-	bents, bnext := n.blocks.Snapshot(n.lastBlock)
-	ments, mnext := n.measure.Snapshot(n.lastMeasure)
+	bents, bnext := n.blocks.cache.Snapshot(n.lastBlock)
+	ments, mnext := n.measure.cache.Snapshot(n.lastMeasure)
 	if len(bents) == 0 && len(ments) == 0 {
 		n.lastBlock, n.lastMeasure = bnext, mnext
 		return 0, nil
 	}
-	per := make(map[string]*pushRequest)
-	var owners []string
 	n.mu.Lock()
 	ring := n.ring
 	urls := n.urls
 	n.mu.Unlock()
-	add := func(owner string) *pushRequest {
-		req := per[owner]
-		if req == nil {
-			req = &pushRequest{}
-			per[owner] = req
-			owners = append(owners, owner)
-		}
-		return req
+	blocks := byOwner(ring, n.cfg.Self, bents, func(we blockcache.WireEntry) string { return we.Key })
+	measures := byOwner(ring, n.cfg.Self, ments, func(we measure.WireEntry) string { return we.Key })
+	owners := make([]string, 0, len(blocks)+len(measures))
+	for id := range blocks {
+		owners = append(owners, id)
 	}
-	for _, we := range bents {
-		raw, err := base64.RawURLEncoding.DecodeString(we.Key)
-		if err != nil {
-			continue // cannot happen for our own snapshot
-		}
-		if owner := ring.Owner(raw); owner != n.cfg.Self {
-			r := add(owner)
-			r.Block = append(r.Block, we)
-		}
-	}
-	for _, we := range ments {
-		raw, err := base64.RawURLEncoding.DecodeString(we.Key)
-		if err != nil {
-			continue
-		}
-		if owner := ring.Owner(raw); owner != n.cfg.Self {
-			r := add(owner)
-			r.Measure = append(r.Measure, we)
+	for id := range measures {
+		if blocks[id] == nil {
+			owners = append(owners, id)
 		}
 	}
 	sort.Strings(owners)
@@ -540,7 +504,7 @@ func (n *Node) Sync(ctx context.Context) (int, error) {
 			}
 			continue
 		}
-		req := per[id]
+		req := &pushRequest{Block: blocks[id], Measure: measures[id]}
 		if err := n.postPush(ctx, urls[id], req); err != nil {
 			n.markDown(id)
 			if firstErr == nil {
@@ -549,13 +513,29 @@ func (n *Node) Sync(ctx context.Context) (int, error) {
 			continue
 		}
 		pushed += len(req.Block) + len(req.Measure)
-		n.pushedBlocks.Add(int64(len(req.Block)))
-		n.pushedMeasurements.Add(int64(len(req.Measure)))
+		n.blocks.pushed.Add(int64(len(req.Block)))
+		n.measure.pushed.Add(int64(len(req.Measure)))
 	}
 	if firstErr == nil {
 		n.lastBlock, n.lastMeasure = bnext, mnext
 	}
 	return pushed, firstErr
+}
+
+// byOwner groups snapshot entries by the peer that owns them on the ring;
+// entries this node owns itself stay put.
+func byOwner[W any](ring *Ring, self string, entries []W, key func(W) string) map[string][]W {
+	out := make(map[string][]W)
+	for _, we := range entries {
+		raw, err := base64.RawURLEncoding.DecodeString(key(we))
+		if err != nil {
+			continue // cannot happen for our own snapshot
+		}
+		if owner := ring.Owner(raw); owner != self {
+			out[owner] = append(out[owner], we)
+		}
+	}
+	return out
 }
 
 // peerDown reports whether a peer is inside its failure cooldown.
@@ -655,7 +635,7 @@ func (n *Node) pullPlansFrom(ctx context.Context, baseURL string) (int, error) {
 		return 0, err
 	}
 	var infos []serve.PlanInfo
-	err = json.NewDecoder(resp.Body).Decode(&infos) //ioslint:untrusted peer HTTP plan listing
+	err = json.NewDecoder(io.LimitReader(resp.Body, maxPeerBody)).Decode(&infos) //ioslint:untrusted peer HTTP plan listing
 	resp.Body.Close()
 	if err != nil {
 		return 0, err

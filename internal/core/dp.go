@@ -207,9 +207,9 @@ func OptimizeBlockContext(ctx context.Context, b *graph.Block, prof *profile.Pro
 	var key []byte
 	if bc := opts.blockCache; bc != nil && prof.Noise <= 0 {
 		key = blockcache.Fingerprint(b, prof, opts.Fingerprint())
-		ent, cl, err := bc.GetOrBegin(ctx, key)
+		ent, cl, err := bc.GetOrBegin(ctx.Done(), key)
 		if err != nil {
-			return nil, Stats{}, wrapCancelled(err)
+			return nil, Stats{}, wrapCancelled(ctx.Err())
 		}
 		if cl == nil {
 			if stages, rerr := blockcache.Rebind(b, ent); rerr == nil {

@@ -117,14 +117,20 @@ func isAtomicOpName(name string) bool {
 	return false
 }
 
-// fieldVarOf resolves sel to the struct field it selects, or nil.
+// fieldVarOf resolves sel to the declared struct field it selects, or
+// nil. A field reached through an instantiated generic type (every
+// method of a generic type sees its own instantiation of the receiver)
+// resolves to the one field object of the generic declaration.
 func fieldVarOf(pass *Pass, sel *ast.SelectorExpr) *types.Var {
 	s, ok := pass.Info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return nil
 	}
-	v, _ := s.Obj().(*types.Var)
-	return v
+	v, ok := s.Obj().(*types.Var)
+	if !ok {
+		return nil
+	}
+	return v.Origin()
 }
 
 // ownerTypeName names the receiver type of a field selection, for

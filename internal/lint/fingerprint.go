@@ -233,17 +233,29 @@ func packageFuncDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
 }
 
 // calledFunc resolves a call expression's callee to its declared
-// function object, if it is a plain function or method call.
+// function object, if it is a plain function or method call. Calls into
+// generic code — an explicitly instantiated function f[T](...), or a
+// method of an instantiated generic type — resolve to the generic
+// declaration, the object the package's FuncDecl index is keyed by.
 func calledFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		fn, _ := pass.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.Info.Uses[fun.Sel].(*types.Func)
-		return fn
+	fun := call.Fun
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
 	}
-	return nil
+	var fn *types.Func
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		fn, _ = pass.Info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = pass.Info.Uses[fun.Sel].(*types.Func)
+	}
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // fieldNames renders a field declaration's name list (or its type for

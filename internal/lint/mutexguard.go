@@ -144,12 +144,8 @@ func checkGuardedAccesses(pass *Pass, f *ast.File, guards map[*types.Var]guarded
 			if !ok {
 				return true
 			}
-			s, ok := pass.Info.Selections[sel]
-			if !ok || s.Kind() != types.FieldVal {
-				return true
-			}
-			v, ok := s.Obj().(*types.Var)
-			if !ok {
+			v := fieldVarOf(pass, sel)
+			if v == nil {
 				return true
 			}
 			g, ok := guards[v]

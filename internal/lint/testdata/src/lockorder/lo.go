@@ -95,3 +95,28 @@ func (f *fetcher) released() {
 	f.mu.Unlock()
 	<-f.ch
 }
+
+// Generic code: a method of a generic type and an explicitly
+// instantiated generic function are followed like any same-package
+// callee, not skipped or mistaken for opaque function values.
+type slot[V any] struct {
+	mu sync.Mutex
+	ch chan V
+}
+
+func (s *slot[V]) recv() V { return <-s.ch }
+
+func drain[V any](ch chan V) { <-ch }
+
+func (s *slot[V]) viaMethod() V {
+	s.mu.Lock()
+	v := s.recv() // want `channel receive \(inside recv\) while holding slot\.mu`
+	s.mu.Unlock()
+	return v
+}
+
+func (s *slot[V]) viaInstantiatedFunc() {
+	s.mu.Lock()
+	drain[V](s.ch) // want `channel receive \(inside drain\) while holding slot\.mu`
+	s.mu.Unlock()
+}

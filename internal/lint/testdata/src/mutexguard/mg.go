@@ -63,3 +63,25 @@ var _ = (*counter).peekLocked
 var _ = (*counter).Note
 var _ = (*gauge).Read
 var _ = (*gauge).Bump
+
+// A generic struct's guarded field is the same field in every method,
+// although each method sees its own instantiation of the receiver type.
+type table[V any] struct {
+	mu sync.Mutex
+	m  map[string]V // guarded by mu
+}
+
+func (t *table[V]) Get(k string) (V, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v, ok := t.m[k] // ok: mu locked in this function
+	return v, ok
+}
+
+func (t *table[V]) Has(k string) bool {
+	_, ok := t.m[k] // want `table\.m is guarded by "mu" but Has neither locks`
+	return ok
+}
+
+var _ = (*table[int]).Get
+var _ = (*table[int]).Has

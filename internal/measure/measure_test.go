@@ -21,12 +21,12 @@ func kernel(flops, bytes float64) gpusim.Kernel {
 func TestGetOrBeginMissThenHit(t *testing.T) {
 	c := NewCache()
 	key := testKey([]gpusim.Stream{{kernel(1e6, 2e6)}})
-	lat, claim := c.GetOrBegin(key)
+	lat, claim, _ := c.GetOrBegin(nil, key)
 	if claim == nil {
 		t.Fatalf("first lookup hit an empty cache (lat=%g)", lat)
 	}
 	claim.Commit(3.5e-6)
-	got, claim2 := c.GetOrBegin(key)
+	got, claim2, _ := c.GetOrBegin(nil, key)
 	if claim2 != nil {
 		t.Fatal("second lookup missed")
 	}
@@ -46,7 +46,7 @@ func TestGetOrBeginKeyIsCopied(t *testing.T) {
 	c := NewCache()
 	key := testKey([]gpusim.Stream{{kernel(1, 1)}})
 	buf := append([]byte(nil), key...)
-	_, claim := c.GetOrBegin(buf)
+	_, claim, _ := c.GetOrBegin(nil, buf)
 	claim.Commit(1)
 	for i := range buf {
 		buf[i] = 0xAA // clobber the caller's scratch
@@ -75,7 +75,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			lat, claim := c.GetOrBegin(key)
+			lat, claim, _ := c.GetOrBegin(nil, key)
 			if claim != nil {
 				mu.Lock()
 				owners++
@@ -114,7 +114,7 @@ func TestCapacityBoundSheds(t *testing.T) {
 		return testKey([]gpusim.Stream{{kernel(float64(i), 1)}})
 	}
 	for i := 0; i < 10*cap; i++ {
-		_, claim := c.GetOrBegin(mk(i))
+		_, claim, _ := c.GetOrBegin(nil, mk(i))
 		if claim == nil {
 			t.Fatalf("entry %d unexpectedly present", i)
 		}
@@ -129,7 +129,7 @@ func TestCapacityBoundSheds(t *testing.T) {
 		t.Fatalf("no evictions recorded: %+v", st)
 	}
 	// A shed fingerprint is simply a miss again.
-	lat, claim := c.GetOrBegin(mk(0))
+	lat, claim, _ := c.GetOrBegin(nil, mk(0))
 	if claim != nil {
 		claim.Commit(0)
 	} else if lat != 0 {
@@ -138,7 +138,7 @@ func TestCapacityBoundSheds(t *testing.T) {
 	// Unbounded caches never evict.
 	u := NewCache()
 	for i := 0; i < 10*cap; i++ {
-		_, cl := u.GetOrBegin(mk(i))
+		_, cl, _ := u.GetOrBegin(nil, mk(i))
 		cl.Commit(1)
 	}
 	if u.Len() != 10*cap || u.Stats().Evicted != 0 {
@@ -152,13 +152,13 @@ func TestCapacityBoundSheds(t *testing.T) {
 func TestAbandonUnwedgesWaiters(t *testing.T) {
 	c := NewCache()
 	key := testKey([]gpusim.Stream{{kernel(3, 3)}})
-	_, claim := c.GetOrBegin(key)
+	_, claim, _ := c.GetOrBegin(nil, key)
 	if claim == nil {
 		t.Fatal("no claim on an empty cache")
 	}
 	waited := make(chan float64, 1)
 	go func() {
-		lat, cl := c.GetOrBegin(key) // blocks on the in-flight claim
+		lat, cl, _ := c.GetOrBegin(nil, key) // blocks on the in-flight claim
 		if cl != nil {
 			// The abandon made this waiter the new owner: measure.
 			lat = 9
@@ -232,7 +232,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		testKey(nil),
 	}
 	for i, k := range keys {
-		_, claim := c.GetOrBegin(k)
+		_, claim, _ := c.GetOrBegin(nil, k)
 		claim.Commit(float64(i) * 1.5e-6)
 	}
 	var buf bytes.Buffer
@@ -269,7 +269,7 @@ func TestPersistRoundTrip(t *testing.T) {
 func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 	good := NewCache()
 	key := testKey([]gpusim.Stream{{kernel(9, 9)}})
-	_, claim := good.GetOrBegin(key)
+	_, claim, _ := good.GetOrBegin(nil, key)
 	claim.Commit(2e-6)
 	var saved bytes.Buffer
 	if err := good.Save(&saved); err != nil {
@@ -298,7 +298,7 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 			t.Errorf("%s: corrupt load left %d entries behind", tc.name, c.Len())
 		}
 		// The cache must remain fully usable after a failed load.
-		_, cl := c.GetOrBegin(key)
+		_, cl, _ := c.GetOrBegin(nil, key)
 		if cl == nil {
 			t.Fatalf("%s: cache unusable after failed load", tc.name)
 		}
@@ -312,7 +312,7 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 func TestSaveFileLoadFile(t *testing.T) {
 	c := NewCache()
 	key := testKey([]gpusim.Stream{{kernel(11, 12)}})
-	_, claim := c.GetOrBegin(key)
+	_, claim, _ := c.GetOrBegin(nil, key)
 	claim.Commit(4e-6)
 	path := t.TempDir() + "/cache.json"
 	if err := c.SaveFile(path); err != nil {

@@ -15,7 +15,7 @@ func fillKey(i int) []byte {
 
 func mustFill(t *testing.T, c *Cache, key []byte, lat float64) {
 	t.Helper()
-	if _, cl := c.GetOrBegin(key); cl != nil {
+	if _, cl, _ := c.GetOrBegin(nil, key); cl != nil {
 		cl.Commit(lat)
 	}
 }
@@ -30,7 +30,7 @@ func TestSnapshotIncremental(t *testing.T) {
 		t.Fatalf("full snapshot has %d entries, want 2", len(full))
 	}
 	// In-flight (uncommitted) fills are invisible.
-	_, pending := c.GetOrBegin(fillKey(9))
+	_, pending, _ := c.GetOrBegin(nil, fillKey(9))
 	if got, _ := c.Snapshot(0); len(got) != 2 {
 		t.Fatalf("snapshot saw an uncommitted fill: %d entries", len(got))
 	}
@@ -108,7 +108,7 @@ func TestExportSubset(t *testing.T) {
 func TestFetchHook(t *testing.T) {
 	c := NewCache()
 	c.SetFetch(func(k []byte) (float64, bool) { return 4.5e-6, true })
-	lat, cl := c.GetOrBegin(fillKey(0))
+	lat, cl, _ := c.GetOrBegin(nil, fillKey(0))
 	if cl != nil || lat != 4.5e-6 {
 		t.Fatalf("GetOrBegin with fetch hit = (%g, %v)", lat, cl)
 	}
@@ -117,7 +117,7 @@ func TestFetchHook(t *testing.T) {
 		t.Fatalf("stats after remote hit = %+v", st)
 	}
 	c.SetFetch(func(k []byte) (float64, bool) { return 0, false })
-	if _, cl := c.GetOrBegin(fillKey(1)); cl == nil {
+	if _, cl, _ := c.GetOrBegin(nil, fillKey(1)); cl == nil {
 		t.Fatal("fetch miss did not fall through to a claim")
 	} else {
 		cl.Commit(1e-6)
@@ -130,10 +130,10 @@ func TestFetchHook(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		c.GetOrBegin(fillKey(2))
+		c.GetOrBegin(nil, fillKey(2))
 	}()
 	c.SetFetch(nil)
-	if _, cl := c.GetOrBegin(fillKey(2)); cl == nil {
+	if _, cl, _ := c.GetOrBegin(nil, fillKey(2)); cl == nil {
 		t.Fatal("claim wedged after hook panic")
 	} else {
 		cl.Commit(1e-6)
@@ -158,7 +158,7 @@ func TestSaveFileDuringActiveFills(t *testing.T) {
 				default:
 				}
 				k := testKey([]gpusim.Stream{{kernel(float64(w*1000+i%200+1), 7)}})
-				if _, cl := c.GetOrBegin(k); cl != nil {
+				if _, cl, _ := c.GetOrBegin(nil, k); cl != nil {
 					cl.Commit(float64(i%50+1) * 1e-7)
 				}
 			}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"ios/internal/atomicfile"
 	"ios/internal/graph"
 	"ios/internal/schedule"
 )
@@ -113,22 +113,10 @@ func Load(r io.Reader) (*Plan, error) {
 	return p, nil
 }
 
-// SaveFile writes the plan to path via a temp file + rename, so a crash
-// mid-save never truncates a previously good plan file.
+// SaveFile writes the plan to path atomically (see atomicfile.Write), so a
+// crash mid-save never truncates a previously good plan file.
 func (p *Plan) SaveFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".plan-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := p.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(path, p.Save)
 }
 
 // LoadFile reads the plan file at path; see Load.

@@ -465,7 +465,9 @@ func (p *Profiler) runStreams(streams []gpusim.Stream) float64 {
 		p.Measurements++
 		return p.backend.Run(p.applyExtraOverhead(streams)).Latency
 	}
-	lat, claim := p.mcache.GetOrBegin(p.stageMeasureKey(streams))
+	// A nil done channel: measurements take microseconds, so a coalesced
+	// waiter is never worth cancelling.
+	lat, claim, _ := p.mcache.GetOrBegin(nil, p.stageMeasureKey(streams))
 	if claim != nil {
 		// A panicking backend (gpusim rejects invalid kernels by panic)
 		// must not leave the claimed fingerprint locked forever for
