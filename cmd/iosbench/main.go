@@ -216,59 +216,6 @@ func writeTrafficJSON(cfg expt.Config, path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// clusterBaseline is the BENCH_cluster.json schema: environment plus the
-// sharded-serving fleet scenario row.
-type clusterBaseline struct {
-	Device     string            `json:"device"`
-	Batch      int               `json:"batch"`
-	Quick      bool              `json:"quick"`
-	GoMaxProcs int               `json:"gomaxprocs"`
-	Rows       []expt.ClusterRow `json:"rows"`
-}
-
-// clusterMinScale is the 1->3 node warm-throughput scaling the baseline
-// must demonstrate.
-const clusterMinScale = 2.5
-
-// writeClusterJSON runs the sharded-serving scenario (experiment
-// "cluster") and writes the baseline file future PRs diff against,
-// failing if the joining node ran any local block DP search, if a
-// peer-fetched schedule diverged from the local search, if warm
-// throughput failed to scale, or if killing a node surfaced a client
-// error.
-func writeClusterJSON(cfg expt.Config, path string) error {
-	rows, err := expt.ClusterRows(cfg)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if r.JoinSearches != 0 {
-			return fmt.Errorf("%s: node joining a warm fleet ran %d block DP searches, want 0 (exchange or ring-ownership bug)", r.Network, r.JoinSearches)
-		}
-		if !r.Identical {
-			return fmt.Errorf("%s: peer-fetched schedule diverged from the local search (fingerprint or rebind soundness bug)", r.Network)
-		}
-		if r.Scale < clusterMinScale {
-			return fmt.Errorf("%s: warm qps scaled %.2fx from 1 to %d nodes, want >= %.1fx (serving-path contention regression)", r.Network, r.Scale, r.Nodes, clusterMinScale)
-		}
-		if !r.KilledOK {
-			return fmt.Errorf("%s: a client saw an error after one node was killed (failure-fallback bug)", r.Network)
-		}
-	}
-	out := clusterBaseline{
-		Device:     cfg.Device.Name,
-		Batch:      cfg.Batch,
-		Quick:      cfg.Quick,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // parseBatches parses the -batches sweep ("" = the experiment default).
 func parseBatches(v string) ([]int, error) {
 	if v == "" {
@@ -306,7 +253,6 @@ func main() {
 		blocksJSON     = flag.String("blocks-json", "", "write the block-cache rows (experiment \"block-cache\": block DP searches uncached/cold/warm) as JSON to this file and exit; fails if a cached schedule diverges from the uncached oracle")
 		specializeJSON = flag.String("specialize-json", "", "write the batch-specialization rows (experiment \"specialize\": cross-batch latency and penalty matrices) as JSON to this file and exit; fails if any column's minimum leaves the diagonal")
 		trafficJSON    = flag.String("traffic-json", "", "write the serving-under-traffic rows (experiment \"traffic\": adaptive vs fixed-batch vs dispatch-immediately over seeded Poisson and bursty traces) as JSON to this file and exit; fails unless adaptive beats batch=1 throughput with p99 within SLO under Poisson")
-		clusterJSON    = flag.String("cluster-json", "", "write the sharded-serving rows (experiment \"cluster\": cold seed, warm join over the consistent-hash exchange, 1-vs-3-node warm qps, one node killed) as JSON to this file and exit; fails unless the joining node runs zero block searches with bit-identical schedules, warm qps scales >= 2.5x, and no client sees an error after a node dies")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
@@ -373,14 +319,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote serving-under-traffic baseline to %s\n", *trafficJSON)
-		return
-	}
-	if *clusterJSON != "" {
-		if err := writeClusterJSON(cfg, *clusterJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "iosbench: -cluster-json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote sharded-serving baseline to %s\n", *clusterJSON)
 		return
 	}
 

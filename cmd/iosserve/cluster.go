@@ -18,8 +18,8 @@ import (
 
 // clusterConfig drives -cluster n: a single-binary simulated fleet of n
 // nodes on consecutive ports of one process, each a full serve.Server
-// with private caches behind a cluster.Node, exchanging warm cache
-// entries under consistent hashing exactly as separate processes would —
+// with private caches behind a cluster.Node, exchanging warm block
+// schedules under consistent hashing exactly as separate processes would —
 // the deployment story of ISSUE's sharded serving tier, runnable on a
 // laptop.
 type clusterConfig struct {
@@ -29,7 +29,7 @@ type clusterConfig struct {
 
 	// Serve is the per-node server template; caches are created fresh per
 	// node from the Sizes below.
-	Serve                           serve.Config
+	Serve                             serve.Config
 	CacheSize, MeasureSize, BlockSize int
 	// MeasureFile and BlockFile are per-node persistence paths; node i
 	// appends ".node<i>" so fleets and single nodes share flag spelling.
@@ -120,14 +120,11 @@ func runCluster(ctx context.Context, cc clusterConfig) error {
 			return fmt.Errorf("%s: %w", members[i].ID, err)
 		}
 		cn := &clusterNode{
-			id:   members[i].ID,
-			srv:  srv,
-			node: node,
-			lis:  lis,
-			httpSrv: &http.Server{
-				Handler:     node,
-				BaseContext: func(net.Listener) context.Context { return ctx },
-			},
+			id:      members[i].ID,
+			srv:     srv,
+			node:    node,
+			lis:     lis,
+			httpSrv: newHTTPServer(ctx, lis.Addr().String(), node),
 		}
 		mf, bf := nodeFile(cc.MeasureFile, i), nodeFile(cc.BlockFile, i)
 		cn.save = func() {

@@ -74,7 +74,7 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 0, "cap on -auto-batch dispatch sizes (0 = each plan's largest planned batch)")
 		planDir    = flag.String("plan-dir", "", "directory of batch-specialization plan JSON files: every *.json in it is registered on start, and plans built this session (-plan-batches) are saved there on shutdown — a restart then serves planned batches without re-running any searches")
 		quietFlag  = flag.Bool("quiet", false, "suppress per-request logging")
-		clusterN   = flag.Int("cluster", 0, "run a simulated fleet of this many nodes in one process, on ports -port..-port+n-1: each node is a full server with private caches behind a consistent-hash warm-cache exchange (block schedules and measurements shard by structural fingerprint; a node missing an entry fetches the canonical one from its ring owner and rebinds it instead of re-searching); node 0 runs -warm/-plan-batches and the fleet distributes the results; cache files get a per-node \".node<i>\" suffix")
+		clusterN   = flag.Int("cluster", 0, "run a simulated fleet of this many nodes in one process, on ports -port..-port+n-1: each node is a full server with private caches behind a consistent-hash warm-cache exchange (block schedules shard by structural fingerprint; a node missing one fetches the canonical entry from its ring owner and rebinds it instead of re-searching; stage measurements stay node-local); node 0 runs -warm/-plan-batches and the fleet distributes the results; cache files get a per-node \".node<i>\" suffix")
 		saveEvery  = flag.Duration("save-interval", 0, "periodically save -measure-cache, -block-cache and -plan-dir state at this interval (e.g. 5m) in addition to the save on clean shutdown, so a crash loses at most one interval of warm state (0 = shutdown-only)")
 	)
 	flag.Usage = func() {
@@ -293,13 +293,7 @@ func main() {
 	}
 
 	addr := *hostFlag + ":" + strconv.Itoa(*portFlag)
-	httpSrv := &http.Server{
-		Addr:    addr,
-		Handler: srv,
-		// Request contexts descend from the signal context, so Ctrl-C also
-		// cancels every in-flight search.
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	httpSrv := newHTTPServer(ctx, addr, srv)
 	// Shutdown makes ListenAndServe return immediately, so main must wait
 	// for the drain itself (drained channel) or in-flight responses would
 	// be killed when the process exits.
@@ -328,6 +322,28 @@ func main() {
 	<-drained
 	saveState()
 	log.Printf("iosserve: shut down cleanly")
+}
+
+// readHeaderTimeout and idleTimeout bound what a connection may cost
+// before and between requests: a client or peer that stalls mid-header or
+// parks a keep-alive connection is dropped instead of holding a goroutine
+// and a descriptor for the life of the process.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the http.Server the single node and every cluster
+// node listen with. Request contexts descend from ctx (the signal
+// context), so Ctrl-C also cancels every in-flight search.
+func newHTTPServer(ctx context.Context, addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+	}
 }
 
 // loadPlans registers every *.json plan file in dir. Unreadable or

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -159,6 +161,77 @@ func TestClusterWarmExchangeZeroSearches(t *testing.T) {
 	}
 }
 
+// pathLog records the path of every request the harness's shared client
+// carries — node to node and test to node alike.
+type pathLog struct {
+	base  http.RoundTripper
+	mu    sync.Mutex
+	paths []string
+}
+
+func (l *pathLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	l.paths = append(l.paths, req.URL.Path)
+	l.mu.Unlock()
+	return l.base.RoundTrip(req)
+}
+
+// TestClusterMeasurementsStayLocal: the exchange carries block schedules
+// only. A node joining a warm fleet fetches every block from a peer and
+// re-simulates the stage latencies it needs itself — no measurement is
+// fetched, no peer is asked for one — and because the simulator is
+// deterministic its reported latency equals the seed's bit for bit.
+func TestClusterMeasurementsStayLocal(t *testing.T) {
+	ctx := context.Background()
+	h, err := StartHarness(ctx, HarnessConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	log := &pathLog{base: h.client.Transport}
+	h.client.Transport = log
+
+	seed := h.Nodes()[0]
+	seedResp := optimizeVia(t, h.Client(), seed.URL, "inception-e", 1)
+	if _, err := h.SyncAll(ctx); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	for _, hn := range h.Nodes()[1:] {
+		if got := hn.Server.MeasureCache().Len(); got != 0 {
+			t.Errorf("sync left %d measurements on %s, want 0", got, hn.ID)
+		}
+	}
+	joined, err := h.Join(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinResp := optimizeVia(t, h.Client(), joined.URL, "inception-e", 1)
+
+	if bs := joined.Server.BlockCache().Stats(); bs.Misses != 0 || bs.Remote == 0 {
+		t.Errorf("joining node: %d local block searches, %d peer-fetched; want 0 and some", bs.Misses, bs.Remote)
+	}
+	if ms := joined.Server.MeasureCache().Stats(); ms.Remote != 0 || ms.Misses == 0 {
+		t.Errorf("joining node: %d measurements fetched, %d simulated; want 0 and some", ms.Remote, ms.Misses)
+	}
+	if seedResp.LatencyMS != joinResp.LatencyMS {
+		t.Errorf("latency_ms diverged: seed %v vs joined %v", seedResp.LatencyMS, joinResp.LatencyMS)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	blockGets := 0
+	for _, p := range log.paths {
+		if strings.HasPrefix(p, "/cache/measure/") {
+			t.Errorf("a peer was asked for a measurement: GET %s", p)
+		}
+		if strings.HasPrefix(p, "/cache/block/") {
+			blockGets++
+		}
+	}
+	if blockGets == 0 {
+		t.Error("no block fetch crossed the logged client; the path check is vacuous")
+	}
+}
+
 // TestClusterFailOneNodeFallsBackLocal: with a peer dead, fresh requests
 // still succeed — bounded retry, mark the peer down, local search — and
 // no client ever sees an error.
@@ -276,7 +349,7 @@ func TestClusterPushConvergesOwners(t *testing.T) {
 	if pushed == 0 {
 		t.Fatal("nothing pushed: fig2's entries all hashed to the seed? (possible but wildly unlikely)")
 	}
-	if st := h.Nodes()[1].Node.Stats(); st.MergedBlocks+st.MergedMeasurements == 0 {
+	if st := h.Nodes()[1].Node.Stats(); st.MergedBlocks == 0 {
 		t.Errorf("peer merged nothing: %+v", st)
 	}
 	// A second sync with no new work pushes nothing (cursor advanced).
@@ -306,7 +379,7 @@ func TestClusterBackgroundPusher(t *testing.T) {
 	ticks <- time.Time{}
 	ticks <- time.Time{} // second tick cannot start before the first's Sync finished
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Nodes()[1].Node.Stats().MergedBlocks+h.Nodes()[1].Node.Stats().MergedMeasurements == 0 {
+	for h.Nodes()[1].Node.Stats().MergedBlocks == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background pusher never delivered entries")
 		}

@@ -116,8 +116,8 @@ func (h *Harness) Live() []int {
 
 // Join starts one more node, updates every live node's membership list,
 // and waits for the newcomer's /healthz to report ready. The joining
-// node's caches are empty: everything it serves warm arrives over the
-// exchange.
+// node's caches are empty: every block schedule it serves warm arrives
+// over the exchange.
 func (h *Harness) Join(ctx context.Context) (*HarnessNode, error) {
 	id := fmt.Sprintf("node%d", len(h.nodes))
 	cacheSize := h.cfg.CacheSize

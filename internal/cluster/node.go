@@ -16,10 +16,8 @@ import (
 	"time"
 
 	"ios/internal/blockcache"
-	"ios/internal/measure"
 	"ios/internal/plan"
 	"ios/internal/serve"
-	"ios/internal/sfcache"
 )
 
 // Member identifies one cluster node: a stable ID (the ring hashes it)
@@ -38,9 +36,10 @@ type Config struct {
 	// SetMembers updates it live.
 	Members []Member
 	// Server is the serving tier this node fronts. The node shards and
-	// exchanges the server's own block and measurement caches, so each
-	// cluster node must be built over private caches (serve.Config's
-	// MeasureCache/BlockCache), not the process-wide shared defaults.
+	// exchanges the server's own block cache, so each cluster node must
+	// be built over a private one (serve.Config's BlockCache), not the
+	// process-wide shared default. The measurement cache stays a
+	// node-local memo and may be shared.
 	Server *serve.Server
 	// Client issues peer requests (nil = http.DefaultClient). The
 	// harness injects per-link latency here.
@@ -69,15 +68,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// measureTripAfter is the consecutive-miss threshold of the measurement
-// fetch breaker. Remote measurement lookups only pay off when the fleet
-// is warm (a hit replaces a local simulation; a miss is pure added
-// latency on the DP hot path, which issues tens of thousands of lookups
-// per cold search). After this many consecutive misses the node stops
-// fetching measurements for FailureCooldown and simulates locally; any
-// hit re-arms the breaker.
-const measureTripAfter = 64
-
 // fetchFanout is how many ring-ordered candidates a fetch tries: the
 // owner plus two successors. The first successor is exactly the key's
 // previous owner after a membership change, so a joining node (which owns
@@ -87,27 +77,24 @@ const fetchFanout = 3
 
 // Node is one cluster member: an http.Handler that serves the peer
 // exchange endpoints in front of a serve.Server, wires the server's
-// caches to fetch missing entries from their ring owners, and pushes
-// locally computed entries out. Create with New; all methods are safe for
+// block cache to fetch missing entries from their ring owners, and pushes
+// locally searched entries out. Create with New; all methods are safe for
 // concurrent use.
 //
 // Endpoints (everything else falls through to the serve.Server):
 //
-//	GET  /cache/block/<fp>    one block entry, fp base64 raw-URL (404 if absent)
-//	GET  /cache/measure/<fp>  one measurement entry (404 if absent)
-//	POST /cluster/push        {"block":[...],"measure":[...]} -> counts merged
-//	GET  /cluster/stats       exchange counters (Stats)
+//	GET  /cache/block/<fp>  one block entry, fp base64 raw-URL (404 if absent)
+//	POST /cluster/push      {"block":[...]} -> count merged (413 past maxPeerBody)
+//	GET  /cluster/stats     exchange counters (Stats)
 type Node struct {
 	cfg     Config
 	server  *serve.Server
-	blocks  exchange[*blockcache.Entry, blockcache.WireEntry]
-	measure exchange[float64, measure.WireEntry]
+	blocks  *blockcache.Cache
 	client  *http.Client
 	mux     *http.ServeMux
 	baseCtx context.Context
 
-	// now is the clock behind peer-down cooldowns and the measurement
-	// breaker; tests substitute a fake.
+	// now is the clock behind peer-down cooldowns; tests substitute a fake.
 	now func() time.Time
 
 	mu   sync.Mutex
@@ -115,16 +102,14 @@ type Node struct {
 	urls map[string]string // guarded by mu
 	// down maps a peer ID to the time its failure cooldown ends.
 	down map[string]time.Time // guarded by mu
-	// measureMissRun counts consecutive remote measurement misses;
-	// measureDownUntil is set when it trips (see measureTripAfter).
-	measureMissRun   int       // guarded by mu
-	measureDownUntil time.Time // guarded by mu
 
-	// pushMu serializes Sync so the incremental snapshot cursors move
-	// atomically with the pushes they cover.
-	pushMu      sync.Mutex
-	lastBlock   uint64 // guarded by pushMu
-	lastMeasure uint64 // guarded by pushMu
+	// pushMu serializes Sync so the incremental snapshot cursor moves
+	// atomically with the pushes it covers.
+	pushMu    sync.Mutex
+	lastBlock uint64 // guarded by pushMu
+
+	fetchHits, fetchMisses, fetchErrors atomic.Int64 // block fetches by outcome
+	pushedBlocks, mergedBlocks          atomic.Int64 // entries shipped to / accepted from peers
 
 	plansPulled     atomic.Int64
 	peersMarkedDown atomic.Int64
@@ -140,28 +125,26 @@ type Stats struct {
 	BlockFetchMisses int64 `json:"block_fetch_misses"`
 	// BlockFetchErrors count fetch attempts that failed to transport
 	// (peer down or timed out) — bounded by the failure cooldown.
-	BlockFetchErrors   int64 `json:"block_fetch_errors"`
+	BlockFetchErrors int64 `json:"block_fetch_errors"`
+	// Always zero now that measurements stay node-local; frozen bench/ compiles against them, the next benchmark issue removes them.
 	MeasureFetchHits   int64 `json:"measure_fetch_hits"`
 	MeasureFetchMisses int64 `json:"measure_fetch_misses"`
 	MeasureFetchErrors int64 `json:"measure_fetch_errors"`
-	// PushedBlocks/PushedMeasurements count entries shipped to their
-	// owners by Sync; MergedBlocks/MergedMeasurements count entries
-	// accepted from peers' pushes.
-	PushedBlocks       int64 `json:"pushed_blocks"`
-	PushedMeasurements int64 `json:"pushed_measurements"`
-	MergedBlocks       int64 `json:"merged_blocks"`
-	MergedMeasurements int64 `json:"merged_measurements"`
+	// PushedBlocks counts entries shipped to their owners by Sync;
+	// MergedBlocks counts entries accepted from peers' pushes.
+	PushedBlocks int64 `json:"pushed_blocks"`
+	MergedBlocks int64 `json:"merged_blocks"`
 	// PlansPulled counts batch plans fetched from peers' registries.
 	PlansPulled int64 `json:"plans_pulled"`
 	// PeersMarkedDown counts failure-cooldown activations.
 	PeersMarkedDown int64 `json:"peers_marked_down"`
 }
 
-// New wires a node: it installs fetch hooks on the server's block and
-// measurement caches (so this server's caches must be private to it) and
-// registers the exchange endpoints. ctx is the node's lifetime — it
-// bounds peer fetches issued from inside the DP hot path, which carries
-// no request context of its own.
+// New wires a node: it installs the fetch hook on the server's block
+// cache (so that cache must be private to this server) and registers the
+// exchange endpoints. ctx is the node's lifetime — it bounds peer fetches
+// issued from inside the DP hot path, which carries no request context of
+// its own.
 func New(ctx context.Context, cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, fmt.Errorf("cluster: Config.Server is required")
@@ -185,8 +168,7 @@ func New(ctx context.Context, cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		server:  cfg.Server,
-		blocks:  exchange[*blockcache.Entry, blockcache.WireEntry]{kind: "block", noun: "block", cache: cfg.Server.BlockCache()},
-		measure: exchange[float64, measure.WireEntry]{kind: "measure", noun: "measurement", cache: cfg.Server.MeasureCache()},
+		blocks:  cfg.Server.BlockCache(),
 		client:  client,
 		mux:     http.NewServeMux(),
 		baseCtx: ctx,
@@ -197,11 +179,8 @@ func New(ctx context.Context, cfg Config) (*Node, error) {
 	if err := n.SetMembers(cfg.Members); err != nil {
 		return nil, err
 	}
-	n.blocks.n, n.measure.n = n, n
-	n.blocks.cache.SetFetch(n.blocks.fetch)
-	n.measure.cache.SetFetch(n.fetchMeasure)
-	n.mux.HandleFunc("/cache/block/", n.blocks.serveGet)
-	n.mux.HandleFunc("/cache/measure/", n.measure.serveGet)
+	n.blocks.SetFetch(n.fetchBlock)
+	n.mux.HandleFunc("/cache/block/", n.handleBlockGet)
 	n.mux.HandleFunc("/cluster/push", n.handlePush)
 	n.mux.HandleFunc("/cluster/stats", n.handleStats)
 	n.mux.Handle("/", cfg.Server)
@@ -247,18 +226,13 @@ func (n *Node) SetMembers(members []Member) error {
 // Stats returns a snapshot of the exchange counters.
 func (n *Node) Stats() Stats {
 	return Stats{
-		BlockFetchHits:     n.blocks.hits.Load(),
-		BlockFetchMisses:   n.blocks.misses.Load(),
-		BlockFetchErrors:   n.blocks.errors.Load(),
-		MeasureFetchHits:   n.measure.hits.Load(),
-		MeasureFetchMisses: n.measure.misses.Load(),
-		MeasureFetchErrors: n.measure.errors.Load(),
-		PushedBlocks:       n.blocks.pushed.Load(),
-		PushedMeasurements: n.measure.pushed.Load(),
-		MergedBlocks:       n.blocks.merged.Load(),
-		MergedMeasurements: n.measure.merged.Load(),
-		PlansPulled:        n.plansPulled.Load(),
-		PeersMarkedDown:    n.peersMarkedDown.Load(),
+		BlockFetchHits:   n.fetchHits.Load(),
+		BlockFetchMisses: n.fetchMisses.Load(),
+		BlockFetchErrors: n.fetchErrors.Load(),
+		PushedBlocks:     n.pushedBlocks.Load(),
+		MergedBlocks:     n.mergedBlocks.Load(),
+		PlansPulled:      n.plansPulled.Load(),
+		PeersMarkedDown:  n.peersMarkedDown.Load(),
 	}
 }
 
@@ -288,106 +262,47 @@ func (n *Node) markDown(id string) {
 	n.logf("cluster %s: peer %s marked down for %s", n.cfg.Self, id, n.cfg.FailureCooldown)
 }
 
-// fetch hooks ----------------------------------------------------------
+// fetch hook -----------------------------------------------------------
 
-// exchange is one cache's side of the peer exchange: the cache, the URL
-// segment its entries are served under, and its exchange counters. The
-// block and measurement caches differ only in their type arguments.
-type exchange[V any, W sfcache.Wire[V]] struct {
-	n     *Node
-	kind  string // URL segment: /cache/<kind>/<fp>
-	noun  string // what diagnostics call an entry
-	cache *sfcache.Cache[V, W]
-
-	hits, misses, errors atomic.Int64 // fetches by outcome
-	pushed, merged       atomic.Int64 // entries shipped to / accepted from peers
-}
-
-// fetch is the cache's SetFetch hook: ask the key's ring owners for the
-// entry before paying a local computation. A returned entry passed
-// W.Decode's validation — the same bar a persisted cache file meets —
-// and must echo the fingerprint that was asked for. The hook runs inside
-// the cache's singleflight claim, whose result is shared by every
+// fetchBlock is the block cache's SetFetch hook: ask the key's ring owners
+// for the entry before paying a local DP search. A returned entry passed
+// WireEntry.Decode's validation — the same bar a persisted cache file
+// meets — and must echo the fingerprint that was asked for. The hook runs
+// inside the cache's singleflight claim, whose result is shared by every
 // coalesced waiter and which (on the DP hot path) carries no context, so
 // fetches are bounded by the node's lifetime context plus the fetch
 // timeout, not by the first requester's context.
-func (x *exchange[V, W]) fetch(key []byte) (V, bool) {
-	var zero V
-	n := x.n
-	we, ok := fetchEntry[W](n, x.kind, key, &x.errors) //ioslint:untrusted peer HTTP body
+func (n *Node) fetchBlock(key []byte) (*blockcache.Entry, bool) {
+	we, ok := n.fetchEntry(key) //ioslint:untrusted peer HTTP body
 	if !ok {
-		x.misses.Add(1)
-		return zero, false
+		n.fetchMisses.Add(1)
+		return nil, false
 	}
-	raw, v, err := we.Decode()
+	raw, ent, err := we.Decode()
 	if err != nil || !bytes.Equal(raw, key) {
-		n.logf("cluster %s: peer returned bad %s entry: %v", n.cfg.Self, x.noun, err)
-		x.misses.Add(1)
-		return zero, false
+		n.logf("cluster %s: peer returned bad block entry: %v", n.cfg.Self, err)
+		n.fetchMisses.Add(1)
+		return nil, false
 	}
-	x.hits.Add(1)
-	return v, true
+	n.fetchHits.Add(1)
+	return ent, true
 }
 
-// fetchMeasure gates the measurement cache's fetch hook. The DP engine
-// issues tens of thousands of lookups per cold search and a local
-// simulation costs microseconds, so remote lookup only pays off against
-// a warm fleet: a consecutive-miss breaker (measureTripAfter) shuts the
-// path off during cold search storms and re-probes after the cooldown.
-func (n *Node) fetchMeasure(key []byte) (float64, bool) {
-	if !n.measureFetchArmed() {
-		return 0, false
-	}
-	lat, ok := n.measure.fetch(key)
-	n.noteMeasureFetch(ok)
-	return lat, ok
-}
-
-// measureFetchArmed reports whether the measurement breaker allows a
-// remote lookup right now.
-func (n *Node) measureFetchArmed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.measureMissRun < measureTripAfter {
-		return true
-	}
-	if n.now().Before(n.measureDownUntil) {
-		return false
-	}
-	// Cooldown over: allow one probing run.
-	n.measureMissRun = 0
-	return true
-}
-
-// noteMeasureFetch feeds the breaker: any hit re-arms it, and the
-// measureTripAfter'th consecutive miss trips it for the cooldown.
-func (n *Node) noteMeasureFetch(hit bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if hit {
-		n.measureMissRun = 0
-		return
-	}
-	n.measureMissRun++
-	if n.measureMissRun == measureTripAfter {
-		n.measureDownUntil = n.now().Add(n.cfg.FailureCooldown)
-	}
-}
-
-// maxPeerBody bounds a peer response body this node decodes (one wire
-// entry, or a plan listing): a lying or broken peer costs a failed fetch,
-// never an unbounded buffer. Well under serve's 16 MB request cap.
+// maxPeerBody bounds a peer body this node decodes (one wire entry, a
+// plan listing, or a push): a lying or broken peer costs a failed fetch
+// or a refused push, never an unbounded buffer. Well under serve's 16 MB
+// request cap.
 const maxPeerBody = 4 << 20
 
-// fetchEntry asks each candidate peer for one entry of the given kind
-// ("block" or "measure"), bounded by FetchTimeout per attempt and
-// Retries extra attempts per peer for transport failures; a 404 is a
-// definitive per-peer miss and moves straight to the next candidate. A
-// peer that fails transport is marked down for the failure cooldown.
-// Returns (entry, true) on a 200, false when every candidate missed or
-// failed — the caller computes locally, never errors.
-func fetchEntry[W any](n *Node, kind string, key []byte, errCounter *atomic.Int64) (W, bool) {
-	var zero W
+// fetchEntry asks each candidate peer for one block entry, bounded by
+// FetchTimeout per attempt and Retries extra attempts per peer for
+// transport failures; a 404 is a definitive per-peer miss and moves
+// straight to the next candidate. A peer that fails transport is marked
+// down for the failure cooldown. Returns (entry, true) on a 200, false
+// when every candidate missed or failed — the caller searches locally,
+// never errors.
+func (n *Node) fetchEntry(key []byte) (blockcache.WireEntry, bool) {
+	var zero blockcache.WireEntry
 	ctx := n.baseCtx
 	if ctx.Err() != nil {
 		return zero, false
@@ -395,9 +310,9 @@ func fetchEntry[W any](n *Node, kind string, key []byte, errCounter *atomic.Int6
 	fp := base64.RawURLEncoding.EncodeToString(key)
 	for _, peer := range n.candidates(key) {
 		for attempt := 0; attempt <= n.cfg.Retries; attempt++ {
-			entries, status, err := getEntries[W](ctx, n, peer.URL+"/cache/"+kind+"/"+fp)
+			entries, status, err := n.getEntries(ctx, peer.URL+"/cache/block/"+fp)
 			if err != nil {
-				errCounter.Add(1)
+				n.fetchErrors.Add(1)
 				if ctx.Err() != nil {
 					return zero, false
 				}
@@ -410,7 +325,7 @@ func fetchEntry[W any](n *Node, kind string, key []byte, errCounter *atomic.Int6
 				break // definitive miss on this peer; ask the next owner
 			}
 			if status != http.StatusOK || len(entries) == 0 {
-				errCounter.Add(1)
+				n.fetchErrors.Add(1)
 				break
 			}
 			return entries[0], true
@@ -421,7 +336,7 @@ func fetchEntry[W any](n *Node, kind string, key []byte, errCounter *atomic.Int6
 
 // getEntries performs one GET of a wire-entry response, decoding at most
 // maxPeerBody bytes of it; the caller validates what comes back.
-func getEntries[W any](ctx context.Context, n *Node, rawurl string) ([]W, int, error) {
+func (n *Node) getEntries(ctx context.Context, rawurl string) ([]blockcache.WireEntry, int, error) {
 	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawurl, nil)
@@ -438,7 +353,7 @@ func getEntries[W any](ctx context.Context, n *Node, rawurl string) ([]W, int, e
 		return nil, resp.StatusCode, nil
 	}
 	var body struct {
-		Entries []W `json:"entries"`
+		Entries []blockcache.WireEntry `json:"entries"`
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxPeerBody)).Decode(&body); err != nil {
 		return nil, 0, err
@@ -448,51 +363,44 @@ func getEntries[W any](ctx context.Context, n *Node, rawurl string) ([]W, int, e
 
 // push path ------------------------------------------------------------
 
-// pushRequest is the POST /cluster/push body: wire entries for the
-// receiver to merge, in the caches' persisted-file entry format.
+// pushRequest is the POST /cluster/push body: block wire entries for the
+// receiver to merge, in the cache's persisted-file entry format. A
+// version-behind peer also sends a "measure" array; it is ignored.
 type pushRequest struct {
-	Block   []blockcache.WireEntry `json:"block,omitempty"`
-	Measure []measure.WireEntry    `json:"measure,omitempty"`
+	Block []blockcache.WireEntry `json:"block,omitempty"`
 }
 
 // pushResponse reports how many pushed entries were new to the receiver.
 type pushResponse struct {
-	BlockAdded   int `json:"block_added"`
-	MeasureAdded int `json:"measure_added"`
+	BlockAdded int `json:"block_added"`
 }
 
-// Sync pushes every cache entry published since the last successful Sync
+// pushChunkBytes is the largest encoded push body Sync sends: far enough
+// under the receiver's maxPeerBody that no honest push is refused, so a
+// node restarted over a large block-cache file ships it in pieces instead
+// of wedging its cursor behind one oversized body.
+const pushChunkBytes = maxPeerBody / 4
+
+// Sync pushes every block entry published since the last successful Sync
 // to its ring owner (batched per owner), returning how many entries were
-// shipped. Peers inside a failure cooldown are skipped and the cursors
-// are not advanced past a failed round, so missed entries are re-pushed
-// next time — Merge on the receiver deduplicates. Run calls this on a
-// ticker; the harness calls it synchronously to hand a warm keyspace to
-// its owners before a join.
+// shipped. Peers inside a failure cooldown are skipped and the cursor is
+// not advanced past a failed round, so missed entries are re-pushed next
+// time — Merge on the receiver deduplicates. Run calls this on a ticker;
+// the harness calls it synchronously to hand a warm keyspace to its
+// owners before a join.
 //
-//ioslint:lockorder-allow Node.pushMu push rounds serialize deliberately: the snapshot cursors must advance atomically with their push round-trip, only the background pusher and harness warm-up contend for this lock, and no request path ever takes it
+//ioslint:lockorder-allow Node.pushMu push rounds serialize deliberately: the snapshot cursor must advance atomically with its push round-trips, only the background pusher and harness warm-up contend for this lock, and no request path ever takes it
 func (n *Node) Sync(ctx context.Context) (int, error) {
 	n.pushMu.Lock()
 	defer n.pushMu.Unlock()
-	bents, bnext := n.blocks.cache.Snapshot(n.lastBlock)
-	ments, mnext := n.measure.cache.Snapshot(n.lastMeasure)
-	if len(bents) == 0 && len(ments) == 0 {
-		n.lastBlock, n.lastMeasure = bnext, mnext
-		return 0, nil
-	}
+	entries, next := n.blocks.Snapshot(n.lastBlock)
 	n.mu.Lock()
-	ring := n.ring
-	urls := n.urls
+	ring, urls := n.ring, n.urls
 	n.mu.Unlock()
-	blocks := byOwner(ring, n.cfg.Self, bents, func(we blockcache.WireEntry) string { return we.Key })
-	measures := byOwner(ring, n.cfg.Self, ments, func(we measure.WireEntry) string { return we.Key })
-	owners := make([]string, 0, len(blocks)+len(measures))
-	for id := range blocks {
+	batches := byOwner(ring, n.cfg.Self, entries)
+	owners := make([]string, 0, len(batches))
+	for id := range batches {
 		owners = append(owners, id)
-	}
-	for id := range measures {
-		if blocks[id] == nil {
-			owners = append(owners, id)
-		}
 	}
 	sort.Strings(owners)
 	pushed := 0
@@ -504,30 +412,28 @@ func (n *Node) Sync(ctx context.Context) (int, error) {
 			}
 			continue
 		}
-		req := &pushRequest{Block: blocks[id], Measure: measures[id]}
-		if err := n.postPush(ctx, urls[id], req); err != nil {
+		sent, err := n.postPush(ctx, urls[id], batches[id])
+		pushed += sent
+		n.pushedBlocks.Add(int64(sent))
+		if err != nil {
 			n.markDown(id)
 			if firstErr == nil {
 				firstErr = err
 			}
-			continue
 		}
-		pushed += len(req.Block) + len(req.Measure)
-		n.blocks.pushed.Add(int64(len(req.Block)))
-		n.measure.pushed.Add(int64(len(req.Measure)))
 	}
 	if firstErr == nil {
-		n.lastBlock, n.lastMeasure = bnext, mnext
+		n.lastBlock = next
 	}
 	return pushed, firstErr
 }
 
 // byOwner groups snapshot entries by the peer that owns them on the ring;
 // entries this node owns itself stay put.
-func byOwner[W any](ring *Ring, self string, entries []W, key func(W) string) map[string][]W {
-	out := make(map[string][]W)
+func byOwner(ring *Ring, self string, entries []blockcache.WireEntry) map[string][]blockcache.WireEntry {
+	out := make(map[string][]blockcache.WireEntry)
 	for _, we := range entries {
-		raw, err := base64.RawURLEncoding.DecodeString(key(we))
+		raw, err := base64.RawURLEncoding.DecodeString(we.Key)
 		if err != nil {
 			continue // cannot happen for our own snapshot
 		}
@@ -545,29 +451,39 @@ func (n *Node) peerDown(id string) bool {
 	return n.now().Before(n.down[id])
 }
 
-// postPush ships one owner's batch.
-func (n *Node) postPush(ctx context.Context, baseURL string, preq *pushRequest) error {
-	body, err := json.Marshal(preq)
+// postPush ships one owner's batch, halving it until each body encodes to
+// at most pushChunkBytes, and returns how many entries were delivered.
+func (n *Node) postPush(ctx context.Context, baseURL string, entries []blockcache.WireEntry) (int, error) {
+	body, err := json.Marshal(pushRequest{Block: entries})
 	if err != nil {
-		return err
+		return 0, err
+	}
+	if len(body) > pushChunkBytes && len(entries) > 1 {
+		half := len(entries) / 2
+		sent, err := n.postPush(ctx, baseURL, entries[:half])
+		if err != nil {
+			return sent, err
+		}
+		more, err := n.postPush(ctx, baseURL, entries[half:])
+		return sent + more, err
 	}
 	ctx, cancel := context.WithTimeout(ctx, 4*n.cfg.FetchTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/cluster/push", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: push to %s: HTTP %d", baseURL, resp.StatusCode)
+		return 0, fmt.Errorf("cluster: push to %s: HTTP %d", baseURL, resp.StatusCode)
 	}
-	return nil
+	return len(entries), nil
 }
 
 // Run pushes incrementally on a ticker until ctx ends. Fetches already
@@ -662,7 +578,7 @@ func (n *Node) pullPlansFrom(ctx context.Context, baseURL string) (int, error) {
 // plans, but a body whose (model, device, opts) differ from the URL
 // would otherwise register under the wrong key and win every subsequent
 // lookup for that key on this node — the same identity-echo bar the
-// fetch hooks apply with bytes.Equal(raw, key).
+// fetch hook applies with bytes.Equal(raw, key).
 //
 //ioslint:validator
 func (n *Node) pullPlan(ctx context.Context, baseURL string, info serve.PlanInfo) (*plan.Plan, error) {

@@ -268,13 +268,17 @@ func (c *Cache[V, W]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V,
 // Stats.Remote, not Misses) exactly as if the holder had computed it, so
 // concurrent requesters coalesce onto one fetch and the hook's result is
 // shared with every waiter. A hook miss falls through to the normal
-// claim — the caller computes locally. The hook takes no context: its
-// result belongs to every coalesced waiter, so it must not die with the
-// first requester; the installer bounds it (the cluster node uses its
-// lifetime context plus a per-attempt timeout). The hook is responsible
-// for validating what it returns (peers return wire entries whose Decode
-// runs the same validation as Load) and must not call back into the cache
-// for the same key.
+// claim — the caller computes locally. A hook belongs only where a fetch
+// is cheaper than the computation it replaces: the cluster node hooks the
+// block cache (a fetch saves a DP search) and leaves the measurement
+// cache without one (a peer round trip costs more than a simulator run).
+// The hook takes no context: its result belongs to every coalesced
+// waiter, so it must not die with the first requester; the installer
+// bounds it (the cluster node uses its lifetime context plus a
+// per-attempt timeout). The hook is responsible for validating what it
+// returns (peers return wire entries whose Decode runs the same
+// validation as Load) and must not call back into the cache for the same
+// key.
 //
 // SetFetch must be called before the cache is shared between goroutines
 // (it is a plain field write, wired once at cluster-node construction).
