@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ios/internal/gpusim"
 	"ios/internal/models"
+	"ios/internal/profile"
 )
 
 // TestOptimizeContextPreCancelled: a context that is already dead must be
@@ -67,6 +70,129 @@ func TestOptimizeContextMidSearchCancel(t *testing.T) {
 			t.Fatalf("workers=%d: cancelled search did not drain within 30s", workers)
 		}
 		cancel()
+	}
+}
+
+// cancelAfterBackend cancels the search's context from inside its n-th
+// simulator run — that is, from inside a stage measurement, which the
+// one-pass engine makes from inside a state's ending enumeration — and
+// then calls held, on the measuring worker's goroutine, before the run
+// proceeds.
+type cancelAfterBackend struct {
+	profile.Backend
+	*cancelPlan
+}
+
+type cancelPlan struct {
+	runs   atomic.Int64
+	after  int64
+	cancel context.CancelFunc
+	held   func()
+}
+
+func (b cancelAfterBackend) Run(streams []gpusim.Stream) gpusim.Result {
+	if b.runs.Add(1) == b.after {
+		b.cancel()
+		b.held()
+	}
+	return b.Backend.Run(streams)
+}
+
+func (b cancelAfterBackend) Fork() profile.Backend {
+	return cancelAfterBackend{b.Backend.Fork(), b.cancelPlan}
+}
+
+// TestEngineCancelInsideState cancels the RandWire hardest block's search
+// in the middle of the compute pass, where a worker is hundreds of endings
+// into one state. The engine must return the wrapped context error within
+// one in-flight stage measurement per worker, leave no goroutine behind,
+// start no new measurement, and must not have published a cost for any
+// state it abandoned halfway:
+// every cost and choice it did publish equals the uncancelled search's.
+func TestEngineCancelInsideState(t *testing.T) {
+	b, err := HardestBlock(models.RandWire(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{}.withDefaults()
+	full := newEngine(b, v100Profiler(), opts)
+	defer full.close()
+	if _, _, err := full.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	const cancelAt = 3000 // simulator runs: a tenth of the way through the compute pass
+	for _, workers := range []int{1, 4} {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		plan := &cancelPlan{after: cancelAt, cancel: cancel}
+		prof := profile.NewWithBackend(cancelAfterBackend{profile.SimBackend(gpusim.TeslaV100), plan}, profile.Options{})
+		opts.Workers = workers
+		e := newEngine(b, prof, opts)
+		// Hold the cancelling run until the stop flag is up: a
+		// context.AfterFunc goroutine raises it, and without the wait the
+		// test would be timing the scheduler rather than the engine. A
+		// one-worker engine measures on the goroutine that counts its
+		// transitions, so there the count at the cancel can be read too.
+		transitionsAtCancel := -1
+		var runsAtStop int64
+		plan.held = func() {
+			for !e.stop.Load() {
+				runtime.Gosched()
+			}
+			runsAtStop = plan.runs.Load()
+			if len(e.workers) == 1 {
+				transitionsAtCancel = e.workers[0].stats.Transitions
+			}
+		}
+		done := make(chan error, 1)
+		go func() {
+			stages, _, err := e.run(ctx)
+			if stages != nil {
+				err = errors.New("cancelled engine returned stages")
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("workers=%d: cancelled engine did not drain within 30s", workers)
+		}
+		e.close()
+		cancel()
+
+		// Once the stop flag is up no new measurement starts: one in
+		// flight per worker is at most two simulator runs (concurrent and
+		// merge) each. (The other workers run on freely until then.)
+		if got, limit := plan.runs.Load(), runsAtStop+int64(2*len(e.workers)); got > limit {
+			t.Errorf("workers=%d: %d simulator runs, want at most %d (%d when the stop flag went up plus one in-flight measurement per worker)",
+				workers, got, limit, runsAtStop)
+		}
+		if len(e.workers) == 1 && e.workers[0].stats.Transitions != transitionsAtCancel {
+			t.Errorf("workers=1: %d transitions costed, %d when the cancel landed: the enumeration ran on",
+				e.workers[0].stats.Transitions, transitionsAtCancel)
+		}
+		var published int
+		for id := range e.states {
+			if e.last[id].ending.IsEmpty() {
+				continue
+			}
+			published++
+			if e.states[id] != full.states[id] || e.cost[id] != full.cost[id] || e.last[id] != full.last[id] {
+				t.Fatalf("workers=%d: state %v published cost %g choice %+v, uncancelled search has %g %+v",
+					workers, e.states[id], e.cost[id], e.last[id], full.cost[id], full.last[id])
+			}
+		}
+		if published == 0 || published == len(e.states) {
+			t.Errorf("workers=%d: %d of %d states published: the cancel did not land mid-compute", workers, published, len(e.states))
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines, %d before the search: the engine leaked", workers, runtime.NumGoroutine(), baseline)
+			}
+		}
 	}
 }
 

@@ -47,9 +47,10 @@ func Optimize(g *graph.Graph, prof *profile.Profiler, opts Options) (*Result, er
 
 // OptimizeContext is Optimize under a context: the search checks ctx
 // before any measurement and at every level barrier of each block's DP
-// engine, and every engine worker observes cancellation between states —
-// so a cancelled search drains promptly (bounded by one in-flight stage
-// measurement per worker), discards all partial results, and returns
+// engine, and every engine worker observes cancellation before each
+// transition it costs — so a cancelled search drains promptly (bounded by
+// one in-flight stage measurement per worker, however many endings the
+// state it is in has left), discards all partial results, and returns
 // ctx.Err() wrapped (errors.Is(err, context.Canceled) /
 // context.DeadlineExceeded hold). An uncancelled run is bit-identical to
 // Optimize: same schedule, costs, and statistics.
@@ -176,8 +177,8 @@ func OptimizeBlock(b *graph.Block, prof *profile.Profiler, opts Options) ([]sche
 }
 
 // OptimizeBlockContext is OptimizeBlock under a context: cancellation is
-// observed at every level barrier and by every engine worker between
-// states, partial results are discarded, and the wrapped ctx.Err() is
+// observed at every level barrier and by every engine worker before each
+// transition, partial results are discarded, and the wrapped ctx.Err() is
 // returned (see OptimizeContext).
 //
 // When a whole-block schedule cache is attached (Options.WithBlockCache)

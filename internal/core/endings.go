@@ -27,8 +27,8 @@ import (
 // #(S, S')), so the enumerator keeps all of its working state in reusable
 // scratch buffers: component merges are performed in place and undone on
 // backtrack instead of copying the component list on every branch, and the
-// finished component structure is handed to the callback so downstream
-// stage construction never re-derives groups with a BFS.
+// finished component structure is handed to the callback so measuring a
+// candidate stage never re-derives its groups with a BFS.
 
 // endingFunc receives one ending together with its connected-component
 // groups. groups is scratch owned by the enumerator: it is valid only for

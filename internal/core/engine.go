@@ -3,32 +3,32 @@ package core
 // The level-synchronous bottom-up DP engine. The original implementation
 // of Algorithm 1 (kept as the oracle in dp_reference.go) is a memoized
 // top-down recursion: single-threaded, copying the ending enumerator's
-// component list on every branch, and re-deriving each chosen ending's
-// group structure with a BFS both when measuring and when emitting the
-// stage. This engine computes the identical dynamic program as two
-// level-synchronous passes over the reachable state space:
+// component list on every branch, and re-deriving each ending's group
+// structure with a BFS. This engine computes the identical dynamic program
+// keeping, like Algorithm 1 itself, memory in the number of *states*
+// (cost[S], choice[S]) and of distinct endings (the stage memo) — never in
+// the number of transitions:
 //
-//  1. Discovery (top-down, by decreasing cardinality): starting from the
-//     full block, enumerate each reachable state's admissible endings,
-//     store the list (the enumeration runs exactly once per state), and
-//     record the resulting remainder states. A state of cardinality k is
-//     only ever produced from states of cardinality > k, so processing
-//     one cardinality level at a time discovers every reachable state
-//     exactly once — the same state set the recursion memoizes, including
-//     under pruning (states reachable only through pruned transitions are
-//     never materialized). The enumerator's incrementally tracked
-//     component structure is captured into the stage memo the first time
-//     each distinct ending is seen, so no BFS ever re-derives groups.
+//  1. Discovery (top-down, by decreasing cardinality, serial): a single
+//     sink of S is always an admissible ending — one group of one
+//     operator, and every pruning bound is ≥ 1 or unbounded; it is
+//     feasible under every StrategySet too — so under every setting the
+//     states the recursion reaches are exactly the block's order ideals,
+//     and they are listed by peeling one sink at a time: a handful of
+//     successors per state, no ending enumeration, no measurement.
 //
 //  2. Compute (bottom-up, by increasing cardinality): cost[S] depends
 //     only on cost[S − S'] for non-empty endings S', i.e. on strictly
 //     smaller levels, so all states of one level are independent and are
 //     processed in parallel across a pool of workers. Each worker owns a
-//     private simulator (via profile.Service) and walks its states'
-//     stored ending lists in a plain loop (no closures, no recursion);
-//     stage latencies are memoized in a sharded, per-ending singleflight
-//     table so every distinct ending is measured exactly once regardless
-//     of which workers race to it.
+//     private simulator (via profile.Service) and an ending enumerator,
+//     and costs every (S, S') the moment the enumerator produces it —
+//     the enumeration runs exactly once per state and nothing about a
+//     transition is stored. Stage latencies are memoized in a sharded,
+//     per-ending singleflight table of pointer-free inline slots, so
+//     every distinct ending is measured exactly once regardless of which
+//     workers race to it, from the enumerator's own incrementally tracked
+//     component list.
 //
 // Equivalence with the reference recursion is bit-exact (asserted by
 // property tests and the zoo equivalence test): per state, candidates are
@@ -58,111 +58,106 @@ import (
 // paying 64 table setups for every small block).
 const stageShardCount = 64
 
-// stageEntry memoizes GENERATESTAGE for one ending within a block. The
-// done/mu pair makes the entry a singleflight: the first worker to claim
-// it measures, concurrent claimants block on mu until the result is
-// published (done is set with release semantics after all fields are
-// written, so the lock-free fast path reads a complete entry). A manual
-// gate instead of sync.Once keeps the compute pass's per-transition fast
-// path free of closure allocations.
-type stageEntry struct {
-	done     atomic.Bool
-	mu       sync.Mutex
-	lat      float64
-	strategy schedule.Strategy
-	ok       bool
-	err      error
-	// groups is the ending's connected components, captured from the
-	// enumerator's incremental tracking when the ending was first seen
-	// and sorted by smallest element when the entry is measured, so no
-	// BFS ever re-derives the group structure — neither for measurement
-	// nor when the chosen stage is emitted.
-	groups []bitset.Set
+// stageSlot memoizes GENERATESTAGE for one ending within a block, inline
+// in its shard's open-addressing table: the ending is the key (0 marks a
+// free slot — endings are non-empty), lat the measured latency's bits, and
+// meta the singleflight gate. meta stays 0 from the moment a worker claims
+// the slot (by storing key under the shard lock) until the claimant
+// publishes the result (lat first, then meta), so the lock-free fast path
+// reads a complete record whenever it sees meta != 0. The slot holds no
+// pointers: the collector never scans the memo, and a probe costs one
+// cache line.
+type stageSlot struct {
+	key  atomic.Uint64
+	lat  atomic.Uint64
+	meta atomic.Uint32
 }
 
-// stageShard is one shard of the per-ending stage memo: a dedup table
-// from ending to entry position plus the entry storage itself. Entries
-// live in fixed-size chunks so growth never copies (entry addresses are
-// stable from creation) and abandons no backing arrays to the collector;
-// group sets are carved from a geometrically growing side arena for the
-// same reason.
+// stageSlot.meta bits. A published slot always carries stageDone; stageOK
+// is clear when the stage is infeasible under the configured StrategySet;
+// stageFailed marks a measurement error (the search is stopping).
+const (
+	stageDone uint32 = 1 << iota
+	stageOK
+	stageMerge // strategy is schedule.Merge rather than schedule.Concurrent
+	stageFailed
+)
+
+// stageTable is one immutable-size generation of a shard's table; growth
+// builds the next generation and publishes it whole.
+type stageTable struct {
+	slots []stageSlot
+	shift uint8 // 64 - log2(len(slots))
+}
+
+func newStageTable(log2 uint8) *stageTable {
+	return &stageTable{slots: make([]stageSlot, 1<<log2), shift: 64 - log2}
+}
+
+// probe returns the slot holding k (true), or the free slot where k
+// belongs (false). h is hashKey(k).
+func (t *stageTable) probe(k, h uint64) (*stageSlot, bool) {
+	mask := len(t.slots) - 1
+	for i := int(h >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		switch s.key.Load() {
+		case k:
+			return s, true
+		case 0:
+			return s, false
+		}
+	}
+}
+
+// stageShard is one shard of the per-ending stage memo. Lookups of
+// published slots take no lock: they probe whichever table generation tab
+// holds, and anything they cannot settle there (a free or in-flight slot,
+// possibly stale after a growth) falls through to the locked slow path.
+// All writes — claims, publications, growth — happen under mu on the
+// current generation; wake is broadcast after every publication.
 type stageShard struct {
-	mu          sync.Mutex
-	m           *setTable
-	chunks      [][]stageEntry
-	groupsArena []bitset.Set
+	mu   sync.Mutex
+	wake sync.Cond
+	tab  atomic.Pointer[stageTable]
+	used int
 }
 
-// carveGroups copies a component list into the shard's arena, returning a
-// stable exact-size slice. Caller holds sh.mu (or the engine is serial).
-func (sh *stageShard) carveGroups(comps []bitset.Set) []bitset.Set {
-	n := len(comps)
-	if n == 0 {
-		return nil
+// claim returns k's slot in the current generation, inserting it (in
+// flight) when absent. Caller holds sh.mu.
+func (sh *stageShard) claim(k, h uint64) (s *stageSlot, inserted bool) {
+	t := sh.tab.Load()
+	s, found := t.probe(k, h)
+	if found {
+		return s, false
 	}
-	if cap(sh.groupsArena)-len(sh.groupsArena) < n {
-		c := 2 * cap(sh.groupsArena)
-		if c < 128 {
-			c = 128
+	if 2*(sh.used+1) > len(t.slots) {
+		next := newStageTable(64 - t.shift + 1)
+		for i := range t.slots {
+			old := &t.slots[i]
+			if key := old.key.Load(); key != 0 {
+				n, _ := next.probe(key, hashKey(key))
+				n.lat.Store(old.lat.Load())
+				n.meta.Store(old.meta.Load())
+				n.key.Store(key)
+			}
 		}
-		if c > 1<<14 {
-			c = 1 << 14
-		}
-		if c < n {
-			c = n
-		}
-		sh.groupsArena = make([]bitset.Set, 0, c)
+		sh.tab.Store(next)
+		s, _ = next.probe(k, h)
 	}
-	start := len(sh.groupsArena)
-	sh.groupsArena = sh.groupsArena[: start+n : cap(sh.groupsArena)]
-	copy(sh.groupsArena[start:], comps)
-	return sh.groupsArena[start : start+n : start+n]
-}
-
-// entChunkBits sizes an entry chunk (256 entries — small enough that a
-// tiny block pays almost nothing, large enough that a RandWire-scale memo
-// needs only hundreds of chunks); a packed position is
-// chunk<<entChunkBits | index.
-const entChunkBits = 8
-
-// alloc appends one zero entry, returning its packed position and stable
-// address. Caller holds sh.mu (or the engine is serial).
-func (sh *stageShard) alloc() (int32, *stageEntry) {
-	if n := len(sh.chunks); n == 0 || len(sh.chunks[n-1]) == cap(sh.chunks[n-1]) {
-		sh.chunks = append(sh.chunks, make([]stageEntry, 0, 1<<entChunkBits))
-	}
-	ci := len(sh.chunks) - 1
-	c := sh.chunks[ci]
-	c = append(c, stageEntry{})
-	sh.chunks[ci] = c
-	return int32(ci)<<entChunkBits | int32(len(c)-1), &c[len(c)-1]
-}
-
-// transition is one stored (S, S') pair: the ending and the packed
-// shard/position handle of its stage-memo entry, resolved at discovery.
-// Keeping the record pointer-free matters: the transition arrays are the
-// engine's largest allocation (one record per #(S, S')), and without
-// pointers the garbage collector never scans them.
-type transition struct {
-	ending bitset.Set
-	ent    int32
-}
-
-// shardOf spreads ending bitmasks over the engine's shards (Fibonacci
-// hashing; shardCount is a power of two).
-func (e *engine) shardOf(s bitset.Set) int {
-	return int((uint64(s)*0x9E3779B97F4A7C15)>>58) & (e.shardCount - 1)
+	s.key.Store(k)
+	sh.used++
+	return s, true
 }
 
 // setTable is an open-addressing hash table from bitmask to int32, the
-// engine's replacement for map[bitset.Set]int32 on the per-transition hot
-// paths (state-index lookups and ending dedup run millions of times per
-// block; Go's map is several times slower than two or three linear
-// probes). Key and value share a slot so a probe touches one cache line.
-// Keys are non-empty sets, so 0 marks a free slot. The hash is the
-// splitmix64 finalizer: block bitmasks are highly structured (order
-// ideals share long runs of bits), and weaker multiplicative hashes
-// cluster badly enough on them to dominate the whole search.
+// engine's replacement for map[bitset.Set]int32 on the per-transition
+// state-index lookup (it runs millions of times per block; Go's map is
+// several times slower than two or three linear probes). Key and value
+// share a slot so a probe touches one cache line. Keys are non-empty sets,
+// so 0 marks a free slot. The hash is the splitmix64 finalizer: block
+// bitmasks are highly structured (order ideals share long runs of bits),
+// and weaker multiplicative hashes cluster badly enough on them to
+// dominate the whole search.
 type setTable struct {
 	slots []setSlot
 	used  int
@@ -235,16 +230,6 @@ func (t *setTable) grow() {
 	}
 }
 
-// entHandle packs a shard and a chunked position into a transition's
-// entry handle.
-func entHandle(shard int, pos int32) int32 { return int32(shard)<<25 | pos }
-
-// entryAt resolves a handle to its (stable) entry address.
-func (e *engine) entryAt(h int32) *stageEntry {
-	pos := h & (1<<25 - 1)
-	return &e.shards[h>>25].chunks[pos>>entChunkBits][pos&(1<<entChunkBits-1)]
-}
-
 // engine carries the DP state for one block search.
 type engine struct {
 	b    *graph.Block
@@ -260,31 +245,24 @@ type engine struct {
 	solo      []float64
 	noisy     bool
 
-	shards     [stageShardCount]stageShard
-	shardCount int
+	shards []stageShard // power-of-two length
 
-	// The reachable state space, discovered by pass 1: states[i] is the
-	// bitmask of state i, index its inverse, levels[k] the states of
-	// cardinality k, endings[i] state i's admissible endings in
-	// enumeration order, each carrying its resolved stage-memo entry so
-	// the compute pass touches no map and no lock per transition. cost
-	// and last are indexed like states; all per-state slots are written
-	// lock-free (each state is owned by exactly one worker per level).
-	index   *setTable
-	states  []bitset.Set
-	levels  [][]int32
-	endings [][]transition
-	cost    []float64
-	last    []choice
+	// The state space, listed by pass 1: states[i] is the bitmask of state
+	// i, index its inverse, levels[k] the states of cardinality k. cost and
+	// last are indexed like states; both index and states are read-only
+	// during pass 2, and each cost/last slot is written lock-free by the
+	// one worker that owns the state in its level.
+	index  *setTable
+	states []bitset.Set
+	levels [][]int32
+	cost   []float64
+	last   []choice
 
 	workers []*engineWorker
-	// serial marks a one-worker engine: every lock degenerates to
-	// uncontended single-threaded access and is skipped on hot paths.
-	serial bool
 	// stop is set on the first error or on context cancellation (via a
-	// context.AfterFunc registered in run); workers check it between
-	// states, so in-flight levels drain promptly — each worker finishes
-	// at most the state it is on.
+	// context.AfterFunc registered in run); workers check it before every
+	// state and every transition, so in-flight levels drain promptly —
+	// each worker finishes at most the stage measurement it is in.
 	stop  atomic.Bool
 	stats Stats
 
@@ -302,51 +280,21 @@ type engineWorker struct {
 	enum  enumerator
 	stats Stats
 	err   error
-	// children buffers states discovered during one level of pass 1.
-	children []bitset.Set
+	// The state being computed and its running minimum. They live here, and
+	// onEnding is the visit method bound once, so that handing the
+	// enumerator its callback allocates no closure per state.
+	s          bitset.Set
+	best       float64
+	bestChoice choice
+	onEnding   endingFunc
 	// Fixed-capacity (bitset.MaxElems) measurement scratch: nodeBuf for
-	// the noisy serial-tail path, stageNodes/groupArena/groupLists for
-	// stage setup in measureStage.
+	// the noisy serial-tail path, groupSets/stageNodes/groupArena/
+	// groupLists for stage setup in measureStage.
 	nodeBuf    []*graph.Node
+	groupSets  [bitset.MaxElems]bitset.Set
 	stageNodes []*graph.Node
 	groupArena []*graph.Node
 	groupLists [][]*graph.Node
-	// listScratch assembles one state's transition list; carve copies the
-	// exact-size result into listArena chunks, so list growth churns one
-	// reusable buffer instead of abandoning doubling backing arrays for
-	// every state.
-	listScratch []transition
-	listArena   []transition
-}
-
-// listChunkLen caps a worker's transition-arena chunk (records); chunks
-// start small and double so tiny blocks stay cheap.
-const listChunkLen = 1 << 15
-
-// carve copies a finished state list into the worker's arena, returning a
-// stable exact-size slice.
-func (w *engineWorker) carve(list []transition) []transition {
-	n := len(list)
-	if n == 0 {
-		return nil
-	}
-	if cap(w.listArena)-len(w.listArena) < n {
-		c := 2 * cap(w.listArena)
-		if c < 256 {
-			c = 256
-		}
-		if c > listChunkLen {
-			c = listChunkLen
-		}
-		if c < n {
-			c = n
-		}
-		w.listArena = make([]transition, 0, c)
-	}
-	start := len(w.listArena)
-	w.listArena = w.listArena[: start+n : cap(w.listArena)]
-	copy(w.listArena[start:], list)
-	return w.listArena[start : start+n : start+n]
 }
 
 // smallBlockOps is the parallel-dispatch threshold: blocks at or below
@@ -391,27 +339,28 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options) *engine {
 		e.solo[i] = prof.SoloDuration(n) // cached by the service's prelower
 	}
 	e.workers = make([]*engineWorker, e.svc.Workers())
-	e.serial = e.svc.Workers() == 1
-	e.shardCount = 1
-	if !e.serial {
-		for e.shardCount < 4*len(e.workers) {
-			e.shardCount <<= 1
-		}
-		if e.shardCount > stageShardCount {
-			e.shardCount = stageShardCount
+	shards := 1
+	if len(e.workers) > 1 {
+		for shards < 4*len(e.workers) && shards < stageShardCount {
+			shards <<= 1
 		}
 	}
-	for i := 0; i < e.shardCount; i++ {
-		e.shards[i].m = newSetTable(16)
+	e.shards = make([]stageShard, shards)
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.wake.L = &sh.mu
+		sh.tab.Store(newStageTable(4))
 	}
 	for i := range e.workers {
-		e.workers[i] = &engineWorker{
+		w := &engineWorker{
 			e:          e,
 			prof:       e.svc.Worker(i),
 			stageNodes: make([]*graph.Node, 0, bitset.MaxElems),
 			groupArena: make([]*graph.Node, 0, bitset.MaxElems),
 			groupLists: make([][]*graph.Node, 0, bitset.MaxElems),
 		}
+		w.onEnding = w.visit
+		e.workers[i] = w
 	}
 	return e
 }
@@ -423,8 +372,8 @@ func (e *engine) close() { e.svc.Close() }
 // run executes both passes and reconstructs the block's stage list. The
 // context is observed through the engine's stop flag — an AfterFunc flips
 // it the moment ctx is cancelled, so every worker drains at its next
-// state boundary — and re-checked at each level barrier, where the
-// wrapped ctx.Err() is returned and all partial DP state is discarded.
+// transition — and re-checked at each level barrier, where the wrapped
+// ctx.Err() is returned and all partial DP state is discarded.
 func (e *engine) run(ctx context.Context) ([]schedule.Stage, Stats, error) {
 	unregister := context.AfterFunc(ctx, func() { e.stop.Store(true) })
 	defer unregister()
@@ -449,7 +398,8 @@ func (e *engine) ctxErr(ctx context.Context) error {
 // reportLevel emits a progress snapshot at a level barrier: the delta of
 // this engine's cumulative state/transition/measurement counters since
 // the previous barrier, folded into the cross-block tracker. Workers are
-// quiescent at a barrier, so their counters are safe to read.
+// quiescent at a barrier, so their counters are safe to read. (Discovery
+// costs nothing, so its snapshots carry zero deltas: they mark time.)
 func (e *engine) reportLevel(phase string, level int) {
 	if e.prog == nil {
 		return
@@ -465,44 +415,12 @@ func (e *engine) reportLevel(phase string, level int) {
 	e.prevStates, e.prevTrans, e.prevMeas = s, tr, m
 }
 
-// runLevel applies fn to every state of one level, fanned out across the
-// worker pool with an atomic work-stealing cursor. A single-worker engine
-// runs inline: no goroutines, no atomics, so Workers=1 is a strictly
-// cheaper replacement for the reference recursion.
-func (e *engine) runLevel(items []int32, fn func(*engineWorker, int32)) {
-	if len(e.workers) == 1 || len(items) == 1 {
-		w := e.workers[0]
-		for _, id := range items {
-			if e.stop.Load() {
-				return
-			}
-			fn(w, id)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for _, w := range e.workers {
-		wg.Add(1)
-		go func(w *engineWorker) {
-			defer wg.Done()
-			for {
-				i := atomic.AddInt64(&next, 1) - 1
-				if i >= int64(len(items)) || e.stop.Load() {
-					return
-				}
-				fn(w, items[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// discover runs pass 1: enumerate reachable states by decreasing
-// cardinality. Workers buffer newly seen remainders; the merge into the
-// global index happens serially at each level barrier, so the map is
-// read-only while a level is in flight. Cancellation is checked at every
-// level barrier (workers additionally drain mid-level via the stop flag).
+// discover runs pass 1: list the block's order ideals by decreasing
+// cardinality. Removing one sink (an operator with no successor left in S)
+// from an ideal yields an ideal one smaller, and every smaller ideal is
+// reached that way, so each level is the set of one-sink remainders of the
+// level above. Serial: the whole pass is O(states × block size) word
+// operations. Cancellation is checked at every level.
 func (e *engine) discover(ctx context.Context) error {
 	n := len(e.b.Nodes)
 	e.index = newSetTable(64)
@@ -512,31 +430,25 @@ func (e *engine) discover(ctx context.Context) error {
 		if err := e.ctxErr(ctx); err != nil {
 			return err
 		}
-		items := e.levels[k]
-		if len(items) == 0 {
-			continue
-		}
-		for len(e.endings) < len(e.states) {
-			e.endings = append(e.endings, nil)
-		}
-		e.runLevel(items, (*engineWorker).discoverState)
-		for _, w := range e.workers {
-			for _, c := range w.children {
-				e.addState(c)
+		for _, id := range e.levels[k] {
+			s := e.states[id]
+			for i := s.NextAfter(-1); i >= 0; i = s.NextAfter(i) {
+				if e.b.Succs(i).Intersects(s) {
+					continue // not a sink of s
+				}
+				if rem := s.Remove(i); !rem.IsEmpty() {
+					e.addState(rem)
+				}
 			}
-			w.children = w.children[:0]
 		}
 		e.reportLevel("discover", k)
-	}
-	if err := e.ctxErr(ctx); err != nil {
-		return err
 	}
 	e.cost = make([]float64, len(e.states))
 	e.last = make([]choice, len(e.states))
 	return nil
 }
 
-// addState registers a state if unseen. Serial (level barrier) only.
+// addState registers a state if unseen.
 func (e *engine) addState(s bitset.Set) {
 	if _, ok := e.index.get(s); ok {
 		return
@@ -547,54 +459,6 @@ func (e *engine) addState(s bitset.Set) {
 	e.levels[s.Len()] = append(e.levels[s.Len()], id)
 }
 
-// discoverState enumerates one state's admissible endings exactly once:
-// the list is stored for the compute pass, each distinct ending's group
-// structure is captured into the stage memo, and remainders not yet in
-// the index are buffered (duplicates within the in-flight level are
-// deduplicated at the merge).
-func (w *engineWorker) discoverState(id int32) {
-	e := w.e
-	s := e.states[id]
-	list := w.listScratch[:0]
-	w.enum.forEach(e.b, s, e.opts.Pruning, func(ending bitset.Set, comps []bitset.Set) bool {
-		list = append(list, transition{ending: ending, ent: e.recordEnding(ending, comps)})
-		rem := s.Diff(ending)
-		if rem.IsEmpty() {
-			return true
-		}
-		if _, known := e.index.get(rem); !known {
-			w.children = append(w.children, rem)
-		}
-		return true
-	})
-	e.endings[id] = w.carve(list)
-	w.listScratch = list[:0]
-}
-
-// recordEnding returns the stage memo handle for an ending, creating the
-// entry on first sight with the enumerator's component structure captured
-// so no later pass re-derives groups. A component partition is a property
-// of the ending alone (connectivity within the block), so whichever state
-// sees the ending first records the same groups.
-func (e *engine) recordEnding(ending bitset.Set, comps []bitset.Set) int32 {
-	shard := e.shardOf(ending)
-	sh := &e.shards[shard]
-	if !e.serial {
-		sh.mu.Lock()
-	}
-	h, ok := sh.m.get(ending)
-	if !ok {
-		pos, ent := sh.alloc()
-		ent.groups = sh.carveGroups(comps)
-		h = entHandle(shard, pos)
-		sh.m.put(ending, h)
-	}
-	if !e.serial {
-		sh.mu.Unlock()
-	}
-	return h
-}
-
 // compute runs pass 2: evaluate cost[S] level by level, bottom-up.
 // Cancellation is checked at every level barrier; a cancelled engine
 // discards its cost/choice tables by never reaching reconstruct.
@@ -603,11 +467,7 @@ func (e *engine) compute(ctx context.Context) error {
 		if err := e.ctxErr(ctx); err != nil {
 			return err
 		}
-		items := e.levels[k]
-		if len(items) == 0 {
-			continue
-		}
-		e.runLevel(items, (*engineWorker).computeState)
+		e.runLevel(e.levels[k])
 		// The context check precedes the worker-error check so a search
 		// cancelled mid-measurement reports the cancellation, not
 		// whatever partial state a draining worker happened to record.
@@ -628,12 +488,45 @@ func (e *engine) compute(ctx context.Context) error {
 	return nil
 }
 
+// runLevel computes every state of one level, fanned out across the
+// worker pool with an atomic work-stealing cursor. A single-worker engine
+// runs inline: no goroutines, no atomics, so Workers=1 is a strictly
+// cheaper replacement for the reference recursion.
+func (e *engine) runLevel(items []int32) {
+	if len(e.workers) == 1 || len(items) == 1 {
+		w := e.workers[0]
+		for _, id := range items {
+			if e.stop.Load() {
+				return
+			}
+			w.computeState(id)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, w := range e.workers {
+		wg.Add(1)
+		go func(w *engineWorker) {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(len(items)) || e.stop.Load() {
+					return
+				}
+				w.computeState(items[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // computeState evaluates Algorithm 1's SCHEDULER for one state: the
 // serial-tail candidate first, then every admissible ending in
 // enumeration order, exactly as the reference recursion does.
 func (w *engineWorker) computeState(id int32) {
 	e := w.e
-	s := e.states[id]
+	w.s = e.states[id]
 	w.stats.States++
 
 	// Serial-tail candidate: close the whole remaining suffix as one
@@ -644,35 +537,51 @@ func (w *engineWorker) computeState(id int32) {
 	// the unpruned space already contains (in particular, the stream-
 	// sequential schedule, which IOS must never lose to).
 	w.stats.Transitions++
-	best := w.serialLatency(s)
-	bestChoice := choice{ending: s, strategy: schedule.Concurrent, serial: true}
+	w.best = w.serialLatency(w.s)
+	w.bestChoice = choice{ending: w.s, strategy: schedule.Concurrent, serial: true}
 
-	for _, tr := range e.endings[id] {
-		w.stats.Transitions++
-		ent := e.entryAt(tr.ent)
-		if !ent.done.Load() {
-			e.measureSlow(ent, tr.ending, w)
+	w.enum.forEach(e.b, w.s, e.opts.Pruning, w.onEnding)
+	// Every way visit cuts an enumeration short sets stop first, so a
+	// state abandoned halfway never publishes a cost.
+	if e.stop.Load() {
+		return
+	}
+	e.cost[id] = w.best
+	e.last[id] = w.bestChoice
+}
+
+// visit costs one transition (w.s, ending) the moment the enumerator
+// produces it. comps is the enumerator's live component list; it is only
+// read, and only when this worker turns out to be the one measuring the
+// ending.
+func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
+	e := w.e
+	if e.stop.Load() {
+		return false
+	}
+	w.stats.Transitions++
+	lat, meta := e.stage(w, ending, comps)
+	if meta&stageOK == 0 {
+		// Infeasible under the strategy restriction: skip. A failed
+		// measurement has already set stop: give up on the state.
+		return meta&stageFailed == 0
+	}
+	var sub float64
+	if rem := w.s.Diff(ending); !rem.IsEmpty() {
+		ci, ok := e.index.get(rem) // strictly lower level: complete
+		if !ok {
+			panic(fmt.Sprintf("core: remainder %v of state %v is not a listed state", rem, w.s))
 		}
-		if ent.err != nil {
-			w.err = ent.err
-			e.stop.Store(true)
-			break
-		}
-		if !ent.ok {
-			continue // infeasible under the strategy restriction
-		}
-		var sub float64
-		if rem := s.Diff(tr.ending); !rem.IsEmpty() {
-			ci, _ := e.index.get(rem) // strictly lower level: complete
-			sub = e.cost[ci]
-		}
-		if total := sub + ent.lat; total < best {
-			best = total
-			bestChoice = choice{ending: tr.ending, strategy: ent.strategy}
+		sub = e.cost[ci]
+	}
+	if total := sub + lat; total < w.best {
+		w.best = total
+		w.bestChoice = choice{ending: ending, strategy: schedule.Concurrent}
+		if meta&stageMerge != 0 {
+			w.bestChoice.strategy = schedule.Merge
 		}
 	}
-	e.cost[id] = best
-	e.last[id] = bestChoice
+	return true
 }
 
 // serialLatency is the serial-tail candidate's latency: barrier plus the
@@ -695,33 +604,56 @@ func (w *engineWorker) serialLatency(s bitset.Set) float64 {
 	return total
 }
 
-// measureSlow is the stage singleflight's slow path: take the entry lock,
-// re-check, measure, publish.
-func (e *engine) measureSlow(ent *stageEntry, ending bitset.Set, w *engineWorker) {
-	if e.serial {
-		e.measureStage(ent, ending, w)
-		ent.done.Store(true)
-		return
+// stage returns the memoized latency and meta bits of an ending, measuring
+// it if this worker is the first to ask. The fast path — the ending is
+// already published — takes no lock.
+func (e *engine) stage(w *engineWorker, ending bitset.Set, comps []bitset.Set) (float64, uint32) {
+	k := uint64(ending)
+	h := hashKey(k)
+	sh := &e.shards[h&uint64(len(e.shards)-1)]
+	if s, found := sh.tab.Load().probe(k, h); found {
+		if meta := s.meta.Load(); meta != 0 {
+			return math.Float64frombits(s.lat.Load()), meta
+		}
 	}
-	ent.mu.Lock()
-	if !ent.done.Load() {
-		e.measureStage(ent, ending, w)
-		ent.done.Store(true)
+
+	// Slow path: claim the ending or wait for its claimant. The shard lock
+	// is dropped while measuring, so the slot is found again afterwards —
+	// the table may have grown a generation in between.
+	sh.mu.Lock()
+	s, inserted := sh.claim(k, h)
+	if inserted {
+		sh.mu.Unlock()
+		lat, meta := e.measureStage(w, ending, comps)
+		sh.mu.Lock()
+		s, _ = sh.tab.Load().probe(k, h)
+		s.lat.Store(math.Float64bits(lat))
+		s.meta.Store(meta)
+		sh.mu.Unlock()
+		sh.wake.Broadcast()
+		return lat, meta
 	}
-	ent.mu.Unlock()
+	for s.meta.Load() == 0 {
+		sh.wake.Wait()
+		s, _ = sh.tab.Load().probe(k, h)
+	}
+	lat, meta := math.Float64frombits(s.lat.Load()), s.meta.Load()
+	sh.mu.Unlock()
+	return lat, meta
 }
 
 // measureStage is Algorithm 1's GENERATESTAGE: choose the better
-// parallelization strategy for the candidate stage and record its
-// measured latency. ok=false means the stage is infeasible under the
-// configured StrategySet (e.g. MergeOnly with unmergeable multi-op sets).
-// ent.groups was captured at discovery and is canonicalized (sorted by
-// smallest element) here, once per distinct ending. The node lists handed
-// to the measurement are built in the worker's fixed-capacity scratch —
-// the simulator does not retain them — so measurement setup allocates
-// nothing.
-func (e *engine) measureStage(ent *stageEntry, ending bitset.Set, w *engineWorker) {
-	groups := ent.groups
+// parallelization strategy for the candidate stage and return its measured
+// latency with the slot's meta bits (stageOK clear means the stage is
+// infeasible under the configured StrategySet, e.g. MergeOnly with
+// unmergeable multi-op sets). comps, the enumerator's component list, is
+// copied into worker scratch and canonicalized there (sorted by smallest
+// element — the order groupsOf produces and reconstruct emits). The node
+// lists handed to the measurement are built in the worker's fixed-capacity
+// scratch — the simulator does not retain them — so measurement setup
+// allocates nothing.
+func (e *engine) measureStage(w *engineWorker, ending bitset.Set, comps []bitset.Set) (float64, uint32) {
+	groups := w.groupSets[:copy(w.groupSets[:], comps)]
 	sortGroups(groups)
 	nodes := w.stageNodes[:0]
 	for i := ending.NextAfter(-1); i >= 0; i = ending.NextAfter(i) {
@@ -752,31 +684,26 @@ func (e *engine) measureStage(ent *stageEntry, ending bitset.Set, w *engineWorke
 	var err error
 	if concurrentAllowed {
 		lConc, err = w.prof.MeasureStageUncached(schedule.Stage{Strategy: schedule.Concurrent, Groups: groupNodes})
-		if err != nil {
-			ent.err = err
-			return
-		}
 	}
-	if mergeAllowed {
+	if err == nil && mergeAllowed {
 		lMerge, err = w.prof.MeasureStageUncached(schedule.Stage{Strategy: schedule.Merge, Groups: [][]*graph.Node{nodes}})
-		if err != nil {
-			ent.err = err
-			return
-		}
 	}
 	switch {
+	case err != nil:
+		w.err = err
+		e.stop.Store(true) // before the slot is published: see computeState
+		return 0, stageDone | stageFailed
 	case math.IsInf(lConc, 1) && math.IsInf(lMerge, 1):
-		ent.ok = false
+		return 0, stageDone
 	case lConc <= lMerge:
-		ent.lat, ent.strategy, ent.ok = lConc, schedule.Concurrent, true
+		return lConc, stageDone | stageOK
 	default:
-		ent.lat, ent.strategy, ent.ok = lMerge, schedule.Merge, true
+		return lMerge, stageDone | stageOK | stageMerge
 	}
 }
 
 // reconstruct walks choice[] backwards from the full set (Algorithm 1
-// L6-11), prepending stages. Chosen endings reuse the group structure the
-// stage memo captured at discovery, so no BFS runs here either.
+// L6-11), prepending stages.
 func (e *engine) reconstruct() ([]schedule.Stage, error) {
 	var rev []schedule.Stage
 	for s := e.b.All(); !s.IsEmpty(); {
@@ -797,7 +724,8 @@ func (e *engine) reconstruct() ([]schedule.Stage, error) {
 
 // buildStage materializes a schedule stage from a DP choice. This runs
 // once per emitted stage, with fresh slices (the schedule outlives the
-// engine's scratch).
+// engine's scratch); a concurrent stage's groups are re-derived with
+// groupsOf, in the canonical order the stage was measured with.
 func (e *engine) buildStage(c choice) schedule.Stage {
 	switch {
 	case c.serial:
@@ -807,26 +735,13 @@ func (e *engine) buildStage(c choice) schedule.Stage {
 	case c.strategy == schedule.Merge:
 		return schedule.Stage{Strategy: schedule.Merge, Groups: [][]*graph.Node{e.nodesOf(c.ending)}}
 	default:
-		groups := e.entryOf(c.ending).groups // canonicalized at measurement
+		groups := groupsOf(e.b, c.ending)
 		groupNodes := make([][]*graph.Node, len(groups))
 		for gi, gs := range groups {
 			groupNodes[gi] = e.nodesOf(gs)
 		}
 		return schedule.Stage{Strategy: schedule.Concurrent, Groups: groupNodes}
 	}
-}
-
-// entryOf returns the stage memo entry of a chosen ending; the choice
-// came out of the compute pass, so the entry exists and is complete.
-func (e *engine) entryOf(ending bitset.Set) *stageEntry {
-	sh := &e.shards[e.shardOf(ending)]
-	sh.mu.Lock()
-	h, ok := sh.m.get(ending)
-	sh.mu.Unlock()
-	if !ok {
-		panic(fmt.Sprintf("core: no stage memo entry for chosen ending %v", ending))
-	}
-	return e.entryAt(h)
 }
 
 // nodesOf converts a block-local bitset to nodes in topological order.

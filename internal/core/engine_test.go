@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"ios/internal/models"
@@ -90,5 +91,39 @@ func TestForkSharesLoweringTables(t *testing.T) {
 	}
 	if prof.Measurements != before {
 		t.Errorf("forking changed the parent's measurement count")
+	}
+}
+
+// TestSearchBytesPerTransition keeps the engine's memory in the number of
+// states and distinct endings, as Algorithm 1's is: nothing may be
+// allocated per (S, S') pair. The RandWire hardest block (1,720 states,
+// 100,968 transitions) at one worker with no cache attached allocated
+// 52.0 bytes per transition while the engine stored transition records;
+// the one-pass engine measures bytesPerTransition below, and the budget
+// is pinned a quarter above that. TotalAlloc counts bytes, so the figure
+// is exact and host-independent.
+func TestSearchBytesPerTransition(t *testing.T) {
+	const budget = 23.0 // bytes per transition; the engine measures 18.3
+	b, err := HardestBlock(models.RandWire(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := v100Profiler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, stats, err := OptimizeBlock(b, prof, Options{Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.States != 1720 || stats.Transitions != 100968 {
+		t.Fatalf("RandWire hardest block searched %d states, %d transitions; the budget below is sized for 1720 and 100968",
+			stats.States, stats.Transitions)
+	}
+	perTransition := float64(after.TotalAlloc-before.TotalAlloc) / float64(stats.Transitions)
+	t.Logf("%.1f bytes allocated per transition", perTransition)
+	if perTransition > budget {
+		t.Errorf("search allocated %.1f bytes per transition, budget %.1f: is something stored per (S, S') again?",
+			perTransition, budget)
 	}
 }

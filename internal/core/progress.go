@@ -14,8 +14,13 @@ type Progress struct {
 	// Blocks is the total block count of the search (1 for
 	// OptimizeBlockContext).
 	Block, Blocks int
-	// Phase is the engine pass the block is in: "discover" (state-space
-	// enumeration) or "compute" (cost evaluation).
+	// Phase is the engine pass the block is in: "discover" (listing the
+	// block's states — no ending is enumerated and nothing measured, so
+	// the counters do not move and the snapshots only mark time),
+	// "compute" (ending enumeration, stage measurement and cost
+	// evaluation — all of the search's counted work), or "cached" (one
+	// snapshot for a block answered from the block cache, carrying the
+	// entry's recorded search cost).
 	Phase string
 	// Level is the cardinality level the block just finished; Levels is
 	// the block's operator count (its highest level).

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"ios/internal/baseline"
+	"ios/internal/bitset"
 	"ios/internal/graph"
 	"ios/internal/schedule"
 )
@@ -266,6 +268,133 @@ func TestPropertyWorkersInvariance(t *testing.T) {
 			r1.Stats.Measurements != r4.Stats.Measurements {
 			t.Errorf("trial %d: stats differ across worker counts: %+v vs %+v",
 				trial, r1.Stats, r4.Stats)
+		}
+	}
+}
+
+// engineStateSet lists the states the engine's discovery pass finds.
+func engineStateSet(t *testing.T, b *graph.Block, opts Options) map[bitset.Set]bool {
+	t.Helper()
+	e := newEngine(b, v100Profiler(), opts.withDefaults())
+	defer e.close()
+	if err := e.discover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[bitset.Set]bool, len(e.states))
+	for _, s := range e.states {
+		if set[s] {
+			t.Fatalf("engine lists state %v twice", s)
+		}
+		set[s] = true
+	}
+	return set
+}
+
+// referenceStateSet is the set of states the reference recursion memoizes.
+func referenceStateSet(t *testing.T, b *graph.Block, opts Options) map[bitset.Set]bool {
+	t.Helper()
+	bs := &refScheduler{
+		b: b, prof: v100Profiler(), opts: opts.withDefaults(),
+		cost:   make(map[bitset.Set]float64),
+		last:   make(map[bitset.Set]choice),
+		stages: make(map[bitset.Set]stageResult),
+	}
+	if _, err := bs.scheduler(b.All()); err != nil {
+		t.Fatal(err)
+	}
+	set := make(map[bitset.Set]bool, len(bs.cost))
+	for s := range bs.cost {
+		set[s] = true
+	}
+	return set
+}
+
+// orderIdeals is the brute-force set of the block's non-empty order
+// ideals: the subsets closed under predecessors. Small blocks only.
+func orderIdeals(t *testing.T, b *graph.Block) map[bitset.Set]bool {
+	t.Helper()
+	if len(b.Nodes) > 20 {
+		t.Fatalf("block of %d operators is too large to list by brute force", len(b.Nodes))
+	}
+	set := make(map[bitset.Set]bool)
+	for s := bitset.Set(1); s <= b.All(); s++ {
+		ideal := true
+		for i := s.NextAfter(-1); i >= 0 && ideal; i = s.NextAfter(i) {
+			ideal = b.Preds(i).SubsetOf(s)
+		}
+		if ideal {
+			set[s] = true
+		}
+	}
+	return set
+}
+
+func sameStateSet(a, b map[bitset.Set]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for s := range a {
+		if !b[s] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPropertyStatesAreOrderIdeals is the lemma the engine's discovery
+// rests on: a single sink is an admissible, feasible ending under every
+// pruning bound and strategy set, so the states the recursion reaches are
+// exactly the block's order ideals — which the engine lists by peeling
+// sinks, without enumerating an ending. Checked as sets, against both the
+// reference recursion's memo and a brute-force listing.
+func TestPropertyStatesAreOrderIdeals(t *testing.T) {
+	check := func(name string, g *graph.Graph, maxOps int, opts Options) {
+		t.Helper()
+		blocks, err := g.Partition(maxOps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			got := engineStateSet(t, b, opts)
+			if want := referenceStateSet(t, b, opts); !sameStateSet(got, want) {
+				t.Fatalf("%s block %d (%d ops, max %d, %s): engine lists %d states, the reference recursion memoizes %d",
+					name, b.Index, len(b.Nodes), maxOps, opts.Fingerprint(), len(got), len(want))
+			}
+			if want := orderIdeals(t, b); !sameStateSet(got, want) {
+				t.Fatalf("%s block %d (%d ops, max %d, %s): engine lists %d states, the block has %d order ideals",
+					name, b.Index, len(b.Nodes), maxOps, opts.Fingerprint(), len(got), len(want))
+			}
+		}
+	}
+	settings := []Options{
+		{}, // the paper's r=3, s=8
+		{Pruning: Pruning{R: 1, S: 1}},
+		{Pruning: Pruning{R: -1, S: 2}},
+		Unpruned,
+		{Strategies: MergeOnly},
+		{Strategies: ParallelOnly, Pruning: Pruning{R: 2, S: 1}},
+	}
+
+	one := graph.New("one")
+	one.Conv("a", one.Input("in", graph.Shape{N: 1, C: 8, H: 16, W: 16}), graph.ConvOpts{Out: 8, Kernel: 3})
+	chain := graph.New("chain")
+	x := chain.Input("in", graph.Shape{N: 1, C: 8, H: 16, W: 16})
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		x = chain.Conv(name, x, graph.ConvOpts{Out: 8, Kernel: 3})
+	}
+	for _, opts := range settings {
+		check("one-operator", one, 0, opts)
+		check("chain", chain, 0, opts)
+		check("chain", chain, 2, opts)
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 24; trial++ {
+		g := randomGraph(rng)
+		for _, opts := range settings {
+			for _, maxOps := range []int{0, 3, 6} {
+				check("random", g, maxOps, opts)
+			}
 		}
 	}
 }

@@ -19,8 +19,11 @@ import (
 // shardCount spreads the cache over independently locked shards so the DP
 // engine's worker pool, parallel block searches and concurrent serving
 // requests rarely contend on one mutex. Power of two; the key hash below
-// mixes well enough for a mask.
-const shardCount = 32
+// takes its top shardBits bits.
+const (
+	shardBits  = 5
+	shardCount = 1 << shardBits
+)
 
 // ErrCancelled is returned by GetOrBegin when the caller's done channel
 // closes while it waits on another goroutine's in-flight fill.
@@ -381,16 +384,27 @@ func (c *Cache[V, W]) Stats() Stats {
 	}
 }
 
-// shardOf hashes a key to its shard (FNV-1a over the bytes; key bytes are
-// dominated by float bit patterns, which FNV spreads fine for a 5-bit
-// shard index — this is not the lookup hash, Go's map provides that).
+// shardOf hashes a key to its shard, folding eight key bytes per step
+// (measurement keys run to hundreds of bytes and every lookup pays this,
+// so a byte-at-a-time hash costs more than the simulator run it guards).
+// Each step multiplies — which carries every input bit upward — and then
+// folds the high half back down, so keys that differ only in trailing
+// float payloads still spread; the shard index is the top bits of a final
+// multiply. Deterministic and unseeded. This is not the lookup hash (Go's
+// map provides that) and shard choice is never persisted.
 func shardOf[K string | []byte](key K) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+	const m = 0x9E3779B97F4A7C15
+	h := uint64(len(key))
+	i := 0
+	for ; i+8 <= len(key); i += 8 {
+		w := uint64(key[i]) | uint64(key[i+1])<<8 | uint64(key[i+2])<<16 | uint64(key[i+3])<<24 |
+			uint64(key[i+4])<<32 | uint64(key[i+5])<<40 | uint64(key[i+6])<<48 | uint64(key[i+7])<<56
+		h = (h ^ w) * m
+		h ^= h >> 32
 	}
-	// Fold the high bits in: FNV's low bits alone are weak for keys that
-	// differ only in trailing float payloads.
-	return int((h ^ h>>32) & (shardCount - 1))
+	for ; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * m
+		h ^= h >> 32
+	}
+	return int(h * m >> (64 - shardBits))
 }
