@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ios/internal/core"
@@ -58,15 +59,11 @@ type Entry struct {
 	// SequentialLatency is the sequential baseline's latency (seconds),
 	// kept so responses can quote the speedup without re-measuring.
 	SequentialLatency float64
-	// ScheduleJSON is the schedule pre-serialized at compute time, so
-	// cache hits on the serving hot path skip re-marshaling. Optional:
-	// nil means serialize on demand.
-	ScheduleJSON []byte
-	// Summary is the schedule's precomputed shape summary (valid when
-	// ScheduleJSON is set).
-	Summary schedule.Summary
 	// ComputedAt stamps when the optimization ran.
 	ComputedAt time.Time
+	// answer is what every hit is answered from, serialized once (at
+	// compute time by a Server, on first use otherwise); see rendered.
+	answer atomic.Pointer[optimizeAnswer]
 }
 
 // CacheStats counts cache traffic. All counters are cumulative since the

@@ -138,11 +138,12 @@ func TestCachePreCancelledContextShortCircuits(t *testing.T) {
 }
 
 // TestServerDeadlineReturns503 configures a server-side deadline shorter
-// than a RandWire search and checks the contract end to end: the slow
-// request is shed with 503 + a JSON error and recorded in /stats, while a
-// concurrent cheap request on the same server completes normally.
+// than a NasNet search (seconds; a RandWire search fits inside it) and
+// checks the contract end to end: the slow request is shed with 503 + a
+// JSON error and recorded in /stats, while a concurrent cheap request on
+// the same server completes normally.
 func TestServerDeadlineReturns503(t *testing.T) {
-	s := NewServer(Config{Deadline: 250 * time.Millisecond, Logf: t.Logf})
+	s := NewServer(hermetic(Config{Deadline: 250 * time.Millisecond, Logf: t.Logf}))
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -152,7 +153,7 @@ func TestServerDeadlineReturns503(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		resp, body := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Model: "randwire"})
+		resp, body := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Model: "nasnet"})
 		slowStatus, slowBody = resp.StatusCode, body
 	}()
 	go func() {
@@ -192,7 +193,7 @@ func TestServerDeadlineReturns503(t *testing.T) {
 		t.Fatalf("stats cancelled searches = %d, want >= 1", st.Cache.Cancelled)
 	}
 	// The timed-out key is retryable: no poisoned or stuck slot remains.
-	deadlineKey := Key{Model: "randwire", Batch: 1, Device: "Tesla V100", Opts: s.cfg.Options.Fingerprint()}
+	deadlineKey := Key{Model: "nasnet", Batch: 1, Device: "Tesla V100", Opts: s.cfg.Options.Fingerprint()}
 	if _, ok := s.Cache().Peek(deadlineKey); ok {
 		t.Fatal("timed-out search left a cache entry")
 	}
@@ -202,13 +203,13 @@ func TestServerDeadlineReturns503(t *testing.T) {
 // expensive request and verifies the server tears the search down and
 // frees its singleflight slot, leaving the server fully responsive.
 func TestServerClientDisconnectFreesSlot(t *testing.T) {
-	s := NewServer(Config{Logf: t.Logf})
+	s := NewServer(hermetic(Config{Logf: t.Logf}))
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/optimize",
-		strings.NewReader(`{"model": "randwire"}`))
+		strings.NewReader(`{"model": "nasnet"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

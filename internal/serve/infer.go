@@ -112,9 +112,8 @@ type BatchStats struct {
 }
 
 // inferServed is the Exec payload shared by every request of one
-// dispatch: the memoized plan answer plus its routing.
+// dispatch: how the plan routed it.
 type inferServed struct {
-	entry   *planServed
 	pt      *plan.Point
 	penalty float64
 	exact   bool
@@ -135,13 +134,13 @@ func (s *Server) batcherFor(p *plan.Plan, spec gpusim.Spec) (*batching.Batcher, 
 	bc := s.cfg.Batching
 	exec := func(d batching.Dispatch) (time.Duration, any, error) {
 		pt, penalty, exact := p.Route(d.Images)
-		e, err := s.plannedEntry(spec, p, pt, d.Images, exact)
+		e, err := s.plannedEntry(spec, p, pt, d.Images, penalty, exact)
 		if err != nil {
 			return 0, nil, err
 		}
 		s.recordRoute(penalty, exact)
 		return time.Duration(e.lat * float64(time.Second)),
-			&inferServed{entry: e, pt: pt, penalty: penalty, exact: exact}, nil
+			&inferServed{pt: pt, penalty: penalty, exact: exact}, nil
 	}
 	b, err := batching.NewBatcher(batching.Config{
 		Model:     p,
@@ -221,7 +220,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("infer %s images=%d dispatch=%d planned=%d exact=%v penalty=%.3f total=%.3fms",
 		res.key.Model, res.batch, result.Batch, served.pt.Batch, served.exact, served.penalty, resp.TotalMS)
-	s.writeJSON(w, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // batchStats snapshots the auto-batching front end for GET /stats.

@@ -1,14 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,8 +86,13 @@ func SharedBlockCache() *blockcache.Cache {
 // enough for every zoo model at several batch sizes on several devices.
 const DefaultCacheSize = 256
 
-// maxBodyBytes bounds request bodies (graph JSONs are well under this).
-const maxBodyBytes = 16 << 20
+// maxBodyBytes bounds request bodies (graph JSONs are well under this);
+// maxPresizeBytes bounds what a request's Content-Length alone can make the
+// server allocate before any of the body has arrived.
+const (
+	maxBodyBytes    = 16 << 20
+	maxPresizeBytes = 64 << 10
+)
 
 // Config configures a Server. The zero value serves the V100 with paper
 // defaults and a DefaultCacheSize cache.
@@ -141,11 +147,15 @@ type Config struct {
 //
 //	POST /optimize  optimize a zoo model or submitted graph (cached)
 //	POST /measure   measure a schedule or baseline on a device
+//	POST /infer     auto-batched inference against a registered plan
 //	GET  /models    list the model zoo
 //	GET  /stats     cache and traffic counters
+//	GET  /plans[/<model>/<device>/<options>]  registered plans; one, as persisted
+//	GET  /healthz   readiness probe
 //
-// Every response is JSON; errors use {"error": "..."} with a 4xx/5xx
-// status. Server implements http.Handler and is safe for concurrent use.
+// Every response is compact JSON (pipe it to jq to read it); errors use
+// {"error":"..."} with a 4xx/5xx status. Server implements http.Handler
+// and is safe for concurrent use.
 type Server struct {
 	cfg     Config
 	cache   *ScheduleCache
@@ -153,6 +163,7 @@ type Server struct {
 	blocks  *blockcache.Cache
 	mux     *http.ServeMux
 	start   time.Time
+	optsFP  string // cfg.Options' fingerprint: what a request overriding no search option resolves to
 
 	optimizeReqs  int64
 	measureReqs   int64
@@ -188,7 +199,8 @@ type Server struct {
 	batchers map[*plan.Plan]*batching.Batcher // guarded by batchMu
 
 	zooOnce sync.Once
-	zooInfo []ModelInfo
+	zooBody []byte // the rendered GET /models answer
+	zooErr  error
 }
 
 // planKey addresses a registered plan: a serving Key minus the batch.
@@ -204,14 +216,12 @@ type planMemoKey struct {
 	batch int
 }
 
-// planServed is the rendered answer for one (plan, requested batch):
-// every field is a pure function of the plan point and the batch, so it
-// is computed once and served to every subsequent request.
+// planServed is the answer for one (plan, requested batch): the rendered
+// 200 body, a pure function of the plan point and the batch, so it is
+// computed once and written to every subsequent request.
 type planServed struct {
-	schedJSON []byte
-	summary   schedule.Summary
-	lat       float64 // schedule latency at the requested batch, seconds
-	seqLat    float64 // sequential baseline at the requested batch, seconds
+	body []byte
+	lat  float64 // schedule latency at the requested batch, seconds
 }
 
 // planMemoCap bounds the routing memo: requests choose the batch, so an
@@ -225,6 +235,7 @@ func NewServer(cfg Config) *Server {
 	if cfg.Device.Name == "" {
 		cfg.Device = gpusim.TeslaV100
 	}
+	cfg.Options = cfg.Options.Canonical()
 	cache := cfg.Cache
 	if cache == nil {
 		cache = NewScheduleCache(DefaultCacheSize)
@@ -238,7 +249,7 @@ func NewServer(cfg Config) *Server {
 		bc = SharedBlockCache()
 	}
 	s := &Server{cfg: cfg, cache: cache, measure: mc, blocks: bc, mux: http.NewServeMux(), start: time.Now(),
-		plans: make(map[planKey]*plan.Plan), planMemo: make(map[planMemoKey]*planServed),
+		optsFP: cfg.Options.Fingerprint(), plans: make(map[planKey]*plan.Plan), planMemo: make(map[planMemoKey]*planServed),
 		batchers: make(map[*plan.Plan]*batching.Batcher)}
 	for _, p := range cfg.Plans {
 		if err := s.RegisterPlan(p); err != nil {
@@ -537,9 +548,10 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 			return nil, fmt.Errorf("unknown device %q", device)
 		}
 	}
-	// Canonicalize the defaults first so a request overriding only R
-	// keeps the default S (rather than silently unbounding it).
-	opts := s.cfg.Options.Canonical()
+	// Overrides apply to the canonicalized defaults, so a request
+	// overriding only R keeps the default S (rather than silently
+	// unbounding it).
+	opts, optsFP := s.cfg.Options, s.optsFP
 	if strategy != "" {
 		set, err := core.ParseStrategySet(strategy)
 		if err != nil {
@@ -553,7 +565,10 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 	if sBound != 0 {
 		opts.Pruning.S = sBound
 	}
-	opts = opts.Canonical()
+	if strategy != "" || r != 0 || sBound != 0 {
+		opts = opts.Canonical()
+		optsFP = opts.Fingerprint()
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -571,7 +586,7 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 			return nil, fmt.Errorf("batch must be >= 1, got %d", batch)
 		}
 		res.batch = batch
-		res.key = Key{Model: entry.Name, Batch: batch, Device: spec.Name, Opts: opts.Fingerprint()}
+		res.key = Key{Model: entry.Name, Batch: batch, Device: spec.Name, Opts: optsFP}
 		res.build = func() (*graph.Graph, error) { return entry.Build(batch), nil }
 		return res, nil
 	}
@@ -593,7 +608,7 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 	if batch != 0 && batch != res.batch {
 		return nil, fmt.Errorf("batch %d conflicts with the submitted graph's input batch %d (the graph's shapes win; omit \"batch\")", batch, res.batch)
 	}
-	res.key = Key{Model: "graph:" + fp, Batch: res.batch, Device: spec.Name, Opts: opts.Fingerprint()}
+	res.key = Key{Model: "graph:" + fp, Batch: res.batch, Device: spec.Name, Opts: optsFP}
 	res.build = func() (*graph.Graph, error) { return g, nil }
 	return res, nil
 }
@@ -624,20 +639,20 @@ func (s *Server) entry(ctx context.Context, res *resolved) (*Entry, bool, error)
 		if err != nil {
 			return nil, err
 		}
-		schedJSON, err := out.Schedule.MarshalJSON()
-		if err != nil {
-			return nil, err
-		}
-		return &Entry{
+		e := &Entry{
+			Key:               res.key,
 			Graph:             g,
 			Schedule:          out.Schedule,
 			Stats:             out.Stats,
 			Latency:           lat,
 			SequentialLatency: seqLat,
-			ScheduleJSON:      schedJSON,
-			Summary:           out.Schedule.Summarize(),
 			ComputedAt:        time.Now(),
-		}, nil
+		}
+		// Serialized here, once, so no hit ever marshals.
+		if _, err := e.rendered(); err != nil {
+			return nil, err
+		}
+		return e, nil
 	})
 }
 
@@ -737,39 +752,24 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.failCompute(w, ctx, err)
 		return
 	}
-	// Entries computed by this server carry the serialized schedule and
-	// summary; fall back for externally constructed cache entries.
-	schedJSON, summary := e.ScheduleJSON, e.Summary
-	if schedJSON == nil {
-		schedJSON, err = e.Schedule.MarshalJSON()
+	if s.cfg.Logf != nil {
+		s.logf("optimize %s cached=%v %.3fms", res.key, cached, 1e3*e.Latency)
+	}
+	if !cached { // the one requester whose search produced the entry
+		resp, err := e.response(false, nil)
 		if err != nil {
 			s.fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		summary = e.Schedule.Summarize()
+		s.writeJSON(w, http.StatusOK, resp)
+		return
 	}
-	resp := OptimizeResponse{
-		Model:        res.key.Model,
-		Device:       res.spec.Name,
-		Batch:        res.batch,
-		Options:      res.key.Opts,
-		Cached:       cached,
-		LatencyMS:    1e3 * e.Latency,
-		SequentialMS: 1e3 * e.SequentialLatency,
-		Speedup:      ratio(e.SequentialLatency, e.Latency),
-		Throughput:   ratio(float64(res.batch), e.Latency),
-		Summary:      summary,
-		Schedule:     schedJSON,
-		Search: SearchInfo{
-			Blocks:       e.Stats.Blocks,
-			States:       e.Stats.States,
-			Transitions:  e.Stats.Transitions,
-			Measurements: e.Stats.Measurements,
-			WallMS:       float64(e.Stats.WallTime) / float64(time.Millisecond),
-		},
+	a, err := e.rendered()
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
+		return
 	}
-	s.logf("optimize %s cached=%v %.3fms", res.key, cached, resp.LatencyMS)
-	s.writeJSON(w, resp)
+	s.writeBody(w, http.StatusOK, a.body)
 }
 
 // servePlanned answers an /optimize request from a registered
@@ -787,41 +787,29 @@ func (s *Server) servePlanned(w http.ResponseWriter, ctx context.Context, res *r
 		s.failCompute(w, ctx, err)
 		return
 	}
-	e, err := s.plannedEntry(res.spec, p, pt, res.batch, exact)
+	e, err := s.plannedEntry(res.spec, p, pt, res.batch, penalty, exact)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.recordRoute(penalty, exact)
-	resp := OptimizeResponse{
-		Model:        res.key.Model,
-		Device:       res.spec.Name,
-		Batch:        res.batch,
-		Options:      res.key.Opts,
-		Cached:       true, // no search ran; the plan precomputed it
-		LatencyMS:    1e3 * e.lat,
-		SequentialMS: 1e3 * e.seqLat,
-		Speedup:      ratio(e.seqLat, e.lat),
-		Throughput:   ratio(float64(res.batch), e.lat),
-		Summary:      e.summary,
-		Schedule:     e.schedJSON,
-		Plan:         &PlanRoute{PlannedBatch: pt.Batch, Exact: exact, Penalty: penalty},
+	if s.cfg.Logf != nil {
+		s.logf("optimize %s plan batch=%d->%d exact=%v penalty=%.3f %.3fms",
+			res.key, res.batch, pt.Batch, exact, penalty, 1e3*e.lat)
 	}
-	s.logf("optimize %s plan batch=%d->%d exact=%v penalty=%.3f %.3fms",
-		res.key, res.batch, pt.Batch, exact, penalty, resp.LatencyMS)
-	s.writeJSON(w, resp)
+	s.writeBody(w, http.StatusOK, e.body)
 }
 
 // plannedEntry resolves the memoized answer for one (plan, requested
 // batch), computing it on the first request: bind the routed schedule at
 // the requested batch (exact hits reuse the plan point verbatim), measure
-// it and the sequential baseline, and pre-serialize the schedule JSON.
+// it and the sequential baseline, and render the whole answer.
 // The requested batch's graph comes from the plan point itself
 // (pt.Graph.WithBatch), so the entry works for any registered plan —
 // including ones loaded from disk — without zoo resolution. Every value
 // is a deterministic function of the inputs, so concurrent first
 // requests may compute duplicates, and last-write-wins is benign.
-func (s *Server) plannedEntry(spec gpusim.Spec, p *plan.Plan, pt *plan.Point, batch int, exact bool) (*planServed, error) {
+func (s *Server) plannedEntry(spec gpusim.Spec, p *plan.Plan, pt *plan.Point, batch int, penalty float64, exact bool) (*planServed, error) {
 	key := planMemoKey{p: p, batch: batch}
 	s.planMu.Lock()
 	if e, ok := s.planMemo[key]; ok {
@@ -858,11 +846,18 @@ func (s *Server) plannedEntry(spec gpusim.Spec, p *plan.Plan, pt *plan.Point, ba
 	if err != nil {
 		return nil, err
 	}
-	schedJSON, err := sched.MarshalJSON()
+	// No search ran (the plan precomputed it): cached, at zero search cost.
+	answer := Entry{Key: Key{Model: p.Model, Batch: batch, Device: spec.Name, Opts: p.Opts},
+		Schedule: sched, Latency: lat, SequentialLatency: seqLat}
+	resp, err := answer.response(true, &PlanRoute{PlannedBatch: pt.Batch, Exact: exact, Penalty: penalty})
 	if err != nil {
 		return nil, err
 	}
-	e := &planServed{schedJSON: schedJSON, summary: sched.Summarize(), lat: lat, seqLat: seqLat}
+	body, err := render(resp)
+	if err != nil {
+		return nil, err
+	}
+	e := &planServed{body: body, lat: lat}
 	s.planMu.Lock()
 	if len(s.planMemo) < planMemoCap {
 		s.planMemo[key] = e
@@ -916,13 +911,17 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			s.failCompute(w, ctx, err)
 			return
 		}
-		// The entry already carries this schedule's measured latency;
-		// answer from it instead of re-simulating the whole network.
-		summary := e.Summary
-		if e.ScheduleJSON == nil {
-			summary = e.Schedule.Summarize()
+		// The entry already carries this schedule's measured latency and
+		// summary; answer from it instead of re-simulating the whole network.
+		a, err := e.rendered()
+		if err != nil {
+			s.fail(w, http.StatusInternalServerError, err)
+			return
 		}
-		resp := MeasureResponse{
+		if s.cfg.Logf != nil {
+			s.logf("measure %s source=ios %.3fms", res.key, 1e3*e.Latency)
+		}
+		s.writeJSON(w, http.StatusOK, MeasureResponse{
 			Model:      res.key.Model,
 			Device:     res.spec.Name,
 			Batch:      res.batch,
@@ -930,10 +929,8 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			Cached:     hit,
 			LatencyMS:  1e3 * e.Latency,
 			Throughput: ratio(float64(res.batch), e.Latency),
-			Summary:    summary,
-		}
-		s.logf("measure %s source=ios %.3fms", res.key, resp.LatencyMS)
-		s.writeJSON(w, resp)
+			Summary:    a.summary,
+		})
 		return
 	case req.Baseline == "sequential" || req.Baseline == "greedy":
 		g, err := res.build()
@@ -961,7 +958,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := MeasureResponse{
+	if s.cfg.Logf != nil {
+		s.logf("measure %s source=%s %.3fms", res.key, source, 1e3*lat)
+	}
+	s.writeJSON(w, http.StatusOK, MeasureResponse{
 		Model:      res.key.Model,
 		Device:     res.spec.Name,
 		Batch:      res.batch,
@@ -969,9 +969,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		LatencyMS:  1e3 * lat,
 		Throughput: ratio(float64(res.batch), lat),
 		Summary:    sched.Summarize(),
-	}
-	s.logf("measure %s source=%s %.3fms", res.key, source, resp.LatencyMS)
-	s.writeJSON(w, resp)
+	})
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -981,9 +979,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.zooOnce.Do(func() {
+		var infos []ModelInfo
 		for _, e := range models.Zoo() {
 			g := e.Build(1)
-			s.zooInfo = append(s.zooInfo, ModelInfo{
+			infos = append(infos, ModelInfo{
 				Name:    e.Name,
 				Display: e.Display,
 				Aliases: e.Aliases,
@@ -991,8 +990,13 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 				Width:   g.Width(),
 			})
 		}
+		s.zooBody, s.zooErr = render(infos)
 	})
-	s.writeJSON(w, s.zooInfo)
+	if s.zooErr != nil {
+		s.fail(w, http.StatusInternalServerError, s.zooErr)
+		return
+	}
+	s.writeBody(w, http.StatusOK, s.zooBody)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1011,9 +1015,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MaxPenalty:  s.maxPenalty,
 	}
 	s.planMu.Unlock()
-	s.writeJSON(w, StatsResponse{
+	s.writeJSON(w, http.StatusOK, StatsResponse{
 		Device:  s.cfg.Device.Name,
-		Options: s.cfg.Options.Fingerprint(),
+		Options: s.optsFP,
 		UptimeS: time.Since(s.start).Seconds(),
 		Requests: map[string]int64{
 			"optimize":  atomic.LoadInt64(&s.optimizeReqs),
@@ -1072,7 +1076,7 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		}
 		return a.Options < b.Options
 	})
-	s.writeJSON(w, infos)
+	s.writeJSON(w, http.StatusOK, infos)
 }
 
 // handlePlanGet serves the plan registry: GET /plans/<model>/<device>/<opts>
@@ -1142,15 +1146,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	resp := HealthzResponse{Status: "ready", UptimeS: time.Since(s.start).Seconds()}
+	resp, code := HealthzResponse{Status: "ready", UptimeS: time.Since(s.start).Seconds()}, http.StatusOK
 	if !s.ready.Load() {
-		resp.Status = "starting"
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(resp)
-		return
+		resp.Status, code = "starting", http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, resp)
+	s.writeJSON(w, code, resp)
 }
 
 // plumbing --------------------------------------------------------------
@@ -1196,13 +1196,21 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
+// readJSON reads and decodes a POST body, failing the request (and
+// reporting false) if it cannot.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST with a JSON body"))
 		return false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	// Pre-sized from Content-Length (plus the bytes.MinRead of slack ReadFrom
+	// wants to see EOF without growing), but only up to maxPresizeBytes: the
+	// header is the client's word, and memory is spent on bytes that arrive.
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		body.Grow(int(min(n, maxPresizeBytes)) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
@@ -1211,31 +1219,100 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return false
 	}
-	if err := json.Unmarshal(body, dst); err != nil {
+	if err := json.Unmarshal(body.Bytes(), dst); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("parse body: %w", err))
 		return false
 	}
 	return true
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// render encodes one response body: compact JSON and a newline.
+func render(v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	return append(body, '\n'), err
+}
+
+// writeJSON renders v and writes it with the given status.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := render(v)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
+	s.writeBody(w, code, body)
+}
+
+// writeBody is the one response writer, for bodies rendered now or long ago.
+func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	if _, err := w.Write(body); err != nil {
 		s.logf("write response: %v", err)
 	}
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	s.logf("error %d: %v", code, err)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	s.writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
+}
+
+// optimizeAnswer is what every hit on a cache entry is answered from.
+type optimizeAnswer struct {
+	body    []byte           // the /optimize 200 body, "cached":true
+	summary schedule.Summary // what /measure's ios answer quotes
+}
+
+// response builds the entry's /optimize answer, serializing its schedule.
+func (e *Entry) response(cached bool, route *PlanRoute) (OptimizeResponse, error) {
+	schedJSON, err := e.Schedule.MarshalJSON()
+	if err != nil {
+		return OptimizeResponse{}, err
+	}
+	return OptimizeResponse{
+		Model:        e.Key.Model,
+		Device:       e.Key.Device,
+		Batch:        e.Key.Batch,
+		Options:      e.Key.Opts,
+		Cached:       cached,
+		LatencyMS:    1e3 * e.Latency,
+		SequentialMS: 1e3 * e.SequentialLatency,
+		Speedup:      ratio(e.SequentialLatency, e.Latency),
+		Throughput:   ratio(float64(e.Key.Batch), e.Latency),
+		Summary:      e.Schedule.Summarize(),
+		Schedule:     schedJSON, // indented; encoding compacts it
+		Search: SearchInfo{
+			Blocks:       e.Stats.Blocks,
+			States:       e.Stats.States,
+			Transitions:  e.Stats.Transitions,
+			Measurements: e.Stats.Measurements,
+			WallMS:       float64(e.Stats.WallTime) / float64(time.Millisecond),
+		},
+		Plan: route,
+	}, nil
+}
+
+// rendered returns the entry's answer to a hit, rendering it on first use
+// (concurrent first users may each render; one result is published).
+func (e *Entry) rendered() (*optimizeAnswer, error) {
+	if a := e.answer.Load(); a != nil {
+		return a, nil
+	}
+	resp, err := e.response(true, nil)
+	if err != nil {
+		return nil, err
+	}
+	body, err := render(resp)
+	if err != nil {
+		return nil, err
+	}
+	e.answer.CompareAndSwap(nil, &optimizeAnswer{body: body, summary: resp.Summary})
+	return e.answer.Load(), nil
 }

@@ -1,0 +1,385 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"ios/internal/models"
+	"ios/internal/plan"
+)
+
+// discardWriter is a connection that keeps the status and counts the body:
+// what the allocation budget is measured against.
+type discardWriter struct {
+	hdr  http.Header
+	code int
+	n    int
+}
+
+func (w *discardWriter) Header() http.Header  { return w.hdr }
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+
+// post sends one request straight into the handler: no loopback, no client.
+func post(s *Server, path string, body []byte) (int, []byte) {
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, newPost(path, body))
+	return w.Code, w.Body.Bytes()
+}
+
+func newPost(path string, body []byte) *http.Request {
+	req, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	if err != nil {
+		panic(err) // the method and the paths are constants
+	}
+	return req
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// optimizeOK posts one /optimize and decodes its 200.
+func optimizeOK(s *Server, body []byte) (OptimizeResponse, []byte, error) {
+	var out OptimizeResponse
+	code, raw := post(s, "/optimize", body)
+	if code != http.StatusOK {
+		return out, raw, fmt.Errorf("status %d: %s", code, raw)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, raw); err != nil || !bytes.Equal(append(compact.Bytes(), '\n'), raw) {
+		return out, raw, fmt.Errorf("body is not compact JSON and a newline (%v): %.80s", err, raw)
+	}
+	return out, raw, json.Unmarshal(raw, &out)
+}
+
+// structEncoded is the answer the per-request struct encoder used to build
+// from a cache entry: the reference the rendered bytes must decode equal to.
+func structEncoded(t *testing.T, e *Entry) OptimizeResponse {
+	t.Helper()
+	indented, err := e.Schedule.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	return OptimizeResponse{
+		Model:        e.Key.Model,
+		Device:       e.Key.Device,
+		Batch:        e.Key.Batch,
+		Options:      e.Key.Opts,
+		LatencyMS:    1e3 * e.Latency,
+		SequentialMS: 1e3 * e.SequentialLatency,
+		Speedup:      ratio(e.SequentialLatency, e.Latency),
+		Throughput:   ratio(float64(e.Key.Batch), e.Latency),
+		Summary:      e.Schedule.Summarize(),
+		Schedule:     compact.Bytes(),
+		Search: SearchInfo{
+			Blocks:       e.Stats.Blocks,
+			States:       e.Stats.States,
+			Transitions:  e.Stats.Transitions,
+			Measurements: e.Stats.Measurements,
+			WallMS:       float64(e.Stats.WallTime) / float64(time.Millisecond),
+		},
+	}
+}
+
+// TestRenderedAnswersMatchStructEncoder: for every zoo model, the first
+// answer says "cached":false, every later one "cached":true with the very
+// same bytes, and all of them decode to what encoding the struct per
+// request produced; the entry holds its schedule's JSON once, inside those
+// bytes.
+func TestRenderedAnswersMatchStructEncoder(t *testing.T) {
+	s := NewServer(hermetic(Config{}))
+	for _, name := range models.ZooNames() {
+		if raceEnabled && name == "nasnet" {
+			continue // a minute of search under the detector; randwire covers the deep case
+		}
+		body := mustMarshal(t, OptimizeRequest{Model: name})
+		first, _, err := optimizeOK(s, body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if first.Cached {
+			t.Errorf("%s: first answer says cached", name)
+		}
+		second, raw2, err := optimizeOK(s, body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, raw3, _ := optimizeOK(s, body)
+		if !second.Cached || !bytes.Equal(raw2, raw3) {
+			t.Errorf("%s: later answers: cached=%v, same bytes=%v", name, second.Cached, bytes.Equal(raw2, raw3))
+		}
+		e, ok := s.Cache().Peek(Key{Model: name, Batch: 1, Device: "Tesla V100", Opts: s.optsFP})
+		if !ok {
+			t.Fatalf("%s: no cache entry", name)
+		}
+		want := structEncoded(t, e)
+		if !reflect.DeepEqual(first, want) {
+			t.Errorf("%s: first answer\n got %+v\nwant %+v", name, first, want)
+		}
+		want.Cached = true
+		if !reflect.DeepEqual(second, want) {
+			t.Errorf("%s: cached answer\n got %+v\nwant %+v", name, second, want)
+		}
+		if a := e.answer.Load(); a == nil || !bytes.Equal(a.body, raw2) {
+			t.Errorf("%s: a hit was not answered with the entry's one rendered body", name)
+		}
+	}
+}
+
+// TestExternalEntryServedIdentically: an entry put into the schedule cache
+// from outside Server.entry (nothing rendered yet) is rendered on first use
+// to the bytes a server-computed entry has.
+func TestExternalEntryServedIdentically(t *testing.T) {
+	body := mustMarshal(t, OptimizeRequest{Model: "squeezenet"})
+	own := NewServer(hermetic(Config{}))
+	if _, _, err := optimizeOK(own, body); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := optimizeOK(own, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key{Model: "squeezenet", Batch: 1, Device: "Tesla V100", Opts: own.optsFP}
+	src, _ := own.Cache().Peek(key)
+
+	cache := NewScheduleCache(4)
+	_, _, err = cache.GetOrCompute(context.Background(), key, func(context.Context) (*Entry, error) {
+		return &Entry{Graph: src.Graph, Schedule: src.Schedule, Stats: src.Stats,
+			Latency: src.Latency, SequentialLatency: src.SequentialLatency}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := NewServer(hermetic(Config{Cache: cache}))
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, got, err := optimizeOK(other, body); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("external entry: err %v\n got %s\nwant %s", err, got, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPlanAnswersRenderedOnce: a plan-served answer, at an exact and at a
+// routed batch, is the same bytes from the first request on and decodes to
+// the plan's own numbers.
+func TestPlanAnswersRenderedOnce(t *testing.T) {
+	s := NewServer(hermetic(Config{}))
+	if err := s.WarmPlans(context.Background(), []string{"inception"}, []int{1, 8}); err != nil {
+		t.Fatal(err)
+	}
+	p := s.LookupPlan("inception", "Tesla V100", s.optsFP)
+	for _, batch := range []int{8, 5} {
+		body := mustMarshal(t, OptimizeRequest{Model: "inception", Batch: batch})
+		first, raw1, err := optimizeOK(s, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, raw2, _ := optimizeOK(s, body)
+		if !first.Cached || !bytes.Equal(raw1, raw2) {
+			t.Errorf("batch %d: cached=%v, same bytes=%v", batch, first.Cached, bytes.Equal(raw1, raw2))
+		}
+		pt, penalty, exact := p.Route(batch)
+		if first.Plan == nil || *first.Plan != (PlanRoute{PlannedBatch: pt.Batch, Exact: exact, Penalty: penalty}) {
+			t.Errorf("batch %d: plan route %+v", batch, first.Plan)
+		}
+		if first.Batch != batch || first.Model != "inception" || first.Search != (SearchInfo{}) {
+			t.Errorf("batch %d: answer %+v", batch, first)
+		}
+		if exact {
+			want := structEncoded(t, &Entry{Schedule: pt.Schedule})
+			if first.LatencyMS != 1e3*pt.Latency || !bytes.Equal(first.Schedule, want.Schedule) || first.Summary != want.Summary {
+				t.Errorf("batch %d: exact answer differs from the plan point", batch)
+			}
+		}
+	}
+}
+
+// TestWarmAnswersUnderPurgeAndReRegister: 8 clients on one cached key and
+// one plan-routed key read the same answers while the schedule cache is
+// purged and the plan re-registered under them.
+func TestWarmAnswersUnderPurgeAndReRegister(t *testing.T) {
+	s := NewServer(hermetic(Config{}))
+	ctx := context.Background()
+	if err := s.WarmPlans(ctx, []string{"inception"}, []int{1, 8}); err != nil {
+		t.Fatal(err)
+	}
+	plans := []*plan.Plan{s.LookupPlan("inception", "Tesla V100", s.optsFP)}
+	if err := s.WarmPlans(ctx, []string{"inception"}, []int{1, 8}); err != nil {
+		t.Fatal(err)
+	}
+	plans = append(plans, s.LookupPlan("inception", "Tesla V100", s.optsFP))
+
+	bodies := [][]byte{
+		mustMarshal(t, OptimizeRequest{Model: "squeezenet"}),
+		mustMarshal(t, OptimizeRequest{Model: "inception", Batch: 5}),
+	}
+	// What moves when an answer is recomputed is not part of the answer.
+	stable := func(r OptimizeResponse) OptimizeResponse {
+		r.Cached, r.Search = false, SearchInfo{}
+		return r
+	}
+	var want [2]OptimizeResponse
+	for i, b := range bodies {
+		r, _, err := optimizeOK(s, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = stable(r)
+	}
+
+	stop := make(chan struct{})
+	var churn, clients sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Cache().Purge()
+			if err := s.RegisterPlan(plans[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for c := 0; c < 8; c++ {
+		clients.Add(1)
+		go func(c int) {
+			defer clients.Done()
+			for i := 0; i < 50; i++ {
+				k := (c + i) % 2
+				got, _, err := optimizeOK(s, bodies[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(stable(got), want[k]) {
+					t.Errorf("request %d of client %d:\n got %+v\nwant %+v", i, c, stable(got), want[k])
+					return
+				}
+			}
+		}(c)
+	}
+	clients.Wait()
+	close(stop)
+	churn.Wait()
+}
+
+// TestPlanMemoStaysWithinCap: 2 x cap distinct batches against one plan
+// leave the memo at its cap, and the overflow is still answered.
+func TestPlanMemoStaysWithinCap(t *testing.T) {
+	s := NewServer(hermetic(Config{}))
+	if err := s.WarmPlans(context.Background(), []string{"fig2"}, []int{1, 8}); err != nil {
+		t.Fatal(err)
+	}
+	for b := 1; b <= 2*planMemoCap; b++ {
+		r, _, err := optimizeOK(s, mustMarshal(t, OptimizeRequest{Model: "fig2", Batch: b}))
+		if err != nil || r.Batch != b || r.Plan == nil || r.LatencyMS <= 0 {
+			t.Fatalf("batch %d: %v, %+v", b, err, r)
+		}
+	}
+	s.planMu.Lock()
+	got := len(s.planMemo)
+	s.planMu.Unlock()
+	if got != planMemoCap {
+		t.Errorf("memo holds %d answers, cap %d", got, planMemoCap)
+	}
+}
+
+// TestDeclaredLengthIsNotPreallocated: a request that declares the largest
+// body the server takes and sends a small one costs what the small one
+// costs; Content-Length is the client's word.
+func TestDeclaredLengthIsNotPreallocated(t *testing.T) {
+	s := NewServer(hermetic(Config{}))
+	body := mustMarshal(t, OptimizeRequest{Model: "fig2"})
+	if _, _, err := optimizeOK(s, body); err != nil {
+		t.Fatal(err)
+	}
+	got := allocPerRequest(t, s, 20, func() *http.Request {
+		req := newPost("/optimize", body)
+		req.ContentLength = maxBodyBytes
+		return req
+	})
+	if got > 4*maxPresizeBytes {
+		t.Errorf("%.0f B allocated per request declaring %d B and sending %d", got, maxBodyBytes, len(body))
+	}
+}
+
+// allocPerRequest is what n requests sent straight into the handler, each
+// answered 200 into a discarding writer, allocate per request — building
+// the request included.
+func allocPerRequest(t *testing.T, s *Server, n int, request func() *http.Request) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		w := &discardWriter{hdr: http.Header{}}
+		s.ServeHTTP(w, request())
+		if w.code != http.StatusOK || w.n == 0 {
+			t.Fatalf("status %d, %d bytes", w.code, w.n)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestWarmHitAllocBudget is the regression gate of the warm path: a cached
+// /optimize costs what decoding the request and looking the answer up
+// cost, whatever the answer's size (the per-request encoder allocated
+// 21.5 / 28.5 / 28.4 / 50.3 KB for these four). Request construction is
+// included.
+func TestWarmHitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	s := NewServer(hermetic(Config{}))
+	if err := s.WarmPlans(context.Background(), []string{"inception"}, []int{1, 8, 32, 128}); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []OptimizeRequest{{Model: "squeezenet"}, {Model: "resnet50"}, {Model: "randwire"}, {Model: "inception", Batch: 5}} {
+		body := mustMarshal(t, req)
+		opt, _, err := optimizeOK(s, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := allocPerRequest(t, s, 200, func() *http.Request { return newPost("/optimize", body) })
+		t.Logf("/optimize %s b%d: %.0f B per cached request", opt.Model, opt.Batch, got)
+		if got > 5<<10 {
+			t.Errorf("/optimize %s b%d allocates %.0f B per cached request, budget %d: is the answer encoded per request again?",
+				opt.Model, opt.Batch, got, 5<<10)
+		}
+	}
+}
