@@ -45,8 +45,8 @@ func main() {
 		workers    = flag.Int("workers", 0, "DP engine worker goroutines per block (0 = GOMAXPROCS); results are identical at every setting")
 		progress   = flag.Bool("progress", false, "report search progress (states/transitions/measurements, current level) on stderr")
 		timeout    = flag.Duration("timeout", 0, "abort the search after this long (e.g. 2m; 0 = no limit)")
-		mcacheFile = flag.String("measure-cache", "", "measurement-cache JSON file: loaded before the search (a warm restart skips already-simulated stages) and saved after it; a corrupt or missing file starts cold")
-		bcacheFile = flag.String("block-cache", "", "block-schedule-cache JSON file: loaded before the search (a warm restart skips whole block DP searches with bit-identical results) and saved after it; a corrupt or missing file starts cold")
+		mcacheFile = flag.String("measure-cache", "", "measurement-cache file: loaded before the search (a warm restart skips already-simulated stages) and saved after it; a corrupt or missing file starts cold")
+		bcacheFile = flag.String("block-cache", "", "block-schedule-cache file: loaded before the search (a warm restart skips whole block DP searches with bit-identical results) and saved after it; a corrupt or missing file starts cold")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),

@@ -85,22 +85,11 @@ func runCluster(ctx context.Context, cc clusterConfig) error {
 
 	for i := 0; i < cc.Nodes; i++ {
 		cfg := cc.Serve
+		who, mf, bf := members[i].ID+": ", nodeFile(cc.MeasureFile, i), nodeFile(cc.BlockFile, i)
 		mcache := measure.NewCacheSize(cc.MeasureSize)
-		if f := nodeFile(cc.MeasureFile, i); f != "" {
-			if n, err := mcache.LoadFile(f); err != nil {
-				log.Printf("iosserve: %s: measure cache %s: %v (starting cold)", members[i].ID, f, err)
-			} else {
-				log.Printf("iosserve: %s: loaded %d cached measurements from %s", members[i].ID, n, f)
-			}
-		}
+		loadCache(mcache, who, "measurements", mf)
 		bcache := blockcache.NewCacheSize(cc.BlockSize)
-		if f := nodeFile(cc.BlockFile, i); f != "" {
-			if n, err := bcache.LoadFile(f); err != nil {
-				log.Printf("iosserve: %s: block cache %s: %v (starting cold)", members[i].ID, f, err)
-			} else {
-				log.Printf("iosserve: %s: loaded %d cached block schedules from %s", members[i].ID, n, f)
-			}
-		}
+		loadCache(bcache, who, "block schedules", bf)
 		cfg.Cache = serve.NewScheduleCache(cc.CacheSize)
 		cfg.MeasureCache = mcache
 		cfg.BlockCache = bcache
@@ -125,19 +114,10 @@ func runCluster(ctx context.Context, cc clusterConfig) error {
 			node:    node,
 			lis:     lis,
 			httpSrv: newHTTPServer(ctx, lis.Addr().String(), node),
-		}
-		mf, bf := nodeFile(cc.MeasureFile, i), nodeFile(cc.BlockFile, i)
-		cn.save = func() {
-			if mf != "" {
-				if err := mcache.SaveFile(mf); err != nil {
-					log.Printf("iosserve: %s: save measure cache: %v", cn.id, err)
-				}
-			}
-			if bf != "" {
-				if err := bcache.SaveFile(bf); err != nil {
-					log.Printf("iosserve: %s: save block cache: %v", cn.id, err)
-				}
-			}
+			save: func() {
+				saveCache(mcache, who, "measurements", "simulator runs", mf)
+				saveCache(bcache, who, "block schedules", "block searches", bf)
+			},
 		}
 		nodes = append(nodes, cn)
 	}

@@ -49,6 +49,7 @@ import (
 	"ios/internal/measure"
 	"ios/internal/plan"
 	"ios/internal/serve"
+	"ios/internal/sfcache"
 )
 
 func main() {
@@ -65,9 +66,9 @@ func main() {
 		strategy   = flag.String("strategy", "both", "default strategy set: both, parallel, merge")
 		workers    = flag.Int("workers", 0, "DP engine worker goroutines per block on cache misses (0 = GOMAXPROCS); schedules are identical at every setting")
 		deadline   = flag.Duration("deadline", 0, "server-side per-request deadline (e.g. 30s); requests over it are shed with 503 and their searches cancelled (0 = none)")
-		mcacheFile = flag.String("measure-cache", "", "measurement-cache JSON file: loaded on start (a warm restart skips already-simulated stages) and saved on clean shutdown; a corrupt or missing file starts cold")
+		mcacheFile = flag.String("measure-cache", "", "measurement-cache file: loaded on start (a warm restart skips already-simulated stages) and saved on clean shutdown; a corrupt or missing file starts cold")
 		mcacheSize = flag.Int("measure-cache-size", serve.DefaultMeasureCacheSize, "measurement-cache capacity in fingerprints (0 = unbounded); over capacity, entries are shed and re-simulated on next use")
-		bcacheFile = flag.String("block-cache", "", "block-schedule-cache JSON file: loaded on start (a warm restart skips whole block DP searches with bit-identical results) and saved on clean shutdown; a corrupt or missing file starts cold")
+		bcacheFile = flag.String("block-cache", "", "block-schedule-cache file: loaded on start (a warm restart skips whole block DP searches with bit-identical results) and saved on clean shutdown; a corrupt or missing file starts cold")
 		bcacheSize = flag.Int("block-cache-size", serve.DefaultBlockCacheSize, "block-schedule-cache capacity in fingerprints (0 = unbounded); over capacity, entries are shed and re-searched on next use")
 		autoBatch  = flag.Bool("auto-batch", false, "enable the traffic-adaptive auto-batching front end: POST /infer coalesces single-image requests into batches chosen from each plan's measured performance model under -slo (requires a registered plan: -plan-batches or -plan-dir)")
 		sloFlag    = flag.Duration("slo", 20*time.Millisecond, "per-request latency SLO for -auto-batch dispatch decisions; violations are counted in GET /stats, not masked")
@@ -149,29 +150,13 @@ func main() {
 		log.Printf("iosserve: cluster shut down cleanly")
 		return
 	}
-	// The measurement cache persists simulator work across restarts: load
-	// it before warming (so -warm on a warm file costs near nothing) and
-	// save it on clean shutdown. Any load failure — missing file, corrupt
-	// JSON, incompatible version — just starts cold.
+	// The measurement cache persists simulator runs across restarts and
+	// the block cache whole-block DP searches: load both before warming (so
+	// -warm on warm files costs near nothing) and save them on every exit.
 	mcache := measure.NewCacheSize(*mcacheSize)
-	if *mcacheFile != "" {
-		if n, err := mcache.LoadFile(*mcacheFile); err != nil {
-			log.Printf("iosserve: -measure-cache %s: %v (starting cold)", *mcacheFile, err)
-		} else {
-			log.Printf("iosserve: loaded %d cached measurements from %s", n, *mcacheFile)
-		}
-	}
-	// The block cache persists completed whole-block DP searches the same
-	// way: a warm restart serves previously optimized structures without a
-	// single block search, with bit-identical schedules.
+	loadCache(mcache, "", "measurements", *mcacheFile)
 	bcache := blockcache.NewCacheSize(*bcacheSize)
-	if *bcacheFile != "" {
-		if n, err := bcache.LoadFile(*bcacheFile); err != nil {
-			log.Printf("iosserve: -block-cache %s: %v (starting cold)", *bcacheFile, err)
-		} else {
-			log.Printf("iosserve: loaded %d cached block schedules from %s", n, *bcacheFile)
-		}
-	}
+	loadCache(bcache, "", "block schedules", *bcacheFile)
 	cfg := serve.Config{
 		Device:       spec,
 		Options:      opts,
@@ -198,24 +183,8 @@ func main() {
 	// simulations and plan sweeps completed are exactly what a warm
 	// restart wants.
 	saveState := func() {
-		if *mcacheFile != "" {
-			if err := mcache.SaveFile(*mcacheFile); err != nil {
-				log.Printf("iosserve: save measure cache: %v", err)
-			} else {
-				st := mcache.Stats()
-				log.Printf("iosserve: saved %d measurements to %s (%d simulator runs avoided this session)",
-					st.Size, *mcacheFile, st.Saved())
-			}
-		}
-		if *bcacheFile != "" {
-			if err := bcache.SaveFile(*bcacheFile); err != nil {
-				log.Printf("iosserve: save block cache: %v", err)
-			} else {
-				st := bcache.Stats()
-				log.Printf("iosserve: saved %d block schedules to %s (%d block searches avoided this session)",
-					st.Size, *bcacheFile, st.Saved())
-			}
-		}
+		saveCache(mcache, "", "measurements", "simulator runs", *mcacheFile)
+		saveCache(bcache, "", "block schedules", "block searches", *bcacheFile)
 		if *planDir != "" {
 			savePlans(srv, *planDir)
 		}
@@ -324,12 +293,14 @@ func main() {
 	log.Printf("iosserve: shut down cleanly")
 }
 
-// readHeaderTimeout and idleTimeout bound what a connection may cost
-// before and between requests: a client or peer that stalls mid-header or
-// parks a keep-alive connection is dropped instead of holding a goroutine
-// and a descriptor for the life of the process.
+// readHeaderTimeout, readTimeout and idleTimeout bound what a connection
+// may cost before, during and between requests: a client or peer that
+// stalls mid-header or mid-body, or parks a keep-alive connection, is
+// dropped instead of holding a goroutine, a descriptor and half a body
+// for the life of the process. (A search runs after the body is read.)
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -341,9 +312,36 @@ func newHTTPServer(ctx context.Context, addr string, h http.Handler) *http.Serve
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
+}
+
+// loadCache fills a cache from its file ("" = none), starting it cold on
+// any failure; who prefixes the log lines ("node1: " in a fleet).
+func loadCache[V any, W sfcache.Wire[V]](c *sfcache.Cache[V, W], who, what, path string) {
+	if path == "" {
+		return
+	}
+	if n, err := c.LoadFile(path); err != nil {
+		log.Printf("iosserve: %s%s file %s: %v (starting cold)", who, what, path, err)
+	} else {
+		log.Printf("iosserve: %sloaded %d cached %s from %s", who, n, what, path)
+	}
+}
+
+// saveCache writes a cache to its file ("" = none); avoided names what a hit saved.
+func saveCache[V any, W sfcache.Wire[V]](c *sfcache.Cache[V, W], who, what, avoided, path string) {
+	if path == "" {
+		return
+	}
+	if err := c.SaveFile(path); err != nil {
+		log.Printf("iosserve: %ssave %s: %v", who, what, err)
+		return
+	}
+	st := c.Stats()
+	log.Printf("iosserve: %ssaved %d %s to %s (%d %s avoided this session)", who, st.Size, what, path, st.Saved(), avoided)
 }
 
 // loadPlans registers every *.json plan file in dir. Unreadable or

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,10 +34,22 @@ func entryFor(n int) *Entry {
 // cache at one completed entry per shard.
 const shardCount = 32
 
-// cacheFile mirrors the persisted file layout for the corruption cases.
-type cacheFile struct {
-	Version int         `json:"version"`
-	Entries []WireEntry `json:"entries"`
+// frame builds a cache file the way sfcache lays it out — magic, version,
+// count, length-prefixed records (here each entry's wire JSON), CRC-32C —
+// with a correct checksum, so a case that lies elsewhere is rejected for
+// the lie.
+func frame(t *testing.T, version uint32, count uint64, entries ...WireEntry) []byte {
+	t.Helper()
+	b := binary.LittleEndian.AppendUint32([]byte("IOSF"), version)
+	b = binary.LittleEndian.AppendUint64(b, count)
+	for _, we := range entries {
+		rec, err := json.Marshal(we)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(binary.AppendUvarint(b, uint64(len(rec))), rec...)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 func key(s string) []byte { return append([]byte{KeyVersion}, s...) }
@@ -253,11 +268,13 @@ func TestEntryValidate(t *testing.T) {
 		{Ops: 0},
 		{Ops: 1, States: -1, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{0}}}}},
 		{Ops: 1, Stages: []Stage{{Strategy: schedule.Strategy(99), Groups: [][]int{{0}}}}},
-		{Ops: 1, Stages: []Stage{{Strategy: schedule.Concurrent}}},                               // no groups
-		{Ops: 1, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{}}}}},         // empty group
-		{Ops: 1, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{1}}}}},        // out of range
-		{Ops: 2, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{0}, {0}}}}},   // duplicate
-		{Ops: 2, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{0}}}}},        // incomplete
+		{Ops: 1, Stages: []Stage{{Strategy: schedule.Concurrent}}},                            // no groups
+		{Ops: 1, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{}}}}},       // empty group
+		{Ops: 1, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{1}}}}},      // out of range
+		{Ops: 2, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{0}, {0}}}}}, // duplicate
+		{Ops: 2, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{0}}}}},      // incomplete
+		// A hostile operator count is an error before it is an allocation.
+		{Ops: math.MaxInt, Stages: []Stage{{Strategy: schedule.Concurrent, Groups: [][]int{{0}}}}},
 	}
 	for i, e := range bad {
 		if err := e.validate(); err == nil {
@@ -340,46 +357,66 @@ func TestLoadCorruptWholeRejection(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.String()
-
-	var f cacheFile
-	if err := json.Unmarshal([]byte(good), &f); err != nil {
-		t.Fatal(err)
+	good := buf.Bytes()
+	entries, _ := c.Snapshot(0)
+	if want := frame(t, fileVersion, 3, entries...); !bytes.Equal(good, want) {
+		t.Fatalf("Save wrote\n%x\nwant the frame\n%x", good, want)
 	}
-	mutate := func(fn func(*cacheFile)) string {
-		var g cacheFile
-		if err := json.Unmarshal([]byte(good), &g); err != nil {
-			t.Fatal(err)
-		}
-		fn(&g)
-		out, err := json.Marshal(g)
+
+	// mutate frames the three entries after fn has damaged a deep copy.
+	mutate := func(fn func([]WireEntry)) []byte {
+		t.Helper()
+		raw, err := json.Marshal(entries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(out)
+		var es []WireEntry
+		if err := json.Unmarshal(raw, &es); err != nil {
+			t.Fatal(err)
+		}
+		fn(es)
+		return frame(t, fileVersion, 3, es...)
 	}
-	cases := map[string]string{
-		"truncated JSON":   good[:len(good)/2],
-		"not JSON":         "block schedules ahoy",
-		"wrong version":    mutate(func(g *cacheFile) { g.Version = fileVersion + 1 }),
-		"bad base64 key":   mutate(func(g *cacheFile) { g.Entries[1].Key = "!!!" }),
-		"empty key":        mutate(func(g *cacheFile) { g.Entries[1].Key = "" }),
-		"old key version":  mutate(func(g *cacheFile) { g.Entries[1].Key = base64.RawURLEncoding.EncodeToString([]byte{KeyVersion + 1, 'x'}) }),
-		"unknown strategy": mutate(func(g *cacheFile) { g.Entries[2].Stages[0].Strategy = "quantum" }),
-		"op out of range":  mutate(func(g *cacheFile) { g.Entries[0].Stages[0].Groups = [][]int{{7}} }),
-		"op twice":         mutate(func(g *cacheFile) { g.Entries[0].Stages[0].Groups = [][]int{{0}, {0}} }),
-		"incomplete":       mutate(func(g *cacheFile) { g.Entries[0].Stages = g.Entries[0].Stages[:1] }),
+	type corruption struct {
+		name    string
+		data    []byte
+		wantErr string
 	}
-	for name, data := range cases {
+	cases := []corruption{
+		{"not a cache file", []byte("block schedules ahoy"), "version"},
+		{"v1 JSON file", []byte(`{"version":1,"entries":[]}` + "\n"), "version"},
+		{"wrong version", frame(t, fileVersion+1, 3, entries...), "version 3, want 2"},
+		{"record not JSON", append(frame(t, fileVersion, 1)[:16], 2, '{', '{'), "entry 0:"},
+		{"bad base64 key", mutate(func(es []WireEntry) { es[1].Key = "!!!" }), "entry 1: bad key"},
+		{"empty key", mutate(func(es []WireEntry) { es[1].Key = "" }), "key encoding version"},
+		{"old key version", mutate(func(es []WireEntry) { es[1].Key = base64.RawURLEncoding.EncodeToString([]byte{KeyVersion + 1, 'x'}) }), "key encoding version"},
+		{"unknown strategy", mutate(func(es []WireEntry) { es[2].Stages[0].Strategy = "quantum" }), "unknown strategy"},
+		{"op out of range", mutate(func(es []WireEntry) { es[0].Stages[0].Groups = [][]int{{7}} }), "entry 0:"},
+		{"op twice", mutate(func(es []WireEntry) { es[0].Stages[0].Groups = [][]int{{0}, {0}} }), "entry 0:"},
+		{"incomplete", mutate(func(es []WireEntry) { es[0].Stages = es[0].Stages[:1] }), "entry 0:"},
+		{"count larger than the entries", frame(t, fileVersion, 4, entries...), "entry 3 of 4"},
+		{"count smaller than the entries", frame(t, fileVersion, 2, entries...), "checksum"},
+		{"record length past the cap", append(frame(t, fileVersion, 1)[:16], 0x81, 0x80, 0x40), "oversize"},
+		{"trailing bytes", append(bytes.Clone(good), '\n'), "after the checksum"},
+	}
+	for n := 0; n < len(good); n++ {
+		cases = append(cases, corruption{fmt.Sprintf("truncated to %d bytes", n), good[:n], ""})
+	}
+	for i := 0; i < 8*len(good); i++ {
+		flipped := bytes.Clone(good)
+		flipped[i/8] ^= 1 << (i % 8)
+		cases = append(cases, corruption{fmt.Sprintf("bit %d flipped", i), flipped, ""})
+	}
+	for _, tc := range cases {
 		fresh := NewCache()
-		if _, err := fresh.Load(strings.NewReader(data)); err == nil {
-			t.Errorf("%s: Load accepted a corrupt file", name)
+		if _, err := fresh.Load(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Load = %v, want an error containing %q", tc.name, err, tc.wantErr)
 		}
 		if fresh.Len() != 0 {
-			t.Errorf("%s: corrupt load left %d entries resident, want 0 (all-or-nothing)", name, fresh.Len())
+			t.Errorf("%s: corrupt load left %d entries resident, want 0 (all-or-nothing)", tc.name, fresh.Len())
 		}
 		if fresh.Stats().Loaded != 0 {
-			t.Errorf("%s: corrupt load bumped the Loaded counter", name)
+			t.Errorf("%s: corrupt load bumped the Loaded counter", tc.name)
 		}
 	}
 }

@@ -116,8 +116,17 @@ func (e *Entry) validate() error {
 	if e.States < 0 || e.Transitions < 0 {
 		return fmt.Errorf("blockcache: negative search statistics (%d states, %d transitions)", e.States, e.Transitions)
 	}
-	seen := make([]bool, e.Ops)
+	// Count before allocating: Ops is a file's or a peer's claim.
 	covered := 0
+	for _, cs := range e.Stages {
+		for _, idx := range cs.Groups {
+			covered += len(idx)
+		}
+	}
+	if covered != e.Ops {
+		return fmt.Errorf("blockcache: entry schedules %d of %d operators", covered, e.Ops)
+	}
+	seen := make([]bool, e.Ops)
 	for si, cs := range e.Stages {
 		if cs.Strategy != schedule.Concurrent && cs.Strategy != schedule.Merge {
 			return fmt.Errorf("blockcache: stage %d has unknown strategy %d", si+1, int(cs.Strategy))
@@ -137,12 +146,8 @@ func (e *Entry) validate() error {
 					return fmt.Errorf("blockcache: operator index %d scheduled twice", i)
 				}
 				seen[i] = true
-				covered++
 			}
 		}
-	}
-	if covered != e.Ops {
-		return fmt.Errorf("blockcache: entry schedules %d of %d operators", covered, e.Ops)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package blockcache
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"ios/internal/schedule"
@@ -10,7 +11,7 @@ import (
 // fileVersion is the persisted-file format version (independent of
 // KeyVersion, which versions the fingerprint encoding itself and is
 // embedded in every key's first byte).
-const fileVersion = 1
+const fileVersion = 2
 
 // Cache is the whole-block schedule cache: sfcache's sharded singleflight
 // core mapping a canonical block fingerprint (see Fingerprint) to the
@@ -43,11 +44,29 @@ func NewCacheSize(maxEntries int) *Cache {
 		Name:        "blockcache",
 		FileVersion: fileVersion,
 		Encode:      wireEntry,
+		// A file record is the wire JSON: one validator for file and peers.
+		AppendRecord: func(dst []byte, key string, v *Entry) ([]byte, error) {
+			rec, err := json.Marshal(wireEntry(sfcache.EncodeKey(key), v))
+			return append(dst, rec...), err
+		},
+		ParseRecord: parseRecord,
 	}, maxEntries)
 }
 
+// parseRecord validates one cache-file record: Decode over its JSON.
+//
+//ioslint:validator
+func parseRecord(rec []byte) ([]byte, *Entry, error) {
+	var we WireEntry
+	if err := json.Unmarshal(rec, &we); err != nil {
+		return nil, nil, err
+	}
+	return we.Decode()
+}
+
 // WireEntry is the wire form of one completed block schedule — the unit
-// of both the persisted cache file and cluster peer exchange.
+// of cluster peer exchange, of Snapshot, and (as JSON) of a cache-file
+// record.
 type WireEntry struct {
 	// Key is the canonical block fingerprint, base64 (raw URL alphabet).
 	Key string `json:"key"`

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -10,7 +11,7 @@ import (
 // fileVersion is the persisted-file format version (independent of
 // KeyVersion, which versions the key encoding itself and is embedded in
 // every key's first byte).
-const fileVersion = 1
+const fileVersion = 2
 
 // Cache is the stage-measurement cache: sfcache's sharded singleflight
 // core mapping a canonical stage fingerprint (see Context/AppendStreams)
@@ -39,11 +40,38 @@ func NewCacheSize(maxEntries int) *Cache {
 		Name:        "measure",
 		FileVersion: fileVersion,
 		Encode:      func(key string, lat float64) WireEntry { return WireEntry{Key: key, Latency: lat} },
+		// A file record: the raw fingerprint, then the latency's 8 bits, little-endian.
+		AppendRecord: func(dst []byte, key string, lat float64) ([]byte, error) {
+			return binary.LittleEndian.AppendUint64(append(dst, key...), math.Float64bits(lat)), nil
+		},
+		ParseRecord: parseRecord,
 	}, maxEntries)
 }
 
+// parseRecord applies Decode's checks to a cache-file record; key aliases rec.
+//
+//ioslint:validator
+func parseRecord(rec []byte) ([]byte, float64, error) {
+	if len(rec) < 8 {
+		return nil, 0, fmt.Errorf("%d-byte record", len(rec))
+	}
+	key, lat := rec[:len(rec)-8], math.Float64frombits(binary.LittleEndian.Uint64(rec[len(rec)-8:]))
+	if err := sfcache.CheckKey(key, KeyVersion); err != nil {
+		return nil, 0, err
+	}
+	return key, lat, checkLatency(lat)
+}
+
+// checkLatency rejects what no simulator run returns.
+func checkLatency(lat float64) error {
+	if math.IsNaN(lat) || math.IsInf(lat, 0) || lat < 0 {
+		return fmt.Errorf("invalid latency %v", lat)
+	}
+	return nil
+}
+
 // WireEntry is the wire form of one completed measurement — the unit of
-// both the persisted cache file and cluster peer exchange.
+// cluster peer exchange and of Snapshot, the cache's inspectable JSON.
 type WireEntry struct {
 	// Key is the canonical fingerprint, base64 (raw URL alphabet).
 	Key string `json:"key"`
@@ -61,8 +89,5 @@ func (we WireEntry) Decode() ([]byte, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if math.IsNaN(we.Latency) || math.IsInf(we.Latency, 0) || we.Latency < 0 {
-		return nil, 0, fmt.Errorf("invalid latency %v", we.Latency)
-	}
-	return raw, we.Latency, nil
+	return raw, we.Latency, checkLatency(we.Latency)
 }

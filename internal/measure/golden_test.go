@@ -2,17 +2,25 @@ package measure_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"ios/internal/measure"
 )
 
-// goldenFile is what the pre-sfcache implementation (PR 14's tree) wrote
-// for the content below: entries sorted by raw fingerprint, the in-flight
-// claim skipped, one trailing newline. A difference here means cache
-// files stop being interchangeable with deployed ones — bump the file
-// version instead of re-pinning.
-const goldenFile = `{"version":1,"entries":[{"key":"AQ","latency":0.000123456789},{"key":"AWE","latency":0},{"key":"AWL_AA","latency":0.0000015}]}` + "\n"
+// goldenFile pins the version-2 file for the content below, byte by
+// byte: "IOSF", version 2 and the entry count (little-endian), then per
+// entry — sorted by raw fingerprint, the in-flight claim skipped — a
+// uvarint length, the raw key and the latency's eight little-endian
+// bits, then the CRC-32C of everything before it. A difference here
+// means cache files stop being interchangeable with deployed ones — bump
+// the file version instead of re-pinning.
+const goldenFile = "" +
+	"494f5346" + "02000000" + "0300000000000000" + // "IOSF", version 2, 3 entries
+	"09" + "01" + "411811be852e203f" + // {KeyVersion}: 0.000123456789
+	"0a" + "0161" + "0000000000000000" + // {KeyVersion, 'a'}: 0
+	"0c" + "0162ff00" + "54e41071732ab93e" + // {KeyVersion, 'b', 0xff, 0}: 1.5e-6
+	"72a61786" // CRC-32C
 
 func TestSaveGoldenBytes(t *testing.T) {
 	c := measure.NewCache()
@@ -27,10 +35,15 @@ func TestSaveGoldenBytes(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != goldenFile {
-		t.Fatalf("Save wrote\n%q\nwant\n%q", buf.String(), goldenFile)
+	if got := hex.EncodeToString(buf.Bytes()); got != goldenFile {
+		t.Fatalf("Save wrote\n%s\nwant\n%s", got, goldenFile)
 	}
-	if n, err := measure.NewCache().Load(bytes.NewReader([]byte(goldenFile))); err != nil || n != 3 {
+	golden, _ := hex.DecodeString(goldenFile)
+	fresh := measure.NewCache()
+	if n, err := fresh.Load(bytes.NewReader(golden)); err != nil || n != 3 {
 		t.Fatalf("Load of the golden file = (%d, %v), want (3, nil)", n, err)
+	}
+	if lat, ok := fresh.Lookup([]byte{measure.KeyVersion, 'b', 0xff, 0x00}); !ok || lat != 1.5e-6 {
+		t.Fatalf("golden entry loaded as (%v, %v), want 1.5e-6", lat, ok)
 	}
 }

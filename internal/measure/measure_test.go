@@ -2,7 +2,10 @@ package measure
 
 import (
 	"bytes"
-	"encoding/base64"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -264,6 +267,23 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// frame builds a cache file the way sfcache lays it out — magic, version,
+// count, length-prefixed records, CRC-32C — with a correct checksum, so a
+// case that lies elsewhere is rejected for the lie.
+func frame(version uint32, count uint64, recs ...[]byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte("IOSF"), version)
+	b = binary.LittleEndian.AppendUint64(b, count)
+	for _, r := range recs {
+		b = append(binary.AppendUvarint(b, uint64(len(r))), r...)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// record is one measurement's file record: raw key, then the latency's bits.
+func record(key []byte, lat float64) []byte {
+	return binary.LittleEndian.AppendUint64(bytes.Clone(key), math.Float64bits(lat))
+}
+
 // TestLoadCorruptFallsBackCleanly: every corruption mode must reject the
 // whole file and leave the cache untouched and usable.
 func TestLoadCorruptFallsBackCleanly(t *testing.T) {
@@ -275,27 +295,46 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 	if err := good.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
+	if want := frame(fileVersion, 1, record(key, 2e-6)); !bytes.Equal(saved.Bytes(), want) {
+		t.Fatalf("Save wrote\n%x\nwant the frame\n%x", saved.Bytes(), want)
+	}
 
-	cases := []struct {
-		name string
-		data string
-	}{
-		{"truncated JSON", saved.String()[:saved.Len()/2]},
-		{"not JSON", "<html>not a cache</html>"},
-		{"wrong file version", `{"version": 99, "entries": []}`},
-		{"bad base64 key", `{"version": 1, "entries": [{"key": "!!!", "latency": 1}]}`},
-		{"empty key", `{"version": 1, "entries": [{"key": "", "latency": 1}]}`},
-		{"wrong key version", `{"version": 1, "entries": [{"key": "_w", "latency": 1}]}`}, // first byte 0xFF
-		{"negative latency", `{"version": 1, "entries": [{"key": "` +
-			base64.RawURLEncoding.EncodeToString(key) + `", "latency": -1}]}`},
+	type corruption struct {
+		name    string
+		data    []byte
+		wantErr string
+	}
+	other := testKey([]gpusim.Stream{{kernel(1, 1)}})
+	cases := []corruption{
+		{"not a cache file", []byte("<html>not a cache</html>"), "version"},
+		{"v1 JSON file", []byte(`{"version":1,"entries":[{"key":"AQ","latency":1}]}` + "\n"), "version"},
+		{"wrong file version", frame(99, 0), "version 99"},
+		{"short record", frame(fileVersion, 1, []byte{KeyVersion, 1, 2}), "3-byte record"},
+		{"empty key", frame(fileVersion, 1, record(nil, 1)), "key encoding version"},
+		{"wrong key version", frame(fileVersion, 1, record([]byte{0xFF, 'x'}, 1)), "key encoding version"},
+		{"negative latency", frame(fileVersion, 2, record(other, 1), record(key, -1)), "entry 1: invalid latency"},
+		{"NaN latency", frame(fileVersion, 1, record(key, math.NaN())), "invalid latency"},
+		{"infinite latency", frame(fileVersion, 1, record(key, math.Inf(1))), "invalid latency"},
+		{"count larger than the entries", frame(fileVersion, 2, record(key, 1)), "entry 1 of 2"},
+		{"count smaller than the entries", frame(fileVersion, 1, record(other, 1), record(key, 1)), "checksum"},
+		{"record length past the cap", append(frame(fileVersion, 1)[:16], 0x81, 0x80, 0x40), "oversize"},
+		{"trailing bytes", append(bytes.Clone(saved.Bytes()), '\n'), "after the checksum"},
+	}
+	for n := 0; n < saved.Len(); n++ {
+		cases = append(cases, corruption{fmt.Sprintf("truncated to %d bytes", n), saved.Bytes()[:n], ""})
+	}
+	for i := 0; i < 8*saved.Len(); i++ {
+		flipped := bytes.Clone(saved.Bytes())
+		flipped[i/8] ^= 1 << (i % 8)
+		cases = append(cases, corruption{fmt.Sprintf("bit %d flipped", i), flipped, ""})
 	}
 	for _, tc := range cases {
 		c := NewCache()
-		if _, err := c.Load(strings.NewReader(tc.data)); err == nil {
-			t.Errorf("%s: Load accepted corrupt input", tc.name)
+		if _, err := c.Load(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Load = %v, want an error containing %q", tc.name, err, tc.wantErr)
 		}
-		if c.Len() != 0 {
-			t.Errorf("%s: corrupt load left %d entries behind", tc.name, c.Len())
+		if st := c.Stats(); st.Size != 0 || st.Loaded != 0 {
+			t.Errorf("%s: corrupt load left %d entries behind (%d loaded)", tc.name, st.Size, st.Loaded)
 		}
 		// The cache must remain fully usable after a failed load.
 		_, cl, _ := c.GetOrBegin(nil, key)

@@ -1,15 +1,15 @@
-// Wire-format pinning tests: WireEntry is the unit of both the
-// persisted cache file and cluster peer exchange, so its field set, its
-// JSON tags, the file's version stamp, and the key's leading version
-// byte are all pinned as data. Widening the wire format without moving
-// a version fails here with instructions instead of silently shipping
-// records old peers misread.
+// Wire-format pinning tests: WireEntry is the unit of cluster peer
+// exchange, so its field set and its JSON tags are pinned as data, and
+// so are the cache file's version stamp and the key's leading version
+// byte. Widening the wire format without moving a version fails here
+// with instructions instead of silently shipping records old peers
+// misread.
 package measure_test
 
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,15 +43,12 @@ func TestWireFileVersionPinned(t *testing.T) {
 	if err := measure.NewCache().Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	var file struct {
-		Version int               `json:"version"`
-		Entries []json.RawMessage `json:"entries"`
+	// The header: 4 bytes of magic, the version, the entry count.
+	if buf.Len() < 16 || string(buf.Bytes()[:4]) != "IOSF" {
+		t.Fatalf("cache file does not start with a frame header: %x", buf.Bytes())
 	}
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
-		t.Fatalf("cache file is not JSON: %v\n%s", err, buf.String())
-	}
-	if file.Version != 1 {
-		t.Fatalf("persisted cache file version = %d, want 1: a format change must re-pin this test so old files are rejected loudly", file.Version)
+	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:8]); v != 2 {
+		t.Fatalf("persisted cache file version = %d, want 2: a format change must re-pin this test so old files are rejected loudly", v)
 	}
 }
 

@@ -2,8 +2,11 @@ package sfcache
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +19,9 @@ import (
 // The cache-mechanics suite runs once over each of the two value shapes the
 // repository instantiates the core with: a float64 (internal/measure) and a
 // pointer (internal/blockcache). The codecs below are minimal stand-ins for
-// those packages' — a version byte on the key, one rejectable field.
+// those packages' — a version byte on the key, one rejectable field, and
+// the same two file-record shapes: raw key + fixed-width value, and the
+// wire entry's JSON.
 
 const testKeyVersion = 7
 
@@ -68,7 +73,17 @@ type fixture[V any, W Wire[V]] struct {
 var numFixture = fixture[float64, numWire]{
 	new: func(max int) *Cache[float64, numWire] {
 		return New(Codec[float64, numWire]{Name: "num", FileVersion: 3,
-			Encode: func(k string, v float64) numWire { return numWire{Key: k, N: v} }}, max)
+			Encode: func(k string, v float64) numWire { return numWire{Key: k, N: v} },
+			AppendRecord: func(dst []byte, k string, v float64) ([]byte, error) {
+				return binary.LittleEndian.AppendUint64(append(dst, k...), uint64(int64(v*2))), nil
+			},
+			ParseRecord: func(rec []byte) ([]byte, float64, error) {
+				if len(rec) < 8 {
+					return nil, 0, fmt.Errorf("short record")
+				}
+				w := numWire{Key: EncodeKey(rec[:len(rec)-8]), N: float64(int64(binary.LittleEndian.Uint64(rec[len(rec)-8:]))) / 2}
+				return w.Decode()
+			}}, max)
 	},
 	val:    func(i int) float64 { return float64(i) + 0.5 },
 	same:   func(a, b float64) bool { return a == b },
@@ -78,7 +93,18 @@ var numFixture = fixture[float64, numWire]{
 var boxFixture = fixture[*box, boxWire]{
 	new: func(max int) *Cache[*box, boxWire] {
 		return New(Codec[*box, boxWire]{Name: "box", FileVersion: 3,
-			Encode: func(k string, v *box) boxWire { return boxWire{Key: k, N: v.n} }}, max)
+			Encode: func(k string, v *box) boxWire { return boxWire{Key: k, N: v.n} },
+			AppendRecord: func(dst []byte, k string, v *box) ([]byte, error) {
+				rec, err := json.Marshal(boxWire{Key: EncodeKey(k), N: v.n})
+				return append(dst, rec...), err
+			},
+			ParseRecord: func(rec []byte) ([]byte, *box, error) {
+				var w boxWire
+				if err := json.Unmarshal(rec, &w); err != nil {
+					return nil, nil, err
+				}
+				return w.Decode()
+			}}, max)
 	},
 	val:    func(i int) *box { return &box{n: i} },
 	same:   func(a, b *box) bool { return a == b },
@@ -91,6 +117,18 @@ func TestCache(t *testing.T) {
 }
 
 func key(s string) []byte { return append([]byte{testKeyVersion}, s...) }
+
+// frame builds a cache file around already length-prefixed records:
+// header, the records as given, and a correct checksum — so a case that
+// lies in the header is rejected for the lie, not for a bad checksum.
+func frame(version uint32, count uint64, recs ...[]byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(fileMagic), version)
+	b = binary.LittleEndian.AppendUint64(b, count)
+	for _, r := range recs {
+		b = append(b, r...)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
 
 // fill commits v under k, failing the test if k was already present.
 func fill[V any, W Wire[V]](t *testing.T, c *Cache[V, W], k []byte, v V) {
@@ -441,20 +479,45 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("Save is not byte-stable across a round trip:\n%s\n%s", a.Bytes(), b.Bytes())
+			t.Fatalf("Save is not byte-stable across a round trip:\n%x\n%x", a.Bytes(), b.Bytes())
 		}
-		for name, data := range map[string]string{
-			"truncated":     a.String()[:a.Len()/2],
-			"not JSON":      "<html>",
-			"wrong version": strings.Replace(a.String(), `"version":3`, `"version":4`, 1),
-		} {
-			fresh := fx.new(0)
-			if _, err := fresh.Load(strings.NewReader(data)); err == nil {
-				t.Errorf("%s: Load accepted a corrupt file", name)
+		// Hostile bytes: whatever is wrong with the file, Load rejects it
+		// whole and the destination — which already holds an entry — is
+		// exactly as it was.
+		good := a.Bytes()
+		dst = fx.new(0)
+		fill(t, dst, key("resident"), fx.val(9))
+		reject := func(name string, data []byte, wantErr string) {
+			t.Helper()
+			_, err := dst.Load(bytes.NewReader(data))
+			if err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Errorf("%s: Load = %v, want an error containing %q", name, err, wantErr)
 			}
-			if fresh.Len() != 0 {
-				t.Errorf("%s: corrupt load left %d entries behind", name, fresh.Len())
+			if st := dst.Stats(); st.Size != 1 || st.Loaded != 0 {
+				t.Fatalf("%s: rejected load changed the cache: %+v", name, st)
 			}
+		}
+		for n := 0; n < len(good); n++ {
+			reject(fmt.Sprintf("truncated to %d bytes", n), good[:n], "")
+		}
+		for i := 0; i < 8*len(good); i++ {
+			flipped := bytes.Clone(good)
+			flipped[i/8] ^= 1 << (i % 8)
+			reject(fmt.Sprintf("bit %d flipped", i), flipped, "")
+		}
+		body := good[:len(good)-4] // the file without its checksum
+		recs := body[fileHeaderLen:]
+		reject("wrong version", frame(4, 5, recs), "version 4, want 3")
+		reject("count larger than the entries", frame(3, 6, recs), "entry 5 of 6")
+		reject("count smaller than the entries", frame(3, 4, recs), "checksum")
+		reject("hostile count", frame(3, 1<<62, recs), "entry 5 of")
+		reject("record length past the cap", frame(3, 1, binary.AppendUvarint(nil, maxRecordLen+1)), "oversize")
+		reject("rejected record", frame(3, 6, recs, []byte{8}, make([]byte, 8)), "entry 5:")
+		reject("trailing bytes", append(bytes.Clone(good), 0), "after the checksum")
+		reject("empty", nil, "header")
+		reject("v1 JSON file", []byte(`{"version":1,"entries":[]}`+"\n"), "version")
+		if n, err := dst.Load(bytes.NewReader(frame(3, 0))); err != nil || n != 0 {
+			t.Errorf("Load of a file of no entries = (%d, %v), want (0, nil)", n, err)
 		}
 		if _, err := fx.new(0).LoadFile(filepath.Join(t.TempDir(), "missing.json")); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("LoadFile of a missing path = %v, want os.ErrNotExist", err)
@@ -548,7 +611,7 @@ func TestAllocationShape(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Merge([]numWire{{Key: wireKey(key("m")), N: 2}}); err != nil {
+	if _, err := c.Merge([]numWire{{Key: EncodeKey(key("m")), N: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if waits() != 0 {
