@@ -102,6 +102,17 @@ func (b cancelAfterBackend) Fork() profile.Backend {
 	return cancelAfterBackend{b.Backend.Fork(), b.cancelPlan}
 }
 
+// waitForGoroutines fails the test unless the goroutine count comes back
+// down to what it was before a search.
+func waitForGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the search: the engine leaked", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
 // TestEngineCancelInsideState cancels the RandWire hardest block's search
 // in the middle of the compute pass, where a worker is hundreds of endings
 // into one state. The engine must return the wrapped context error within
@@ -115,7 +126,7 @@ func TestEngineCancelInsideState(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{}.withDefaults()
-	full := newEngine(b, v100Profiler(), opts)
+	full := newEngine(b, v100Profiler(), opts, new(scratch))
 	defer full.close()
 	if _, _, err := full.run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -127,7 +138,7 @@ func TestEngineCancelInsideState(t *testing.T) {
 		plan := &cancelPlan{after: cancelAt, cancel: cancel}
 		prof := profile.NewWithBackend(cancelAfterBackend{profile.SimBackend(gpusim.TeslaV100), plan}, profile.Options{})
 		opts.Workers = workers
-		e := newEngine(b, prof, opts)
+		e := newEngine(b, prof, opts, new(scratch))
 		// Hold the cancelling run until the stop flag is up: a
 		// context.AfterFunc goroutine raises it, and without the wait the
 		// test would be timing the scheduler rather than the engine. A
@@ -188,11 +199,7 @@ func TestEngineCancelInsideState(t *testing.T) {
 		if published == 0 || published == len(e.states) {
 			t.Errorf("workers=%d: %d of %d states published: the cancel did not land mid-compute", workers, published, len(e.states))
 		}
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("workers=%d: %d goroutines, %d before the search: the engine leaked", workers, runtime.NumGoroutine(), baseline)
-			}
-		}
+		waitForGoroutines(t, baseline)
 	}
 }
 

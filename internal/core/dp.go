@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ios/internal/bitset"
@@ -94,30 +95,32 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 
 	// Blocks are independent subproblems; search them in parallel on
 	// forked profilers (same device model, shared immutable lowering,
-	// separate stage caches). Results are deterministic regardless of
-	// interleaving.
+	// separate stage caches), each searcher reusing one scratch from block
+	// to block until this call returns. Results are deterministic
+	// regardless of interleaving.
 	type blockOut struct {
 		stages []schedule.Stage
 		stats  Stats
 		err    error
 	}
 	outs := make([]blockOut, len(blocks))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, b := range blocks {
+	for s := min(runtime.GOMAXPROCS(0), len(blocks)); s > 0; s-- {
 		wg.Add(1)
-		go func(i int, b *graph.Block) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				outs[i] = blockOut{err: wrapCancelled(err)}
-				return
+			sc := new(scratch)
+			for {
+				i := int(next.Add(1) - 1)
+				// A cancelled search's outs are never read (see below).
+				if i >= len(blocks) || ctx.Err() != nil {
+					return
+				}
+				stages, bstats, err := searchBlock(ctx, blocks[i], prof.Fork(), opts, sc)
+				outs[i] = blockOut{stages: stages, stats: bstats, err: err}
 			}
-			bp := prof.Fork()
-			stages, bstats, err := OptimizeBlockContext(ctx, b, bp, opts)
-			outs[i] = blockOut{stages: stages, stats: bstats, err: err}
-		}(i, b)
+		}()
 	}
 	wg.Wait()
 	// A cancelled search reports the cancellation, not whichever block
@@ -189,6 +192,11 @@ func OptimizeBlock(b *graph.Block, prof *profile.Profiler, opts Options) ([]sche
 // one) and publishes the result on success. A search that fails or is
 // cancelled abandons its claim so the fingerprint stays searchable.
 func OptimizeBlockContext(ctx context.Context, b *graph.Block, prof *profile.Profiler, opts Options) ([]schedule.Stage, Stats, error) {
+	return searchBlock(ctx, b, prof, opts, new(scratch))
+}
+
+// searchBlock is OptimizeBlockContext over the caller's scratch (see scratch).
+func searchBlock(ctx context.Context, b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch) ([]schedule.Stage, Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -242,7 +250,7 @@ func OptimizeBlockContext(ctx context.Context, b *graph.Block, prof *profile.Pro
 		}()
 	}
 
-	e := newEngine(b, prof, opts)
+	e := newEngine(b, prof, opts, sc)
 	stages, stats, err := e.run(ctx)
 	e.close()
 	stats.Measurements = prof.Measurements - m0

@@ -25,10 +25,14 @@ package core
 //     and costs every (S, S') the moment the enumerator produces it —
 //     the enumeration runs exactly once per state and nothing about a
 //     transition is stored. Stage latencies are memoized in a sharded,
-//     per-ending singleflight table of pointer-free inline slots, so
-//     every distinct ending is measured exactly once regardless of which
+//     per-ending singleflight table of 16-byte pointer-free inline slots
+//     (ending, latency word — published with one store), so every
+//     distinct ending is measured exactly once regardless of which
 //     workers race to it, from the enumerator's own incrementally tracked
 //     component list.
+//
+// Memo and state tables belong to whoever searches blocks, not to the block:
+// an engine empties the scratch it is handed and leaves it grown for the next.
 //
 // Equivalence with the reference recursion is bit-exact (asserted by
 // property tests and the zoo equivalence test): per state, candidates are
@@ -43,6 +47,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -54,34 +59,46 @@ import (
 
 // stageShardCount is the maximum shard count of the per-ending stage
 // memo; the engine uses enough shards to keep lock contention negligible
-// at its worker count (one suffices for a serial engine, and avoids
-// paying 64 table setups for every small block).
+// at its worker count (one for a serial engine: a small block clears one).
 const stageShardCount = 64
 
 // stageSlot memoizes GENERATESTAGE for one ending within a block, inline
-// in its shard's open-addressing table: the ending is the key (0 marks a
-// free slot — endings are non-empty), lat the measured latency's bits, and
-// meta the singleflight gate. meta stays 0 from the moment a worker claims
-// the slot (by storing key under the shard lock) until the claimant
-// publishes the result (lat first, then meta), so the lock-free fast path
-// reads a complete record whenever it sees meta != 0. The slot holds no
-// pointers: the collector never scans the memo, and a probe costs one
-// cache line.
+// in its shard's open-addressing table, as two words: the ending is the
+// key (0 marks a free slot — endings are non-empty) and val the measured
+// latency's bits. A latency is ≥ 0 and finite (engineWorker.measure makes
+// anything else an error), which leaves the sign bit to say the stage runs
+// merged and the non-finite patterns to say there is no latency. A worker
+// claims a slot by storing stageInFlight, then key, under the shard lock
+// and publishes with one store of val, so the lock-free fast path holds a
+// complete record whenever it reads anything else. No pointers: the
+// collector never scans the memo, and four slots share a cache line.
 type stageSlot struct {
-	key  atomic.Uint64
-	lat  atomic.Uint64
-	meta atomic.Uint32
+	key atomic.Uint64
+	val atomic.Uint64
 }
 
-// stageSlot.meta bits. A published slot always carries stageDone; stageOK
-// is clear when the stage is infeasible under the configured StrategySet;
-// stageFailed marks a measurement error (the search is stopping).
+// stageSlot.val words that are not a latency's bits. 0 is one — 0.0, run
+// concurrently — so being in flight needs a pattern of its own.
 const (
-	stageDone uint32 = 1 << iota
-	stageOK
-	stageMerge // strategy is schedule.Merge rather than schedule.Concurrent
-	stageFailed
+	stageMerge      uint64 = 1 << 63            // set on a latency: schedule.Merge rather than schedule.Concurrent
+	stageInfeasible uint64 = 0x7ff0000000000000 // +Inf: no strategy of the configured StrategySet applies
+	stageFailed     uint64 = 0x7ff8000000000001 // measurement error (the search is stopping)
+	stageInFlight   uint64 = 0x7ff8000000000002 // claimed, not yet published
 )
+
+// stageWord encodes a measured stage for publication.
+func stageWord(lat float64, merge bool) uint64 {
+	if merge {
+		return math.Float64bits(lat) | stageMerge
+	}
+	return math.Float64bits(lat)
+}
+
+// stageLatency decodes a published word; !ok: stageInfeasible or stageFailed.
+func stageLatency(v uint64) (lat float64, merge, ok bool) {
+	bits := v &^ stageMerge
+	return math.Float64frombits(bits), v != bits, bits < stageInfeasible
+}
 
 // stageTable is one immutable-size generation of a shard's table; growth
 // builds the next generation and publishes it whole.
@@ -114,7 +131,8 @@ func (t *stageTable) probe(k, h uint64) (*stageSlot, bool) {
 // holds, and anything they cannot settle there (a free or in-flight slot,
 // possibly stale after a growth) falls through to the locked slow path.
 // All writes — claims, publications, growth — happen under mu on the
-// current generation; wake is broadcast after every publication.
+// current generation; wake is broadcast after every publication. A shard
+// outlives the block: scratch.acquire empties it for the next one.
 type stageShard struct {
 	mu   sync.Mutex
 	wake sync.Cond
@@ -136,14 +154,14 @@ func (sh *stageShard) claim(k, h uint64) (s *stageSlot, inserted bool) {
 			old := &t.slots[i]
 			if key := old.key.Load(); key != 0 {
 				n, _ := next.probe(key, hashKey(key))
-				n.lat.Store(old.lat.Load())
-				n.meta.Store(old.meta.Load())
+				n.val.Store(old.val.Load())
 				n.key.Store(key)
 			}
 		}
 		sh.tab.Store(next)
 		s, _ = next.probe(k, h)
 	}
+	s.val.Store(stageInFlight)
 	s.key.Store(k)
 	sh.used++
 	return s, true
@@ -167,15 +185,6 @@ type setTable struct {
 type setSlot struct {
 	k uint64
 	v int32
-}
-
-func newSetTable(hint int) *setTable {
-	size, shift := 16, uint8(60)
-	for size < hint*2 {
-		size <<= 1
-		shift--
-	}
-	return &setTable{slots: make([]setSlot, size), shift: shift}
 }
 
 // hashKey is the splitmix64 finalizer (full avalanche in ~5 ops).
@@ -230,6 +239,64 @@ func (t *setTable) grow() {
 	}
 }
 
+// scratch is the working memory of block searches, owned by the goroutine
+// that searches blocks and reused from block to block at the size the
+// previous ones grew it to: a graph's blocks grow these tables once per
+// searcher, not once each. newEngine empties it at acquisition, never at
+// release — a failed or cancelled search leaves failed slots and half a
+// level of cost/last behind, and nothing reads a scratch between engines.
+// There is one memo per shard count in use (serial: one shard; parallel:
+// 4 × workers), so a small serial block never clears the tables a large
+// parallel one grew. What a block does clear is cheap beside the search
+// that dirtied it: 16 bytes per slot at memclr speed, at most four slots
+// per ending, each of which cost at least a stage measurement — under 1 %.
+type scratch struct {
+	memos  [7][]stageShard // by log2(shard count); stageShardCount = 1 << 6
+	shards []stageShard    // the memo in use
+
+	// The state space, listed by pass 1: states[i] is the bitmask of state
+	// i, index its inverse, levels[k] the states of cardinality k; all
+	// read-only during pass 2. cost and last are indexed like states, each
+	// slot written lock-free by the one worker that owns the state.
+	index  setTable
+	states []bitset.Set
+	levels [][]int32
+	cost   []float64
+	last   []choice
+}
+
+// acquire empties the scratch for a block of n operators and a memo of the
+// given power-of-two shard count. No search is using it, so the plain clear
+// of atomic slots is ordered before every later access.
+func (sc *scratch) acquire(n, shards int) {
+	memo := &sc.memos[bits.TrailingZeros(uint(shards))]
+	if *memo == nil {
+		*memo = make([]stageShard, shards)
+	}
+	sc.shards = *memo
+	for i := range sc.shards {
+		sh := &sc.shards[i]
+		if sh.wake.L == nil {
+			sh.wake.L = &sh.mu
+			sh.tab.Store(newStageTable(4))
+		}
+		clear(sh.tab.Load().slots)
+		sh.used = 0
+	}
+	if sc.index.slots == nil {
+		sc.index.slots, sc.index.shift = make([]setSlot, 128), 64-7
+	}
+	clear(sc.index.slots)
+	sc.index.used = 0
+	sc.states = sc.states[:0]
+	for len(sc.levels) <= n {
+		sc.levels = append(sc.levels, nil)
+	}
+	for k := range sc.levels {
+		sc.levels[k] = sc.levels[k][:0]
+	}
+}
+
 // engine carries the DP state for one block search.
 type engine struct {
 	b    *graph.Block
@@ -245,18 +312,7 @@ type engine struct {
 	solo      []float64
 	noisy     bool
 
-	shards []stageShard // power-of-two length
-
-	// The state space, listed by pass 1: states[i] is the bitmask of state
-	// i, index its inverse, levels[k] the states of cardinality k. cost and
-	// last are indexed like states; both index and states are read-only
-	// during pass 2, and each cost/last slot is written lock-free by the
-	// one worker that owns the state in its level.
-	index  *setTable
-	states []bitset.Set
-	levels [][]int32
-	cost   []float64
-	last   []choice
+	*scratch // the stage memo, the state space and its cost tables
 
 	workers []*engineWorker
 	// stop is set on the first error or on context cancellation (via a
@@ -307,13 +363,13 @@ type engineWorker struct {
 // is purely an execution heuristic.
 const smallBlockOps = 8
 
-// newEngine builds the engine and its measurement service: the passed
-// profiler prelowers the block's nodes (and computes their solo
-// durations), then each worker forks from it, sharing those immutable
-// tables (a single-worker engine skips the fork and drives the profiler
-// directly).
-func newEngine(b *graph.Block, prof *profile.Profiler, opts Options) *engine {
-	e := &engine{b: b, opts: opts, prog: opts.tracker}
+// newEngine builds the engine over sc, which it empties, and its
+// measurement service: the passed profiler prelowers the block's nodes
+// (and computes their solo durations), then each worker forks from it,
+// sharing those immutable tables (a single-worker engine skips the fork
+// and drives the profiler directly).
+func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch) *engine {
+	e := &engine{b: b, opts: opts, prog: opts.tracker, scratch: sc}
 	workers := opts.effectiveWorkers()
 	// A block can never keep more workers busy than it has operators, and
 	// Optimize may search GOMAXPROCS blocks concurrently — capping by
@@ -345,12 +401,7 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options) *engine {
 			shards <<= 1
 		}
 	}
-	e.shards = make([]stageShard, shards)
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.wake.L = &sh.mu
-		sh.tab.Store(newStageTable(4))
-	}
+	sc.acquire(len(b.Nodes), shards)
 	for i := range e.workers {
 		w := &engineWorker{
 			e:          e,
@@ -422,11 +473,8 @@ func (e *engine) reportLevel(phase string, level int) {
 // level above. Serial: the whole pass is O(states × block size) word
 // operations. Cancellation is checked at every level.
 func (e *engine) discover(ctx context.Context) error {
-	n := len(e.b.Nodes)
-	e.index = newSetTable(64)
-	e.levels = make([][]int32, n+1)
 	e.addState(e.b.All())
-	for k := n; k >= 1; k-- {
+	for k := len(e.b.Nodes); k >= 1; k-- {
 		if err := e.ctxErr(ctx); err != nil {
 			return err
 		}
@@ -443,8 +491,9 @@ func (e *engine) discover(ctx context.Context) error {
 		}
 		e.reportLevel("discover", k)
 	}
-	e.cost = make([]float64, len(e.states))
-	e.last = make([]choice, len(e.states))
+	// Resized and zeroed in place: an earlier block's choices are not ours.
+	e.cost = append(e.cost[:0], make([]float64, len(e.states))...)
+	e.last = append(e.last[:0], make([]choice, len(e.states))...)
 	return nil
 }
 
@@ -463,7 +512,7 @@ func (e *engine) addState(s bitset.Set) {
 // Cancellation is checked at every level barrier; a cancelled engine
 // discards its cost/choice tables by never reaching reconstruct.
 func (e *engine) compute(ctx context.Context) error {
-	for k := 1; k < len(e.levels); k++ {
+	for k := 1; k <= len(e.b.Nodes); k++ {
 		if err := e.ctxErr(ctx); err != nil {
 			return err
 		}
@@ -560,11 +609,12 @@ func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
 		return false
 	}
 	w.stats.Transitions++
-	lat, meta := e.stage(w, ending, comps)
-	if meta&stageOK == 0 {
+	v := e.stage(w, ending, comps)
+	lat, merge, ok := stageLatency(v)
+	if !ok {
 		// Infeasible under the strategy restriction: skip. A failed
 		// measurement has already set stop: give up on the state.
-		return meta&stageFailed == 0
+		return v == stageInfeasible
 	}
 	var sub float64
 	if rem := w.s.Diff(ending); !rem.IsEmpty() {
@@ -577,7 +627,7 @@ func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
 	if total := sub + lat; total < w.best {
 		w.best = total
 		w.bestChoice = choice{ending: ending, strategy: schedule.Concurrent}
-		if meta&stageMerge != 0 {
+		if merge {
 			w.bestChoice.strategy = schedule.Merge
 		}
 	}
@@ -604,16 +654,16 @@ func (w *engineWorker) serialLatency(s bitset.Set) float64 {
 	return total
 }
 
-// stage returns the memoized latency and meta bits of an ending, measuring
+// stage returns the memoized word of an ending (see stageSlot), measuring
 // it if this worker is the first to ask. The fast path — the ending is
 // already published — takes no lock.
-func (e *engine) stage(w *engineWorker, ending bitset.Set, comps []bitset.Set) (float64, uint32) {
+func (e *engine) stage(w *engineWorker, ending bitset.Set, comps []bitset.Set) uint64 {
 	k := uint64(ending)
 	h := hashKey(k)
 	sh := &e.shards[h&uint64(len(e.shards)-1)]
 	if s, found := sh.tab.Load().probe(k, h); found {
-		if meta := s.meta.Load(); meta != 0 {
-			return math.Float64frombits(s.lat.Load()), meta
+		if v := s.val.Load(); v != stageInFlight {
+			return v
 		}
 	}
 
@@ -624,35 +674,33 @@ func (e *engine) stage(w *engineWorker, ending bitset.Set, comps []bitset.Set) (
 	s, inserted := sh.claim(k, h)
 	if inserted {
 		sh.mu.Unlock()
-		lat, meta := e.measureStage(w, ending, comps)
+		v := e.measureStage(w, ending, comps)
 		sh.mu.Lock()
 		s, _ = sh.tab.Load().probe(k, h)
-		s.lat.Store(math.Float64bits(lat))
-		s.meta.Store(meta)
+		s.val.Store(v)
 		sh.mu.Unlock()
 		sh.wake.Broadcast()
-		return lat, meta
+		return v
 	}
-	for s.meta.Load() == 0 {
+	for s.val.Load() == stageInFlight {
 		sh.wake.Wait()
 		s, _ = sh.tab.Load().probe(k, h)
 	}
-	lat, meta := math.Float64frombits(s.lat.Load()), s.meta.Load()
+	v := s.val.Load()
 	sh.mu.Unlock()
-	return lat, meta
+	return v
 }
 
 // measureStage is Algorithm 1's GENERATESTAGE: choose the better
-// parallelization strategy for the candidate stage and return its measured
-// latency with the slot's meta bits (stageOK clear means the stage is
-// infeasible under the configured StrategySet, e.g. MergeOnly with
-// unmergeable multi-op sets). comps, the enumerator's component list, is
-// copied into worker scratch and canonicalized there (sorted by smallest
-// element — the order groupsOf produces and reconstruct emits). The node
-// lists handed to the measurement are built in the worker's fixed-capacity
-// scratch — the simulator does not retain them — so measurement setup
-// allocates nothing.
-func (e *engine) measureStage(w *engineWorker, ending bitset.Set, comps []bitset.Set) (float64, uint32) {
+// parallelization strategy for the candidate stage and return the word its
+// slot publishes (stageInfeasible when the configured StrategySet allows
+// none, e.g. MergeOnly with unmergeable multi-op sets). comps, the
+// enumerator's component list, is copied into worker scratch and
+// canonicalized there (sorted by smallest element — the order groupsOf
+// produces and reconstruct emits). The node lists handed to the measurement
+// are built in the worker's fixed-capacity scratch — the simulator does not
+// retain them — so measurement setup allocates nothing.
+func (e *engine) measureStage(w *engineWorker, ending bitset.Set, comps []bitset.Set) uint64 {
 	groups := w.groupSets[:copy(w.groupSets[:], comps)]
 	sortGroups(groups)
 	nodes := w.stageNodes[:0]
@@ -680,26 +728,30 @@ func (e *engine) measureStage(w *engineWorker, ending bitset.Set, comps []bitset
 	concurrentAllowed := e.opts.Strategies != MergeOnly || len(groups) == 1
 	mergeAllowed := e.opts.Strategies != ParallelOnly && profile.CanMerge(nodes)
 
-	lConc, lMerge := math.Inf(1), math.Inf(1)
+	lConc, lMerge := math.Inf(1), math.Inf(1) // not allowed; both is stageInfeasible
 	var err error
 	if concurrentAllowed {
-		lConc, err = w.prof.MeasureStageUncached(schedule.Stage{Strategy: schedule.Concurrent, Groups: groupNodes})
+		lConc, err = w.measure(ending, schedule.Stage{Strategy: schedule.Concurrent, Groups: groupNodes})
 	}
 	if err == nil && mergeAllowed {
-		lMerge, err = w.prof.MeasureStageUncached(schedule.Stage{Strategy: schedule.Merge, Groups: [][]*graph.Node{nodes}})
+		lMerge, err = w.measure(ending, schedule.Stage{Strategy: schedule.Merge, Groups: [][]*graph.Node{nodes}})
 	}
-	switch {
-	case err != nil:
+	if err != nil {
 		w.err = err
 		e.stop.Store(true) // before the slot is published: see computeState
-		return 0, stageDone | stageFailed
-	case math.IsInf(lConc, 1) && math.IsInf(lMerge, 1):
-		return 0, stageDone
-	case lConc <= lMerge:
-		return lConc, stageDone | stageOK
-	default:
-		return lMerge, stageDone | stageOK | stageMerge
+		return stageFailed
 	}
+	return stageWord(math.Min(lConc, lMerge), lMerge < lConc)
+}
+
+// measure runs one stage measurement. A backend answering NaN, ±Inf or a
+// negative latency has failed: its bits would read as merged or no latency.
+func (w *engineWorker) measure(ending bitset.Set, st schedule.Stage) (float64, error) {
+	lat, err := w.prof.MeasureStageUncached(st)
+	if err == nil && math.Float64bits(lat) >= stageInfeasible {
+		err = fmt.Errorf("ending %v of block %d (%s): backend measured an invalid latency %v", ending, w.e.b.Index, st.Strategy, lat)
+	}
+	return lat, err
 }
 
 // reconstruct walks choice[] backwards from the full set (Algorithm 1

@@ -275,7 +275,7 @@ func TestPropertyWorkersInvariance(t *testing.T) {
 // engineStateSet lists the states the engine's discovery pass finds.
 func engineStateSet(t *testing.T, b *graph.Block, opts Options) map[bitset.Set]bool {
 	t.Helper()
-	e := newEngine(b, v100Profiler(), opts.withDefaults())
+	e := newEngine(b, v100Profiler(), opts.withDefaults(), new(scratch))
 	defer e.close()
 	if err := e.discover(context.Background()); err != nil {
 		t.Fatal(err)
