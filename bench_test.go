@@ -1,10 +1,10 @@
 package ios_test
 
 // The benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation (see DESIGN.md §3). Each benchmark regenerates
-// its experiment end to end — model construction, baseline scheduling, the
-// IOS dynamic program, and simulated measurement — so `go test -bench=.`
-// reproduces every reported result. The rendered rows/series are produced
+// the paper's evaluation (`iosbench -list` is the index). Each benchmark
+// regenerates its experiment end to end — model construction, baseline
+// scheduling, the IOS dynamic program, and simulated measurement — so
+// `go test -bench=.` reproduces every reported result. The rendered rows/series are produced
 // by cmd/iosbench; here output goes to io.Discard and the benchmark value
 // is the wall time of regenerating the experiment.
 //
@@ -38,7 +38,7 @@ func runExperiment(b *testing.B, id string, cfg expt.Config) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := run(cfg, io.Discard); err != nil {
+		if err := run(context.Background(), cfg, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,8 +111,8 @@ func BenchmarkFig16BlockWise(b *testing.B) { runExperiment(b, "fig16", fullCfg()
 // speedup only).
 func BenchmarkResNetRemark(b *testing.B) { runExperiment(b, "resnet", fullCfg()) }
 
-// Extension and ablation benches (DESIGN.md's design-choice studies and
-// the paper's Section 7.4 future work).
+// Extension and ablation benches (design-choice studies and the paper's
+// Section 7.4 future work).
 
 // BenchmarkExtCombo regenerates the IOS+AutoTune combination study.
 func BenchmarkExtCombo(b *testing.B) { runExperiment(b, "combo", quickCfg()) }
@@ -145,7 +145,7 @@ func BenchmarkOptimizeInceptionV3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ios.Optimize(g, ios.V100, ios.Options{}); err != nil {
+		if _, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func BenchmarkOptimizeSqueezeNet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ios.Optimize(g, ios.V100, ios.Options{}); err != nil {
+		if _, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func BenchmarkOptimizeRandWire(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ios.Optimize(g, ios.V100, ios.Options{}); err != nil {
+		if _, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func BenchmarkOptimizeNasNet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ios.Optimize(g, ios.V100, ios.Options{}); err != nil {
+		if _, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +255,7 @@ func BenchmarkScheduleCacheHit(b *testing.B) {
 	key := ios.CacheKey{Model: "inception", Batch: 1, Device: "Tesla V100", Opts: ios.Options{}.Fingerprint()}
 	compute := func(context.Context) (*ios.CacheEntry, error) {
 		g := ios.InceptionV3(1)
-		res, err := ios.Optimize(g, ios.V100, ios.Options{})
+		res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +280,7 @@ func BenchmarkScheduleCacheMiss(b *testing.B) {
 	key := ios.CacheKey{Model: "fig2", Batch: 1, Device: "Tesla V100", Opts: ios.Options{}.Fingerprint()}
 	compute := func(context.Context) (*ios.CacheEntry, error) {
 		g := ios.Figure2Block(1)
-		res, err := ios.Optimize(g, ios.V100, ios.Options{})
+		res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -368,10 +368,10 @@ func BenchmarkServeConcurrentCold(b *testing.B) {
 // schedule-cache miss. Each network benchmarks its hardest block (largest
 // theoretical transition bound) at one worker and at GOMAXPROCS workers;
 // the resulting schedule is identical at every setting, so these measure
-// pure engine speed. Baselines are recorded in BENCH_search.json (emitted
-// by `iosbench -search-json`) and PERF.md.
+// pure engine speed (bench/ reports the same as core.hardest_block_ms_w1
+// and _wmax).
 
-// benchSearchCostBlock times core.OptimizeBlock on g's hardest block.
+// benchSearchCostBlock times core.OptimizeBlockContext on g's hardest block.
 func benchSearchCostBlock(b *testing.B, g *ios.Graph, workers int) {
 	b.Helper()
 	blk, err := core.HardestBlock(g)
@@ -383,7 +383,7 @@ func benchSearchCostBlock(b *testing.B, g *ios.Graph, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prof := profile.New(gpusim.TeslaV100)
-		if _, _, err := core.OptimizeBlock(blk, prof, opts); err != nil {
+		if _, _, err := core.OptimizeBlockContext(context.Background(), blk, prof, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,9 +7,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
 
 	"ios/internal/chrometrace"
@@ -79,7 +81,9 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		res, err := core.Optimize(g, prof, core.Options{})
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		res, err := core.OptimizeContext(ctx, g, prof, core.Options{})
+		stop()
 		if err != nil {
 			fatal(err)
 		}

@@ -119,8 +119,7 @@ func NewSimBackend(dev Device) Backend { return profile.SimBackend(dev) }
 //
 // A cancelled Optimize drains its worker pool promptly, discards partial
 // results, and returns the wrapped ctx.Err() (errors.Is with
-// context.Canceled / context.DeadlineExceeded holds). Uncancelled runs
-// are bit-identical to the package-level functions they supersede.
+// context.Canceled / context.DeadlineExceeded holds).
 //
 // Methods may be called from multiple goroutines: each call forks its own
 // profiler (sharing the engine's immutable device model), and the
@@ -396,10 +395,10 @@ func (e *Engine) OptimizeBatches(ctx context.Context, g *Graph, batches []int) (
 }
 
 // Measure returns the end-to-end latency in seconds of executing the
-// schedule on the engine's device, checking ctx between stages. Unlike
-// the deprecated package-level Measure, a schedule built for a different
-// graph is not silently re-wrapped: every stage must reference nodes of
-// g, or Measure fails with a descriptive error. In particular a schedule
+// schedule on the engine's device, checking ctx between stages. A
+// schedule built for a different graph is not silently re-wrapped: every
+// stage must reference nodes of g, or Measure fails with a descriptive
+// error. In particular a schedule
 // optimized at a different batch size is rejected with an error naming
 // both batches — schedules are batch-specialized (Table 3), so measuring
 // one at a foreign batch is almost always a serving bug; use

@@ -9,56 +9,6 @@ import (
 	"ios"
 )
 
-// TestEngineMatchesDeprecatedAPI: the Engine must be a pure re-plumbing —
-// schedules, costs, and search statistics identical to the package-level
-// functions it supersedes.
-func TestEngineMatchesDeprecatedAPI(t *testing.T) {
-	ctx := context.Background()
-	for _, build := range []func(int) *ios.Graph{ios.Figure2Block, ios.SqueezeNet} {
-		g := build(1)
-		want, err := ios.Optimize(g, ios.V100, ios.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := ios.NewEngine(ios.V100)
-		got, err := eng.Optimize(ctx, g, ios.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Schedule.String() != want.Schedule.String() {
-			t.Fatalf("%s: schedules differ:\n%s\nvs\n%s", g.Name, got.Schedule, want.Schedule)
-		}
-		if got.Stats.States != want.Stats.States ||
-			got.Stats.Transitions != want.Stats.Transitions ||
-			got.Stats.Measurements != want.Stats.Measurements {
-			t.Fatalf("%s: stats differ: %+v vs %+v", g.Name, got.Stats, want.Stats)
-		}
-
-		wantLat, err := ios.Measure(g, want.Schedule, ios.V100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotLat, err := eng.Measure(ctx, g, got.Schedule)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotLat != wantLat {
-			t.Fatalf("%s: latency %g vs %g", g.Name, gotLat, wantLat)
-		}
-		wantThr, err := ios.Throughput(g, want.Schedule, ios.V100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotThr, err := eng.Throughput(ctx, g, got.Schedule)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotThr != wantThr {
-			t.Fatalf("%s: throughput %g vs %g", g.Name, gotThr, wantThr)
-		}
-	}
-}
-
 // TestEngineCache: with WithCache, repeated Optimize calls for the same
 // (graph, options) share one search and return the cached schedule.
 func TestEngineCache(t *testing.T) {
@@ -121,7 +71,7 @@ func TestEngineCacheRebindsAcrossEqualGraphs(t *testing.T) {
 func TestEngineWithPruningZeroMeansNoPruning(t *testing.T) {
 	ctx := context.Background()
 	g := ios.Figure2Block(1)
-	want, err := ios.Optimize(g, ios.V100, ios.Unpruned)
+	want, err := ios.NewEngine(ios.V100).Optimize(ctx, g, ios.Unpruned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +101,6 @@ func TestEngineMeasureRejectsForeignSchedule(t *testing.T) {
 	if _, err := eng.Measure(ctx, g2, res.Schedule); err == nil ||
 		!strings.Contains(err.Error(), "different graph") {
 		t.Fatalf("foreign schedule: err = %v, want different-graph error", err)
-	}
-	// The deprecated wrapper validates identically.
-	if _, err := ios.Measure(g2, res.Schedule, ios.V100); err == nil {
-		t.Fatal("deprecated Measure silently accepted a foreign schedule")
 	}
 	// A re-wrapped schedule that DOES reference g's nodes stays accepted
 	// (the schedule-recipe reload path).
@@ -200,7 +146,7 @@ func TestEngineCancellation(t *testing.T) {
 func TestEngineWithNoPruning(t *testing.T) {
 	ctx := context.Background()
 	g := ios.Figure2Block(1)
-	want, err := ios.Optimize(g, ios.V100, ios.Unpruned)
+	want, err := ios.NewEngine(ios.V100).Optimize(ctx, g, ios.Unpruned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +162,7 @@ func TestEngineWithNoPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := ios.Optimize(g, ios.V100, ios.Options{})
+	def, err := ios.NewEngine(ios.V100).Optimize(ctx, g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,11 +68,12 @@ func ExampleNewMeasureCache() {
 	// simulator runs saved so far: true
 }
 
-// ExampleOptimize schedules the paper's Figure 2 block and prints the
-// stage structure IOS discovers (the balanced {a,d} / {b,c} partition).
-func ExampleOptimize() {
+// ExampleEngine_Optimize schedules the paper's Figure 2 block and prints
+// the stage structure IOS discovers (the balanced {a,d} / {b,c}
+// partition).
+func ExampleEngine_Optimize() {
 	g := ios.Figure2Block(1)
-	res, err := ios.Optimize(g, ios.V100, ios.Options{})
+	res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,12 +106,12 @@ func ExampleSequentialSchedule() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := ios.Optimize(g, ios.V100, ios.Options{})
+	res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	seqLat, _ := ios.Measure(g, seq, ios.V100)
-	iosLat, _ := ios.Measure(g, res.Schedule, ios.V100)
+	seqLat, _ := ios.NewEngine(ios.V100).Measure(context.Background(), g, seq)
+	iosLat, _ := ios.NewEngine(ios.V100).Measure(context.Background(), g, res.Schedule)
 	fmt.Printf("IOS is faster: %v\n", iosLat < seqLat)
 	// Output:
 	// IOS is faster: true
@@ -124,7 +125,7 @@ func ExampleExecute() {
 	a := g.Conv("a", in, ios.ConvOpts{Out: 4, Kernel: 1})
 	b := g.Conv("b", in, ios.ConvOpts{Out: 4, Kernel: 3})
 	g.Concat("out", a, b)
-	res, err := ios.Optimize(g, ios.V100, ios.Options{})
+	res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -43,12 +44,14 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	for _, dev := range []ios.Device{ios.V100, ios.K80} {
-		res, err := ios.Optimize(g, dev, ios.Options{})
+		eng := ios.NewEngine(dev)
+		res, err := eng.Optimize(ctx, g, ios.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		iosLat, err := ios.Measure(g, res.Schedule, dev)
+		iosLat, err := eng.Measure(ctx, g, res.Schedule)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		seqLat, err := ios.Measure(g, seq, dev)
+		seqLat, err := eng.Measure(ctx, g, seq)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,7 +22,7 @@ func main() {
 	fmt.Printf("%s: %d operators\n", g.Name, len(g.SchedulableNodes()))
 
 	prof := ios.NewProfiler(ios.V100)
-	res, err := ios.OptimizeWithProfiler(g, prof, ios.Options{})
+	res, err := ios.OptimizeWithProfilerContext(context.Background(), g, prof, ios.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,9 @@ func main() {
 	}
 
 	// IOS with the paper's default pruning (r=3, s=8).
-	res, err := ios.Optimize(g, ios.V100, ios.Options{})
+	ctx := context.Background()
+	eng := ios.NewEngine(ios.V100)
+	res, err := eng.Optimize(ctx, g, ios.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func main() {
 		{"greedy", grd},
 		{"IOS", res.Schedule},
 	} {
-		lat, err := ios.Measure(g, entry.sched, ios.V100)
+		lat, err := eng.Measure(ctx, g, entry.sched)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@ package blockcache_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -146,7 +147,7 @@ func fingerprintOf(b *graph.Block) []byte {
 // (node-ID-free) form plus its search statistics.
 func searchCanonical(t *testing.T, b *graph.Block) ([]blockcache.Stage, core.Stats) {
 	t.Helper()
-	stages, stats, err := core.OptimizeBlock(b, profile.New(gpusim.TeslaV100), core.Options{})
+	stages, stats, err := core.OptimizeBlockContext(context.Background(), b, profile.New(gpusim.TeslaV100), core.Options{})
 	if err != nil {
 		t.Fatalf("block search: %v", err)
 	}

@@ -388,28 +388,3 @@ func TestClusterBackgroundPusher(t *testing.T) {
 	stopRun()
 	<-done
 }
-
-// TestUncoordinatedBaseline: with the exchange disabled every node pays
-// its own cold search — the baseline the bench compares against.
-func TestUncoordinatedBaseline(t *testing.T) {
-	ctx := context.Background()
-	h, err := StartHarness(ctx, HarnessConfig{Nodes: 2, Uncoordinated: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	a := optimizeVia(t, h.Client(), h.Nodes()[0].URL, "fig2", 1)
-	b := optimizeVia(t, h.Client(), h.Nodes()[1].URL, "fig2", 1)
-	for i, hn := range h.Nodes() {
-		st := hn.Server.BlockCache().Stats()
-		if st.Misses == 0 {
-			t.Errorf("uncoordinated node %d ran no local searches", i)
-		}
-		if st.Remote != 0 {
-			t.Errorf("uncoordinated node %d fetched remotely", i)
-		}
-	}
-	if !bytes.Equal(a.Schedule, b.Schedule) {
-		t.Error("determinism bug: two independent searches disagree")
-	}
-}

@@ -29,10 +29,6 @@ type HarnessConfig struct {
 	// sleeps this long before hitting the wire, so convergence and
 	// throughput numbers reflect a network, not just loopback.
 	LinkDelay time.Duration
-	// Uncoordinated disables the exchange tier entirely — bare
-	// serve.Servers with private caches, the baseline a coordinated
-	// fleet is measured against.
-	Uncoordinated bool
 	// FetchTimeout, Retries, FailureCooldown, Replicas pass through to
 	// each node's Config (zero = that Config's defaults).
 	FetchTimeout    time.Duration
@@ -55,7 +51,7 @@ type HarnessNode struct {
 	URL string
 	// Server is the serving tier; its caches are private to this node.
 	Server *serve.Server
-	// Node is the exchange tier (nil when the harness is Uncoordinated).
+	// Node is the exchange tier.
 	Node *Node
 
 	hs     *http.Server
@@ -143,40 +139,36 @@ func (h *Harness) Join(ctx context.Context) (*HarnessNode, error) {
 	}
 	members = append(members, Member{ID: hn.ID, URL: hn.URL})
 
-	var handler http.Handler = srv
 	nodeCtx, cancel := context.WithCancel(ctx)
 	hn.cancel = cancel
-	if !h.cfg.Uncoordinated {
-		node, err := New(nodeCtx, Config{
-			Self:            id,
-			Members:         members,
-			Server:          srv,
-			Client:          h.client,
-			Replicas:        h.cfg.Replicas,
-			FetchTimeout:    h.cfg.FetchTimeout,
-			Retries:         h.cfg.Retries,
-			FailureCooldown: h.cfg.FailureCooldown,
-			Logf:            h.cfg.Logf,
-		})
-		if err != nil {
+	node, err := New(nodeCtx, Config{
+		Self:            id,
+		Members:         members,
+		Server:          srv,
+		Client:          h.client,
+		Replicas:        h.cfg.Replicas,
+		FetchTimeout:    h.cfg.FetchTimeout,
+		Retries:         h.cfg.Retries,
+		FailureCooldown: h.cfg.FailureCooldown,
+		Logf:            h.cfg.Logf,
+	})
+	if err != nil {
+		cancel()
+		lis.Close()
+		return nil, err
+	}
+	hn.Node = node
+	for _, old := range h.nodes {
+		if old.killed {
+			continue
+		}
+		if err := old.Node.SetMembers(members); err != nil {
 			cancel()
 			lis.Close()
 			return nil, err
 		}
-		hn.Node = node
-		handler = node
-		for _, old := range h.nodes {
-			if old.killed || old.Node == nil {
-				continue
-			}
-			if err := old.Node.SetMembers(members); err != nil {
-				cancel()
-				lis.Close()
-				return nil, err
-			}
-		}
 	}
-	hn.hs = &http.Server{Handler: handler}
+	hn.hs = &http.Server{Handler: node}
 	//lint:ioslint-ignore goroleak deliberate daemon: Serve returns when Kill/Close shuts the server down (hs.Close below and in Kill)
 	go hn.hs.Serve(lis)
 	if err := h.waitReady(ctx, hn.URL); err != nil {
@@ -222,7 +214,7 @@ func (h *Harness) waitReady(ctx context.Context, baseURL string) error {
 func (h *Harness) SyncAll(ctx context.Context) (int, error) {
 	total := 0
 	for _, hn := range h.nodes {
-		if hn.killed || hn.Node == nil {
+		if hn.killed {
 			continue
 		}
 		pushed, err := hn.Node.Sync(ctx)

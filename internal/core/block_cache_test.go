@@ -26,7 +26,7 @@ func TestBlockCacheEquivalenceZoo(t *testing.T) {
 	}
 	for _, build := range builders {
 		g := build(1)
-		want, err := Optimize(g, v100Profiler(), Options{})
+		want, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", g.Name, err)
 		}
@@ -34,7 +34,7 @@ func TestBlockCacheEquivalenceZoo(t *testing.T) {
 		opts := Options{}.WithBlockCache(cache)
 		var coldMisses int64
 		for _, phase := range []string{"cold", "warm"} {
-			got, err := Optimize(g, v100Profiler(), opts)
+			got, err := OptimizeContext(context.Background(), g, v100Profiler(), opts)
 			if err != nil {
 				t.Fatalf("%s %s: %v", g.Name, phase, err)
 			}
@@ -92,13 +92,13 @@ func TestBlockCacheNasNetDedup(t *testing.T) {
 		t.Fatalf("NasNet-A has no repeated block structures (%d blocks, %d fingerprints) — dedup impossible", len(blocks), len(distinct))
 	}
 
-	uncached, err := Optimize(g, v100Profiler(), Options{})
+	uncached, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := blockcache.NewCache()
 	opts := Options{}.WithBlockCache(cache)
-	cold, err := Optimize(g, v100Profiler(), opts)
+	cold, err := OptimizeContext(context.Background(), g, v100Profiler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBlockCacheNasNetDedup(t *testing.T) {
 		t.Errorf("cold NasNet Optimize ran %d block searches, want exactly the %d distinct structures",
 			coldMisses, len(distinct))
 	}
-	warm, err := Optimize(g, v100Profiler(), opts)
+	warm, err := OptimizeContext(context.Background(), g, v100Profiler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestBlockCacheWorkerSweepEquivalence(t *testing.T) {
 	var first *Result
 	var firstMisses int64
 	for _, workers := range []int{1, 2, 4} {
-		res, err := Optimize(g, v100Profiler(), Options{Workers: workers}.WithBlockCache(cache))
+		res, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{Workers: workers}.WithBlockCache(cache))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -167,12 +167,12 @@ func TestBlockCacheWorkerSweepEquivalence(t *testing.T) {
 func TestBlockCacheSharedAcrossGraphValues(t *testing.T) {
 	cache := blockcache.NewCache()
 	opts := Options{}.WithBlockCache(cache)
-	first, err := Optimize(models.InceptionE(1), v100Profiler(), opts)
+	first, err := OptimizeContext(context.Background(), models.InceptionE(1), v100Profiler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := cache.Stats().Misses
-	res, err := Optimize(models.InceptionE(1), v100Profiler(), opts)
+	res, err := OptimizeContext(context.Background(), models.InceptionE(1), v100Profiler(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestBlockCacheSharedAcrossGraphValues(t *testing.T) {
 // is part of the -race CI step).
 func TestBlockCacheConcurrentOptimize(t *testing.T) {
 	g := models.InceptionE(1)
-	want, err := Optimize(g, v100Profiler(), Options{})
+	want, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestBlockCacheConcurrentOptimize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := Optimize(models.InceptionE(1), v100Profiler(), Options{}.WithBlockCache(cache))
+			res, err := OptimizeContext(context.Background(), models.InceptionE(1), v100Profiler(), Options{}.WithBlockCache(cache))
 			if err != nil {
 				errs[i] = err
 				return
@@ -268,11 +268,11 @@ func TestBlockCacheCancelledOptimizeDoesNotPoison(t *testing.T) {
 		t.Log("search completed before the cancellation landed")
 	}
 
-	res, err := Optimize(g, v100Profiler(), opts)
+	res, err := OptimizeContext(context.Background(), g, v100Profiler(), opts)
 	if err != nil {
 		t.Fatalf("Optimize after a cancelled run failed: %v", err)
 	}
-	want, err := Optimize(g, v100Profiler(), Options{})
+	want, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestBlockCachePersistCrossRestart(t *testing.T) {
 		g = models.InceptionE(1)
 	}
 	cache := blockcache.NewCache()
-	first, err := Optimize(g, v100Profiler(), Options{}.WithBlockCache(cache))
+	first, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{}.WithBlockCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestBlockCachePersistCrossRestart(t *testing.T) {
 	if restarted.Len() != cache.Len() {
 		t.Fatalf("restart loaded %d entries, saved %d", restarted.Len(), cache.Len())
 	}
-	res, err := Optimize(g, v100Profiler(), Options{}.WithBlockCache(restarted))
+	res, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{}.WithBlockCache(restarted))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestBlockCacheNoisyProfilerBypasses(t *testing.T) {
 	prof := v100Profiler()
 	prof.Noise, prof.Repeats = 0.05, 3
 	prof.SetSeed(7)
-	if _, err := Optimize(g, prof, Options{}.WithBlockCache(cache)); err != nil {
+	if _, err := OptimizeContext(context.Background(), g, prof, Options{}.WithBlockCache(cache)); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
@@ -348,14 +348,14 @@ func TestBlockCacheNoisyProfilerBypasses(t *testing.T) {
 	}
 
 	// A noisy profiler sharing a WARM cache must not read from it either.
-	if _, err := Optimize(g, v100Profiler(), Options{}.WithBlockCache(cache)); err != nil {
+	if _, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{}.WithBlockCache(cache)); err != nil {
 		t.Fatal(err)
 	}
 	warmHits := cache.Stats().Hits
 	noisy := v100Profiler()
 	noisy.Noise, noisy.Repeats = 0.05, 3
 	noisy.SetSeed(11)
-	if _, err := Optimize(g, noisy, Options{}.WithBlockCache(cache)); err != nil {
+	if _, err := OptimizeContext(context.Background(), g, noisy, Options{}.WithBlockCache(cache)); err != nil {
 		t.Fatal(err)
 	}
 	if n := cache.Stats().Hits - warmHits; n != 0 {

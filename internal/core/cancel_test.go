@@ -208,7 +208,7 @@ func TestEngineCancelInsideState(t *testing.T) {
 // search statistics all match the context-free API.
 func TestOptimizeContextUncancelledIsBitIdentical(t *testing.T) {
 	g := models.InceptionE(1)
-	want, err := Optimize(g, v100Profiler(), Options{})
+	want, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestOptionsValidate(t *testing.T) {
 		}
 	}
 	// Optimize validates implicitly.
-	if _, err := Optimize(models.Figure2Block(1), v100Profiler(), Options{Pruning: Pruning{R: -2}}); err == nil {
+	if _, err := OptimizeContext(context.Background(), models.Figure2Block(1), v100Profiler(), Options{Pruning: Pruning{R: -2}}); err == nil {
 		t.Error("Optimize accepted invalid pruning bounds")
 	}
 }

@@ -38,23 +38,16 @@ type Result struct {
 	Stats    Stats
 }
 
-// Optimize runs IOS over the whole graph: partitions it into blocks, finds
-// the optimal schedule for each block with the DP, and concatenates the
-// per-block stage lists. It is OptimizeContext with a background context.
-func Optimize(g *graph.Graph, prof *profile.Profiler, opts Options) (*Result, error) {
-	//lint:ioslint-ignore ctxdiscipline ctx-free convenience wrapper; cancellable searches use OptimizeContext
-	return OptimizeContext(context.Background(), g, prof, opts)
-}
-
-// OptimizeContext is Optimize under a context: the search checks ctx
-// before any measurement and at every level barrier of each block's DP
-// engine, and every engine worker observes cancellation before each
-// transition it costs — so a cancelled search drains promptly (bounded by
-// one in-flight stage measurement per worker, however many endings the
-// state it is in has left), discards all partial results, and returns
-// ctx.Err() wrapped (errors.Is(err, context.Canceled) /
-// context.DeadlineExceeded hold). An uncancelled run is bit-identical to
-// Optimize: same schedule, costs, and statistics.
+// OptimizeContext runs IOS over the whole graph: partitions it into
+// blocks, finds the optimal schedule for each block with the DP, and
+// concatenates the per-block stage lists. The search checks ctx before
+// any measurement and at every level barrier of each block's DP engine,
+// and every engine worker observes cancellation before each transition it
+// costs — so a cancelled search drains promptly (bounded by one in-flight
+// stage measurement per worker, however many endings the state it is in
+// has left), discards all partial results, and returns ctx.Err() wrapped
+// (errors.Is(err, context.Canceled) / context.DeadlineExceeded hold). The
+// context never changes what an uncancelled run returns.
 func OptimizeContext(ctx context.Context, g *graph.Graph, prof *profile.Profiler, opts Options) (*Result, error) {
 	return OptimizeWithProgress(ctx, g, prof, opts, nil)
 }
@@ -164,25 +157,18 @@ type choice struct {
 	serial bool
 }
 
-// OptimizeBlock runs the dynamic program on a single block and returns its
-// stage list. Exposed for experiments that study one block (Table 1,
-// Figure 9, Figure 10). It is OptimizeBlockContext with a background
-// context.
+// OptimizeBlockContext runs the dynamic program on a single block and
+// returns its stage list. Exposed for experiments that study one block
+// (Table 1, Figure 9, Figure 10). Cancellation is observed at every level
+// barrier and by every engine worker before each transition, partial
+// results are discarded, and the wrapped ctx.Err() is returned (see
+// OptimizeContext).
 //
 // The search is the level-synchronous bottom-up engine of engine.go,
 // parallel across opts.Workers goroutines; its costs, schedules, and
 // search statistics are identical to the original memoized recursion
 // (retained in dp_reference.go as the oracle the property tests compare
 // against) for any worker count.
-func OptimizeBlock(b *graph.Block, prof *profile.Profiler, opts Options) ([]schedule.Stage, Stats, error) {
-	//lint:ioslint-ignore ctxdiscipline ctx-free convenience wrapper; cancellable searches use OptimizeBlockContext
-	return OptimizeBlockContext(context.Background(), b, prof, opts)
-}
-
-// OptimizeBlockContext is OptimizeBlock under a context: cancellation is
-// observed at every level barrier and by every engine worker before each
-// transition, partial results are discarded, and the wrapped ctx.Err() is
-// returned (see OptimizeContext).
 //
 // When a whole-block schedule cache is attached (Options.WithBlockCache)
 // and the profiler is noise-free, the block's canonical structural

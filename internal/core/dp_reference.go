@@ -38,7 +38,7 @@ type refScheduler struct {
 }
 
 // optimizeBlockReference runs the reference dynamic program on a single
-// block. Test oracle only; use OptimizeBlock.
+// block. Test oracle only; use OptimizeBlockContext.
 func optimizeBlockReference(b *graph.Block, prof *profile.Profiler, opts Options) ([]schedule.Stage, Stats, error) {
 	opts = opts.withDefaults()
 	bs := &refScheduler{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,7 +24,7 @@ func TestOptimizeFigure5Toy(t *testing.T) {
 	// no worse than sequential and greedy.
 	g := models.Figure5Toy(1)
 	prof := v100Profiler()
-	res, err := Optimize(g, prof, Options{})
+	res, err := OptimizeContext(context.Background(), g, prof, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestOptimizeFigure5Toy(t *testing.T) {
 func TestOptimizeFigure2FindsBalancedSchedule(t *testing.T) {
 	g := models.Figure2Block(1)
 	prof := v100Profiler()
-	res, err := Optimize(g, prof, Options{})
+	res, err := OptimizeContext(context.Background(), g, prof, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestDPOptimalAgainstBruteForce(t *testing.T) {
 		b := buildBlock(t, n, edges)
 		prof := v100Profiler()
 		opts := Options{Strategies: ParallelOnly, Pruning: Pruning{R: -1, S: -1}}
-		stages, _, err := OptimizeBlock(b, prof, opts)
+		stages, _, err := OptimizeBlockContext(context.Background(), b, prof, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestDPOptimalAgainstBruteForce(t *testing.T) {
 func TestPrunedNeverBeatsUnpruned(t *testing.T) {
 	g := models.InceptionE(1)
 	prof := v100Profiler()
-	resFull, err := Optimize(g, prof, Unpruned)
+	resFull, err := OptimizeContext(context.Background(), g, prof, Unpruned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestPrunedNeverBeatsUnpruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []Pruning{{R: 1, S: 2}, {R: 2, S: 3}, {R: 3, S: 8}} {
-		res, err := Optimize(g, prof, Options{Pruning: p})
+		res, err := OptimizeContext(context.Background(), g, prof, Options{Pruning: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestMergeOnlyEqualsSequentialWithoutMergeOpportunities(t *testing.T) {
 	b := g.SepConv("b", in, graph.ConvOpts{Out: 8, Kernel: 3})
 	g.Concat("cat", a, b)
 	prof := v100Profiler()
-	res, err := Optimize(g, prof, Options{Strategies: MergeOnly})
+	res, err := OptimizeContext(context.Background(), g, prof, Options{Strategies: MergeOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestMergeOnlyEqualsSequentialWithoutMergeOpportunities(t *testing.T) {
 
 func TestParallelOnlyNeverMerges(t *testing.T) {
 	g := models.InceptionE(32) // batch 32 makes merging attractive
-	res, err := Optimize(g, v100Profiler(), Options{Strategies: ParallelOnly})
+	res, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{Strategies: ParallelOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestBothUsesMergeAtLargeBatch(t *testing.T) {
 	// Section 7.2 / Figure 10: at batch 32 the last Inception block's
 	// 1x3/3x1 pair merges.
 	g := models.InceptionE(32)
-	res, err := Optimize(g, v100Profiler(), Options{})
+	res, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestIOSBeatsBaselinesOnBenchmarks(t *testing.T) {
 	for _, build := range []models.Builder{models.InceptionV3, models.SqueezeNet} {
 		g := build(1)
 		prof := v100Profiler()
-		res, err := Optimize(g, prof, Options{})
+		res, err := OptimizeContext(context.Background(), g, prof, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +295,7 @@ func TestIOSBeatsBaselinesOnBenchmarks(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	g := models.Figure2Block(1)
-	res, err := Optimize(g, v100Profiler(), Options{})
+	res, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

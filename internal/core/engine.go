@@ -372,7 +372,7 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch
 	e := &engine{b: b, opts: opts, prog: opts.tracker, scratch: sc}
 	workers := opts.effectiveWorkers()
 	// A block can never keep more workers busy than it has operators, and
-	// Optimize may search GOMAXPROCS blocks concurrently — capping by
+	// a graph search may run GOMAXPROCS blocks concurrently — capping by
 	// block size keeps the fork fan-out proportional to real work.
 	if n := len(b.Nodes); workers > n {
 		workers = n

@@ -38,7 +38,7 @@ func TestEngineMatchesReferenceZoo(t *testing.T) {
 				t.Fatalf("%s block %d: reference: %v", g.Name, b.Index, err)
 			}
 			prof := v100Profiler()
-			stages, stats, err := OptimizeBlock(b, prof, Options{})
+			stages, stats, err := OptimizeBlockContext(context.Background(), b, prof, Options{})
 			if err != nil {
 				t.Fatalf("%s block %d: engine: %v", g.Name, b.Index, err)
 			}
@@ -115,7 +115,7 @@ func TestSearchBytesPerTransition(t *testing.T) {
 	prof := v100Profiler()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, stats, err := OptimizeBlock(b, prof, Options{Workers: 1})
+	_, stats, err := OptimizeBlockContext(context.Background(), b, prof, Options{Workers: 1})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

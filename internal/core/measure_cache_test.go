@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ios/internal/gpusim"
@@ -32,14 +33,14 @@ func TestMeasureCacheEquivalenceZoo(t *testing.T) {
 	}
 	for _, build := range builders {
 		g := build(1)
-		want, err := Optimize(g, v100Profiler(), Options{})
+		want, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", g.Name, err)
 		}
 		cache := measure.NewCache()
 		for _, phase := range []string{"cold", "warm"} {
 			prof := cachedProfiler(cache)
-			got, err := Optimize(g, prof, Options{})
+			got, err := OptimizeContext(context.Background(), g, prof, Options{})
 			if err != nil {
 				t.Fatalf("%s %s: %v", g.Name, phase, err)
 			}
@@ -79,7 +80,7 @@ func TestMeasureCacheEquivalenceZoo(t *testing.T) {
 		}
 		// The warm repeat search of the same graph must be measurement-free:
 		// every fingerprint is already resident.
-		warm, err := Optimize(g, cachedProfiler(cache), Options{})
+		warm, err := OptimizeContext(context.Background(), g, cachedProfiler(cache), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,12 +104,12 @@ func TestMeasureCacheNasNetReduction(t *testing.T) {
 		t.Skip("full NasNet-A search under the race detector (the cache's concurrency is race-tested on the smaller zoo networks)")
 	}
 	g := models.NasNetA(1)
-	uncached, err := Optimize(g, v100Profiler(), Options{})
+	uncached, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := measure.NewCache()
-	cached, err := Optimize(g, cachedProfiler(cache), Options{})
+	cached, err := OptimizeContext(context.Background(), g, cachedProfiler(cache), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,12 @@ func TestMeasureCacheNasNetReduction(t *testing.T) {
 // repeated-model case) and across worker counts.
 func TestMeasureCacheSharedAcrossSearches(t *testing.T) {
 	cache := measure.NewCache()
-	if _, err := Optimize(models.InceptionE(1), cachedProfiler(cache), Options{}); err != nil {
+	if _, err := OptimizeContext(context.Background(), models.InceptionE(1), cachedProfiler(cache), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// A freshly built, structurally identical graph: node values differ,
 	// fingerprints must not.
-	res, err := Optimize(models.InceptionE(1), cachedProfiler(cache), Options{})
+	res, err := OptimizeContext(context.Background(), models.InceptionE(1), cachedProfiler(cache), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestMeasureCacheSharedAcrossSearches(t *testing.T) {
 	}
 	// Parallel workers share the same cache through profiler forks; the
 	// result stays measurement-free and bit-identical.
-	par, err := Optimize(models.InceptionE(1), cachedProfiler(cache), Options{Workers: 4})
+	par, err := OptimizeContext(context.Background(), models.InceptionE(1), cachedProfiler(cache), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestMeasureCacheNoisyProfilerBypasses(t *testing.T) {
 	prof := cachedProfiler(cache)
 	prof.Noise, prof.Repeats = 0.05, 3
 	prof.SetSeed(7)
-	if _, err := Optimize(g, prof, Options{}); err != nil {
+	if _, err := OptimizeContext(context.Background(), g, prof, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := cache.Len(); n != 0 {
@@ -179,7 +180,7 @@ func TestMeasureCacheNoisyProfilerBypasses(t *testing.T) {
 	// And a noisy profiler sharing a warm cache must not read from it:
 	// same seed => same noisy results as a cache-less noisy profiler.
 	warm := measure.NewCache()
-	if _, err := Optimize(g, cachedProfiler(warm), Options{}); err != nil {
+	if _, err := OptimizeContext(context.Background(), g, cachedProfiler(warm), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	mkNoisy := func(c *measure.Cache) *schedule.Schedule {
@@ -189,7 +190,7 @@ func TestMeasureCacheNoisyProfilerBypasses(t *testing.T) {
 		}
 		p.Noise, p.Repeats = 0.05, 3
 		p.SetSeed(11)
-		res, err := Optimize(g, p, Options{})
+		res, err := OptimizeContext(context.Background(), g, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -131,7 +131,7 @@ func (p Pruning) maxStageOps() int {
 	return p.R * p.S
 }
 
-// Options configures Optimize. The JSON form (used by the serving API and
+// Options configures a search. The JSON form (used by the serving API and
 // stored schedule recipes) spells Strategies as a name ("IOS-Both", or the
 // short "both"/"parallel"/"merge") via StrategySet's text marshaling.
 type Options struct {
@@ -171,7 +171,7 @@ type Options struct {
 }
 
 // WithBlockCache returns the options with a shared whole-block schedule
-// cache attached: Optimize and OptimizeBlock consult it before launching a
+// cache attached: every search consults it before launching a
 // block's DP search, keyed by the block's canonical structural fingerprint
 // (blockcache.Fingerprint), and fill it with the search result on a miss.
 // Concurrent searches of the same structure coalesce into one. Cached
@@ -211,7 +211,7 @@ func (o Options) withDefaults() Options {
 // Validate reports whether the options are well-formed: pruning bounds
 // must be positive, 0 (unset), or -1 (explicitly unbounded — see the
 // bound convention on Pruning), and MaxBlockOps must be non-negative.
-// Optimize validates implicitly; call Validate directly to surface
+// A search validates implicitly; call Validate directly to surface
 // configuration errors before starting a search (e.g. when parsing
 // user-supplied requests).
 func (o Options) Validate() error {
@@ -227,7 +227,7 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Canonical returns the options as Optimize will interpret them: defaults
+// Canonical returns the options as a search will interpret them: defaults
 // filled in, idempotently (negative pruning bounds are preserved as-is;
 // every consumer treats non-positive bounds as unbounded). Two Options
 // with the same Canonical form produce identical searches; for a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func TestMaxStageOps(t *testing.T) {
 
 func TestOptimizeEmptyGraph(t *testing.T) {
 	g := graphNew()
-	res, err := Optimize(g, v100Profiler(), Options{})
+	res, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

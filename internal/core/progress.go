@@ -6,7 +6,7 @@ import (
 
 // Progress is one search-progress snapshot, delivered to OptimizeWithProgress's callback
 // at every level barrier of the DP engine. Snapshots from different blocks
-// interleave when Optimize searches blocks in parallel, but the callback
+// interleave when a graph search runs blocks in parallel, but the callback
 // itself is never invoked concurrently (the tracker serializes emission),
 // and the cumulative counters are monotonic across the whole search.
 type Progress struct {
@@ -28,7 +28,7 @@ type Progress struct {
 	// States, Transitions, and Measurements are cumulative totals across
 	// all blocks so far, matching the Stats fields of the final Result.
 	// Measurements excludes the up-front lowering pass (the per-node solo
-	// simulations Optimize runs before any block search starts).
+	// simulations a graph search runs before any block search starts).
 	States, Transitions, Measurements int
 }
 

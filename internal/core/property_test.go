@@ -70,7 +70,7 @@ func TestPropertyOptimizeValidAndDominant(t *testing.T) {
 			t.Fatalf("trial %d: builder produced invalid graph: %v", trial, err)
 		}
 		prof := v100Profiler()
-		res, err := Optimize(g, prof, Options{})
+		res, err := OptimizeContext(context.Background(), g, prof, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -112,11 +112,11 @@ func TestPropertyDeterministicSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng)
-		r1, err := Optimize(g, v100Profiler(), Options{})
+		r1, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Optimize(g, v100Profiler(), Options{})
+		r2, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestPropertyCostMatchesMeasured(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range blocks {
-			stages, _, err := OptimizeBlock(b, prof, Options{})
+			stages, _, err := OptimizeBlockContext(context.Background(), b, prof, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestPropertyEngineMatchesReference(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				prof := v100Profiler()
-				stages, stats, err := OptimizeBlock(b, prof, Options{Strategies: strat, Pruning: prune, Workers: workers})
+				stages, stats, err := OptimizeBlockContext(context.Background(), b, prof, Options{Strategies: strat, Pruning: prune, Workers: workers})
 				if err != nil {
 					t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 				}
@@ -251,11 +251,11 @@ func TestPropertyWorkersInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng)
-		r1, err := Optimize(g, v100Profiler(), Options{Workers: 1})
+		r1, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r4, err := Optimize(g, v100Profiler(), Options{Workers: 4})
+		r4, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

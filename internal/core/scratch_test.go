@@ -191,7 +191,7 @@ func TestLyingBackendIsAMeasurementError(t *testing.T) {
 			done := make(chan out, 1)
 			go func() {
 				// The first runs are the operators' solo durations.
-				stages, _, err := OptimizeBlock(b, lyingProfiler(int64(len(b.Nodes))+20, lie), Options{Workers: workers})
+				stages, _, err := OptimizeBlockContext(context.Background(), b, lyingProfiler(int64(len(b.Nodes))+20, lie), Options{Workers: workers})
 				done <- out{stages, err}
 			}()
 			select {
@@ -232,7 +232,7 @@ func TestPropertyScratchReuseIsInvisible(t *testing.T) {
 	// Simulator runs of a whole search of the big block: dirtying searches
 	// are stopped halfway through them.
 	counter := &cancelPlan{after: -1}
-	if _, _, err := OptimizeBlock(big, profile.NewWithBackend(cancelAfterBackend{profile.SimBackend(gpusim.TeslaV100), counter}, profile.Options{}), Options{}); err != nil {
+	if _, _, err := OptimizeBlockContext(context.Background(), big, profile.NewWithBackend(cancelAfterBackend{profile.SimBackend(gpusim.TeslaV100), counter}, profile.Options{}), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	halfway := counter.runs.Load() / 2

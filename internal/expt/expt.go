@@ -1,13 +1,14 @@
 //ioslint:deterministic
 
 // Package expt regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index). Each experiment
-// is a function that computes structured rows and renders them as text;
-// cmd/iosbench exposes them on the command line and the repository's
-// benchmark suite wraps them in testing.B benchmarks.
+// evaluation (Names is the experiment index). Each experiment is a
+// function that computes structured rows and renders them as text;
+// cmd/iosbench exposes them on the command line and the root package's
+// bench_test.go wraps them in testing.B benchmarks.
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -64,14 +65,14 @@ func (c Config) measureSchedule(s *schedule.Schedule) (float64, error) {
 }
 
 // optimize runs IOS with the given strategy set.
-func (c Config) optimize(g *graph.Graph, strategies core.StrategySet) (*core.Result, error) {
+func (c Config) optimize(ctx context.Context, g *graph.Graph, strategies core.StrategySet) (*core.Result, error) {
 	opts := c.Opts
 	opts.Strategies = strategies
-	return core.Optimize(g, profile.New(c.Device), opts)
+	return core.OptimizeContext(ctx, g, profile.New(c.Device), opts)
 }
 
 // latencyOf resolves one named schedule policy on a graph.
-func (c Config) latencyOf(g *graph.Graph, policy string) (float64, *core.Stats, error) {
+func (c Config) latencyOf(ctx context.Context, g *graph.Graph, policy string) (float64, *core.Stats, error) {
 	var (
 		s   *schedule.Schedule
 		st  *core.Stats
@@ -84,19 +85,19 @@ func (c Config) latencyOf(g *graph.Graph, policy string) (float64, *core.Stats, 
 		s, err = baseline.Greedy(g)
 	case "IOS-Merge":
 		var res *core.Result
-		res, err = c.optimize(g, core.MergeOnly)
+		res, err = c.optimize(ctx, g, core.MergeOnly)
 		if err == nil {
 			s, st = res.Schedule, &res.Stats
 		}
 	case "IOS-Parallel":
 		var res *core.Result
-		res, err = c.optimize(g, core.ParallelOnly)
+		res, err = c.optimize(ctx, g, core.ParallelOnly)
 		if err == nil {
 			s, st = res.Schedule, &res.Stats
 		}
 	case "IOS-Both", "IOS":
 		var res *core.Result
-		res, err = c.optimize(g, core.Both)
+		res, err = c.optimize(ctx, g, core.Both)
 		if err == nil {
 			s, st = res.Schedule, &res.Stats
 		}
@@ -110,33 +111,29 @@ func (c Config) latencyOf(g *graph.Graph, policy string) (float64, *core.Stats, 
 	return lat, st, err
 }
 
-// Runner is an experiment entry point: it writes its report to w.
-type Runner func(c Config, w io.Writer) error
+// Runner is an experiment entry point: it writes its report to w, and
+// returns the wrapped ctx.Err() when ctx ends one of its searches.
+type Runner func(ctx context.Context, c Config, w io.Writer) error
 
 // All maps experiment ids to runners, for cmd/iosbench.
 var All = map[string]Runner{
-	"table1":        Table1,
-	"table2":        Table2,
-	"table3":        Table3,
-	"fig1":          Fig1,
-	"fig2":          Fig2,
-	"fig6":          Fig6,
-	"fig7":          Fig7,
-	"fig8":          Fig8,
-	"fig9":          Fig9,
-	"fig10":         Fig10,
-	"fig11":         Fig11,
-	"fig12":         Fig12,
-	"fig14":         Fig14,
-	"fig15":         Fig15,
-	"fig16":         Fig16,
-	"resnet":        ResNet,
-	"search":        SearchCost,
-	"measure-cache": MeasureCache,
-	"block-cache":   BlockCache,
-	"specialize":    Specialize,
-	"traffic":       Traffic,
-	"cluster":       Cluster,
+	"table1":     Table1,
+	"table2":     Table2,
+	"table3":     Table3,
+	"fig1":       Fig1,
+	"fig2":       Fig2,
+	"fig6":       Fig6,
+	"fig7":       Fig7,
+	"fig8":       Fig8,
+	"fig9":       Fig9,
+	"fig10":      Fig10,
+	"fig11":      Fig11,
+	"fig12":      Fig12,
+	"fig14":      Fig14,
+	"fig15":      Fig15,
+	"fig16":      Fig16,
+	"resnet":     ResNet,
+	"specialize": Specialize,
 }
 
 // Names returns the experiment ids in report order: the paper's tables
@@ -144,7 +141,7 @@ var All = map[string]Runner{
 func Names() []string {
 	return append([]string{"fig1", "fig2", "table1", "table2", "fig6", "fig7", "fig8",
 		"fig9", "table3", "fig10", "fig11", "fig12", "fig14", "fig15", "fig16", "resnet",
-		"search", "measure-cache", "block-cache", "specialize", "traffic", "cluster"},
+		"specialize"},
 		ExtensionNames()...)
 }
 

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestAllExperimentsRegistered(t *testing.T) {
 func runExpt(t *testing.T, name string, cfg Config) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := All[name](cfg, &buf); err != nil {
+	if err := All[name](context.Background(), cfg, &buf); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	out := buf.String()
@@ -163,13 +164,13 @@ func TestQuickLightweight(t *testing.T) {
 func TestLatencyOfUnknownPolicy(t *testing.T) {
 	c := quickCfg().withDefaults()
 	g := benchmarksFirst(c)
-	if _, _, err := c.latencyOf(g, "nope"); err == nil {
+	if _, _, err := c.latencyOf(context.Background(), g, "nope"); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
 
 func TestQuickSpecializeRows(t *testing.T) {
-	rows, err := SpecializeRows(quickCfg(), []int{1, 2})
+	rows, err := SpecializeRows(context.Background(), quickCfg(), []int{1, 2})
 	if err != nil {
 		t.Fatalf("SpecializeRows: %v", err)
 	}
@@ -191,73 +192,6 @@ func TestQuickSpecializeRows(t *testing.T) {
 			if r.LatencyMS[i][j] <= 0 {
 				t.Errorf("latency_ms[%d][%d] = %v", i, j, r.LatencyMS[i][j])
 			}
-		}
-	}
-}
-
-func TestQuickTrafficRows(t *testing.T) {
-	rows, err := TrafficRows(quickCfg())
-	if err != nil {
-		t.Fatalf("TrafficRows: %v", err)
-	}
-	if len(rows) != 2 || rows[0].Regime != "poisson" || rows[1].Regime != "bursty" {
-		t.Fatalf("rows = %+v, want poisson then bursty", rows)
-	}
-	for _, r := range rows {
-		if len(r.Policies) != 4 {
-			t.Fatalf("%s: %d policies, want 4 (batch1, fixed, adaptive, adaptive-suggested)", r.Regime, len(r.Policies))
-		}
-		if r.Policies[0].Policy != "batch1" || r.Policies[2].Policy != "adaptive" {
-			t.Errorf("%s: policy order = %v", r.Regime, r.Policies)
-		}
-		if len(r.SuggestedBatches) == 0 {
-			t.Errorf("%s: no suggested batches", r.Regime)
-		}
-		if r.RateImagesPerSec <= 0 || r.SLOMS <= 0 {
-			t.Errorf("%s: derived load %v img/s SLO %vms not positive", r.Regime, r.RateImagesPerSec, r.SLOMS)
-		}
-		for _, p := range r.Policies {
-			if p.ImagesPerSec <= 0 || p.P99MS < p.P50MS {
-				t.Errorf("%s/%s: implausible summary %+v", r.Regime, p.Policy, p)
-			}
-		}
-	}
-	// The benchmark gate's assertion must hold under the Poisson regime.
-	if !rows[0].AdaptiveBeatsBatch1 {
-		t.Error("poisson: adaptive did not beat batch=1 throughput")
-	}
-	if !rows[0].AdaptiveWithinSLO {
-		t.Error("poisson: adaptive p99 exceeded the derived SLO")
-	}
-}
-
-// TestQuickTrafficDeterministic pins the seeded end-to-end run: two
-// invocations must agree bit-for-bit, or BENCH_traffic.json churns on
-// every regeneration.
-func TestQuickTrafficDeterministic(t *testing.T) {
-	a, err := TrafficRows(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TrafficRows(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		for j := range a[i].Policies {
-			if a[i].Policies[j] != b[i].Policies[j] {
-				t.Errorf("run-to-run drift in %s/%s: %+v vs %+v",
-					a[i].Regime, a[i].Policies[j].Policy, a[i].Policies[j], b[i].Policies[j])
-			}
-		}
-	}
-}
-
-func TestQuickTrafficExperiment(t *testing.T) {
-	out := runExpt(t, "traffic", quickCfg())
-	for _, want := range []string{"poisson", "bursty", "adaptive beats batch1: true", "p99 within SLO: true"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("traffic output missing %q:\n%s", want, out)
 		}
 	}
 }

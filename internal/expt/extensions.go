@@ -4,9 +4,10 @@ package expt
 // combination the authors propose in Section 7.4 (intra-operator autotuned
 // kernels + inter-operator IOS scheduling), an activation-memory study
 // that grounds Figure 11's TASO out-of-memory note, and ablations of the
-// device-model knobs DESIGN.md calls out (contention, device generation).
+// device-model knobs (contention, device generation).
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -38,18 +39,18 @@ func ExtensionNames() []string {
 // Combo evaluates the paper's stated future work: "the combination of TVM
 // and IOS would boost the performance further" — IOS scheduling on top of
 // autotuned kernels, against each alone.
-func Combo(c Config, w io.Writer) error {
+func Combo(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	names, graphs := c.benchmarks()
 	chart := report.NewBarChart(
 		fmt.Sprintf("Extension: TVM-AutoTune vs IOS vs combined on %s, batch %d", c.Device.Name, c.Batch),
 		"TVM-AutoTune", "IOS", "IOS+AutoTune")
 	for i, g := range graphs {
-		m, err := frameworks.TVMAutoTune.Measure(g, c.Device)
+		m, err := frameworks.TVMAutoTune.Measure(ctx, g, c.Device)
 		if err != nil {
 			return err
 		}
-		iosLat, _, err := c.latencyOf(g, "IOS")
+		iosLat, _, err := c.latencyOf(ctx, g, "IOS")
 		if err != nil {
 			return err
 		}
@@ -65,7 +66,7 @@ func Combo(c Config, w io.Writer) error {
 			return 1
 		}
 		comboProf := profile.NewWithOptions(c.Device, comboOpts)
-		res, err := core.Optimize(g, comboProf, c.Opts)
+		res, err := core.OptimizeContext(ctx, g, comboProf, c.Opts)
 		if err != nil {
 			return err
 		}
@@ -85,7 +86,7 @@ func Combo(c Config, w io.Writer) error {
 // and IOS schedules of Inception V3 across Figure 11's batch sizes,
 // explaining why memory-hungry systems (TASO's substitution search) fall
 // over at batch 128.
-func MemoryStudy(c Config, w io.Writer) error {
+func MemoryStudy(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable("Extension: schedule memory by batch size (Inception V3)",
 		"batch", "weights MB", "seq peak act MB", "ios peak act MB", "ios total MB")
@@ -96,7 +97,7 @@ func MemoryStudy(c Config, w io.Writer) error {
 			return err
 		}
 		seqMem := schedule.Memory(seq)
-		res, err := c.optimize(g, core.Both)
+		res, err := c.optimize(ctx, g, core.Both)
 		if err != nil {
 			return err
 		}
@@ -117,7 +118,7 @@ func MemoryStudy(c Config, w io.Writer) error {
 // (The Figure 2 block would show nothing here: its 3x3x384 convolutions
 // are compute-bound at batch one, and the contention model only degrades
 // the memory system.)
-func AblationContention(c Config, w io.Writer) error {
+func AblationContention(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable("Ablation: contention coefficient vs IOS speedup (SqueezeNet)",
 		"contention", "seq ms", "ios ms", "speedup", "ios stages")
@@ -134,7 +135,7 @@ func AblationContention(c Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.Optimize(g, prof, c.Opts)
+		res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
 		if err != nil {
 			return err
 		}
@@ -153,7 +154,7 @@ func AblationContention(c Config, w io.Writer) error {
 // the faster the device, the larger the utilization gap sequential
 // execution leaves and the bigger IOS's win — the quantitative form of
 // Figure 1's motivation.
-func AblationDevices(c Config, w io.Writer) error {
+func AblationDevices(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable("Ablation: IOS speedup by device generation (Inception V3, batch 1)",
 		"device", "peak TFLOP/s", "seq ms", "ios ms", "speedup")
@@ -170,7 +171,7 @@ func AblationDevices(c Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.Optimize(g, prof, c.Opts)
+		res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
 		if err != nil {
 			return err
 		}
@@ -188,7 +189,7 @@ func AblationDevices(c Config, w io.Writer) error {
 // AblationSerialTail quantifies the serial-tail candidate this
 // implementation adds to the DP (see core.scheduler): without it, pruning
 // r=3 caps chains at three operators and forces extra stage barriers.
-func AblationSerialTail(c Config, w io.Writer) error {
+func AblationSerialTail(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable("Ablation: pruning with vs without long serial chains (SqueezeNet)",
 		"pruning", "ios ms", "stages")
@@ -197,7 +198,7 @@ func AblationSerialTail(c Config, w io.Writer) error {
 		opts := c.Opts
 		opts.Pruning = p
 		prof := profile.New(c.Device)
-		res, err := core.Optimize(g, prof, opts)
+		res, err := core.OptimizeContext(ctx, g, prof, opts)
 		if err != nil {
 			return err
 		}
@@ -217,7 +218,7 @@ func AblationSerialTail(c Config, w io.Writer) error {
 // kernels, they under-utilize a V100 even more than the main benchmarks,
 // so inter-operator scheduling recovers a meaningful fraction despite
 // their mostly sequential structure.
-func Lightweight(c Config, w io.Writer) error {
+func Lightweight(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable(fmt.Sprintf("Extension: lightweight mobile CNNs on %s, batch %d", c.Device.Name, c.Batch),
 		"network", "ops", "seq ms", "greedy ms", "ios ms", "ios speedup")
@@ -240,7 +241,7 @@ func Lightweight(c Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := core.Optimize(g, prof, c.Opts)
+		res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
 		if err != nil {
 			return err
 		}

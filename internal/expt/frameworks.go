@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -16,19 +17,19 @@ import (
 
 // Fig7 compares IOS against the cuDNN-based frameworks (Section 6.2) on
 // the configured device with batch one, reproducing Figure 7.
-func Fig7(c Config, w io.Writer) error {
+func Fig7(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
-	return frameworkComparison(c, w, fmt.Sprintf("Figure 7: cuDNN-based frameworks on %s, batch %d", c.Device.Name, c.Batch))
+	return frameworkComparison(ctx, c, w, fmt.Sprintf("Figure 7: cuDNN-based frameworks on %s, batch %d", c.Device.Name, c.Batch))
 }
 
 // Fig15 is Figure 7 on the RTX 2080Ti (Appendix B).
-func Fig15(c Config, w io.Writer) error {
+func Fig15(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	c.Device = gpusim.RTX2080Ti
-	return frameworkComparison(c, w, fmt.Sprintf("Figure 15: cuDNN-based frameworks on %s, batch %d", c.Device.Name, c.Batch))
+	return frameworkComparison(ctx, c, w, fmt.Sprintf("Figure 15: cuDNN-based frameworks on %s, batch %d", c.Device.Name, c.Batch))
 }
 
-func frameworkComparison(c Config, w io.Writer, title string) error {
+func frameworkComparison(ctx context.Context, c Config, w io.Writer, title string) error {
 	names, graphs := c.benchmarks()
 	series := make([]string, 0, 6)
 	for _, f := range frameworks.CuDNNBaselines() {
@@ -40,13 +41,13 @@ func frameworkComparison(c Config, w io.Writer, title string) error {
 	for i, g := range graphs {
 		values := make([]float64, 0, len(series))
 		for _, f := range frameworks.CuDNNBaselines() {
-			m, err := f.Measure(g, c.Device)
+			m, err := f.Measure(ctx, g, c.Device)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", names[i], f.Name, err)
 			}
 			values = append(values, float64(c.Batch)/m.Latency)
 		}
-		iosLat, _, err := c.latencyOf(g, "IOS")
+		iosLat, _, err := c.latencyOf(ctx, g, "IOS")
 		if err != nil {
 			return fmt.Errorf("%s/IOS: %w", names[i], err)
 		}
@@ -78,7 +79,7 @@ var Fig11BatchSizes = []int{1, 16, 32, 64, 128}
 // on Inception V3: Sequential, TVM-cuDNN, TASO, TensorRT, and IOS. TASO
 // runs out of GPU memory at batch 128 in the paper; the reproduction
 // mirrors that as an n/a entry.
-func Fig11(c Config, w io.Writer) error {
+func Fig11(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	series := []string{"Sequential", "TVM-cuDNN", "TASO", "TensorRT", "IOS"}
 	chart := report.NewBarChart(
@@ -90,7 +91,7 @@ func Fig11(c Config, w io.Writer) error {
 		bc := c
 		bc.Batch = batch
 		values := make([]float64, 0, len(series))
-		seqLat, _, err := bc.latencyOf(g, "Sequential")
+		seqLat, _, err := bc.latencyOf(ctx, g, "Sequential")
 		if err != nil {
 			return err
 		}
@@ -101,13 +102,13 @@ func Fig11(c Config, w io.Writer) error {
 				values = append(values, math.NaN())
 				continue
 			}
-			m, err := f.Measure(g, c.Device)
+			m, err := f.Measure(ctx, g, c.Device)
 			if err != nil {
 				return err
 			}
 			values = append(values, float64(batch)/m.Latency)
 		}
-		iosLat, _, err := bc.latencyOf(g, "IOS")
+		iosLat, _, err := bc.latencyOf(ctx, g, "IOS")
 		if err != nil {
 			return err
 		}
@@ -132,7 +133,7 @@ func Fig11(c Config, w io.Writer) error {
 
 // Fig12 reproduces the intra- versus inter-operator parallelism study
 // (Section 7.4): TVM-AutoTune against IOS, with total optimization cost.
-func Fig12(c Config, w io.Writer) error {
+func Fig12(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	names, graphs := c.benchmarks()
 	chart := report.NewBarChart(
@@ -141,12 +142,12 @@ func Fig12(c Config, w io.Writer) error {
 	var tvmCost, iosCost time.Duration
 	perSeries := map[string][]float64{}
 	for i, g := range graphs {
-		m, err := frameworks.TVMAutoTune.Measure(g, c.Device)
+		m, err := frameworks.TVMAutoTune.Measure(ctx, g, c.Device)
 		if err != nil {
 			return err
 		}
 		prof := profile.New(c.Device)
-		res, err := core.Optimize(g, prof, c.Opts)
+		res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
 		if err != nil {
 			return err
 		}

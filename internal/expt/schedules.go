@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -20,26 +21,26 @@ var SchedulePolicies = []string{"Sequential", "Greedy", "IOS-Merge", "IOS-Parall
 // Fig6 compares the five schedules of Section 6.1 across the benchmark
 // CNNs on the configured device (batch one by default) and renders
 // normalized throughput, reproducing Figure 6.
-func Fig6(c Config, w io.Writer) error {
+func Fig6(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
-	return scheduleComparison(c, w, fmt.Sprintf("Figure 6: schedules on %s, batch %d", c.Device.Name, c.Batch))
+	return scheduleComparison(ctx, c, w, fmt.Sprintf("Figure 6: schedules on %s, batch %d", c.Device.Name, c.Batch))
 }
 
 // Fig14 is Figure 6 on the RTX 2080Ti (Appendix B).
-func Fig14(c Config, w io.Writer) error {
+func Fig14(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	c.Device = gpusim.RTX2080Ti
-	return scheduleComparison(c, w, fmt.Sprintf("Figure 14: schedules on %s, batch %d", c.Device.Name, c.Batch))
+	return scheduleComparison(ctx, c, w, fmt.Sprintf("Figure 14: schedules on %s, batch %d", c.Device.Name, c.Batch))
 }
 
-func scheduleComparison(c Config, w io.Writer, title string) error {
+func scheduleComparison(ctx context.Context, c Config, w io.Writer, title string) error {
 	names, graphs := c.benchmarks()
 	chart := report.NewBarChart(title, SchedulePolicies...)
 	perPolicy := make(map[string][]float64)
 	for i, g := range graphs {
 		values := make([]float64, len(SchedulePolicies))
 		for j, policy := range SchedulePolicies {
-			lat, _, err := c.latencyOf(g, policy)
+			lat, _, err := c.latencyOf(ctx, g, policy)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", names[i], policy, err)
 			}
@@ -68,7 +69,7 @@ func scheduleComparison(c Config, w io.Writer, title string) error {
 // Fig2 reproduces the running example: the sequential, greedy, and IOS
 // schedules of the Figure 2 block with per-stage GFLOPs, achieved TFLOP/s,
 // and device utilization.
-func Fig2(c Config, w io.Writer) error {
+func Fig2(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	g := models.Figure2Block(c.Batch)
 	prof := profile.New(c.Device)
@@ -81,7 +82,7 @@ func Fig2(c Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Optimize(g, prof, c.Opts)
+	res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
 	if err != nil {
 		return err
 	}
@@ -130,7 +131,7 @@ func stageOpsString(st schedule.Stage) string {
 // Figure 2 model repeatedly under the sequential and the IOS schedule,
 // samples resident warps CUPTI-style, and reports the mean active-warp
 // ratio (the paper measures 1.58x).
-func Fig8(c Config, w io.Writer) error {
+func Fig8(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	g := models.Figure2Block(c.Batch)
 	prof := profile.New(c.Device)
@@ -138,7 +139,7 @@ func Fig8(c Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Optimize(g, prof, c.Opts)
+	res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
 	if err != nil {
 		return err
 	}
@@ -178,7 +179,7 @@ func Fig8(c Config, w io.Writer) error {
 
 // Fig16 compares IOS against the sequential schedule per Inception V3
 // block (Appendix C): later blocks have more width and speed up more.
-func Fig16(c Config, w io.Writer) error {
+func Fig16(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	g := models.InceptionV3(c.Batch)
 	blocks, err := g.Partition(0)
@@ -191,7 +192,7 @@ func Fig16(c Config, w io.Writer) error {
 	var seqTotal, iosTotal float64
 	idx := 0
 	for _, b := range blocks {
-		stages, _, err := core.OptimizeBlock(b, prof, c.Opts)
+		stages, _, err := core.OptimizeBlockContext(ctx, b, prof, c.Opts)
 		if err != nil {
 			return err
 		}
@@ -226,17 +227,17 @@ func Fig16(c Config, w io.Writer) error {
 
 // ResNet reproduces the Section 5 remark: ResNet-34/50 have little
 // inter-operator parallelism, so IOS yields only a few percent.
-func ResNet(c Config, w io.Writer) error {
+func ResNet(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable(fmt.Sprintf("ResNet (Section 5 remark) on %s", c.Device.Name),
 		"network", "seq ms", "ios ms", "speedup")
 	for _, b := range []models.Builder{models.ResNet34, models.ResNet50} {
 		g := b(c.Batch)
-		seqLat, _, err := c.latencyOf(g, "Sequential")
+		seqLat, _, err := c.latencyOf(ctx, g, "Sequential")
 		if err != nil {
 			return err
 		}
-		iosLat, _, err := c.latencyOf(g, "IOS")
+		iosLat, _, err := c.latencyOf(ctx, g, "IOS")
 		if err != nil {
 			return err
 		}

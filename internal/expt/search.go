@@ -1,14 +1,12 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"time"
 
 	"ios/internal/core"
 	"ios/internal/gpusim"
-	"ios/internal/graph"
 	"ios/internal/models"
 	"ios/internal/profile"
 	"ios/internal/report"
@@ -17,7 +15,7 @@ import (
 // Fig1 reproduces the motivation trend (Figure 1): average FLOPs per
 // convolution and convolution counts for a 2013/2015/2018 network
 // alongside the era's GPU peak performance.
-func Fig1(c Config, w io.Writer) error {
+func Fig1(_ context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	entries := []struct {
 		year   int
@@ -42,7 +40,7 @@ func Fig1(c Config, w io.Writer) error {
 
 // Table2 reproduces the benchmark inventory: blocks, operators, and the
 // dominant operator type per network.
-func Table2(c Config, w io.Writer) error {
+func Table2(_ context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable("Table 2: CNN benchmarks",
 		"network", "#blocks", "#operators", "operator type")
@@ -63,7 +61,7 @@ func Table2(c Config, w io.Writer) error {
 // block, the operator count n, width d, theoretical transition bound,
 // exact transition count #(S, S'), and the total number of feasible
 // schedules.
-func Table1(c Config, w io.Writer) error {
+func Table1(_ context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable("Table 1: largest-block search space per network",
 		"network", "n", "d", "bound C(n/d+2,2)^d", "#(S,S')", "#schedules")
@@ -84,7 +82,7 @@ func Table1(c Config, w io.Writer) error {
 // Fig9 reproduces the pruning trade-off (Section 7.1): optimized latency
 // versus optimization cost for r in {1,2,3} and s in {3,8} on Inception V3
 // and NasNet.
-func Fig9(c Config, w io.Writer) error {
+func Fig9(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	nets := []struct {
 		name  string
@@ -112,7 +110,7 @@ func Fig9(c Config, w io.Writer) error {
 				opts := c.Opts
 				opts.Pruning = core.Pruning{R: r, S: s}
 				prof := profile.New(c.Device)
-				res, err := core.Optimize(g, prof, opts)
+				res, err := core.OptimizeContext(ctx, g, prof, opts)
 				if err != nil {
 					return err
 				}
@@ -127,95 +125,5 @@ func Fig9(c Config, w io.Writer) error {
 	}
 	t.Render(w)
 	fmt.Fprintln(w, "(smaller r and s cut the search cost at mildly higher latency — Figure 9's trade-off)")
-	return nil
-}
-
-// BlockComplexities lists the per-block Table 1 quantities for one graph,
-// used by tests and cmd/iosviz.
-func BlockComplexities(g *graph.Graph) ([]core.Complexity, error) {
-	blocks, err := g.Partition(0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.Complexity, 0, len(blocks))
-	for _, b := range blocks {
-		out = append(out, core.AnalyzeBlock(b))
-	}
-	return out, nil
-}
-
-// SearchRow is one search-cost record: the cost of optimizing one
-// network's hardest block (and the whole network) at one worker count.
-// cmd/iosbench serializes these as BENCH_search.json so successive PRs
-// have a perf trajectory for the DP engine.
-type SearchRow struct {
-	Network      string  `json:"network"`
-	Scope        string  `json:"scope"` // "block" (hardest block) or "network"
-	Ops          int     `json:"ops"`
-	Workers      int     `json:"workers"`
-	WallMS       float64 `json:"wall_ms"`
-	States       int     `json:"states"`
-	Transitions  int     `json:"transitions"`
-	Measurements int     `json:"measurements"`
-}
-
-// SearchCostRows measures the DP engine's own cost across the benchmark
-// networks at Workers=1 and Workers=GOMAXPROCS (deduplicated when equal).
-// The schedules are identical at every worker count; only the wall time
-// may differ.
-func SearchCostRows(c Config) ([]SearchRow, error) {
-	c = c.withDefaults()
-	workerSettings := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerSettings = append(workerSettings, n)
-	}
-	var rows []SearchRow
-	names, graphs := c.benchmarks()
-	for i, g := range graphs {
-		hardest, err := core.HardestBlock(g)
-		if err != nil {
-			return nil, err
-		}
-		for _, w := range workerSettings {
-			opts := c.Opts
-			opts.Workers = w
-			if hardest != nil {
-				start := time.Now() //lint:ioslint-ignore determinism wall-clock benchmark column; never feeds schedules or cache keys
-				_, bstats, err := core.OptimizeBlock(hardest, profile.New(c.Device), opts)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, SearchRow{
-					Network: names[i], Scope: "block", Ops: len(hardest.Nodes), Workers: w,
-					WallMS: float64(time.Since(start)) / 1e6, //lint:ioslint-ignore determinism wall-clock benchmark column; never feeds schedules or cache keys
-					States: bstats.States, Transitions: bstats.Transitions, Measurements: bstats.Measurements,
-				})
-			}
-			res, err := core.Optimize(g, profile.New(c.Device), opts)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, SearchRow{
-				Network: names[i], Scope: "network", Ops: len(g.SchedulableNodes()), Workers: w,
-				WallMS: float64(res.Stats.WallTime) / 1e6,
-				States: res.Stats.States, Transitions: res.Stats.Transitions, Measurements: res.Stats.Measurements,
-			})
-		}
-	}
-	return rows, nil
-}
-
-// SearchCost renders the SearchCostRows table (experiment id "search").
-func SearchCost(c Config, w io.Writer) error {
-	rows, err := SearchCostRows(c)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(fmt.Sprintf("Search cost: DP engine on %s (identical schedules at every worker count)", c.withDefaults().Device.Name),
-		"network", "scope", "ops", "workers", "wall ms", "states", "#(S,S')", "measurements")
-	for _, r := range rows {
-		t.AddRow(r.Network, r.Scope, r.Ops, r.Workers, r.WallMS, r.States, r.Transitions, r.Measurements)
-	}
-	t.Render(w)
 	return nil
 }

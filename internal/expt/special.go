@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -18,7 +19,7 @@ var Table3Batches = []int{1, 32, 128}
 // Table3 reproduces the specialization study (Section 7.2): schedules
 // optimized for one batch size / device are executed under every other,
 // and the diagonal should win.
-func Table3(c Config, w io.Writer) error {
+func Table3(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 
 	// (1) Batch-size specialization on Inception V3.
@@ -31,7 +32,7 @@ func Table3(c Config, w io.Writer) error {
 	schedByBatch := make(map[int]*schedule.Schedule)
 	for _, b := range Table3Batches {
 		g := build(b)
-		res, err := core.Optimize(g, profile.New(c.Device), c.Opts)
+		res, err := core.OptimizeContext(ctx, g, profile.New(c.Device), c.Opts)
 		if err != nil {
 			return err
 		}
@@ -59,7 +60,7 @@ func Table3(c Config, w io.Writer) error {
 	schedByDev := make(map[string]*schedule.Schedule)
 	g := build(c.Batch)
 	for _, dev := range devices {
-		res, err := core.Optimize(g, profile.New(dev), c.Opts)
+		res, err := core.OptimizeContext(ctx, g, profile.New(dev), c.Opts)
 		if err != nil {
 			return err
 		}
@@ -106,13 +107,13 @@ func executeRebatched(s *schedule.Schedule, build models.Builder, batch int, dev
 // at batch 1 and at batch 32 (Section 7.2's qualitative study: the batch-32
 // schedule merges the 1x3/3x1 pair and uses more stages), then
 // cross-executes them.
-func Fig10(c Config, w io.Writer) error {
+func Fig10(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	batches := []int{1, 32}
 	scheds := make(map[int]*schedule.Schedule)
 	for _, b := range batches {
 		g := models.InceptionE(b)
-		res, err := core.Optimize(g, profile.New(c.Device), c.Opts)
+		res, err := core.OptimizeContext(ctx, g, profile.New(c.Device), c.Opts)
 		if err != nil {
 			return err
 		}

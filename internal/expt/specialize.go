@@ -19,22 +19,20 @@ import (
 // (concurrent per-batch searches sharing one structural measurement
 // cache). DiagonalWins asserts the paper's headline property: in every
 // column (execution batch), the specialized schedule is at least as fast
-// as any reused one. cmd/iosbench serializes these as
-// BENCH_specialize.json so successive PRs have a specialization baseline
-// to diff against.
+// as any reused one.
 type SpecializeRow struct {
-	Network string `json:"network"`
-	Ops     int    `json:"ops"`
-	Batches []int  `json:"batches"`
+	Network string
+	Ops     int
+	Batches []int
 	// LatencyMS[i][j] is the latency (ms) of the schedule optimized for
 	// Batches[i] executed at Batches[j]; Penalty[i][j] divides it by the
 	// column's specialized (diagonal) latency.
-	LatencyMS [][]float64 `json:"latency_ms"`
-	Penalty   [][]float64 `json:"penalty"`
+	LatencyMS [][]float64
+	Penalty   [][]float64
 	// DiagonalWins reports that every column's minimum sits on the
 	// diagonal (it must always be true; false indicates either a search
 	// or a measurement-consistency bug).
-	DiagonalWins bool `json:"diagonal_wins"`
+	DiagonalWins bool
 }
 
 // specializeNets returns the networks the specialization study sweeps:
@@ -50,7 +48,7 @@ func specializeNets(c Config) (names []string, builders []models.Builder) {
 
 // SpecializeRows runs the cross-batch specialization sweep. An empty
 // batches slice selects the paper's Table 3 set (1, 32, 128).
-func SpecializeRows(c Config, batches []int) ([]SpecializeRow, error) {
+func SpecializeRows(ctx context.Context, c Config, batches []int) ([]SpecializeRow, error) {
 	c = c.withDefaults()
 	if len(batches) == 0 {
 		batches = append([]int(nil), Table3Batches...)
@@ -62,8 +60,7 @@ func SpecializeRows(c Config, batches []int) ([]SpecializeRow, error) {
 		// every cross-measurement of the sweep deduplicates against it.
 		root := profile.New(c.Device)
 		root.SetMeasureCache(measure.NewCache())
-		//lint:ioslint-ignore ctxdiscipline experiment runners own their lifecycle; the Runner API is ctx-free by design
-		p, err := plan.Build(context.Background(), plan.BuildConfig{
+		p, err := plan.Build(ctx, plan.BuildConfig{
 			Graph:       build(1),
 			Batches:     batches,
 			Device:      c.Device.Name,
@@ -97,9 +94,10 @@ func SpecializeRows(c Config, batches []int) ([]SpecializeRow, error) {
 }
 
 // Specialize renders the SpecializeRows tables (experiment id
-// "specialize") at the paper's Table 3 batch set.
-func Specialize(c Config, w io.Writer) error {
-	rows, err := SpecializeRows(c, nil)
+// "specialize") at the paper's Table 3 batch set, and fails after
+// printing a network whose specialized schedule lost a column.
+func Specialize(ctx context.Context, c Config, w io.Writer) error {
+	rows, err := SpecializeRows(ctx, c, nil)
 	if err != nil {
 		return err
 	}
@@ -119,6 +117,9 @@ func Specialize(c Config, w io.Writer) error {
 		}
 		t.Render(w)
 		fmt.Fprintf(w, "(diagonal wins every column: %v)\n\n", r.DiagonalWins)
+		if !r.DiagonalWins {
+			return fmt.Errorf("expt: specialize %s: a reused schedule beat the specialized one (search or measurement-consistency bug)", r.Network)
+		}
 	}
 	return nil
 }

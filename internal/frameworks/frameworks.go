@@ -2,14 +2,14 @@
 // Sections 6.2, 7.3, and 7.4 — TensorFlow, TensorFlow-XLA, TASO,
 // TVM-cuDNN, TensorRT, and TVM-AutoTune — as combinations of a scheduling
 // policy, an engine-overhead profile, and kernel-quality factors on the
-// shared GPU simulator (see DESIGN.md §1 for the substitution argument).
-// All of them execute sequentially (no inter-operator parallelism); they
-// differ in dispatch overhead, operator fusion, graph substitutions, and
-// kernel code quality, which is exactly the axis the paper's comparisons
-// exercise.
+// shared GPU simulator. All of them execute sequentially (no
+// inter-operator parallelism); they differ in dispatch overhead, operator
+// fusion, graph substitutions, and kernel code quality, which is exactly
+// the axis the paper's comparisons exercise.
 package frameworks
 
 import (
+	"context"
 	"time"
 
 	"ios/internal/baseline"
@@ -138,15 +138,16 @@ type Measurement struct {
 // autotuned kernels — the paper's Section 7.4 future work).
 func (f Framework) ProfileOptions() profile.Options { return f.opts }
 
-// Measure runs the framework's policy on the graph and device.
-func (f Framework) Measure(g *graph.Graph, spec gpusim.Spec) (Measurement, error) {
+// Measure runs the framework's policy on the graph and device; ctx
+// cancels the merge-substitution search of the frameworks that run one.
+func (f Framework) Measure(ctx context.Context, g *graph.Graph, spec gpusim.Spec) (Measurement, error) {
 	prof := profile.NewWithOptions(spec, f.opts)
 	var (
 		sched *schedule.Schedule
 		err   error
 	)
 	if f.useMergeSubstitutions {
-		res, oerr := core.Optimize(g, prof, core.Options{Strategies: core.MergeOnly})
+		res, oerr := core.OptimizeContext(ctx, g, prof, core.Options{Strategies: core.MergeOnly})
 		if oerr != nil {
 			return Measurement{}, oerr
 		}

@@ -1,6 +1,7 @@
 package frameworks
 
 import (
+	"context"
 	"testing"
 
 	"ios/internal/core"
@@ -15,7 +16,7 @@ func TestFrameworkOrderingOnInception(t *testing.T) {
 	g := models.InceptionV3(1)
 	lat := map[string]float64{}
 	for _, f := range CuDNNBaselines() {
-		m, err := f.Measure(g, gpusim.TeslaV100)
+		m, err := f.Measure(context.Background(), g, gpusim.TeslaV100)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
@@ -31,7 +32,7 @@ func TestFrameworkOrderingOnInception(t *testing.T) {
 		t.Error("TensorRT should beat TensorFlow-XLA")
 	}
 	prof := profile.New(gpusim.TeslaV100)
-	res, err := core.Optimize(g, prof, core.Options{})
+	res, err := core.OptimizeContext(context.Background(), g, prof, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestTASOMergesButStaysSequential(t *testing.T) {
 	// TASO on the Figure 2 block can merge {a? no — a,c,d share input}:
 	// merge substitutions apply, but no stage may run concurrent groups.
 	g := models.Figure2Block(1)
-	m, err := TASO.Measure(g, gpusim.TeslaV100)
+	m, err := TASO.Measure(context.Background(), g, gpusim.TeslaV100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +75,12 @@ func TestAutoTuneWinsOnSepConvNets(t *testing.T) {
 	// Figure 12: TVM-AutoTune beats IOS on RandWire (separable convs
 	// dominate), and IOS beats TVM-AutoTune on Inception V3.
 	rw := models.RandWire(1)
-	mTVM, err := TVMAutoTune.Measure(rw, gpusim.TeslaV100)
+	mTVM, err := TVMAutoTune.Measure(context.Background(), rw, gpusim.TeslaV100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prof := profile.New(gpusim.TeslaV100)
-	res, err := core.Optimize(rw, prof, core.Options{})
+	res, err := core.OptimizeContext(context.Background(), rw, prof, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +93,12 @@ func TestAutoTuneWinsOnSepConvNets(t *testing.T) {
 	}
 
 	inc := models.InceptionV3(1)
-	mTVM2, err := TVMAutoTune.Measure(inc, gpusim.TeslaV100)
+	mTVM2, err := TVMAutoTune.Measure(context.Background(), inc, gpusim.TeslaV100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prof2 := profile.New(gpusim.TeslaV100)
-	res2, err := core.Optimize(inc, prof2, core.Options{})
+	res2, err := core.OptimizeContext(context.Background(), inc, prof2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,10 @@
 
 // Package gpusim simulates a CUDA-capable GPU executing kernels from
 // multiple streams. It is the repository's substitute for cuDNN on real
-// NVIDIA hardware (see DESIGN.md §1): a deterministic fluid
-// (processor-sharing) model in which each kernel carries the arithmetic
-// work, memory traffic, and thread-block count of the real operator, and
-// the device model captures the four effects IOS exploits:
+// NVIDIA hardware: a deterministic fluid (processor-sharing) model in
+// which each kernel carries the arithmetic work, memory traffic, and
+// thread-block count of the real operator, and the device model captures
+// the four effects IOS exploits:
 //
 //  1. a kernel with few thread blocks cannot occupy all streaming
 //     multiprocessors (SMs), so small-batch CNN operators under-utilize

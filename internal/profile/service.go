@@ -61,7 +61,7 @@ func (s *Service) Worker(i int) *Profiler { return s.workers[i] }
 func (s *Service) Root() *Profiler { return s.root }
 
 // Close folds every worker's measurement count into the root profiler so
-// callers that track search cost through the root (as core.Optimize does)
+// callers that track search cost through the root (as a core search does)
 // observe the same totals a single-threaded search would have produced.
 // Close is idempotent and must be called after all workers are quiescent.
 func (s *Service) Close() {

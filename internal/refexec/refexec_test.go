@@ -1,6 +1,7 @@
 package refexec
 
 import (
+	"context"
 	"testing"
 
 	"ios/internal/baseline"
@@ -86,7 +87,7 @@ func TestGreedyScheduleMatches(t *testing.T) {
 
 func TestIOSScheduleMatches(t *testing.T) {
 	g := smallFig2()
-	res, err := core.Optimize(g, profile.New(gpusim.TeslaV100), core.Options{})
+	res, err := core.OptimizeContext(context.Background(), g, profile.New(gpusim.TeslaV100), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestScheduleWithSepConvAndPool(t *testing.T) {
 	add := g.Add("add", a, p)
 	m := g.GlobalPool("gap", add)
 	g.Matmul("fc", m, 4)
-	res, err := core.Optimize(g, profile.New(gpusim.TeslaV100), core.Options{})
+	res, err := core.OptimizeContext(context.Background(), g, profile.New(gpusim.TeslaV100), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestSqueezeNetFireIOSchedule(t *testing.T) {
 	cat := g.Concat("cat", e1, e3)
 	byp := g.Conv("bypass", in, graph.ConvOpts{Out: 16, Kernel: 1, NoAct: true})
 	g.Add("out", cat, byp)
-	res, err := core.Optimize(g, profile.New(gpusim.TeslaV100), core.Options{})
+	res, err := core.OptimizeContext(context.Background(), g, profile.New(gpusim.TeslaV100), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestRandWireStageSchedule(t *testing.T) {
 	// RandWire is 224x224 — far too slow for the naive CPU conv — so
 	// this uses a tiny random-stage-like graph with the same op mix.)
 	g := tinyRandWire()
-	res, err := core.Optimize(g, profile.New(gpusim.TeslaV100), core.Options{})
+	res, err := core.OptimizeContext(context.Background(), g, profile.New(gpusim.TeslaV100), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

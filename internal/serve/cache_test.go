@@ -45,7 +45,7 @@ func TestCacheHitMiss(t *testing.T) {
 
 // TestCacheDeduplicatesConcurrentRequests is the serving layer's core
 // guarantee: N goroutines racing for the same (model, batch, device) key
-// trigger exactly one optimization run. The run is a real core.Optimize of
+// trigger exactly one optimization run. The run is a real core.OptimizeContext of
 // the paper's Figure-2 block, and the single-run assertion is made both on
 // the compute-call count and on the profiler measurement count embedded in
 // the shared entry's SearchStats (every caller sees the same stats because
@@ -60,7 +60,7 @@ func TestCacheDeduplicatesConcurrentRequests(t *testing.T) {
 		computeCalls.Add(1)
 		g := models.Figure2Block(1)
 		prof := profile.New(gpusim.TeslaV100)
-		res, err := core.Optimize(g, prof, core.Options{})
+		res, err := core.OptimizeContext(context.Background(), g, prof, core.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -354,7 +354,7 @@ func TestOptimizeUnboundedPruningIsHonored(t *testing.T) {
 	}
 	// The search must match a direct unpruned run, transition for
 	// transition.
-	direct, err := core.Optimize(models.Figure2Block(1), profile.New(gpusim.TeslaV100), core.Unpruned)
+	direct, err := core.OptimizeContext(context.Background(), models.Figure2Block(1), profile.New(gpusim.TeslaV100), core.Unpruned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestOptimizeUnboundedPruningIsHonored(t *testing.T) {
 	}
 	// And it must differ from the default-pruned search on a graph where
 	// the r=3 bound binds (fig2's 4-conv block admits 4-op endings).
-	pruned, err := core.Optimize(models.Figure2Block(1), profile.New(gpusim.TeslaV100), core.Options{})
+	pruned, err := core.OptimizeContext(context.Background(), models.Figure2Block(1), profile.New(gpusim.TeslaV100), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sfcache_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,7 +28,7 @@ func TestLoadAllocBudget(t *testing.T) {
 	for _, batch := range []int{1, 2, 4} {
 		prof := profile.New(gpusim.TeslaV100)
 		prof.SetMeasureCache(c)
-		if _, err := core.Optimize(models.RandWire(batch), prof, core.Options{}); err != nil {
+		if _, err := core.OptimizeContext(context.Background(), models.RandWire(batch), prof, core.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

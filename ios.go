@@ -10,7 +10,7 @@
 //   - a computation-graph builder (NewGraph and the Graph methods);
 //   - a model zoo with the paper's benchmarks (InceptionV3, RandWire,
 //     NasNetA, SqueezeNet) and auxiliary networks;
-//   - the scheduler itself (Optimize) plus the sequential and greedy
+//   - the scheduler itself (Engine.Optimize) plus the sequential and greedy
 //     baselines;
 //   - a calibrated GPU simulator standing in for cuDNN hardware
 //     (devices V100, K80, RTX2080Ti, ...), used both as the profiling
@@ -30,9 +30,7 @@
 // The Engine is the primary API: construct one per device with NewEngine
 // and functional options (WithWorkers, WithCache, WithMeasureCache,
 // WithProgress, WithBackend, WithNoPruning), then call its context-aware
-// methods. The
-// package-level Optimize/Measure/Throughput functions predate the Engine
-// and remain as deprecated wrappers over a fresh default Engine.
+// methods.
 package ios
 
 import (
@@ -117,29 +115,6 @@ func NewGraph(name string) *Graph { return graph.New(name) }
 // several Optimize calls to share its measurement cache.
 func NewProfiler(dev Device) *Profiler { return profile.New(dev) }
 
-// Optimize runs the IOS dynamic program on the graph for the given device
-// and returns the best schedule found together with search statistics.
-//
-// Deprecated: use NewEngine(dev).Optimize(ctx, g, opts), which is
-// cancellable and deadline-aware. This wrapper runs the identical search
-// under context.Background(). One behavioral difference from earlier
-// releases: options now pass Options.Validate, so pruning bounds below
-// -1 (previously treated as unbounded by accident) are rejected with an
-// error.
-func Optimize(g *Graph, dev Device, opts Options) (*Result, error) {
-	//lint:ioslint-ignore ctxdiscipline deprecated ctx-free wrapper kept for compatibility; callers migrate to Engine.Optimize
-	return NewEngine(dev).Optimize(context.Background(), g, opts)
-}
-
-// OptimizeWithProfiler is Optimize with a caller-provided (possibly
-// shared or noise-configured) profiler.
-//
-// Deprecated: use OptimizeWithProfilerContext, or an Engine with
-// WithBackend for custom measurement substrates.
-func OptimizeWithProfiler(g *Graph, prof *Profiler, opts Options) (*Result, error) {
-	return core.Optimize(g, prof, opts)
-}
-
 // OptimizeWithProfilerContext runs the search on a caller-provided
 // (possibly shared or noise-configured) profiler under a context.
 func OptimizeWithProfilerContext(ctx context.Context, g *Graph, prof *Profiler, opts Options) (*Result, error) {
@@ -160,25 +135,3 @@ func SequentialSchedule(g *Graph) (*Schedule, error) { return baseline.Sequentia
 // GreedySchedule returns the paper's greedy baseline: every ready operator
 // runs in the current stage.
 func GreedySchedule(g *Graph) (*Schedule, error) { return baseline.Greedy(g) }
-
-// Measure returns the end-to-end latency in seconds of executing the
-// schedule on the device. Like Engine.Measure it validates that the
-// schedule's stages reference nodes of g rather than silently re-wrapping
-// a schedule built for a different graph.
-//
-// Deprecated: use NewEngine(dev).Measure(ctx, g, s), which is
-// cancellable.
-func Measure(g *Graph, s *Schedule, dev Device) (float64, error) {
-	//lint:ioslint-ignore ctxdiscipline deprecated ctx-free wrapper kept for compatibility; callers migrate to Engine.Measure
-	return NewEngine(dev).Measure(context.Background(), g, s)
-}
-
-// Throughput returns images/second for the schedule at the graph's batch
-// size on the device.
-//
-// Deprecated: use NewEngine(dev).Throughput(ctx, g, s), which is
-// cancellable.
-func Throughput(g *Graph, s *Schedule, dev Device) (float64, error) {
-	//lint:ioslint-ignore ctxdiscipline deprecated ctx-free wrapper kept for compatibility; callers migrate to Engine.Throughput
-	return NewEngine(dev).Throughput(context.Background(), g, s)
-}

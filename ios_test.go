@@ -1,6 +1,7 @@
 package ios_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,15 +10,17 @@ import (
 
 func TestQuickstartFlow(t *testing.T) {
 	// The README quickstart, as a test: build, optimize, measure.
+	ctx := context.Background()
 	g := ios.Figure2Block(1)
-	res, err := ios.Optimize(g, ios.V100, ios.Options{})
+	eng := ios.NewEngine(ios.V100)
+	res, err := eng.Optimize(ctx, g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Schedule.NumStages() == 0 {
 		t.Fatal("empty schedule")
 	}
-	lat, err := ios.Measure(g, res.Schedule, ios.V100)
+	lat, err := eng.Measure(ctx, g, res.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +28,14 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqLat, err := ios.Measure(g, seq, ios.V100)
+	seqLat, err := eng.Measure(ctx, g, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lat >= seqLat {
 		t.Errorf("IOS (%g) not faster than sequential (%g)", lat, seqLat)
 	}
-	thr, err := ios.Throughput(g, res.Schedule, ios.V100)
+	thr, err := eng.Throughput(ctx, g, res.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func TestCustomGraphAPI(t *testing.T) {
 	a := g.Conv("a", in, ios.ConvOpts{Out: 32, Kernel: 3})
 	b := g.Conv("b", in, ios.ConvOpts{Out: 32, Kernel: 5})
 	g.Concat("out", a, b)
-	res, err := ios.Optimize(g, ios.RTX2080Ti, ios.Options{})
+	res, err := ios.NewEngine(ios.RTX2080Ti).Optimize(context.Background(), g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestExecuteVerifiesSchedules(t *testing.T) {
 	a := g.Conv("a", in, ios.ConvOpts{Out: 4, Kernel: 1})
 	b := g.Conv("b", in, ios.ConvOpts{Out: 4, Kernel: 3})
 	g.Concat("out", a, b)
-	res, err := ios.Optimize(g, ios.V100, ios.Options{})
+	res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +87,19 @@ func TestDeviceSpecialization(t *testing.T) {
 	// Table 3's premise through the public API: schedules differ or at
 	// least measure differently across devices.
 	g := ios.Figure2Block(1)
-	resV, err := ios.Optimize(g, ios.V100, ios.Options{})
+	resV, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resK, err := ios.Optimize(g, ios.K80, ios.Options{})
+	resK, err := ios.NewEngine(ios.K80).Optimize(context.Background(), g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	onV, err := ios.Measure(g, resV.Schedule, ios.V100)
+	onV, err := ios.NewEngine(ios.V100).Measure(context.Background(), g, resV.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossV, err := ios.Measure(g, resK.Schedule, ios.V100)
+	crossV, err := ios.NewEngine(ios.V100).Measure(context.Background(), g, resK.Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func TestStrategyVariants(t *testing.T) {
 		{"parallel", ios.Options{Strategies: ios.ParallelOnly}},
 		{"merge", ios.Options{Strategies: ios.MergeOnly}},
 	} {
-		res, err := ios.Optimize(g, ios.V100, s.set)
+		res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, s.set)
 		if err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
@@ -140,14 +143,14 @@ func TestStrategyVariants(t *testing.T) {
 func TestProfilerReuse(t *testing.T) {
 	prof := ios.NewProfiler(ios.V100)
 	g := ios.Figure2Block(1)
-	if _, err := ios.OptimizeWithProfiler(g, prof, ios.Options{}); err != nil {
+	if _, err := ios.OptimizeWithProfilerContext(context.Background(), g, prof, ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	m := prof.Measurements
 	// A second run over the same graph hits the shared cache; the DP's
 	// uncached fast path still measures, so just assert it works and the
 	// count advances monotonically.
-	if _, err := ios.OptimizeWithProfiler(g, prof, ios.Options{}); err != nil {
+	if _, err := ios.OptimizeWithProfilerContext(context.Background(), g, prof, ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if prof.Measurements < m {
@@ -163,7 +166,7 @@ func TestExecuteMergeSchedule(t *testing.T) {
 	a := g.Conv("a", in, ios.ConvOpts{Out: 4, Kernel: 1})
 	b := g.Conv("b", in, ios.ConvOpts{Out: 4, Kernel: 3})
 	g.Concat("out", a, b)
-	res, err := ios.Optimize(g, ios.V100, ios.Options{Strategies: ios.MergeOnly})
+	res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{Strategies: ios.MergeOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestExecuteMergeSchedule(t *testing.T) {
 
 func TestPruningOption(t *testing.T) {
 	g := ios.Figure2Block(1)
-	res, err := ios.Optimize(g, ios.V100, ios.Options{Pruning: ios.Pruning{R: 1, S: 2}})
+	res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{Pruning: ios.Pruning{R: 1, S: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

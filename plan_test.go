@@ -125,10 +125,6 @@ func TestMeasureCrossBatchError(t *testing.T) {
 	if _, err := eng.Throughput(ctx, g32, res.Schedule); err == nil {
 		t.Error("cross-batch Throughput succeeded")
 	}
-	// The deprecated wrapper inherits the check.
-	if _, err := ios.Measure(g32, res.Schedule, ios.V100); err == nil {
-		t.Error("deprecated cross-batch Measure succeeded")
-	}
 }
 
 // TestThroughputUnits pins the unit contract end to end: gpusim latencies
