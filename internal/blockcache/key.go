@@ -30,8 +30,8 @@
 package blockcache
 
 import (
-	"ios/internal/graph"
 	"ios/internal/gpusim"
+	"ios/internal/graph"
 	"ios/internal/measure"
 	"ios/internal/profile"
 )

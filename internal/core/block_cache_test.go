@@ -329,36 +329,3 @@ func TestBlockCachePersistCrossRestart(t *testing.T) {
 			res.Stats.States, res.Stats.Transitions, first.Stats.States, first.Stats.Transitions)
 	}
 }
-
-// TestBlockCacheNoisyProfilerBypasses: noisy searches draw from the
-// profiler's RNG per invocation and are not pure functions of block
-// structure — they must never read from or write to the shared block cache.
-func TestBlockCacheNoisyProfilerBypasses(t *testing.T) {
-	g := models.Figure2Block(1)
-	cache := blockcache.NewCache()
-	prof := v100Profiler()
-	prof.Noise, prof.Repeats = 0.05, 3
-	prof.SetSeed(7)
-	if _, err := OptimizeContext(context.Background(), g, prof, Options{}.WithBlockCache(cache)); err != nil {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if cache.Len() != 0 || st.Misses != 0 || st.Hits != 0 {
-		t.Fatalf("noisy search touched the block cache: %+v", st)
-	}
-
-	// A noisy profiler sharing a WARM cache must not read from it either.
-	if _, err := OptimizeContext(context.Background(), g, v100Profiler(), Options{}.WithBlockCache(cache)); err != nil {
-		t.Fatal(err)
-	}
-	warmHits := cache.Stats().Hits
-	noisy := v100Profiler()
-	noisy.Noise, noisy.Repeats = 0.05, 3
-	noisy.SetSeed(11)
-	if _, err := OptimizeContext(context.Background(), g, noisy, Options{}.WithBlockCache(cache)); err != nil {
-		t.Fatal(err)
-	}
-	if n := cache.Stats().Hits - warmHits; n != 0 {
-		t.Errorf("noisy search read %d schedules from the warm block cache", n)
-	}
-}

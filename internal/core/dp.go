@@ -88,7 +88,7 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 
 	// Blocks are independent subproblems; search them in parallel on
 	// forked profilers (same device model, shared immutable lowering,
-	// separate stage caches), each searcher reusing one scratch from block
+	// private simulators), each searcher reusing one scratch from block
 	// to block until this call returns. Results are deterministic
 	// regardless of interleaving.
 	type blockOut struct {
@@ -170,13 +170,13 @@ type choice struct {
 // (retained in dp_reference.go as the oracle the property tests compare
 // against) for any worker count.
 //
-// When a whole-block schedule cache is attached (Options.WithBlockCache)
-// and the profiler is noise-free, the block's canonical structural
-// fingerprint is consulted first: a hit rebinds the cached schedule onto
-// this block's nodes without running the search, a miss claims the
-// fingerprint (concurrent searches of the same structure wait for this
-// one) and publishes the result on success. A search that fails or is
-// cancelled abandons its claim so the fingerprint stays searchable.
+// When a whole-block schedule cache is attached (Options.WithBlockCache),
+// the block's canonical structural fingerprint is consulted first: a hit
+// rebinds the cached schedule onto this block's nodes without running the
+// search, a miss claims the fingerprint (concurrent searches of the same
+// structure wait for this one) and publishes the result on success. A
+// search that fails or is cancelled abandons its claim so the fingerprint
+// stays searchable.
 func OptimizeBlockContext(ctx context.Context, b *graph.Block, prof *profile.Profiler, opts Options) ([]schedule.Stage, Stats, error) {
 	return searchBlock(ctx, b, prof, opts, new(scratch))
 }
@@ -195,13 +195,9 @@ func searchBlock(ctx context.Context, b *graph.Block, prof *profile.Profiler, op
 	}
 	m0 := prof.Measurements
 
-	// The block cache is bypassed while Noise > 0: noisy searches draw
-	// from the profiler's RNG stream and are not pure functions of block
-	// structure (the measurement cache applies the same rule).
 	var claim *blockcache.Claim
-	var key []byte
-	if bc := opts.blockCache; bc != nil && prof.Noise <= 0 {
-		key = blockcache.Fingerprint(b, prof, opts.Fingerprint())
+	if bc := opts.blockCache; bc != nil {
+		key := blockcache.Fingerprint(b, prof, opts.Fingerprint())
 		ent, cl, err := bc.GetOrBegin(ctx.Done(), key)
 		if err != nil {
 			return nil, Stats{}, wrapCancelled(ctx.Err())

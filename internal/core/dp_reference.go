@@ -150,14 +150,14 @@ func (bs *refScheduler) generateStage(ending bitset.Set) (lat float64, strat sch
 	lConc, lMerge := math.Inf(1), math.Inf(1)
 	if concurrentAllowed {
 		st := schedule.Stage{Strategy: schedule.Concurrent, Groups: groups}
-		lConc, err = bs.prof.MeasureStageUncached(st)
+		lConc, err = bs.prof.MeasureStage(st)
 		if err != nil {
 			return 0, 0, false, err
 		}
 	}
 	if mergeAllowed {
 		st := schedule.Stage{Strategy: schedule.Merge, Groups: [][]*graph.Node{nodes}}
-		lMerge, err = bs.prof.MeasureStageUncached(st)
+		lMerge, err = bs.prof.MeasureStage(st)
 		if err != nil {
 			return 0, 0, false, err
 		}

@@ -21,7 +21,7 @@ package core
 //     only on cost[S − S'] for non-empty endings S', i.e. on strictly
 //     smaller levels, so all states of one level are independent and are
 //     processed in parallel across a pool of workers. Each worker owns a
-//     private simulator (via profile.Service) and an ending enumerator,
+//     private simulator (its own profiler) and an ending enumerator,
 //     and costs every (S, S') the moment the enumerator produces it —
 //     the enumeration runs exactly once per state and nothing about a
 //     transition is stored. Stage latencies are memoized in a sharded,
@@ -301,16 +301,12 @@ func (sc *scratch) acquire(n, shards int) {
 type engine struct {
 	b    *graph.Block
 	opts Options
-	svc  *profile.Service
 
 	// stageSync and solo feed the allocation-free serial-tail candidate:
 	// a serial chain's latency is the stage barrier plus the sum of its
-	// nodes' solo durations (see Profiler.MeasureSerialChain). noisy
-	// falls back to the measured path so the noise protocol still applies
-	// per candidate.
+	// nodes' solo durations (see Profiler.MeasureSerialChain).
 	stageSync float64
 	solo      []float64
-	noisy     bool
 
 	*scratch // the stage memo, the state space and its cost tables
 
@@ -343,10 +339,8 @@ type engineWorker struct {
 	best       float64
 	bestChoice choice
 	onEnding   endingFunc
-	// Fixed-capacity (bitset.MaxElems) measurement scratch: nodeBuf for
-	// the noisy serial-tail path, groupSets/stageNodes/groupArena/
-	// groupLists for stage setup in measureStage.
-	nodeBuf    []*graph.Node
+	// Fixed-capacity (bitset.MaxElems) measurement scratch for stage setup
+	// in measureStage.
 	groupSets  [bitset.MaxElems]bitset.Set
 	stageNodes []*graph.Node
 	groupArena []*graph.Node
@@ -358,16 +352,16 @@ type engineWorker struct {
 // search costs less than the engine's parallel setup (worker forks with
 // private simulators, extra memo shards), which PERF.md measured as a
 // ~0.9× regression on SqueezeNet; a serial engine skips all of it — no
-// fork (the service drives the root profiler directly), one shard, inline
-// level loops. Results are bit-identical at every worker count, so this
-// is purely an execution heuristic.
+// fork (worker 0 drives the profiler the engine was handed), one shard,
+// inline level loops. Results are bit-identical at every worker count, so
+// this is purely an execution heuristic.
 const smallBlockOps = 8
 
-// newEngine builds the engine over sc, which it empties, and its
-// measurement service: the passed profiler prelowers the block's nodes
-// (and computes their solo durations), then each worker forks from it,
-// sharing those immutable tables (a single-worker engine skips the fork
-// and drives the profiler directly).
+// newEngine builds the engine over sc, which it empties, and its worker
+// pool: the passed profiler prelowers the block's nodes (and computes their
+// solo durations, counted on it exactly as lazy computation would have
+// been), worker 0 drives it and every other worker a fork of it, sharing
+// those immutable tables — so a serial engine forks nothing.
 func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch) *engine {
 	e := &engine{b: b, opts: opts, prog: opts.tracker, scratch: sc}
 	workers := opts.effectiveWorkers()
@@ -380,21 +374,13 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch
 	if len(b.Nodes) <= smallBlockOps {
 		workers = 1
 	}
-	// Measurement noise draws from per-worker RNG streams, so which
-	// worker measures an ending would make noisy results racy; a single
-	// worker keeps them deterministic per seed (noise is an ablation
-	// feature — search speed is irrelevant there).
-	if prof.Noise > 0 {
-		workers = 1
-	}
-	e.svc = profile.NewService(prof, b.Nodes, workers)
+	prof.Prelower(b.Nodes)
 	e.stageSync = prof.Spec().StageSync
-	e.noisy = prof.Noise > 0
 	e.solo = make([]float64, len(b.Nodes))
 	for i, n := range b.Nodes {
-		e.solo[i] = prof.SoloDuration(n) // cached by the service's prelower
+		e.solo[i] = prof.SoloDuration(n) // cached by the prelower
 	}
-	e.workers = make([]*engineWorker, e.svc.Workers())
+	e.workers = make([]*engineWorker, workers)
 	shards := 1
 	if len(e.workers) > 1 {
 		for shards < 4*len(e.workers) && shards < stageShardCount {
@@ -403,9 +389,13 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch
 	}
 	sc.acquire(len(b.Nodes), shards)
 	for i := range e.workers {
+		wp := prof
+		if i > 0 {
+			wp = prof.Fork()
+		}
 		w := &engineWorker{
 			e:          e,
-			prof:       e.svc.Worker(i),
+			prof:       wp,
 			stageNodes: make([]*graph.Node, 0, bitset.MaxElems),
 			groupArena: make([]*graph.Node, 0, bitset.MaxElems),
 			groupLists: make([][]*graph.Node, 0, bitset.MaxElems),
@@ -416,9 +406,15 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch
 	return e
 }
 
-// close releases the measurement service, folding worker measurement
-// counts back into the profiler the engine was built from.
-func (e *engine) close() { e.svc.Close() }
+// close folds the forked workers' measurement counts back into the
+// profiler the engine was built from, so a caller tracking search cost
+// through it sees the totals a single-threaded search would have produced.
+// Call once, after all workers are quiescent.
+func (e *engine) close() {
+	for _, w := range e.workers[1:] {
+		e.workers[0].prof.Measurements += w.prof.Measurements
+	}
+}
 
 // run executes both passes and reconstructs the block's stage list. The
 // context is observed through the engine's stop flag — an AfterFunc flips
@@ -636,17 +632,9 @@ func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
 
 // serialLatency is the serial-tail candidate's latency: barrier plus the
 // per-node solo durations, summed in topological order (bit-identical to
-// Profiler.MeasureSerialChain, which the noisy path still uses so the
-// median-of-k noise protocol applies per candidate).
+// Profiler.MeasureSerialChain, which the reference recursion calls).
 func (w *engineWorker) serialLatency(s bitset.Set) float64 {
 	e := w.e
-	if e.noisy {
-		w.nodeBuf = w.nodeBuf[:0]
-		for i := s.NextAfter(-1); i >= 0; i = s.NextAfter(i) {
-			w.nodeBuf = append(w.nodeBuf, e.b.Nodes[i])
-		}
-		return w.prof.MeasureSerialChain(w.nodeBuf)
-	}
 	total := e.stageSync
 	for i := s.NextAfter(-1); i >= 0; i = s.NextAfter(i) {
 		total += e.solo[i]
@@ -747,7 +735,7 @@ func (e *engine) measureStage(w *engineWorker, ending bitset.Set, comps []bitset
 // measure runs one stage measurement. A backend answering NaN, ±Inf or a
 // negative latency has failed: its bits would read as merged or no latency.
 func (w *engineWorker) measure(ending bitset.Set, st schedule.Stage) (float64, error) {
-	lat, err := w.prof.MeasureStageUncached(st)
+	lat, err := w.prof.MeasureStage(st)
 	if err == nil && math.Float64bits(lat) >= stageInfeasible {
 		err = fmt.Errorf("ending %v of block %d (%s): backend measured an invalid latency %v", ending, w.e.b.Index, st.Strategy, lat)
 	}

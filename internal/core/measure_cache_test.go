@@ -8,7 +8,6 @@ import (
 	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/profile"
-	"ios/internal/schedule"
 )
 
 // cachedProfiler returns a V100 profiler attached to the given structural
@@ -158,45 +157,5 @@ func TestMeasureCacheSharedAcrossSearches(t *testing.T) {
 	}
 	if par.Schedule.String() != res.Schedule.String() {
 		t.Error("warm parallel search returned a different schedule")
-	}
-}
-
-// TestMeasureCacheNoisyProfilerBypasses: noisy measurements draw from the
-// profiler's RNG per invocation and must never be served from (or stored
-// in) the structural cache.
-func TestMeasureCacheNoisyProfilerBypasses(t *testing.T) {
-	g := models.Figure2Block(1)
-	cache := measure.NewCache()
-	prof := cachedProfiler(cache)
-	prof.Noise, prof.Repeats = 0.05, 3
-	prof.SetSeed(7)
-	if _, err := OptimizeContext(context.Background(), g, prof, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if n := cache.Len(); n != 0 {
-		t.Fatalf("noisy search stored %d entries in the structural cache", n)
-	}
-
-	// And a noisy profiler sharing a warm cache must not read from it:
-	// same seed => same noisy results as a cache-less noisy profiler.
-	warm := measure.NewCache()
-	if _, err := OptimizeContext(context.Background(), g, cachedProfiler(warm), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	mkNoisy := func(c *measure.Cache) *schedule.Schedule {
-		p := profile.New(gpusim.TeslaV100)
-		if c != nil {
-			p.SetMeasureCache(c)
-		}
-		p.Noise, p.Repeats = 0.05, 3
-		p.SetSeed(11)
-		res, err := OptimizeContext(context.Background(), g, p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Schedule
-	}
-	if mkNoisy(warm).String() != mkNoisy(nil).String() {
-		t.Error("noisy search read latencies from the warm structural cache")
 	}
 }

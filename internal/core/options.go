@@ -145,10 +145,8 @@ type Options struct {
 	// Workers caps the per-block DP engine's worker pool (goroutines with
 	// private simulators processing one cardinality level's states in
 	// parallel). 0 or negative means GOMAXPROCS; the engine additionally
-	// caps the pool at the block's operator count, and forces one worker
-	// when the profiler has measurement noise enabled (noisy draws are
-	// order-dependent, so a single worker keeps them deterministic per
-	// seed). Workers is an execution knob, not a search-space knob: the
+	// caps the pool at the block's operator count and runs small blocks on
+	// one worker. Workers is an execution knob, not a search-space knob: the
 	// engine produces bit-identical schedules, costs, and search
 	// statistics at every setting, which is why Fingerprint deliberately
 	// excludes it (cached schedules are shared across worker counts).
@@ -179,11 +177,7 @@ type Options struct {
 // bit-identical to what the search would have produced; a hit reports the
 // entry's recorded States and Transitions as its search cost, so
 // statistics stay comparable across cached and uncached runs, while
-// Measurements always counts actual simulator invocations.
-//
-// The cache is bypassed while the profiler has measurement noise enabled
-// (noisy searches are not pure functions of block structure), matching the
-// measurement cache's convention. nil detaches.
+// Measurements always counts actual simulator invocations. nil detaches.
 func (o Options) WithBlockCache(c *blockcache.Cache) Options {
 	o.blockCache = c
 	return o

@@ -92,9 +92,9 @@ type lockEvents struct {
 // goroleak: a linear, branch-local interpretation of each function body
 // tracking which struct-field mutexes are held at each statement.
 type lockAnalysis struct {
-	pass   *Pass
-	index  map[*types.Func]*ast.FuncDecl
-	sums   map[*types.Func]*lockSummary
+	pass  *Pass
+	index map[*types.Func]*ast.FuncDecl
+	sums  map[*types.Func]*lockSummary
 	// localFns resolves variables assigned function literals, so calling
 	// a local closure is analyzed by its body instead of treated as an
 	// opaque (assumed-blocking) hook.

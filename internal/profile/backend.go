@@ -47,6 +47,6 @@ type simBackend struct {
 	sim *gpusim.Sim
 }
 
-func (b *simBackend) Spec() gpusim.Spec                       { return b.sim.Spec() }
+func (b *simBackend) Spec() gpusim.Spec                         { return b.sim.Spec() }
 func (b *simBackend) Run(streams []gpusim.Stream) gpusim.Result { return b.sim.Run(streams) }
-func (b *simBackend) Fork() Backend                           { return &simBackend{sim: gpusim.New(b.sim.Spec())} }
+func (b *simBackend) Fork() Backend                             { return &simBackend{sim: gpusim.New(b.sim.Spec())} }

@@ -68,7 +68,7 @@ func TestCustomBackendIsPluggable(t *testing.T) {
 	// Forks keep measuring through the same (shared-counter) backend.
 	before := *cb.runs
 	fork := custom.Fork()
-	if _, err := fork.MeasureStageUncached(stage(nodes[0])); err != nil {
+	if _, err := fork.MeasureStage(stage(nodes[0])); err != nil {
 		t.Fatal(err)
 	}
 	if *cb.runs != before+1 {

@@ -74,7 +74,7 @@ func randomStage(rng *rand.Rand, nodes []*graph.Node) schedule.Stage {
 
 // TestFingerprintSoundnessRandomDAGs is the property the whole cache
 // rests on: any two stages with equal fingerprints have bit-identical
-// MeasureStageUncached latencies — across different random graphs, node
+// MeasureStage latencies — across different random graphs, node
 // identities, and group orders.
 func TestFingerprintSoundnessRandomDAGs(t *testing.T) {
 	seen := map[string]float64{}  // fingerprint -> uncached latency
@@ -90,7 +90,7 @@ func TestFingerprintSoundnessRandomDAGs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lat, err := prof.MeasureStageUncached(canonicalStage(st))
+			lat, err := prof.MeasureStage(st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestFingerprintCollisionResistanceZoo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lat, err := prof.MeasureStageUncached(canonicalStage(st))
+				lat, err := prof.MeasureStage(st)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,7 +180,7 @@ func TestMeasureCacheSharedAcrossForks(t *testing.T) {
 	if p.MeasureCache() != cache {
 		t.Fatal("MeasureCache accessor lost the cache")
 	}
-	l1, err := p.MeasureStageUncached(st(g1))
+	l1, err := p.MeasureStage(st(g1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestMeasureCacheSharedAcrossForks(t *testing.T) {
 	if f.MeasureCache() != cache {
 		t.Fatal("fork dropped the measurement cache")
 	}
-	l2, err := f.MeasureStageUncached(st(g2)) // different node values, same structure
+	l2, err := f.MeasureStage(st(g2)) // different node values, same structure
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,42 +203,8 @@ func TestMeasureCacheSharedAcrossForks(t *testing.T) {
 	}
 }
 
-// TestNoisyMemoKeepsNodeIdentity: under measurement noise the stage memo
-// must NOT share entries across structurally identical stages of
-// different nodes — each distinct-node stage draws its own noise, as it
-// always has (the structural key applies only to noise-free
-// measurements).
-func TestNoisyMemoKeepsNodeIdentity(t *testing.T) {
-	g := graph.New("twins")
-	in := g.Input("in", graph.Shape{N: 1, C: 8, H: 8, W: 8})
-	a := g.Conv("a", in, graph.ConvOpts{Out: 8, Kernel: 3})
-	b := g.Conv("b", in, graph.ConvOpts{Out: 8, Kernel: 3}) // structurally identical to a
-	p := New(gpusim.TeslaV100)
-	p.Noise, p.Repeats = 0.05, 1
-	p.SetSeed(3)
-	la, err := p.MeasureStage(schedule.Stage{Strategy: schedule.Concurrent, Groups: [][]*graph.Node{{a}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := p.MeasureStage(schedule.Stage{Strategy: schedule.Concurrent, Groups: [][]*graph.Node{{b}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la == lb {
-		t.Fatal("structurally identical stages of different nodes shared one noisy draw")
-	}
-	// Repeating the SAME stage stays memoized (no fresh draw).
-	la2, err := p.MeasureStage(schedule.Stage{Strategy: schedule.Concurrent, Groups: [][]*graph.Node{{a}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la2 != la {
-		t.Fatal("repeated noisy stage was re-drawn instead of served from the memo")
-	}
-}
-
-// TestMeasureStageUsesSharedCache: the stage memo path feeds the shared
-// cache too, and a second profiler (no memo overlap) reuses its entries.
+// TestMeasureStageUsesSharedCache: stage measurements feed the shared
+// cache, and a second profiler reuses its entries.
 func TestMeasureStageUsesSharedCache(t *testing.T) {
 	g := models.SqueezeNet(1)
 	s, err := baseline.Sequential(g)

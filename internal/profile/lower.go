@@ -1,10 +1,12 @@
 // Package profile is the latency oracle behind IOS's profile-based
-// scheduling: it lowers schedule-unit operators to GPU kernels, executes
-// stages on the gpusim device model, and memoizes the results. The paper's
-// GENERATESTAGE "directly measures the latencies of both parallelization
-// strategies on the hardware"; here the hardware is the simulator, but the
-// interface — ask for the latency of a stage under a strategy, get a
-// number — is identical, so the scheduler above it is unchanged.
+// scheduling: it lowers schedule-unit operators to GPU kernels and executes
+// stages on the gpusim device model — a deterministic function of the
+// stage's lowered stream programs, which is what lets internal/measure
+// cache it. The paper's GENERATESTAGE "directly measures the latencies of
+// both parallelization strategies on the hardware"; here the hardware is
+// the simulator, but the interface — ask for the latency of a stage under
+// a strategy, get a number — is identical, so the scheduler above it is
+// unchanged.
 package profile
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"ios/internal/gpusim"
 	"ios/internal/graph"
+	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/schedule"
 )
@@ -167,34 +168,41 @@ func TestMergedKernelSplitCost(t *testing.T) {
 	}
 }
 
+// TestMeasureStageCaching: a measurement is a pure function of the stage.
+// The same stage measured twice on one profiler, on a fork of it, with its
+// groups permuted, and with or without an attached measure.Cache returns
+// identical bits; the cache is the only memo, and with it attached the
+// backend runs once.
 func TestMeasureStageCaching(t *testing.T) {
-	g, n := fig2Nodes(t)
-	_ = g
-	p := New(gpusim.TeslaV100)
+	_, n := fig2Nodes(t)
 	st := schedule.Stage{Strategy: schedule.Concurrent, Groups: [][]*graph.Node{{n["a"]}, {n["d"]}}}
-	l1, err := p.MeasureStage(st)
-	if err != nil {
-		t.Fatal(err)
+	permuted := schedule.Stage{Strategy: schedule.Concurrent, Groups: [][]*graph.Node{{n["d"]}, {n["a"]}}}
+	lat := func(p *Profiler, st schedule.Stage) float64 {
+		t.Helper()
+		l, err := p.MeasureStage(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
 	}
-	m := p.Measurements
-	l2, err := p.MeasureStage(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Measurements != m {
-		t.Error("cache miss on repeated stage")
-	}
-	if l1 != l2 {
-		t.Error("cached measurement differs")
-	}
-	// Group order must not matter for the cache key.
-	st2 := schedule.Stage{Strategy: schedule.Concurrent, Groups: [][]*graph.Node{{n["d"]}, {n["a"]}}}
-	l3, err := p.MeasureStage(st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Measurements != m || l3 != l1 {
-		t.Error("group order changed the cache key")
+
+	bare := New(gpusim.TeslaV100)
+	want := lat(bare, st)
+	cached := New(gpusim.TeslaV100)
+	cached.SetMeasureCache(measure.NewCache())
+	for _, c := range []struct {
+		p    *Profiler
+		runs int // of the backend: once per call without a cache (want's included), once in all with it
+	}{{bare, 6}, {cached, 1}} {
+		p, fork := c.p, c.p.Fork()
+		for i, got := range []float64{lat(p, st), lat(p, st), lat(p, permuted), lat(fork, st), lat(fork, permuted)} {
+			if got != want {
+				t.Errorf("measurement %d = %v, want %v (cache attached: %v)", i, got, want, p.MeasureCache() != nil)
+			}
+		}
+		if runs := p.Measurements + fork.Measurements; runs != c.runs {
+			t.Errorf("backend ran %d times, want %d (cache attached: %v)", runs, c.runs, p.MeasureCache() != nil)
+		}
 	}
 }
 
@@ -217,38 +225,6 @@ func TestConcurrentFasterThanSerialHere(t *testing.T) {
 	// win.
 	if conc >= serial {
 		t.Errorf("concurrent %g not faster than serial %g at batch 1", conc, serial)
-	}
-}
-
-func TestNoiseMedianIsDeterministicPerSeed(t *testing.T) {
-	g, n := fig2Nodes(t)
-	_ = g
-	st := schedule.Stage{Strategy: schedule.Concurrent, Groups: [][]*graph.Node{{n["a"]}}}
-	mk := func(seed int64) float64 {
-		p := New(gpusim.TeslaV100)
-		p.Noise, p.Repeats = 0.05, 5
-		p.SetSeed(seed)
-		l, err := p.MeasureStage(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	if mk(1) != mk(1) {
-		t.Error("same seed produced different noisy measurements")
-	}
-	if mk(1) == mk(2) {
-		t.Error("different seeds produced identical noise")
-	}
-	// Noise stays within bounds.
-	p := New(gpusim.TeslaV100)
-	clean, err := p.MeasureStage(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy := mk(3)
-	if math.Abs(noisy-clean)/clean > 0.05 {
-		t.Errorf("noise out of bounds: %g vs %g", noisy, clean)
 	}
 }
 
@@ -315,11 +291,7 @@ func TestTraceScheduleProducesWarpActivity(t *testing.T) {
 
 func TestForkIsolation(t *testing.T) {
 	p := New(gpusim.TeslaV100)
-	p.Noise, p.Repeats = 0.1, 3
 	f := p.Fork()
-	if f.Noise != p.Noise || f.Repeats != p.Repeats {
-		t.Error("fork lost noise settings")
-	}
 	if f.Spec().Name != p.Spec().Name {
 		t.Error("fork changed device")
 	}
@@ -342,7 +314,7 @@ func TestMeasureSerialChainMatchesStage(t *testing.T) {
 	p := New(gpusim.TeslaV100)
 	chain := []*graph.Node{n["a"], n["b"], n["c"], n["d"], n["concat"]}
 	fast := p.MeasureSerialChain(chain)
-	slow, err := p.MeasureStageUncached(schedule.Stage{
+	slow, err := p.MeasureStage(schedule.Stage{
 		Strategy: schedule.Concurrent,
 		Groups:   [][]*graph.Node{chain},
 	})

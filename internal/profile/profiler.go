@@ -1,8 +1,6 @@
 package profile
 
 import (
-	"encoding/binary"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -13,32 +11,22 @@ import (
 )
 
 // Profiler measures stage and schedule latencies on a measurement Backend
-// (by default the calibrated GPU simulator). It memoizes stage
-// measurements (the dynamic program queries the same stage under many
-// states) and can optionally add seeded measurement noise with a
-// median-of-k protocol, mimicking real profiling.
+// (by default the calibrated GPU simulator). A measurement is a pure
+// function of the stage's lowered stream programs on the profiled device:
+// the profiler itself memoizes only per-node lowering and solo durations,
+// and repeated stages are deduplicated by the attached measure.Cache, if
+// any (see SetMeasureCache). Measurement jitter, if ever wanted, is a
+// Backend whose Run perturbs its own result.
 type Profiler struct {
 	backend Backend
 	opts    Options
 
-	// Noise is the relative half-width of uniform measurement noise
-	// (0 disables). Repeats > 1 takes the median of that many draws.
-	Noise   float64
-	Repeats int
-	// rng is allocated lazily: seeding a rand source costs microseconds,
-	// which a noise-free search pays once per profiler fork otherwise.
-	rng *rand.Rand
-
-	// cache memoizes MeasureStage by the stage's canonical binary
-	// measurement key (see measure.AppendStreams): structurally identical
-	// stages share one entry regardless of node identity or group order.
-	cache map[string]float64
 	// mcache, when non-nil, is a shared structural measurement cache
 	// consulted by every simulator invocation (stage and solo-duration
-	// measurements alike). Forks share the pointer, so all DP workers of
-	// one search — and, via Engine/serve wiring, all searches in a
-	// process — deduplicate against one table. Disabled while Noise > 0:
-	// noisy draws are per-measurement random, not pure stage functions.
+	// measurements alike) — the only stage memo below the DP engine's
+	// per-block ending table. Forks share the pointer, so all DP workers
+	// of one search — and, via Engine/serve wiring, all searches in a
+	// process — deduplicate against one table.
 	mcache *measure.Cache
 	// ctxKey is the lazily built measurement-context key prefix (device
 	// model + dispatch overhead); keyBuf is reusable key scratch.
@@ -68,8 +56,7 @@ type Profiler struct {
 	// analogue of on-device measurements the paper's search cost tracks.
 	Measurements int
 
-	// Stream-building scratch for the uncached measurement path (the DP's
-	// hot loop); see stageStreamsPooled.
+	// Stream-building scratch; see stageStreamsPooled.
 	streamBuf     []gpusim.Stream
 	streamKernels [][]gpusim.Kernel
 }
@@ -97,7 +84,6 @@ func NewWithBackend(b Backend, opts Options) *Profiler {
 	return &Profiler{
 		backend: b,
 		opts:    opts,
-		cache:   make(map[string]float64),
 		lowered: make(map[int][]gpusim.Kernel),
 		solo:    make(map[int]float64),
 	}
@@ -112,9 +98,6 @@ func (p *Profiler) Backend() Backend { return p.backend }
 // Options returns the lowering options in use.
 func (p *Profiler) Options() Options { return p.opts }
 
-// SetSeed reseeds the measurement-noise generator.
-func (p *Profiler) SetSeed(seed int64) { p.rng = rand.New(rand.NewSource(seed)) }
-
 // SetMeasureCache attaches a shared structural measurement cache: every
 // simulator invocation first consults (and on a miss fills) c, keyed by
 // the canonical fingerprint of the exact stream programs being executed
@@ -123,9 +106,6 @@ func (p *Profiler) SetSeed(seed int64) { p.rng = rand.New(rand.NewSource(seed)) 
 // Measurements drops. The cache is concurrency-safe and survives this
 // profiler: share one instance across profilers, searches, and servers to
 // amortize repeated structure (nil detaches). Forks inherit the cache.
-//
-// The cache is bypassed while Noise > 0: noisy measurements draw from the
-// profiler's RNG stream per invocation and are not pure stage functions.
 func (p *Profiler) SetMeasureCache(c *measure.Cache) { p.mcache = c }
 
 // MeasureCache returns the attached structural measurement cache (nil if
@@ -142,21 +122,12 @@ func (p *Profiler) contextKey() []byte {
 	return p.ctxKey
 }
 
-// rand returns the noise generator, seeding it on first use.
-func (p *Profiler) rand() *rand.Rand {
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(1))
-	}
-	return p.rng
-}
-
 // Fork returns an independent profiler with the same device and options
-// but its own simulator, stage cache, and noise stream, so searches can
-// run on separate goroutines. The parent's lowered-kernel and solo
-// -duration tables — pure, node-immutable data — are frozen and shared
-// with the fork read-only, so forks never re-lower nodes the parent (or a
-// Prelower call) has already processed. Measurement counts accumulate per
-// fork; callers sum them.
+// but its own simulator and scratch, so searches can run on separate
+// goroutines. The parent's lowered-kernel and solo-duration tables — pure,
+// node-immutable data — are frozen and shared with the fork read-only, so
+// forks never re-lower nodes the parent (or a Prelower call) has already
+// processed. Measurement counts accumulate per fork; callers sum them.
 //
 // Fork synchronizes with concurrent Fork calls but not with in-flight
 // measurements on the same profiler; quiesce the parent before forking.
@@ -177,15 +148,12 @@ func (p *Profiler) Fork() *Profiler {
 		// NewWithOptions would wrongly apply a second time.
 		backend:     backend,
 		opts:        p.opts,
-		cache:       make(map[string]float64),
 		mcache:      p.mcache,
 		ctxKey:      p.ctxKey, // immutable once built; nil rebuilds lazily
 		baseLowered: base,
 		baseSolo:    baseSolo,
 		lowered:     make(map[int][]gpusim.Kernel),
 		solo:        make(map[int]float64),
-		Noise:       p.Noise,
-		Repeats:     p.Repeats,
 	}
 	return f
 }
@@ -331,114 +299,20 @@ func (p *Profiler) stageStreamsPooled(st schedule.Stage) ([]gpusim.Stream, error
 	return streams, nil
 }
 
-// StageStreams lowers a stage to per-stream kernel programs.
-func (p *Profiler) StageStreams(st schedule.Stage) ([]gpusim.Stream, error) {
-	if st.Strategy == schedule.Merge {
-		kernels, err := MergedKernels(st.Ops(), p.opts)
-		if err != nil {
-			return nil, err
-		}
-		return []gpusim.Stream{kernels}, nil
-	}
-	streams := make([]gpusim.Stream, 0, len(st.Groups))
-	for _, grp := range st.Groups {
-		var s gpusim.Stream
-		for _, n := range grp {
-			s = append(s, p.lowerNode(n)...)
-		}
-		if len(s) > 0 {
-			streams = append(streams, s)
-		}
-	}
-	if len(streams) == 0 {
-		// A stage of only free ops (identities) still pays the barrier;
-		// emit no streams.
-		return nil, nil
-	}
-	return streams, nil
-}
-
 // MeasureStage returns the latency of one stage in seconds, including the
-// stage synchronization barrier. Results are memoized by the stage's
-// canonical measurement key — the lowered per-stream kernel signatures
-// with group order normalized — so structurally identical stages share
-// one entry regardless of node identity, and the key costs a binary
-// append into reusable scratch instead of the old per-call string build.
+// stage synchronization barrier: the stage, group order normalized, is
+// lowered into per-profiler scratch (the simulator does not retain stream
+// programs, so even the DP's hundreds of thousands of measurements produce
+// no stream garbage) and run once. Structurally identical stages — whatever
+// their node identity or group order — lower to the same programs and so
+// measure identically; the attached measure.Cache, if any, makes the
+// repeats free.
 func (p *Profiler) MeasureStage(st schedule.Stage) (float64, error) {
-	st = canonicalStage(st)
-	streams, err := p.stageStreamsPooled(st)
+	streams, err := p.stageStreamsPooled(canonicalStage(st))
 	if err != nil {
 		return 0, err
 	}
-	key := p.stageMeasureKey(streams)
-	if p.Noise > 0 {
-		// Noisy draws are per-measurement random, not pure stage
-		// functions: keep the memo at its historical node-identity
-		// granularity so structurally identical stages of different
-		// nodes still draw independent noise (ablation experiments
-		// depend on that variance).
-		key = appendStageIdentity(key, st)
-		p.keyBuf = key
-	}
-	if v, ok := p.cache[string(key)]; ok { // no-copy map lookup
-		return v, nil
-	}
-	lat := p.applyNoise(p.runOnce(streams))
-	p.cache[string(key)] = lat
-	return lat, nil
-}
-
-// appendStageIdentity appends the stage's node-identity structure
-// (strategy plus per-group node IDs) to a memo key; used only on the
-// noisy path, where structural sharing would collapse independent noise
-// draws.
-func appendStageIdentity(key []byte, st schedule.Stage) []byte {
-	key = append(key, byte(st.Strategy))
-	key = binary.AppendUvarint(key, uint64(len(st.Groups)))
-	for _, grp := range st.Groups {
-		key = binary.AppendUvarint(key, uint64(len(grp)))
-		for _, n := range grp {
-			key = binary.AppendUvarint(key, uint64(n.ID))
-		}
-	}
-	return key
-}
-
-// MeasureStageUncached measures a stage without consulting or filling the
-// profiler's stage memo (the shared structural cache installed with
-// SetMeasureCache, if any, still applies at the simulator-invocation
-// level). The IOS dynamic program uses this path because it holds its own
-// per-block memo keyed by operator bitmask, which makes the stage memo
-// pure overhead on the search's hot loop. Stream programs are built in
-// per-profiler scratch (the simulator does not retain them), so the
-// search's hundreds of thousands of measurements produce no stream
-// garbage; use StageStreams to obtain streams a caller may keep.
-func (p *Profiler) MeasureStageUncached(st schedule.Stage) (float64, error) {
-	streams, err := p.stageStreamsPooled(st)
-	if err != nil {
-		return 0, err
-	}
-	return p.applyNoise(p.runOnce(streams)), nil
-}
-
-// applyNoise runs the median-of-k measurement-noise protocol on a clean
-// latency (identity when Noise is 0).
-func (p *Profiler) applyNoise(lat float64) float64 {
-	if p.Noise <= 0 {
-		return lat
-	}
-	n := p.Repeats
-	if n < 1 {
-		n = 1
-	}
-	rng := p.rand()
-	draws := make([]float64, n)
-	for i := range draws {
-		eps := (rng.Float64()*2 - 1) * p.Noise
-		draws[i] = lat * (1 + eps)
-	}
-	sort.Float64s(draws)
-	return draws[n/2]
+	return p.runOnce(streams), nil
 }
 
 // runOnce measures one stage execution: the stage barrier plus, for
@@ -461,7 +335,7 @@ func (p *Profiler) runOnce(streams []gpusim.Stream) float64 {
 // for one fingerprint — e.g. two DP workers reaching the same repeated
 // cell structure — coalesce into a single simulation.
 func (p *Profiler) runStreams(streams []gpusim.Stream) float64 {
-	if p.mcache == nil || p.Noise > 0 {
+	if p.mcache == nil {
 		p.Measurements++
 		return p.backend.Run(p.applyExtraOverhead(streams)).Latency
 	}
@@ -523,7 +397,7 @@ func (p *Profiler) MeasureSerialChain(nodes []*graph.Node) float64 {
 	for _, n := range nodes {
 		total += p.SoloDuration(n)
 	}
-	return p.applyNoise(total)
+	return total
 }
 
 // SoloDuration returns (and caches) one node's single-stream duration:
@@ -574,7 +448,7 @@ func (p *Profiler) TraceSchedule(s *schedule.Schedule) (float64, *gpusim.WarpTra
 	full := &gpusim.WarpTrace{}
 	var total float64
 	for _, st := range s.Stages {
-		streams, err := p.StageStreams(st)
+		streams, err := p.stageStreamsPooled(st)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -601,7 +475,7 @@ func (p *Profiler) TimelineSchedule(s *schedule.Schedule) (float64, gpusim.Timel
 	var full gpusim.Timeline
 	var total float64
 	for _, st := range s.Stages {
-		streams, err := p.StageStreams(st)
+		streams, err := p.stageStreamsPooled(st)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -630,11 +504,7 @@ type StageProfile struct {
 
 // ProfileStage measures a stage and derives its Figure 2-style profile.
 func (p *Profiler) ProfileStage(st schedule.Stage) (StageProfile, error) {
-	lat, err := p.MeasureStage(st)
-	if err != nil {
-		return StageProfile{}, err
-	}
-	streams, err := p.StageStreams(st)
+	streams, err := p.stageStreamsPooled(canonicalStage(st))
 	if err != nil {
 		return StageProfile{}, err
 	}
@@ -642,6 +512,7 @@ func (p *Profiler) ProfileStage(st schedule.Stage) (StageProfile, error) {
 	for _, s := range streams {
 		flops += s.TotalFLOPs()
 	}
+	lat := p.runOnce(streams)
 	prof := StageProfile{Latency: lat, GFLOPs: flops / 1e9}
 	if lat > 0 {
 		prof.TFLOPSs = flops / lat / 1e12

@@ -291,3 +291,48 @@ func TestOptimizeRejectsInconsistentInputBatches(t *testing.T) {
 		t.Errorf("inconsistent graph left %d cache slots behind", got)
 	}
 }
+
+// TestPlanMemoEvictsWhenFull: a batch sweep past planMemoCap leaves the
+// memo at or under its cap, and the newest batch — asked for after the
+// memo filled — is resident, so its second request is answered from the
+// memo instead of being re-bound, re-measured and re-rendered forever.
+func TestPlanMemoEvictsWhenFull(t *testing.T) {
+	s := NewServer(hermetic(Config{}))
+	if err := s.WarmPlans(context.Background(), []string{"fig2"}, []int{1, 8}); err != nil {
+		t.Fatal(err)
+	}
+	last := planMemoCap + 3
+	for b := 1; b <= last; b++ {
+		if _, _, err := optimizeOK(s, mustMarshal(t, OptimizeRequest{Model: "fig2", Batch: b})); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	memoized := func() *planServed {
+		s.planMu.Lock()
+		defer s.planMu.Unlock()
+		if n := len(s.planMemo); n > planMemoCap {
+			t.Fatalf("memo holds %d answers, cap %d", n, planMemoCap)
+		}
+		for k, e := range s.planMemo {
+			if k.batch == last {
+				return e
+			}
+		}
+		return nil
+	}
+	first := memoized()
+	if first == nil {
+		t.Fatalf("batch %d, requested after the memo filled, was not stored", last)
+	}
+	measured := s.cfg.MeasureCache.Stats()
+	r, _, err := optimizeOK(s, mustMarshal(t, OptimizeRequest{Model: "fig2", Batch: last}))
+	if err != nil || r.Batch != last || r.Plan == nil {
+		t.Fatalf("second request for batch %d: %v, %+v", last, err, r)
+	}
+	if memoized() != first {
+		t.Errorf("second request for batch %d replaced its memo entry instead of reading it", last)
+	}
+	if after := s.cfg.MeasureCache.Stats(); after != measured {
+		t.Errorf("second request for batch %d measured again: %+v -> %+v", last, measured, after)
+	}
+}

@@ -225,9 +225,10 @@ type planServed struct {
 }
 
 // planMemoCap bounds the routing memo: requests choose the batch, so an
-// adversarial client could otherwise grow it without limit. Entries over
-// capacity are simply recomputed per request (deterministic values —
-// correctness is unaffected).
+// adversarial client could otherwise grow it without limit. A full memo
+// sheds one arbitrary resident answer per insertion (map iteration order,
+// the policy sfcache uses): values are deterministic, so an evicted batch
+// is merely recomputed when next asked for.
 const planMemoCap = 4096
 
 // NewServer returns a ready-to-mount server.
@@ -859,9 +860,13 @@ func (s *Server) plannedEntry(spec gpusim.Spec, p *plan.Plan, pt *plan.Point, ba
 	}
 	e := &planServed{body: body, lat: lat}
 	s.planMu.Lock()
-	if len(s.planMemo) < planMemoCap {
-		s.planMemo[key] = e
+	if _, resident := s.planMemo[key]; !resident && len(s.planMemo) >= planMemoCap {
+		for victim := range s.planMemo {
+			delete(s.planMemo, victim)
+			break
+		}
 	}
+	s.planMemo[key] = e
 	s.planMu.Unlock()
 	return e, nil
 }
@@ -955,7 +960,15 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 
 	lat, err := s.newProfiler(res.spec).MeasureSchedule(sched)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
+		// A validated schedule fails to measure only when a merge stage
+		// names operators that are not merge-eligible (the predicate lives
+		// in profile, where schedule.Validate cannot see it): if the client
+		// wrote the schedule, the client's error.
+		status := http.StatusInternalServerError
+		if source == "schedule" {
+			status = http.StatusBadRequest
+		}
+		s.fail(w, status, err)
 		return
 	}
 	if s.cfg.Logf != nil {

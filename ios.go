@@ -112,11 +112,11 @@ var Unpruned = core.Unpruned
 func NewGraph(name string) *Graph { return graph.New(name) }
 
 // NewProfiler returns a latency oracle for the device, usable across
-// several Optimize calls to share its measurement cache.
+// several Optimize calls to share its per-node lowering tables.
 func NewProfiler(dev Device) *Profiler { return profile.New(dev) }
 
 // OptimizeWithProfilerContext runs the search on a caller-provided
-// (possibly shared or noise-configured) profiler under a context.
+// (possibly shared) profiler under a context.
 func OptimizeWithProfilerContext(ctx context.Context, g *Graph, prof *Profiler, opts Options) (*Result, error) {
 	return core.OptimizeContext(ctx, g, prof, opts)
 }
