@@ -320,7 +320,7 @@ func newHTTPServer(ctx context.Context, addr string, h http.Handler) *http.Serve
 
 // loadCache fills a cache from its file ("" = none), starting it cold on
 // any failure; who prefixes the log lines ("node1: " in a fleet).
-func loadCache[V any, W sfcache.Wire[V]](c *sfcache.Cache[V, W], who, what, path string) {
+func loadCache(c interface{ LoadFile(string) (int, error) }, who, what, path string) {
 	if path == "" {
 		return
 	}
@@ -332,7 +332,10 @@ func loadCache[V any, W sfcache.Wire[V]](c *sfcache.Cache[V, W], who, what, path
 }
 
 // saveCache writes a cache to its file ("" = none); avoided names what a hit saved.
-func saveCache[V any, W sfcache.Wire[V]](c *sfcache.Cache[V, W], who, what, avoided, path string) {
+func saveCache(c interface {
+	SaveFile(string) error
+	Stats() sfcache.Stats
+}, who, what, avoided, path string) {
 	if path == "" {
 		return
 	}

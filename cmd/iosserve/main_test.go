@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ios/internal/gpusim"
 	"ios/internal/measure"
 	"ios/internal/serve"
 )
@@ -57,7 +58,13 @@ func TestStalledBodyIsDropped(t *testing.T) {
 func TestCacheFileHelpers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "measure.cache")
 	c := measure.NewCache()
-	_, cl, _ := c.GetOrBegin(nil, []byte{measure.KeyVersion, 'k'})
+	// A stage of no streams under the V100's context; its id key in a
+	// cache that has met nothing else is {context 0, 0 streams}.
+	key, ok := c.Intern(nil, measure.AppendStreams(measure.Context(gpusim.TeslaV100, 0), nil))
+	if !ok {
+		t.Fatal("the stage cannot be keyed")
+	}
+	_, cl, _ := c.GetOrBegin(nil, key)
 	cl.Commit(1e-6)
 	saveCache(c, "node0: ", "measurements", "simulator runs", "")
 	saveCache(c, "node0: ", "measurements", "simulator runs", path)
@@ -67,7 +74,7 @@ func TestCacheFileHelpers(t *testing.T) {
 		t.Fatal("an unset path loaded something")
 	}
 	loadCache(fresh, "node0: ", "measurements", path)
-	if lat, ok := fresh.Lookup([]byte{measure.KeyVersion, 'k'}); !ok || lat != 1e-6 {
+	if lat, ok := fresh.Lookup(key); !ok || lat != 1e-6 {
 		t.Fatalf("round trip through the helpers: (%v, %v)", lat, ok)
 	}
 	if err := os.WriteFile(path, []byte(`{"version":1,"entries":[]}`), 0o644); err != nil {

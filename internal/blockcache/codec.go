@@ -26,7 +26,7 @@ type Cache = sfcache.Cache[*Entry, WireEntry]
 // Claim is an exclusive lease on one missing fingerprint: the holder runs
 // the block search and calls Commit, or Abandon on failure. See
 // sfcache.Claim.
-type Claim = sfcache.Claim[*Entry, WireEntry]
+type Claim = sfcache.Claim[*Entry]
 
 // Stats is a snapshot of the cache's traffic counters; Misses count block
 // DP searches.

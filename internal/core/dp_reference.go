@@ -145,7 +145,7 @@ func (bs *refScheduler) generateStage(ending bitset.Set) (lat float64, strat sch
 	groups := bs.groupNodes(ending)
 
 	concurrentAllowed := bs.opts.Strategies != MergeOnly || len(groups) == 1
-	mergeAllowed := bs.opts.Strategies != ParallelOnly && profile.CanMerge(nodes)
+	mergeAllowed := bs.opts.Strategies != ParallelOnly && schedule.CanMerge(nodes)
 
 	lConc, lMerge := math.Inf(1), math.Inf(1)
 	if concurrentAllowed {

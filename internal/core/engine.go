@@ -714,7 +714,7 @@ func (e *engine) measureStage(w *engineWorker, ending bitset.Set, comps []bitset
 	// variant coincide with the sequential schedule on networks without
 	// merge opportunities (Section 6.1's RandWire/NasNet observation).
 	concurrentAllowed := e.opts.Strategies != MergeOnly || len(groups) == 1
-	mergeAllowed := e.opts.Strategies != ParallelOnly && profile.CanMerge(nodes)
+	mergeAllowed := e.opts.Strategies != ParallelOnly && schedule.CanMerge(nodes)
 
 	lConc, lMerge := math.Inf(1), math.Inf(1) // not allowed; both is stageInfeasible
 	var err error

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/schedule"
 )
@@ -129,6 +130,66 @@ func TestSearchBytesPerTransition(t *testing.T) {
 	if perTransition > budget {
 		t.Errorf("search allocated %.1f bytes per transition, budget %.1f: is something stored per (S, S') again, or has the memo slot grown?",
 			perTransition, budget)
+	}
+}
+
+// TestStageKeyBudget pins the two facts the measurement cache's share of a
+// cold search rests on, where a search's keys are what it leaves resident
+// (search_deep's heap_retained_mb) and its hits are a million to the
+// hundred and fifty thousand runs they save: the keys RandWire's hardest
+// block leaves in a fresh cache average at most 32 bytes — they are ids
+// into the cache's dictionary, where the long form they stand for runs to
+// 300 — and a hit through Profiler.MeasureStage allocates nothing. The
+// keys themselves are read, not the heap.
+func TestStageKeyBudget(t *testing.T) {
+	const budget = 32.0 // key bytes per entry; the block measures 17.4
+	b, err := HardestBlock(models.RandWire(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := measure.NewCache()
+	prof := v100Profiler()
+	prof.SetMeasureCache(cache)
+	stages, stats, err := OptimizeBlockContext(context.Background(), b, prof, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := cache.Snapshot(0)
+	if len(entries) != stats.Measurements || len(entries) < 5_000 {
+		t.Fatalf("the search ran %d measurements and left %d entries; want one entry each, and a block worth budgeting", stats.Measurements, len(entries))
+	}
+	var resident, long int
+	for _, e := range entries {
+		fp, _, err := e.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, ok := cache.Intern(nil, fp) // resident already: this only translates
+		if !ok {
+			t.Fatalf("a resident key does not translate back: %x", fp)
+		}
+		resident, long = resident+len(key), long+len(fp)
+	}
+	perEntry := float64(resident) / float64(len(entries))
+	t.Logf("%d entries: %.1f key bytes each resident, %.1f in the long form", len(entries), perEntry, float64(long)/float64(len(entries)))
+	if perEntry > budget {
+		t.Errorf("the cache holds %.1f key bytes per entry, budget %.1f: are stages keyed by their long form again?", perEntry, budget)
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	for i, st := range stages {
+		if st.Strategy != schedule.Concurrent {
+			continue // a merge stage builds its fused kernels to be keyed at all
+		}
+		before := prof.Measurements
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := prof.MeasureStage(st); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 || prof.Measurements != before {
+			t.Errorf("stage %d: a cache hit allocates %.0f times and ran the backend %d times, want 0 and 0", i, allocs, prof.Measurements-before)
+		}
 	}
 }
 

@@ -4,22 +4,31 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"ios/internal/gpusim"
 )
 
 // FuzzLoad attacks the cache-file loader with the measurement codec's
-// records (raw key, then eight latency bytes). Whatever the bytes: Load
-// does not panic; a rejected file leaves the cache exactly as it was; an
-// accepted one saves to a file that loads back as the same entry set.
-// The seed corpus (testdata/fuzz/FuzzLoad) is a valid 3-entry file and
-// the ways of damaging it that TestLoadCorruptFallsBackCleanly names.
+// file: the two dictionary tables, then records of id key and eight
+// latency bytes. Whatever the bytes: Load does not panic; a rejected file
+// leaves the cache and its dictionary exactly as they were; an accepted
+// one saves to a file that loads back as the same entry set. The seed
+// corpus (testdata/fuzz/FuzzLoad) is a valid 3-entry file and the ways of
+// damaging it, its dictionary included, that
+// TestLoadCorruptFallsBackCleanly names, plus files of the two earlier
+// versions.
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCache()
-		_, cl, _ := c.GetOrBegin(nil, []byte{KeyVersion, 'r'})
+		_, cl, _ := c.GetOrBegin(nil, idKey(c, []gpusim.Stream{{kernel(5, 5)}}))
 		cl.Commit(1)
+		ctxs, kerns := dictLen(c)
 		if _, err := c.Load(bytes.NewReader(data)); err != nil {
 			if st := c.Stats(); st.Size != 1 || st.Loaded != 0 {
 				t.Fatalf("a rejected file (%v) changed the cache: %+v", err, st)
+			}
+			if nc, nk := dictLen(c); nc != ctxs || nk != kerns {
+				t.Fatalf("a rejected file (%v) grew the dictionary to %d contexts, %d signatures", err, nc, nk)
 			}
 			return
 		}

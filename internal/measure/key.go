@@ -20,13 +20,34 @@
 // float64 the simulator would have computed, so schedules, costs, and DP
 // state/transition statistics are bit-identical with the cache on or off —
 // only the number of simulator invocations drops.
+//
+// A key has two forms, both exact. The long form (Context + AppendStreams,
+// KeyVersion 1) spells every device field and kernel signature out: it is
+// the canonical, inspectable encoding — what StageFingerprint returns,
+// what WireEntry, Snapshot and Merge speak, what block-cache keys embed —
+// and it means the same in every process. The id form is what a Cache
+// holds in memory and in its file: the cache interns each distinct
+// context and each distinct kernel Signature it meets to a small integer
+// (a search meets a few dozen) and keys a stage by
+//
+//	ctx-id ‖ #streams ‖ per stream: #kernels ‖ kernel ids
+//
+// all uvarints — some 20 bytes where the long form takes 300. Ids are
+// relative to one cache's dictionary (append-only, numbered in arrival
+// order), so an id key never leaves its cache: Snapshot translates to
+// the long form, Merge from it, and a cache file carries the dictionary
+// it was written under, renumbered canonically (see Save).
 package measure
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 
 	"ios/internal/gpusim"
+	"ios/internal/sfcache"
 )
 
 // KeyVersion is the first byte of every cache key: the version of the
@@ -92,15 +113,173 @@ func AppendStreams(key []byte, streams []gpusim.Stream) []byte {
 	for _, s := range streams {
 		key = appendInt(key, len(s))
 		for i := range s {
-			k := &s[i]
-			key = appendFloat(key, k.FLOPs)
-			key = appendFloat(key, k.Bytes)
-			key = appendInt(key, k.Blocks)
-			key = appendInt(key, k.WarpsPerBlock)
+			key = SignatureOf(&s[i]).appendTo(key)
 		}
 	}
 	return key
 }
+
+// Signature is a kernel's measurement identity: the fp:"include" fields of
+// gpusim.Kernel, floats by bit pattern and ints widened, so two signatures
+// compare equal exactly when AppendStreams encodes them to the same bytes
+// (a NaN cannot split a map key; +0 and -0 stay apart).
+type Signature struct {
+	flops, bytes  uint64
+	blocks, warps uint64
+}
+
+// SignatureOf returns the kernel's signature.
+//
+//ioslint:fingerprint ios/internal/gpusim.Kernel
+func SignatureOf(k *gpusim.Kernel) Signature {
+	return Signature{
+		flops: math.Float64bits(k.FLOPs), bytes: math.Float64bits(k.Bytes),
+		blocks: uint64(k.Blocks), warps: uint64(k.WarpsPerBlock),
+	}
+}
+
+// appendTo appends the signature's long form, one kernel of AppendStreams.
+func (s Signature) appendTo(key []byte) []byte {
+	key = binary.LittleEndian.AppendUint64(key, s.flops)
+	key = binary.LittleEndian.AppendUint64(key, s.bytes)
+	key = binary.AppendUvarint(key, s.blocks)
+	return binary.AppendUvarint(key, s.warps)
+}
+
+// check rejects what no lowering produces and no simulator accepts; only
+// signatures that pass are interned, saved or loaded.
+func (s Signature) check() error {
+	k := gpusim.Kernel{
+		FLOPs: math.Float64frombits(s.flops), Bytes: math.Float64frombits(s.bytes),
+		Blocks: int(s.blocks), WarpsPerBlock: int(s.warps),
+	}
+	if math.IsNaN(k.FLOPs) || math.IsNaN(k.Bytes) || math.IsInf(k.FLOPs, 1) || math.IsInf(k.Bytes, 1) ||
+		s.blocks > math.MaxInt32 || s.warps > math.MaxInt32 {
+		return fmt.Errorf("invalid kernel signature (flops=%g bytes=%g blocks=%d warps=%d)", k.FLOPs, k.Bytes, s.blocks, s.warps)
+	}
+	return k.Validate()
+}
+
+// keyReader walks a key of either form; the first malformed element sets
+// err and empties the rest, so callers check once, at the end.
+type keyReader struct {
+	b   []byte
+	err error
+}
+
+func (r *keyReader) fail() {
+	r.b, r.err = nil, fmt.Errorf("malformed key")
+}
+
+// int reads a uvarint in its shortest encoding — the only one appendInt
+// writes, so a key that parses re-encodes to the same bytes.
+func (r *keyReader) int() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || n != (bits.Len64(v|1)+6)/7 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// bytes reads the next n bytes.
+func (r *keyReader) bytes(n uint64) []byte {
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// float reads a float64's bit pattern.
+func (r *keyReader) float() uint64 {
+	if b := r.bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// signature reads one kernel of AppendStreams.
+func (r *keyReader) signature() Signature {
+	return Signature{flops: r.float(), bytes: r.float(), blocks: r.int(), warps: r.int()}
+}
+
+// context reads a Context, field by field in the order Context writes
+// them, and returns its bytes.
+func (r *keyReader) context() []byte {
+	start := r.b
+	if err := sfcache.CheckKey(r.b, KeyVersion); err != nil {
+		r.b, r.err = nil, err
+		return nil
+	}
+	r.b = r.b[1:]
+	r.bytes(r.int()) // Name
+	r.int()          // SMs
+	r.float()        // PeakFLOPs
+	r.float()        // MemBandwidth
+	r.int()          // BlocksPerSM
+	r.int()          // WarpsPerSM
+	r.int()          // WarpsForPeak
+	r.float()        // KernelLaunch
+	r.float()        // StageSync
+	r.float()        // ContentionCoef
+	r.int()          // MaxConcurrentKernels
+	r.float()        // extraLaunchOverhead
+	return start[:len(start)-len(r.b)]
+}
+
+// checkContext rejects bytes that are not exactly one Context.
+func checkContext(ctx []byte) error {
+	r := keyReader{b: ctx}
+	if r.context(); r.err != nil {
+		return r.err
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("malformed context: %d bytes after the last field", len(r.b))
+	}
+	return nil
+}
+
+// A step reads one element of a key from r — a context or a kernel, in
+// whichever form the key has — and appends its translation to dst; false
+// means it has none.
+type step func(dst []byte, r *keyReader) ([]byte, bool)
+
+// rewrite walks a key of either form — a context, the stream count, per
+// stream the kernel count and that many kernels — copying the counts to
+// dst as both forms write them and letting ctx and kern translate the
+// elements. It fails on a malformed key, on bytes left over, and with
+// errNoID when a step does. The reader is the caller's so that a loop
+// over many keys allocates one.
+func (r *keyReader) rewrite(dst, key []byte, ctx, kern step) ([]byte, error) {
+	r.b, r.err = key, nil
+	dst, ok := ctx(dst, r)
+	streams := r.int()
+	dst = binary.AppendUvarint(dst, streams)
+	for ; ok && r.err == nil && streams > 0; streams-- {
+		kernels := r.int()
+		dst = binary.AppendUvarint(dst, kernels)
+		for ; ok && r.err == nil && kernels > 0; kernels-- {
+			dst, ok = kern(dst, r)
+		}
+	}
+	switch {
+	case r.err != nil:
+		return nil, r.err
+	case !ok:
+		return nil, errNoID
+	case len(r.b) != 0:
+		return nil, fmt.Errorf("malformed key: %d bytes after the last stream", len(r.b))
+	}
+	return dst, nil
+}
+
+// errNoID reports an element a step could not translate: a signature no
+// simulator accepts, a full dictionary, an id outside its table.
+var errNoID = errors.New("key names a context or kernel the dictionary cannot hold")
 
 // appendFloat appends the IEEE-754 bit pattern, little-endian. Encoding
 // bits (not a decimal rendering) keeps the key exact: distinct float64

@@ -17,13 +17,25 @@ func testKey(streams []gpusim.Stream) []byte {
 	return AppendStreams(Context(gpusim.TeslaV100, 0), streams)
 }
 
+// idKey is the key a cache holds the stage under: the long form interned
+// into c's dictionary.
+func idKey(c *Cache, streams []gpusim.Stream) []byte { return mustIntern(c, testKey(streams)) }
+
+func mustIntern(c *Cache, long []byte) []byte {
+	key, ok := c.Intern(nil, long)
+	if !ok {
+		panic("stage cannot be keyed")
+	}
+	return key
+}
+
 func kernel(flops, bytes float64) gpusim.Kernel {
 	return gpusim.Kernel{FLOPs: flops, Bytes: bytes, Blocks: 4, WarpsPerBlock: 8}
 }
 
 func TestGetOrBeginMissThenHit(t *testing.T) {
 	c := NewCache()
-	key := testKey([]gpusim.Stream{{kernel(1e6, 2e6)}})
+	key := idKey(c, []gpusim.Stream{{kernel(1e6, 2e6)}})
 	lat, claim, _ := c.GetOrBegin(nil, key)
 	if claim == nil {
 		t.Fatalf("first lookup hit an empty cache (lat=%g)", lat)
@@ -47,7 +59,7 @@ func TestGetOrBeginMissThenHit(t *testing.T) {
 
 func TestGetOrBeginKeyIsCopied(t *testing.T) {
 	c := NewCache()
-	key := testKey([]gpusim.Stream{{kernel(1, 1)}})
+	key := idKey(c, []gpusim.Stream{{kernel(1, 1)}})
 	buf := append([]byte(nil), key...)
 	_, claim, _ := c.GetOrBegin(nil, buf)
 	claim.Commit(1)
@@ -64,7 +76,7 @@ func TestGetOrBeginKeyIsCopied(t *testing.T) {
 // published value. Run with -race.
 func TestSingleflightCoalesces(t *testing.T) {
 	c := NewCache()
-	key := testKey([]gpusim.Stream{{kernel(7, 7)}})
+	key := idKey(c, []gpusim.Stream{{kernel(7, 7)}})
 	const n = 16
 	var (
 		wg     sync.WaitGroup
@@ -112,12 +124,19 @@ func TestSingleflightCoalesces(t *testing.T) {
 // correctly — evicted fingerprints just re-measure.
 func TestCapacityBoundSheds(t *testing.T) {
 	const cap = 64
+	// One kernel signature per key would fill the bounded dictionary
+	// (see TestBoundedDictionaryStopsAtCap): the keys are streams of
+	// different lengths over one signature instead.
 	c := NewCacheSize(cap)
 	mk := func(i int) []byte {
-		return testKey([]gpusim.Stream{{kernel(float64(i), 1)}})
+		s := make(gpusim.Stream, i)
+		for k := range s {
+			s[k] = kernel(1, 1)
+		}
+		return testKey([]gpusim.Stream{s})
 	}
 	for i := 0; i < 10*cap; i++ {
-		_, claim, _ := c.GetOrBegin(nil, mk(i))
+		_, claim, _ := c.GetOrBegin(nil, mustIntern(c, mk(i)))
 		if claim == nil {
 			t.Fatalf("entry %d unexpectedly present", i)
 		}
@@ -132,7 +151,7 @@ func TestCapacityBoundSheds(t *testing.T) {
 		t.Fatalf("no evictions recorded: %+v", st)
 	}
 	// A shed fingerprint is simply a miss again.
-	lat, claim, _ := c.GetOrBegin(nil, mk(0))
+	lat, claim, _ := c.GetOrBegin(nil, mustIntern(c, mk(0)))
 	if claim != nil {
 		claim.Commit(0)
 	} else if lat != 0 {
@@ -141,7 +160,7 @@ func TestCapacityBoundSheds(t *testing.T) {
 	// Unbounded caches never evict.
 	u := NewCache()
 	for i := 0; i < 10*cap; i++ {
-		_, cl, _ := u.GetOrBegin(nil, mk(i))
+		_, cl, _ := u.GetOrBegin(nil, mustIntern(u, mk(i)))
 		cl.Commit(1)
 	}
 	if u.Len() != 10*cap || u.Stats().Evicted != 0 {
@@ -154,7 +173,7 @@ func TestCapacityBoundSheds(t *testing.T) {
 // retry and leave the fingerprint measurable — not wedge it forever.
 func TestAbandonUnwedgesWaiters(t *testing.T) {
 	c := NewCache()
-	key := testKey([]gpusim.Stream{{kernel(3, 3)}})
+	key := idKey(c, []gpusim.Stream{{kernel(3, 3)}})
 	_, claim, _ := c.GetOrBegin(nil, key)
 	if claim == nil {
 		t.Fatal("no claim on an empty cache")
@@ -235,7 +254,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		testKey(nil),
 	}
 	for i, k := range keys {
-		_, claim, _ := c.GetOrBegin(nil, k)
+		_, claim, _ := c.GetOrBegin(nil, mustIntern(c, k))
 		claim.Commit(float64(i) * 1.5e-6)
 	}
 	var buf bytes.Buffer
@@ -252,7 +271,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d entries, want %d", added, len(keys))
 	}
 	for i, k := range keys {
-		lat, ok := fresh.Lookup(k)
+		lat, ok := fresh.Lookup(mustIntern(fresh, k))
 		if !ok || lat != float64(i)*1.5e-6 {
 			t.Fatalf("entry %d: lat=%g ok=%v after round trip", i, lat, ok)
 		}
@@ -267,36 +286,70 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// frame builds a cache file the way sfcache lays it out — magic, version,
-// count, length-prefixed records, CRC-32C — with a correct checksum, so a
-// case that lies elsewhere is rejected for the lie.
-func frame(version uint32, count uint64, recs ...[]byte) []byte {
+// frame builds a version-3 cache file the way sfcache lays it out — magic,
+// version, count, the two dictionary tables (each a count and its
+// length-prefixed records), length-prefixed entry records, CRC-32C — with
+// a correct checksum, so a case that lies elsewhere is rejected for the
+// lie. A nil dict writes no tables at all (the version-2 layout).
+func frame(version uint32, count uint64, dict [][][]byte, recs ...[]byte) []byte {
 	b := binary.LittleEndian.AppendUint32([]byte("IOSF"), version)
 	b = binary.LittleEndian.AppendUint64(b, count)
-	for _, r := range recs {
-		b = append(binary.AppendUvarint(b, uint64(len(r))), r...)
+	put := func(recs [][]byte) {
+		for _, r := range recs {
+			b = append(binary.AppendUvarint(b, uint64(len(r))), r...)
+		}
 	}
+	for _, t := range dict {
+		b = binary.AppendUvarint(b, uint64(len(t)))
+		put(t)
+	}
+	put(recs)
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 }
 
-// record is one measurement's file record: raw key, then the latency's bits.
+// reseal recomputes a frame's checksum after an edit.
+func reseal(b []byte) []byte {
+	b = b[:len(b)-4]
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// record is one measurement's file record: the id key, then the latency's bits.
 func record(key []byte, lat float64) []byte {
 	return binary.LittleEndian.AppendUint64(bytes.Clone(key), math.Float64bits(lat))
 }
 
+// sig is a kernel signature's dictionary record: its long form.
+func sig(k gpusim.Kernel) []byte { return SignatureOf(&k).appendTo(nil) }
+
+// dictLen reports the sizes of a cache's two dictionary tables.
+func dictLen(c *Cache) (ctxs, kerns int) {
+	cs, ks := c.dict.tables()
+	return len(cs), len(ks)
+}
+
 // TestLoadCorruptFallsBackCleanly: every corruption mode must reject the
-// whole file and leave the cache untouched and usable.
+// whole file and leave the cache and its dictionary untouched and usable.
 func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 	good := NewCache()
-	key := testKey([]gpusim.Stream{{kernel(9, 9)}})
-	_, claim, _ := good.GetOrBegin(nil, key)
+	stage := []gpusim.Stream{{kernel(9, 9)}}
+	_, claim, _ := good.GetOrBegin(nil, idKey(good, stage))
 	claim.Commit(2e-6)
 	var saved bytes.Buffer
 	if err := good.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	if want := frame(fileVersion, 1, record(key, 2e-6)); !bytes.Equal(saved.Bytes(), want) {
+	// One context, two signatures (sorted by long form: 9.0's little-endian
+	// bits order before 1.0's), and keys over them: context 0, one stream
+	// of one kernel.
+	v100 := Context(gpusim.TeslaV100, 0)
+	dict := [][][]byte{{v100}, {sig(kernel(9, 9)), sig(kernel(1, 1))}}
+	key, other := []byte{0, 1, 1, 0}, []byte{0, 1, 1, 1}
+	one := [][][]byte{{v100}, {sig(kernel(9, 9))}}
+	if want := frame(fileVersion, 1, one, record(key, 2e-6)); !bytes.Equal(saved.Bytes(), want) {
 		t.Fatalf("Save wrote\n%x\nwant the frame\n%x", saved.Bytes(), want)
+	}
+	if n, err := NewCache().Load(bytes.NewReader(frame(fileVersion, 2, dict, record(other, 1), record(key, 2)))); err != nil || n != 2 {
+		t.Fatalf("the fixture the corruptions start from loads as (%d, %v), want (2, nil)", n, err)
 	}
 
 	type corruption struct {
@@ -304,20 +357,45 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 		data    []byte
 		wantErr string
 	}
-	other := testKey([]gpusim.Stream{{kernel(1, 1)}})
+	k80 := Context(gpusim.TeslaK80, 0)
+	foreign := append([]byte{KeyVersion + 1}, v100[1:]...)
+	nan, neg, noBlocks := kernel(math.NaN(), 1), kernel(1, -1), kernel(1, 1)
+	noBlocks.Blocks = 0
+	lying := frame(fileVersion, 0, [][][]byte{{v100}, nil})
+	lying[16] = 2 // the context table's count
+	lying = reseal(lying)
 	cases := []corruption{
 		{"not a cache file", []byte("<html>not a cache</html>"), "version"},
 		{"v1 JSON file", []byte(`{"version":1,"entries":[{"key":"AQ","latency":1}]}` + "\n"), "version"},
-		{"wrong file version", frame(99, 0), "version 99"},
-		{"short record", frame(fileVersion, 1, []byte{KeyVersion, 1, 2}), "3-byte record"},
-		{"empty key", frame(fileVersion, 1, record(nil, 1)), "key encoding version"},
-		{"wrong key version", frame(fileVersion, 1, record([]byte{0xFF, 'x'}, 1)), "key encoding version"},
-		{"negative latency", frame(fileVersion, 2, record(other, 1), record(key, -1)), "entry 1: invalid latency"},
-		{"NaN latency", frame(fileVersion, 1, record(key, math.NaN())), "invalid latency"},
-		{"infinite latency", frame(fileVersion, 1, record(key, math.Inf(1))), "invalid latency"},
-		{"count larger than the entries", frame(fileVersion, 2, record(key, 1)), "entry 1 of 2"},
-		{"count smaller than the entries", frame(fileVersion, 1, record(other, 1), record(key, 1)), "checksum"},
-		{"record length past the cap", append(frame(fileVersion, 1)[:16], 0x81, 0x80, 0x40), "oversize"},
+		{"wrong file version", frame(99, 0, dict), "version 99"},
+		{"version-2 file", frame(2, 1, nil, record(testKey(stage), 1)), "cache file version 2, want 3"},
+		{"short record", frame(fileVersion, 1, dict, []byte{0, 1, 2}), "3-byte record"},
+		{"empty key", frame(fileVersion, 1, dict, record(nil, 1)), "malformed key"},
+		{"long-form key", frame(fileVersion, 1, dict, record(testKey(stage), 1)), "entry 0"},
+		{"key with a padded uvarint", frame(fileVersion, 1, dict, record([]byte{0x80, 0, 1, 1, 0}, 1)), "malformed key"},
+		{"key cut short", frame(fileVersion, 1, dict, record([]byte{0, 1, 2, 0}, 1)), "malformed key"},
+		{"bytes after the key", frame(fileVersion, 1, dict, record([]byte{0, 1, 1, 0, 0}, 1)), "after the last stream"},
+		{"context id past the dictionary", frame(fileVersion, 1, dict, record([]byte{1, 1, 1, 0}, 1)), "dictionary"},
+		{"kernel id past the dictionary", frame(fileVersion, 1, dict, record([]byte{0, 1, 1, 2}, 1)), "dictionary"},
+		{"duplicate context", frame(fileVersion, 0, [][][]byte{{v100, v100}, nil}), "table 0 entry 1 of 2: duplicate"},
+		{"contexts out of order", frame(fileVersion, 0, [][][]byte{{v100, k80}, nil}), "out of order"},
+		{"signatures out of order", frame(fileVersion, 0, [][][]byte{nil, {sig(kernel(1, 1)), sig(kernel(9, 9))}}), "out of order"},
+		{"context of a foreign key version", frame(fileVersion, 0, [][][]byte{{foreign}, nil}), "key encoding version"},
+		{"context cut short", frame(fileVersion, 0, [][][]byte{{v100[:len(v100)-1]}, nil}), "malformed"},
+		{"context with a tail", frame(fileVersion, 0, [][][]byte{{append(bytes.Clone(v100), 0)}, nil}), "malformed context"},
+		{"duplicate signature", frame(fileVersion, 0, [][][]byte{nil, {sig(kernel(1, 1)), sig(kernel(1, 1))}}), "table 1 entry 1 of 2: duplicate"},
+		{"NaN signature", frame(fileVersion, 0, [][][]byte{nil, {sig(nan)}}), "invalid kernel signature"},
+		{"negative signature", frame(fileVersion, 0, [][][]byte{nil, {sig(neg)}}), "negative work"},
+		{"signature without blocks", frame(fileVersion, 0, [][][]byte{nil, {sig(noBlocks)}}), "0 blocks"},
+		{"signature with a tail", frame(fileVersion, 0, [][][]byte{nil, {append(sig(kernel(1, 1)), 0)}}), "malformed kernel signature"},
+		{"dictionary count past its cap", append(frame(fileVersion, 0, nil)[:16], 0x81, 0x80, 0x80, 0x08), "table 0: truncated or oversize count"},
+		{"dictionary count larger than the table", lying, "table 0 entry 1 of 2"},
+		{"negative latency", frame(fileVersion, 2, dict, record(other, 1), record(key, -1)), "entry 1: invalid latency"},
+		{"NaN latency", frame(fileVersion, 1, dict, record(key, math.NaN())), "invalid latency"},
+		{"infinite latency", frame(fileVersion, 1, dict, record(key, math.Inf(1))), "invalid latency"},
+		{"count larger than the entries", frame(fileVersion, 2, dict, record(key, 1)), "entry 1 of 2"},
+		{"count smaller than the entries", frame(fileVersion, 1, dict, record(other, 1), record(key, 1)), "checksum"},
+		{"record length past the cap", append(frame(fileVersion, 1, [][][]byte{nil, nil})[:18], 0x81, 0x80, 0x40), "oversize"},
 		{"trailing bytes", append(bytes.Clone(saved.Bytes()), '\n'), "after the checksum"},
 	}
 	for n := 0; n < saved.Len(); n++ {
@@ -336,7 +414,11 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 		if st := c.Stats(); st.Size != 0 || st.Loaded != 0 {
 			t.Errorf("%s: corrupt load left %d entries behind (%d loaded)", tc.name, st.Size, st.Loaded)
 		}
+		if ctxs, kerns := dictLen(c); ctxs != 0 || kerns != 0 {
+			t.Errorf("%s: corrupt load interned %d contexts and %d signatures", tc.name, ctxs, kerns)
+		}
 		// The cache must remain fully usable after a failed load.
+		key := idKey(c, stage)
 		_, cl, _ := c.GetOrBegin(nil, key)
 		if cl == nil {
 			t.Fatalf("%s: cache unusable after failed load", tc.name)
@@ -350,8 +432,8 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 
 func TestSaveFileLoadFile(t *testing.T) {
 	c := NewCache()
-	key := testKey([]gpusim.Stream{{kernel(11, 12)}})
-	_, claim, _ := c.GetOrBegin(nil, key)
+	stage := []gpusim.Stream{{kernel(11, 12)}}
+	_, claim, _ := c.GetOrBegin(nil, idKey(c, stage))
 	claim.Commit(4e-6)
 	path := t.TempDir() + "/cache.json"
 	if err := c.SaveFile(path); err != nil {
@@ -361,7 +443,7 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if n, err := fresh.LoadFile(path); err != nil || n != 1 {
 		t.Fatalf("LoadFile: n=%d err=%v", n, err)
 	}
-	if lat, ok := fresh.Lookup(key); !ok || lat != 4e-6 {
+	if lat, ok := fresh.Lookup(idKey(fresh, stage)); !ok || lat != 4e-6 {
 		t.Fatalf("LoadFile round trip: lat=%g ok=%v", lat, ok)
 	}
 	if _, err := NewCache().LoadFile(path + ".missing"); err == nil {

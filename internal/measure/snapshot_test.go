@@ -13,9 +13,10 @@ func fillKey(i int) []byte {
 	return testKey([]gpusim.Stream{{kernel(float64(1+i)*1e6, 2e6)}})
 }
 
+// mustFill commits lat under a long-form key.
 func mustFill(t *testing.T, c *Cache, key []byte, lat float64) {
 	t.Helper()
-	if _, cl, _ := c.GetOrBegin(nil, key); cl != nil {
+	if _, cl, _ := c.GetOrBegin(nil, mustIntern(c, key)); cl != nil {
 		cl.Commit(lat)
 	}
 }
@@ -30,7 +31,7 @@ func TestSnapshotIncremental(t *testing.T) {
 		t.Fatalf("full snapshot has %d entries, want 2", len(full))
 	}
 	// In-flight (uncommitted) fills are invisible.
-	_, pending, _ := c.GetOrBegin(nil, fillKey(9))
+	_, pending, _ := c.GetOrBegin(nil, mustIntern(c, fillKey(9)))
 	if got, _ := c.Snapshot(0); len(got) != 2 {
 		t.Fatalf("snapshot saw an uncommitted fill: %d entries", len(got))
 	}
@@ -64,7 +65,7 @@ func TestMergeRoundTripAndDedup(t *testing.T) {
 	if err != nil || added != 2 {
 		t.Fatalf("Merge = (%d, %v), want (2, nil)", added, err)
 	}
-	if lat, ok := dst.Lookup(fillKey(1)); !ok || lat != 2e-6 {
+	if lat, ok := dst.Lookup(mustIntern(dst, fillKey(1))); !ok || lat != 2e-6 {
 		t.Fatalf("merged lookup = (%g, %v)", lat, ok)
 	}
 	if added, err := dst.Merge(entries); err != nil || added != 0 {
@@ -108,7 +109,7 @@ func TestExportSubset(t *testing.T) {
 func TestFetchHook(t *testing.T) {
 	c := NewCache()
 	c.SetFetch(func(k []byte) (float64, bool) { return 4.5e-6, true })
-	lat, cl, _ := c.GetOrBegin(nil, fillKey(0))
+	lat, cl, _ := c.GetOrBegin(nil, mustIntern(c, fillKey(0)))
 	if cl != nil || lat != 4.5e-6 {
 		t.Fatalf("GetOrBegin with fetch hit = (%g, %v)", lat, cl)
 	}
@@ -117,7 +118,7 @@ func TestFetchHook(t *testing.T) {
 		t.Fatalf("stats after remote hit = %+v", st)
 	}
 	c.SetFetch(func(k []byte) (float64, bool) { return 0, false })
-	if _, cl, _ := c.GetOrBegin(nil, fillKey(1)); cl == nil {
+	if _, cl, _ := c.GetOrBegin(nil, mustIntern(c, fillKey(1))); cl == nil {
 		t.Fatal("fetch miss did not fall through to a claim")
 	} else {
 		cl.Commit(1e-6)
@@ -130,10 +131,10 @@ func TestFetchHook(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		c.GetOrBegin(nil, fillKey(2))
+		c.GetOrBegin(nil, mustIntern(c, fillKey(2)))
 	}()
 	c.SetFetch(nil)
-	if _, cl, _ := c.GetOrBegin(nil, fillKey(2)); cl == nil {
+	if _, cl, _ := c.GetOrBegin(nil, mustIntern(c, fillKey(2))); cl == nil {
 		t.Fatal("claim wedged after hook panic")
 	} else {
 		cl.Commit(1e-6)
@@ -157,7 +158,7 @@ func TestSaveFileDuringActiveFills(t *testing.T) {
 					return
 				default:
 				}
-				k := testKey([]gpusim.Stream{{kernel(float64(w*1000+i%200+1), 7)}})
+				k := idKey(c, []gpusim.Stream{{kernel(float64(w*1000+i%200+1), 7)}})
 				if _, cl, _ := c.GetOrBegin(nil, k); cl != nil {
 					cl.Commit(float64(i%50+1) * 1e-7)
 				}

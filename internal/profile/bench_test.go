@@ -5,6 +5,7 @@ import (
 
 	"ios/internal/gpusim"
 	"ios/internal/graph"
+	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/schedule"
 )
@@ -22,13 +23,15 @@ func benchStage(b *testing.B) schedule.Stage {
 		Groups: [][]*graph.Node{{m["a"]}, {m["c"]}, {m["d"]}}}
 }
 
-// BenchmarkMeasureStageMemoHit times MeasureStage's memo hit path — the
-// per-stage cost MeasureSchedule pays on every stage after the first
-// measurement. The satellite fix replaced the fmt-based string key with
-// the canonical binary measurement key; this benchmark tracks the delta.
+// BenchmarkMeasureStageMemoHit times MeasureStage's hit path on an
+// attached measure.Cache — the per-stage cost a search pays on every
+// repeat of a stage: the id key strung together from the nodes' encoded
+// kernel ids, one shard lock and one map lookup. ROADMAP item 4 compares
+// it with BenchmarkMeasureStageRun, the simulator run it saves.
 func BenchmarkMeasureStageMemoHit(b *testing.B) {
 	st := benchStage(b)
 	p := New(gpusim.TeslaV100)
+	p.SetMeasureCache(measure.NewCache())
 	if _, err := p.MeasureStage(st); err != nil {
 		b.Fatal(err)
 	}
@@ -41,9 +44,23 @@ func BenchmarkMeasureStageMemoHit(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureStageRun times the same stage with no cache attached:
+// lowered into stream programs and run on the simulator every call.
+func BenchmarkMeasureStageRun(b *testing.B) {
+	st := benchStage(b)
+	p := New(gpusim.TeslaV100)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.MeasureStage(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMeasureScheduleWarm times a full-network schedule measurement
-// with every stage already memoized (the serving tier's per-request
-// measurement cost on warm models).
+// with every stage already in the attached cache (the serving tier's
+// per-request measurement cost on warm models, less the fresh profiler's
+// lowering).
 func BenchmarkMeasureScheduleWarm(b *testing.B) {
 	g := models.SqueezeNet(1)
 	var stages []schedule.Stage
@@ -53,6 +70,7 @@ func BenchmarkMeasureScheduleWarm(b *testing.B) {
 	}
 	s := &schedule.Schedule{Graph: g, Stages: stages}
 	p := New(gpusim.TeslaV100)
+	p.SetMeasureCache(measure.NewCache())
 	if _, err := p.MeasureSchedule(s); err != nil {
 		b.Fatal(err)
 	}

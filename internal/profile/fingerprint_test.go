@@ -231,3 +231,165 @@ func TestMeasureStageUsesSharedCache(t *testing.T) {
 		t.Fatalf("second profiler re-simulated %d stages despite the shared cache", p2.Measurements)
 	}
 }
+
+// keyChecker asserts, stage by stage, that the id key a profiler caches a
+// stage under (stageKey) and the stage's long-form StageFingerprint name
+// each other: two stages get equal id keys if and only if their
+// fingerprints are equal, and the key is the one the cache itself derives
+// from the fingerprint (measure.Cache.Intern), so the profiler's assembly
+// from pre-encoded ids and the reference translation agree byte for byte.
+type keyChecker struct {
+	t       *testing.T
+	cache   *measure.Cache
+	fpOf    map[string]string // id key -> fingerprint
+	keyOf   map[string]string // fingerprint -> id key
+	shared  int               // stages whose key an earlier stage already had
+	unkeyed int               // stages with no kernels: never cached, no key
+}
+
+func newKeyChecker(t *testing.T) *keyChecker {
+	return &keyChecker{t: t, cache: measure.NewCache(), fpOf: map[string]string{}, keyOf: map[string]string{}}
+}
+
+func (kc *keyChecker) check(p *Profiler, st schedule.Stage) {
+	kc.t.Helper()
+	fp, err := p.StageFingerprint(st)
+	if err != nil {
+		kc.t.Fatal(err)
+	}
+	key, err := p.stageKey(canonicalStage(st))
+	if err != nil {
+		kc.t.Fatal(err)
+	}
+	if key == nil {
+		if empty := measure.AppendStreams(measure.Context(p.Spec(), 0), nil); string(fp) != string(empty) {
+			kc.t.Fatalf("stage %v has kernels (fingerprint %x) and no key", st, fp)
+		}
+		kc.unkeyed++
+		return
+	}
+	if want, ok := kc.cache.Intern(nil, fp); !ok || string(key) != string(want) {
+		kc.t.Fatalf("stage %v: profiler key %x, the cache translates its fingerprint to %x (%v)", st, key, want, ok)
+	}
+	if prev, ok := kc.fpOf[string(key)]; ok {
+		kc.shared++
+		if prev != string(fp) {
+			kc.t.Fatalf("stage %v: id key %x names two fingerprints\n%x\n%x", st, key, prev, fp)
+		}
+	}
+	if prev, ok := kc.keyOf[string(fp)]; ok && prev != string(key) {
+		kc.t.Fatalf("stage %v: fingerprint %x has two id keys, %x and %x", st, fp, prev, key)
+	}
+	kc.fpOf[string(key)], kc.keyOf[string(fp)] = string(fp), string(key)
+}
+
+// TestIDKeysMatchFingerprintsRandomDAGs runs the soundness generator
+// against one shared cache: every random stage of every random graph,
+// keyed on a profiler or on a fork of it, gets the id key its fingerprint
+// translates to, and no two fingerprints ever share one.
+func TestIDKeysMatchFingerprintsRandomDAGs(t *testing.T) {
+	kc := newKeyChecker(t)
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomDAG(rng)
+		prof := New(gpusim.TeslaV100)
+		prof.SetMeasureCache(kc.cache)
+		var fork *Profiler
+		for i := 0; i < 40; i++ {
+			if i == 20 {
+				fork = prof.Fork() // shares the 20 stages' lowerings and ids
+			}
+			p := prof
+			if fork != nil && i%2 == 1 {
+				p = fork
+			}
+			kc.check(p, randomStage(rng, g.SchedulableNodes()))
+		}
+	}
+	if kc.shared == 0 || len(kc.fpOf) < 100 {
+		t.Fatalf("property vacuous: %d distinct keys, %d stages shared one", len(kc.fpOf), kc.shared)
+	}
+	t.Logf("%d distinct id keys, %d stages shared one, %d had no kernels", len(kc.fpOf), kc.shared, kc.unkeyed)
+}
+
+// TestIDKeysMatchFingerprintsZoo sweeps the collision-resistance
+// generator — every stage of the sequential and greedy schedules of every
+// zoo model, all under one cache — and Figure 2's merge stages, whose
+// fused kernels are interned at the call.
+func TestIDKeysMatchFingerprintsZoo(t *testing.T) {
+	kc := newKeyChecker(t)
+	for _, entry := range models.Zoo() {
+		g := entry.Build(1)
+		prof := New(gpusim.TeslaV100)
+		prof.SetMeasureCache(kc.cache)
+		fork := prof.Fork()
+		for i, mk := range []func(*graph.Graph) (*schedule.Schedule, error){baseline.Sequential, baseline.Greedy} {
+			s, err := mk(g)
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
+			}
+			for _, st := range s.Stages {
+				kc.check([]*Profiler{prof, fork}[i], st)
+			}
+		}
+	}
+	_, n := fig2Nodes(t)
+	prof := New(gpusim.TeslaV100)
+	prof.SetMeasureCache(kc.cache)
+	for _, ops := range [][]string{{"a", "c"}, {"a", "d"}, {"c", "d"}, {"a", "c", "d"}, {"c", "a"}} {
+		st := schedule.Stage{Strategy: schedule.Merge}
+		for _, name := range ops {
+			st.Groups = append(st.Groups, []*graph.Node{n[name]})
+		}
+		kc.check(prof, st)
+		kc.check(prof.Fork(), st)
+	}
+	if kc.shared == 0 {
+		t.Fatal("no structural sharing across the zoo")
+	}
+	t.Logf("%d distinct id keys, %d stages shared one, %d had no kernels", len(kc.fpOf), kc.shared, kc.unkeyed)
+}
+
+// TestFullDictionaryMeasuresUncached: a bounded cache bounds its
+// dictionary, and a stage that needs a signature the full dictionary
+// cannot take is measured without the cache — the same bits, one backend
+// run each time — while stages over signatures it holds still hit.
+func TestFullDictionaryMeasuresUncached(t *testing.T) {
+	g := models.SqueezeNet(1)
+	s, err := baseline.Sequential(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := New(gpusim.TeslaV100)
+	var want []float64
+	for _, st := range s.Stages {
+		lat, err := bare.MeasureStage(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, lat)
+	}
+	const room = 3 // signatures; SqueezeNet has dozens
+	cache := measure.NewCacheSize(room)
+	for round := 0; round < 2; round++ {
+		p := New(gpusim.TeslaV100)
+		p.SetMeasureCache(cache)
+		for i, st := range s.Stages {
+			lat, err := p.MeasureStage(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lat != want[i] {
+				t.Fatalf("round %d stage %d measured %v, uncached %v", round, i, lat, want[i])
+			}
+		}
+		st := cache.Stats()
+		t.Logf("round %d: %d backend runs of %d stages, cache %+v", round, p.Measurements, len(s.Stages), st)
+		if st.Size == 0 || st.Size > room*(room+1) {
+			t.Fatalf("round %d: %d entries cached with room for %d signatures", round, st.Size, room)
+		}
+		if round == 1 && (st.Hits == 0 || p.Measurements == 0 || p.Measurements >= len(s.Stages)) {
+			t.Fatalf("second pass: %d hits, %d backend runs of %d stages; want the keyed stages hit and the rest run", st.Hits, p.Measurements, len(s.Stages))
+		}
+	}
+}

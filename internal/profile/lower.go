@@ -14,6 +14,7 @@ import (
 
 	"ios/internal/gpusim"
 	"ios/internal/graph"
+	"ios/internal/schedule"
 )
 
 // Options tunes how operators are lowered to kernels. The zero value is
@@ -104,53 +105,6 @@ func LowerNode(n *graph.Node, opts Options) []gpusim.Kernel {
 	return kernels
 }
 
-// CanMerge reports whether the operators are eligible for the paper's
-// "operator merge" strategy: same operator type with possibly different
-// hyperparameters, same stride, consuming the same input tensor, so their
-// kernels can be padded to a common size and stacked along the output
-// channel dimension (Section 3, "Parallelization Strategy").
-func CanMerge(ops []*graph.Node) bool {
-	if len(ops) < 2 {
-		return false
-	}
-	first := ops[0]
-	if first.Op.Kind != graph.OpConv {
-		// Separable convolutions cannot be merged (Section 6.1:
-		// "we can not merge Relu-SepConv operators"): the depthwise
-		// stage is per-channel, so stacking output channels would need
-		// the *input* channels duplicated.
-		return false
-	}
-	if len(first.Inputs) != 1 || first.Op.Groups != 1 {
-		return false
-	}
-	samePad := func(op graph.Op) bool {
-		return op.PadH == (op.KernelH-1)/2 && op.PadW == (op.KernelW-1)/2 &&
-			op.KernelH%2 == 1 && op.KernelW%2 == 1
-	}
-	if !samePad(first.Op) {
-		return false
-	}
-	for _, n := range ops[1:] {
-		if n.Op.Kind != graph.OpConv || n.Op.Groups != 1 {
-			return false
-		}
-		if len(n.Inputs) != 1 || n.Inputs[0] != first.Inputs[0] {
-			return false
-		}
-		if n.Op.StrideH != first.Op.StrideH || n.Op.StrideW != first.Op.StrideW {
-			return false
-		}
-		if n.Op.Act != first.Op.Act {
-			return false
-		}
-		if !samePad(n.Op) {
-			return false
-		}
-	}
-	return true
-}
-
 // MergedKernels lowers a merge stage: one kernel whose smaller filters are
 // zero-padded to the largest kernel size (increasing compute, Section 7.2)
 // but which reads the shared input only once, plus a split copy to recover
@@ -158,7 +112,7 @@ func CanMerge(ops []*graph.Node) bool {
 // the same single concat node (in which case the merged layout already is
 // the concatenated tensor).
 func MergedKernels(ops []*graph.Node, opts Options) ([]gpusim.Kernel, error) {
-	if !CanMerge(ops) {
+	if !schedule.CanMerge(ops) {
 		return nil, fmt.Errorf("profile: operators not merge-eligible")
 	}
 	in := ops[0].Inputs[0].Output

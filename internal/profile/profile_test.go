@@ -87,19 +87,19 @@ func TestCanMerge(t *testing.T) {
 	_ = g
 	// a, c, d share the input; a and c have identical shapes, d differs
 	// in channels only — all mergeable. b consumes a different tensor.
-	if !CanMerge([]*graph.Node{n["a"], n["c"]}) {
+	if !schedule.CanMerge([]*graph.Node{n["a"], n["c"]}) {
 		t.Error("a,c should merge")
 	}
-	if !CanMerge([]*graph.Node{n["a"], n["c"], n["d"]}) {
+	if !schedule.CanMerge([]*graph.Node{n["a"], n["c"], n["d"]}) {
 		t.Error("a,c,d should merge")
 	}
-	if CanMerge([]*graph.Node{n["a"], n["b"]}) {
+	if schedule.CanMerge([]*graph.Node{n["a"], n["b"]}) {
 		t.Error("a,b must not merge (different inputs)")
 	}
-	if CanMerge([]*graph.Node{n["a"]}) {
+	if schedule.CanMerge([]*graph.Node{n["a"]}) {
 		t.Error("singleton merge is meaningless")
 	}
-	if CanMerge([]*graph.Node{n["a"], n["concat"]}) {
+	if schedule.CanMerge([]*graph.Node{n["a"], n["concat"]}) {
 		t.Error("conv+concat must not merge")
 	}
 }
@@ -109,7 +109,7 @@ func TestCanMergeRejectsStrideMismatch(t *testing.T) {
 	in := g.Input("in", graph.Shape{N: 1, C: 4, H: 8, W: 8})
 	a := g.Conv("a", in, graph.ConvOpts{Out: 4, Kernel: 3})
 	b := g.Conv("b", in, graph.ConvOpts{Out: 4, Kernel: 3, Stride: 2})
-	if CanMerge([]*graph.Node{a, b}) {
+	if schedule.CanMerge([]*graph.Node{a, b}) {
 		t.Error("stride mismatch must not merge")
 	}
 }
@@ -119,7 +119,7 @@ func TestCanMergeRejectsValidPadding(t *testing.T) {
 	in := g.Input("in", graph.Shape{N: 1, C: 4, H: 8, W: 8})
 	a := g.Conv("a", in, graph.ConvOpts{Out: 4, Kernel: 3})
 	b := g.Conv("b", in, graph.ConvOpts{Out: 4, Kernel: 3, Valid: true})
-	if CanMerge([]*graph.Node{a, b}) {
+	if schedule.CanMerge([]*graph.Node{a, b}) {
 		t.Error("valid-padding conv must not merge")
 	}
 }

@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,24 +30,34 @@ type Profiler struct {
 	// of one search — and, via Engine/serve wiring, all searches in a
 	// process — deduplicate against one table.
 	mcache *measure.Cache
-	// ctxKey is the lazily built measurement-context key prefix (device
-	// model + dispatch overhead); keyBuf is reusable key scratch.
+	// ctxKey is the lazily built long-form measurement context (device
+	// model + dispatch overhead). ctxID is its id in mcache's dictionary,
+	// encoded as every id key under it begins; nil with no cache attached
+	// or no room in its dictionary, and then nothing is keyed. keyBuf and
+	// idBuf are reusable key scratch.
 	ctxKey []byte
+	ctxID  []byte
 	keyBuf []byte
+	idBuf  []byte
+	// sigIDs reads through to mcache's dictionary for kernels built at the
+	// call (merged stages), so resolving them takes no lock. Not shared
+	// with forks.
+	sigIDs map[measure.Signature]uint32
 	// soloStreams is the single-stream scratch for SoloDuration.
 	soloStreams [1]gpusim.Stream
-	// Lowering and solo durations are pure per (node, options) — nodes are
-	// immutable and options are fixed per profiler — so forks share them.
-	// Each is split into an immutable shared base (published by Fork, read
-	// without locking) and a private overlay for entries computed since.
+	// Lowering and solo durations are pure per (node, options, cache) —
+	// nodes are immutable, options are fixed per profiler and a cache's
+	// ids never change — so forks share them. Each is split into an
+	// immutable shared base (published by Fork, read without locking) and
+	// a private overlay for entries computed since.
 	//
 	// baseLowered/baseSolo are never mutated after publication; mu guards
 	// only the freeze-and-publish step in Fork.
 	mu          sync.Mutex
-	baseLowered map[int][]gpusim.Kernel
+	baseLowered map[int]*loweredNode
 	baseSolo    map[int]float64
-	// lowered overlays baseLowered with each node's kernel sequence.
-	lowered map[int][]gpusim.Kernel
+	// lowered overlays baseLowered with each node's lowering.
+	lowered map[int]*loweredNode
 	// solo overlays baseSolo with each node's single-stream duration (its
 	// kernels run back-to-back, alone on the device), the building block of
 	// serial chains: kernels on one stream do not interact in the
@@ -56,9 +68,23 @@ type Profiler struct {
 	// analogue of on-device measurements the paper's search cost tracks.
 	Measurements int
 
-	// Stream-building scratch; see stageStreamsPooled.
+	// Stream-building scratch; see stageStreamsPooled and applyExtraOverhead.
 	streamBuf     []gpusim.Stream
 	streamKernels [][]gpusim.Kernel
+	ovhStreams    []gpusim.Stream
+	ovhKernels    []gpusim.Kernel
+}
+
+// loweredNode is one node's lowering: its kernel sequence and, with a
+// measurement cache attached, the kernels' ids in that cache's dictionary,
+// encoded as a stage key strings them together. keyed is false with no
+// cache attached and when the dictionary could not take one of the
+// kernels; a stage holding such a node is measured without the cache.
+type loweredNode struct {
+	kernels []gpusim.Kernel
+	ids     []byte
+	keyed   bool
+	idsBuf  [8]byte // what ids points into, for all but outsize ids: no second allocation
 }
 
 // New returns a profiler for the given device with default (IOS engine)
@@ -84,7 +110,7 @@ func NewWithBackend(b Backend, opts Options) *Profiler {
 	return &Profiler{
 		backend: b,
 		opts:    opts,
-		lowered: make(map[int][]gpusim.Kernel),
+		lowered: make(map[int]*loweredNode),
 		solo:    make(map[int]float64),
 	}
 }
@@ -100,19 +126,33 @@ func (p *Profiler) Options() Options { return p.opts }
 
 // SetMeasureCache attaches a shared structural measurement cache: every
 // simulator invocation first consults (and on a miss fills) c, keyed by
-// the canonical fingerprint of the exact stream programs being executed
-// on this profiler's device model. Cached values are exact simulator
-// outputs, so results are bit-identical with or without the cache — only
-// Measurements drops. The cache is concurrency-safe and survives this
-// profiler: share one instance across profilers, searches, and servers to
-// amortize repeated structure (nil detaches). Forks inherit the cache.
-func (p *Profiler) SetMeasureCache(c *measure.Cache) { p.mcache = c }
+// which kernels run on which stream on this profiler's device model — the
+// id form of the stage's fingerprint (see StageFingerprint and package
+// measure). Cached values are exact simulator outputs, so results are
+// bit-identical with or without the cache — only Measurements drops. The
+// cache is concurrency-safe and survives this profiler: share one
+// instance across profilers, searches, and servers to amortize repeated
+// structure (nil detaches). Forks inherit the cache. Ids are relative to
+// one cache, so attaching another drops the lowerings made so far.
+func (p *Profiler) SetMeasureCache(c *measure.Cache) {
+	if c == p.mcache {
+		return
+	}
+	p.mcache, p.ctxID, p.sigIDs = c, nil, nil
+	p.baseLowered, p.lowered = nil, make(map[int]*loweredNode)
+	if c == nil {
+		return
+	}
+	if id, ok := c.ContextID(p.contextKey()); ok {
+		p.ctxID = binary.AppendUvarint(nil, uint64(id))
+	}
+}
 
 // MeasureCache returns the attached structural measurement cache (nil if
 // none).
 func (p *Profiler) MeasureCache() *measure.Cache { return p.mcache }
 
-// contextKey returns the measurement-context key prefix, building it on
+// contextKey returns the long-form measurement context, building it on
 // first use (the backend spec and lowering options are fixed per
 // profiler, so the prefix is immutable and shared with forks).
 func (p *Profiler) contextKey() []byte {
@@ -150,9 +190,10 @@ func (p *Profiler) Fork() *Profiler {
 		opts:        p.opts,
 		mcache:      p.mcache,
 		ctxKey:      p.ctxKey, // immutable once built; nil rebuilds lazily
+		ctxID:       p.ctxID,
 		baseLowered: base,
 		baseSolo:    baseSolo,
-		lowered:     make(map[int][]gpusim.Kernel),
+		lowered:     make(map[int]*loweredNode),
 		solo:        make(map[int]float64),
 	}
 	return f
@@ -164,12 +205,12 @@ func (p *Profiler) freezeLocked() {
 	if len(p.lowered) == 0 && len(p.solo) == 0 {
 		return // base already covers everything computed so far
 	}
-	lowered := make(map[int][]gpusim.Kernel, len(p.baseLowered)+len(p.lowered))
-	for id, ks := range p.baseLowered {
-		lowered[id] = ks
+	lowered := make(map[int]*loweredNode, len(p.baseLowered)+len(p.lowered))
+	for id, ln := range p.baseLowered {
+		lowered[id] = ln
 	}
-	for id, ks := range p.lowered {
-		lowered[id] = ks
+	for id, ln := range p.lowered {
+		lowered[id] = ln
 	}
 	solo := make(map[int]float64, len(p.baseSolo)+len(p.solo))
 	for id, d := range p.baseSolo {
@@ -179,7 +220,7 @@ func (p *Profiler) freezeLocked() {
 		solo[id] = d
 	}
 	p.baseLowered, p.baseSolo = lowered, solo
-	p.lowered = make(map[int][]gpusim.Kernel)
+	p.lowered = make(map[int]*loweredNode)
 	p.solo = make(map[int]float64)
 }
 
@@ -225,40 +266,126 @@ func groupLess(a, b []*graph.Node) bool {
 	return a[0].ID < b[0].ID
 }
 
-// stageMeasureKey builds the canonical measurement key for already
-// lowered stream programs into the profiler's reusable scratch; valid
-// until the next call.
-func (p *Profiler) stageMeasureKey(streams []gpusim.Stream) []byte {
-	p.keyBuf = measure.AppendStreams(append(p.keyBuf[:0], p.contextKey()...), streams)
-	return p.keyBuf
-}
-
-// StageFingerprint returns the stage's canonical measurement fingerprint:
-// the exact cache key its simulator invocation would use (device-model
-// context plus the lowered per-stream kernel signatures, group order
-// normalized). Two stages with equal fingerprints have bit-identical
-// measured latencies; node identity, names, and graph position do not
-// enter. The returned slice is freshly allocated.
+// StageFingerprint returns the stage's canonical measurement fingerprint
+// in its long form: the device-model context plus the lowered per-stream
+// kernel signatures, group order normalized. Two stages with equal
+// fingerprints have bit-identical measured latencies; node identity,
+// names, and graph position do not enter. The key a stage is cached under
+// (stageKey) is this fingerprint with the attached cache's ids for the
+// context and each signature: equal exactly when the fingerprints are.
+// The returned slice is freshly allocated.
 func (p *Profiler) StageFingerprint(st schedule.Stage) ([]byte, error) {
 	streams, err := p.stageStreamsPooled(canonicalStage(st))
 	if err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), p.stageMeasureKey(streams)...), nil
+	return measure.AppendStreams(slices.Clone(p.contextKey()), streams), nil
 }
 
-// lowerNode returns the node's kernels through the shared-base/overlay
-// cache pair.
-func (p *Profiler) lowerNode(n *graph.Node) []gpusim.Kernel {
-	if ks, ok := p.baseLowered[n.ID]; ok {
-		return ks
+// lowerNode returns the node's lowering through the shared-base/overlay
+// cache pair, resolving its kernels' ids on the way in.
+func (p *Profiler) lowerNode(n *graph.Node) *loweredNode {
+	if ln, ok := p.baseLowered[n.ID]; ok {
+		return ln
 	}
-	if ks, ok := p.lowered[n.ID]; ok {
-		return ks
+	if ln, ok := p.lowered[n.ID]; ok {
+		return ln
 	}
-	ks := LowerNode(n, p.opts)
-	p.lowered[n.ID] = ks
-	return ks
+	ln := &loweredNode{kernels: LowerNode(n, p.opts), keyed: p.ctxID != nil}
+	ln.ids = ln.idsBuf[:0]
+	for i := 0; ln.keyed && i < len(ln.kernels); i++ {
+		id, ok := p.mcache.KernelID(measure.SignatureOf(&ln.kernels[i]))
+		ln.ids, ln.keyed = binary.AppendUvarint(ln.ids, uint64(id)), ok
+	}
+	p.lowered[n.ID] = ln
+	return ln
+}
+
+// setCount writes n as the uvarint whose first byte was reserved at
+// key[at], making room when it needs more.
+func setCount(key []byte, at, n int) []byte {
+	var b [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(b[:], uint64(n))
+	key[at] = b[0]
+	return slices.Insert(key, at+1, b[1:w]...)
+}
+
+// stageKey assembles, in scratch valid until the next keyed measurement,
+// the id key of a canonically ordered stage: the context id, the stream
+// count, and per stream its kernel count and kernel ids — strung together
+// from the bytes lowerNode stored, without touching a kernel. It returns
+// nil for a stage that cannot be keyed (no cache attached, or no room in
+// its dictionary for a signature) and for one with no kernels at all.
+func (p *Profiler) stageKey(st schedule.Stage) ([]byte, error) {
+	if p.ctxID == nil {
+		return nil, nil
+	}
+	if st.Strategy == schedule.Merge {
+		kernels, err := MergedKernels(st.Ops(), p.opts)
+		if err != nil {
+			return nil, err
+		}
+		return p.mergedKey(kernels), nil
+	}
+	key := append(p.keyBuf[:0], p.ctxID...)
+	streamsAt, streams := len(key), 0
+	key = append(key, 0)
+	for _, grp := range st.Groups {
+		kernelsAt, kernels := len(key), 0
+		key = append(key, 0)
+		for _, n := range grp {
+			ln := p.lowerNode(n)
+			if !ln.keyed {
+				return nil, nil
+			}
+			kernels += len(ln.kernels)
+			key = append(key, ln.ids...)
+		}
+		if kernels == 0 {
+			key = key[:kernelsAt] // a group of free ops launches no stream
+			continue
+		}
+		key = setCount(key, kernelsAt, kernels)
+		streams++
+	}
+	p.keyBuf = key
+	if streams == 0 {
+		return nil, nil
+	}
+	p.keyBuf = setCount(key, streamsAt, streams)
+	return p.keyBuf, nil
+}
+
+// streamKey is the id key of one stream of n kernels with the given
+// encoded ids.
+func (p *Profiler) streamKey(n int, ids []byte) []byte {
+	p.keyBuf = append(p.keyBuf[:0], p.ctxID...)
+	p.keyBuf = append(p.keyBuf, 1)
+	p.keyBuf = binary.AppendUvarint(p.keyBuf, uint64(n))
+	p.keyBuf = append(p.keyBuf, ids...)
+	return p.keyBuf
+}
+
+// mergedKey is the id key of a merge stage's fused kernels, which exist
+// only for the call: their ids come through sigIDs, not a lowering table.
+func (p *Profiler) mergedKey(kernels []gpusim.Kernel) []byte {
+	ids := p.idBuf[:0]
+	for i := range kernels {
+		s := measure.SignatureOf(&kernels[i])
+		id, ok := p.sigIDs[s]
+		if !ok {
+			if id, ok = p.mcache.KernelID(s); !ok {
+				return nil
+			}
+			if p.sigIDs == nil {
+				p.sigIDs = make(map[measure.Signature]uint32)
+			}
+			p.sigIDs[s] = id
+		}
+		ids = binary.AppendUvarint(ids, uint64(id))
+	}
+	p.idBuf = ids
+	return p.streamKey(len(kernels), ids)
 }
 
 // stageStreamsPooled lowers a stage into the profiler's reusable stream
@@ -282,7 +409,7 @@ func (p *Profiler) stageStreamsPooled(st schedule.Stage) ([]gpusim.Stream, error
 		}
 		s := p.streamKernels[used][:0]
 		for _, n := range grp {
-			s = append(s, p.lowerNode(n)...)
+			s = append(s, p.lowerNode(n).kernels...)
 		}
 		if len(s) > 0 {
 			p.streamKernels[used] = s
@@ -300,89 +427,96 @@ func (p *Profiler) stageStreamsPooled(st schedule.Stage) ([]gpusim.Stream, error
 }
 
 // MeasureStage returns the latency of one stage in seconds, including the
-// stage synchronization barrier: the stage, group order normalized, is
-// lowered into per-profiler scratch (the simulator does not retain stream
-// programs, so even the DP's hundreds of thousands of measurements produce
-// no stream garbage) and run once. Structurally identical stages — whatever
-// their node identity or group order — lower to the same programs and so
-// measure identically; the attached measure.Cache, if any, makes the
-// repeats free.
+// stage synchronization barrier. Structurally identical stages — whatever
+// their node identity or group order — run the same kernels on the same
+// streams and so measure identically; with a measure.Cache attached the
+// stage is looked up under those kernels' ids and the repeats are free:
+// only a miss lowers the stage into stream programs (per-profiler scratch;
+// the simulator does not retain them) and runs the backend.
 func (p *Profiler) MeasureStage(st schedule.Stage) (float64, error) {
-	streams, err := p.stageStreamsPooled(canonicalStage(st))
+	st = canonicalStage(st)
+	key, err := p.stageKey(st)
 	if err != nil {
 		return 0, err
 	}
-	return p.runOnce(streams), nil
-}
-
-// runOnce measures one stage execution: the stage barrier plus, for
-// non-empty programs, a (possibly cache-served) simulator run. An all-free
-// stage still counts as a measurement, as it always has.
-func (p *Profiler) runOnce(streams []gpusim.Stream) float64 {
-	lat := p.backend.Spec().StageSync
-	if len(streams) == 0 {
-		p.Measurements++
-		return lat
+	lat, claim, hit := p.lookup(key)
+	if !hit {
+		streams, err := p.stageStreamsPooled(st)
+		if err != nil {
+			return 0, err
+		}
+		lat = p.fill(claim, streams)
 	}
-	return lat + p.runStreams(streams)
+	return p.backend.Spec().StageSync + lat, nil
 }
 
-// runStreams executes stream programs on the backend (with framework
-// dispatch overhead applied), consulting the shared structural
-// measurement cache when one is attached: the canonical fingerprint of
-// the exact programs is looked up first, and only a miss claims the key
-// and invokes the simulator (counted in Measurements). Concurrent misses
-// for one fingerprint — e.g. two DP workers reaching the same repeated
-// cell structure — coalesce into a single simulation.
-func (p *Profiler) runStreams(streams []gpusim.Stream) float64 {
-	if p.mcache == nil {
-		p.Measurements++
-		return p.backend.Run(p.applyExtraOverhead(streams)).Latency
+// lookup consults the attached cache under an id key; a nil key (no
+// cache, or a stage that cannot be keyed) is a miss without a claim. On a
+// miss the caller passes the claim on to fill. Concurrent misses for one
+// key — e.g. two DP workers reaching the same repeated cell structure —
+// coalesce into a single simulation.
+func (p *Profiler) lookup(key []byte) (lat float64, claim *measure.Claim, hit bool) {
+	if key == nil {
+		return 0, nil, false
 	}
 	// A nil done channel: measurements take microseconds, so a coalesced
 	// waiter is never worth cancelling.
-	lat, claim, _ := p.mcache.GetOrBegin(nil, p.stageMeasureKey(streams))
+	lat, claim, _ = p.mcache.GetOrBegin(nil, key)
+	return lat, claim, claim == nil
+}
+
+// fill executes stream programs on the backend, with framework dispatch
+// overhead applied, and publishes the latency under the claim, if any.
+// It counts one measurement — also for no programs at all, a stage of
+// only free ops, as it always has.
+func (p *Profiler) fill(claim *measure.Claim, streams []gpusim.Stream) float64 {
+	p.Measurements++
+	if len(streams) == 0 {
+		return 0
+	}
 	if claim != nil {
 		// A panicking backend (gpusim rejects invalid kernels by panic)
-		// must not leave the claimed fingerprint locked forever for
-		// every future requester of a shared cache: abandon the claim so
-		// waiters retry and the key stays measurable.
-		committed := false
+		// must not leave the claimed key locked forever for every future
+		// requester of a shared cache: abandon the claim so waiters retry
+		// and the key stays measurable.
 		defer func() {
-			if !committed {
+			if claim != nil {
 				claim.Abandon()
 			}
 		}()
-		p.Measurements++
-		lat = p.backend.Run(p.applyExtraOverhead(streams)).Latency
+	}
+	lat := p.backend.Run(p.applyExtraOverhead(streams)).Latency
+	if claim != nil {
 		claim.Commit(lat)
-		committed = true
+		claim = nil
 	}
 	return lat
 }
 
-// applyExtraOverhead folds framework dispatch overhead into kernels by
-// prefixing each with an overhead-only kernel; the simulator serializes it
-// on the stream like real dispatch.
+// applyExtraOverhead returns the programs with every kernel's Bytes grown
+// by overhead × bandwidth, so each kernel runs exactly the framework's
+// per-kernel dispatch time longer on its own stream. The result lives in
+// profiler scratch, valid until the next call.
 func (p *Profiler) applyExtraOverhead(streams []gpusim.Stream) []gpusim.Stream {
 	if p.opts.ExtraLaunchOverhead <= 0 {
 		return streams
 	}
-	out := make([]gpusim.Stream, len(streams))
-	for i, s := range streams {
-		ns := make(gpusim.Stream, 0, len(s))
-		for _, k := range s {
-			// Model dispatch as extra bytes at full bandwidth? No:
-			// dispatch is CPU-side serialized time. Encode it by
-			// inflating the launch via a zero-work kernel pair is
-			// wasteful; instead extend Bytes by overhead*bandwidth so
-			// the duration grows by exactly the overhead while staying
-			// on this stream.
-			k.Bytes += p.opts.ExtraLaunchOverhead * p.backend.Spec().MemBandwidth
-			ns = append(ns, k)
-		}
-		out[i] = ns
+	n := 0
+	for _, s := range streams {
+		n += len(s)
 	}
+	// Grown once, so the streams sliced out of it below stay put.
+	kernels := slices.Grow(p.ovhKernels[:0], n)
+	out := p.ovhStreams[:0]
+	for _, s := range streams {
+		start := len(kernels)
+		for _, k := range s {
+			k.Bytes += p.opts.ExtraLaunchOverhead * p.backend.Spec().MemBandwidth
+			kernels = append(kernels, k)
+		}
+		out = append(out, gpusim.Stream(kernels[start:len(kernels):len(kernels)]))
+	}
+	p.ovhKernels, p.ovhStreams = kernels, out
 	return out
 }
 
@@ -412,14 +546,22 @@ func (p *Profiler) SoloDuration(n *graph.Node) float64 {
 	if d, ok := p.solo[n.ID]; ok {
 		return d
 	}
-	kernels := p.lowerNode(n)
+	ln := p.lowerNode(n)
 	var d float64
-	if len(kernels) > 0 {
-		// Through runStreams so the shared structural cache dedups solo
+	if len(ln.kernels) > 0 {
+		// Through the shared structural cache, which dedups solo
 		// simulations of structurally identical nodes (repeated cells)
 		// across blocks, forks, and searches.
-		p.soloStreams[0] = gpusim.Stream(kernels)
-		d = p.runStreams(p.soloStreams[:])
+		var key []byte
+		if ln.keyed {
+			key = p.streamKey(len(ln.kernels), ln.ids)
+		}
+		lat, claim, hit := p.lookup(key)
+		if !hit {
+			p.soloStreams[0] = gpusim.Stream(ln.kernels)
+			lat = p.fill(claim, p.soloStreams[:])
+		}
+		d = lat
 	}
 	p.solo[n.ID] = d
 	return d
@@ -512,7 +654,10 @@ func (p *Profiler) ProfileStage(st schedule.Stage) (StageProfile, error) {
 	for _, s := range streams {
 		flops += s.TotalFLOPs()
 	}
-	lat := p.runOnce(streams)
+	lat, err := p.MeasureStage(st)
+	if err != nil {
+		return StageProfile{}, err
+	}
 	prof := StageProfile{Latency: lat, GFLOPs: flops / 1e9}
 	if lat > 0 {
 		prof.TFLOPSs = flops / lat / 1e12

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"ios/internal/graph"
-	"ios/internal/profile"
 	"ios/internal/schedule"
 	"ios/internal/tensor"
 )
@@ -203,7 +202,7 @@ func RunSchedule(s *schedule.Schedule, w *Weights, inputs map[string]*tensor.Ten
 // original operators' outputs.
 func runMergeStage(st schedule.Stage, w *Weights, env Env) error {
 	ops := st.Ops()
-	if !profile.CanMerge(ops) {
+	if !schedule.CanMerge(ops) {
 		return fmt.Errorf("merge stage operators are not merge-eligible")
 	}
 	maxKH, maxKW := 0, 0

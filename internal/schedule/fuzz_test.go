@@ -16,11 +16,11 @@ import (
 // /measure client — with the bytes bound against two fixed zoo graphs
 // (SqueezeNet and the Figure 2 block). A recipe is accepted when FromJSON
 // decodes it and Validate, which every caller runs next, passes. Whatever
-// the bytes: nothing panics; an accepted schedule measures to a finite
-// positive latency on a fresh V100 profiler, except that a merge stage
-// over operators profile.CanMerge rejects (eligibility lives in profile,
-// where Validate cannot see it) is a measurement error; and MarshalJSON ∘
-// FromJSON is the identity on accepted input: the re-encoded recipe
+// the bytes: nothing panics; an accepted schedule measures, to a finite
+// positive latency on a fresh V100 profiler (Validate rejects a merge
+// stage over operators that are not merge-eligible, the one thing the
+// lowering refuses); and MarshalJSON ∘ FromJSON is the identity on
+// accepted input: the re-encoded recipe
 // decodes to the same stages and re-encodes to the same bytes. The seed
 // corpus (testdata/fuzz/FuzzFromJSON) holds the IOS, sequential and greedy
 // schedules of both graphs plus truncated and field-swapped variants.
@@ -32,21 +32,11 @@ func FuzzFromJSON(f *testing.F) {
 			if err != nil || s.Validate() != nil {
 				continue
 			}
-			mergeable := true
-			for _, st := range s.Stages {
-				if st.Strategy == schedule.Merge && !profile.CanMerge(st.Ops()) {
-					mergeable = false
-				}
-			}
 			lat, err := profile.New(gpusim.TeslaV100).MeasureSchedule(s)
-			switch {
-			case !mergeable:
-				if err == nil {
-					t.Fatalf("%s: a merge stage over unmergeable operators measured %v", g.Name, lat)
-				}
-			case err != nil:
+			if err != nil {
 				t.Fatalf("%s: an accepted schedule does not measure: %v", g.Name, err)
-			case !(lat > 0) || math.IsInf(lat, 0):
+			}
+			if !(lat > 0) || math.IsInf(lat, 0) {
 				t.Fatalf("%s: an accepted schedule measured %v", g.Name, lat)
 			}
 

@@ -138,6 +138,53 @@ func (s *Schedule) String() string {
 	return b.String()
 }
 
+// CanMerge reports whether the operators are eligible for the paper's
+// "operator merge" strategy: same operator type with possibly different
+// hyperparameters, same stride, consuming the same input tensor, so their
+// kernels can be padded to a common size and stacked along the output
+// channel dimension (Section 3, "Parallelization Strategy").
+func CanMerge(ops []*graph.Node) bool {
+	if len(ops) < 2 {
+		return false
+	}
+	first := ops[0]
+	if first.Op.Kind != graph.OpConv {
+		// Separable convolutions cannot be merged (Section 6.1:
+		// "we can not merge Relu-SepConv operators"): the depthwise
+		// stage is per-channel, so stacking output channels would need
+		// the *input* channels duplicated.
+		return false
+	}
+	if len(first.Inputs) != 1 || first.Op.Groups != 1 {
+		return false
+	}
+	samePad := func(op graph.Op) bool {
+		return op.PadH == (op.KernelH-1)/2 && op.PadW == (op.KernelW-1)/2 &&
+			op.KernelH%2 == 1 && op.KernelW%2 == 1
+	}
+	if !samePad(first.Op) {
+		return false
+	}
+	for _, n := range ops[1:] {
+		if n.Op.Kind != graph.OpConv || n.Op.Groups != 1 {
+			return false
+		}
+		if len(n.Inputs) != 1 || n.Inputs[0] != first.Inputs[0] {
+			return false
+		}
+		if n.Op.StrideH != first.Op.StrideH || n.Op.StrideW != first.Op.StrideW {
+			return false
+		}
+		if n.Op.Act != first.Op.Act {
+			return false
+		}
+		if !samePad(n.Op) {
+			return false
+		}
+	}
+	return true
+}
+
 // Validate checks that the schedule is feasible for its graph:
 //
 //   - the stages partition the graph's schedulable operators;
@@ -146,7 +193,8 @@ func (s *Schedule) String() string {
 //   - within a stage, groups are disjoint, operators connected by an edge
 //     share a group (the concurrent-execution rule), and each group's
 //     order respects dependencies;
-//   - within a stage, no edge connects two of its operators across groups.
+//   - within a stage, no edge connects two of its operators across groups;
+//   - a merge stage's operators are merge-eligible (CanMerge).
 func (s *Schedule) Validate() error {
 	stageOf := make(map[*graph.Node]int)
 	groupOf := make(map[*graph.Node]int)
@@ -154,6 +202,9 @@ func (s *Schedule) Validate() error {
 	for si, st := range s.Stages {
 		if len(st.Groups) == 0 {
 			return fmt.Errorf("schedule: stage %d has no groups", si+1)
+		}
+		if st.Strategy == Merge && !CanMerge(st.Ops()) {
+			return fmt.Errorf("schedule: stage %d merges operators that are not merge-eligible", si+1)
 		}
 		for gi, grp := range st.Groups {
 			if len(grp) == 0 {

@@ -85,6 +85,34 @@ func TestValidateRejectsGroupOrderViolation(t *testing.T) {
 	}
 }
 
+// TestValidateMergeStages: a merge stage validates exactly when its
+// operators are merge-eligible — b and c read one tensor, a and d another,
+// so each pair merges and a mixed pair does not.
+func TestValidateMergeStages(t *testing.T) {
+	g, n := diamond()
+	merged := func(x, y string) *Schedule {
+		stages := []Stage{
+			{Strategy: Merge, Groups: [][]*graph.Node{{n["a"]}, {n["d"]}}},
+			{Strategy: Merge, Groups: [][]*graph.Node{{n["b"]}, {n["c"]}}},
+			{Strategy: Concurrent, Groups: [][]*graph.Node{{n["cat"]}}},
+		}
+		if x != "" {
+			stages = []Stage{
+				{Strategy: Concurrent, Groups: [][]*graph.Node{{n["a"]}}},
+				{Strategy: Merge, Groups: [][]*graph.Node{{n[x]}, {n[y]}}},
+				{Strategy: Concurrent, Groups: [][]*graph.Node{{n["c"], n["cat"]}}},
+			}
+		}
+		return &Schedule{Graph: g, Stages: stages}
+	}
+	if err := merged("", "").Validate(); err != nil {
+		t.Errorf("merge stages over merge-eligible operators rejected: %v", err)
+	}
+	if err := merged("b", "d").Validate(); err == nil || !strings.Contains(err.Error(), "stage 2 merges operators that are not merge-eligible") {
+		t.Errorf("merge stage over operators reading different tensors not rejected: %v", err)
+	}
+}
+
 func TestValidateRejectsScheduledInput(t *testing.T) {
 	g, _ := diamond()
 	in := g.NodeByName("in")

@@ -960,15 +960,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 
 	lat, err := s.newProfiler(res.spec).MeasureSchedule(sched)
 	if err != nil {
-		// A validated schedule fails to measure only when a merge stage
-		// names operators that are not merge-eligible (the predicate lives
-		// in profile, where schedule.Validate cannot see it): if the client
-		// wrote the schedule, the client's error.
-		status := http.StatusInternalServerError
-		if source == "schedule" {
-			status = http.StatusBadRequest
-		}
-		s.fail(w, status, err)
+		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	if s.cfg.Logf != nil {

@@ -231,13 +231,16 @@ func TestMeasureBaselinesAndSchedules(t *testing.T) {
 	}
 
 	// A merge stage over operators that cannot be merged (b reads a, c the
-	// input) validates, since eligibility is the profiler's to judge, and
-	// fails to measure: the client's schedule, a 400 (FuzzFromJSON's find).
+	// input) does not validate: the client's schedule, a 400
+	// (FuzzFromJSON's find).
 	unmergeable := `{"stages":[{"strategy":"concurrent","groups":[["a"],["d"]]},
 		{"strategy":"merge","groups":[["b"],["c"]]},{"strategy":"concurrent","groups":[["concat"]]}]}`
 	resp, body = postJSON(t, ts.URL+"/measure", MeasureRequest{Model: "fig2", Schedule: json.RawMessage(unmergeable)})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unmergeable merge stage: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "not merge-eligible") {
+		t.Fatalf("unmergeable merge stage rejected for something else: %s", body)
 	}
 }
 

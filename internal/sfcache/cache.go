@@ -5,9 +5,12 @@
 // (internal/blockcache): a concurrent, sharded, capacity-bounded map from
 // canonical fingerprint to an immutable, always-recomputable value, with
 // claim/Commit/Abandon deduplication, a fetch hook that runs inside the
-// claim, and one persistence and peer-exchange path (persist.go). A
-// package instantiates it with its value type and a Codec for its wire
-// entry; everything with a mutex in it lives here.
+// claim (Core), and one persistence and peer-exchange path (persist.go:
+// the cache-file frames, and Cache, a Core whose keys are their own wire
+// form). blockcache instantiates Cache with its value type and a Codec
+// for its wire entry; measure, whose in-memory keys are ids into a
+// dictionary it owns, composes Core and the frame functions itself.
+// Everything with a shard mutex in it lives here.
 package sfcache
 
 import (
@@ -29,9 +32,11 @@ const (
 // closes while it waits on another goroutine's in-flight fill.
 var ErrCancelled = errors.New("sfcache: wait cancelled")
 
-// Cache is a concurrent, sharded, deduplicating map from canonical
-// fingerprint to a completed value of type V; W is V's wire entry (see
-// Codec).
+// Core is a concurrent, sharded, deduplicating map from canonical
+// fingerprint to a completed value of type V — the cache without a wire
+// form. Cache (persist.go) adds a codec to it; a package whose in-memory
+// keys are not its wire keys (internal/measure) composes Core with
+// Cut, InsertRows and the frame functions itself.
 //
 // Lookups are singleflight per key: the first goroutine to miss claims the
 // fingerprint and computes while concurrent requesters for the same key
@@ -41,9 +46,8 @@ var ErrCancelled = errors.New("sfcache: wait cancelled")
 // invalidate: the cache only grows, up to its capacity. Safe for use from
 // any number of goroutines.
 //
-// The zero value is not usable; call New.
-type Cache[V any, W Wire[V]] struct {
-	codec  Codec[V, W]
+// The zero value is not usable; call NewCore.
+type Core[V any] struct {
 	shards [shardCount]shard[V]
 	// perShardCap bounds each shard's resident entries (0 = unbounded):
 	// values are always recomputable, so a full shard sheds arbitrary
@@ -109,8 +113,8 @@ type cell[V any] struct {
 // GetOrBegin: the holder must compute the value and call Commit — or, if
 // the computation fails for any reason, Abandon — exactly once (every
 // other goroutine asking for the same key waits on it until then).
-type Claim[V any, W Wire[V]] struct {
-	c   *Cache[V, W]
+type Claim[V any] struct {
+	c   *Core[V]
 	sh  *shard[V]
 	key string
 	e   *cell[V]
@@ -119,7 +123,7 @@ type Claim[V any, W Wire[V]] struct {
 // Commit publishes the completed value and releases the claim. The value
 // is shared with every current and future reader and must not be mutated
 // afterwards.
-func (cl *Claim[V, W]) Commit(v V) {
+func (cl *Claim[V]) Commit(v V) {
 	cl.e.val = v
 	cl.finish(cellDone)
 	cl.c.size.Add(1)
@@ -131,7 +135,7 @@ func (cl *Claim[V, W]) Commit(v V) {
 // the computation cannot complete — a cancelled context, an error, a
 // panicking backend — or the fingerprint would stay wedged forever for
 // every future requester of a shared cache.
-func (cl *Claim[V, W]) Abandon() { cl.finish(cellAbandoned) }
+func (cl *Claim[V]) Abandon() { cl.finish(cellAbandoned) }
 
 // finish moves the claim's cell to its final state and wakes the waiters,
 // if any ever arrived.
@@ -141,7 +145,7 @@ func (cl *Claim[V, W]) Abandon() { cl.finish(cellAbandoned) }
 // consistent cut: a cell is visible to a snapshot if and only if its stamp
 // is ≤ the snapshot's counter read. Nothing blocks while holding a shard
 // mutex, so the brief lock cannot deadlock.
-func (cl *Claim[V, W]) finish(state uint8) {
+func (cl *Claim[V]) finish(state uint8) {
 	e, sh := cl.e, cl.sh
 	sh.mu.Lock()
 	if state == cellDone {
@@ -158,14 +162,14 @@ func (cl *Claim[V, W]) finish(state uint8) {
 	}
 }
 
-// New returns an empty cache holding at most maxEntries completed
+// NewCore returns an empty cache core holding at most maxEntries completed
 // fingerprints (0 or negative = unbounded). Long-running processes caching
 // results for arbitrary client-supplied graphs — the serving tier —
 // should be bounded: the cache otherwise only ever grows. Over capacity,
 // arbitrary completed entries are shed (eviction costs a recomputation,
 // never correctness); in-flight claims are never evicted.
-func New[V any, W Wire[V]](codec Codec[V, W], maxEntries int) *Cache[V, W] {
-	c := &Cache[V, W]{codec: codec}
+func NewCore[V any](maxEntries int) *Core[V] {
+	c := &Core[V]{}
 	if maxEntries > 0 {
 		c.perShardCap = (maxEntries + shardCount - 1) / shardCount
 	}
@@ -179,7 +183,7 @@ func New[V any, W Wire[V]](codec Codec[V, W], maxEntries int) *Cache[V, W] {
 // one more (callers insert right after). Caller holds sh.mu. Map
 // iteration order is effectively random, which is exactly the cheap
 // eviction policy wanted here.
-func (c *Cache[V, W]) trimShardLocked(sh *shard[V]) {
+func (c *Core[V]) trimShardLocked(sh *shard[V]) {
 	if c.perShardCap <= 0 {
 		return
 	}
@@ -207,7 +211,7 @@ func (c *Cache[V, W]) trimShardLocked(sh *shard[V]) {
 //
 // The key may point into a reusable scratch buffer: the cache copies it on
 // insertion and never retains the caller's slice.
-func (c *Cache[V, W]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V, W], error) {
+func (c *Core[V]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V], error) {
 	var zero V
 	sh := &c.shards[shardOf(key)]
 	for {
@@ -224,7 +228,7 @@ func (c *Cache[V, W]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V,
 			c.trimShardLocked(sh)
 			sh.m[ks] = e
 			sh.mu.Unlock()
-			cl := &Claim[V, W]{c: c, sh: sh, key: ks, e: e}
+			cl := &Claim[V]{c: c, sh: sh, key: ks, e: e}
 			if f := c.fetch; f != nil {
 				if v, ok := runFetch(cl, f, key); ok {
 					cl.Commit(v)
@@ -285,12 +289,12 @@ func (c *Cache[V, W]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V,
 //
 // SetFetch must be called before the cache is shared between goroutines
 // (it is a plain field write, wired once at cluster-node construction).
-func (c *Cache[V, W]) SetFetch(f func(key []byte) (V, bool)) { c.fetch = f }
+func (c *Core[V]) SetFetch(f func(key []byte) (V, bool)) { c.fetch = f }
 
 // runFetch runs the fetch hook with the claim held, abandoning the claim
 // if the hook panics so the fingerprint is not wedged for every future
 // requester while the panic propagates.
-func runFetch[V any, W Wire[V]](cl *Claim[V, W], f func([]byte) (V, bool), key []byte) (v V, ok bool) {
+func runFetch[V any](cl *Claim[V], f func([]byte) (V, bool), key []byte) (v V, ok bool) {
 	returned := false
 	defer func() {
 		if !returned {
@@ -305,7 +309,7 @@ func runFetch[V any, W Wire[V]](cl *Claim[V, W], f func([]byte) (V, bool), key [
 // Lookup returns the value for a completed fingerprint without claiming or
 // waiting; it reports false for absent and in-flight keys. Counters are
 // untouched. Intended for peer export, tests and tooling.
-func (c *Cache[V, W]) Lookup(key []byte) (V, bool) {
+func (c *Core[V]) Lookup(key []byte) (V, bool) {
 	sh := &c.shards[shardOf(key)]
 	sh.mu.Lock()
 	e, ok := sh.m[string(key)]
@@ -322,7 +326,7 @@ func (c *Cache[V, W]) Lookup(key []byte) (V, bool) {
 // existing cell — completed or in flight — wins, since by construction
 // both sides hold the result of the same deterministic computation).
 // Reports whether it inserted.
-func (c *Cache[V, W]) insert(key string, v V) bool {
+func (c *Core[V]) insert(key string, v V) bool {
 	sh := &c.shards[shardOf(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -337,7 +341,7 @@ func (c *Cache[V, W]) insert(key string, v V) bool {
 
 // Len returns the number of completed entries (O(1): a counter, not a
 // shard scan — Stats is polled per /stats request on hot caches).
-func (c *Cache[V, W]) Len() int { return int(c.size.Load()) }
+func (c *Core[V]) Len() int { return int(c.size.Load()) }
 
 // Stats is a snapshot of a cache's traffic counters. All counters are
 // cumulative since the cache was created.
@@ -372,7 +376,7 @@ type Stats struct {
 func (s Stats) Saved() int64 { return s.Hits + s.Coalesced + s.Remote }
 
 // Stats returns a snapshot of the traffic counters.
-func (c *Cache[V, W]) Stats() Stats {
+func (c *Core[V]) Stats() Stats {
 	return Stats{
 		Size:      c.Len(),
 		Hits:      c.hits.Load(),
@@ -385,11 +389,12 @@ func (c *Cache[V, W]) Stats() Stats {
 }
 
 // shardOf hashes a key to its shard, folding eight key bytes per step
-// (measurement keys run to hundreds of bytes and every lookup pays this,
-// so a byte-at-a-time hash costs more than the simulator run it guards).
-// Each step multiplies — which carries every input bit upward — and then
-// folds the high half back down, so keys that differ only in trailing
-// float payloads still spread; the shard index is the top bits of a final
+// (every lookup pays this: a measurement's id key is ~20 bytes and a hit
+// on it must cost less than the simulator run it saves; a block key runs
+// to kilobytes). Each step multiplies — which carries every input bit
+// upward — and then folds the high half back down, so keys that share a
+// prefix and differ in a byte or two (one kernel id, one trailing float
+// payload) still spread; the shard index is the top bits of a final
 // multiply. Deterministic and unseeded. This is not the lookup hash (Go's
 // map provides that) and shard choice is never persisted.
 func shardOf[K string | []byte](key K) int {

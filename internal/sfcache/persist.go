@@ -66,25 +66,51 @@ type Codec[V any, W Wire[V]] struct {
 	ParseRecord func(rec []byte) (key []byte, v V, err error)
 }
 
-// A cache file is frames: fileMagic, the codec's FileVersion and the
-// entry count (fileHeaderLen bytes, little-endian); per entry a uvarint
-// length and that many bytes of codec record; then the CRC-32C of all of
-// it. No length it declares sizes an allocation past the caps below.
+// Cache is a Core whose keys are their own wire form: the codec renders an
+// entry for a peer or a cache file as it stands. W is V's wire entry.
+//
+// The zero value is not usable; call New.
+type Cache[V any, W Wire[V]] struct {
+	*Core[V]
+	codec Codec[V, W]
+}
+
+// New returns an empty cache holding at most maxEntries completed
+// fingerprints (0 or negative = unbounded); see NewCore.
+func New[V any, W Wire[V]](codec Codec[V, W], maxEntries int) *Cache[V, W] {
+	return &Cache[V, W]{Core: NewCore[V](maxEntries), codec: codec}
+}
+
+// A cache file is frames: fileMagic, the format version and the entry
+// count (fileHeaderLen bytes, little-endian); the dictionary tables, if
+// the format has any — each a uvarint count and that many records; per
+// entry a record; then the CRC-32C of all of it. A record is a uvarint
+// length and that many bytes. No length or count the file declares sizes
+// an allocation past the caps below.
 const (
 	fileMagic     = "IOSF"
 	fileHeaderLen = len(fileMagic) + 4 + 8
-	// maxRecordLen caps a record (a stage key is ~300 bytes, a block's JSON a few KB).
+	// maxRecordLen caps a record (a stage key is ~20 bytes, a block's JSON a few KB).
 	maxRecordLen = 1 << 20
-	// loadChunk is how many parsed entries Load stages per allocation.
+	// loadChunk is how many parsed entries ReadFrames stages per allocation.
 	loadChunk = 4096
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// row is one completed entry under its raw fingerprint.
-type row[V any] struct {
-	key string
-	val V
+// Row is one completed entry under its raw, in-memory fingerprint.
+type Row[V any] struct {
+	Key string
+	Val V
+}
+
+// Table describes one dictionary table of a cache file to ReadFrames:
+// records the entry records refer to by index, ahead of the entries.
+type Table struct {
+	// Max caps the count the file may declare.
+	Max uint64
+	// Parse validates record i of the table; rec is reused by the reader.
+	Parse func(i int, rec []byte) error
 }
 
 // Snapshot exports every completed entry published after the given
@@ -92,26 +118,27 @@ type row[V any] struct {
 // to the next incremental Snapshot. Snapshot(0) exports the whole cache,
 // as inspectable JSON; a cluster pusher feeds each call's returned point
 // back in to ship only what was published since its last round.
-//
-// The cut is exact: publication stamps the sequence under the cell's
-// shard mutex, and Snapshot holds every shard mutex while it scans and
-// reads the counter, so no concurrent Commit can land inside the cut
-// unseen. Entries evicted between snapshots are simply absent — they are
-// always recomputable.
 func (c *Cache[V, W]) Snapshot(since uint64) ([]W, uint64) {
-	rows, next := c.cut(since)
+	rows, next := c.Cut(since)
 	out := make([]W, 0, len(rows))
 	for _, r := range rows {
-		out = append(out, c.codec.Encode(EncodeKey(r.key), r.val))
+		out = append(out, c.codec.Encode(EncodeKey(r.Key), r.Val))
 	}
 	return out, next
 }
 
-// cut is Snapshot's exact cut as rows sorted by raw key, for it and Save.
-func (c *Cache[V, W]) cut(since uint64) ([]row[V], uint64) {
-	var rows []row[V]
+// Cut returns the completed entries published after the given sequence
+// point as rows sorted by raw key, plus the next sequence point.
+//
+// The cut is exact: publication stamps the sequence under the cell's
+// shard mutex, and Cut holds every shard mutex while it scans and reads
+// the counter, so no concurrent Commit can land inside the cut unseen.
+// Entries evicted between cuts are simply absent — they are always
+// recomputable.
+func (c *Core[V]) Cut(since uint64) ([]Row[V], uint64) {
+	var rows []Row[V]
 	if since == 0 {
-		rows = make([]row[V], 0, c.Len()) // the whole cache: grow once, not 5x
+		rows = make([]Row[V], 0, c.Len()) // the whole cache: grow once, not 5x
 	}
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
@@ -119,7 +146,7 @@ func (c *Cache[V, W]) cut(since uint64) ([]row[V], uint64) {
 	for i := range c.shards {
 		for k, e := range c.shards[i].m {
 			if e.state == cellDone && e.seq > since {
-				rows = append(rows, row[V]{key: k, val: e.val})
+				rows = append(rows, Row[V]{Key: k, Val: e.val})
 			}
 		}
 	}
@@ -127,9 +154,12 @@ func (c *Cache[V, W]) cut(since uint64) ([]row[V], uint64) {
 	for i := range c.shards {
 		c.shards[i].mu.Unlock()
 	}
-	slices.SortFunc(rows, func(a, b row[V]) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(rows, CompareRows[V])
 	return rows, next
 }
+
+// CompareRows orders rows by raw key, the order of a cut and of a file's entries.
+func CompareRows[V any](a, b Row[V]) int { return strings.Compare(a.Key, b.Key) }
 
 // Export returns the wire form of the completed entries among keys, in
 // key order of the input; absent and in-flight keys are skipped. This is
@@ -154,22 +184,23 @@ func (c *Cache[V, W]) Export(keys [][]byte) []W {
 //
 //ioslint:validator
 func (c *Cache[V, W]) Merge(entries []W) (int, error) {
-	rows := make([]row[V], len(entries))
+	rows := make([]Row[V], len(entries))
 	for i, we := range entries {
 		raw, v, err := we.Decode()
 		if err != nil {
 			return 0, fmt.Errorf("%s: cache entry %d: %w", c.codec.Name, i, err)
 		}
-		rows[i] = row[V]{key: string(raw), val: v}
+		rows[i] = Row[V]{Key: string(raw), Val: v}
 	}
-	return c.insertRows(rows), nil
+	return c.InsertRows(rows), nil
 }
 
-// insertRows inserts the absent ones of validated rows and counts them.
-func (c *Cache[V, W]) insertRows(rows []row[V]) int {
+// InsertRows inserts the absent ones of already validated rows and
+// returns how many it added; they count toward Stats.Loaded.
+func (c *Core[V]) InsertRows(rows []Row[V]) int {
 	added := 0
 	for _, r := range rows {
-		if c.insert(r.key, r.val) {
+		if c.insert(r.Key, r.Val) {
 			added++
 		}
 	}
@@ -182,22 +213,43 @@ func (c *Cache[V, W]) insertRows(rows []row[V]) int {
 // Entries are sorted by fingerprint, so the file is a pure function of the
 // cache contents: identical runs produce byte-identical cache files.
 func (c *Cache[V, W]) Save(w io.Writer) error {
-	rows, _ := c.cut(0)
+	rows, _ := c.Cut(0)
+	return WriteFrames(w, c.codec.Name, c.codec.FileVersion, nil, rows, c.codec.AppendRecord)
+}
+
+// WriteFrames writes a cache file (see fileMagic): the header, each
+// dictionary table's records, then one record per row, in the order given.
+func WriteFrames[V any](w io.Writer, name string, version uint32, tables [][][]byte, rows []Row[V],
+	appendRecord func(dst []byte, key string, v V) ([]byte, error)) error {
 	sum := crc32.New(castagnoli)
 	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), 1<<16)
-	hdr := binary.LittleEndian.AppendUint32([]byte(fileMagic), c.codec.FileVersion)
+	hdr := binary.LittleEndian.AppendUint32([]byte(fileMagic), version)
 	bw.Write(binary.LittleEndian.AppendUint64(hdr, uint64(len(rows)))) // bw keeps its first error for Flush
-	var rec []byte
-	for _, r := range rows {
-		var err error
-		if rec, err = c.codec.AppendRecord(rec[:0], r.key, r.val); err != nil {
-			return fmt.Errorf("%s: save cache: %w", c.codec.Name, err)
-		}
+	writeRecord := func(rec []byte) error {
 		if len(rec) > maxRecordLen {
-			return fmt.Errorf("%s: save cache: a %d-byte record is over the %d-byte cap", c.codec.Name, len(rec), maxRecordLen)
+			return fmt.Errorf("%s: save cache: a %d-byte record is over the %d-byte cap", name, len(rec), maxRecordLen)
 		}
 		bw.Write(binary.AppendUvarint(hdr[:0], uint64(len(rec))))
 		bw.Write(rec)
+		return nil
+	}
+	for _, t := range tables {
+		bw.Write(binary.AppendUvarint(hdr[:0], uint64(len(t))))
+		for _, rec := range t {
+			if err := writeRecord(rec); err != nil {
+				return err
+			}
+		}
+	}
+	var rec []byte
+	for _, r := range rows {
+		var err error
+		if rec, err = appendRecord(rec[:0], r.Key, r.Val); err != nil {
+			return fmt.Errorf("%s: save cache: %w", name, err)
+		}
+		if err := writeRecord(rec); err != nil {
+			return err
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -209,69 +261,120 @@ func (c *Cache[V, W]) Save(w io.Writer) error {
 // Load merges a previously saved cache into c, returning how many entries
 // were added (already-present fingerprints are kept, not overwritten).
 //
-// Load is all-or-nothing: magic, version, every record, the entry count,
-// the checksum and the absence of trailing bytes are checked before the
-// first insert, so a corrupt, truncated, or version-mismatched file is an
-// error that leaves the cache exactly as it was — callers start cold, not
-// half-poisoned. It streams: it allocates what it keeps, not what the
-// header claims.
+// Load is all-or-nothing: see ReadFrames.
 func (c *Cache[V, W]) Load(r io.Reader) (int, error) {
-	fail := func(format string, args ...any) (int, error) {
-		return 0, fmt.Errorf("%s: load cache: "+format, append([]any{c.codec.Name}, args...)...)
+	chunks, err := ReadFrames(r, c.codec.Name, c.codec.FileVersion, nil, c.codec.ParseRecord)
+	added := 0
+	for _, rows := range chunks {
+		added += c.InsertRows(rows)
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
+	return added, err
+}
+
+// frameReader reads a cache file's uvarints and records, checksumming
+// what it consumes.
+type frameReader struct {
+	br  *bufio.Reader
+	sum uint32
+	rec []byte // the last record; reused
+}
+
+// uvarint reads a count or a record length of at most max.
+func (fr *frameReader) uvarint(max uint64) (uint64, bool) {
+	// A peek cut short by the end of the file fails in Uvarint.
+	b, _ := fr.br.Peek(binary.MaxVarintLen32) //ioslint:untrusted persisted cache file bytes
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > max {
+		return 0, false
+	}
+	fr.sum = crc32.Update(fr.sum, castagnoli, b[:w])
+	fr.br.Discard(w)
+	return n, true
+}
+
+// record reads one length-prefixed record into the reader's buffer.
+func (fr *frameReader) record() ([]byte, error) {
+	n, ok := fr.uvarint(maxRecordLen)
+	if !ok {
+		return nil, fmt.Errorf("truncated or oversize record")
+	}
+	fr.rec = slices.Grow(fr.rec[:0], int(n))[:n]
+	if _, err := io.ReadFull(fr.br, fr.rec); err != nil {
+		return nil, err
+	}
+	fr.sum = crc32.Update(fr.sum, castagnoli, fr.rec)
+	return fr.rec, nil
+}
+
+// ReadFrames reads a cache file written by WriteFrames into validated
+// rows, in chunks of loadChunk; tables lists the format's dictionary
+// tables in file order (nil: none) and parse validates one entry record
+// (its key may alias the record, which is reused).
+//
+// It is all-or-nothing: magic, version, every table and record, the entry
+// count, the checksum and the absence of trailing bytes are checked before
+// it returns a row, so a corrupt, truncated, or version-mismatched file is
+// an error and no rows — callers start cold, not half-poisoned. It
+// streams: it allocates what it returns, not what the header claims.
+func ReadFrames[V any](r io.Reader, name string, version uint32, tables []Table,
+	parse func(rec []byte) (key []byte, v V, err error)) ([][]Row[V], error) {
+	fail := func(format string, args ...any) ([][]Row[V], error) {
+		return nil, fmt.Errorf("%s: load cache: "+format, append([]any{name}, args...)...)
+	}
+	fr := frameReader{br: bufio.NewReaderSize(r, 1<<16)}
 	hdr := make([]byte, fileHeaderLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if _, err := io.ReadFull(fr.br, hdr); err != nil {
 		return fail("header: %w", err)
 	}
 	if string(hdr[:len(fileMagic)]) != fileMagic {
-		return fail("not a version %d cache file (files of other versions are not read)", c.codec.FileVersion)
+		return fail("not a version %d cache file (files of other versions are not read)", version)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[len(fileMagic):]); v != c.codec.FileVersion {
-		return fail("cache file version %d, want %d", v, c.codec.FileVersion)
+	if v := binary.LittleEndian.Uint32(hdr[len(fileMagic):]); v != version {
+		return fail("cache file version %d, want %d", v, version)
 	}
 	count := binary.LittleEndian.Uint64(hdr[len(fileMagic)+4:])
-	sum := crc32.Update(0, castagnoli, hdr)
-	var chunks [][]row[V]
-	cur := make([]row[V], 0, min(count, loadChunk))
-	var rec []byte
-	for i := uint64(0); i < count; i++ {
-		// A peek cut short by the end of the file fails in Uvarint.
-		lenBytes, _ := br.Peek(binary.MaxVarintLen32) //ioslint:untrusted persisted cache file bytes
-		n, w := binary.Uvarint(lenBytes)
-		if w <= 0 || n > maxRecordLen {
-			return fail("entry %d of %d: truncated or oversize record", i, count)
+	fr.sum = crc32.Update(0, castagnoli, hdr)
+	for ti, t := range tables {
+		n, ok := fr.uvarint(t.Max)
+		if !ok {
+			return fail("dictionary table %d: truncated or oversize count", ti)
 		}
-		sum = crc32.Update(sum, castagnoli, lenBytes[:w])
-		br.Discard(w)
-		rec = slices.Grow(rec[:0], int(n))[:n]
-		if _, err := io.ReadFull(br, rec); err != nil {
+		for i := 0; i < int(n); i++ {
+			rec, err := fr.record() //ioslint:untrusted persisted cache file bytes
+			if err == nil {
+				err = t.Parse(i, rec)
+			}
+			if err != nil {
+				return fail("dictionary table %d entry %d of %d: %w", ti, i, n, err)
+			}
+		}
+	}
+	var chunks [][]Row[V]
+	cur := make([]Row[V], 0, min(count, loadChunk))
+	for i := uint64(0); i < count; i++ {
+		rec, err := fr.record() //ioslint:untrusted persisted cache file bytes
+		if err != nil {
 			return fail("entry %d of %d: %w", i, count, err)
 		}
-		sum = crc32.Update(sum, castagnoli, rec)
-		key, v, err := c.codec.ParseRecord(rec)
+		key, v, err := parse(rec)
 		if err != nil {
 			return fail("entry %d: %w", i, err)
 		}
 		if len(cur) == cap(cur) {
-			chunks, cur = append(chunks, cur), make([]row[V], 0, loadChunk)
+			chunks, cur = append(chunks, cur), make([]Row[V], 0, loadChunk)
 		}
-		cur = append(cur, row[V]{key: string(key), val: v})
+		cur = append(cur, Row[V]{Key: string(key), Val: v})
 	}
-	if _, err := io.ReadFull(br, hdr[:4]); err != nil {
+	if _, err := io.ReadFull(fr.br, hdr[:4]); err != nil {
 		return fail("checksum: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(hdr); got != sum {
-		return fail("checksum %08x, computed %08x", got, sum)
+	if got := binary.LittleEndian.Uint32(hdr); got != fr.sum {
+		return fail("checksum %08x, computed %08x", got, fr.sum)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if _, err := fr.br.ReadByte(); err != io.EOF {
 		return fail("bytes after the checksum")
 	}
-	added := 0
-	for _, rows := range append(chunks, cur) {
-		added += c.insertRows(rows)
-	}
-	return added, nil
+	return append(chunks, cur), nil
 }
 
 // SaveFile writes the cache to path atomically (see atomicfile.Write), so
