@@ -269,8 +269,10 @@ func (e *Engine) BlockCacheStats() BlockCacheStats {
 }
 
 // newProfiler forks a per-call profiler off the engine's root. Forks
-// share the root's immutable device model but own their measurement
-// caches, so concurrent calls never contend.
+// share the root's device model and measurement cache (WithMeasureCache,
+// if any — there is no per-profiler stage memo) but each has its own
+// simulator and lowers the graph it is used on into its own table, so
+// concurrent calls share nothing unsynchronized.
 func (e *Engine) newProfiler() *Profiler { return e.prof.Fork() }
 
 // fillDefaults merges the engine-level defaults into per-call options

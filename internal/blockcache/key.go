@@ -69,16 +69,16 @@ const (
 // uvarints — and covers, in order:
 //
 //   - the measurement context (device-model fields + dispatch overhead),
-//     via measure.Context, so caches shared across devices never collide;
+//     Profiler.Context, so caches shared across devices never collide;
 //   - the canonical options fingerprint (strategy set, pruning bounds,
 //     block-size cap — core.Options.Fingerprint), which excludes pure
 //     execution knobs like Workers by design;
 //   - per operator, in block order: the operator record (kind and every
 //     hyperparameter the merge strategy's eligibility and fused-kernel
 //     construction read), its output shape, its lowered kernel program
-//     (via measure.AppendStreams — this also pins down any KernelQuality
-//     scaling), its input list as node references, and — for convolutions
-//     only — the one consumer fact the search reads.
+//     (the profiler's own lowering, via measure.AppendStreams — this also
+//     pins down any KernelQuality scaling), its input list as node
+//     references, and — for convolutions only — the one consumer fact.
 //
 // Consumer context is deliberately minimal. The only place the search
 // looks downstream is the merge strategy's split-is-free test, which asks,
@@ -93,10 +93,9 @@ const (
 // otherwise identical cell fingerprint distinct and defeat the cache on
 // exactly the networks it targets.
 func Fingerprint(b *graph.Block, prof *profile.Profiler, optsFingerprint string) []byte {
-	popts := prof.Options()
 	key := make([]byte, 0, 256+64*len(b.Nodes))
 	key = append(key, KeyVersion)
-	key = append(key, measure.Context(prof.Spec(), popts.ExtraLaunchOverhead)...)
+	key = append(key, prof.Context()...)
 	key = appendInt(key, len(optsFingerprint))
 	key = append(key, optsFingerprint...)
 
@@ -114,7 +113,7 @@ func Fingerprint(b *graph.Block, prof *profile.Profiler, optsFingerprint string)
 		// The lowered kernel program (names excluded by AppendStreams):
 		// signatures subsume the input shapes and quality scaling that the
 		// concurrent strategy's latencies are functions of.
-		streams[0] = gpusim.Stream(profile.LowerNode(n, popts))
+		streams[0] = prof.Kernels(n)
 		enc.key = measure.AppendStreams(enc.key, streams[:])
 		enc.appendRefs(n.Inputs)
 		// The split-is-free consumer fact, for convolutions (the only

@@ -17,6 +17,7 @@ import (
 	"ios/internal/core"
 	"ios/internal/gpusim"
 	"ios/internal/graph"
+	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/profile"
 	"ios/internal/schedule"
@@ -423,6 +424,40 @@ func TestFingerprintCollisionSweepZoo(t *testing.T) {
 		t.Error("no coinciding group was search-verified")
 	}
 	t.Logf("zoo sweep: %d blocks, %d distinct structures, %d search-verified groups", total, len(groups), verified)
+}
+
+// TestFingerprintWhateverTheProfilerHolds: the fingerprint reads each
+// operator's kernels from the lowering table of the profiler it is handed,
+// and what that table held beforehand must not show — a fresh profiler, one
+// that prelowered the graph with a measurement cache attached, a fork of
+// that one, and one that last worked on another graph under the same node
+// IDs all give the same bytes for every block.
+func TestFingerprintWhateverTheProfilerHolds(t *testing.T) {
+	optsFP := core.Options{}.Fingerprint()
+	for _, g := range []*graph.Graph{models.InceptionV3(1), models.NasNetA(1)} {
+		blocks, err := g.Partition(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prelowered := profile.New(gpusim.TeslaV100)
+		prelowered.SetMeasureCache(measure.NewCache())
+		prelowered.Prelower(g.SchedulableNodes())
+		foreign := profile.New(gpusim.TeslaV100)
+		foreign.Prelower(models.RandWire(1).SchedulableNodes())
+		profs := map[string]*profile.Profiler{"prelowered": prelowered, "forked": prelowered.Fork(), "foreign": foreign}
+		for _, b := range blocks {
+			want := blockcache.Fingerprint(b, profile.New(gpusim.TeslaV100), optsFP)
+			for name, prof := range profs {
+				before := prof.Measurements
+				if got := blockcache.Fingerprint(b, prof, optsFP); !bytes.Equal(got, want) {
+					t.Fatalf("%s block %d: the %s profiler fingerprints it differently from a fresh one", g.Name, b.Index, name)
+				}
+				if prof.Measurements != before {
+					t.Fatalf("%s block %d: fingerprinting on the %s profiler ran %d measurements", g.Name, b.Index, name, prof.Measurements-before)
+				}
+			}
+		}
+	}
 }
 
 // TestRebindRejectsMismatch: a cached entry must never rebind onto a

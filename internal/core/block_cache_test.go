@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	"ios/internal/blockcache"
+	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/schedule"
 )
@@ -327,5 +329,70 @@ func TestBlockCachePersistCrossRestart(t *testing.T) {
 	if res.Stats.States != first.Stats.States || res.Stats.Transitions != first.Stats.Transitions {
 		t.Errorf("restarted warm statistics differ: %d/%d vs %d/%d",
 			res.Stats.States, res.Stats.Transitions, first.Stats.States, first.Stats.Transitions)
+	}
+}
+
+// TestBlockHitBytesPerBlock pins what a block costs when there is nothing to
+// search: ResNet-50 re-searched against a warm block cache, a warm
+// measurement cache and a prelowered profiler — every block a hit — pays per
+// block its fingerprint, its rebound stages and its slot in the result, and
+// nothing else: the profiler fork and the engine workers belong to the
+// searcher. What the search allocates for the graph as a whole, its partition
+// and its schedule's validation, is measured the same way and taken off, so
+// the figure is the block loop's alone; a profiler forked per block (a
+// simulator each) reads 1,960 bytes a block where this reads 1,356. Two
+// searchers, whatever the host; TotalAlloc counts bytes, so the figure is the
+// same everywhere.
+func TestBlockHitBytesPerBlock(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget is measured without the race detector's instrumentation")
+	}
+	const budget = 1700.0 // bytes per block; the search measures 1,356
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	allocated := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	ctx := context.Background()
+	g := models.ResNet50(1)
+	root := v100Profiler()
+	root.SetMeasureCache(measure.NewCache())
+	cache := blockcache.NewCache()
+	opts := Options{}.WithBlockCache(cache)
+	cold, err := OptimizeContext(ctx, g, root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	searched := cache.Stats().Misses
+	prof := root.Fork() // as a serving engine hands one to every call
+	var warm *Result
+	search := allocated(func() { warm, err = OptimizeContext(ctx, g, prof, opts) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != searched || warm.Stats.Measurements != 0 || warm.Stats.Blocks < 16 {
+		t.Fatalf("warm repeat of %d blocks searched %d of them and ran %d measurements; want a many-block graph, all hits",
+			warm.Stats.Blocks, st.Misses-searched, warm.Stats.Measurements)
+	}
+	if warm.Schedule.String() != cold.Schedule.String() {
+		t.Fatal("warm schedule differs from the cold one")
+	}
+	graphLevel := allocated(func() {
+		if _, err = g.Partition(opts.withDefaults().MaxBlockOps); err == nil {
+			err = warm.Schedule.Validate()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBlock := (search - graphLevel) / float64(warm.Stats.Blocks)
+	t.Logf("%.0f bytes allocated per block hit (%d blocks; %.0f bytes for the search, %.0f of them the partition and the validation)",
+		perBlock, warm.Stats.Blocks, search, graphLevel)
+	if perBlock > budget {
+		t.Errorf("a block hit allocates %.0f bytes, budget %.0f: is a profiler forked, or an engine worker built, per block again?",
+			perBlock, budget)
 	}
 }

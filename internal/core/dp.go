@@ -78,7 +78,7 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 	}
 	opts.tracker = newProgressTracker(progress, len(blocks))
 	// Lowering and solo durations are pure per node; compute them once on
-	// the root so every per-block fork (and its workers) shares the tables
+	// the root so every searcher's fork (and its workers) shares the table
 	// instead of re-lowering its slice of the graph. The solo simulations
 	// are counted here instead of lazily inside each block's serial-tail
 	// evaluation; the totals are identical.
@@ -86,11 +86,11 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 	sched := &schedule.Schedule{Graph: g}
 	stats := Stats{Blocks: len(blocks)}
 
-	// Blocks are independent subproblems; search them in parallel on
-	// forked profilers (same device model, shared immutable lowering,
-	// private simulators), each searcher reusing one scratch from block
-	// to block until this call returns. Results are deterministic
-	// regardless of interleaving.
+	// Blocks are independent subproblems; search them in parallel, each
+	// searcher on one fork of the profiler (same device model, the root's
+	// lowering table, a private simulator) and one scratch, both reused
+	// from block to block until this call returns — a block-cache hit
+	// allocates neither. Results are deterministic regardless of interleaving.
 	type blockOut struct {
 		stages []schedule.Stage
 		stats  Stats
@@ -103,14 +103,14 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := new(scratch)
+			sc, sp := new(scratch), prof.Fork()
 			for {
 				i := int(next.Add(1) - 1)
 				// A cancelled search's outs are never read (see below).
 				if i >= len(blocks) || ctx.Err() != nil {
 					return
 				}
-				stages, bstats, err := searchBlock(ctx, blocks[i], prof.Fork(), opts, sc)
+				stages, bstats, err := searchBlock(ctx, blocks[i], sp, opts, sc)
 				outs[i] = blockOut{stages: stages, stats: bstats, err: err}
 			}
 		}()

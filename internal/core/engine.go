@@ -31,8 +31,8 @@ package core
 //     workers race to it, from the enumerator's own incrementally tracked
 //     component list.
 //
-// Memo and state tables belong to whoever searches blocks, not to the block:
-// an engine empties the scratch it is handed and leaves it grown for the next.
+// Memo, state tables and workers belong to whoever searches blocks, not to the
+// block: an engine empties the scratch it is handed and leaves it grown.
 //
 // Equivalence with the reference recursion is bit-exact (asserted by
 // property tests and the zoo equivalence test): per state, candidates are
@@ -263,6 +263,11 @@ type scratch struct {
 	levels [][]int32
 	cost   []float64
 	last   []choice
+
+	// solo[i] is the solo duration of the block's operator i; workers is the
+	// pool, of which newEngine re-points as many as the block takes.
+	solo    []float64
+	workers []*engineWorker
 }
 
 // acquire empties the scratch for a block of n operators and a memo of the
@@ -302,15 +307,14 @@ type engine struct {
 	b    *graph.Block
 	opts Options
 
-	// stageSync and solo feed the allocation-free serial-tail candidate:
-	// a serial chain's latency is the stage barrier plus the sum of its
-	// nodes' solo durations (see Profiler.MeasureSerialChain).
+	// stageSync and scratch.solo feed the allocation-free serial-tail
+	// candidate: a serial chain's latency is the stage barrier plus the sum
+	// of its nodes' solo durations (see Profiler.MeasureSerialChain).
 	stageSync float64
-	solo      []float64
 
-	*scratch // the stage memo, the state space and its cost tables
+	*scratch // the stage memo, the state space and its cost tables, the pool
 
-	workers []*engineWorker
+	workers []*engineWorker // of scratch.workers, those this block takes
 	// stop is set on the first error or on context cancellation (via a
 	// context.AfterFunc registered in run); workers check it before every
 	// state and every transition, so in-flight levels drain promptly —
@@ -325,7 +329,8 @@ type engine struct {
 	prevStates, prevTrans, prevMeas int
 }
 
-// engineWorker is the per-goroutine state of one pool worker.
+// engineWorker is the per-goroutine state of one pool worker; it outlives
+// the block, whose own e, prof, stats and err are: newEngine sets them.
 type engineWorker struct {
 	e     *engine
 	prof  *profile.Profiler
@@ -342,9 +347,9 @@ type engineWorker struct {
 	// Fixed-capacity (bitset.MaxElems) measurement scratch for stage setup
 	// in measureStage.
 	groupSets  [bitset.MaxElems]bitset.Set
-	stageNodes []*graph.Node
-	groupArena []*graph.Node
-	groupLists [][]*graph.Node
+	stageNodes [bitset.MaxElems]*graph.Node
+	groupArena [bitset.MaxElems]*graph.Node
+	groupLists [bitset.MaxElems][]*graph.Node
 }
 
 // smallBlockOps is the parallel-dispatch threshold: blocks at or below
@@ -357,13 +362,13 @@ type engineWorker struct {
 // this is purely an execution heuristic.
 const smallBlockOps = 8
 
-// newEngine builds the engine over sc, which it empties, and its worker
-// pool: the passed profiler prelowers the block's nodes (and computes their
-// solo durations, counted on it exactly as lazy computation would have
-// been), worker 0 drives it and every other worker a fork of it, sharing
-// those immutable tables — so a serial engine forks nothing.
+// newEngine builds the engine over sc, which it empties, and points sc's
+// worker pool at the block: the passed profiler lowers the block's nodes and
+// times their solo durations (counted on it, exactly as lazy computation
+// would have been), worker 0 drives it and every other worker a fork of it,
+// sharing that table — so a serial engine forks nothing.
 func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch) *engine {
-	e := &engine{b: b, opts: opts, prog: opts.tracker, scratch: sc}
+	e := &engine{b: b, opts: opts, prog: opts.tracker, scratch: sc, prevMeas: prof.Measurements}
 	workers := opts.effectiveWorkers()
 	// A block can never keep more workers busy than it has operators, and
 	// a graph search may run GOMAXPROCS blocks concurrently — capping by
@@ -374,34 +379,29 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch
 	if len(b.Nodes) <= smallBlockOps {
 		workers = 1
 	}
-	prof.Prelower(b.Nodes)
 	e.stageSync = prof.Spec().StageSync
-	e.solo = make([]float64, len(b.Nodes))
-	for i, n := range b.Nodes {
-		e.solo[i] = prof.SoloDuration(n) // cached by the prelower
+	sc.solo = sc.solo[:0]
+	for _, n := range b.Nodes {
+		sc.solo = append(sc.solo, prof.SoloDuration(n))
 	}
-	e.workers = make([]*engineWorker, workers)
 	shards := 1
-	if len(e.workers) > 1 {
-		for shards < 4*len(e.workers) && shards < stageShardCount {
+	if workers > 1 {
+		for shards < 4*workers && shards < stageShardCount {
 			shards <<= 1
 		}
 	}
 	sc.acquire(len(b.Nodes), shards)
-	for i := range e.workers {
-		wp := prof
-		if i > 0 {
-			wp = prof.Fork()
-		}
-		w := &engineWorker{
-			e:          e,
-			prof:       wp,
-			stageNodes: make([]*graph.Node, 0, bitset.MaxElems),
-			groupArena: make([]*graph.Node, 0, bitset.MaxElems),
-			groupLists: make([][]*graph.Node, 0, bitset.MaxElems),
-		}
+	for len(sc.workers) < workers {
+		w := new(engineWorker)
 		w.onEnding = w.visit
-		e.workers[i] = w
+		sc.workers = append(sc.workers, w)
+	}
+	e.workers = sc.workers[:workers]
+	for i, w := range e.workers {
+		w.e, w.prof, w.stats, w.err = e, prof, Stats{}, nil
+		if i > 0 {
+			w.prof = prof.Fork()
+		}
 	}
 	return e
 }

@@ -93,6 +93,37 @@ func TestClaimedSlotReadsInFlight(t *testing.T) {
 	}
 }
 
+// TestWorkersOutliveTheBlock: the worker pool is the searcher's. An engine
+// builds the workers its scratch lacks and no others, and points those it
+// takes at its own block — worker 0 at the profiler it was handed, the rest
+// at forks of it — with nothing of the previous block's left on them.
+func TestWorkersOutliveTheBlock(t *testing.T) {
+	_, big := reuseBlocks(t)
+	sc := new(scratch)
+	first := newEngine(big, v100Profiler(), Options{Workers: 4}.withDefaults(), sc)
+	if _, _, err := first.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	first.close()
+	pool := append([]*engineWorker(nil), sc.workers...)
+	prof := v100Profiler()
+	second := newEngine(big, prof, Options{Workers: 2}.withDefaults(), sc)
+	if len(pool) != 4 || len(sc.workers) != 4 || len(second.workers) != 2 {
+		t.Fatalf("pool of %d workers, %d after a two-worker engine which took %d; want 4, 4 and 2", len(pool), len(sc.workers), len(second.workers))
+	}
+	for i, w := range sc.workers {
+		if w != pool[i] {
+			t.Errorf("worker %d was rebuilt although the scratch held it", i)
+		}
+	}
+	for i, w := range second.workers {
+		if w.e != second || w.stats != (Stats{}) || w.err != nil || (i == 0) != (w.prof == prof) || (i > 0 && w.prof.Measurements != 0) {
+			t.Errorf("worker %d still carries the previous block: engine %p (want %p), stats %+v, err %v, profiler handed %v with %d measurements",
+				i, w.e, second, w.stats, w.err, w.prof == prof, w.prof.Measurements)
+		}
+	}
+}
+
 // lyingBackend answers its plan's lie from the after-th simulator run on.
 type lyingBackend struct {
 	profile.Backend

@@ -257,10 +257,11 @@ func (kc *keyChecker) check(p *Profiler, st schedule.Stage) {
 	if err != nil {
 		kc.t.Fatal(err)
 	}
-	key, err := p.stageKey(canonicalStage(st))
+	fused, err := p.fused(st)
 	if err != nil {
 		kc.t.Fatal(err)
 	}
+	key := p.stageKey(canonicalStage(st), fused)
 	if key == nil {
 		if empty := measure.AppendStreams(measure.Context(p.Spec(), 0), nil); string(fp) != string(empty) {
 			kc.t.Fatalf("stage %v has kernels (fingerprint %x) and no key", st, fp)

@@ -15,10 +15,10 @@ import (
 // Profiler measures stage and schedule latencies on a measurement Backend
 // (by default the calibrated GPU simulator). A measurement is a pure
 // function of the stage's lowered stream programs on the profiled device:
-// the profiler itself memoizes only per-node lowering and solo durations,
-// and repeated stages are deduplicated by the attached measure.Cache, if
-// any (see SetMeasureCache). Measurement jitter, if ever wanted, is a
-// Backend whose Run perturbs its own result.
+// the profiler itself memoizes only each node's lowering and solo duration
+// (one table, see lowering), and repeated stages are deduplicated by the
+// attached measure.Cache, if any (see SetMeasureCache). Measurement jitter,
+// if ever wanted, is a Backend whose Run perturbs its own result.
 type Profiler struct {
 	backend Backend
 	opts    Options
@@ -43,47 +43,46 @@ type Profiler struct {
 	// call (merged stages), so resolving them takes no lock. Not shared
 	// with forks.
 	sigIDs map[measure.Signature]uint32
-	// soloStreams is the single-stream scratch for SoloDuration.
-	soloStreams [1]gpusim.Stream
-	// Lowering and solo durations are pure per (node, options, cache) —
-	// nodes are immutable, options are fixed per profiler and a cache's
-	// ids never change — so forks share them. Each is split into an
-	// immutable shared base (published by Fork, read without locking) and
-	// a private overlay for entries computed since.
-	//
-	// baseLowered/baseSolo are never mutated after publication; mu guards
-	// only the freeze-and-publish step in Fork.
-	mu          sync.Mutex
-	baseLowered map[int]*loweredNode
-	baseSolo    map[int]float64
-	// lowered overlays baseLowered with each node's lowering.
-	lowered map[int]*loweredNode
-	// solo overlays baseSolo with each node's single-stream duration (its
-	// kernels run back-to-back, alone on the device), the building block of
-	// serial chains: kernels on one stream do not interact in the
-	// simulator, so a chain's latency is exactly the sum of its nodes'
-	// solo durations.
-	solo map[int]float64
+	// table is the lowering table: table[n.ID] is node n's lowering, unless
+	// it is nil, out of range or made from another graph's node of that ID
+	// — then n is lowered now and takes the slot. A lowering is pure per
+	// (node, options, cache) — nodes are immutable, options are fixed per
+	// profiler and a cache's ids never change — so forks share the table
+	// copy-on-write: after a Fork neither side owns the slice, whoever
+	// stores into a table it does not own clones it first, and a stored
+	// entry is never written again. mu guards owned and serializes
+	// Backend.Fork; only the goroutine driving the profiler touches table.
+	mu    sync.Mutex
+	table []*lowering
+	owned bool
 	// Measurements counts simulator invocations (not cache hits), the
 	// analogue of on-device measurements the paper's search cost tracks.
 	Measurements int
 
-	// Stream-building scratch; see stageStreamsPooled and applyExtraOverhead.
+	// Stream-building scratch; see stageStreams and applyExtraOverhead.
 	streamBuf     []gpusim.Stream
 	streamKernels [][]gpusim.Kernel
 	ovhStreams    []gpusim.Stream
 	ovhKernels    []gpusim.Kernel
 }
 
-// loweredNode is one node's lowering: its kernel sequence and, with a
-// measurement cache attached, the kernels' ids in that cache's dictionary,
-// encoded as a stage key strings them together. keyed is false with no
-// cache attached and when the dictionary could not take one of the
+// lowering is one node's entry in the lowering table: the node it was made
+// from (Node.ID is unique within one graph only), its kernel sequence and,
+// with a measurement cache attached, the kernels' ids in that cache's
+// dictionary, encoded as a stage key strings them together. keyed is false
+// with no cache attached and when the dictionary could not take one of the
 // kernels; a stage holding such a node is measured without the cache.
-type loweredNode struct {
+// solo, once timed, is the node's single-stream duration (its kernels run
+// back-to-back, alone on the device): kernels on one stream do not interact
+// in the simulator, so a serial chain's latency is exactly the sum of its
+// nodes' solo durations.
+type lowering struct {
+	node    *graph.Node
 	kernels []gpusim.Kernel
 	ids     []byte
 	keyed   bool
+	timed   bool
+	solo    float64
 	idsBuf  [8]byte // what ids points into, for all but outsize ids: no second allocation
 }
 
@@ -107,12 +106,7 @@ func NewWithOptions(spec gpusim.Spec, opts Options) *Profiler {
 // simulator is built, does not apply — fold any such adjustment into the
 // backend itself).
 func NewWithBackend(b Backend, opts Options) *Profiler {
-	return &Profiler{
-		backend: b,
-		opts:    opts,
-		lowered: make(map[int]*loweredNode),
-		solo:    make(map[int]float64),
-	}
+	return &Profiler{backend: b, opts: opts}
 }
 
 // Spec returns the device spec being profiled.
@@ -133,17 +127,17 @@ func (p *Profiler) Options() Options { return p.opts }
 // cache is concurrency-safe and survives this profiler: share one
 // instance across profilers, searches, and servers to amortize repeated
 // structure (nil detaches). Forks inherit the cache. Ids are relative to
-// one cache, so attaching another drops the lowerings made so far.
+// one cache, so attaching another drops the lowering table.
 func (p *Profiler) SetMeasureCache(c *measure.Cache) {
 	if c == p.mcache {
 		return
 	}
 	p.mcache, p.ctxID, p.sigIDs = c, nil, nil
-	p.baseLowered, p.lowered = nil, make(map[int]*loweredNode)
+	p.table, p.owned = nil, false
 	if c == nil {
 		return
 	}
-	if id, ok := c.ContextID(p.contextKey()); ok {
+	if id, ok := c.ContextID(p.Context()); ok {
 		p.ctxID = binary.AppendUvarint(nil, uint64(id))
 	}
 }
@@ -152,10 +146,10 @@ func (p *Profiler) SetMeasureCache(c *measure.Cache) {
 // none).
 func (p *Profiler) MeasureCache() *measure.Cache { return p.mcache }
 
-// contextKey returns the long-form measurement context, building it on
-// first use (the backend spec and lowering options are fixed per
-// profiler, so the prefix is immutable and shared with forks).
-func (p *Profiler) contextKey() []byte {
+// Context returns the long-form measurement context, built on first use:
+// the backend spec and lowering options are fixed per profiler, so the
+// bytes are immutable (read-only to callers) and shared with forks.
+func (p *Profiler) Context() []byte {
 	if p.ctxKey == nil {
 		p.ctxKey = measure.Context(p.backend.Spec(), p.opts.ExtraLaunchOverhead)
 	}
@@ -164,74 +158,37 @@ func (p *Profiler) contextKey() []byte {
 
 // Fork returns an independent profiler with the same device and options
 // but its own simulator and scratch, so searches can run on separate
-// goroutines. The parent's lowered-kernel and solo-duration tables — pure,
-// node-immutable data — are frozen and shared with the fork read-only, so
-// forks never re-lower nodes the parent (or a Prelower call) has already
-// processed. Measurement counts accumulate per fork; callers sum them.
+// goroutines. The lowering table is shared copy-on-write: a fork costs the
+// same whatever the table holds, never re-lowers a node the parent (or a
+// Prelower call) has already processed, and what either side lowers
+// afterwards the other does not see. Measurement counts accumulate per
+// fork; callers sum them.
 //
 // Fork synchronizes with concurrent Fork calls but not with in-flight
 // measurements on the same profiler; quiesce the parent before forking.
 func (p *Profiler) Fork() *Profiler {
 	p.mu.Lock()
-	p.freezeLocked()
-	base, baseSolo := p.baseLowered, p.baseSolo
-	// Fork the backend under the same lock: concurrent Profiler.Fork
-	// calls are allowed, and serializing Backend.Fork here means backend
-	// implementations only need Fork to be safe against the profiler's
-	// documented discipline (no concurrent Run on the parent), not
-	// against concurrent Fork calls.
+	p.owned = false
+	table := p.table
+	// Fork the backend under the same lock: concurrent Profiler.Fork calls
+	// are allowed, so a Backend's Fork need only be safe against the
+	// profiler's documented discipline (no concurrent Run on the parent).
 	backend := p.backend.Fork()
 	p.mu.Unlock()
-	f := &Profiler{
-		// The forked backend carries the parent's spec verbatim,
-		// including any LaunchOverheadScale adjustment, which
-		// NewWithOptions would wrongly apply a second time.
-		backend:     backend,
-		opts:        p.opts,
-		mcache:      p.mcache,
-		ctxKey:      p.ctxKey, // immutable once built; nil rebuilds lazily
-		ctxID:       p.ctxID,
-		baseLowered: base,
-		baseSolo:    baseSolo,
-		lowered:     make(map[int]*loweredNode),
-		solo:        make(map[int]float64),
-	}
-	return f
+	// The forked backend carries the parent's spec verbatim, including any
+	// LaunchOverheadScale adjustment: NewWithOptions would apply it twice.
+	return &Profiler{backend: backend, opts: p.opts, mcache: p.mcache,
+		ctxKey: p.ctxKey, ctxID: p.ctxID, table: table}
 }
 
-// freezeLocked merges the private overlays into fresh immutable base maps
-// so they can be shared with forks. Caller holds p.mu.
-func (p *Profiler) freezeLocked() {
-	if len(p.lowered) == 0 && len(p.solo) == 0 {
-		return // base already covers everything computed so far
-	}
-	lowered := make(map[int]*loweredNode, len(p.baseLowered)+len(p.lowered))
-	for id, ln := range p.baseLowered {
-		lowered[id] = ln
-	}
-	for id, ln := range p.lowered {
-		lowered[id] = ln
-	}
-	solo := make(map[int]float64, len(p.baseSolo)+len(p.solo))
-	for id, d := range p.baseSolo {
-		solo[id] = d
-	}
-	for id, d := range p.solo {
-		solo[id] = d
-	}
-	p.baseLowered, p.baseSolo = lowered, solo
-	p.lowered = make(map[int]*loweredNode)
-	p.solo = make(map[int]float64)
-}
-
-// Prelower computes the kernel sequence and solo duration of every given
-// node, so subsequent forks share the full tables instead of re-lowering
-// per goroutine. Solo durations that are not yet cached cost one simulator
+// Prelower computes the lowering and solo duration of every given node, so
+// subsequent forks share the full table instead of re-lowering per
+// goroutine. Solo durations that are not yet known cost one simulator
 // invocation each (counted in Measurements, exactly as lazy computation
 // would have been).
 func (p *Profiler) Prelower(nodes []*graph.Node) {
 	for _, n := range nodes {
-		p.SoloDuration(n) // lowers the node and caches both tables
+		p.SoloDuration(n)
 	}
 }
 
@@ -279,27 +236,58 @@ func (p *Profiler) StageFingerprint(st schedule.Stage) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return measure.AppendStreams(slices.Clone(p.contextKey()), streams), nil
+	return measure.AppendStreams(slices.Clone(p.Context()), streams), nil
 }
 
-// lowerNode returns the node's lowering through the shared-base/overlay
-// cache pair, resolving its kernels' ids on the way in.
-func (p *Profiler) lowerNode(n *graph.Node) *loweredNode {
-	if ln, ok := p.baseLowered[n.ID]; ok {
-		return ln
+// find returns the node's entry in the lowering table; nil when it holds
+// none, or one made from another graph's node of the same ID.
+func (p *Profiler) find(n *graph.Node) *lowering {
+	if n.ID < len(p.table) {
+		if ln := p.table[n.ID]; ln != nil && ln.node == n {
+			return ln
+		}
 	}
-	if ln, ok := p.lowered[n.ID]; ok {
-		return ln
+	return nil
+}
+
+// lowered returns the node's entry in the lowering table, made if need be.
+func (p *Profiler) lowered(n *graph.Node) *lowering {
+	ln := p.find(n)
+	if ln == nil {
+		ln = p.lower(n)
+		p.store(ln)
 	}
-	ln := &loweredNode{kernels: LowerNode(n, p.opts), keyed: p.ctxID != nil}
+	return ln
+}
+
+// lower builds a node's lowering — the one call of LowerNode — resolving
+// its kernels' ids on the way. The entry is the caller's until stored.
+func (p *Profiler) lower(n *graph.Node) *lowering {
+	ln := &lowering{node: n, kernels: LowerNode(n, p.opts), keyed: p.ctxID != nil}
 	ln.ids = ln.idsBuf[:0]
 	for i := 0; ln.keyed && i < len(ln.kernels); i++ {
 		id, ok := p.mcache.KernelID(measure.SignatureOf(&ln.kernels[i]))
 		ln.ids, ln.keyed = binary.AppendUvarint(ln.ids, uint64(id)), ok
 	}
-	p.lowered[n.ID] = ln
 	return ln
 }
+
+// store puts a finished entry in its node's slot, first cloning a table
+// shared with a parent or forks so that nobody writes where another reads.
+func (p *Profiler) store(ln *lowering) {
+	p.mu.Lock()
+	if !p.owned {
+		p.table, p.owned = slices.Clone(p.table), true
+	}
+	p.mu.Unlock()
+	if short := ln.node.ID + 1 - len(p.table); short > 0 {
+		p.table = append(p.table, make([]*lowering, short)...)
+	}
+	p.table[ln.node.ID] = ln
+}
+
+// Kernels returns the node's kernel sequence in the lowering table, read-only.
+func (p *Profiler) Kernels(n *graph.Node) []gpusim.Kernel { return p.lowered(n).kernels }
 
 // setCount writes n as the uvarint whose first byte was reserved at
 // key[at], making room when it needs more.
@@ -310,22 +298,28 @@ func setCount(key []byte, at, n int) []byte {
 	return slices.Insert(key, at+1, b[1:w]...)
 }
 
-// stageKey assembles, in scratch valid until the next keyed measurement,
-// the id key of a canonically ordered stage: the context id, the stream
-// count, and per stream its kernel count and kernel ids — strung together
-// from the bytes lowerNode stored, without touching a kernel. It returns
-// nil for a stage that cannot be keyed (no cache attached, or no room in
-// its dictionary for a signature) and for one with no kernels at all.
-func (p *Profiler) stageKey(st schedule.Stage) ([]byte, error) {
-	if p.ctxID == nil {
+// fused returns a merge stage's fused kernels, which exist only for the
+// call (kernel fusion builds new kernels by nature); nil for any other.
+func (p *Profiler) fused(st schedule.Stage) ([]gpusim.Kernel, error) {
+	if st.Strategy != schedule.Merge {
 		return nil, nil
 	}
+	return MergedKernels(st.Ops(), p.opts)
+}
+
+// stageKey assembles, in scratch valid until the next keyed measurement,
+// the id key of a canonically ordered stage and its fused kernels (see
+// fused): the context id, the stream count, and per stream its kernel count
+// and kernel ids — strung together from the bytes lower stored, without
+// touching a kernel. It returns nil for a stage that cannot be keyed (no
+// cache attached, or no room in its dictionary for a signature) and for
+// one with no kernels at all.
+func (p *Profiler) stageKey(st schedule.Stage, fused []gpusim.Kernel) []byte {
+	if p.ctxID == nil {
+		return nil
+	}
 	if st.Strategy == schedule.Merge {
-		kernels, err := MergedKernels(st.Ops(), p.opts)
-		if err != nil {
-			return nil, err
-		}
-		return p.mergedKey(kernels), nil
+		return p.mergedKey(fused)
 	}
 	key := append(p.keyBuf[:0], p.ctxID...)
 	streamsAt, streams := len(key), 0
@@ -334,9 +328,9 @@ func (p *Profiler) stageKey(st schedule.Stage) ([]byte, error) {
 		kernelsAt, kernels := len(key), 0
 		key = append(key, 0)
 		for _, n := range grp {
-			ln := p.lowerNode(n)
+			ln := p.lowered(n)
 			if !ln.keyed {
-				return nil, nil
+				return nil
 			}
 			kernels += len(ln.kernels)
 			key = append(key, ln.ids...)
@@ -350,10 +344,10 @@ func (p *Profiler) stageKey(st schedule.Stage) ([]byte, error) {
 	}
 	p.keyBuf = key
 	if streams == 0 {
-		return nil, nil
+		return nil
 	}
 	p.keyBuf = setCount(key, streamsAt, streams)
-	return p.keyBuf, nil
+	return p.keyBuf
 }
 
 // streamKey is the id key of one stream of n kernels with the given
@@ -388,18 +382,13 @@ func (p *Profiler) mergedKey(kernels []gpusim.Kernel) []byte {
 	return p.streamKey(len(kernels), ids)
 }
 
-// stageStreamsPooled lowers a stage into the profiler's reusable stream
-// scratch. The result is valid until the next pooled call; callers must
-// not retain it. The Merge path still allocates (kernel fusion builds new
-// kernels by nature).
-func (p *Profiler) stageStreamsPooled(st schedule.Stage) ([]gpusim.Stream, error) {
+// stageStreams lowers a stage with its fused kernels (see fused) into the
+// profiler's reusable stream scratch. The result is valid until the next
+// call; callers must not retain it.
+func (p *Profiler) stageStreams(st schedule.Stage, fused []gpusim.Kernel) []gpusim.Stream {
 	if st.Strategy == schedule.Merge {
-		kernels, err := MergedKernels(st.Ops(), p.opts)
-		if err != nil {
-			return nil, err
-		}
-		p.streamBuf = append(p.streamBuf[:0], kernels)
-		return p.streamBuf, nil
+		p.streamBuf = append(p.streamBuf[:0], fused)
+		return p.streamBuf
 	}
 	streams := p.streamBuf[:0]
 	used := 0
@@ -409,7 +398,7 @@ func (p *Profiler) stageStreamsPooled(st schedule.Stage) ([]gpusim.Stream, error
 		}
 		s := p.streamKernels[used][:0]
 		for _, n := range grp {
-			s = append(s, p.lowerNode(n).kernels...)
+			s = append(s, p.lowered(n).kernels...)
 		}
 		if len(s) > 0 {
 			p.streamKernels[used] = s
@@ -421,9 +410,18 @@ func (p *Profiler) stageStreamsPooled(st schedule.Stage) ([]gpusim.Stream, error
 	if len(streams) == 0 {
 		// A stage of only free ops (identities) still pays the barrier;
 		// emit no streams.
-		return nil, nil
+		return nil
 	}
-	return streams, nil
+	return streams
+}
+
+// stageStreamsPooled is stageStreams for a caller that keys nothing.
+func (p *Profiler) stageStreamsPooled(st schedule.Stage) ([]gpusim.Stream, error) {
+	fused, err := p.fused(st)
+	if err != nil {
+		return nil, err
+	}
+	return p.stageStreams(st, fused), nil
 }
 
 // MeasureStage returns the latency of one stage in seconds, including the
@@ -435,17 +433,13 @@ func (p *Profiler) stageStreamsPooled(st schedule.Stage) ([]gpusim.Stream, error
 // the simulator does not retain them) and runs the backend.
 func (p *Profiler) MeasureStage(st schedule.Stage) (float64, error) {
 	st = canonicalStage(st)
-	key, err := p.stageKey(st)
+	fused, err := p.fused(st)
 	if err != nil {
 		return 0, err
 	}
-	lat, claim, hit := p.lookup(key)
+	lat, claim, hit := p.lookup(p.stageKey(st, fused))
 	if !hit {
-		streams, err := p.stageStreamsPooled(st)
-		if err != nil {
-			return 0, err
-		}
-		lat = p.fill(claim, streams)
+		lat = p.fill(claim, p.stageStreams(st, fused))
 	}
 	return p.backend.Spec().StageSync + lat, nil
 }
@@ -540,14 +534,18 @@ func (p *Profiler) MeasureSerialChain(nodes []*graph.Node) float64 {
 // the DP engine evaluate its serial-tail candidate per state without a
 // simulator run.
 func (p *Profiler) SoloDuration(n *graph.Node) float64 {
-	if d, ok := p.baseSolo[n.ID]; ok {
-		return d
+	ln := p.find(n)
+	switch {
+	case ln == nil:
+		ln = p.lower(n)
+	case ln.timed:
+		return ln.solo
+	default:
+		// Lowered by a stage measurement: stored entries are immutable, so
+		// the duration goes into a copy that takes the slot.
+		timed := *ln
+		ln = &timed
 	}
-	if d, ok := p.solo[n.ID]; ok {
-		return d
-	}
-	ln := p.lowerNode(n)
-	var d float64
 	if len(ln.kernels) > 0 {
 		// Through the shared structural cache, which dedups solo
 		// simulations of structurally identical nodes (repeated cells)
@@ -558,13 +556,14 @@ func (p *Profiler) SoloDuration(n *graph.Node) float64 {
 		}
 		lat, claim, hit := p.lookup(key)
 		if !hit {
-			p.soloStreams[0] = gpusim.Stream(ln.kernels)
-			lat = p.fill(claim, p.soloStreams[:])
+			p.streamBuf = append(p.streamBuf[:0], ln.kernels)
+			lat = p.fill(claim, p.streamBuf)
 		}
-		d = lat
+		ln.solo = lat
 	}
-	p.solo[n.ID] = d
-	return d
+	ln.timed = true
+	p.store(ln)
+	return ln.solo
 }
 
 // MeasureSchedule returns the end-to-end latency of a schedule in seconds.

@@ -112,7 +112,11 @@ var Unpruned = core.Unpruned
 func NewGraph(name string) *Graph { return graph.New(name) }
 
 // NewProfiler returns a latency oracle for the device, usable across
-// several Optimize calls to share its per-node lowering tables.
+// several Optimize calls, one at a time: calls over the same graph share
+// its per-node lowering table, and a call over another graph re-lowers
+// the nodes it meets (a lowering names the node it was made from, so
+// graphs never read each other's). Attach a measurement cache
+// (SetMeasureCache) to share measurements across graphs too.
 func NewProfiler(dev Device) *Profiler { return profile.New(dev) }
 
 // OptimizeWithProfilerContext runs the search on a caller-provided

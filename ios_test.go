@@ -158,6 +158,52 @@ func TestProfilerReuse(t *testing.T) {
 	}
 }
 
+// TestProfilerReuseAcrossGraphs: node IDs are unique within one graph
+// only, so a profiler that has searched SqueezeNet must not answer for
+// Inception V3's nodes from SqueezeNet's lowerings under the same IDs (it
+// used to: 3.855 ms for Inception's sequential schedule instead of 4.592,
+// and a different, worse IOS schedule). Latencies and schedule are
+// bit-equal to a fresh profiler's.
+func TestProfilerReuseAcrossGraphs(t *testing.T) {
+	ctx := context.Background()
+	run := func(prof *ios.Profiler) (seqLat, iosLat float64, sched string) {
+		t.Helper()
+		g := ios.InceptionV3(1)
+		seq, err := ios.SequentialSchedule(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seqLat, err = prof.MeasureSchedule(seq); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ios.OptimizeWithProfilerContext(ctx, g, prof, ios.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if iosLat, err = prof.MeasureSchedule(res.Schedule); err != nil {
+			t.Fatal(err)
+		}
+		js, err := res.Schedule.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seqLat, iosLat, string(js)
+	}
+	reused := ios.NewProfiler(ios.V100)
+	if _, err := ios.OptimizeWithProfilerContext(ctx, ios.SqueezeNet(1), reused, ios.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	seqLat, iosLat, sched := run(reused)
+	wantSeq, wantIOS, wantSched := run(ios.NewProfiler(ios.V100))
+	if seqLat != wantSeq || iosLat != wantIOS {
+		t.Errorf("after SqueezeNet, Inception V3 measures %.6g ms sequential and %.6g ms scheduled; a fresh profiler %.6g and %.6g",
+			seqLat*1e3, iosLat*1e3, wantSeq*1e3, wantIOS*1e3)
+	}
+	if sched != wantSched {
+		t.Error("after SqueezeNet, the search returns another Inception V3 schedule than on a fresh profiler")
+	}
+}
+
 func TestExecuteMergeSchedule(t *testing.T) {
 	// Force a merge stage through the MergeOnly variant and verify the
 	// stacked-kernel execution on real tensors through the public API.
