@@ -103,7 +103,7 @@ func TestGetOrBeginCancelledWaiter(t *testing.T) {
 		_, _, err := c.GetOrBegin(ctx.Done(), key("slow"))
 		done <- err
 	}()
-	// The waiter must park on the in-flight cell, then honor its own ctx.
+	// The waiter must park on the in-flight claim, then honor its own ctx.
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	select {

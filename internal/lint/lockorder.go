@@ -182,7 +182,11 @@ func (la *lockAnalysis) classify(call *ast.CallExpr) (callKind, lockUse, string)
 		if !ok || tv.IsType() {
 			return callNone, lockUse{}, ""
 		}
-		if id, ok := unparenExpr(call.Fun).(*ast.Ident); ok {
+		id, _ := unparenExpr(call.Fun).(*ast.Ident)
+		if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+			id = sel.Sel // unsafe.String and its kin are builtins too
+		}
+		if id != nil {
 			if _, builtin := la.pass.Info.Uses[id].(*types.Builtin); builtin {
 				return callNone, lockUse{}, ""
 			}

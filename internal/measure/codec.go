@@ -26,7 +26,11 @@ const maxDictEntries = 1 << 24
 // core mapping a stage's id key (see the package comment) to its exact
 // simulated latency in seconds, plus the dictionary the ids refer to. The
 // first goroutine to miss a key claims it and runs the simulator while
-// concurrent requesters wait, so a stage is never simulated twice.
+// concurrent requesters wait, so a stage is never simulated twice. A
+// completed entry is 40 pointer-free bytes in its shard's flat table — the
+// latency, a publication stamp and the ~19-byte key inline (a longer one
+// sits in the shard's byte arena) — that a hit reads without a lock and
+// the collector never traces.
 //
 // The zero value is not usable; call NewCache or NewCacheSize.
 type Cache struct {

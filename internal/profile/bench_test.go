@@ -26,8 +26,9 @@ func benchStage(b *testing.B) schedule.Stage {
 // BenchmarkMeasureStageMemoHit times MeasureStage's hit path on an
 // attached measure.Cache — the per-stage cost a search pays on every
 // repeat of a stage: the id key strung together from the nodes' encoded
-// kernel ids, one shard lock and one map lookup. ROADMAP item 4 compares
-// it with BenchmarkMeasureStageRun, the simulator run it saves.
+// kernel ids and one lock-free probe of the cache's flat table. ROADMAP
+// item 4 compares it with BenchmarkMeasureStageRun, the simulator run it
+// saves.
 func BenchmarkMeasureStageMemoHit(b *testing.B) {
 	st := benchStage(b)
 	p := New(gpusim.TeslaV100)

@@ -5,4 +5,4 @@ package sfcache
 // imports this package, so that test cannot live inside it).
 const ShardCount = shardCount
 
-func ShardOf(key []byte) int { return shardOf(key) }
+func ShardOf(key []byte) int { return int(hashKey(key) >> (64 - shardBits)) }

@@ -130,11 +130,12 @@ func (c *Cache[V, W]) Snapshot(since uint64) ([]W, uint64) {
 // Cut returns the completed entries published after the given sequence
 // point as rows sorted by raw key, plus the next sequence point.
 //
-// The cut is exact: publication stamps the sequence under the cell's
+// The cut is exact: publication stamps the sequence under the entry's
 // shard mutex, and Cut holds every shard mutex while it scans and reads
 // the counter, so no concurrent Commit can land inside the cut unseen.
 // Entries evicted between cuts are simply absent — they are always
-// recomputable.
+// recomputable. A row's key is a view of the table's immutable bytes, not
+// a copy.
 func (c *Core[V]) Cut(since uint64) ([]Row[V], uint64) {
 	var rows []Row[V]
 	if since == 0 {
@@ -144,9 +145,10 @@ func (c *Core[V]) Cut(since uint64) ([]Row[V], uint64) {
 		c.shards[i].mu.Lock()
 	}
 	for i := range c.shards {
-		for k, e := range c.shards[i].m {
-			if e.state == cellDone && e.seq > since {
-				rows = append(rows, Row[V]{Key: k, Val: e.val})
+		t := c.shards[i].tab.Load()
+		for j := 0; t != nil && j < len(t.index); j++ {
+			if _, e, k, ok := t.at(j); ok && e.seq > since {
+				rows = append(rows, Row[V]{Key: keyString(k), Val: e.val})
 			}
 		}
 	}
@@ -204,7 +206,6 @@ func (c *Core[V]) InsertRows(rows []Row[V]) int {
 			added++
 		}
 	}
-	c.loaded.Add(int64(added))
 	return added
 }
 
