@@ -26,7 +26,10 @@ type Stats struct {
 	// Algorithm 1, the paper's #(S, S').
 	Transitions int
 	// Measurements is the number of simulator stage measurements
-	// performed (cache misses in the profiler).
+	// performed (cache misses in the profiler). On the simulator the search
+	// never measures an ending whose lower bound already loses (see
+	// engine.go), so this is at most what Algorithm 1, which measures every
+	// ending it meets, would run — and the same at every worker count.
 	Measurements int
 	// WallTime is the optimization time.
 	WallTime time.Duration
@@ -165,10 +168,10 @@ type choice struct {
 // OptimizeContext).
 //
 // The search is the level-synchronous bottom-up engine of engine.go,
-// parallel across opts.Workers goroutines; its costs, schedules, and
-// search statistics are identical to the original memoized recursion
-// (retained in dp_reference.go as the oracle the property tests compare
-// against) for any worker count.
+// parallel across opts.Workers goroutines; its costs, schedules, states and
+// transitions are identical to the original memoized recursion (retained in
+// dp_reference.go as the oracle the property tests compare against) for any
+// worker count, and its measurements at most the recursion's.
 //
 // When a whole-block schedule cache is attached (Options.WithBlockCache),
 // the block's canonical structural fingerprint is consulted first: a hit

@@ -5,7 +5,9 @@ package core
 // level-synchronous engine in engine.go, which computes the identical
 // program; this version is retained verbatim as the independent oracle
 // the property and zoo equivalence tests compare the engine against —
-// costs, schedules, and search statistics must coincide bit-exactly.
+// costs, schedules, states and transitions must coincide bit-exactly, and
+// the engine, which skips endings whose lower bound already loses, may
+// measure fewer stages than this recursion does, never more.
 
 import (
 	"fmt"

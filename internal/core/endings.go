@@ -50,15 +50,23 @@ type enumerator struct {
 	elems  []int        // elements of s, ascending (= topological order)
 	succIn []bitset.Set // per position: successors of elems[k] within s
 	nbrs   []bitset.Set // per position: block neighbors of elems[k]
+	solo   []float64    // per block operator: its solo duration (see forEach)
 	comps  []bitset.Set // connected components of the current candidate
+	sums   []float64    // sums[i]: comps[i]'s solo durations, summed
 	undo   []bitset.Set // stack of components displaced by in-place merges
+	undoS  []float64    // and of their sums
 }
 
 // forEach invokes fn for every ending S' of S that satisfies the pruning
 // strategy P(S, S') of Section 4.3, in a deterministic order (fixed by the
 // reverse-topological decision recursion, independent of scratch reuse).
-func (en *enumerator) forEach(b *graph.Block, s bitset.Set, prune Pruning, fn endingFunc) {
-	en.b, en.s, en.prune, en.fn = b, s, prune, fn
+// solo holds a number per block operator — the DP engine's solo durations —
+// and while fn runs, en.sums[i] is the sum of those of groups[i]: merged and
+// undone with the components, in an order fixed by the recursion too, so the
+// engine's stage bound costs one read per group instead of a walk over the
+// ending.
+func (en *enumerator) forEach(b *graph.Block, s bitset.Set, prune Pruning, solo []float64, fn endingFunc) {
+	en.b, en.s, en.prune, en.solo, en.fn = b, s, prune, solo, fn
 	en.maxOps = prune.maxStageOps()
 	en.cont = true
 	en.elems = s.AppendElems(en.elems[:0])
@@ -72,10 +80,10 @@ func (en *enumerator) forEach(b *graph.Block, s bitset.Set, prune Pruning, fn en
 		en.succIn = append(en.succIn, b.Succs(e).Intersect(s))
 		en.nbrs = append(en.nbrs, b.Succs(e).Union(b.Preds(e)))
 	}
-	en.comps = en.comps[:0]
-	en.undo = en.undo[:0]
+	en.comps, en.sums = en.comps[:0], en.sums[:0]
+	en.undo, en.undoS = en.undo[:0], en.undoS[:0]
 	en.rec(len(en.elems)-1, bitset.Empty(), 0)
-	en.fn = nil // do not pin the callback between calls
+	en.fn, en.solo = nil, nil // do not pin the callback or the durations between calls
 }
 
 // rec decides membership of elems[k] and below; cur is the candidate so
@@ -107,15 +115,14 @@ func (en *enumerator) rec(k int, cur bitset.Set, size int) {
 	// onto the undo stack and are restored (at the tail — component order
 	// is immaterial) when the branch returns.
 	nbrs := en.nbrs[k]
-	merged := bitset.Of(e)
+	merged, sum := bitset.Of(e), en.solo[e]
 	displaced := 0
 	for i := 0; i < len(en.comps); {
 		if en.comps[i].Intersects(nbrs) {
-			merged = merged.Union(en.comps[i])
-			en.undo = append(en.undo, en.comps[i])
+			merged, sum = merged.Union(en.comps[i]), sum+en.sums[i]
+			en.undo, en.undoS = append(en.undo, en.comps[i]), append(en.undoS, en.sums[i])
 			displaced++
-			en.comps[i] = en.comps[len(en.comps)-1]
-			en.comps = en.comps[:len(en.comps)-1]
+			en.remove(i)
 			continue
 		}
 		i++
@@ -126,37 +133,49 @@ func (en *enumerator) rec(k int, cur bitset.Set, size int) {
 		en.restore(displaced)
 		return
 	}
-	en.comps = append(en.comps, merged)
+	en.comps, en.sums = append(en.comps, merged), append(en.sums, sum)
 	en.rec(k-1, cur.Add(e), size+1)
 	// Deeper include/undo cycles restore comps set-wise but may permute
 	// it, so merged is not necessarily still at the tail; it is, however,
 	// the unique component containing e.
 	for i := len(en.comps) - 1; i >= 0; i-- {
 		if en.comps[i].Has(e) {
-			en.comps[i] = en.comps[len(en.comps)-1]
-			en.comps = en.comps[:len(en.comps)-1]
+			en.remove(i)
 			break
 		}
 	}
 	en.restore(displaced)
 }
 
-// restore pops n displaced components off the undo stack back into comps.
+// remove deletes component i (and its sum), moving the last one into its
+// place.
+func (en *enumerator) remove(i int) {
+	last := len(en.comps) - 1
+	en.comps[i], en.sums[i] = en.comps[last], en.sums[last]
+	en.comps, en.sums = en.comps[:last], en.sums[:last]
+}
+
+// restore pops n displaced components and their sums off the undo stacks
+// back into comps and sums.
 func (en *enumerator) restore(n int) {
 	if n == 0 {
 		return
 	}
-	en.comps = append(en.comps, en.undo[len(en.undo)-n:]...)
-	en.undo = en.undo[:len(en.undo)-n]
+	top := len(en.undo) - n
+	en.comps, en.sums = append(en.comps, en.undo[top:]...), append(en.sums, en.undoS[top:]...)
+	en.undo, en.undoS = en.undo[:top], en.undoS[:top]
 }
 
 // forEachEnding is the convenience wrapper over a throwaway enumerator,
 // used by the counting analyses and tests; the DP engine holds a reusable
-// enumerator per worker instead.
+// enumerator per worker instead, and the durations it sums.
 func forEachEnding(b *graph.Block, s bitset.Set, prune Pruning, fn endingFunc) {
 	var en enumerator
-	en.forEach(b, s, prune, fn)
+	en.forEach(b, s, prune, noSolo[:], fn)
 }
+
+// noSolo is what forEachEnding sums: nothing.
+var noSolo [bitset.MaxElems]float64
 
 // groupsOf splits an ending into its connected-component groups, each as a
 // bitset, ordered by smallest element. The enumerator produces the same

@@ -24,12 +24,16 @@ package core
 //     private simulator (its own profiler) and an ending enumerator,
 //     and costs every (S, S') the moment the enumerator produces it —
 //     the enumeration runs exactly once per state and nothing about a
-//     transition is stored. Stage latencies are memoized in a sharded,
-//     per-ending singleflight table of 16-byte pointer-free inline slots
-//     (ending, latency word — published with one store), so every
-//     distinct ending is measured exactly once regardless of which
-//     workers race to it, from the enumerator's own incrementally tracked
-//     component list.
+//     transition is stored. A transition reads cost[S − S'] first and,
+//     on the simulator, drops S' unmeasured when a lower bound of its
+//     stage latency — the barrier plus its longest group's solo durations,
+//     summed by the enumerator as it merges components, or a merge
+//     roofline — already cannot beat the state's best candidate (see
+//     visit). Stage latencies of the endings that remain are memoized in a
+//     sharded, per-ending singleflight table of 16-byte pointer-free inline
+//     slots (ending, latency word — published with one store), so each is
+//     measured at most once regardless of which workers race to it, from
+//     the enumerator's own incrementally tracked component list.
 //
 // Memo, state tables and workers belong to whoever searches blocks, not to the
 // block: an engine empties the scratch it is handed and leaves it grown.
@@ -38,10 +42,14 @@ package core
 // property tests and the zoo equivalence test): per state, candidates are
 // evaluated in the same order (serial tail first, then endings in
 // enumeration order) with the same strictly-less comparison, stage
-// latencies are measured from identically ordered groups, and the
-// serial-tail sum accumulates per-node solo durations in the same order —
-// so costs, choices, schedules, and the States/Transitions/Measurements
-// statistics all coincide for any worker count.
+// latencies are measured from identically ordered groups, the serial-tail
+// sum accumulates per-node solo durations in the same order, and a skipped
+// ending is one the comparison would have rejected — so costs, choices,
+// schedules, and the States/Transitions statistics coincide for any worker
+// count. The reference measures every ending it meets, so its Measurements
+// are an upper bound of the engine's, which are the same at every worker
+// count: whether an ending is skipped depends on cost[S − S'], its bound
+// and the candidates before it, never on scheduling.
 
 import (
 	"context"
@@ -311,6 +319,12 @@ type engine struct {
 	// candidate: a serial chain's latency is the stage barrier plus the sum
 	// of its nodes' solo durations (see Profiler.MeasureSerialChain).
 	stageSync float64
+	// bounded: the profiler bounds stage latencies from below
+	// (Profiler.CanBound), so visit skips the endings whose bound already
+	// loses. convs are the block's single-input, ungrouped convolutions, the
+	// only operators a merge stage can hold.
+	bounded bool
+	convs   bitset.Set
 
 	*scratch // the stage memo, the state space and its cost tables, the pool
 
@@ -379,10 +393,13 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch
 	if len(b.Nodes) <= smallBlockOps {
 		workers = 1
 	}
-	e.stageSync = prof.Spec().StageSync
+	e.stageSync, e.bounded = prof.Spec().StageSync, prof.CanBound()
 	sc.solo = sc.solo[:0]
-	for _, n := range b.Nodes {
+	for i, n := range b.Nodes {
 		sc.solo = append(sc.solo, prof.SoloDuration(n))
+		if n.Op.Kind == graph.OpConv && len(n.Inputs) == 1 && n.Op.Groups == 1 {
+			e.convs = e.convs.Add(i)
+		}
 	}
 	shards := 1
 	if workers > 1 {
@@ -585,7 +602,7 @@ func (w *engineWorker) computeState(id int32) {
 	w.best = w.serialLatency(w.s)
 	w.bestChoice = choice{ending: w.s, strategy: schedule.Concurrent, serial: true}
 
-	w.enum.forEach(e.b, w.s, e.opts.Pruning, w.onEnding)
+	w.enum.forEach(e.b, w.s, e.opts.Pruning, e.solo, w.onEnding)
 	// Every way visit cuts an enumeration short sets stop first, so a
 	// state abandoned halfway never publishes a cost.
 	if e.stop.Load() {
@@ -599,19 +616,20 @@ func (w *engineWorker) computeState(id int32) {
 // produces it. comps is the enumerator's live component list; it is only
 // read, and only when this worker turns out to be the one measuring the
 // ending.
+//
+// The sub-cost comes first: when even the ending's lower bound cannot bring
+// the state below its best candidate so far, the ending is neither looked up
+// nor measured. lb ≤ lat and float addition is monotone, so sub+lat ≥ best
+// too, and the strictly-less test below would have rejected it: what is
+// skipped could never have been chosen. Whether it is skipped depends on
+// cost[S−E], lb(E) and the candidates before it in enumeration order only,
+// so the set of endings measured is the same at every worker count.
 func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
 	e := w.e
 	if e.stop.Load() {
 		return false
 	}
 	w.stats.Transitions++
-	v := e.stage(w, ending, comps)
-	lat, merge, ok := stageLatency(v)
-	if !ok {
-		// Infeasible under the strategy restriction: skip. A failed
-		// measurement has already set stop: give up on the state.
-		return v == stageInfeasible
-	}
 	var sub float64
 	if rem := w.s.Diff(ending); !rem.IsEmpty() {
 		ci, ok := e.index.get(rem) // strictly lower level: complete
@@ -619,6 +637,16 @@ func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
 			panic(fmt.Sprintf("core: remainder %v of state %v is not a listed state", rem, w.s))
 		}
 		sub = e.cost[ci]
+	}
+	if e.bounded && sub+w.lowerBound(ending, comps) >= w.best {
+		return true
+	}
+	v := e.stage(w, ending, comps)
+	lat, merge, ok := stageLatency(v)
+	if !ok {
+		// Infeasible under the strategy restriction: skip. A failed
+		// measurement has already set stop: give up on the state.
+		return v == stageInfeasible
 	}
 	if total := sub + lat; total < w.best {
 		w.best = total
@@ -628,6 +656,38 @@ func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
 		}
 	}
 	return true
+}
+
+// boundMargin is the relative slack lowerBound leaves for rounding: its sums
+// associate differently from the simulator's event clock, and without it
+// the bound of Figure 2's ending {1,4} reads 1.5837679158643166e-4 against
+// a measured 1.5837679158643163e-4.
+const boundMargin = 1e-9
+
+// lowerBound is a lower bound of the ending's stage latency under a bounding
+// profiler (Profiler.CanBound). Run concurrently, each group's stream takes
+// at least its operators' solo durations, whose sums the enumerator keeps
+// beside comps, so the stage takes the barrier plus the longest of them.
+// An ending that may also run merged — at least two operators, each its own
+// group, all within the block's convolutions — is bounded by the smaller of
+// that and the merge roofline.
+func (w *engineWorker) lowerBound(ending bitset.Set, comps []bitset.Set) float64 {
+	e := w.e
+	var longest float64
+	for _, s := range w.enum.sums[:len(comps)] {
+		longest = max(longest, s)
+	}
+	lb := e.stageSync + longest
+	if e.opts.Strategies != ParallelOnly && len(comps) >= 2 && len(comps) == ending.Len() && ending.SubsetOf(e.convs) {
+		nodes := w.stageNodes[:0]
+		for i := ending.NextAfter(-1); i >= 0; i = ending.NextAfter(i) {
+			nodes = append(nodes, e.b.Nodes[i])
+		}
+		if m, ok := w.prof.MergeLowerBound(nodes); ok {
+			lb = min(lb, m)
+		}
+	}
+	return lb * (1 - boundMargin)
 }
 
 // serialLatency is the serial-tail candidate's latency: barrier plus the

@@ -179,9 +179,11 @@ func stagesString(g *graph.Graph, stages []schedule.Stage) string {
 
 // TestPropertyEngineMatchesReference: the parallel bottom-up engine must
 // reproduce the original memoized recursion exactly — same stages, same
-// measured cost, same States/Transitions/Measurements — on random DAGs,
-// for every strategy set, at both Workers=1 and Workers=4 (run under
-// -race, this also exercises the level-parallel paths).
+// measured cost, same States/Transitions — on random DAGs, for every
+// strategy set, at both Workers=1 and Workers=4 (run under -race, this also
+// exercises the level-parallel paths). Measurements are at most the
+// reference's, which measures every ending the engine's bound skips, and
+// the same at both worker counts.
 func TestPropertyEngineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	strategies := []StrategySet{Both, ParallelOnly, MergeOnly}
@@ -200,6 +202,7 @@ func TestPropertyEngineMatchesReference(t *testing.T) {
 			if refErr != nil {
 				t.Fatalf("trial %d: reference: %v", trial, refErr)
 			}
+			measured := -1
 			for _, workers := range []int{1, 4} {
 				prof := v100Profiler()
 				stages, stats, err := OptimizeBlockContext(context.Background(), b, prof, Options{Strategies: strat, Pruning: prune, Workers: workers})
@@ -214,10 +217,11 @@ func TestPropertyEngineMatchesReference(t *testing.T) {
 					t.Errorf("trial %d block %d workers %d: stats %+v != reference %+v",
 						trial, b.Index, workers, stats, refStats)
 				}
-				if stats.Measurements != refProf.Measurements {
-					t.Errorf("trial %d block %d workers %d: measurements %d != reference %d",
-						trial, b.Index, workers, stats.Measurements, refProf.Measurements)
+				if stats.Measurements > refProf.Measurements || (measured >= 0 && stats.Measurements != measured) {
+					t.Errorf("trial %d block %d workers %d: %d measurements, reference %d, one worker %d",
+						trial, b.Index, workers, stats.Measurements, refProf.Measurements, measured)
 				}
+				measured = stats.Measurements
 				// Bit-identical costs: re-measure both stage lists on one
 				// fresh profiler and compare exactly.
 				check := v100Profiler()

@@ -245,7 +245,9 @@ func TestLyingBackendIsAMeasurementError(t *testing.T) {
 // size, in random order and under every option set of
 // TestPropertyStatesAreOrderIdeals, through one scratch: each block's
 // states, costs, choices, stages and statistics equal those of an engine
-// over a fresh scratch and of the reference recursion. Every few blocks
+// over a fresh scratch and of the reference recursion — but for
+// measurements, which equal the fresh engine's and are at most the
+// reference's (it measures the endings the engine's bound skips). Every few blocks
 // the scratch is first dirtied by a search that is cancelled inside a
 // state, or whose backend fails mid-level, so that whatever such a search
 // leaves behind — another block's endings under the same bitmasks, a
@@ -359,8 +361,8 @@ func TestPropertyScratchReuseIsInvisible(t *testing.T) {
 			if stats != freshStats || stats.States != refStats.States || stats.Transitions != refStats.Transitions {
 				t.Errorf("%s: stats %+v over the reused scratch, %+v fresh, %+v reference", where, stats, freshStats, refStats)
 			}
-			if reusedProf.Measurements != freshProf.Measurements || reusedProf.Measurements != refProf.Measurements {
-				t.Errorf("%s: %d measurements over the reused scratch, %d fresh, %d reference", where,
+			if reusedProf.Measurements != freshProf.Measurements || reusedProf.Measurements > refProf.Measurements {
+				t.Errorf("%s: %d measurements over the reused scratch, %d fresh, at most %d wanted (the reference's)", where,
 					reusedProf.Measurements, freshProf.Measurements, refProf.Measurements)
 			}
 		}

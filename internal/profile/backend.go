@@ -35,7 +35,9 @@ type Backend interface {
 }
 
 // SimBackend returns the default measurement backend: a fresh calibrated
-// GPU simulator for the given device.
+// GPU simulator for the given device. It is the one backend whose stage
+// latencies a Profiler can bound from below (Profiler.CanBound), which lets
+// the search skip measuring stages that cannot win.
 func SimBackend(spec gpusim.Spec) Backend {
 	return &simBackend{sim: gpusim.New(spec)}
 }

@@ -112,8 +112,19 @@ func LowerNode(n *graph.Node, opts Options) []gpusim.Kernel {
 // the same single concat node (in which case the merged layout already is
 // the concatenated tensor).
 func MergedKernels(ops []*graph.Node, opts Options) ([]gpusim.Kernel, error) {
-	if !schedule.CanMerge(ops) {
+	ks, n, ok := mergedKernels(ops, opts)
+	if !ok {
 		return nil, fmt.Errorf("profile: operators not merge-eligible")
+	}
+	return append([]gpusim.Kernel(nil), ks[:n]...), nil
+}
+
+// mergedKernels is MergedKernels into a fixed array, allocating nothing: the
+// merged kernel and, unless it is free, the split copy; ok is false when the
+// operators cannot merge.
+func mergedKernels(ops []*graph.Node, opts Options) (ks [2]gpusim.Kernel, n int, ok bool) {
+	if !schedule.CanMerge(ops) {
+		return ks, 0, false
 	}
 	in := ops[0].Inputs[0].Output
 	maxKH, maxKW, outC := 0, 0, 0
@@ -137,22 +148,23 @@ func MergedKernels(ops []*graph.Node, opts Options) ([]gpusim.Kernel, error) {
 	q := opts.quality(ops[0].Op)
 	flops := 2 * float64(in.C) * float64(maxKH) * float64(maxKW) * float64(out.Elems())
 	bytes := float64(in.Bytes()) + 4*float64(outC)*float64(in.C)*float64(maxKH)*float64(maxKW) + float64(out.Bytes())
-	kernels := []gpusim.Kernel{{
+	ks[0] = gpusim.Kernel{
 		Name:  "merged",
 		FLOPs: flops / q, Bytes: bytes / q,
 		Blocks:        gpusim.GridFor(out.Elems()),
 		WarpsPerBlock: gpusim.DefaultWarpsPerBlock,
-	}}
-	if !splitIsFree(ops) {
-		kernels = append(kernels, gpusim.Kernel{
-			Name:          "split",
-			FLOPs:         0,
-			Bytes:         2 * float64(out.Bytes()),
-			Blocks:        gpusim.GridFor(out.Elems()),
-			WarpsPerBlock: gpusim.DefaultWarpsPerBlock,
-		})
 	}
-	return kernels, nil
+	if splitIsFree(ops) {
+		return ks, 1, true
+	}
+	ks[1] = gpusim.Kernel{
+		Name:          "split",
+		FLOPs:         0,
+		Bytes:         2 * float64(out.Bytes()),
+		Blocks:        gpusim.GridFor(out.Elems()),
+		WarpsPerBlock: gpusim.DefaultWarpsPerBlock,
+	}
+	return ks, 2, true
 }
 
 // splitIsFree reports whether the merged output needs no split copy: every

@@ -566,6 +566,42 @@ func (p *Profiler) SoloDuration(n *graph.Node) float64 {
 	return ln.solo
 }
 
+// CanBound reports whether stage latencies have cheap lower bounds: a
+// concurrent stage measures at least the stage barrier plus, over its groups,
+// the longest sum of the group's SoloDurations, and a merge stage at least
+// its MergeLowerBound — both up to float rounding, which callers allow for.
+// That is a property of the simulator's fluid model, where a co-running
+// kernel never gets more SMs, resident warps or bandwidth than it gets alone
+// and no kernel outruns the device's peak FLOP/s or bandwidth, so it holds
+// for SimBackend only: of any other Backend nothing is known.
+func (p *Profiler) CanBound() bool {
+	_, ok := p.backend.(*simBackend)
+	return ok
+}
+
+// MergeLowerBound returns the roofline of the merge stage of ops, or false
+// when they cannot merge: the stage barrier plus, per fused kernel, its
+// launch and the longer of its FLOPs at peak and its bytes — framework
+// dispatch included, as applyExtraOverhead adds it — at full bandwidth. It
+// builds no kernel slice and allocates nothing; see CanBound for when it
+// bounds MeasureStage.
+func (p *Profiler) MergeLowerBound(ops []*graph.Node) (float64, bool) {
+	ks, n, ok := mergedKernels(ops, p.opts)
+	if !ok {
+		return 0, false
+	}
+	spec := p.backend.Spec()
+	lb := spec.StageSync
+	for _, k := range ks[:n] {
+		bytes := k.Bytes
+		if p.opts.ExtraLaunchOverhead > 0 {
+			bytes += p.opts.ExtraLaunchOverhead * spec.MemBandwidth
+		}
+		lb += spec.KernelLaunch + max(k.FLOPs/spec.PeakFLOPs, bytes/spec.MemBandwidth)
+	}
+	return lb, true
+}
+
 // MeasureSchedule returns the end-to-end latency of a schedule in seconds.
 func (p *Profiler) MeasureSchedule(s *schedule.Schedule) (float64, error) {
 	var total float64

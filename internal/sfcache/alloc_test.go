@@ -110,20 +110,23 @@ func BenchmarkCoreHit(b *testing.B) {
 
 // TestLoadAllocBudget is the regression gate of the cache file's cost,
 // per entry because a measurement record is some 28 bytes (a ~20-byte id
-// key and the latency): a file of real RandWire stage keys loads for
-// little more than what the table keeps — the 40-byte entry, its index
-// words and arena bytes, the chunk lists' growth — plus the 24-byte
-// staged row and its key string (115 B; a map of cells read 143, the
-// version-2 file of 300-byte long-form keys 415, the JSON body before it
-// 3.9 x its own, larger, file), and saves for the cut's row, whose key
-// views the table, plus the key under the file's numbering (48 B; a wire
-// entry and its base64 per row read 6 x the JSON file).
+// key and the latency): a file of real RandWire stage keys — 101,494 of
+// them from searches at batches 1, 2, 4 and 8, since a search measures only
+// the stages that can win — loads for little more than what the table keeps
+// — the 40-byte entry, its index words and arena bytes, the chunk lists'
+// growth — plus the 24-byte staged row and its key string (123 B; 115 on
+// the 110,731 entries three batches left while every stage was measured; a
+// map of cells read 143, the version-2 file of 300-byte long-form keys 415,
+// the JSON body before it 3.9 x its own, larger, file), and saves for the
+// cut's row, whose key views the table, plus the key under the file's
+// numbering (49 B; a wire entry and its base64 per row read 6 x the JSON
+// file).
 func TestLoadAllocBudget(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("the race detector changes what allocates; the searches take seconds")
 	}
 	c := measure.NewCache()
-	for _, batch := range []int{1, 2, 4} {
+	for _, batch := range []int{1, 2, 4, 8} {
 		prof := profile.New(gpusim.TeslaV100)
 		prof.SetMeasureCache(c)
 		if _, err := core.OptimizeContext(context.Background(), models.RandWire(batch), prof, core.Options{}); err != nil {
