@@ -149,7 +149,6 @@ func main() {
 			Batches:     batches,
 			Device:      spec.Name,
 			Opts:        opts,
-			Workers:     *workers,
 			NewProfiler: prof.Fork, // forks share the -measure-cache table
 			Progress:    progressFn,
 		})

@@ -330,46 +330,26 @@ func (e *Engine) Optimize(ctx context.Context, g *Graph, opts Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	// A cache hit may have been computed for a different — structurally
-	// identical, same fingerprint — graph value; rebind the schedule onto
-	// the caller's graph so Optimize's result always measures against the
-	// graph it was asked about.
-	return &Result{Schedule: rebindSchedule(g, entry.Schedule), Stats: entry.Stats}, nil
-}
-
-// rebindSchedule maps a schedule onto g's own nodes by ID. The cache key
-// includes the graph's content fingerprint, so entries are only ever
-// rebound across structurally identical graphs, where node IDs (and the
-// builder's topological order) coincide.
-func rebindSchedule(g *Graph, s *Schedule) *Schedule {
-	if s.Graph == g {
-		return s
+	// A cache hit may have been computed for a different graph value with
+	// the same fingerprint (which covers node names); transfer the schedule
+	// onto the caller's graph so Optimize's result always measures against
+	// the graph it was asked about.
+	s, err := entry.Schedule.Transfer(g)
+	if err != nil {
+		return nil, err
 	}
-	stages := make([]Stage, len(s.Stages))
-	for si, st := range s.Stages {
-		groups := make([][]*Node, len(st.Groups))
-		for gi, grp := range st.Groups {
-			nodes := make([]*Node, len(grp))
-			for ni, n := range grp {
-				nodes[ni] = g.Nodes[n.ID]
-			}
-			groups[gi] = nodes
-		}
-		stages[si] = Stage{Strategy: st.Strategy, Groups: groups}
-	}
-	return &schedule.Schedule{Graph: g, Stages: stages}
+	return &Result{Schedule: s, Stats: entry.Stats}, nil
 }
 
 // OptimizeBatches runs a batch-specialization sweep under ctx: one IOS
-// search per batch size (the graph is rebuilt per batch with
-// Graph.WithBatch; sweep points run concurrently, splitting the engine's
-// worker budget between their DP engines), then the measured cross-batch
-// latency matrix — every specialized schedule transferred onto every
-// other batch's graph, reproducing the shape of the paper's Table 3. The
-// whole sweep shares one structural measurement cache (the engine's own
-// when configured with WithMeasureCache, otherwise a sweep-local one), so
-// structure repeated across batches and cross-measurements is simulated
-// once.
+// search per batch size, in order (the graph is rebuilt per batch with
+// Graph.WithBatch; each search uses the engine's WithWorkers setting),
+// then the measured cross-batch latency matrix — every specialized
+// schedule transferred onto every other batch's graph, reproducing the
+// shape of the paper's Table 3. The whole sweep shares one structural
+// measurement cache (the engine's own when configured with
+// WithMeasureCache, otherwise a sweep-local one), so structure repeated
+// across batches and cross-measurements is simulated once.
 //
 // The resulting BatchPlan answers both planning questions: which schedule
 // to serve at a batch (Route, used by the serving tier's nearest-batch
@@ -390,7 +370,6 @@ func (e *Engine) OptimizeBatches(ctx context.Context, g *Graph, batches []int) (
 		Batches:     batches,
 		Device:      e.backend.Spec().Name,
 		Opts:        opts,
-		Workers:     e.workers,
 		NewProfiler: root.Fork,
 		Progress:    e.progress,
 	})

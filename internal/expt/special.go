@@ -29,28 +29,13 @@ func Table3(ctx context.Context, c Config, w io.Writer) error {
 	if c.Quick {
 		build = models.InceptionE
 	}
-	schedByBatch := make(map[int]*schedule.Schedule)
-	for _, b := range Table3Batches {
-		g := build(b)
-		res, err := core.OptimizeContext(ctx, g, profile.New(c.Device), c.Opts)
-		if err != nil {
-			return err
-		}
-		schedByBatch[b] = res.Schedule
+	p, err := c.buildPlan(ctx, build(1), Table3Batches)
+	if err != nil {
+		return err
 	}
 	t1 := report.NewTable(fmt.Sprintf("Table 3 (1): batch-size specialization, Inception V3 on %s (latency ms)", c.Device.Name),
 		"execute \\ optimized for", "1", "32", "128")
-	for _, execB := range Table3Batches {
-		row := []interface{}{fmt.Sprintf("batch %d", execB)}
-		for _, optB := range Table3Batches {
-			lat, err := executeRebatched(schedByBatch[optB], build, execB, c.Device)
-			if err != nil {
-				return err
-			}
-			row = append(row, 1e3*lat)
-		}
-		t1.AddRow(row...)
-	}
+	addExecutedRows(t1, p)
 	t1.Render(w)
 	fmt.Fprintln(w, "(each row's minimum should sit on the diagonal)")
 	fmt.Fprintln(w)
@@ -84,44 +69,21 @@ func Table3(ctx context.Context, c Config, w io.Writer) error {
 	return nil
 }
 
-// executeRebatched transfers a schedule found at one batch size onto the
-// same architecture at another batch size (stage structure by node name)
-// and measures it.
-func executeRebatched(s *schedule.Schedule, build models.Builder, batch int, dev gpusim.Spec) (float64, error) {
-	g := build(batch)
-	data, err := s.MarshalJSON()
-	if err != nil {
-		return 0, err
-	}
-	moved, err := schedule.FromJSON(data, g)
-	if err != nil {
-		return 0, err
-	}
-	if err := moved.Validate(); err != nil {
-		return 0, err
-	}
-	return profile.New(dev).MeasureSchedule(moved)
-}
-
 // Fig10 prints the schedule IOS finds for the last block of Inception V3
 // at batch 1 and at batch 32 (Section 7.2's qualitative study: the batch-32
 // schedule merges the 1x3/3x1 pair and uses more stages), then
 // cross-executes them.
 func Fig10(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
-	batches := []int{1, 32}
-	scheds := make(map[int]*schedule.Schedule)
-	for _, b := range batches {
-		g := models.InceptionE(b)
-		res, err := core.OptimizeContext(ctx, g, profile.New(c.Device), c.Opts)
-		if err != nil {
-			return err
-		}
-		scheds[b] = res.Schedule
-		fmt.Fprintf(w, "— schedule optimized for batch %d (%d stages) —\n", b, res.Schedule.NumStages())
-		fmt.Fprint(w, res.Schedule.String())
+	p, err := c.buildPlan(ctx, models.InceptionE(1), []int{1, 32})
+	if err != nil {
+		return err
+	}
+	for _, pt := range p.Points {
+		fmt.Fprintf(w, "— schedule optimized for batch %d (%d stages) —\n", pt.Batch, pt.Schedule.NumStages())
+		fmt.Fprint(w, pt.Schedule.String())
 		merges := 0
-		for _, st := range res.Schedule.Stages {
+		for _, st := range pt.Schedule.Stages {
 			if st.Strategy == schedule.Merge {
 				merges++
 			}
@@ -130,17 +92,7 @@ func Fig10(ctx context.Context, c Config, w io.Writer) error {
 	}
 	t := report.NewTable(fmt.Sprintf("Figure 10 cross-execution on %s (latency ms)", c.Device.Name),
 		"execute \\ optimized for", "batch 1", "batch 32")
-	for _, execB := range batches {
-		row := []interface{}{fmt.Sprintf("batch %d", execB)}
-		for _, optB := range batches {
-			lat, err := executeRebatched(scheds[optB], models.InceptionE, execB, c.Device)
-			if err != nil {
-				return err
-			}
-			row = append(row, 1e3*lat)
-		}
-		t.AddRow(row...)
-	}
+	addExecutedRows(t, p)
 	t.Render(w)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"ios/internal/graph"
 	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/plan"
@@ -16,7 +17,7 @@ import (
 // "specialize"): a network's full cross-batch latency and penalty
 // matrices — the schedule specialized at batch i measured at batch j,
 // the shape of the paper's Table 3 — produced by the internal/plan sweep
-// (concurrent per-batch searches sharing one structural measurement
+// (one search per batch, in order, sharing one structural measurement
 // cache). DiagonalWins asserts the paper's headline property: in every
 // column (execution batch), the specialized schedule is at least as fast
 // as any reused one.
@@ -56,18 +57,7 @@ func SpecializeRows(ctx context.Context, c Config, batches []int) ([]SpecializeR
 	names, builders := specializeNets(c)
 	var rows []SpecializeRow
 	for k, build := range builders {
-		// One measurement cache per network: every per-batch search and
-		// every cross-measurement of the sweep deduplicates against it.
-		root := profile.New(c.Device)
-		root.SetMeasureCache(measure.NewCache())
-		p, err := plan.Build(ctx, plan.BuildConfig{
-			Graph:       build(1),
-			Batches:     batches,
-			Device:      c.Device.Name,
-			Opts:        c.Opts,
-			Workers:     c.Opts.Workers,
-			NewProfiler: root.Fork,
-		})
+		p, err := c.buildPlan(ctx, build(1), batches)
 		if err != nil {
 			return nil, fmt.Errorf("expt: specialize %s: %w", names[k], err)
 		}
@@ -91,6 +81,35 @@ func SpecializeRows(ctx context.Context, c Config, batches []int) ([]SpecializeR
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// buildPlan runs the internal/plan sweep of g over batches on the
+// configured device and options. Every search and cross-measurement of
+// the sweep shares one structural measurement cache.
+func (c Config) buildPlan(ctx context.Context, g *graph.Graph, batches []int) (*plan.Plan, error) {
+	root := profile.New(c.Device)
+	root.SetMeasureCache(measure.NewCache())
+	return plan.Build(ctx, plan.BuildConfig{
+		Graph:       g,
+		Batches:     batches,
+		Device:      c.Device.Name,
+		Opts:        c.Opts,
+		NewProfiler: root.Fork,
+	})
+}
+
+// addExecutedRows adds one row per planned batch to t, the batch a
+// schedule is executed at: the latency in ms of every point's schedule at
+// that batch, so each column is one optimized-for batch (p.Latency
+// transposed, as Table 3 and Figure 10 print it).
+func addExecutedRows(t *report.Table, p *plan.Plan) {
+	for j, execB := range p.Batches() {
+		row := []interface{}{fmt.Sprintf("batch %d", execB)}
+		for i := range p.Points {
+			row = append(row, 1e3*p.Latency[i][j])
+		}
+		t.AddRow(row...)
+	}
 }
 
 // Specialize renders the SpecializeRows tables (experiment id

@@ -79,11 +79,18 @@ func New(name string) *Graph {
 // NodeByName returns the node with the given name, or nil.
 func (g *Graph) NodeByName(name string) *Node { return g.byName[name] }
 
+// nodeName is the name add gives the next node: name itself, or
+// "<kind>_<index>" when name is empty.
+func (g *Graph) nodeName(name string, kind OpKind) string {
+	if name == "" {
+		return fmt.Sprintf("%s_%d", kind, len(g.Nodes))
+	}
+	return name
+}
+
 // add appends a node, wiring consumer lists and validating the name.
 func (g *Graph) add(name string, op Op, inputs []*Node, out Shape) *Node {
-	if name == "" {
-		name = fmt.Sprintf("%s_%d", op.Kind, len(g.Nodes))
-	}
+	name = g.nodeName(name, op.Kind)
 	if _, dup := g.byName[name]; dup {
 		panic(fmt.Sprintf("graph %q: duplicate node name %q", g.Name, name))
 	}

@@ -105,6 +105,9 @@ func FromJSON(data []byte) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: node %q: %w", jn.Name, err)
 		}
+		if name := g.nodeName(jn.Name, op.Kind); g.NodeByName(name) != nil {
+			return nil, fmt.Errorf("graph: node %d: name %q is already taken", i, name)
+		}
 		if op.Kind == OpInput {
 			if jn.Shape == nil {
 				return nil, fmt.Errorf("graph: input node %q needs a shape", jn.Name)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -53,6 +54,22 @@ func TestFromJSONErrors(t *testing.T) {
 	for i, c := range cases {
 		if _, err := FromJSON([]byte(c)); err == nil {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+}
+
+// TestFromJSONRejectsTakenNames: a node name already in use — spelled out
+// twice, or equal to the "<kind>_<index>" name an unnamed node gets — is
+// an error, not the builder's duplicate-name panic.
+func TestFromJSONRejectsTakenNames(t *testing.T) {
+	cases := map[string]string{
+		"repeated name": `{"name":"x","nodes":[{"name":"a","op":"input","shape":[1,3,8,8]},{"name":"a","op":"relu","inputs":["a"]}]}`,
+		"default name":  `{"name":"x","nodes":[{"name":"relu_1","op":"input","shape":[1,3,8,8]},{"op":"relu","inputs":["relu_1"]}]}`,
+	}
+	for name, data := range cases {
+		_, err := FromJSON([]byte(data))
+		if err == nil || !strings.Contains(err.Error(), "already taken") {
+			t.Errorf("%s: err = %v, want a taken-name error", name, err)
 		}
 	}
 }

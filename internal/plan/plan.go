@@ -8,9 +8,9 @@
 // specialized at batch i, executed at batch j), so a serving tier can
 // route a request at an unplanned batch to the nearest specialized
 // schedule and report the measured penalty of that reuse instead of a
-// guess. Build runs the sweep (concurrent searches sharing one
-// measurement cache under a worker budget); Save/Load persist plans as
-// JSON for warm restarts.
+// guess. Build runs the sweep (one search per batch, in order, sharing
+// one measurement cache); Save/Load persist plans as JSON for warm
+// restarts.
 package plan
 
 import (
@@ -18,9 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"ios/internal/core"
 	"ios/internal/graph"
@@ -281,29 +279,24 @@ type BuildConfig struct {
 	// Device is the canonical device name recorded in the plan.
 	Device string
 	// Opts configures every point's search (canonicalized and validated
-	// by Build; Workers is ignored in favor of the Workers budget below).
+	// by Build). The sweep runs one search per batch, in order, so
+	// Opts.Workers is its only parallelism setting.
 	Opts core.Options
-	// Workers is the total worker-goroutine budget shared by the sweep:
-	// points run concurrently and split the budget between their DP
-	// engines (0 or negative = GOMAXPROCS). Like Options.Workers this is
-	// a pure execution knob — plans are identical at every setting.
-	Workers int
-	// NewProfiler returns a profiler for one search or measurement. It is
-	// called from multiple goroutines; have every returned profiler share
-	// one measurement cache (e.g. forks of a common root) so the sweep
-	// deduplicates repeated structure across its points.
+	// NewProfiler returns a profiler for one search, or for measuring the
+	// matrix. Have every returned profiler share one measurement cache
+	// (e.g. forks of a common root) so the sweep deduplicates repeated
+	// structure across its points.
 	NewProfiler func() *profile.Profiler
-	// Progress, when set, receives search-progress snapshots. Build
-	// serializes the calls, but snapshots from concurrent sweep points
-	// interleave.
+	// Progress, when set, receives each search's progress snapshots, one
+	// search after another.
 	Progress func(core.Progress)
 }
 
-// Build runs a batch-specialization sweep: one IOS search per batch size
-// (concurrently, under the shared worker budget), then the full
-// cross-batch measurement matrix — every specialized schedule transferred
-// (by node name) onto every other batch's graph and measured. A cancelled
-// ctx aborts outstanding searches and returns the wrapped ctx.Err().
+// Build runs a batch-specialization sweep: one IOS search per batch, in
+// order, then the full cross-batch matrix — every specialized schedule
+// transferred (Schedule.Transfer) onto every batch's graph and measured
+// on one profiler. A cancelled ctx stops the sweep and returns the
+// wrapped ctx.Err().
 func Build(ctx context.Context, cfg BuildConfig) (*Plan, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("plan: nil graph")
@@ -319,149 +312,47 @@ func Build(ctx context.Context, cfg BuildConfig) (*Plan, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(batches)
-	graphs := make([]*graph.Graph, n)
-	for i, b := range batches {
-		if graphs[i], err = cfg.Graph.WithBatch(b); err != nil {
+	p := &Plan{Model: cfg.Graph.Name, Device: cfg.Device, Opts: opts.Fingerprint()}
+	for _, b := range batches {
+		g, err := cfg.Graph.WithBatch(b)
+		if err != nil {
 			return nil, fmt.Errorf("plan: %w", err)
 		}
+		res, err := core.OptimizeWithProgress(ctx, g, cfg.NewProfiler(), opts, cfg.Progress)
+		if err != nil {
+			return nil, fmt.Errorf("plan: optimize batch %d: %w", b, err)
+		}
+		p.Points = append(p.Points, Point{Batch: b, Graph: g, Schedule: res.Schedule})
 	}
 
-	budget := cfg.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
+	// The cross-batch matrix, one execution batch (column) at a time so
+	// the profiler lowers each graph once. Graph.WithBatch keeps node
+	// names, so a row's off-diagonal entries measure exactly the reuse a
+	// nearest-batch serving tier performs.
+	prof := cfg.NewProfiler()
+	p.Latency = make([][]float64, len(p.Points))
+	for i := range p.Latency {
+		p.Latency[i] = make([]float64, len(p.Points))
 	}
-	conc := n
-	if conc > budget {
-		conc = budget
-	}
-	opts.Workers = budget / conc
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
-	progress := cfg.Progress
-	if progress != nil {
-		var mu sync.Mutex
-		inner := progress
-		progress = func(pr core.Progress) {
-			mu.Lock()
-			inner(pr)
-			mu.Unlock()
+	for j, at := range p.Points {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("plan: sweep cancelled: %w", err)
 		}
-	}
-
-	// Phase 1: one specialized search per batch, conc at a time.
-	scheds := make([]*schedule.Schedule, n)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		errMu.Unlock()
-	}
-	sem := make(chan struct{}, conc)
-	for i := range batches {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if runCtx.Err() != nil {
-				return
-			}
-			res, err := core.OptimizeWithProgress(runCtx, graphs[i], cfg.NewProfiler(), opts, progress)
+		for i, from := range p.Points {
+			s, err := from.Schedule.Transfer(at.Graph)
 			if err != nil {
-				setErr(fmt.Errorf("plan: optimize batch %d: %w", batches[i], err))
-				return
+				return nil, fmt.Errorf("plan: transfer batch-%d schedule to batch %d: %w", from.Batch, at.Batch, err)
 			}
-			scheds[i] = res.Schedule
-		}(i)
-	}
-	wg.Wait()
-	if err := sweepErr(ctx, firstErr); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: the cross-batch matrix. Schedules transfer across batches
-	// by node name (Graph.WithBatch preserves names and structure), so a
-	// row's off-diagonal entries measure exactly the reuse a nearest-batch
-	// serving tier performs.
-	lat := make([][]float64, n)
-	for i := range lat {
-		lat[i] = make([]float64, n)
-	}
-	recipes := make([][]byte, n)
-	for i, s := range scheds {
-		if recipes[i], err = s.MarshalJSON(); err != nil {
-			return nil, fmt.Errorf("plan: marshal batch-%d schedule: %w", batches[i], err)
+			if p.Latency[i][j], err = prof.MeasureSchedule(s); err != nil {
+				return nil, fmt.Errorf("plan: measure batch-%d schedule at batch %d: %w", from.Batch, at.Batch, err)
+			}
 		}
-	}
-	for i := range batches {
-		for j := range batches {
-			wg.Add(1)
-			go func(i, j int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if runCtx.Err() != nil {
-					return
-				}
-				var (
-					s   *schedule.Schedule
-					err error
-				)
-				if i == j {
-					s = scheds[i]
-				} else {
-					if s, err = schedule.FromJSON(recipes[i], graphs[j]); err == nil {
-						err = s.Validate()
-					}
-					if err != nil {
-						setErr(fmt.Errorf("plan: transfer batch-%d schedule to batch %d: %w", batches[i], batches[j], err))
-						return
-					}
-				}
-				l, err := cfg.NewProfiler().MeasureSchedule(s)
-				if err != nil {
-					setErr(fmt.Errorf("plan: measure batch-%d schedule at batch %d: %w", batches[i], batches[j], err))
-					return
-				}
-				lat[i][j] = l
-			}(i, j)
-		}
-	}
-	wg.Wait()
-	if err := sweepErr(ctx, firstErr); err != nil {
-		return nil, err
-	}
-
-	p := &Plan{Model: cfg.Graph.Name, Device: cfg.Device, Opts: opts.Fingerprint()}
-	p.Latency = lat
-	p.Points = make([]Point, n)
-	for i := range batches {
-		p.Points[i] = Point{Batch: batches[i], Graph: graphs[i], Schedule: scheds[i], Latency: lat[i][i]}
+		p.Points[j].Latency = p.Latency[j][j]
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
-}
-
-// sweepErr resolves a sweep's first error, preferring the caller's own
-// cancellation (the sibling-abort errors it triggers are secondary).
-func sweepErr(ctx context.Context, firstErr error) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("plan: sweep cancelled: %w", err)
-	}
-	return firstErr
 }
 
 // normalizeBatches validates, deduplicates, and sorts a batch sweep.

@@ -255,6 +255,8 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		"version mismatch": strings.Replace(good, "\"version\": 1", "\"version\": 99", 1),
 		"truncated":        good[:len(good)/2],
 		"negative latency": strings.Replace(good, "\"latency_seconds\": [", "\"latency_seconds\": [[-1, -1], [-1, -1]], \"ignore\": [", 1),
+		// The graph builder panics on a repeated name; Load must not.
+		"repeated node name": strings.Replace(good, "\"name\": \"b\"", "\"name\": \"a\"", 1),
 	}
 	for name, data := range cases {
 		if data == good {

@@ -304,6 +304,33 @@ func GroupsOf(ops []*graph.Node) [][]*graph.Node {
 	return groups
 }
 
+// Transfer returns the schedule's stages over g's nodes of the same names,
+// validated against g: the move of a schedule onto its architecture at
+// another batch size (Graph.WithBatch keeps every name) or onto another
+// value of the same graph. On its own graph it returns s itself.
+func (s *Schedule) Transfer(g *graph.Graph) (*Schedule, error) {
+	if g == s.Graph {
+		return s, nil
+	}
+	out := &Schedule{Graph: g, Stages: make([]Stage, len(s.Stages))}
+	for si, st := range s.Stages {
+		groups := make([][]*graph.Node, len(st.Groups))
+		for gi, grp := range st.Groups {
+			groups[gi] = make([]*graph.Node, len(grp))
+			for ni, n := range grp {
+				if groups[gi][ni] = g.NodeByName(n.Name); groups[gi][ni] == nil {
+					return nil, fmt.Errorf("schedule: stage %d references node %q, which graph %q lacks", si+1, n.Name, g.Name)
+				}
+			}
+		}
+		out.Stages[si] = Stage{Strategy: st.Strategy, Groups: groups}
+	}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Concat appends the stages of other to s. Both must refer to the same
 // graph; used to assemble a network schedule from per-block schedules.
 func (s *Schedule) Concat(other *Schedule) {

@@ -33,9 +33,6 @@ type BatchingConfig struct {
 	// MaxBatch caps dispatch sizes; 0 means each plan's largest planned
 	// batch (beyond it the measured model extrapolates).
 	MaxBatch int
-	// RateAlpha is the arrival-rate EWMA weight (0 = the batching
-	// package default).
-	RateAlpha float64
 }
 
 // InferRequest is the body of POST /infer. Model names a zoo network
@@ -143,10 +140,9 @@ func (s *Server) batcherFor(p *plan.Plan, spec gpusim.Spec) (*batching.Batcher, 
 			&inferServed{pt: pt, penalty: penalty, exact: exact}, nil
 	}
 	b, err := batching.NewBatcher(batching.Config{
-		Model:     p,
-		SLO:       bc.SLO,
-		MaxBatch:  bc.MaxBatch,
-		RateAlpha: bc.RateAlpha,
+		Model:    p,
+		SLO:      bc.SLO,
+		MaxBatch: bc.MaxBatch,
 	}, exec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: batcher for plan %s/%s/%s: %w", p.Model, p.Device, p.Opts, err)

@@ -687,9 +687,9 @@ func (s *Server) Warm(ctx context.Context, names []string, batches []int) error 
 // WarmPlans builds and registers a batch-specialization plan for each
 // named zoo model (nil = the paper's four benchmarks) over the given
 // batch sizes, on the server's default device and options: one
-// specialized search per (model, batch) — concurrently per model, under
-// the server's worker budget — plus the measured cross-batch penalty
-// matrix, all feeding the server's shared structural measurement cache.
+// specialized search per batch, in order, each with the options' Workers
+// setting, plus the measured cross-batch penalty matrix, all feeding the
+// server's shared structural measurement cache.
 // Subsequent /optimize requests for these models are answered from the
 // plan: exactly planned batches with their specialized schedule,
 // unplanned batches by nearest-batch routing with a recorded penalty.
@@ -712,7 +712,6 @@ func (s *Server) WarmPlans(ctx context.Context, names []string, batches []int) e
 			Batches:     batches,
 			Device:      s.cfg.Device.Name,
 			Opts:        opts.WithBlockCache(s.blocks),
-			Workers:     opts.Workers,
 			NewProfiler: func() *profile.Profiler { return s.newProfiler(s.cfg.Device) },
 		})
 		if err != nil {
@@ -802,8 +801,8 @@ func (s *Server) servePlanned(w http.ResponseWriter, ctx context.Context, res *r
 }
 
 // plannedEntry resolves the memoized answer for one (plan, requested
-// batch), computing it on the first request: bind the routed schedule at
-// the requested batch (exact hits reuse the plan point verbatim), measure
+// batch), computing it on the first request: transfer the routed schedule
+// to the requested batch (exact hits reuse the plan point verbatim), measure
 // it and the sequential baseline, and render the whole answer.
 // The requested batch's graph comes from the plan point itself
 // (pt.Graph.WithBatch), so the entry works for any registered plan —
@@ -825,14 +824,7 @@ func (s *Server) plannedEntry(spec gpusim.Spec, p *plan.Plan, pt *plan.Point, ba
 		if g, err = pt.Graph.WithBatch(batch); err != nil {
 			return nil, err
 		}
-		recipe, err := pt.Schedule.MarshalJSON()
-		if err != nil {
-			return nil, err
-		}
-		if sched, err = schedule.FromJSON(recipe, g); err == nil {
-			err = sched.Validate()
-		}
-		if err != nil {
+		if sched, err = pt.Schedule.Transfer(g); err != nil {
 			return nil, fmt.Errorf("plan: route batch %d to planned batch %d: %w", batch, pt.Batch, err)
 		}
 		if lat, err = s.newProfiler(spec).MeasureSchedule(sched); err != nil {

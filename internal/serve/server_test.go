@@ -324,6 +324,7 @@ func TestRequestValidation(t *testing.T) {
 		{"negative batch", OptimizeRequest{Model: "fig2", Batch: -3}},
 		{"batch conflicts with graph", OptimizeRequest{Graph: raw, Batch: 7}},
 		{"malformed graph", OptimizeRequest{Graph: json.RawMessage(`{"nodes": [{"name": "x", "op": "conv"}]}`)}},
+		{"repeated node name", OptimizeRequest{Graph: json.RawMessage(`{"nodes": [{"name": "x", "op": "input", "shape": [1, 3, 8, 8]}, {"name": "x", "op": "relu", "inputs": ["x"]}]}`)}},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/optimize", tc.req)
