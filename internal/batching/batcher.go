@@ -2,10 +2,14 @@ package batching
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
+
+// ErrClosed is Submit's error once the batcher has been closed.
+var ErrClosed = errors.New("batching: batcher closed")
 
 // Exec runs one dispatched batch and returns its service latency (the
 // time the batch occupies the device) plus an arbitrary payload shared
@@ -125,7 +129,7 @@ func (b *Batcher) Submit(ctx context.Context, images int) (Result, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return Result{}, fmt.Errorf("batching: batcher closed")
+		return Result{}, ErrClosed
 	}
 	b.nextID++
 	id := b.nextID
@@ -293,7 +297,7 @@ func (b *Batcher) Drain(ctx context.Context) error {
 }
 
 // Close drains the queue, waits for in-flight dispatches, and stops the
-// executor. Subsequent Submits fail; Close is idempotent.
+// executor. Subsequent Submits fail with ErrClosed; Close is idempotent.
 func (b *Batcher) Close() error {
 	b.mu.Lock()
 	if b.closed {

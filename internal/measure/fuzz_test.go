@@ -2,6 +2,7 @@ package measure
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -43,6 +44,50 @@ func FuzzLoad(f *testing.F) {
 		want, _ := c.Snapshot(0)
 		if got, _ := back.Snapshot(0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("re-saved entry set differs:\n%+v\nwant\n%+v", got, want)
+		}
+	})
+}
+
+// FuzzMerge attacks Merge — the path of peer pushes and of bench/'s cache
+// seeding — with a JSON []WireEntry. Whatever the entries: Merge does not
+// panic; a rejected batch leaves the cache and its dictionary exactly as
+// they were; an accepted one adds at most one entry per wire entry, and
+// its Snapshot(0) merged into a fresh cache snapshots the same. The seed
+// corpus (testdata/fuzz/FuzzMerge) is a Figure-2 block search's snapshot
+// and the ways of damaging it: a foreign key-version byte, bad base64, a
+// NaN (which JSON cannot carry) and a negative latency, a duplicate key,
+// and the empty list.
+func FuzzMerge(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var entries []WireEntry
+		if json.Unmarshal(data, &entries) != nil {
+			return
+		}
+		c := NewCache()
+		_, cl, _ := c.GetOrBegin(nil, idKey(c, []gpusim.Stream{{kernel(5, 5)}}))
+		cl.Commit(1)
+		before, _ := c.Snapshot(0)
+		ctxs, kerns := dictLen(c)
+		added, err := c.Merge(entries)
+		if err != nil {
+			if got, _ := c.Snapshot(0); !reflect.DeepEqual(got, before) || c.Stats().Loaded != 0 {
+				t.Fatalf("a rejected batch (%v) changed the cache: %+v", err, got)
+			}
+			if nc, nk := dictLen(c); nc != ctxs || nk != kerns {
+				t.Fatalf("a rejected batch (%v) grew the dictionary to %d contexts, %d signatures", err, nc, nk)
+			}
+			return
+		}
+		if added < 0 || added > len(entries) || c.Len() != 1+added {
+			t.Fatalf("%d entries merged as %d added, cache of %d", len(entries), added, c.Len())
+		}
+		want, _ := c.Snapshot(0)
+		back := NewCache()
+		if _, err := back.Merge(want); err != nil {
+			t.Fatalf("the snapshot of an accepted batch is rejected: %v", err)
+		}
+		if got, _ := back.Snapshot(0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("re-merged snapshot differs:\n%+v\nwant\n%+v", got, want)
 		}
 	})
 }

@@ -2,15 +2,12 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"ios/internal/batching"
-	"ios/internal/gpusim"
-	"ios/internal/plan"
 )
 
 // This file is the serving tier's traffic-adaptive auto-batching front
@@ -108,51 +105,44 @@ type BatchStats struct {
 	Batchers []BatcherStats `json:"batchers,omitempty"`
 }
 
-// inferServed is the Exec payload shared by every request of one
-// dispatch: how the plan routed it.
-type inferServed struct {
-	pt      *plan.Point
-	penalty float64
-	exact   bool
-}
-
-// batcherFor returns the plan's auto-batcher, creating it on first use.
-// The batcher's executor routes each dispatched batch through the plan
-// exactly like /optimize would (memoized via plannedEntry) and reports
-// the plan's measured latency for the batch as the service time, so the
-// virtual device timeline and the /stats plan counters see the same
-// numbers a sequence of individual requests would have produced.
-func (s *Server) batcherFor(p *plan.Plan, spec gpusim.Spec) (*batching.Batcher, error) {
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	if b, ok := s.batchers[p]; ok {
-		return b, nil
-	}
-	bc := s.cfg.Batching
-	exec := func(d batching.Dispatch) (time.Duration, any, error) {
-		pt, penalty, exact := p.Route(d.Images)
-		e, err := s.plannedEntry(spec, p, pt, d.Images, penalty, exact)
-		if err != nil {
-			return 0, nil, err
+// submit queues a request on its plan's auto-batcher, creating it on the
+// plan's first /infer request: the caller found the plan, and plans are
+// replaced, never removed. Under planMu a batcher only joins the current
+// record, where a replacement finds it to close. Its executor answers each
+// dispatch from the record like /optimize would and reports the plan's
+// measured latency for the batch as the service time, so the virtual
+// device timeline and the /stats plan counters see the numbers a sequence
+// of individual requests would have produced.
+func (s *Server) submit(ctx context.Context, res *resolved) (batching.Result, error) {
+	s.planMu.Lock()
+	rec := s.plans[planKey{res.key.Model, res.key.Device, res.key.Opts}]
+	if rec.batcher == nil {
+		spec, p := res.spec, rec.plan
+		exec := func(d batching.Dispatch) (time.Duration, any, error) {
+			e, err := s.plannedEntry(spec, rec, d.Images)
+			if err != nil {
+				return 0, nil, err
+			}
+			s.recordRoute(e.route.Penalty, e.route.Exact)
+			return time.Duration(e.lat * float64(time.Second)), e.route, nil
 		}
-		s.recordRoute(penalty, exact)
-		return time.Duration(e.lat * float64(time.Second)),
-			&inferServed{pt: pt, penalty: penalty, exact: exact}, nil
+		b, err := batching.NewBatcher(batching.Config{
+			Model:    p,
+			SLO:      s.cfg.Batching.SLO,
+			MaxBatch: s.cfg.Batching.MaxBatch,
+		}, exec)
+		if err != nil {
+			s.planMu.Unlock()
+			return batching.Result{}, fmt.Errorf("serve: batcher for plan %s/%s/%s: %w", p.Model, p.Device, p.Opts, err)
+		}
+		rec.batcher = b
 	}
-	b, err := batching.NewBatcher(batching.Config{
-		Model:    p,
-		SLO:      bc.SLO,
-		MaxBatch: bc.MaxBatch,
-	}, exec)
-	if err != nil {
-		return nil, fmt.Errorf("serve: batcher for plan %s/%s/%s: %w", p.Model, p.Device, p.Opts, err)
-	}
-	s.batchers[p] = b
-	return b, nil
+	b := rec.batcher
+	s.planMu.Unlock()
+	return b.Submit(ctx, res.batch)
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	atomic.AddInt64(&s.inferReqs, 1)
 	if s.cfg.Batching == nil {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("auto-batching is disabled (start the server with a Batching config, e.g. iosserve -auto-batch)"))
 		return
@@ -175,18 +165,17 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	p := s.planFor(res.key)
-	if p == nil {
+	if s.planFor(res.key) == nil {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("no registered plan for %s/%s/%s (warm one with -warm + -plan-batches, or POST /optimize for unplanned serving)",
 			res.key.Model, res.key.Device, res.key.Opts))
 		return
 	}
-	b, err := s.batcherFor(p, res.spec)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
+	result, err := s.submit(ctx, res)
+	if errors.Is(err, batching.ErrClosed) {
+		// A re-registration retired the batcher between lookup and submit:
+		// retry once, on the record that replaced it.
+		result, err = s.submit(ctx, res)
 	}
-	result, err := b.Submit(ctx, res.batch)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.failCompute(w, ctx, err)
@@ -195,7 +184,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	served := result.Payload.(*inferServed)
+	route := result.Payload.(PlanRoute)
 	resp := InferResponse{
 		Model:            res.key.Model,
 		Device:           res.spec.Name,
@@ -203,19 +192,15 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		Images:           res.batch,
 		DispatchImages:   result.Batch,
 		DispatchRequests: result.Requests,
-		Plan: PlanRoute{
-			PlannedBatch: served.pt.Batch,
-			Exact:        served.exact,
-			Penalty:      served.penalty,
-		},
-		LatencyMS:   float64(result.Service) / float64(time.Millisecond),
-		QueueWaitMS: float64(result.QueueWait) / float64(time.Millisecond),
-		TotalMS:     float64(result.Total) / float64(time.Millisecond),
-		SLOMS:       float64(s.cfg.Batching.SLO) / float64(time.Millisecond),
-		Violated:    result.Violated,
+		Plan:             route,
+		LatencyMS:        float64(result.Service) / float64(time.Millisecond),
+		QueueWaitMS:      float64(result.QueueWait) / float64(time.Millisecond),
+		TotalMS:          float64(result.Total) / float64(time.Millisecond),
+		SLOMS:            float64(s.cfg.Batching.SLO) / float64(time.Millisecond),
+		Violated:         result.Violated,
 	}
 	s.logf("infer %s images=%d dispatch=%d planned=%d exact=%v penalty=%.3f total=%.3fms",
-		res.key.Model, res.batch, result.Batch, served.pt.Batch, served.exact, served.penalty, resp.TotalMS)
+		res.key.Model, res.batch, result.Batch, route.PlannedBatch, route.Exact, route.Penalty, resp.TotalMS)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -226,22 +211,15 @@ func (s *Server) batchStats() BatchStats {
 		return st
 	}
 	st.SLOMS = float64(s.cfg.Batching.SLO) / float64(time.Millisecond)
-	s.batchMu.Lock()
-	type pair struct {
-		p *plan.Plan
-		b *batching.Batcher
-	}
-	pairs := make([]pair, 0, len(s.batchers))
-	for p, b := range s.batchers {
-		pairs = append(pairs, pair{p, b})
-	}
-	s.batchMu.Unlock()
-	for _, pb := range pairs {
-		bs := pb.b.Stats()
+	for _, r := range s.registry() {
+		if r.batcher == nil {
+			continue
+		}
+		bs, p := r.batcher.Stats(), r.plan
 		row := BatcherStats{
-			Model:        pb.p.Model,
-			Device:       pb.p.Device,
-			Options:      pb.p.Opts,
+			Model:        p.Model,
+			Device:       p.Device,
+			Options:      p.Opts,
 			QueueDepth:   bs.QueueDepth,
 			InFlight:     bs.InFlight,
 			ArrivalRate:  bs.ArrivalRate,
@@ -255,20 +233,10 @@ func (s *Server) batchStats() BatchStats {
 			for b, c := range bs.DispatchHist {
 				weights[b] = float64(c)
 			}
-			row.SuggestedBatches = pb.p.SuggestBatches(weights, len(pb.p.Points))
+			row.SuggestedBatches = p.SuggestBatches(weights, len(p.Points))
 		}
 		st.Batchers = append(st.Batchers, row)
 	}
-	sort.Slice(st.Batchers, func(i, j int) bool {
-		a, b := st.Batchers[i], st.Batchers[j]
-		if a.Model != b.Model {
-			return a.Model < b.Model
-		}
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		return a.Options < b.Options
-	})
 	return st
 }
 
@@ -278,14 +246,11 @@ func (s *Server) batchStats() BatchStats {
 // /infer requests complete immediately instead of waiting out their SLO
 // headroom inside the server's drain window.
 func (s *Server) DrainBatchers(ctx context.Context) error {
-	s.batchMu.Lock()
-	bs := make([]*batching.Batcher, 0, len(s.batchers))
-	for _, b := range s.batchers {
-		bs = append(bs, b)
-	}
-	s.batchMu.Unlock()
-	for _, b := range bs {
-		if err := b.Drain(ctx); err != nil {
+	for _, r := range s.registry() {
+		if r.batcher == nil {
+			continue
+		}
+		if err := r.batcher.Drain(ctx); err != nil {
 			return err
 		}
 	}
@@ -296,15 +261,12 @@ func (s *Server) DrainBatchers(ctx context.Context) error {
 // (subsequent /infer submits to them fail). The server remains usable
 // for every other endpoint.
 func (s *Server) CloseBatchers() error {
-	s.batchMu.Lock()
-	bs := make([]*batching.Batcher, 0, len(s.batchers))
-	for _, b := range s.batchers {
-		bs = append(bs, b)
-	}
-	s.batchMu.Unlock()
 	var first error
-	for _, b := range bs {
-		if err := b.Close(); err != nil && first == nil {
+	for _, r := range s.registry() {
+		if r.batcher == nil {
+			continue
+		}
+		if err := r.batcher.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -39,6 +39,12 @@ func TestInferDisabled(t *testing.T) {
 	if !strings.Contains(string(body), "disabled") {
 		t.Errorf("error should say auto-batching is disabled: %s", body)
 	}
+	// The route table answers a wrong method before the handler runs.
+	if resp, err := http.Get(ts.URL + "/infer"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /infer: status %d, want 405", resp.StatusCode)
+	}
 }
 
 func TestInferNoPlan(t *testing.T) {
@@ -136,6 +142,82 @@ func TestInferConcurrent(t *testing.T) {
 	if st.Batchers[0].QueueDepth != 0 || st.Batchers[0].InFlight != 0 {
 		t.Errorf("batcher not idle after all requests returned: %+v", st.Batchers[0])
 	}
+}
+
+// TestReRegisterPlanRetiresItsBatcher: re-registering a plan after /infer
+// traffic reached it closes the old plan's batcher, so /stats lists one
+// batcher and the old one's goroutine is gone; and while 8 clients post
+// /infer through 5 re-registrations, every answer is a 200.
+func TestReRegisterPlanRetiresItsBatcher(t *testing.T) {
+	s := NewServer(Config{Logf: t.Logf, Batching: &BatchingConfig{SLO: 50 * time.Millisecond}})
+	t.Cleanup(func() { s.CloseBatchers() })
+	ctx := context.Background()
+	warm := func() error { return s.WarmPlans(ctx, []string{"squeezenet"}, planTestBatches) }
+	if err := warm(); err != nil {
+		t.Fatal(err)
+	}
+	body := mustMarshal(t, InferRequest{Model: "squeezenet"})
+	infer := func() {
+		t.Helper()
+		if code, raw := post(s, "/infer", body); code != http.StatusOK {
+			t.Fatalf("/infer: status %d: %s", code, raw)
+		}
+	}
+	settled := func(baseline int) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var st StatsResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(st.Batch.Batchers); n != 1 {
+			t.Errorf("/stats lists %d batchers for 1 plan, want 1", n)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines, %d before the re-registration: a replaced batcher still runs", runtime.NumGoroutine(), baseline)
+			}
+		}
+	}
+
+	infer()
+	baseline := runtime.NumGoroutine()
+	if err := warm(); err != nil {
+		t.Fatal(err)
+	}
+	infer()
+	settled(baseline)
+
+	stop := make(chan struct{})
+	var clients sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for {
+				if code, raw := post(s, "/infer", body); code != http.StatusOK {
+					t.Errorf("/infer during re-registration: status %d: %s", code, raw)
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5; i++ {
+		if err := warm(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	clients.Wait()
+	infer()
+	settled(baseline)
 }
 
 // TestInferDrainWithQueuedRequest pins the shutdown path: a request

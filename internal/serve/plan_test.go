@@ -103,7 +103,7 @@ func TestPlanNearestRouting(t *testing.T) {
 	if out.Plan.Exact || out.Plan.PlannedBatch != 16 {
 		t.Fatalf("plan route = %+v, want nearest batch 16", out.Plan)
 	}
-	wantPen := s.planFor(Key{Model: "squeezenet", Device: out.Device, Opts: out.Options}).EstimatePenalty(2, 13)
+	wantPen := s.LookupPlan("squeezenet", out.Device, out.Options).EstimatePenalty(2, 13)
 	if out.Plan.Penalty != wantPen {
 		t.Errorf("penalty = %v, want the plan's estimate %v", out.Plan.Penalty, wantPen)
 	}
@@ -293,9 +293,9 @@ func TestOptimizeRejectsInconsistentInputBatches(t *testing.T) {
 }
 
 // TestPlanMemoEvictsWhenFull: a batch sweep past planMemoCap leaves the
-// memo at or under its cap, and the newest batch — asked for after the
-// memo filled — is resident, so its second request is answered from the
-// memo instead of being re-bound, re-measured and re-rendered forever.
+// plan's answers at or under their cap, and the newest batch — asked for
+// after they filled — is resident, so its second request is answered from
+// the record instead of being re-bound, re-measured and re-rendered forever.
 func TestPlanMemoEvictsWhenFull(t *testing.T) {
 	s := NewServer(hermetic(Config{}))
 	if err := s.WarmPlans(context.Background(), []string{"fig2"}, []int{1, 8}); err != nil {
@@ -307,22 +307,18 @@ func TestPlanMemoEvictsWhenFull(t *testing.T) {
 			t.Fatalf("batch %d: %v", b, err)
 		}
 	}
+	rec := s.planFor(Key{Model: "fig2", Device: "Tesla V100", Opts: s.optsFP})
 	memoized := func() *planServed {
 		s.planMu.Lock()
 		defer s.planMu.Unlock()
-		if n := len(s.planMemo); n > planMemoCap {
-			t.Fatalf("memo holds %d answers, cap %d", n, planMemoCap)
+		if n := len(rec.answers); n > planMemoCap {
+			t.Fatalf("plan holds %d answers, cap %d", n, planMemoCap)
 		}
-		for k, e := range s.planMemo {
-			if k.batch == last {
-				return e
-			}
-		}
-		return nil
+		return rec.answers[last]
 	}
 	first := memoized()
 	if first == nil {
-		t.Fatalf("batch %d, requested after the memo filled, was not stored", last)
+		t.Fatalf("batch %d, requested after the answers filled, was not stored", last)
 	}
 	measured := s.cfg.MeasureCache.Stats()
 	r, _, err := optimizeOK(s, mustMarshal(t, OptimizeRequest{Model: "fig2", Batch: last}))
@@ -330,7 +326,7 @@ func TestPlanMemoEvictsWhenFull(t *testing.T) {
 		t.Fatalf("second request for batch %d: %v, %+v", last, err, r)
 	}
 	if memoized() != first {
-		t.Errorf("second request for batch %d replaced its memo entry instead of reading it", last)
+		t.Errorf("second request for batch %d replaced its answer instead of reading it", last)
 	}
 	if after := s.cfg.MeasureCache.Stats(); after != measured {
 		t.Errorf("second request for batch %d measured again: %+v -> %+v", last, measured, after)

@@ -130,7 +130,7 @@ type Config struct {
 	// front end: POST /infer coalesces single-image (or small-batch)
 	// inference requests into batches chosen from each registered plan's
 	// measured performance model under the configured SLO. nil disables
-	// /infer (requests get 404).
+	// /infer (a POST gets 404).
 	Batching *BatchingConfig
 	// Deadline, when positive, bounds each request's server-side
 	// processing time: the request context gets this timeout, an
@@ -165,14 +165,9 @@ type Server struct {
 	start   time.Time
 	optsFP  string // cfg.Options' fingerprint: what a request overriding no search option resolves to
 
-	optimizeReqs  int64
-	measureReqs   int64
-	modelsReqs    int64
-	statsReqs     int64
-	plansReqs     int64
-	cancelledReqs int64
-	inferReqs     int64
-	healthzReqs   int64
+	// requests counts each route's requests under its /stats name, plus
+	// "cancelled"; NewServer fills it and nothing adds a key after.
+	requests map[string]*atomic.Int64
 
 	// ready gates GET /healthz: true once start-up work (cache loads,
 	// warm precompute) is done. NewServer starts ready — embedders that
@@ -180,23 +175,16 @@ type Server struct {
 	// no extra call.
 	ready atomic.Bool
 
-	// Batch-specialization plans, keyed by the specialization axes minus
-	// batch (which plans span). planMu also guards the float penalty
-	// counters, which atomics cannot cover, and the routing memo.
+	// The plan registry, keyed by the specialization axes minus batch
+	// (which plans span). planMu also guards every record's answers and
+	// batcher, and the float penalty counters, which atomics cannot cover.
 	planMu      sync.Mutex
-	plans       map[planKey]*plan.Plan      // guarded by planMu
-	planMemo    map[planMemoKey]*planServed // guarded by planMu
-	planExact   int64                       // guarded by planMu
-	planRouted  int64                       // guarded by planMu
-	penaltySum  float64                     // guarded by planMu
-	lastPenalty float64                     // guarded by planMu
-	maxPenalty  float64                     // guarded by planMu
-
-	// Auto-batching front end: one lazily created Batcher per registered
-	// plan (keyed by plan pointer, so re-registering a plan retires the
-	// old batcher's key on its next lookup).
-	batchMu  sync.Mutex
-	batchers map[*plan.Plan]*batching.Batcher // guarded by batchMu
+	plans       map[planKey]*registered // guarded by planMu
+	planExact   int64                   // guarded by planMu
+	planRouted  int64                   // guarded by planMu
+	penaltySum  float64                 // guarded by planMu
+	lastPenalty float64                 // guarded by planMu
+	maxPenalty  float64                 // guarded by planMu
 
 	zooOnce sync.Once
 	zooBody []byte // the rendered GET /models answer
@@ -208,27 +196,33 @@ type planKey struct {
 	model, device, opts string
 }
 
-// planMemoKey addresses one memoized (plan, requested batch) routing; the
-// plan pointer keys it so re-registering a plan naturally invalidates the
-// old entries.
-type planMemoKey struct {
-	p     *plan.Plan
-	batch int
+// registered is one registered plan with what it serves: its answer per
+// requested batch (at most planMemoCap for this plan) and its auto-batcher,
+// created on the plan's first /infer request. Registering a plan under the
+// same key replaces the whole record, so the old answers go with it and its
+// batcher is closed. answers and batcher are under Server.planMu.
+type registered struct {
+	plan    *plan.Plan
+	answers map[int]*planServed
+	batcher *batching.Batcher
 }
 
-// planServed is the answer for one (plan, requested batch): the rendered
-// 200 body, a pure function of the plan point and the batch, so it is
-// computed once and written to every subsequent request.
+// planServed is the answer for one (plan, requested batch), a pure function
+// of the two, so it is computed once and written to every later request:
+// the rendered 200 body, the schedule latency at the requested batch in
+// seconds, and the routing. It keeps no schedule and no graph.
 type planServed struct {
-	body []byte
-	lat  float64 // schedule latency at the requested batch, seconds
+	body  []byte
+	lat   float64
+	route PlanRoute
 }
 
-// planMemoCap bounds the routing memo: requests choose the batch, so an
-// adversarial client could otherwise grow it without limit. A full memo
-// sheds one arbitrary resident answer per insertion (map iteration order,
-// the policy sfcache uses): values are deterministic, so an evicted batch
-// is merely recomputed when next asked for.
+// planMemoCap bounds each plan's answers: requests choose the batch, so an
+// adversarial client could otherwise grow them without limit. A plan
+// holding planMemoCap answers sheds one arbitrary resident answer per
+// insertion (map iteration order, the policy sfcache uses): values are
+// deterministic, so an evicted batch is merely recomputed when next asked
+// for.
 const planMemoCap = 4096
 
 // NewServer returns a ready-to-mount server.
@@ -250,21 +244,43 @@ func NewServer(cfg Config) *Server {
 		bc = SharedBlockCache()
 	}
 	s := &Server{cfg: cfg, cache: cache, measure: mc, blocks: bc, mux: http.NewServeMux(), start: time.Now(),
-		optsFP: cfg.Options.Fingerprint(), plans: make(map[planKey]*plan.Plan), planMemo: make(map[planMemoKey]*planServed),
-		batchers: make(map[*plan.Plan]*batching.Batcher)}
+		optsFP: cfg.Options.Fingerprint(), plans: make(map[planKey]*registered),
+		requests: map[string]*atomic.Int64{"cancelled": new(atomic.Int64)}}
 	for _, p := range cfg.Plans {
 		if err := s.RegisterPlan(p); err != nil {
 			s.logf("skipping invalid plan: %v", err)
 		}
 	}
-	s.mux.HandleFunc("/optimize", s.handleOptimize)
-	s.mux.HandleFunc("/measure", s.handleMeasure)
-	s.mux.HandleFunc("/models", s.handleModels)
-	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/plans", s.handlePlans)
-	s.mux.HandleFunc("/plans/", s.handlePlanGet)
-	s.mux.HandleFunc("/infer", s.handleInfer)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	// The route table: each request is counted under its path's name
+	// ("plans" for both plan routes), then a wrong method is a 405 before
+	// the handler runs.
+	for _, rt := range []struct {
+		method, path string
+		handle       http.HandlerFunc
+	}{
+		{http.MethodPost, "/optimize", s.handleOptimize},
+		{http.MethodPost, "/measure", s.handleMeasure},
+		{http.MethodPost, "/infer", s.handleInfer},
+		{http.MethodGet, "/models", s.handleModels},
+		{http.MethodGet, "/stats", s.handleStats},
+		{http.MethodGet, "/plans", s.handlePlans},
+		{http.MethodGet, "/plans/", s.handlePlanGet},
+		{http.MethodGet, "/healthz", s.handleHealthz},
+	} {
+		rt, name := rt, strings.Trim(rt.path, "/")
+		if s.requests[name] == nil {
+			s.requests[name] = new(atomic.Int64)
+		}
+		n := s.requests[name]
+		s.mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) {
+			n.Add(1)
+			if r.Method != rt.method {
+				s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use %s", rt.method))
+				return
+			}
+			rt.handle(w, r)
+		})
+	}
 	s.ready.Store(true)
 	return s
 }
@@ -281,8 +297,10 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 
 // RegisterPlan validates and registers a batch-specialization plan for
 // routing. A plan replaces any earlier plan with the same (model, device,
-// options) key. Plans for zoo models must use the canonical zoo name
-// (models.ZooEntry.Name) as their Model to match request resolution.
+// options) key, and with it that plan's answers and its auto-batcher:
+// the replaced batcher dispatches what it has queued and stops. Plans for
+// zoo models must use the canonical zoo name (models.ZooEntry.Name) as
+// their Model to match request resolution.
 func (s *Server) RegisterPlan(p *plan.Plan) error {
 	if p == nil {
 		return fmt.Errorf("serve: nil plan")
@@ -292,29 +310,30 @@ func (s *Server) RegisterPlan(p *plan.Plan) error {
 	}
 	key := planKey{p.Model, p.Device, p.Opts}
 	s.planMu.Lock()
-	if old := s.plans[key]; old != nil && old != p {
-		for mk := range s.planMemo {
-			if mk.p == old {
-				delete(s.planMemo, mk)
-			}
-		}
-	}
-	s.plans[key] = p
+	old := s.plans[key]
+	s.plans[key] = &registered{plan: p, answers: make(map[int]*planServed)}
 	s.planMu.Unlock()
+	// Out of the map, old gets no batcher any more (submit sets one only on
+	// the current record). Close drains: its queued requests are answered
+	// from the old plan, and one it refuses is retried on the new.
+	if old != nil && old.batcher != nil {
+		return old.batcher.Close()
+	}
 	return nil
 }
 
-// Plans returns the registered batch-specialization plans, sorted by
-// (model, device, options) — e.g. for persisting them at shutdown.
-func (s *Server) Plans() []*plan.Plan {
+// registry returns every registered plan with its batcher (nil before the
+// plan's first /infer), sorted by (model, device, options): the one
+// snapshot every listing reads. The copies carry no answers.
+func (s *Server) registry() []registered {
 	s.planMu.Lock()
-	out := make([]*plan.Plan, 0, len(s.plans))
-	for _, p := range s.plans {
-		out = append(out, p)
+	out := make([]registered, 0, len(s.plans))
+	for _, r := range s.plans {
+		out = append(out, registered{plan: r.plan, batcher: r.batcher})
 	}
 	s.planMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+		a, b := out[i].plan, out[j].plan
 		if a.Model != b.Model {
 			return a.Model < b.Model
 		}
@@ -326,8 +345,20 @@ func (s *Server) Plans() []*plan.Plan {
 	return out
 }
 
-// planFor returns the registered plan matching a request key, or nil.
-func (s *Server) planFor(key Key) *plan.Plan {
+// Plans returns the registered batch-specialization plans, sorted by
+// (model, device, options) — e.g. for persisting them at shutdown.
+func (s *Server) Plans() []*plan.Plan {
+	reg := s.registry()
+	out := make([]*plan.Plan, len(reg))
+	for i, r := range reg {
+		out[i] = r.plan
+	}
+	return out
+}
+
+// planFor returns the record registered under a request key's (model,
+// device, options), or nil.
+func (s *Server) planFor(key Key) *registered {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
 	return s.plans[planKey{key.Model, key.Device, key.Opts}]
@@ -731,7 +762,6 @@ func (s *Server) WarmPlans(ctx context.Context, names []string, batches []int) e
 // handlers --------------------------------------------------------------
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	atomic.AddInt64(&s.optimizeReqs, 1)
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	var req OptimizeRequest
@@ -743,8 +773,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if p := s.planFor(res.key); p != nil {
-		s.servePlanned(w, ctx, res, p)
+	if rec := s.planFor(res.key); rec != nil {
+		s.servePlanned(w, ctx, res, rec)
 		return
 	}
 	e, cached, err := s.entry(ctx, res)
@@ -777,47 +807,47 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // specialized schedule and stored latency; an unplanned batch is routed
 // to the nearest planned batch, whose schedule is transferred onto the
 // requested batch's graph and measured (warm structural-measurement-cache
-// work — the optimizer never runs). The rendered answer for each (plan,
-// batch) is memoized, so repeat requests pay no measurement or marshaling
+// work — the optimizer never runs). The plan's record keeps each batch's
+// rendered answer, so repeat requests pay no measurement or marshaling
 // at all. Either way the routing is recorded in the /stats plan counters
 // with its penalty.
-func (s *Server) servePlanned(w http.ResponseWriter, ctx context.Context, res *resolved, p *plan.Plan) {
-	pt, penalty, exact := p.Route(res.batch)
+func (s *Server) servePlanned(w http.ResponseWriter, ctx context.Context, res *resolved, rec *registered) {
 	if err := ctx.Err(); err != nil {
 		s.failCompute(w, ctx, err)
 		return
 	}
-	e, err := s.plannedEntry(res.spec, p, pt, res.batch, penalty, exact)
+	e, err := s.plannedEntry(res.spec, rec, res.batch)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.recordRoute(penalty, exact)
+	s.recordRoute(e.route.Penalty, e.route.Exact)
 	if s.cfg.Logf != nil {
 		s.logf("optimize %s plan batch=%d->%d exact=%v penalty=%.3f %.3fms",
-			res.key, res.batch, pt.Batch, exact, penalty, 1e3*e.lat)
+			res.key, res.batch, e.route.PlannedBatch, e.route.Exact, e.route.Penalty, 1e3*e.lat)
 	}
 	s.writeBody(w, http.StatusOK, e.body)
 }
 
-// plannedEntry resolves the memoized answer for one (plan, requested
-// batch), computing it on the first request: transfer the routed schedule
-// to the requested batch (exact hits reuse the plan point verbatim), measure
-// it and the sequential baseline, and render the whole answer.
+// plannedEntry returns a plan's answer for a requested batch, computing it
+// on the first request: route the batch, transfer the routed schedule to
+// it (exact hits reuse the plan point verbatim), measure it and the
+// sequential baseline, and render the whole answer.
 // The requested batch's graph comes from the plan point itself
 // (pt.Graph.WithBatch), so the entry works for any registered plan —
 // including ones loaded from disk — without zoo resolution. Every value
 // is a deterministic function of the inputs, so concurrent first
 // requests may compute duplicates, and last-write-wins is benign.
-func (s *Server) plannedEntry(spec gpusim.Spec, p *plan.Plan, pt *plan.Point, batch int, penalty float64, exact bool) (*planServed, error) {
-	key := planMemoKey{p: p, batch: batch}
+func (s *Server) plannedEntry(spec gpusim.Spec, rec *registered, batch int) (*planServed, error) {
 	s.planMu.Lock()
-	if e, ok := s.planMemo[key]; ok {
-		s.planMu.Unlock()
+	e, ok := rec.answers[batch]
+	s.planMu.Unlock()
+	if ok {
 		return e, nil
 	}
-	s.planMu.Unlock()
 
+	p := rec.plan
+	pt, penalty, exact := p.Route(batch)
 	g, sched, lat := pt.Graph, pt.Schedule, pt.Latency
 	if !exact {
 		var err error
@@ -840,9 +870,10 @@ func (s *Server) plannedEntry(spec gpusim.Spec, p *plan.Plan, pt *plan.Point, ba
 		return nil, err
 	}
 	// No search ran (the plan precomputed it): cached, at zero search cost.
+	route := PlanRoute{PlannedBatch: pt.Batch, Exact: exact, Penalty: penalty}
 	answer := Entry{Key: Key{Model: p.Model, Batch: batch, Device: spec.Name, Opts: p.Opts},
 		Schedule: sched, Latency: lat, SequentialLatency: seqLat}
-	resp, err := answer.response(true, &PlanRoute{PlannedBatch: pt.Batch, Exact: exact, Penalty: penalty})
+	resp, err := answer.response(true, &route)
 	if err != nil {
 		return nil, err
 	}
@@ -850,21 +881,20 @@ func (s *Server) plannedEntry(spec gpusim.Spec, p *plan.Plan, pt *plan.Point, ba
 	if err != nil {
 		return nil, err
 	}
-	e := &planServed{body: body, lat: lat}
+	e = &planServed{body: body, lat: lat, route: route}
 	s.planMu.Lock()
-	if _, resident := s.planMemo[key]; !resident && len(s.planMemo) >= planMemoCap {
-		for victim := range s.planMemo {
-			delete(s.planMemo, victim)
+	if _, resident := rec.answers[batch]; !resident && len(rec.answers) >= planMemoCap {
+		for victim := range rec.answers {
+			delete(rec.answers, victim)
 			break
 		}
 	}
-	s.planMemo[key] = e
+	rec.answers[batch] = e
 	s.planMu.Unlock()
 	return e, nil
 }
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	atomic.AddInt64(&s.measureReqs, 1)
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	var req MeasureRequest
@@ -970,11 +1000,6 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	atomic.AddInt64(&s.modelsReqs, 1)
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	s.zooOnce.Do(func() {
 		var infos []ModelInfo
 		for _, e := range models.Zoo() {
@@ -997,11 +1022,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	atomic.AddInt64(&s.statsReqs, 1)
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	s.planMu.Lock()
 	planStats := PlanStats{
 		Plans:       len(s.plans),
@@ -1012,20 +1032,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MaxPenalty:  s.maxPenalty,
 	}
 	s.planMu.Unlock()
+	requests := make(map[string]int64, len(s.requests))
+	for name, n := range s.requests {
+		requests[name] = n.Load()
+	}
 	s.writeJSON(w, http.StatusOK, StatsResponse{
-		Device:  s.cfg.Device.Name,
-		Options: s.optsFP,
-		UptimeS: time.Since(s.start).Seconds(),
-		Requests: map[string]int64{
-			"optimize":  atomic.LoadInt64(&s.optimizeReqs),
-			"measure":   atomic.LoadInt64(&s.measureReqs),
-			"models":    atomic.LoadInt64(&s.modelsReqs),
-			"stats":     atomic.LoadInt64(&s.statsReqs),
-			"plans":     atomic.LoadInt64(&s.plansReqs),
-			"infer":     atomic.LoadInt64(&s.inferReqs),
-			"cancelled": atomic.LoadInt64(&s.cancelledReqs),
-			"healthz":   atomic.LoadInt64(&s.healthzReqs),
-		},
+		Device:       s.cfg.Device.Name,
+		Options:      s.optsFP,
+		UptimeS:      time.Since(s.start).Seconds(),
+		Requests:     requests,
 		Cache:        s.cache.Stats(),
 		MeasureCache: s.measure.Stats(),
 		BlockCache:   s.blocks.Stats(),
@@ -1035,14 +1050,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
-	atomic.AddInt64(&s.plansReqs, 1)
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	s.planMu.Lock()
-	infos := make([]PlanInfo, 0, len(s.plans))
-	for _, p := range s.plans {
+	plans := s.Plans()
+	infos := make([]PlanInfo, 0, len(plans))
+	for _, p := range plans {
 		n := len(p.Points)
 		info := PlanInfo{
 			Model:     p.Model,
@@ -1062,17 +1072,6 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, info)
 	}
-	s.planMu.Unlock()
-	sort.Slice(infos, func(i, j int) bool {
-		a, b := infos[i], infos[j]
-		if a.Model != b.Model {
-			return a.Model < b.Model
-		}
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		return a.Options < b.Options
-	})
 	s.writeJSON(w, http.StatusOK, infos)
 }
 
@@ -1084,11 +1083,6 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 // options fingerprints carry slashes — so the split runs over the escaped
 // path before unescaping the parts.
 func (s *Server) handlePlanGet(w http.ResponseWriter, r *http.Request) {
-	atomic.AddInt64(&s.plansReqs, 1)
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	rest := strings.TrimPrefix(r.URL.EscapedPath(), "/plans/")
 	segs := strings.SplitN(rest, "/", 3)
 	if len(segs) != 3 || segs[0] == "" || segs[1] == "" || segs[2] == "" {
@@ -1119,9 +1113,10 @@ func (s *Server) handlePlanGet(w http.ResponseWriter, r *http.Request) {
 // options fingerprint), or nil — the programmatic face of the plan
 // registry endpoint.
 func (s *Server) LookupPlan(model, device, opts string) *plan.Plan {
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	return s.plans[planKey{model, device, opts}]
+	if rec := s.planFor(Key{Model: model, Device: device, Opts: opts}); rec != nil {
+		return rec.plan
+	}
+	return nil
 }
 
 // HealthzResponse is the GET /healthz body.
@@ -1138,11 +1133,6 @@ type HealthzResponse struct {
 // start-up work is done, 503 {"status":"starting"} before. The cluster
 // harness polls it for membership; load balancers should too.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	atomic.AddInt64(&s.healthzReqs, 1)
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	resp, code := HealthzResponse{Status: "ready", UptimeS: time.Since(s.start).Seconds()}, http.StatusOK
 	if !s.ready.Load() {
 		resp.Status, code = "starting", http.StatusServiceUnavailable
@@ -1170,7 +1160,7 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 // 500.
 func (s *Server) failCompute(w http.ResponseWriter, ctx context.Context, err error) {
 	if isCancelErr(err) || ctx.Err() != nil {
-		atomic.AddInt64(&s.cancelledReqs, 1)
+		s.requests["cancelled"].Add(1)
 		// Prefer the request context's own error: a deadline expiry reads
 		// better as "deadline exceeded" than as the search's generic
 		// cancellation.
@@ -1193,13 +1183,9 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
-// readJSON reads and decodes a POST body, failing the request (and
+// readJSON reads and decodes a request body, failing the request (and
 // reporting false) if it cannot.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST with a JSON body"))
-		return false
-	}
 	// Pre-sized from Content-Length (plus the bytes.MinRead of slack ReadFrom
 	// wants to see EOF without growing), but only up to maxPresizeBytes: the
 	// header is the client's word, and memory is spent on bytes that arrive.

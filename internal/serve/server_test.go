@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -338,14 +339,41 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 
-	// Method checks.
-	if resp, err := http.Get(ts.URL + "/optimize"); err != nil {
-		t.Fatal(err)
-	} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /optimize: status %d, want 405", resp.StatusCode)
+	// The route table: each route answers the wrong method with a 405 and
+	// a JSON error, and counts the request under its /stats name. /infer
+	// is a route on a server without batching too.
+	routes := []struct{ method, path string }{
+		{http.MethodGet, "/optimize"},
+		{http.MethodGet, "/measure"},
+		{http.MethodGet, "/infer"},
+		{http.MethodPost, "/models"},
+		{http.MethodPost, "/stats"},
+		{http.MethodPost, "/plans"},
+		{http.MethodPost, "/plans/fig2/V100/opts"},
+		{http.MethodPost, "/healthz"},
 	}
-	if resp, body := postJSON(t, ts.URL+"/stats", struct{}{}); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /stats: status %d (%s), want 405", resp.StatusCode, body)
+	for _, rt := range routes {
+		req, err := http.NewRequest(rt.method, ts.URL+rt.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || err != nil || e["error"] == "" {
+			t.Errorf("%s %s: status %d, error body %v (%v), want 405 with {\"error\": ...}", rt.method, rt.path, resp.StatusCode, e, err)
+		}
+	}
+	var st StatsResponse
+	getJSON(t, ts.URL+"/stats", &st)
+	want := map[string]int64{"optimize": int64(len(cases)) + 1, "measure": 1, "infer": 1, "models": 1,
+		"stats": 2, "plans": 2, "healthz": 1, "cancelled": 0}
+	if !reflect.DeepEqual(st.Requests, want) {
+		t.Errorf("/stats requests = %v, want %v", st.Requests, want)
 	}
 }
 

@@ -299,7 +299,7 @@ func TestWarmAnswersUnderPurgeAndReRegister(t *testing.T) {
 }
 
 // TestPlanMemoStaysWithinCap: 2 x cap distinct batches against one plan
-// leave the memo at its cap, and the overflow is still answered.
+// leave its record at the cap, and the overflow is still answered.
 func TestPlanMemoStaysWithinCap(t *testing.T) {
 	s := NewServer(hermetic(Config{}))
 	if err := s.WarmPlans(context.Background(), []string{"fig2"}, []int{1, 8}); err != nil {
@@ -311,11 +311,12 @@ func TestPlanMemoStaysWithinCap(t *testing.T) {
 			t.Fatalf("batch %d: %v, %+v", b, err, r)
 		}
 	}
+	rec := s.planFor(Key{Model: "fig2", Device: "Tesla V100", Opts: s.optsFP})
 	s.planMu.Lock()
-	got := len(s.planMemo)
+	got := len(rec.answers)
 	s.planMu.Unlock()
 	if got != planMemoCap {
-		t.Errorf("memo holds %d answers, cap %d", got, planMemoCap)
+		t.Errorf("plan holds %d answers, cap %d", got, planMemoCap)
 	}
 }
 
