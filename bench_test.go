@@ -300,9 +300,26 @@ func BenchmarkScheduleCacheMiss(b *testing.B) {
 // warm cache, requests issued concurrently (RunParallel), including JSON
 // encoding of the full Inception V3 schedule in every response.
 func BenchmarkServeOptimizeWarm(b *testing.B) {
+	benchServeWarm(b, []byte(`{"model": "inception", "batch": 1}`))
+}
+
+// BenchmarkServeOptimizeGraphWarm is BenchmarkServeOptimizeWarm with
+// Inception V3 submitted by value: a repeat submission is looked up by the
+// digest of its bytes, so it pays for reading and hashing them, not for
+// parsing, partitioning and fingerprinting the graph again.
+func BenchmarkServeOptimizeGraphWarm(b *testing.B) {
+	raw, err := ios.InceptionV3(1).MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchServeWarm(b, append(append([]byte(`{"graph": `), raw...), '}'))
+}
+
+// benchServeWarm posts one /optimize body to warm the cache, then measures
+// posting it concurrently.
+func benchServeWarm(b *testing.B, body []byte) {
 	srv := httptest.NewServer(ios.NewServer(ios.ServerConfig{}))
 	defer srv.Close()
-	body := []byte(`{"model": "inception", "batch": 1}`)
 	post := func() error {
 		resp, err := http.Post(srv.URL+"/optimize", "application/json", bytes.NewReader(body))
 		if err != nil {

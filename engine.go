@@ -331,9 +331,9 @@ func (e *Engine) Optimize(ctx context.Context, g *Graph, opts Options) (*Result,
 		return nil, err
 	}
 	// A cache hit may have been computed for a different graph value with
-	// the same fingerprint (which covers node names); transfer the schedule
-	// onto the caller's graph so Optimize's result always measures against
-	// the graph it was asked about.
+	// the same fingerprint (which covers node names and block cuts);
+	// transfer the schedule onto the caller's graph so Optimize's result
+	// always measures against the graph it was asked about.
 	s, err := entry.Schedule.Transfer(g)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ios"
+	"ios/internal/graph"
 )
 
 // TestEngineCache: with WithCache, repeated Optimize calls for the same
@@ -231,5 +232,40 @@ func TestGraphBatch(t *testing.T) {
 	}
 	if got := ios.NewGraph("empty").Batch(); got != 1 {
 		t.Fatalf("empty graph Batch() = %d, want 1", got)
+	}
+}
+
+// TestEngineCacheKeepsCutTwinsApart: RandWire's builder cuts blocks that
+// its JSON form does not carry, so the built graph and its JSON twin
+// partition differently and are different searches. A cached engine that
+// searched the built graph first must answer the twin with the twin's own
+// schedule, the one an uncached engine finds.
+func TestEngineCacheKeepsCutTwinsApart(t *testing.T) {
+	ctx := context.Background()
+	g := ios.RandWire(1)
+	data, err := g.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := graph.FromJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := ios.NewMeasureCache()
+	cached := ios.NewEngine(ios.V100, ios.WithCache(8), ios.WithMeasureCache(mc))
+	if _, err := cached.Optimize(ctx, g, ios.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cached.Optimize(ctx, twin, ios.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ios.NewEngine(ios.V100, ios.WithMeasureCache(mc)).Optimize(ctx, twin, ios.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Schedule.String() != want.Schedule.String() {
+		t.Errorf("the cached engine answered the JSON twin with %d stages, its own search finds %d",
+			len(got.Schedule.Stages), len(want.Schedule.Stages))
 	}
 }

@@ -8,11 +8,12 @@ import (
 // FuzzFromJSON attacks the graph decoder, reachable from any /optimize or
 // /measure client and, inside a plan file, from a -plan-dir file or a
 // peer's plan body. Whatever the bytes: nothing panics; an accepted graph
-// passes Validate, partitions and fingerprints; and MarshalJSON ∘ FromJSON
-// is the identity on the encoding of an accepted graph. The seed corpus
-// (testdata/fuzz/FuzzFromJSON) holds a valid graph, the two taken-name
-// graphs (a repeated name, and a name equal to the one an unnamed node
-// gets) and a truncated file.
+// passes Validate, partitions and fingerprints; MarshalJSON ∘ FromJSON is
+// the identity on the encoding of an accepted graph; and that re-encoding
+// fingerprints as the graph does (a parsed graph has no manual cuts). The
+// seed corpus (testdata/fuzz/FuzzFromJSON) holds a valid graph, the two
+// taken-name graphs (a repeated name, and a name equal to the one an
+// unnamed node gets) and a truncated file.
 func FuzzFromJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := FromJSON(data)
@@ -23,7 +24,8 @@ func FuzzFromJSON(f *testing.F) {
 			t.Fatalf("an accepted graph is invalid: %v", err)
 		}
 		g.Partition(0) // an error is an answer; a panic is not
-		if _, err := g.Fingerprint(); err != nil {
+		fp, err := g.Fingerprint()
+		if err != nil {
 			t.Fatalf("an accepted graph does not fingerprint: %v", err)
 		}
 		enc, err := g.MarshalJSON()
@@ -36,6 +38,9 @@ func FuzzFromJSON(f *testing.F) {
 		}
 		if again, err := back.MarshalJSON(); err != nil || !bytes.Equal(again, enc) {
 			t.Fatalf("re-encoding is not stable (%v):\n%s\nwant\n%s", err, again, enc)
+		}
+		if fpBack, _ := back.Fingerprint(); fpBack != fp {
+			t.Fatalf("the re-encoding fingerprints %s, the graph %s:\n%s", fpBack, fp, enc)
 		}
 	})
 }

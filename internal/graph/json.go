@@ -2,6 +2,7 @@ package graph
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -71,18 +72,75 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// Fingerprint returns a short stable content hash of the graph (16 hex
-// digits of the SHA-256 of its canonical JSON form). Two graphs with the
-// same structure, operator parameters, and node names share a fingerprint,
-// so it can key caches of per-graph artifacts such as optimized schedules.
-// The batch size is part of the input shapes and therefore of the hash.
+// Fingerprint returns a short stable content hash of the graph: 16 hex
+// digits of the SHA-256 of a binary encoding of what MarshalJSON emits —
+// the graph's name and, per node, its name, op kind, inputs and the fields
+// MarshalJSON writes for that kind — followed by the manual block cuts
+// (CutBlock), which the JSON form does not carry but Partition obeys. Two
+// graphs with the same structure, operator parameters, node names and
+// blocks share a fingerprint, so it can key caches of per-graph artifacts
+// such as optimized schedules; a graph and its JSON round trip share one
+// exactly when the graph has no manual cuts. The batch size is part of the
+// input shapes and therefore of the hash. The error is always nil.
+//
+//ioslint:fingerprint Op
 func (g *Graph) Fingerprint() (string, error) {
-	data, err := g.MarshalJSON()
-	if err != nil {
-		return "", err
+	h := sha256.New()
+	var buf [512]byte
+	b := appendString(buf[:0], g.Name)
+	b = binary.AppendUvarint(b, uint64(len(g.Nodes)))
+	for _, n := range g.Nodes {
+		if len(b) > len(buf)/2 {
+			h.Write(b)
+			b = b[:0]
+		}
+		b = appendString(b, n.Name)
+		b = binary.AppendVarint(b, int64(n.Op.Kind))
+		// Inputs by position: names are unique, so a position names a node.
+		b = binary.AppendUvarint(b, uint64(len(n.Inputs)))
+		for _, in := range n.Inputs {
+			b = binary.AppendVarint(b, int64(in.ID))
+		}
+		op := &n.Op
+		switch op.Kind {
+		case OpInput:
+			s := n.Output
+			b = appendInts(b, s.N, s.C, s.H, s.W)
+		case OpConv, OpSepConv:
+			b = appendInts(b, op.OutChannels, op.KernelH, op.KernelW, op.StrideH, op.StrideW, op.PadH, op.PadW, op.Groups)
+			b = appendBool(b, op.Act == ActReLU) // the JSON spells every other value "none"
+		case OpPool:
+			b = appendInts(b, op.KernelH, op.KernelW, op.StrideH, op.StrideW, op.PadH, op.PadW)
+			b = appendBool(b, op.Pool == AvgPool) // the JSON spells every other value "max"
+		case OpMatmul:
+			b = appendInts(b, op.OutFeatures)
+		}
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8]), nil
+	b = binary.AppendUvarint(b, uint64(len(g.cuts)))
+	for _, c := range g.cuts {
+		b = binary.AppendVarint(b, int64(c))
+	}
+	h.Write(b)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])[:8]), nil
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendInts(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // FromJSON reconstructs a graph. Nodes must appear in topological order.

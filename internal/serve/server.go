@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -186,6 +187,12 @@ type Server struct {
 	lastPenalty float64                 // guarded by planMu
 	maxPenalty  float64                 // guarded by planMu
 
+	// submissions maps the SHA-256 of a graph submission's exact bytes to
+	// what they resolved to, for successful resolutions only; it holds no
+	// graph and no bytes.
+	subMu       sync.Mutex
+	submissions map[[sha256.Size]byte]submission // guarded by subMu
+
 	zooOnce sync.Once
 	zooBody []byte // the rendered GET /models answer
 	zooErr  error
@@ -245,7 +252,8 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, cache: cache, measure: mc, blocks: bc, mux: http.NewServeMux(), start: time.Now(),
 		optsFP: cfg.Options.Fingerprint(), plans: make(map[planKey]*registered),
-		requests: map[string]*atomic.Int64{"cancelled": new(atomic.Int64)}}
+		submissions: make(map[[sha256.Size]byte]submission),
+		requests:    map[string]*atomic.Int64{"cancelled": new(atomic.Int64)}}
 	for _, p := range cfg.Plans {
 		if err := s.RegisterPlan(p); err != nil {
 			s.logf("skipping invalid plan: %v", err)
@@ -562,10 +570,26 @@ type resolved struct {
 	spec  gpusim.Spec
 	opts  core.Options
 	batch int
-	// build constructs the graph (deferred so cache hits skip it; for
-	// submitted graphs it returns the already-parsed value).
-	build func() (*graph.Graph, error)
+	// What the graph is made from when the schedule cache does not hold it
+	// (see Server.graph): a zoo builder, or a submission's bytes together
+	// with their parse if this request is the one that parsed them.
+	zoo    models.Builder
+	raw    json.RawMessage
+	parsed *graph.Graph
 }
+
+// submission is what a graph submission's bytes resolved to: all a later
+// submission of the same bytes needs to key the schedule cache.
+type submission struct {
+	fp    string
+	batch int
+}
+
+// submissionCap bounds the submission table: clients choose the bytes, so
+// an adversarial one could otherwise grow it without limit. A full table
+// sheds one arbitrary entry per insertion, as planMemoCap does; a shed
+// submission is merely parsed again when next sent.
+const submissionCap = 4096
 
 // resolve validates the model/graph/device/options fields shared by
 // /optimize and /measure and produces the cache key.
@@ -619,30 +643,67 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 		}
 		res.batch = batch
 		res.key = Key{Model: entry.Name, Batch: batch, Device: spec.Name, Opts: optsFP}
-		res.build = func() (*graph.Graph, error) { return entry.Build(batch), nil }
+		res.zoo = entry.Build
 		return res, nil
 	}
 
-	g, err := graph.FromJSON(rawGraph)
-	if err != nil {
-		return nil, err
+	// Bytes that resolved before resolve the same way again, without a
+	// parse. Only bytes that resolved are recorded, so a bad graph is
+	// parsed, and refused, every time it comes.
+	sum := sha256.Sum256(rawGraph)
+	s.subMu.Lock()
+	sub, seen := s.submissions[sum]
+	s.subMu.Unlock()
+	res.raw = rawGraph
+	if !seen {
+		g, err := graph.FromJSON(rawGraph)
+		if err != nil {
+			return nil, err
+		}
+		// Surface block-partition errors here, where they map to a 400: past
+		// this point optimizer failures are reported as server errors.
+		if _, err := g.Partition(opts.MaxBlockOps); err != nil {
+			return nil, err
+		}
+		fp, err := g.Fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		sub, res.parsed = submission{fp: fp, batch: g.Batch()}, g
+		s.subMu.Lock()
+		if len(s.submissions) >= submissionCap {
+			for victim := range s.submissions {
+				delete(s.submissions, victim)
+				break
+			}
+		}
+		s.submissions[sum] = sub
+		s.subMu.Unlock()
 	}
-	// Surface block-partition errors here, where they map to a 400: past
-	// this point optimizer failures are reported as server errors.
-	if _, err := g.Partition(opts.MaxBlockOps); err != nil {
-		return nil, err
-	}
-	fp, err := g.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	res.batch = g.Batch()
+	res.batch = sub.batch
 	if batch != 0 && batch != res.batch {
 		return nil, fmt.Errorf("batch %d conflicts with the submitted graph's input batch %d (the graph's shapes win; omit \"batch\")", batch, res.batch)
 	}
-	res.key = Key{Model: "graph:" + fp, Batch: res.batch, Device: spec.Name, Opts: optsFP}
-	res.build = func() (*graph.Graph, error) { return g, nil }
+	res.key = Key{Model: "graph:" + sub.fp, Batch: res.batch, Device: spec.Name, Opts: optsFP}
 	return res, nil
+}
+
+// graph returns a resolved request's graph: the one the completed
+// schedule-cache entry for its key already holds (Peek moves no LRU order
+// and no counter), else a zoo build or the submission parsed. Every /optimize
+// miss and every /measure gets its graph here.
+func (s *Server) graph(res *resolved) (*graph.Graph, error) {
+	if e, ok := s.cache.Peek(res.key); ok && e.Graph != nil {
+		return e.Graph, nil
+	}
+	switch {
+	case res.zoo != nil:
+		return res.zoo(res.batch), nil
+	case res.parsed != nil:
+		return res.parsed, nil
+	default:
+		return graph.FromJSON(res.raw)
+	}
 }
 
 // entry runs the cached optimization for a resolved request under the
@@ -650,7 +711,7 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 // freed for retries) once every request interested in this key is gone.
 func (s *Server) entry(ctx context.Context, res *resolved) (*Entry, bool, error) {
 	return s.cache.GetOrCompute(ctx, res.key, func(ctx context.Context) (*Entry, error) {
-		g, err := res.build()
+		g, err := s.graph(res)
 		if err != nil {
 			return nil, err
 		}
@@ -917,7 +978,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("pass at most one of \"schedule\" and \"baseline\""))
 			return
 		}
-		g, err := res.build()
+		g, err := s.graph(res)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, err)
 			return
@@ -960,7 +1021,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	case req.Baseline == "sequential" || req.Baseline == "greedy":
-		g, err := res.build()
+		g, err := s.graph(res)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, err)
 			return

@@ -360,8 +360,12 @@ func allocPerRequest(t *testing.T, s *Server, n int, request func() *http.Reques
 // TestWarmHitAllocBudget is the regression gate of the warm path: a cached
 // /optimize costs what decoding the request and looking the answer up
 // cost, whatever the answer's size (the per-request encoder allocated
-// 21.5 / 28.5 / 28.4 / 50.3 KB for these four). Request construction is
-// included.
+// 21.5 / 28.5 / 28.4 / 50.3 KB for these four). A repeated graph
+// submission costs what reading and hashing its bytes cost (parsing,
+// partitioning and fingerprinting Inception V3 again allocated 295 KB;
+// now 39 KB), and a /measure of a cached key builds no graph (rebuilding
+// SqueezeNet allocated 46 KB sequential and 52 KB with a schedule; now 27
+// and 33 KB). Request construction is included.
 func TestWarmHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -370,17 +374,38 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	if err := s.WarmPlans(context.Background(), []string{"inception"}, []int{1, 8, 32, 128}); err != nil {
 		t.Fatal(err)
 	}
-	for _, req := range []OptimizeRequest{{Model: "squeezenet"}, {Model: "resnet50"}, {Model: "randwire"}, {Model: "inception", Batch: 5}} {
-		body := mustMarshal(t, req)
-		opt, _, err := optimizeOK(s, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := allocPerRequest(t, s, 200, func() *http.Request { return newPost("/optimize", body) })
-		t.Logf("/optimize %s b%d: %.0f B per cached request", opt.Model, opt.Batch, got)
-		if got > 5<<10 {
-			t.Errorf("/optimize %s b%d allocates %.0f B per cached request, budget %d: is the answer encoded per request again?",
-				opt.Model, opt.Batch, got, 5<<10)
+	budget := func(path string, body []byte, max float64, why string) {
+		t.Helper()
+		got := allocPerRequest(t, s, 200, func() *http.Request { return newPost(path, body) })
+		t.Logf("%s %.60s: %.0f B per warm request", path, body, got)
+		if got > max {
+			t.Errorf("%s %.60s allocates %.0f B per warm request, budget %.0f: %s", path, body, got, max, why)
 		}
 	}
+	for _, req := range []OptimizeRequest{{Model: "squeezenet"}, {Model: "resnet50"}, {Model: "randwire"}, {Model: "inception", Batch: 5}} {
+		body := mustMarshal(t, req)
+		if _, _, err := optimizeOK(s, body); err != nil {
+			t.Fatal(err)
+		}
+		budget("/optimize", body, 5<<10, "is the answer encoded per request again?")
+	}
+
+	raw, err := models.InceptionV3(1).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := mustMarshal(t, OptimizeRequest{Graph: raw})
+	if _, _, err := optimizeOK(s, body); err != nil {
+		t.Fatal(err)
+	}
+	budget("/optimize", body, 48<<10, "is a repeated submission parsed again?")
+
+	opt, _, err := optimizeOK(s, mustMarshal(t, OptimizeRequest{Model: "squeezenet"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget("/measure", mustMarshal(t, MeasureRequest{Model: "squeezenet", Baseline: "sequential"}), 32<<10,
+		"is the graph rebuilt instead of taken from the cached entry?")
+	budget("/measure", mustMarshal(t, MeasureRequest{Model: "squeezenet", Schedule: opt.Schedule}), 40<<10,
+		"is the graph rebuilt instead of taken from the cached entry?")
 }
