@@ -1,9 +1,7 @@
 // Command ioslint is the repository's static-analysis gate: a
 // multichecker over the custom analyzers in internal/lint, which
-// mechanically enforce the determinism, fingerprint-soundness,
-// context-discipline, mutex-guard, lock-order, goroutine-termination,
-// wire-taint, and atomic-field conventions the serving stack's
-// correctness claims rest on.
+// mechanically enforce the determinism, fingerprint-soundness and
+// wire-taint conventions the serving stack's correctness claims rest on.
 //
 // Usage:
 //
@@ -11,12 +9,8 @@
 //	go run ./cmd/ioslint -list          # describe the analyzers
 //	go run ./cmd/ioslint -only determinism,fingerprint ./...
 //	go run ./cmd/ioslint -json ./...    # stable rule/position/message array
-//	go run ./cmd/ioslint -sarif ./...   # SARIF 2.1.0 for code-scanning UIs
-//	go vet -vettool=$(which ioslint) ./...   # as a vet tool
 //
-// Exit status: 0 clean, 1 findings, 2 usage or load failure. In vettool
-// mode (invoked by `go vet` with a *.cfg file) findings exit 2, matching
-// the unitchecker convention.
+// Exit status: 0 clean, 1 findings, 2 usage or load failure.
 //
 // Suppress a deliberate exception at the offending line (or the line
 // above) with:
@@ -40,38 +34,17 @@ import (
 )
 
 func main() {
-	// The go vet driver probes its tool before use: -V=full for the
-	// build cache's tool ID, -flags for the supported analyzer flags.
-	for _, a := range os.Args[1:] {
-		switch a {
-		case "-V=full", "--V=full":
-			fmt.Println("ioslint version dev")
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(os.Args) >= 2 && strings.HasSuffix(os.Args[len(os.Args)-1], ".cfg") {
-		os.Exit(vettoolMain(os.Args[len(os.Args)-1]))
-	}
-
 	var (
-		listFlag  = flag.Bool("list", false, "describe the analyzers and exit")
-		jsonFlag  = flag.Bool("json", false, "emit findings as a JSON array (stable rule/position/message schema)")
-		sarifFlag = flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 document")
-		onlyFlag  = flag.String("only", "", "comma-separated subset of analyzers to run")
+		listFlag = flag.Bool("list", false, "describe the analyzers and exit")
+		jsonFlag = flag.Bool("json", false, "emit findings as a JSON array (stable rule/position/message schema)")
+		onlyFlag = flag.String("only", "", "comma-separated subset of analyzers to run")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: ioslint [-list] [-json|-sarif] [-only a,b] package-patterns...\n\nFlags:\n")
+			"usage: ioslint [-list] [-json] [-only a,b] package-patterns...\n\nFlags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonFlag && *sarifFlag {
-		fmt.Fprintln(os.Stderr, "ioslint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	analyzers := lint.All()
 	if *listFlag {
@@ -108,24 +81,18 @@ func main() {
 		}
 		all = append(all, diags...)
 	}
-	switch {
-	case *jsonFlag:
+	if *jsonFlag {
 		if err := writeJSON(os.Stdout, all); err != nil {
 			fmt.Fprintln(os.Stderr, "ioslint:", err)
 			os.Exit(2)
 		}
-	case *sarifFlag:
-		if err := writeSARIF(os.Stdout, analyzers, all); err != nil {
-			fmt.Fprintln(os.Stderr, "ioslint:", err)
-			os.Exit(2)
-		}
-	default:
+	} else {
 		for _, d := range all {
 			fmt.Println(d)
 		}
 	}
 	if len(all) > 0 {
-		if !*jsonFlag && !*sarifFlag {
+		if !*jsonFlag {
 			fmt.Fprintf(os.Stderr, "ioslint: %d finding(s)\n", len(all))
 		}
 		os.Exit(1)

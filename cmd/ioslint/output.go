@@ -8,9 +8,9 @@ import (
 )
 
 // finding is the stable machine-readable form of one diagnostic. The
-// rule/position/message schema is a compatibility contract: CI
-// artifacts and editor integrations consume it, so fields are only ever
-// added, never renamed or removed.
+// rule/position/message schema is a compatibility contract for scripts
+// and editor integrations that read -json (TestJSONOutput pins its
+// keys), so fields are only ever added, never renamed or removed.
 type finding struct {
 	Rule     string   `json:"rule"`
 	Position position `json:"position"`
@@ -43,94 +43,4 @@ func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(toFindings(diags))
-}
-
-// SARIF 2.1.0, the minimal subset code-scanning UIs ingest: one run,
-// one rule per analyzer that executed, one result per finding.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// writeSARIF emits the run as a SARIF 2.1.0 document. Findings block
-// merges, so results carry level "error".
-func writeSARIF(w io.Writer, analyzers []*lint.Analyzer, diags []lint.Diagnostic) error {
-	rules := make([]sarifRule, 0, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
-	}
-	results := make([]sarifResult, 0, len(diags))
-	for _, d := range diags {
-		results = append(results, sarifResult{
-			RuleID:  d.Analyzer,
-			Level:   "error",
-			Message: sarifText{Text: d.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: d.Pos.Filename},
-					Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "ioslint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }

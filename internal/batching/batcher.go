@@ -110,7 +110,6 @@ func NewBatcher(cfg Config, exec Exec) (*Batcher, error) {
 		waiters: make(map[uint64]chan Result),
 	}
 	b.cond = sync.NewCond(&b.mu)
-	//lint:ioslint-ignore goroleak deliberate executor daemon: Close sets closed and broadcasts the cond, and run returns once execQ drains
 	go b.run()
 	return b, nil
 }
@@ -120,8 +119,6 @@ func NewBatcher(cfg Config, exec Exec) (*Batcher, error) {
 // closed). A request whose ctx ends while still queued is retracted; a
 // request already dispatched runs to completion but the abandoned
 // result is discarded.
-//
-//ioslint:lockorder-allow Batcher.mu the queue decision loop is pure virtual-time arithmetic: the start closure Decide threads into fitFront computes timestamps and never blocks
 func (b *Batcher) Submit(ctx context.Context, images int) (Result, error) {
 	if images < 1 {
 		return Result{}, fmt.Errorf("batching: images %d < 1", images)
@@ -200,8 +197,6 @@ func (b *Batcher) armTimerLocked(wake time.Time) {
 }
 
 // onTimer fires at the queue's wake time: the SLO says dispatch.
-//
-//ioslint:lockorder-allow Batcher.mu the queue decision loop is pure virtual-time arithmetic: the start closure Decide threads into fitFront computes timestamps and never blocks
 func (b *Batcher) onTimer() {
 	b.mu.Lock()
 	b.timerAt = time.Time{}
@@ -213,8 +208,6 @@ func (b *Batcher) onTimer() {
 
 // run is the executor: it serializes dispatch execution and advances
 // the virtual device timeline.
-//
-//ioslint:lockorder-allow Batcher.mu result channels are buffered (size 1) with exactly one send per request ID, so delivery under the lock never blocks; the exec call itself runs outside the critical section
 func (b *Batcher) run() {
 	b.mu.Lock()
 	for {
@@ -306,7 +299,6 @@ func (b *Batcher) Close() error {
 	}
 	b.closed = true
 	b.mu.Unlock()
-	//lint:ioslint-ignore ctxdiscipline Close is terminal and ctx-free by contract; cancellable shutdown goes through Drain
 	err := b.Drain(context.Background())
 	b.mu.Lock()
 	if b.timer != nil {

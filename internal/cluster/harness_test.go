@@ -169,7 +169,6 @@ func (h *Harness) Join(ctx context.Context) (*HarnessNode, error) {
 		}
 	}
 	hn.hs = &http.Server{Handler: node}
-	//lint:ioslint-ignore goroleak deliberate daemon: Serve returns when Kill/Close shuts the server down (hs.Close below and in Kill)
 	go hn.hs.Serve(lis)
 	if err := h.waitReady(ctx, hn.URL); err != nil {
 		cancel()
@@ -196,7 +195,6 @@ func (h *Harness) waitReady(ctx context.Context, baseURL string) error {
 				return nil
 			}
 		}
-		//lint:ioslint-ignore determinism readiness polling backoff is wall-clock by design (real sockets)
 		t := time.NewTimer(5 * time.Millisecond)
 		select {
 		case <-ctx.Done():
@@ -257,7 +255,6 @@ type delayTransport struct {
 
 func (t *delayTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.delay > 0 {
-		//lint:ioslint-ignore determinism injected link latency is wall-clock by design (simulation harness)
 		timer := time.NewTimer(t.delay)
 		select {
 		case <-req.Context().Done():

@@ -388,8 +388,6 @@ const pushChunkBytes = maxPeerBody / 4
 // time — Merge on the receiver deduplicates. Run calls this on a ticker;
 // the harness calls it synchronously to hand a warm keyspace to its
 // owners before a join.
-//
-//ioslint:lockorder-allow Node.pushMu push rounds serialize deliberately: the snapshot cursor must advance atomically with its push round-trips, only the background pusher and harness warm-up contend for this lock, and no request path ever takes it
 func (n *Node) Sync(ctx context.Context) (int, error) {
 	n.pushMu.Lock()
 	defer n.pushMu.Unlock()

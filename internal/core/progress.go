@@ -54,8 +54,6 @@ func newProgressTracker(fn func(Progress), blocks int) *progressTracker {
 
 // emit folds one block level's deltas into the cumulative totals and
 // delivers a snapshot. Safe for concurrent use by per-block goroutines.
-//
-//ioslint:lockorder-allow progressTracker.mu delivery is serialized under the lock by contract: the callback receives monotonic snapshots in order, is documented to be fast, and must not re-enter the engine
 func (t *progressTracker) emit(block, levels int, phase string, level, dStates, dTransitions, dMeasurements int) {
 	if t == nil {
 		return

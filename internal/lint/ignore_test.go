@@ -77,14 +77,14 @@ package p
 import "time"
 
 func now() time.Time {
-	//lint:ioslint-ignore mutexguard wrong analyzer named
+	//lint:ioslint-ignore wiretaint wrong analyzer named
 	return time.Now()
 }
 `)
 	// The finding survives AND the mismatched directive is stale.
 	assertMessages(t, diags,
 		"time.Now in a deterministic package",
-		`ignore directive for "mutexguard" suppresses no finding`)
+		`ignore directive for "wiretaint" suppresses no finding`)
 }
 
 func TestIgnoreWithoutReasonReported(t *testing.T) {
@@ -110,6 +110,23 @@ func TestIgnoreUnknownAnalyzerReported(t *testing.T) {
 func f() {}
 `)
 	assertMessages(t, diags, `ignore directive names unknown analyzer "nosuchanalyzer"`)
+}
+
+// TestMisspelledDirectiveReported: a package marked with a misspelled
+// //ioslint:deterministic is never checked for determinism, so the
+// marker itself must be the finding.
+func TestMisspelledDirectiveReported(t *testing.T) {
+	diags := run(t, `//ioslint:determinstic
+package p
+
+import "time"
+
+func now() time.Time { return time.Now() }
+
+//ioslint:validator
+func check(b []byte) error { return nil }
+`)
+	assertMessages(t, diags, `unknown directive //ioslint:determinstic`)
 }
 
 func TestStaleIgnoreReported(t *testing.T) {

@@ -1,11 +1,11 @@
 // Package lint is the repository's custom static-analysis suite: a small
-// go/analysis-style framework plus four analyzers that mechanically
+// go/analysis-style framework plus three analyzers that mechanically
 // enforce the invariants every correctness claim in this reproduction
-// rests on — bit-identical schedules across cache hits, measurement and
-// block caches that never alias distinct configurations, and a batching
-// queue that is a pure state machine over explicit timestamps. The
-// conventions these analyzers check used to live only in reviewers'
-// heads and regression tests; encoding them here makes the next
+// rests on — reproducible outputs across cache hits and restarts,
+// measurement and block caches that never alias distinct
+// configurations, and peer and file bytes that are validated before a
+// cache or plan registry trusts them. Each guards a defect class this
+// tree has actually had; encoding the convention here makes the next
 // violation a build-time error instead of a cache-aliasing bug.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
@@ -13,8 +13,7 @@
 // linttest) but is built on the standard library alone — go/ast,
 // go/types, and the stdlib source importer — so the module keeps zero
 // external dependencies and the suite runs in offline build
-// environments. cmd/ioslint is the multichecker driver; it also speaks
-// the `go vet -vettool` unit-checker protocol.
+// environments. cmd/ioslint is the multichecker driver.
 //
 // # Analyzers
 //
@@ -26,27 +25,14 @@
 //   - fingerprint: enforces the fp:"include"/fp:"exempt" struct-tag
 //     convention on fingerprinted records and verifies every included
 //     field is consumed by its `//ioslint:fingerprint`-annotated encoder.
-//   - ctxdiscipline: library functions must not manufacture
-//     context.Background/TODO, must not drop a ctx parameter when
-//     calling ctx-aware callees, and must propagate ctx.Err() on
-//     select-on-Done cancellation paths.
-//   - mutexguard: fields annotated `// guarded by <mu>` may only be
-//     accessed in functions that lock that mutex (or are *Locked
-//     helpers); intra-procedural and conservative.
-//   - lockorder: builds the package's lock-acquisition graph and flags
-//     ordering cycles (potential deadlocks) and blocking operations
-//     (HTTP round-trips, channel waits, opaque hooks) performed while
-//     holding a mutex; proven-safe cases are exempted per function with
-//     a checked //ioslint:lockorder-allow directive.
-//   - goroleak: every `go` statement in a library package needs a
-//     termination witness (WaitGroup.Done, a ctx.Done/ctx.Err check, or
-//     bounded work) and must not be spawned while holding a lock.
 //   - wiretaint: values from //ioslint:untrusted sources (peer HTTP
 //     bodies, cache files, request JSON) must pass through an
 //     //ioslint:validator function before reaching Commit, Merge, or
 //     RegisterPlan sinks.
-//   - atomicfield: a struct field accessed via sync/atomic anywhere may
-//     never be read or written non-atomically elsewhere.
+//
+// Those four //ioslint: directives are the whole vocabulary: any other
+// //ioslint:<word> is reported, so a misspelled marker can never
+// silently switch its check off.
 //
 // # Suppressing a finding
 //
@@ -115,10 +101,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in report order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		Determinism, Fingerprint, CtxDiscipline, MutexGuard,
-		LockOrder, GoroLeak, WireTaint, AtomicField,
-	}
+	return []*Analyzer{Determinism, Fingerprint, WireTaint}
 }
 
 // byName maps analyzer names for directive validation.
@@ -134,10 +117,17 @@ func byName(as []*Analyzer) map[string]bool {
 // findings on the directive's own line and the line directly below it.
 const IgnoreDirective = "lint:ioslint-ignore"
 
+// directives are the //ioslint: markers the analyzers read.
+var directives = map[string]bool{
+	DeterministicDirective: true,
+	FingerprintDirective:   true,
+	UntrustedDirective:     true,
+	ValidatorDirective:     true,
+}
+
 // ignore is one parsed suppression.
 type ignore struct {
 	analyzer string
-	reason   string
 	pos      token.Pos
 	line     int
 	file     string
@@ -147,9 +137,10 @@ type ignore struct {
 // RunAnalyzers runs the given analyzers over one loaded package and
 // returns the surviving diagnostics, sorted by position: findings
 // suppressed by a well-formed `//lint:ioslint-ignore <analyzer> <reason>`
-// directive are dropped, and malformed or unknown-analyzer directives
-// are reported as findings of the driver itself (analyzer "ioslint"),
-// so a typo in a suppression can never silently disable it.
+// directive are dropped, and malformed or unknown-analyzer ignores, as
+// well as //ioslint: markers no analyzer reads, are reported as findings
+// of the driver itself (analyzer "ioslint"), so a typo in a directive can
+// never silently disable a check.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -167,9 +158,9 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 
 	// Directive names are validated against the full suite, not the run
-	// subset: `-only determinism` must not misreport a goroleak ignore
+	// subset: `-only determinism` must not misreport a wiretaint ignore
 	// as naming an unknown analyzer.
-	ignores, bad := parseIgnores(pkg, byName(All()))
+	ignores, bad := parseDirectives(pkg, byName(All()))
 	kept := diags[:0]
 	for _, d := range diags {
 		if suppressed(ignores, d) {
@@ -204,14 +195,22 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return kept, nil
 }
 
-// parseIgnores scans every comment of the package for ignore directives.
-func parseIgnores(pkg *Package, known map[string]bool) (igs []*ignore, bad []Diagnostic) {
+// parseDirectives scans every comment of the package for ignore
+// directives, and reports each //ioslint: marker that names no directive.
+func parseDirectives(pkg *Package, known map[string]bool) (igs []*ignore, bad []Diagnostic) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "//")
 				if !ok {
 					continue // /* */ comments are never directives
+				}
+				if strings.HasPrefix(text, "ioslint:") {
+					if word := strings.Fields(text)[0]; !directives[word] {
+						bad = append(bad, Diagnostic{Pos: pkg.Fset.Position(c.Pos()), Analyzer: "ioslint",
+							Message: fmt.Sprintf("unknown directive //%s: the directives are deterministic, fingerprint, untrusted and validator", word)})
+					}
+					continue
 				}
 				text, ok = strings.CutPrefix(strings.TrimSpace(text), IgnoreDirective)
 				if !ok {
@@ -232,7 +231,6 @@ func parseIgnores(pkg *Package, known map[string]bool) (igs []*ignore, bad []Dia
 				default:
 					igs = append(igs, &ignore{
 						analyzer: name,
-						reason:   strings.TrimSpace(reason),
 						pos:      c.Pos(),
 						line:     pos.Line,
 						file:     pos.Filename,

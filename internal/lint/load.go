@@ -138,8 +138,8 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp listedPackage) (*Pack
 }
 
 // NewInfo returns a types.Info with every map the analyzers read
-// allocated (shared by the loader, the fixture runner, and the vettool
-// driver, so all three produce identical passes).
+// allocated (shared by the loader and the fixture runner, so both
+// produce identical passes).
 func NewInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

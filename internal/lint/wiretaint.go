@@ -309,6 +309,28 @@ func moduleRoot(path string) string {
 	return path
 }
 
+// rootIdent returns the leftmost identifier of a selector/index chain.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
 // taintExpr taints the root object of an assignable expression.
 func (tp *taintPass) taintExpr(e ast.Expr) {
 	if e == nil {
