@@ -349,14 +349,18 @@ func benchServeWarm(b *testing.B, body []byte) {
 }
 
 // BenchmarkServeConcurrentCold measures request coalescing end to end:
-// each iteration starts a cold server and fires 8 simultaneous /optimize
-// requests for the same model, which the cache collapses into one search.
+// each iteration starts a cold server — a zero ServerConfig owns all three
+// of its caches — and fires 8 simultaneous /optimize requests for the same
+// model, which the cache collapses into one search.
 func BenchmarkServeConcurrentCold(b *testing.B) {
 	body := []byte(`{"model": "fig2"}`)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		server := ios.NewServer(ios.ServerConfig{})
+		if server.BlockCache().Len() != 0 || server.MeasureCache().Len() != 0 {
+			b.Fatal("a zero-config server started with warm caches")
+		}
 		srv := httptest.NewServer(server)
 		var wg sync.WaitGroup
 		for j := 0; j < 8; j++ {
@@ -376,6 +380,9 @@ func BenchmarkServeConcurrentCold(b *testing.B) {
 		srv.Close()
 		if st := server.Cache().Stats(); st.Misses != 1 {
 			b.Fatalf("misses = %d, want 1 (coalescing failed)", st.Misses)
+		}
+		if st := server.BlockCache().Stats(); st.Misses == 0 {
+			b.Fatal("no block search ran: the server's block cache was warm")
 		}
 	}
 }

@@ -57,9 +57,8 @@ func TestEngineWithBlockCache(t *testing.T) {
 	}
 }
 
-// TestEnginesShareOneBlockCache: engines can share one process-wide block
-// cache; fingerprints embed the device model, so entries never cross
-// devices.
+// TestEnginesShareOneBlockCache: engines can share one block cache;
+// fingerprints embed the device model, so entries never cross devices.
 func TestEnginesShareOneBlockCache(t *testing.T) {
 	ctx := context.Background()
 	cache := ios.NewBlockCache()

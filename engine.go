@@ -15,7 +15,7 @@ import (
 	"ios/internal/serve"
 )
 
-// MeasureCache is a process-wide structural measurement cache: a
+// MeasureCache is a structural measurement cache: a
 // concurrent, deduplicating map from a canonical stage fingerprint —
 // computed from the lowered kernel signatures and concurrency-group
 // structure of a stage, invariant to node identity and graph position —
@@ -45,7 +45,7 @@ func NewMeasureCache() *MeasureCache { return measure.NewCache() }
 // unaffected.
 func NewMeasureCacheSize(maxEntries int) *MeasureCache { return measure.NewCacheSize(maxEntries) }
 
-// BlockCache is a process-wide whole-block schedule cache: a concurrent,
+// BlockCache is a whole-block schedule cache: a concurrent,
 // deduplicating map from a canonical structural block fingerprint —
 // computed from the block's DAG, its operators' lowered kernel programs,
 // the device model, and the search options, invariant to node identity

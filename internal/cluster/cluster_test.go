@@ -3,14 +3,18 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ios/internal/blockcache"
 	"ios/internal/serve"
 )
 
@@ -387,4 +391,47 @@ func TestClusterBackgroundPusher(t *testing.T) {
 	}
 	stopRun()
 	<-done
+}
+
+// TestZeroConfigNodesKeepTheirOwnBlockCaches: two nodes built in one
+// process over zero-config servers hold separate block caches, so neither
+// node's New replaces the other's fetch hook, and each node's miss asks its
+// own peer.
+func TestZeroConfigNodesKeepTheirOwnBlockCaches(t *testing.T) {
+	entry := blockEntry("b", 1)
+	key, _ := base64.RawURLEncoding.DecodeString(entry.Key)
+	var asked [2]atomic.Int64
+	var nodes [2]*Node
+	for i := range nodes {
+		i := i
+		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			asked[i].Add(1)
+			json.NewEncoder(w).Encode(map[string]any{"entries": []blockcache.WireEntry{entry}})
+		}))
+		defer peer.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		n, err := New(ctx, Config{
+			Self:    "self",
+			Members: []Member{{ID: "self", URL: "http://unused.invalid"}, {ID: "peer", URL: peer.URL}},
+			Server:  serve.NewServer(serve.Config{}),
+			Client:  peer.Client(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+	}
+	if nodes[0].Server().BlockCache() == nodes[1].Server().BlockCache() {
+		t.Fatal("two zero-config servers share one block cache")
+	}
+	for i, n := range nodes {
+		ent, claim, err := n.Server().BlockCache().GetOrBegin(nil, key)
+		if err != nil || claim != nil || ent == nil {
+			t.Fatalf("node %d: GetOrBegin = (%v, %v, %v), want the entry its peer holds", i, ent, claim, err)
+		}
+		if hits, got := n.Stats().BlockFetchHits, asked[i].Load(); hits != 1 || got != 1 {
+			t.Errorf("node %d: %d fetch hits, its peer asked %d times; want 1 and 1", i, hits, got)
+		}
+	}
 }

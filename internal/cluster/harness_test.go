@@ -29,12 +29,10 @@ type HarnessConfig struct {
 	// sleeps this long before hitting the wire, so convergence and
 	// throughput numbers reflect a network, not just loopback.
 	LinkDelay time.Duration
-	// FetchTimeout, Retries, FailureCooldown, Replicas pass through to
-	// each node's Config (zero = that Config's defaults).
+	// FetchTimeout and FailureCooldown pass through to each node's Config
+	// (zero = that Config's defaults).
 	FetchTimeout    time.Duration
-	Retries         int
 	FailureCooldown time.Duration
-	Replicas        int
 	// CacheSize bounds each node's schedule cache (0 =
 	// serve.DefaultCacheSize); block and measurement caches are
 	// unbounded, as for a fixed workload.
@@ -146,9 +144,7 @@ func (h *Harness) Join(ctx context.Context) (*HarnessNode, error) {
 		Members:         members,
 		Server:          srv,
 		Client:          h.client,
-		Replicas:        h.cfg.Replicas,
 		FetchTimeout:    h.cfg.FetchTimeout,
-		Retries:         h.cfg.Retries,
 		FailureCooldown: h.cfg.FailureCooldown,
 		Logf:            h.cfg.Logf,
 	})

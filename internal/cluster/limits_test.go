@@ -34,7 +34,6 @@ func soloNode(t *testing.T, client *http.Client, peers ...Member) (*Node, *serve
 		Server:       srv,
 		Client:       client,
 		FetchTimeout: 5 * time.Second,
-		Retries:      0,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,31 +36,20 @@ type Config struct {
 	// SetMembers updates it live.
 	Members []Member
 	// Server is the serving tier this node fronts. The node shards and
-	// exchanges the server's own block cache, so each cluster node must
-	// be built over a private one (serve.Config's BlockCache), not the
-	// process-wide shared default. The measurement cache stays a
-	// node-local memo and may be shared.
+	// exchanges the server's block cache and installs its fetch hook, so
+	// no two nodes may be built over servers sharing one. The
+	// measurement cache stays a node-local memo.
 	Server *serve.Server
 	// Client issues peer requests (nil = http.DefaultClient). The
 	// harness injects per-link latency here.
 	Client *http.Client
-	// Replicas is the ring's virtual-node count per member (<=0 =
-	// DefaultReplicas).
-	Replicas int
-	// FetchTimeout bounds one peer fetch attempt (<=0 = 500ms).
+	// FetchTimeout bounds one peer fetch (<=0 = 500ms).
 	FetchTimeout time.Duration
-	// Retries is the number of extra attempts after a failed fetch to
-	// the same peer (<0 = 0; default 1). 404 is a definitive miss and
-	// is never retried.
-	Retries int
 	// FailureCooldown is how long a peer that failed a request is
 	// skipped before being probed again (<=0 = 1s). It bounds the cost
 	// of a dead node: a few timed-out attempts per cooldown, with every
 	// miss in between falling back to local search instantly.
 	FailureCooldown time.Duration
-	// PushInterval is Run's period between incremental pushes of
-	// locally computed entries to their owners (<=0 = 500ms).
-	PushInterval time.Duration
 	// PushTicks, when non-nil, replaces Run's wall-clock ticker — the
 	// injectable clock for tests.
 	PushTicks <-chan time.Time
@@ -74,6 +63,10 @@ type Config struct {
 // part of the keyspace itself) still finds every warm entry; the rest
 // cover an owner that is down.
 const fetchFanout = 3
+
+// pushInterval is Run's period between incremental pushes of locally
+// computed entries to their owners.
+const pushInterval = 500 * time.Millisecond
 
 // Node is one cluster member: an http.Handler that serves the peer
 // exchange endpoints in front of a serve.Server, wires the server's
@@ -152,14 +145,8 @@ func New(ctx context.Context, cfg Config) (*Node, error) {
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = 500 * time.Millisecond
 	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
 	if cfg.FailureCooldown <= 0 {
 		cfg.FailureCooldown = time.Second
-	}
-	if cfg.PushInterval <= 0 {
-		cfg.PushInterval = 500 * time.Millisecond
 	}
 	client := cfg.Client
 	if client == nil {
@@ -213,7 +200,7 @@ func (n *Node) SetMembers(members []Member) error {
 	if !self {
 		return fmt.Errorf("cluster: Self %q not in members", n.cfg.Self)
 	}
-	ring, err := NewRing(ids, n.cfg.Replicas)
+	ring, err := NewRing(ids, DefaultReplicas)
 	if err != nil {
 		return err
 	}
@@ -294,13 +281,12 @@ func (n *Node) fetchBlock(key []byte) (*blockcache.Entry, bool) {
 // request cap.
 const maxPeerBody = 4 << 20
 
-// fetchEntry asks each candidate peer for one block entry, bounded by
-// FetchTimeout per attempt and Retries extra attempts per peer for
-// transport failures; a 404 is a definitive per-peer miss and moves
-// straight to the next candidate. A peer that fails transport is marked
-// down for the failure cooldown. Returns (entry, true) on a 200, false
-// when every candidate missed or failed — the caller searches locally,
-// never errors.
+// fetchEntry asks each candidate peer once for one block entry, bounded by
+// FetchTimeout; the owner-plus-two-successors fan-out is the retry. A 404
+// is a definitive per-peer miss and moves straight to the next candidate;
+// a peer that fails transport is marked down for the failure cooldown.
+// Returns (entry, true) on a 200, false when every candidate missed or
+// failed — the caller searches locally, never errors.
 func (n *Node) fetchEntry(key []byte) (blockcache.WireEntry, bool) {
 	var zero blockcache.WireEntry
 	ctx := n.baseCtx
@@ -309,26 +295,18 @@ func (n *Node) fetchEntry(key []byte) (blockcache.WireEntry, bool) {
 	}
 	fp := base64.RawURLEncoding.EncodeToString(key)
 	for _, peer := range n.candidates(key) {
-		for attempt := 0; attempt <= n.cfg.Retries; attempt++ {
-			entries, status, err := n.getEntries(ctx, peer.URL+"/cache/block/"+fp)
-			if err != nil {
-				n.fetchErrors.Add(1)
-				if ctx.Err() != nil {
-					return zero, false
-				}
-				if attempt == n.cfg.Retries {
-					n.markDown(peer.ID)
-				}
-				continue
+		entries, status, err := n.getEntries(ctx, peer.URL+"/cache/block/"+fp)
+		switch {
+		case err != nil:
+			n.fetchErrors.Add(1)
+			if ctx.Err() != nil {
+				return zero, false
 			}
-			if status == http.StatusNotFound {
-				break // definitive miss on this peer; ask the next owner
-			}
-			if status != http.StatusOK || len(entries) == 0 {
-				n.fetchErrors.Add(1)
-				break
-			}
+			n.markDown(peer.ID)
+		case status == http.StatusOK && len(entries) > 0:
 			return entries[0], true
+		case status != http.StatusNotFound:
+			n.fetchErrors.Add(1)
 		}
 	}
 	return zero, false
@@ -492,7 +470,7 @@ func (n *Node) Run(ctx context.Context) {
 	ticks := n.cfg.PushTicks
 	if ticks == nil {
 		//lint:ioslint-ignore determinism the background push cadence is wall-clock by design; tests inject PushTicks
-		t := time.NewTicker(n.cfg.PushInterval)
+		t := time.NewTicker(pushInterval)
 		defer t.Stop()
 		ticks = t.C
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -65,19 +66,28 @@ func TestServerBlockCacheSharedAcrossServers(t *testing.T) {
 	}
 }
 
-// TestServerBlockCacheDefaultsToShared: servers without an explicit cache
-// share the bounded process-wide instance.
-func TestServerBlockCacheDefaultsToShared(t *testing.T) {
+// TestServerBlockCacheDefaultsToPrivate: a server without an explicit
+// block cache gets one of its own, bounded at DefaultBlockCacheSize, and an
+// explicit one is used as given.
+func TestServerBlockCacheDefaultsToPrivate(t *testing.T) {
 	a, b := NewServer(Config{}), NewServer(Config{})
-	if a.BlockCache() != b.BlockCache() {
-		t.Fatal("two default servers use different block caches")
+	if a.BlockCache() == b.BlockCache() {
+		t.Fatal("two default servers share a block cache")
 	}
-	if a.BlockCache() != SharedBlockCache() {
-		t.Fatal("default server does not use the shared process-wide cache")
+	// Half as many again as the bound, so every shard passes its share.
+	bc := a.BlockCache()
+	for i := 0; i < DefaultBlockCacheSize*3/2; i++ {
+		_, claim, _ := bc.GetOrBegin(nil, []byte(fmt.Sprintf("k%d", i)))
+		claim.Commit(&blockcache.Entry{Ops: 1})
+	}
+	if n := bc.Len(); n != DefaultBlockCacheSize {
+		t.Errorf("overfilled default block cache holds %d entries, want its bound %d", n, DefaultBlockCacheSize)
+	}
+	if b.BlockCache().Len() != 0 {
+		t.Error("filling one default server's block cache filled another's")
 	}
 	own := blockcache.NewCache()
-	c := NewServer(Config{BlockCache: own})
-	if c.BlockCache() != own {
+	if c := NewServer(Config{BlockCache: own}); c.BlockCache() != own {
 		t.Fatal("explicit Config.BlockCache ignored")
 	}
 }

@@ -143,7 +143,7 @@ func TestCachePreCancelledContextShortCircuits(t *testing.T) {
 // JSON error and recorded in /stats, while a concurrent cheap request on
 // the same server completes normally.
 func TestServerDeadlineReturns503(t *testing.T) {
-	s := NewServer(hermetic(Config{Deadline: 250 * time.Millisecond, Logf: t.Logf}))
+	s := NewServer(Config{Deadline: 250 * time.Millisecond, Logf: t.Logf})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -203,7 +203,7 @@ func TestServerDeadlineReturns503(t *testing.T) {
 // expensive request and verifies the server tears the search down and
 // frees its singleflight slot, leaving the server fully responsive.
 func TestServerClientDisconnectFreesSlot(t *testing.T) {
-	s := NewServer(hermetic(Config{Logf: t.Logf}))
+	s := NewServer(Config{Logf: t.Logf})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"ios/internal/gpusim"
 	"ios/internal/measure"
 )
 
@@ -62,20 +63,44 @@ func TestServerMeasureCacheSharedAcrossRequests(t *testing.T) {
 	}
 }
 
-// TestServerMeasureCacheDefaultsToShared: servers without an explicit
-// cache share the process-wide instance.
-func TestServerMeasureCacheDefaultsToShared(t *testing.T) {
+// TestServerMeasureCacheDefaultsToPrivate: a server without an explicit
+// measurement cache gets one of its own, bounded at
+// DefaultMeasureCacheSize, and an explicit one is used as given.
+func TestServerMeasureCacheDefaultsToPrivate(t *testing.T) {
 	a, b := NewServer(Config{}), NewServer(Config{})
-	if a.MeasureCache() != b.MeasureCache() {
-		t.Fatal("two default servers use different measurement caches")
-	}
-	if a.MeasureCache() != SharedMeasureCache() {
-		t.Fatal("default server does not use the shared process-wide cache")
+	if a.MeasureCache() == b.MeasureCache() {
+		t.Fatal("two default servers share a measurement cache")
 	}
 	own := measure.NewCache()
-	c := NewServer(Config{MeasureCache: own})
-	if c.MeasureCache() != own {
+	if c := NewServer(Config{MeasureCache: own}); c.MeasureCache() != own {
 		t.Fatal("explicit Config.MeasureCache ignored")
+	}
+	if raceEnabled {
+		t.Skip("the overfill runs on one goroutine; under the race detector it only costs seconds")
+	}
+	// An eighth more stages than the bound, so every shard passes its
+	// share: one stream of two kernels out of side distinct signatures.
+	mc := a.MeasureCache()
+	const side = 600
+	kernel := func(i int) gpusim.Kernel {
+		return gpusim.Kernel{FLOPs: float64(i + 1), Bytes: 1, Blocks: 1, WarpsPerBlock: 1}
+	}
+	ctx := measure.Context(gpusim.TeslaV100, 0)
+	var long, key []byte
+	for i := 0; i < DefaultMeasureCacheSize*9/8; i++ {
+		long = measure.AppendStreams(append(long[:0], ctx...), []gpusim.Stream{{kernel(i / side), kernel(i % side)}})
+		var ok bool
+		if key, ok = mc.Intern(key[:0], long); !ok {
+			t.Fatalf("stage %d cannot be keyed", i)
+		}
+		_, claim, _ := mc.GetOrBegin(nil, key)
+		claim.Commit(1)
+	}
+	if n := mc.Len(); n != DefaultMeasureCacheSize {
+		t.Errorf("overfilled default measurement cache holds %d entries, want its bound %d", n, DefaultMeasureCacheSize)
+	}
+	if b.MeasureCache().Len() != 0 {
+		t.Error("filling one default server's measurement cache filled another's")
 	}
 }
 

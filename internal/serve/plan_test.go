@@ -258,10 +258,9 @@ func TestPlanDoesNotHijackOtherConfigs(t *testing.T) {
 	if out.Plan != nil {
 		t.Fatalf("request with r=2 served from the r=3 plan (options %s)", out.Options)
 	}
-	// States (unlike Measurements) cannot be absorbed by the process-wide
-	// structural measurement cache, so it proves a real search ran.
-	if out.Search.States == 0 {
-		t.Error("fall-through request should have run a real search")
+	if out.Search.States == 0 || out.Search.Measurements == 0 {
+		t.Errorf("fall-through request should have run a real search (states %d, measurements %d)",
+			out.Search.States, out.Search.Measurements)
 	}
 }
 
@@ -297,7 +296,7 @@ func TestOptimizeRejectsInconsistentInputBatches(t *testing.T) {
 // after they filled — is resident, so its second request is answered from
 // the record instead of being re-bound, re-measured and re-rendered forever.
 func TestPlanMemoEvictsWhenFull(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	if err := s.WarmPlans(context.Background(), []string{"fig2"}, []int{1, 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +319,7 @@ func TestPlanMemoEvictsWhenFull(t *testing.T) {
 	if first == nil {
 		t.Fatalf("batch %d, requested after the answers filled, was not stored", last)
 	}
-	measured := s.cfg.MeasureCache.Stats()
+	measured := s.MeasureCache().Stats()
 	r, _, err := optimizeOK(s, mustMarshal(t, OptimizeRequest{Model: "fig2", Batch: last}))
 	if err != nil || r.Batch != last || r.Plan == nil {
 		t.Fatalf("second request for batch %d: %v, %+v", last, err, r)
@@ -328,7 +327,7 @@ func TestPlanMemoEvictsWhenFull(t *testing.T) {
 	if memoized() != first {
 		t.Errorf("second request for batch %d replaced its answer instead of reading it", last)
 	}
-	if after := s.cfg.MeasureCache.Stats(); after != measured {
+	if after := s.MeasureCache().Stats(); after != measured {
 		t.Errorf("second request for batch %d measured again: %+v -> %+v", last, measured, after)
 	}
 }

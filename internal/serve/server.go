@@ -29,59 +29,21 @@ import (
 	"ios/internal/schedule"
 )
 
-// DefaultMeasureCacheSize bounds the process-wide default measurement
-// cache. The serving tier measures arbitrary client-supplied graphs, so
-// an unbounded cache would grow monotonically for the life of the
-// daemon; this cap comfortably holds the full model zoo (a complete
-// NasNet-A search resides in ~117k fingerprints) while bounding memory.
-// Entries over capacity are shed and simply re-simulated on next use.
+// DefaultMeasureCacheSize bounds the measurement cache a zero Config gets.
+// The serving tier measures arbitrary client-supplied graphs, so an
+// unbounded cache would grow monotonically for the life of the daemon; this
+// cap comfortably holds the full model zoo (a complete NasNet-A search
+// resides in ~117k fingerprints) while bounding memory. Entries over
+// capacity are shed and simply re-simulated on next use.
 const DefaultMeasureCacheSize = 1 << 18
 
-// sharedMeasureCache is the process-wide default structural measurement
-// cache: servers whose Config does not name one all share it, so every
-// optimization and measurement in the process — across servers, devices
-// (the fingerprint embeds the device model), and models — deduplicates
-// simulator work against a single table. Lazily built: a process that
-// configures explicit caches never allocates it.
-var (
-	sharedMeasureOnce  sync.Once
-	sharedMeasureCache *measure.Cache
-)
-
-// SharedMeasureCache returns the process-wide structural measurement
-// cache (bounded at DefaultMeasureCacheSize entries) used by servers
-// with no explicit Config.MeasureCache.
-func SharedMeasureCache() *measure.Cache {
-	sharedMeasureOnce.Do(func() { sharedMeasureCache = measure.NewCacheSize(DefaultMeasureCacheSize) })
-	return sharedMeasureCache
-}
-
-// DefaultBlockCacheSize bounds the process-wide default whole-block
-// schedule cache. One entry is a complete block schedule (a few stages of
-// small index lists), and real networks contribute a handful of distinct
-// block structures each, so this cap holds the zoo many times over while
-// bounding a daemon optimizing arbitrary client graphs. Entries over
-// capacity are shed and simply re-searched on next use.
+// DefaultBlockCacheSize bounds the whole-block schedule cache a zero Config
+// gets. One entry is a complete block schedule (a few stages of small index
+// lists), and real networks contribute a handful of distinct block
+// structures each, so this cap holds the zoo many times over while bounding
+// a daemon optimizing arbitrary client graphs. Entries over capacity are
+// shed and simply re-searched on next use.
 const DefaultBlockCacheSize = 1 << 14
-
-// sharedBlockCache is the process-wide default whole-block schedule
-// cache: servers whose Config does not name one all share it, so every
-// block DP search in the process — across servers, models, and requests —
-// deduplicates against a single table, and a cold /optimize for a deep
-// network pays one search per distinct block structure instead of one per
-// block. Lazily built, like sharedMeasureCache.
-var (
-	sharedBlockOnce  sync.Once
-	sharedBlockCache *blockcache.Cache
-)
-
-// SharedBlockCache returns the process-wide whole-block schedule cache
-// (bounded at DefaultBlockCacheSize entries) used by servers with no
-// explicit Config.BlockCache.
-func SharedBlockCache() *blockcache.Cache {
-	sharedBlockOnce.Do(func() { sharedBlockCache = blockcache.NewCacheSize(DefaultBlockCacheSize) })
-	return sharedBlockCache
-}
 
 // DefaultCacheSize is the schedule-cache capacity a zero Config gets: big
 // enough for every zoo model at several batch sizes on several devices.
@@ -96,7 +58,10 @@ const (
 )
 
 // Config configures a Server. The zero value serves the V100 with paper
-// defaults and a DefaultCacheSize cache.
+// defaults and caches of the server's own: a schedule cache of
+// DefaultCacheSize, a measurement cache of DefaultMeasureCacheSize and a
+// block cache of DefaultBlockCacheSize entries. To share a cache, pass the
+// same one to several servers.
 type Config struct {
 	// Device is the default device for requests that do not name one.
 	// Zero value: the Tesla V100 (the paper's primary GPU).
@@ -111,15 +76,17 @@ type Config struct {
 	// MeasureCache deduplicates simulator stage measurements by
 	// structural fingerprint across every request this server runs
 	// (searches on schedule-cache misses, baseline measurements, warm
-	// precomputation). nil selects the process-wide SharedMeasureCache,
-	// so all servers in a process amortize each other's work; results
-	// are bit-identical with or without it.
+	// precomputation). nil allocates a fresh
+	// measure.NewCacheSize(DefaultMeasureCacheSize). Sharing one cache
+	// between servers shares their measurements; results are bit-identical
+	// with or without it.
 	MeasureCache *measure.Cache
 	// BlockCache deduplicates whole-block DP searches by canonical
 	// structural fingerprint across every optimization this server runs.
-	// nil selects the process-wide SharedBlockCache; results are
-	// bit-identical with or without it — only the number of block
-	// searches drops.
+	// nil allocates a fresh blockcache.NewCacheSize(DefaultBlockCacheSize).
+	// Sharing one cache between servers shares their block schedules;
+	// results are bit-identical with or without it — only the number of
+	// block searches drops.
 	BlockCache *blockcache.Cache
 	// Plans are batch-specialization plans registered at construction:
 	// /optimize requests matching a plan's (model, device, options) are
@@ -244,11 +211,11 @@ func NewServer(cfg Config) *Server {
 	}
 	mc := cfg.MeasureCache
 	if mc == nil {
-		mc = SharedMeasureCache()
+		mc = measure.NewCacheSize(DefaultMeasureCacheSize)
 	}
 	bc := cfg.BlockCache
 	if bc == nil {
-		bc = SharedBlockCache()
+		bc = blockcache.NewCacheSize(DefaultBlockCacheSize)
 	}
 	s := &Server{cfg: cfg, cache: cache, measure: mc, blocks: bc, mux: http.NewServeMux(), start: time.Now(),
 		optsFP: cfg.Options.Fingerprint(), plans: make(map[planKey]*registered),
@@ -395,17 +362,17 @@ func (s *Server) recordRoute(penalty float64, exact bool) {
 // Cache returns the server's schedule cache.
 func (s *Server) Cache() *ScheduleCache { return s.cache }
 
-// MeasureCache returns the server's structural measurement cache (the
-// process-wide shared instance unless Config named one).
+// MeasureCache returns the server's structural measurement cache (its own
+// unless Config named one).
 func (s *Server) MeasureCache() *measure.Cache { return s.measure }
 
-// BlockCache returns the server's whole-block schedule cache (the
-// process-wide shared instance unless Config named one).
+// BlockCache returns the server's whole-block schedule cache (its own
+// unless Config named one).
 func (s *Server) BlockCache() *blockcache.Cache { return s.blocks }
 
-// newProfiler builds a profiler for a device with the server's shared
-// measurement cache attached, so every request's simulator work feeds and
-// draws from one process-wide table.
+// newProfiler builds a profiler for a device with the server's measurement
+// cache attached, so every request's simulator work feeds and draws from
+// one table.
 func (s *Server) newProfiler(spec gpusim.Spec) *profile.Profiler {
 	p := profile.New(spec)
 	p.SetMeasureCache(s.measure)

@@ -12,27 +12,16 @@ import (
 	"sync"
 	"testing"
 
-	"ios/internal/blockcache"
 	"ios/internal/core"
 	"ios/internal/gpusim"
-	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/profile"
 	"ios/internal/schedule"
 )
 
-// hermetic gives a Config private measurement and block caches: a test that
-// needs a search to be cold, or counts what one measured, must not see what
-// earlier tests (or an earlier -count iteration) left in the process-wide
-// ones.
-func hermetic(cfg Config) Config {
-	cfg.MeasureCache, cfg.BlockCache = measure.NewCache(), blockcache.NewCache()
-	return cfg
-}
-
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewServer(hermetic(Config{Logf: t.Logf}))
+	s := NewServer(Config{Logf: t.Logf})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts

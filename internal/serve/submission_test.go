@@ -32,7 +32,7 @@ func submissions(s *Server) int {
 // TestRefusedSubmissionIsRefusedEveryTime: bytes that do not resolve are
 // not recorded, so each of three submissions is parsed and answered 400.
 func TestRefusedSubmissionIsRefusedEveryTime(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	for name, raw := range map[string]string{
 		"malformed":       `{"nodes": [{"name": "x", "op": "conv"}]}`,
 		"unknown input":   `{"nodes": [{"name": "c", "op": "conv", "inputs": ["nope"], "out": 4}]}`,
@@ -55,7 +55,7 @@ func TestRefusedSubmissionIsRefusedEveryTime(t *testing.T) {
 // TestSubmissionHitChecksBatch: a repeat submission is checked against the
 // batch its bytes resolved to, as the first one was against the parse.
 func TestSubmissionHitChecksBatch(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	raw := graphJSON(t, models.Figure2Block(2))
 	if _, _, err := optimizeOK(s, mustMarshal(t, OptimizeRequest{Graph: raw})); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestSubmissionHitChecksBatch(t *testing.T) {
 // TestSubmissionTableStaysWithinCap: cap + 1 distinct submissions leave
 // at most cap entries, and every one of them resolved.
 func TestSubmissionTableStaysWithinCap(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	for i := 0; i <= submissionCap; i++ {
 		g := models.Figure2Block(1)
 		g.Name = fmt.Sprintf("fig2-%d", i)
@@ -89,7 +89,7 @@ func TestSubmissionTableStaysWithinCap(t *testing.T) {
 // cache has since evicted is parsed from its bytes again and answered with
 // the very schedule its first answer carried.
 func TestSubmissionHitAfterEviction(t *testing.T) {
-	s := NewServer(hermetic(Config{Cache: NewScheduleCache(1)}))
+	s := NewServer(Config{Cache: NewScheduleCache(1)})
 	first := mustMarshal(t, OptimizeRequest{Graph: graphJSON(t, models.Figure2Block(1))})
 	want, _, err := optimizeOK(s, first)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestSubmissionHitAfterEviction(t *testing.T) {
 // with each baseline.
 func TestMeasureSubmissionHit(t *testing.T) {
 	raw := graphJSON(t, models.InceptionE(1))
-	warm := NewServer(hermetic(Config{}))
+	warm := NewServer(Config{})
 	opt, _, err := optimizeOK(warm, mustMarshal(t, OptimizeRequest{Graph: raw}))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestMeasureSubmissionHit(t *testing.T) {
 	} {
 		body := mustMarshal(t, req)
 		code, got := post(warm, "/measure", body)
-		wantCode, want := post(NewServer(hermetic(Config{})), "/measure", body)
+		wantCode, want := post(NewServer(Config{}), "/measure", body)
 		if code != http.StatusOK || wantCode != http.StatusOK || !bytes.Equal(got, want) {
 			t.Errorf("/measure %q on a hit: %d %s\nwant %d %s", req.Baseline, code, got, wantCode, want)
 		}
@@ -140,7 +140,7 @@ func TestMeasureSubmissionHit(t *testing.T) {
 // TestConcurrentRepeatSubmissions: eight clients repeating one submission
 // all get the same answer, the first search's, whoever parsed the bytes.
 func TestConcurrentRepeatSubmissions(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	body := mustMarshal(t, OptimizeRequest{Graph: graphJSON(t, models.Figure2Block(1))})
 	measure := mustMarshal(t, MeasureRequest{Graph: graphJSON(t, models.Figure2Block(1)), Baseline: "sequential"})
 	answers := make([][]string, 8)

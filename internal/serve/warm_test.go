@@ -112,7 +112,7 @@ func structEncoded(t *testing.T, e *Entry) OptimizeResponse {
 // request produced; the entry holds its schedule's JSON once, inside those
 // bytes.
 func TestRenderedAnswersMatchStructEncoder(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	for _, name := range models.ZooNames() {
 		if raceEnabled && name == "nasnet" {
 			continue // a minute of search under the detector; randwire covers the deep case
@@ -156,7 +156,7 @@ func TestRenderedAnswersMatchStructEncoder(t *testing.T) {
 // to the bytes a server-computed entry has.
 func TestExternalEntryServedIdentically(t *testing.T) {
 	body := mustMarshal(t, OptimizeRequest{Model: "squeezenet"})
-	own := NewServer(hermetic(Config{}))
+	own := NewServer(Config{})
 	if _, _, err := optimizeOK(own, body); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestExternalEntryServedIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := NewServer(hermetic(Config{Cache: cache}))
+	other := NewServer(Config{Cache: cache})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -193,7 +193,7 @@ func TestExternalEntryServedIdentically(t *testing.T) {
 // routed batch, is the same bytes from the first request on and decodes to
 // the plan's own numbers.
 func TestPlanAnswersRenderedOnce(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	if err := s.WarmPlans(context.Background(), []string{"inception"}, []int{1, 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestPlanAnswersRenderedOnce(t *testing.T) {
 // one plan-routed key read the same answers while the schedule cache is
 // purged and the plan re-registered under them.
 func TestWarmAnswersUnderPurgeAndReRegister(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	ctx := context.Background()
 	if err := s.WarmPlans(ctx, []string{"inception"}, []int{1, 8}); err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestWarmAnswersUnderPurgeAndReRegister(t *testing.T) {
 // TestPlanMemoStaysWithinCap: 2 x cap distinct batches against one plan
 // leave its record at the cap, and the overflow is still answered.
 func TestPlanMemoStaysWithinCap(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	if err := s.WarmPlans(context.Background(), []string{"fig2"}, []int{1, 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestPlanMemoStaysWithinCap(t *testing.T) {
 // body the server takes and sends a small one costs what the small one
 // costs; Content-Length is the client's word.
 func TestDeclaredLengthIsNotPreallocated(t *testing.T) {
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	body := mustMarshal(t, OptimizeRequest{Model: "fig2"})
 	if _, _, err := optimizeOK(s, body); err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
 	}
-	s := NewServer(hermetic(Config{}))
+	s := NewServer(Config{})
 	if err := s.WarmPlans(context.Background(), []string{"inception"}, []int{1, 8, 32, 128}); err != nil {
 		t.Fatal(err)
 	}

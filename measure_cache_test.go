@@ -63,7 +63,7 @@ func TestEngineWithMeasureCache(t *testing.T) {
 }
 
 // TestEnginesShareOneMeasureCache: two engines (e.g. two devices' worth
-// of serving paths) can share a single process-wide cache; fingerprints
+// of serving paths) can share a single cache; fingerprints
 // embed the device model, so entries never cross devices.
 func TestEnginesShareOneMeasureCache(t *testing.T) {
 	ctx := context.Background()

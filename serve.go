@@ -48,15 +48,3 @@ func NewServer(cfg ServerConfig) *Server { return serve.NewServer(cfg) }
 // NewScheduleCache returns a schedule cache holding up to capacity
 // completed entries (capacity <= 0 means unbounded).
 func NewScheduleCache(capacity int) *ScheduleCache { return serve.NewScheduleCache(capacity) }
-
-// SharedMeasureCache returns the process-wide structural measurement
-// cache used by servers whose ServerConfig.MeasureCache is nil; pass it
-// to WithMeasureCache to let library Engines share the serving tier's
-// deduplicated simulator work (see MeasureCache).
-func SharedMeasureCache() *MeasureCache { return serve.SharedMeasureCache() }
-
-// SharedBlockCache returns the process-wide whole-block schedule cache
-// used by servers whose ServerConfig.BlockCache is nil; pass it to
-// WithBlockCache to let library Engines share the serving tier's
-// deduplicated block searches (see BlockCache).
-func SharedBlockCache() *BlockCache { return serve.SharedBlockCache() }
