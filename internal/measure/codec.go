@@ -62,17 +62,17 @@ func NewCacheSize(maxEntries int) *Cache {
 // ContextID returns the id of a measurement context (Context's bytes) in
 // this cache's dictionary, interning it if new; false means the
 // dictionary is full and stages under this context cannot be keyed.
-func (c *Cache) ContextID(ctx []byte) (uint32, bool) { return c.dict.context(ctx, true) }
+func (c *Cache) ContextID(ctx []byte) (uint32, bool) { return c.dict.context(ctx) }
 
 // KernelID is ContextID for a kernel signature; false also for a
 // signature no simulator accepts.
-func (c *Cache) KernelID(s Signature) (uint32, bool) { return c.dict.kernel(s, true) }
+func (c *Cache) KernelID(s Signature) (uint32, bool) { return c.dict.kernel(s) }
 
 // Intern appends to dst the id key of a long-form key in this cache,
 // interning what is new. It reports false for a malformed key and for one
 // the dictionary has no room for.
 func (c *Cache) Intern(dst, long []byte) ([]byte, bool) {
-	ctx, kern := c.dict.intern(true)
+	ctx, kern := c.dict.intern()
 	key, err := new(keyReader).rewrite(dst, long, ctx, kern)
 	return key, err == nil
 }
@@ -88,11 +88,6 @@ func (c *Cache) GetOrBegin(done <-chan struct{}, key []byte) (float64, *Claim, e
 // Lookup returns the latency under a completed id key without claiming,
 // waiting or counting.
 func (c *Cache) Lookup(key []byte) (float64, bool) { return c.core.Lookup(key) }
-
-// SetFetch installs a hook consulted, with the claim held, on every miss
-// (see sfcache.Core.SetFetch); it is handed the id key. Nothing installs
-// one: a peer round trip costs more than the simulator run it would save.
-func (c *Cache) SetFetch(f func(key []byte) (float64, bool)) { c.core.SetFetch(f) }
 
 // Len returns the number of completed entries.
 func (c *Cache) Len() int { return c.core.Len() }
@@ -135,27 +130,6 @@ func (c *Cache) Snapshot(since uint64) ([]WireEntry, uint64) {
 	return out, next
 }
 
-// Export returns the wire form of the completed entries among the given
-// long-form keys, in input order; absent and in-flight ones are skipped.
-func (c *Cache) Export(keys [][]byte) []WireEntry {
-	out := make([]WireEntry, 0, len(keys))
-	ctx, kern := c.dict.intern(false)
-	var (
-		key []byte
-		kr  keyReader
-	)
-	for _, long := range keys {
-		var err error
-		if key, err = kr.rewrite(key[:0], long, ctx, kern); err != nil {
-			continue
-		}
-		if lat, ok := c.core.Lookup(key); ok {
-			out = append(out, WireEntry{Key: sfcache.EncodeKey(long), Latency: lat})
-		}
-	}
-	return out
-}
-
 // Merge validates wire entries and inserts the absent ones, returning how
 // many were added (a key already present is kept: both sides hold the
 // result of the same deterministic computation). Merge is all-or-nothing:
@@ -174,7 +148,7 @@ func (c *Cache) Merge(entries []WireEntry) (int, error) {
 		}
 		rows[i] = sfcache.Row[float64]{Key: string(raw), Val: lat}
 	}
-	ctx, kern := c.dict.intern(true)
+	ctx, kern := c.dict.intern()
 	return c.core.InsertRows(rekey(rows, ctx, kern)), nil
 }
 
@@ -356,11 +330,11 @@ func (c *Cache) Load(r io.Reader) (int, error) {
 	}
 	ctxMap, kernMap, same := make([]uint32, len(fd.ctxs)), make([]uint32, len(fd.kerns)), true
 	for i, ctx := range fd.ctxs {
-		ctxMap[i], _ = c.dict.context([]byte(ctx), true) // absent when the table is full
+		ctxMap[i], _ = c.dict.context([]byte(ctx)) // absent when the table is full
 		same = same && ctxMap[i] == uint32(i)
 	}
 	for i, s := range fd.kerns {
-		kernMap[i], _ = c.dict.kernel(s, true)
+		kernMap[i], _ = c.dict.kernel(s)
 		same = same && kernMap[i] == uint32(i)
 	}
 	added := 0

@@ -26,17 +26,16 @@ type dict struct {
 	kerns   []Signature          // guarded by mu; by id
 }
 
-// context returns the id of a Context's bytes, or absent and false. With
-// add, a well-formed context not yet held is interned if its table has
-// room.
-func (d *dict) context(ctx []byte, add bool) (uint32, bool) {
+// context returns the id of a Context's bytes, interning a well-formed
+// context not yet held if its table has room, or absent and false.
+func (d *dict) context(ctx []byte) (uint32, bool) {
 	d.mu.RLock()
 	id, ok := d.ctxIDs[string(ctx)]
 	d.mu.RUnlock()
 	if ok {
 		return id, true
 	}
-	if !add || checkContext(ctx) != nil {
+	if checkContext(ctx) != nil {
 		return absent, false
 	}
 	d.mu.Lock()
@@ -58,14 +57,14 @@ func (d *dict) context(ctx []byte, add bool) (uint32, bool) {
 
 // kernel is context for a kernel signature; only signatures that pass
 // check are interned.
-func (d *dict) kernel(s Signature, add bool) (uint32, bool) {
+func (d *dict) kernel(s Signature) (uint32, bool) {
 	d.mu.RLock()
 	id, ok := d.kernIDs[s]
 	d.mu.RUnlock()
 	if ok {
 		return id, true
 	}
-	if !add || s.check() != nil {
+	if s.check() != nil {
 		return absent, false
 	}
 	d.mu.Lock()
@@ -95,21 +94,21 @@ func (d *dict) tables() ([]string, []Signature) {
 }
 
 // intern is the step pair that translates a long-form key to this
-// dictionary's ids, interning what is new when add is set.
-func (d *dict) intern(add bool) (ctx, kern step) {
+// dictionary's ids, interning what is new.
+func (d *dict) intern() (ctx, kern step) {
 	return func(dst []byte, r *keyReader) ([]byte, bool) {
 			c := r.context()
 			if r.err != nil {
 				return dst, false
 			}
-			id, ok := d.context(c, add)
+			id, ok := d.context(c)
 			return binary.AppendUvarint(dst, uint64(id)), ok
 		}, func(dst []byte, r *keyReader) ([]byte, bool) {
 			s := r.signature()
 			if r.err != nil {
 				return dst, false
 			}
-			id, ok := d.kernel(s, add)
+			id, ok := d.kernel(s)
 			return binary.AppendUvarint(dst, uint64(id)), ok
 		}
 }

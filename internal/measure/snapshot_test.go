@@ -93,54 +93,6 @@ func TestMergeAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestExportSubset(t *testing.T) {
-	c := NewCache()
-	mustFill(t, c, fillKey(0), 1e-6)
-	mustFill(t, c, fillKey(1), 2e-6)
-	out := c.Export([][]byte{fillKey(1), fillKey(7)})
-	if len(out) != 1 {
-		t.Fatalf("Export returned %d entries, want 1", len(out))
-	}
-	if _, lat, err := out[0].Decode(); err != nil || lat != 2e-6 {
-		t.Fatalf("exported latency %g (%v), want 2e-6", lat, err)
-	}
-}
-
-func TestFetchHook(t *testing.T) {
-	c := NewCache()
-	c.SetFetch(func(k []byte) (float64, bool) { return 4.5e-6, true })
-	lat, cl, _ := c.GetOrBegin(nil, mustIntern(c, fillKey(0)))
-	if cl != nil || lat != 4.5e-6 {
-		t.Fatalf("GetOrBegin with fetch hit = (%g, %v)", lat, cl)
-	}
-	st := c.Stats()
-	if st.Remote != 1 || st.Misses != 0 || st.Size != 1 {
-		t.Fatalf("stats after remote hit = %+v", st)
-	}
-	c.SetFetch(func(k []byte) (float64, bool) { return 0, false })
-	if _, cl, _ := c.GetOrBegin(nil, mustIntern(c, fillKey(1))); cl == nil {
-		t.Fatal("fetch miss did not fall through to a claim")
-	} else {
-		cl.Commit(1e-6)
-	}
-	// A panicking hook abandons the claim instead of wedging it.
-	c.SetFetch(func(k []byte) (float64, bool) { panic("boom") })
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic did not propagate")
-			}
-		}()
-		c.GetOrBegin(nil, mustIntern(c, fillKey(2)))
-	}()
-	c.SetFetch(nil)
-	if _, cl, _ := c.GetOrBegin(nil, mustIntern(c, fillKey(2))); cl == nil {
-		t.Fatal("claim wedged after hook panic")
-	} else {
-		cl.Commit(1e-6)
-	}
-}
-
 // TestSaveFileDuringActiveFills: checkpointing a cache under live fills
 // always yields a loadable, consistent file.
 func TestSaveFileDuringActiveFills(t *testing.T) {

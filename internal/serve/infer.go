@@ -142,33 +142,20 @@ func (s *Server) submit(ctx context.Context, res *resolved) (batching.Result, er
 	return b.Submit(ctx, res.batch)
 }
 
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Batching == nil {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("auto-batching is disabled (start the server with a Batching config, e.g. iosserve -auto-batch)"))
-		return
-	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	var req InferRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
+func (s *Server) handleInfer(ctx context.Context, req *InferRequest) (answer, error) {
 	if req.Model == "" {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("\"model\" is required (/infer serves zoo models with registered plans)"))
-		return
+		return answer{}, badRequest(fmt.Errorf("\"model\" is required (/infer serves zoo models with registered plans)"))
 	}
 	if req.Images == 0 {
 		req.Images = 1
 	}
 	res, err := s.resolve(req.Model, nil, req.Images, req.Device, req.Strategy, req.R, req.S)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return answer{}, badRequest(err)
 	}
 	if s.planFor(res.key) == nil {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("no registered plan for %s/%s/%s (warm one with -warm + -plan-batches, or POST /optimize for unplanned serving)",
-			res.key.Model, res.key.Device, res.key.Opts))
-		return
+		return answer{}, &statusError{http.StatusNotFound, fmt.Errorf("no registered plan for %s/%s/%s (warm one with -warm + -plan-batches, or POST /optimize for unplanned serving)",
+			res.key.Model, res.key.Device, res.key.Opts)}
 	}
 	result, err := s.submit(ctx, res)
 	if errors.Is(err, batching.ErrClosed) {
@@ -177,12 +164,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		result, err = s.submit(ctx, res)
 	}
 	if err != nil {
-		if ctx.Err() != nil {
-			s.failCompute(w, ctx, err)
-			return
-		}
-		s.fail(w, http.StatusInternalServerError, err)
-		return
+		return answer{}, err
 	}
 	route := result.Payload.(PlanRoute)
 	resp := InferResponse{
@@ -201,7 +183,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("infer %s images=%d dispatch=%d planned=%d exact=%v penalty=%.3f total=%.3fms",
 		res.key.Model, res.batch, result.Batch, route.PlannedBatch, route.Exact, route.Penalty, resp.TotalMS)
-	s.writeJSON(w, http.StatusOK, resp)
+	return answer{v: resp}, nil
 }
 
 // batchStats snapshots the auto-batching front end for GET /stats.

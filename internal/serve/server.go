@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -88,12 +89,6 @@ type Config struct {
 	// results are bit-identical with or without it — only the number of
 	// block searches drops.
 	BlockCache *blockcache.Cache
-	// Plans are batch-specialization plans registered at construction:
-	// /optimize requests matching a plan's (model, device, options) are
-	// served from its specialized schedules, with nearest-batch routing
-	// for unplanned batch sizes. Invalid plans are skipped (and logged).
-	// More plans can be added later with RegisterPlan / WarmPlans.
-	Plans []*plan.Plan
 	// Batching, when non-nil, enables the traffic-adaptive auto-batching
 	// front end: POST /infer coalesces single-image (or small-batch)
 	// inference requests into batches chosen from each registered plan's
@@ -221,26 +216,23 @@ func NewServer(cfg Config) *Server {
 		optsFP: cfg.Options.Fingerprint(), plans: make(map[planKey]*registered),
 		submissions: make(map[[sha256.Size]byte]submission),
 		requests:    map[string]*atomic.Int64{"cancelled": new(atomic.Int64)}}
-	for _, p := range cfg.Plans {
-		if err := s.RegisterPlan(p); err != nil {
-			s.logf("skipping invalid plan: %v", err)
+	infer := postRoute("/infer", s.handleInfer)
+	if cfg.Batching == nil { // refused before any body is read
+		infer.reads, infer.handle = false, func(context.Context, *http.Request, []byte) (answer, error) {
+			return answer{}, &statusError{http.StatusNotFound, errors.New("auto-batching is disabled (start the server with a Batching config, e.g. iosserve -auto-batch)")}
 		}
 	}
 	// The route table: each request is counted under its path's name
-	// ("plans" for both plan routes), then a wrong method is a 405 before
-	// the handler runs.
-	for _, rt := range []struct {
-		method, path string
-		handle       http.HandlerFunc
-	}{
-		{http.MethodPost, "/optimize", s.handleOptimize},
-		{http.MethodPost, "/measure", s.handleMeasure},
-		{http.MethodPost, "/infer", s.handleInfer},
-		{http.MethodGet, "/models", s.handleModels},
-		{http.MethodGet, "/stats", s.handleStats},
-		{http.MethodGet, "/plans", s.handlePlans},
-		{http.MethodGet, "/plans/", s.handlePlanGet},
-		{http.MethodGet, "/healthz", s.handleHealthz},
+	// ("plans" for both plan routes), then runs the pipeline.
+	for _, rt := range []route{
+		postRoute("/optimize", s.handleOptimize),
+		postRoute("/measure", s.handleMeasure),
+		infer,
+		getRoute("/models", s.handleModels),
+		getRoute("/stats", s.handleStats),
+		getRoute("/plans", s.handlePlans),
+		getRoute("/plans/", s.handlePlanGet),
+		getRoute("/healthz", s.handleHealthz),
 	} {
 		rt, name := rt, strings.Trim(rt.path, "/")
 		if s.requests[name] == nil {
@@ -249,11 +241,7 @@ func NewServer(cfg Config) *Server {
 		n := s.requests[name]
 		s.mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) {
 			n.Add(1)
-			if r.Method != rt.method {
-				s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("use %s", rt.method))
-				return
-			}
-			rt.handle(w, r)
+			s.serve(w, r, rt)
 		})
 	}
 	s.ready.Store(true)
@@ -789,45 +777,30 @@ func (s *Server) WarmPlans(ctx context.Context, names []string, batches []int) e
 
 // handlers --------------------------------------------------------------
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	var req OptimizeRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
+func (s *Server) handleOptimize(ctx context.Context, req *OptimizeRequest) (answer, error) {
 	res, err := s.resolve(req.Model, req.Graph, req.Batch, req.Device, req.Strategy, req.R, req.S)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return answer{}, badRequest(err)
 	}
 	if rec := s.planFor(res.key); rec != nil {
-		s.servePlanned(w, ctx, res, rec)
-		return
+		return s.servePlanned(ctx, res, rec)
 	}
 	e, cached, err := s.entry(ctx, res)
 	if err != nil {
-		s.failCompute(w, ctx, err)
-		return
+		return answer{}, err
 	}
 	if s.cfg.Logf != nil {
 		s.logf("optimize %s cached=%v %.3fms", res.key, cached, 1e3*e.Latency)
 	}
 	if !cached { // the one requester whose search produced the entry
 		resp, err := e.response(false, nil)
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return
+		return answer{v: resp}, err
 	}
 	a, err := e.rendered()
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
+		return answer{}, err
 	}
-	s.writeBody(w, http.StatusOK, a.body)
+	return answer{body: a.body}, nil
 }
 
 // servePlanned answers an /optimize request from a registered
@@ -839,22 +812,20 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // rendered answer, so repeat requests pay no measurement or marshaling
 // at all. Either way the routing is recorded in the /stats plan counters
 // with its penalty.
-func (s *Server) servePlanned(w http.ResponseWriter, ctx context.Context, res *resolved, rec *registered) {
+func (s *Server) servePlanned(ctx context.Context, res *resolved, rec *registered) (answer, error) {
 	if err := ctx.Err(); err != nil {
-		s.failCompute(w, ctx, err)
-		return
+		return answer{}, err
 	}
 	e, err := s.plannedEntry(res.spec, rec, res.batch)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
+		return answer{}, err
 	}
 	s.recordRoute(e.route.Penalty, e.route.Exact)
 	if s.cfg.Logf != nil {
 		s.logf("optimize %s plan batch=%d->%d exact=%v penalty=%.3f %.3fms",
 			res.key, res.batch, e.route.PlannedBatch, e.route.Exact, e.route.Penalty, 1e3*e.lat)
 	}
-	s.writeBody(w, http.StatusOK, e.body)
+	return answer{body: e.body}, nil
 }
 
 // plannedEntry returns a plan's answer for a requested batch, computing it
@@ -899,9 +870,9 @@ func (s *Server) plannedEntry(spec gpusim.Spec, rec *registered, batch int) (*pl
 	}
 	// No search ran (the plan precomputed it): cached, at zero search cost.
 	route := PlanRoute{PlannedBatch: pt.Batch, Exact: exact, Penalty: penalty}
-	answer := Entry{Key: Key{Model: p.Model, Batch: batch, Device: spec.Name, Opts: p.Opts},
+	planned := Entry{Key: Key{Model: p.Model, Batch: batch, Device: spec.Name, Opts: p.Opts},
 		Schedule: sched, Latency: lat, SequentialLatency: seqLat}
-	resp, err := answer.response(true, &route)
+	resp, err := planned.response(true, &route)
 	if err != nil {
 		return nil, err
 	}
@@ -922,76 +893,51 @@ func (s *Server) plannedEntry(spec gpusim.Spec, rec *registered, batch int) (*pl
 	return e, nil
 }
 
-func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	var req MeasureRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
+func (s *Server) handleMeasure(ctx context.Context, req *MeasureRequest) (answer, error) {
 	res, err := s.resolve(req.Model, req.Graph, req.Batch, req.Device, "", 0, 0)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return answer{}, badRequest(err)
 	}
 
 	var (
-		sched  *schedule.Schedule
-		source string
+		sched   *schedule.Schedule // measured below, if set
+		source  = req.Baseline
+		lat     float64
+		summary schedule.Summary
+		cached  bool
 	)
 	switch {
 	case len(req.Schedule) > 0:
 		if req.Baseline != "" {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("pass at most one of \"schedule\" and \"baseline\""))
-			return
+			return answer{}, badRequest(fmt.Errorf("pass at most one of \"schedule\" and \"baseline\""))
 		}
 		g, err := s.graph(res)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
+		if err == nil {
+			sched, err = schedule.FromJSON(req.Schedule, g)
 		}
-		sched, err = schedule.FromJSON(req.Schedule, g)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
+		if err == nil {
+			err = sched.Validate()
 		}
-		if err := sched.Validate(); err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
+		if err != nil {
+			return answer{}, badRequest(err)
 		}
 		source = "schedule"
 	case req.Baseline == "" || req.Baseline == "ios":
 		e, hit, err := s.entry(ctx, res)
 		if err != nil {
-			s.failCompute(w, ctx, err)
-			return
+			return answer{}, err
 		}
 		// The entry already carries this schedule's measured latency and
 		// summary; answer from it instead of re-simulating the whole network.
 		a, err := e.rendered()
 		if err != nil {
-			s.fail(w, http.StatusInternalServerError, err)
-			return
+			return answer{}, err
 		}
-		if s.cfg.Logf != nil {
-			s.logf("measure %s source=ios %.3fms", res.key, 1e3*e.Latency)
-		}
-		s.writeJSON(w, http.StatusOK, MeasureResponse{
-			Model:      res.key.Model,
-			Device:     res.spec.Name,
-			Batch:      res.batch,
-			Source:     "ios",
-			Cached:     hit,
-			LatencyMS:  1e3 * e.Latency,
-			Throughput: ratio(float64(res.batch), e.Latency),
-			Summary:    a.summary,
-		})
-		return
+		source, lat, summary, cached = "ios", e.Latency, a.summary, hit
 	case req.Baseline == "sequential" || req.Baseline == "greedy":
 		g, err := s.graph(res)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
+			return answer{}, badRequest(err)
 		}
 		if req.Baseline == "sequential" {
 			sched, err = baseline.Sequential(g)
@@ -999,35 +945,34 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			sched, err = baseline.Greedy(g)
 		}
 		if err != nil {
-			s.fail(w, http.StatusInternalServerError, err)
-			return
+			return answer{}, err
 		}
-		source = req.Baseline
 	default:
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown baseline %q (want ios, sequential, or greedy)", req.Baseline))
-		return
+		return answer{}, badRequest(fmt.Errorf("unknown baseline %q (want ios, sequential, or greedy)", req.Baseline))
 	}
 
-	lat, err := s.newProfiler(res.spec).MeasureSchedule(sched)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
+	if sched != nil {
+		if lat, err = s.newProfiler(res.spec).MeasureSchedule(sched); err != nil {
+			return answer{}, err
+		}
+		summary = sched.Summarize()
 	}
 	if s.cfg.Logf != nil {
 		s.logf("measure %s source=%s %.3fms", res.key, source, 1e3*lat)
 	}
-	s.writeJSON(w, http.StatusOK, MeasureResponse{
+	return answer{v: MeasureResponse{
 		Model:      res.key.Model,
 		Device:     res.spec.Name,
 		Batch:      res.batch,
 		Source:     source,
+		Cached:     cached,
 		LatencyMS:  1e3 * lat,
 		Throughput: ratio(float64(res.batch), lat),
-		Summary:    sched.Summarize(),
-	})
+		Summary:    summary,
+	}}, nil
 }
 
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleModels(*http.Request) (answer, error) {
 	s.zooOnce.Do(func() {
 		var infos []ModelInfo
 		for _, e := range models.Zoo() {
@@ -1042,14 +987,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		s.zooBody, s.zooErr = render(infos)
 	})
-	if s.zooErr != nil {
-		s.fail(w, http.StatusInternalServerError, s.zooErr)
-		return
-	}
-	s.writeBody(w, http.StatusOK, s.zooBody)
+	return answer{body: s.zooBody}, s.zooErr
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(*http.Request) (answer, error) {
 	s.planMu.Lock()
 	planStats := PlanStats{
 		Plans:       len(s.plans),
@@ -1064,7 +1005,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for name, n := range s.requests {
 		requests[name] = n.Load()
 	}
-	s.writeJSON(w, http.StatusOK, StatsResponse{
+	return answer{v: StatsResponse{
 		Device:       s.cfg.Device.Name,
 		Options:      s.optsFP,
 		UptimeS:      time.Since(s.start).Seconds(),
@@ -1074,10 +1015,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BlockCache:   s.blocks.Stats(),
 		Plan:         planStats,
 		Batch:        s.batchStats(),
-	})
+	}}, nil
 }
 
-func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePlans(*http.Request) (answer, error) {
 	plans := s.Plans()
 	infos := make([]PlanInfo, 0, len(plans))
 	for _, p := range plans {
@@ -1100,41 +1041,35 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, info)
 	}
-	s.writeJSON(w, http.StatusOK, infos)
+	return answer{v: infos}, nil
 }
 
 // handlePlanGet serves the plan registry: GET /plans/<model>/<device>/<opts>
-// returns the registered plan in its persisted JSON form (plan.Load reads
+// streams the registered plan in its persisted JSON form (plan.Load reads
 // it back losslessly), so stateless frontends and joining cluster nodes
 // pull specialized batch plans instead of rebuilding them. Each path
 // segment is URL-escaped by the client — device names carry spaces and
 // options fingerprints carry slashes — so the split runs over the escaped
 // path before unescaping the parts.
-func (s *Server) handlePlanGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePlanGet(r *http.Request) (answer, error) {
 	rest := strings.TrimPrefix(r.URL.EscapedPath(), "/plans/")
 	segs := strings.SplitN(rest, "/", 3)
 	if len(segs) != 3 || segs[0] == "" || segs[1] == "" || segs[2] == "" {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("use GET /plans/<model>/<device>/<options> (each segment URL-escaped)"))
-		return
+		return answer{}, badRequest(fmt.Errorf("use GET /plans/<model>/<device>/<options> (each segment URL-escaped)"))
 	}
 	parts := make([]string, 3)
 	for i, seg := range segs {
 		p, err := url.PathUnescape(seg)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad path segment %q: %v", seg, err))
-			return
+			return answer{}, badRequest(fmt.Errorf("bad path segment %q: %v", seg, err))
 		}
 		parts[i] = p
 	}
 	p := s.LookupPlan(parts[0], parts[1], parts[2])
 	if p == nil {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("no plan for model %q device %q options %q", parts[0], parts[1], parts[2]))
-		return
+		return answer{}, &statusError{http.StatusNotFound, fmt.Errorf("no plan for model %q device %q options %q", parts[0], parts[1], parts[2])}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := p.Save(w); err != nil {
-		s.logf("plan registry: encode %s/%s/%s: %v", parts[0], parts[1], parts[2], err)
-	}
+	return answer{stream: p.Save}, nil
 }
 
 // LookupPlan returns the registered plan for exactly (model, device,
@@ -1160,34 +1095,136 @@ type HealthzResponse struct {
 // handleHealthz is the readiness probe: 200 {"status":"ready"} once
 // start-up work is done, 503 {"status":"starting"} before. The cluster
 // harness polls it for membership; load balancers should too.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp, code := HealthzResponse{Status: "ready", UptimeS: time.Since(s.start).Seconds()}, http.StatusOK
+func (s *Server) handleHealthz(*http.Request) (answer, error) {
+	resp, code := HealthzResponse{Status: "ready", UptimeS: time.Since(s.start).Seconds()}, 0
 	if !s.ready.Load() {
 		resp.Status, code = "starting", http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, code, resp)
+	return answer{code: code, v: resp}, nil
 }
 
-// plumbing --------------------------------------------------------------
+// the request pipeline ---------------------------------------------------
 
-// requestContext derives the per-request work context: the HTTP request's
-// context (cancelled when the client disconnects) bounded by the
-// configured server-side deadline, if any.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+// A route is one row of the route table. Its handler answers a request
+// under the request's context (bounded by Config.Deadline); body is the
+// request body when the route reads one, else nil.
+type route struct {
+	method, path string
+	reads        bool
+	handle       func(ctx context.Context, r *http.Request, body []byte) (answer, error)
+}
+
+// postRoute is a route whose handler takes the JSON body decoded into a fresh T.
+func postRoute[T any](path string, h func(context.Context, *T) (answer, error)) route {
+	return route{http.MethodPost, path, true, func(ctx context.Context, _ *http.Request, body []byte) (answer, error) {
+		req := new(T)
+		if err := json.Unmarshal(body, req); err != nil {
+			return answer{}, badRequest(fmt.Errorf("parse body: %w", err))
+		}
+		return h(ctx, req)
+	}}
+}
+
+// getRoute is a route whose handler reads the request line only.
+func getRoute(path string, h func(*http.Request) (answer, error)) route {
+	return route{http.MethodGet, path, false, func(_ context.Context, r *http.Request, _ []byte) (answer, error) { return h(r) }}
+}
+
+// answer is what a handler returns: a body rendered before, a value
+// rendered once now, or a stream written straight to the connection (the
+// persisted plan), with its status (0 is 200).
+type answer struct {
+	code   int
+	body   []byte
+	v      any
+	stream func(io.Writer) error
+}
+
+// statusError is a failure that knows its status: the client's fault
+// (400, 404, 405, 413), or a response that could not be encoded (500).
+// Any other error a handler returns is a 503 if the request was cancelled
+// or ran out of time, else a 500.
+type statusError struct {
+	code int
+	error
+}
+
+func badRequest(err error) error { return &statusError{http.StatusBadRequest, err} }
+
+// serve is the request pipeline every route runs: it checks the method,
+// applies the deadline, reads the body, calls the handler, maps a failure
+// to its status and writes the answer.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt route) {
 	ctx := r.Context()
 	if s.cfg.Deadline > 0 {
-		return context.WithTimeout(ctx, s.cfg.Deadline)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
+		defer cancel()
 	}
-	return context.WithCancel(ctx)
+	a, err := s.call(ctx, w, r, rt)
+	if err == nil && a.v != nil {
+		if a.body, err = render(a.v); err != nil {
+			err = &statusError{http.StatusInternalServerError, fmt.Errorf("encode response: %w", err)}
+		}
+	}
+	if err != nil {
+		a = s.failure(ctx, err)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if a.stream != nil {
+		err = a.stream(w)
+	} else {
+		h.Set("Content-Length", strconv.Itoa(len(a.body)))
+		if a.code == 0 {
+			a.code = http.StatusOK
+		}
+		w.WriteHeader(a.code)
+		_, err = w.Write(a.body)
+	}
+	if err != nil {
+		s.logf("write response: %v", err)
+	}
 }
 
-// failCompute maps an optimization failure to a response: cancellations
-// and deadline expiries — whether surfaced through the search or through
-// the request context itself — are 503 Service Unavailable (the request
-// was shed, not wrong) and are counted in /stats; everything else is a
-// 500.
-func (s *Server) failCompute(w http.ResponseWriter, ctx context.Context, err error) {
-	if isCancelErr(err) || ctx.Err() != nil {
+// call runs a route's handler once the method checks out and the body, on
+// a route that reads one, has arrived within maxBodyBytes.
+func (s *Server) call(ctx context.Context, w http.ResponseWriter, r *http.Request, rt route) (answer, error) {
+	if r.Method != rt.method {
+		return answer{}, &statusError{http.StatusMethodNotAllowed, fmt.Errorf("use %s", rt.method)}
+	}
+	if !rt.reads {
+		return rt.handle(ctx, r, nil)
+	}
+	// Pre-sized from Content-Length (plus the bytes.MinRead of slack ReadFrom
+	// wants to see EOF without growing), but only up to maxPresizeBytes: the
+	// header is the client's word, and memory is spent on bytes that arrive.
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		body.Grow(int(min(n, maxPresizeBytes)) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return answer{}, &statusError{http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)}
+		}
+		return answer{}, badRequest(fmt.Errorf("read body: %w", err))
+	}
+	return rt.handle(ctx, r, body.Bytes())
+}
+
+// failure is the answer to a failed request, {"error": ...} with the
+// error's status. A cancellation or deadline expiry — whether surfaced
+// through the search or through the request context itself — is a 503
+// (the request was shed, not wrong) and is counted in /stats.
+func (s *Server) failure(ctx context.Context, err error) answer {
+	code := http.StatusInternalServerError
+	var se *statusError
+	switch {
+	case errors.As(err, &se):
+		code = se.code
+	case isCancelErr(err) || ctx.Err() != nil:
+		code = http.StatusServiceUnavailable
 		s.requests["cancelled"].Add(1)
 		// Prefer the request context's own error: a deadline expiry reads
 		// better as "deadline exceeded" than as the search's generic
@@ -1195,10 +1232,10 @@ func (s *Server) failCompute(w http.ResponseWriter, ctx context.Context, err err
 		if cerr := ctx.Err(); cerr != nil {
 			err = fmt.Errorf("request cancelled: %w", cerr)
 		}
-		s.fail(w, http.StatusServiceUnavailable, err)
-		return
 	}
-	s.fail(w, http.StatusInternalServerError, err)
+	s.logf("error %d: %v", code, err)
+	body, _ := render(map[string]string{"error": err.Error()})
+	return answer{code: code, body: body}
 }
 
 // ratio divides, reporting 0 for a zero denominator: degenerate graphs
@@ -1211,62 +1248,10 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
-// readJSON reads and decodes a request body, failing the request (and
-// reporting false) if it cannot.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	// Pre-sized from Content-Length (plus the bytes.MinRead of slack ReadFrom
-	// wants to see EOF without growing), but only up to maxPresizeBytes: the
-	// header is the client's word, and memory is spent on bytes that arrive.
-	var body bytes.Buffer
-	if n := r.ContentLength; n > 0 {
-		body.Grow(int(min(n, maxPresizeBytes)) + bytes.MinRead)
-	}
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return false
-	}
-	if err := json.Unmarshal(body.Bytes(), dst); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("parse body: %w", err))
-		return false
-	}
-	return true
-}
-
 // render encodes one response body: compact JSON and a newline.
 func render(v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	return append(body, '\n'), err
-}
-
-// writeJSON renders v and writes it with the given status.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	body, err := render(v)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
-		return
-	}
-	s.writeBody(w, code, body)
-}
-
-// writeBody is the one response writer, for bodies rendered now or long ago.
-func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	if _, err := w.Write(body); err != nil {
-		s.logf("write response: %v", err)
-	}
-}
-
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	s.logf("error %d: %v", code, err)
-	s.writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 func (s *Server) logf(format string, args ...any) {

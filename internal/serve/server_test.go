@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ios/internal/core"
 	"ios/internal/gpusim"
@@ -363,6 +365,75 @@ func TestRequestValidation(t *testing.T) {
 		"stats": 2, "plans": 2, "healthz": 1, "cancelled": 0}
 	if !reflect.DeepEqual(st.Requests, want) {
 		t.Errorf("/stats requests = %v, want %v", st.Requests, want)
+	}
+}
+
+// TestErrorContract lists every refusal a route gives with what it looks
+// like on the wire: its status; a compact JSON body, {"error": ...} (the
+// readiness probe's is its own), with Content-Type and Content-Length set;
+// and whether /stats counts it under requests.cancelled.
+func TestErrorContract(t *testing.T) {
+	srv := NewServer(Config{Deadline: 250 * time.Millisecond, Batching: &BatchingConfig{SLO: 100 * time.Millisecond}})
+	plain := NewServer(Config{})
+	starting := NewServer(Config{})
+	starting.SetReady(false)
+	const post, get = http.MethodPost, http.MethodGet
+	cases := []struct {
+		name         string
+		s            *Server
+		method, path string
+		body         string
+		code         int
+		cancelled    bool
+	}{
+		{"optimize: malformed JSON", srv, post, "/optimize", `{"model": "fig2"`, http.StatusBadRequest, false},
+		{"optimize: body over the cap", srv, post, "/optimize", strings.Repeat("x", maxBodyBytes+1), http.StatusRequestEntityTooLarge, false},
+		{"optimize: cold search past the deadline", srv, post, "/optimize", `{"model": "nasnet"}`, http.StatusServiceUnavailable, true},
+		{"measure: unknown baseline", srv, post, "/measure", `{"model": "fig2", "baseline": "fastest"}`, http.StatusBadRequest, false},
+		{"measure: schedule and baseline", srv, post, "/measure", `{"model": "fig2", "schedule": {}, "baseline": "greedy"}`, http.StatusBadRequest, false},
+		{"measure: malformed schedule", srv, post, "/measure", `{"model": "fig2", "schedule": [1, 2]}`, http.StatusBadRequest, false},
+		{"infer: batching disabled", plain, post, "/infer", `{"model": "fig2"}`, http.StatusNotFound, false},
+		{"infer: no model", srv, post, "/infer", `{}`, http.StatusBadRequest, false},
+		{"infer: unplanned model", srv, post, "/infer", `{"model": "fig2"}`, http.StatusNotFound, false},
+		{"plan: too few segments", srv, get, "/plans/fig2/V100", "", http.StatusBadRequest, false},
+		{"plan: unknown", srv, get, "/plans/fig2/V100/opts", "", http.StatusNotFound, false},
+		{"healthz: starting", starting, get, "/healthz", "", http.StatusServiceUnavailable, false},
+	}
+	cancelled := func(s *Server) int64 {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(get, "/stats", nil))
+		var st StatsResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+			t.Fatalf("/stats: %v", err)
+		}
+		return st.Requests["cancelled"]
+	}
+	for _, tc := range cases {
+		before := cancelled(tc.s)
+		w := httptest.NewRecorder()
+		tc.s.ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		body := w.Body.Bytes()
+		if w.Code != tc.code {
+			t.Errorf("%s: status %d (%.200s), want %d", tc.name, w.Code, body, tc.code)
+		}
+		if ct, cl := w.Header().Get("Content-Type"), w.Header().Get("Content-Length"); ct != "application/json" || cl != strconv.Itoa(len(body)) {
+			t.Errorf("%s: Content-Type %q, Content-Length %q for %d bytes", tc.name, ct, cl, len(body))
+		}
+		var m map[string]any
+		err := json.Unmarshal(body, &m)
+		if compact, _ := json.Marshal(m); err != nil || !bytes.Equal(body, append(compact, '\n')) {
+			t.Errorf("%s: body %q is not one line of compact JSON (%v)", tc.name, body, err)
+		}
+		if tc.path == "/healthz" {
+			if m["status"] != "starting" {
+				t.Errorf("%s: body %s, want status starting", tc.name, body)
+			}
+		} else if msg, _ := m["error"].(string); msg == "" || len(m) != 1 {
+			t.Errorf("%s: body %s is not {\"error\": ...}", tc.name, body)
+		}
+		if moved := cancelled(tc.s) != before; moved != tc.cancelled {
+			t.Errorf("%s: requests.cancelled moved %v, want %v", tc.name, moved, tc.cancelled)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Batch-specialization layer: re-exports of internal/plan so applications
 // can build, persist, and route batch plans without touching internal
-// packages. Engine.OptimizeBatches produces plans; ServerConfig.Plans and
+// packages. Engine.OptimizeBatches produces plans; Server.RegisterPlan and
 // Server-side warm-up (iosserve -plan-batches) consume them for
 // nearest-batch routing.
 
