@@ -14,6 +14,7 @@ package ios_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -315,37 +316,77 @@ func BenchmarkServeOptimizeGraphWarm(b *testing.B) {
 	benchServeWarm(b, append(append([]byte(`{"graph": `), raw...), '}'))
 }
 
+// BenchmarkServeMeasureWarm measures HTTP /measure on a key whose schedule
+// is cached, requests issued concurrently: the Inception V3 schedule
+// /optimize returned, posted back, and the sequential and greedy
+// baselines. All three are answered from the cache entry (the schedule's
+// latency quoted, each baseline measured on its first request), so none
+// parses a schedule, builds a graph or looks a stage up.
+func BenchmarkServeMeasureWarm(b *testing.B) {
+	srv := httptest.NewServer(ios.NewServer(ios.ServerConfig{}))
+	defer srv.Close()
+	var answer bytes.Buffer
+	if err := postOK(srv.URL+"/optimize", []byte(`{"model": "inception"}`), &answer); err != nil {
+		b.Fatal(err)
+	}
+	var opt struct {
+		Schedule json.RawMessage `json:"schedule"`
+	}
+	if err := json.Unmarshal(answer.Bytes(), &opt); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"schedule", append(append([]byte(`{"model": "inception", "schedule": `), opt.Schedule...), '}')},
+		{"sequential", []byte(`{"model": "inception", "baseline": "sequential"}`)},
+		{"greedy", []byte(`{"model": "inception", "baseline": "greedy"}`)},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchPostWarm(b, srv.URL+"/measure", c.body) })
+	}
+}
+
 // benchServeWarm posts one /optimize body to warm the cache, then measures
 // posting it concurrently.
 func benchServeWarm(b *testing.B, body []byte) {
 	srv := httptest.NewServer(ios.NewServer(ios.ServerConfig{}))
 	defer srv.Close()
-	post := func() error {
-		resp, err := http.Post(srv.URL+"/optimize", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		return nil
-	}
-	if err := post(); err != nil { // warm the cache
+	benchPostWarm(b, srv.URL+"/optimize", body)
+}
+
+// benchPostWarm posts body to url once untimed, then measures posting it
+// concurrently (RunParallel).
+func benchPostWarm(b *testing.B, url string, body []byte) {
+	if err := postOK(url, body, io.Discard); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := post(); err != nil {
+			if err := postOK(url, body, io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// postOK posts a JSON body, copies the answer's body to w and fails on any
+// status but 200.
+func postOK(url string, body []byte, w io.Writer) error {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return nil
 }
 
 // BenchmarkServeConcurrentCold measures request coalescing end to end:

@@ -64,6 +64,8 @@ type Entry struct {
 	// answer is what every hit is answered from, serialized once (at
 	// compute time by a Server, on first use otherwise); see rendered.
 	answer atomic.Pointer[optimizeAnswer]
+	// The baselines' /measure figures, measured on first use (handleMeasure).
+	sequential, greedy atomic.Pointer[measured]
 }
 
 // CacheStats counts cache traffic. All counters are cumulative since the

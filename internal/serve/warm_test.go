@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -13,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"ios/internal/baseline"
 	"ios/internal/models"
 	"ios/internal/plan"
+	"ios/internal/schedule"
 )
 
 // discardWriter is a connection that keeps the status and counts the body:
@@ -363,9 +366,11 @@ func allocPerRequest(t *testing.T, s *Server, n int, request func() *http.Reques
 // 21.5 / 28.5 / 28.4 / 50.3 KB for these four). A repeated graph
 // submission costs what reading and hashing its bytes cost (parsing,
 // partitioning and fingerprinting Inception V3 again allocated 295 KB;
-// now 39 KB), and a /measure of a cached key builds no graph (rebuilding
-// SqueezeNet allocated 46 KB sequential and 52 KB with a schedule; now 27
-// and 33 KB). Request construction is included.
+// now 39 KB), and a /measure of a cached key answers from its entry
+// (rebuilding SqueezeNet allocated 46 KB sequential and 52 KB with a
+// schedule; taking the entry's graph, 27 and 33 KB; measuring the baseline
+// once per entry and quoting the returned schedule, 3.8 and 7.8 KB).
+// Request construction is included.
 func TestWarmHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -404,8 +409,122 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget("/measure", mustMarshal(t, MeasureRequest{Model: "squeezenet", Baseline: "sequential"}), 32<<10,
-		"is the graph rebuilt instead of taken from the cached entry?")
-	budget("/measure", mustMarshal(t, MeasureRequest{Model: "squeezenet", Schedule: opt.Schedule}), 40<<10,
-		"is the graph rebuilt instead of taken from the cached entry?")
+	budget("/measure", mustMarshal(t, MeasureRequest{Model: "squeezenet", Baseline: "sequential"}), 6<<10,
+		"is the baseline built and measured again instead of taken from the cached entry?")
+	budget("/measure", mustMarshal(t, MeasureRequest{Model: "squeezenet", Schedule: opt.Schedule}), 12<<10,
+		"is the returned schedule parsed and measured again instead of quoted from the cached entry?")
+}
+
+// TestMeasureFromEntryIsByteIdentical: on a cached key, /measure answers the
+// schedule bytes /optimize returned and both baselines from the entry, byte
+// for byte what a server that never optimized the key answers, and repeat
+// calls measure nothing. A re-indented copy of the schedule and another
+// valid schedule are parsed and measured as before.
+func TestMeasureFromEntryIsByteIdentical(t *testing.T) {
+	for _, target := range []MeasureRequest{{Model: "squeezenet"}, {Graph: graphJSON(t, models.InceptionV3(1))}} {
+		warm, cold := NewServer(Config{}), NewServer(Config{})
+		opt, _, err := optimizeOK(warm, mustMarshal(t, OptimizeRequest{Model: target.Model, Graph: target.Graph}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := warm.Cache().Peek(Key{Model: opt.Model, Batch: opt.Batch, Device: opt.Device, Opts: opt.Options})
+		if !ok {
+			t.Fatalf("%s: no entry after /optimize", opt.Model)
+		}
+		// The schedule goes into the body as given: json.Marshal would
+		// compact a re-indented one.
+		measure := func(s *Server, sched []byte, which string) []byte {
+			t.Helper()
+			req := target
+			req.Baseline = which
+			body := mustMarshal(t, req)
+			if sched != nil {
+				body = append(append(append(body[:len(body)-1], `,"schedule":`...), sched...), '}')
+			}
+			code, answer := post(s, "/measure", body)
+			if code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", opt.Model, which, code, answer)
+			}
+			return answer
+		}
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, opt.Schedule, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		// Two other valid schedules: the greedy baseline, and the returned
+		// one with a stage's first two groups swapped, which has the
+		// returned bytes' length.
+		greedy, err := baseline.Greedy(e.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		swapped, err := schedule.FromJSON(opt.Schedule, e.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range swapped.Stages {
+			if len(st.Groups) > 1 {
+				st.Groups[0], st.Groups[1] = st.Groups[1], st.Groups[0]
+				break
+			}
+		}
+		compact := func(s *schedule.Schedule) []byte {
+			t.Helper()
+			var out bytes.Buffer
+			raw, err := s.MarshalJSON()
+			if err == nil {
+				err = json.Compact(&out, raw)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out.Bytes()
+		}
+		if bytes.Equal(compact(swapped), opt.Schedule) || len(compact(swapped)) != len(opt.Schedule) {
+			t.Fatalf("%s: swapping two groups made no same-length twin", opt.Model)
+		}
+		returned := measure(cold, opt.Schedule, "")
+		for _, c := range []struct {
+			name      string
+			sched     []byte
+			baseline  string
+			fromEntry bool
+		}{
+			{"returned schedule", opt.Schedule, "", true},
+			{"sequential", nil, "sequential", true},
+			{"greedy", nil, "greedy", true},
+			{"re-indented schedule", indented.Bytes(), "", false},
+			{"greedy schedule", compact(greedy), "", false},
+			{"swapped schedule", compact(swapped), "", false},
+		} {
+			want := measure(cold, c.sched, c.baseline)
+			if c.name == "re-indented schedule" && !bytes.Equal(want, returned) {
+				t.Errorf("%s: re-indented schedule answers\n%s, the compact one\n%s", opt.Model, want, returned)
+			}
+			for i := 0; i < 3; i++ {
+				ms, cs := warm.MeasureCache().Stats(), warm.Cache().Stats()
+				if got := measure(warm, c.sched, c.baseline); !bytes.Equal(got, want) {
+					t.Errorf("%s %s call %d:\n got %s\nwant %s", opt.Model, c.name, i, got, want)
+				}
+				ms2, cs2 := warm.MeasureCache().Stats(), warm.Cache().Stats()
+				if cs2.Hits != cs.Hits || cs2.Misses != cs.Misses || (i > 0 && ms2.Misses != ms.Misses) {
+					t.Errorf("%s %s call %d: measure misses %d → %d, schedule cache hits %d → %d, misses %d → %d",
+						opt.Model, c.name, i, ms.Misses, ms2.Misses, cs.Hits, cs2.Hits, cs.Misses, cs2.Misses)
+				}
+				// The entry path looks no stage up; the parse path, and each
+				// baseline's first call, measure through the cache.
+				looked := ms2.Hits+ms2.Misses != ms.Hits+ms.Misses
+				if looked != (!c.fromEntry || (i == 0 && c.baseline != "")) {
+					t.Errorf("%s %s call %d: measurement cache hits %d → %d, misses %d → %d",
+						opt.Model, c.name, i, ms.Hits, ms2.Hits, ms.Misses, ms2.Misses)
+				}
+			}
+		}
+		if m := e.sequential.Load(); m == nil || math.Float64bits(m.lat) != math.Float64bits(e.SequentialLatency) {
+			t.Errorf("%s: lazily measured sequential %+v, entry's %v", opt.Model, m, e.SequentialLatency)
+		}
+		if st := cold.Cache().Stats(); st.Misses != 0 || st.Size != 0 {
+			t.Errorf("%s: the reference server optimized: %+v", opt.Model, st)
+		}
+	}
 }
