@@ -14,7 +14,7 @@ import (
 // satisfies the BatcherModel interface, and the stats add up.
 func TestBatcherExports(t *testing.T) {
 	eng := ios.NewEngine(ios.V100)
-	p, err := eng.OptimizeBatches(context.Background(), ios.Figure2Block(1), []int{1, 2, 8})
+	p, err := eng.OptimizeBatches(context.Background(), ios.Figure2Block(1), []int{1, 2, 8}, ios.Options{})
 	if err != nil {
 		t.Fatalf("OptimizeBatches: %v", err)
 	}

@@ -193,17 +193,18 @@ func BenchmarkOptimizeNasNet(b *testing.B) {
 // structural measurement cache already warm (the serving tier's repeated
 // -model case, and the iosopt/iosserve warm-restart case): every
 // simulator invocation is a cache hit, so this isolates the engine's
-// non-measurement cost.
+// non-measurement cost. Each iteration's engine has a fresh block cache
+// of its own, so every block is searched.
 func BenchmarkOptimizeInceptionV3Warm(b *testing.B) {
 	g := ios.InceptionV3(1)
 	cache := ios.NewMeasureCache()
-	eng := ios.NewEngine(ios.V100, ios.WithMeasureCache(cache))
-	if _, err := eng.Optimize(context.Background(), g, ios.Options{}); err != nil {
+	if _, err := ios.NewEngine(ios.V100, ios.WithMeasureCache(cache)).Optimize(context.Background(), g, ios.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		eng := ios.NewEngine(ios.V100, ios.WithMeasureCache(cache))
 		if _, err := eng.Optimize(context.Background(), g, ios.Options{}); err != nil {
 			b.Fatal(err)
 		}
@@ -211,9 +212,8 @@ func BenchmarkOptimizeInceptionV3Warm(b *testing.B) {
 }
 
 // BenchmarkOptimizeInceptionV3Cold measures a full IOS search that fills
-// a fresh measurement cache (the first-request cost when the cache is
-// enabled): intra-network structural dedup applies, cross-call reuse does
-// not.
+// a fresh measurement cache (a new engine's first-request cost):
+// intra-network structural dedup applies, cross-call reuse does not.
 func BenchmarkOptimizeInceptionV3Cold(b *testing.B) {
 	g := ios.InceptionV3(1)
 	b.ReportAllocs()

@@ -5,7 +5,19 @@ import (
 	"testing"
 
 	"ios"
+	"ios/internal/core"
 )
+
+// bareSearch is the search with no cache of any kind: the core DP on a
+// fresh profiler, the oracle an engine's cached searches must equal.
+func bareSearch(t *testing.T, dev ios.Device, g *ios.Graph) *ios.Result {
+	t.Helper()
+	res, err := core.OptimizeContext(context.Background(), g, ios.NewProfiler(dev), ios.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestEngineWithBlockCache: the whole-block schedule cache persists across
 // Optimize calls on one engine — a repeated search of the same architecture
@@ -13,12 +25,9 @@ import (
 func TestEngineWithBlockCache(t *testing.T) {
 	ctx := context.Background()
 	g := ios.SqueezeNet(1)
-	plain, err := ios.NewEngine(ios.V100).Optimize(ctx, g, ios.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := bareSearch(t, ios.V100, g)
 
-	eng := ios.NewEngine(ios.V100, ios.WithBlockCache(nil)) // nil = fresh private cache
+	eng := ios.NewEngine(ios.V100, ios.WithBlockCache(nil)) // nil = the engine's own private cache
 	first, err := eng.Optimize(ctx, g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +60,10 @@ func TestEngineWithBlockCache(t *testing.T) {
 		t.Fatal("no block searches saved despite a warm repeat search")
 	}
 
-	// An engine without the option reports zero stats.
+	// An engine without the option owns a private cache: a fresh engine
+	// has seen no traffic, whatever this one did.
 	if st := ios.NewEngine(ios.V100).BlockCacheStats(); st != (ios.BlockCacheStats{}) {
-		t.Fatalf("cache-less engine reports stats %+v", st)
+		t.Fatalf("a fresh engine reports stats %+v", st)
 	}
 }
 
@@ -85,11 +95,7 @@ func TestEnginesShareOneBlockCache(t *testing.T) {
 	if cache.Stats().Misses == misses {
 		t.Fatal("K80 search served schedules from V100 cache entries")
 	}
-	kplain, err := ios.NewEngine(ios.K80).Optimize(ctx, ios.Figure2Block(1), ios.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kres.Schedule.String() != kplain.Schedule.String() {
+	if kplain := bareSearch(t, ios.K80, ios.Figure2Block(1)); kres.Schedule.String() != kplain.Schedule.String() {
 		t.Fatal("shared cache corrupted the K80 search")
 	}
 }

@@ -6,6 +6,7 @@
 //
 // The graph JSON format lists nodes in topological order; see
 // internal/graph/json.go and examples/custom_network for the schema.
+// Every search, sweep and measurement runs through an ios.Engine.
 package main
 
 import (
@@ -13,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -20,232 +22,230 @@ import (
 	"syscall"
 	"time"
 
-	"ios/internal/baseline"
-	"ios/internal/blockcache"
-	"ios/internal/core"
+	"ios"
 	"ios/internal/gpusim"
 	"ios/internal/graph"
-	"ios/internal/measure"
 	"ios/internal/models"
-	"ios/internal/plan"
-	"ios/internal/profile"
 )
 
 func main() {
-	var (
-		graphFlag  = flag.String("graph", "", "path to a graph JSON file")
-		modelFlag  = flag.String("model", "", "zoo model: "+strings.Join(models.ZooNames(), ", "))
-		batchFlag  = flag.Int("batch", 1, "batch size (zoo models)")
-		batchesStr = flag.String("batches", "", "comma-separated batch sizes: build a batch-specialization plan instead of a single schedule (one specialized search per batch under a shared measurement cache, plus the measured cross-batch penalty matrix); prints the matrices on stderr and emits the plan JSON on stdout or -o")
-		deviceFlag = flag.String("device", "v100", "device: v100, k80, 2080ti, 1080, 980ti, a100")
-		outFlag    = flag.String("o", "", "output schedule path (default stdout)")
-		rFlag      = flag.Int("r", 3, "pruning: max operators per group")
-		sFlag      = flag.Int("s", 8, "pruning: max groups per stage")
-		strategy   = flag.String("strategy", "both", "strategy set: both, parallel, merge")
-		workers    = flag.Int("workers", 0, "DP engine worker goroutines per block (0 = GOMAXPROCS); results are identical at every setting")
-		progress   = flag.Bool("progress", false, "report search progress (states/transitions/measurements, current level) on stderr")
-		timeout    = flag.Duration("timeout", 0, "abort the search after this long (e.g. 2m; 0 = no limit)")
-		mcacheFile = flag.String("measure-cache", "", "measurement-cache file: loaded before the search (a warm restart skips already-simulated stages) and saved after it; a corrupt or missing file starts cold")
-		bcacheFile = flag.String("block-cache", "", "block-schedule-cache file: loaded before the search (a warm restart skips whole block DP searches with bit-identical results) and saved after it; a corrupt or missing file starts cold")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"iosopt optimizes a computation graph with IOS and emits the schedule as JSON.\n\nUsage: iosopt -graph FILE | -model NAME [flags]\n\nFlags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
 	// Ctrl-C (or SIGTERM) cancels the in-flight search cleanly: workers
 	// drain, nothing is half-written, and iosopt exits non-zero.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is main without the process: it returns the exit status (2 for a
+// usage error, 1 for a failed search).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("iosopt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		graphFlag  = fs.String("graph", "", "path to a graph JSON file")
+		modelFlag  = fs.String("model", "", "zoo model: "+strings.Join(models.ZooNames(), ", "))
+		batchFlag  = fs.Int("batch", 1, "batch size (zoo models)")
+		batchesStr = fs.String("batches", "", "comma-separated batch sizes: build a batch-specialization plan instead of a single schedule (one specialized search per batch on the engine's caches, plus the measured cross-batch penalty matrix); prints the matrices on stderr and emits the plan JSON on stdout or -o")
+		deviceFlag = fs.String("device", "v100", "device: v100, k80, 2080ti, 1080, 980ti, a100")
+		outFlag    = fs.String("o", "", "output schedule path (default stdout)")
+		rFlag      = fs.Int("r", 3, "pruning: max operators per group")
+		sFlag      = fs.Int("s", 8, "pruning: max groups per stage")
+		strategy   = fs.String("strategy", "both", "strategy set: both, parallel, merge")
+		progress   = fs.Bool("progress", false, "report search progress (states/transitions/measurements, current level) on stderr")
+		timeout    = fs.Duration("timeout", 0, "abort the search after this long (e.g. 2m; 0 = no limit)")
+		mcacheFile = fs.String("measure-cache", "", "measurement-cache file: loaded before the search (a warm restart skips already-simulated stages) and saved after it; a corrupt or missing file starts cold")
+		bcacheFile = fs.String("block-cache", "", "block-schedule-cache file: loaded before the search (a warm restart skips whole block DP searches with bit-identical results) and saved after it; a corrupt or missing file starts cold")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr,
+			"iosopt optimizes a computation graph with IOS and emits the schedule as JSON.\n\nUsage: iosopt -graph FILE | -model NAME [flags]\n\nFlags:\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "iosopt:", err)
+		return code
+	}
+
+	g, err := loadGraph(*graphFlag, *modelFlag, *batchFlag)
+	if err != nil {
+		return fail(2, err)
+	}
+	spec, ok := gpusim.SpecByName(*deviceFlag)
+	if !ok {
+		return fail(2, fmt.Errorf("unknown device %q", *deviceFlag))
+	}
+	opts := ios.Options{Pruning: ios.Pruning{R: *rFlag, S: *sFlag}}
+	if err := opts.Strategies.UnmarshalText([]byte(*strategy)); err != nil {
+		return fail(2, err)
+	}
+	if err := opts.Validate(); err != nil {
+		return fail(2, err)
+	}
+	var batches []int
+	if *batchesStr != "" {
+		if batches, err = parseBatches(*batchesStr); err != nil {
+			return fail(2, fmt.Errorf("-batches: %w", err))
+		}
+	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 
-	g, err := loadGraph(*graphFlag, *modelFlag, *batchFlag)
-	if err != nil {
-		fatal(err)
-	}
-	spec, ok := gpusim.SpecByName(*deviceFlag)
-	if !ok {
-		fatal(fmt.Errorf("unknown device %q", *deviceFlag))
-	}
-	opts := core.Options{Pruning: core.Pruning{R: *rFlag, S: *sFlag}, Workers: *workers}
-	strat, err := core.ParseStrategySet(*strategy)
-	if err != nil {
-		fatal(err)
-	}
-	opts.Strategies = strat
-	if err := opts.Validate(); err != nil {
-		fatal(err)
-	}
-	var progressFn func(core.Progress)
-	if *progress {
-		progressFn = progressPrinter()
-	}
-
-	prof := profile.New(spec)
-	var mcache *measure.Cache
+	// Without a cache file the engine searches on private caches.
+	var mcache *ios.MeasureCache
 	if *mcacheFile != "" {
-		mcache = measure.NewCache()
-		if n, err := mcache.LoadFile(*mcacheFile); err != nil {
-			fmt.Fprintf(os.Stderr, "iosopt: -measure-cache %s: %v (starting cold)\n", *mcacheFile, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "iosopt: loaded %d cached measurements from %s\n", n, *mcacheFile)
-		}
-		prof.SetMeasureCache(mcache)
+		mcache = ios.NewMeasureCache()
+		load(stderr, mcache, "-measure-cache", *mcacheFile, "measurements")
 	}
-	var bcache *blockcache.Cache
+	var bcache *ios.BlockCache
 	if *bcacheFile != "" {
-		bcache = blockcache.NewCache()
-		if n, err := bcache.LoadFile(*bcacheFile); err != nil {
-			fmt.Fprintf(os.Stderr, "iosopt: -block-cache %s: %v (starting cold)\n", *bcacheFile, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "iosopt: loaded %d cached block schedules from %s\n", n, *bcacheFile)
-		}
-		opts = opts.WithBlockCache(bcache)
+		bcache = ios.NewBlockCache()
+		load(stderr, bcache, "-block-cache", *bcacheFile, "block schedules")
 	}
+	engOpts := []ios.EngineOption{ios.WithMeasureCache(mcache), ios.WithBlockCache(bcache)}
+	if *progress {
+		engOpts = append(engOpts, ios.WithProgress(progressPrinter(stderr)))
+	}
+	eng := ios.NewEngine(spec, engOpts...)
 	// The caches are worth saving even when the search does not finish: a
 	// timed-out NasNet run has already paid for its simulations and its
 	// completed block searches, and the retry should resume from them
 	// instead of starting cold.
-	saveMeasureCache := func() {
+	saveCaches := func() {
 		if mcache != nil {
 			if err := mcache.SaveFile(*mcacheFile); err != nil {
-				fmt.Fprintf(os.Stderr, "iosopt: save measure cache: %v\n", err)
+				fmt.Fprintf(stderr, "iosopt: save measure cache: %v\n", err)
 			} else {
 				st := mcache.Stats()
-				fmt.Fprintf(os.Stderr, "iosopt: measure cache: %d entries saved to %s (%d simulator runs avoided)\n",
+				fmt.Fprintf(stderr, "iosopt: measure cache: %d entries saved to %s (%d simulator runs avoided)\n",
 					st.Size, *mcacheFile, st.Saved())
 			}
 		}
 		if bcache != nil {
 			if err := bcache.SaveFile(*bcacheFile); err != nil {
-				fmt.Fprintf(os.Stderr, "iosopt: save block cache: %v\n", err)
+				fmt.Fprintf(stderr, "iosopt: save block cache: %v\n", err)
 			} else {
 				st := bcache.Stats()
-				fmt.Fprintf(os.Stderr, "iosopt: block cache: %d entries saved to %s (%d block searches avoided)\n",
+				fmt.Fprintf(stderr, "iosopt: block cache: %d entries saved to %s (%d block searches avoided)\n",
 					st.Size, *bcacheFile, st.Saved())
 			}
 		}
 	}
 
-	if *batchesStr != "" {
-		batches, err := parseBatches(*batchesStr)
-		if err != nil {
-			fatal(fmt.Errorf("-batches: %w", err))
+	var (
+		p    *ios.BatchPlan
+		res  *ios.Result
+		what = "search"
+	)
+	if batches != nil {
+		what = "sweep"
+		p, err = eng.OptimizeBatches(ctx, g, batches, opts)
+	} else {
+		res, err = eng.Optimize(ctx, g, opts)
+	}
+	if *progress {
+		fmt.Fprintln(stderr) // finish the \r progress line
+	}
+	if err != nil {
+		saveCaches()
+		switch {
+		case errors.Is(err, context.Canceled):
+			err = fmt.Errorf("interrupted; %s cancelled cleanly", what)
+		case errors.Is(err, context.DeadlineExceeded):
+			err = fmt.Errorf("timed out after %v; %s cancelled cleanly", *timeout, what)
 		}
-		// The sweep always shares one measurement cache across its
-		// searches and cross-measurements (forks share the pointer);
-		// without -measure-cache it is sweep-local instead of persisted.
-		if mcache == nil {
-			prof.SetMeasureCache(measure.NewCache())
-		}
-		p, err := plan.Build(ctx, plan.BuildConfig{
-			Graph:       g,
-			Batches:     batches,
-			Device:      spec.Name,
-			Opts:        opts,
-			NewProfiler: prof.Fork, // forks share the -measure-cache table
-			Progress:    progressFn,
-		})
-		if *progress {
-			fmt.Fprintln(os.Stderr)
-		}
-		if err != nil {
-			saveMeasureCache()
-			if errors.Is(err, context.Canceled) {
-				fatal(fmt.Errorf("interrupted; sweep cancelled cleanly"))
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				fatal(fmt.Errorf("timed out after %v; sweep cancelled cleanly", *timeout))
-			}
-			fatal(err)
-		}
-		for _, pt := range p.Points {
-			fmt.Fprintf(os.Stderr, "iosopt: batch %d: %d stages, %.3f ms\n",
-				pt.Batch, pt.Schedule.NumStages(), 1e3*pt.Latency)
-		}
-		p.Render(os.Stderr)
-		saveMeasureCache()
-		if *outFlag == "" {
-			if err := p.Save(os.Stdout); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := p.SaveFile(*outFlag); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "iosopt: plan saved to %s\n", *outFlag)
-		return
+		return fail(1, err)
 	}
 
-	res, err := core.OptimizeWithProgress(ctx, g, prof, opts, progressFn)
-	if *progress {
-		fmt.Fprintln(os.Stderr) // finish the \r progress line
-	}
-	if err != nil {
-		saveMeasureCache()
-		if errors.Is(err, context.Canceled) {
-			fatal(fmt.Errorf("interrupted; search cancelled cleanly"))
+	if p != nil {
+		for _, pt := range p.Points {
+			fmt.Fprintf(stderr, "iosopt: batch %d: %d stages, %.3f ms\n",
+				pt.Batch, pt.Schedule.NumStages(), 1e3*pt.Latency)
 		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			fatal(fmt.Errorf("timed out after %v; search cancelled cleanly", *timeout))
+		p.Render(stderr)
+		saveCaches()
+		if *outFlag == "" {
+			if err := p.Save(stdout); err != nil {
+				return fail(1, err)
+			}
+			return 0
 		}
-		fatal(err)
+		if err := p.SaveFile(*outFlag); err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintf(stderr, "iosopt: plan saved to %s\n", *outFlag)
+		return 0
 	}
-	iosLat, err := prof.MeasureSchedule(res.Schedule)
+
+	iosLat, err := eng.Measure(ctx, g, res.Schedule)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
-	seq, err := baseline.Sequential(g)
+	seq, err := ios.SequentialSchedule(g)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
-	seqLat, err := prof.MeasureSchedule(seq)
+	seqLat, err := eng.Measure(ctx, g, seq)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
-	fmt.Fprintf(os.Stderr, "iosopt: %s on %s: %d stages, %.3f ms (sequential %.3f ms, %.2fx); search %s, %d states, %d transitions\n",
+	fmt.Fprintf(stderr, "iosopt: %s on %s: %d stages, %.3f ms (sequential %.3f ms, %.2fx); search %s, %d states, %d transitions\n",
 		g.Name, spec.Name, res.Schedule.NumStages(), 1e3*iosLat, 1e3*seqLat, seqLat/iosLat,
 		res.Stats.WallTime.Round(1e6), res.Stats.States, res.Stats.Transitions)
-	saveMeasureCache()
+	saveCaches()
 
 	data, err := res.Schedule.MarshalJSON()
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	data = append(data, '\n')
 	if *outFlag == "" {
-		os.Stdout.Write(data)
-		return
+		_, err = stdout.Write(data)
+	} else {
+		err = os.WriteFile(*outFlag, data, 0o644)
 	}
-	if err := os.WriteFile(*outFlag, data, 0o644); err != nil {
-		fatal(err)
+	if err != nil {
+		return fail(1, err)
+	}
+	return 0
+}
+
+// load fills a cache from its file, reporting on stderr; a corrupt or
+// missing file leaves the cache empty (a cold start, not an error).
+func load(stderr io.Writer, c interface{ LoadFile(string) (int, error) }, flagName, path, what string) {
+	if n, err := c.LoadFile(path); err != nil {
+		fmt.Fprintf(stderr, "iosopt: %s %s: %v (starting cold)\n", flagName, path, err)
+	} else {
+		fmt.Fprintf(stderr, "iosopt: loaded %d cached %s from %s\n", n, what, path)
 	}
 }
 
-// progressPrinter returns a core progress callback that repaints one
-// stderr status line, throttled to ~10 updates/second so large searches
-// don't drown the terminal.
-func progressPrinter() func(core.Progress) {
+// progressPrinter returns a progress callback that repaints one stderr
+// status line, throttled to ~10 updates/second so large searches don't
+// drown the terminal.
+func progressPrinter(stderr io.Writer) func(ios.Progress) {
 	var last time.Time
-	return func(p core.Progress) {
+	return func(p ios.Progress) {
 		if now := time.Now(); now.Sub(last) < 100*time.Millisecond {
 			return
 		} else {
 			last = now
 		}
-		fmt.Fprintf(os.Stderr, "\riosopt: block %d/%d %s level %d/%d · %d states · %d transitions · %d measurements   ",
+		fmt.Fprintf(stderr, "\riosopt: block %d/%d %s level %d/%d · %d states · %d transitions · %d measurements   ",
 			p.Block, p.Blocks, p.Phase, p.Level, p.Levels, p.States, p.Transitions, p.Measurements)
 	}
 }
 
-func loadGraph(path, model string, batch int) (*graph.Graph, error) {
+func loadGraph(path, model string, batch int) (*ios.Graph, error) {
 	switch {
 	case path != "" && model != "":
 		return nil, fmt.Errorf("pass either -graph or -model, not both")
@@ -283,9 +283,4 @@ func parseBatches(v string) ([]int, error) {
 		return nil, fmt.Errorf("empty batch list")
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "iosopt:", err)
-	os.Exit(1)
 }

@@ -1,0 +1,160 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"ios"
+)
+
+// iosopt runs the command in-process and returns its exit status and
+// output.
+func iosopt(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	code = run(context.Background(), args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// engineSchedule is what a library caller gets for the same search.
+func engineSchedule(t *testing.T, g *ios.Graph, opts ios.Options) string {
+	t.Helper()
+	res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := res.Schedule.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data) + "\n"
+}
+
+// TestScheduleIsTheEngines: iosopt's stdout is the schedule JSON an
+// Engine returns for the same graph, byte for byte.
+func TestScheduleIsTheEngines(t *testing.T) {
+	for _, tc := range []struct {
+		model string
+		g     *ios.Graph
+	}{
+		{"fig2", ios.Figure2Block(1)},
+		{"squeezenet", ios.SqueezeNet(1)},
+	} {
+		code, stdout, stderr := iosopt(t, "-model", tc.model)
+		if code != 0 {
+			t.Fatalf("%s: exit status %d: %s", tc.model, code, stderr)
+		}
+		if want := engineSchedule(t, tc.g, ios.Options{}); stdout != want {
+			t.Errorf("%s: iosopt emitted\n%s\nthe engine returns\n%s", tc.model, stdout, want)
+		}
+	}
+}
+
+// TestSearchFlagsReachSearchAndSweep: -strategy, -r and -s configure the
+// single search and every search of a -batches sweep, whose plan JSON
+// ios.LoadBatchPlan reads back.
+func TestSearchFlagsReachSearchAndSweep(t *testing.T) {
+	opts := ios.Options{Strategies: ios.MergeOnly, Pruning: ios.Pruning{R: 1, S: 2}}
+	flags := []string{"-model", "fig2", "-strategy", "merge", "-r", "1", "-s", "2"}
+
+	code, stdout, stderr := iosopt(t, flags...)
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr)
+	}
+	if want := engineSchedule(t, ios.Figure2Block(1), opts); stdout != want {
+		t.Errorf("single search emitted\n%s\nthe engine returns under %s\n%s", stdout, opts.Fingerprint(), want)
+	}
+	if stdout == engineSchedule(t, ios.Figure2Block(1), ios.Options{}) {
+		t.Error("the flags left the single search at the default options")
+	}
+
+	code, stdout, stderr = iosopt(t, append(flags, "-batches", "1,8")...)
+	if code != 0 {
+		t.Fatalf("sweep: exit status %d: %s", code, stderr)
+	}
+	p, err := ios.LoadBatchPlan(strings.NewReader(stdout))
+	if err != nil {
+		t.Fatalf("LoadBatchPlan on iosopt's plan: %v", err)
+	}
+	if p.Opts != opts.Fingerprint() {
+		t.Errorf("plan options %q, want %q", p.Opts, opts.Fingerprint())
+	}
+	for i, b := range p.Batches() {
+		got, err := p.Points[i].Schedule.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := engineSchedule(t, ios.Figure2Block(b), opts); string(got)+"\n" != want {
+			t.Errorf("batch %d: sweep point\n%s\nthe engine returns\n%s", b, got, want)
+		}
+	}
+}
+
+// TestCacheFilesWarmARerun: a second run on the same -measure-cache and
+// -block-cache files loads what the first saved and emits the same bytes.
+func TestCacheFilesWarmARerun(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-model", "squeezenet",
+		"-measure-cache", filepath.Join(dir, "m.cache"),
+		"-block-cache", filepath.Join(dir, "b.cache")}
+	code, cold, stderr := iosopt(t, args...)
+	if code != 0 {
+		t.Fatalf("cold run: exit status %d: %s", code, stderr)
+	}
+	if !strings.Contains(stderr, "starting cold") {
+		t.Errorf("cold run did not report missing cache files: %s", stderr)
+	}
+	code, warm, stderr := iosopt(t, args...)
+	if code != 0 {
+		t.Fatalf("warm run: exit status %d: %s", code, stderr)
+	}
+	for _, what := range []string{"measurements", "block schedules"} {
+		if !strings.Contains(stderr, "cached "+what+" from") || strings.Contains(stderr, "loaded 0 cached "+what) {
+			t.Errorf("warm run loaded no cached %s: %s", what, stderr)
+		}
+	}
+	if warm != cold {
+		t.Errorf("warm run emitted\n%s\nthe cold run\n%s", warm, cold)
+	}
+}
+
+// TestUsageErrors: a bad command line fails with a message, not a panic.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args      []string
+		stderrHas string
+	}{
+		{[]string{"-graph", "g.json", "-model", "fig2"}, "not both"},
+		{[]string{"-model", "fig2", "-device", "tpu"}, `unknown device "tpu"`},
+		{[]string{"-model", "fig2", "-batches", "1,x"}, `bad batch size "x"`},
+		{[]string{"-model", "fig2", "-batches", ","}, "empty batch list"},
+		{[]string{"-model", "fig2", "-workers", "2"}, "flag provided but not defined"},
+	} {
+		code, stdout, stderr := iosopt(t, tc.args...)
+		if code == 0 || stdout != "" || !strings.Contains(stderr, tc.stderrHas) {
+			t.Errorf("%q: exit status %d, stdout %q, stderr %q; want non-zero, nothing, %q",
+				tc.args, code, stdout, stderr, tc.stderrHas)
+		}
+	}
+}
+
+// TestTimeoutStillSavesCaches: a search cut short by -timeout fails, and
+// both cache files are written anyway so a retry resumes from them.
+func TestTimeoutStillSavesCaches(t *testing.T) {
+	dir := t.TempDir()
+	mfile, bfile := filepath.Join(dir, "m.cache"), filepath.Join(dir, "b.cache")
+	code, stdout, stderr := iosopt(t, "-model", "squeezenet", "-timeout", "1ns",
+		"-measure-cache", mfile, "-block-cache", bfile)
+	if code == 0 || stdout != "" || !strings.Contains(stderr, "timed out") {
+		t.Fatalf("exit status %d, stdout %q, stderr %q; want a timeout failure", code, stdout, stderr)
+	}
+	for _, f := range []string{mfile, bfile} {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("cache file not written after the timeout: %v", err)
+		}
+	}
+}

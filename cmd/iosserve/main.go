@@ -67,7 +67,6 @@ func main() {
 		rFlag      = flag.Int("r", 3, "default pruning: max operators per group")
 		sFlag      = flag.Int("s", 8, "default pruning: max groups per stage")
 		strategy   = flag.String("strategy", "both", "default strategy set: both, parallel, merge")
-		workers    = flag.Int("workers", 0, "DP engine worker goroutines per block on cache misses (0 = GOMAXPROCS); schedules are identical at every setting")
 		autoBatch  = flag.Bool("auto-batch", false, "enable the traffic-adaptive auto-batching front end: POST /infer coalesces single-image requests into batches chosen from each plan's measured performance model under -slo (requires a registered plan: -plan-batches or -plan-dir)")
 		sloFlag    = flag.Duration("slo", 20*time.Millisecond, "per-request latency SLO for -auto-batch dispatch decisions; violations are counted in GET /stats, not masked")
 		maxBatch   = flag.Int("max-batch", 0, "cap on -auto-batch dispatch sizes (0 = each plan's largest planned batch)")
@@ -89,7 +88,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := core.Options{Strategies: strat, Pruning: core.Pruning{R: *rFlag, S: *sFlag}, Workers: *workers}
+	opts := core.Options{Strategies: strat, Pruning: core.Pruning{R: *rFlag, S: *sFlag}}
 	if err := opts.Validate(); err != nil {
 		fatal(err)
 	}

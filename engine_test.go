@@ -10,79 +10,62 @@ import (
 	"ios/internal/graph"
 )
 
-// TestEngineCache: with WithCache, repeated Optimize calls for the same
-// (graph, options) share one search and return the cached schedule.
+// TestEngineCache: an engine's own block cache makes a repeated
+// Optimize for the same (graph, options) search no block again and return
+// the same schedule; other options are other searches.
 func TestEngineCache(t *testing.T) {
 	ctx := context.Background()
-	eng := ios.NewEngine(ios.V100, ios.WithCache(8))
+	eng := ios.NewEngine(ios.V100)
 	g := ios.Figure2Block(1)
 	first, err := eng.Optimize(ctx, g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cold := eng.BlockCacheStats()
 	second, err := eng.Optimize(ctx, g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Schedule != second.Schedule {
-		t.Fatal("cached call returned a different schedule value")
+	if first.Schedule.String() != second.Schedule.String() {
+		t.Fatal("cached call returned a different schedule")
 	}
-	st := eng.CacheStats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("cache stats = %+v, want 1 miss + 1 hit", st)
+	st := eng.BlockCacheStats()
+	if cold.Misses == 0 || st.Misses != cold.Misses || st.Hits-cold.Hits != int64(second.Stats.Blocks) {
+		t.Fatalf("block cache stats %+v after one search, %+v after a repeat; want every repeat block a hit", cold, st)
 	}
 	// Different options are a different key.
 	if _, err := eng.Optimize(ctx, g, ios.Options{Strategies: ios.ParallelOnly}); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.CacheStats(); st.Misses != 2 {
-		t.Fatalf("cache stats after distinct options = %+v, want 2 misses", st)
+	if after := eng.BlockCacheStats(); after.Misses == st.Misses {
+		t.Fatalf("block cache stats after distinct options = %+v, want new misses", after)
 	}
 }
 
 // TestEngineCacheRebindsAcrossEqualGraphs: two separately built,
-// structurally identical graphs share one cache key (content
-// fingerprint); a hit must return a schedule bound to the CALLER's graph
+// structurally identical graphs share their block keys (content
+// fingerprints); a hit must return a schedule bound to the CALLER's graph
 // so the engine's own Optimize output always passes its own Measure.
 func TestEngineCacheRebindsAcrossEqualGraphs(t *testing.T) {
 	ctx := context.Background()
-	eng := ios.NewEngine(ios.V100, ios.WithCache(8))
+	eng := ios.NewEngine(ios.V100)
 	g1, g2 := ios.Figure2Block(1), ios.Figure2Block(1)
 	if _, err := eng.Optimize(ctx, g1, ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	cold := eng.BlockCacheStats()
 	res2, err := eng.Optimize(ctx, g2, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.CacheStats(); st.Hits != 1 {
-		t.Fatalf("structurally identical graph missed the cache: %+v", st)
+	if st := eng.BlockCacheStats(); st.Misses != cold.Misses || st.Hits == cold.Hits {
+		t.Fatalf("structurally identical graph missed the cache: %+v, then %+v", cold, st)
 	}
 	if res2.Schedule.Graph != g2 {
 		t.Fatal("cache hit returned a schedule bound to the other graph value")
 	}
 	if _, err := eng.Measure(ctx, g2, res2.Schedule); err != nil {
 		t.Fatalf("engine's own Optimize output failed its own Measure: %v", err)
-	}
-}
-
-// TestEngineWithPruningZeroMeansNoPruning: WithPruning(NoPruning) must be
-// taken at its word (normalized to the explicit -1 bounds), not silently
-// fall back to the paper defaults.
-func TestEngineWithPruningZeroMeansNoPruning(t *testing.T) {
-	ctx := context.Background()
-	g := ios.Figure2Block(1)
-	want, err := ios.NewEngine(ios.V100).Optimize(ctx, g, ios.Unpruned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ios.NewEngine(ios.V100, ios.WithPruning(ios.Pruning{})).Optimize(ctx, g, ios.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.Transitions != want.Stats.Transitions {
-		t.Fatalf("WithPruning(zero) ran a pruned search: %d transitions, want unpruned %d",
-			got.Stats.Transitions, want.Stats.Transitions)
 	}
 }
 
@@ -141,43 +124,11 @@ func TestEngineCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineWithNoPruning: the engine-level option requests the
-// exhaustive search — equivalent to the explicit Unpruned options value,
-// and distinct from the paper-default search.
-func TestEngineWithNoPruning(t *testing.T) {
-	ctx := context.Background()
-	g := ios.Figure2Block(1)
-	want, err := ios.NewEngine(ios.V100).Optimize(ctx, g, ios.Unpruned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ios.NewEngine(ios.V100, ios.WithNoPruning()).Optimize(ctx, g, ios.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schedule.String() != want.Schedule.String() || got.Stats.Transitions != want.Stats.Transitions {
-		t.Fatalf("WithNoPruning search differs from Unpruned:\n%+v\nvs\n%+v", got.Stats, want.Stats)
-	}
-	// Per-call explicit bounds still win over the engine default.
-	pruned, err := ios.NewEngine(ios.V100, ios.WithNoPruning()).Optimize(ctx, g, ios.Options{Pruning: ios.DefaultPruning})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := ios.NewEngine(ios.V100).Optimize(ctx, g, ios.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned.Stats.Transitions != def.Stats.Transitions {
-		t.Fatalf("per-call pruning did not override the engine default: %d vs %d transitions",
-			pruned.Stats.Transitions, def.Stats.Transitions)
-	}
-}
-
-// TestEngineProgressAndWorkers: engine-level defaults flow into the
+// TestEngineProgressAndWorkers: the engine's progress callback sees the
 // search.
 func TestEngineProgressAndWorkers(t *testing.T) {
 	var snaps int
-	eng := ios.NewEngine(ios.V100, ios.WithWorkers(2), ios.WithProgress(func(ios.Progress) { snaps++ }))
+	eng := ios.NewEngine(ios.V100, ios.WithProgress(func(ios.Progress) { snaps++ }))
 	if _, err := eng.Optimize(context.Background(), ios.Figure2Block(1), ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +188,9 @@ func TestGraphBatch(t *testing.T) {
 
 // TestEngineCacheKeepsCutTwinsApart: RandWire's builder cuts blocks that
 // its JSON form does not carry, so the built graph and its JSON twin
-// partition differently and are different searches. A cached engine that
+// partition differently and are different searches. An engine that
 // searched the built graph first must answer the twin with the twin's own
-// schedule, the one an uncached engine finds.
+// schedule, the one an engine with a fresh block cache finds.
 func TestEngineCacheKeepsCutTwinsApart(t *testing.T) {
 	ctx := context.Background()
 	g := ios.RandWire(1)
@@ -252,13 +203,17 @@ func TestEngineCacheKeepsCutTwinsApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := ios.NewMeasureCache()
-	cached := ios.NewEngine(ios.V100, ios.WithCache(8), ios.WithMeasureCache(mc))
+	cached := ios.NewEngine(ios.V100, ios.WithMeasureCache(mc))
 	if _, err := cached.Optimize(ctx, g, ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	built := cached.BlockCacheStats()
 	got, err := cached.Optimize(ctx, twin, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := cached.BlockCacheStats(); st.Misses == built.Misses {
+		t.Errorf("the JSON twin searched no block of its own: block cache %+v, then %+v", built, st)
 	}
 	want, err := ios.NewEngine(ios.V100, ios.WithMeasureCache(mc)).Optimize(ctx, twin, ios.Options{})
 	if err != nil {

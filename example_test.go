@@ -10,15 +10,13 @@ import (
 )
 
 // ExampleEngine is the primary API walkthrough: build an Engine for a
-// device with functional options, optimize under a context with a
-// deadline, and measure the result. A cancelled or timed-out context
-// stops the search at its next level barrier; this one completes well
-// within its budget.
+// device, optimize under a context with a deadline, and measure the
+// result. A cancelled or timed-out context stops the search at its next
+// level barrier; this one completes well within its budget. The engine
+// owns its caches, so a repeat search of the same structure searches no
+// block again.
 func ExampleEngine() {
-	eng := ios.NewEngine(ios.V100,
-		ios.WithWorkers(2), // DP engine goroutines per block (results identical at any setting)
-		ios.WithCache(64),  // coalesce + reuse searches per (graph, options)
-	)
+	eng := ios.NewEngine(ios.V100)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -31,12 +29,14 @@ func ExampleEngine() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	again, err := eng.Optimize(ctx, g, ios.Options{}) // served from the engine's cache
+	searched := eng.BlockCacheStats().Misses
+	again, err := eng.Optimize(ctx, g, ios.Options{}) // served from the engine's block cache
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%d stages, measurable latency: %v\n", res.Schedule.NumStages(), lat > 0)
-	fmt.Printf("second call cached: %v\n", again.Schedule == res.Schedule)
+	fmt.Printf("second call cached: %v\n",
+		eng.BlockCacheStats().Misses == searched && again.Schedule.String() == res.Schedule.String())
 	// Output:
 	// 3 stages, measurable latency: true
 	// second call cached: true

@@ -1,7 +1,7 @@
 // Batch specialization: Section 7.2's study on the last block of Inception
 // V3, driven by the batch-plan subsystem. Engine.OptimizeBatches runs one
-// IOS search per batch size (concurrently, sharing one measurement cache)
-// and measures the full cross-batch matrix; the plan then answers routing
+// IOS search per batch size (in order, on the engine's caches) and
+// measures the full cross-batch matrix; the plan then answers routing
 // questions — which schedule should serve batch 7? at what penalty? —
 // exactly the way the serving tier (iosserve -plan-batches) does.
 //
@@ -21,7 +21,7 @@ func main() {
 	eng := ios.NewEngine(ios.V100)
 	g := ios.InceptionE(1)
 
-	plan, err := eng.OptimizeBatches(ctx, g, []int{1, 32})
+	plan, err := eng.OptimizeBatches(ctx, g, []int{1, 32}, ios.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

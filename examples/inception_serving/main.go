@@ -21,12 +21,13 @@ func main() {
 	g := ios.InceptionV3(batch)
 	fmt.Printf("%s: %d operators\n", g.Name, len(g.SchedulableNodes()))
 
-	prof := ios.NewProfiler(ios.V100)
-	res, err := ios.OptimizeWithProfilerContext(context.Background(), g, prof, ios.Options{})
+	ctx := context.Background()
+	eng := ios.NewEngine(ios.V100)
+	res, err := eng.Optimize(ctx, g, ios.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	iosLat, err := prof.MeasureSchedule(res.Schedule)
+	iosLat, err := eng.Measure(ctx, g, res.Schedule)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seqLat, err := prof.MeasureSchedule(seq)
+	seqLat, err := eng.Measure(ctx, g, seq)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	grdLat, err := prof.MeasureSchedule(grd)
+	grdLat, err := eng.Measure(ctx, g, grd)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,15 +56,12 @@ type Config struct {
 	// batch — beyond it the model is extrapolating and bigger dispatches
 	// are unquantified bets.
 	MaxBatch int
-	// RateAlpha is the EWMA weight of each new arrival-gap observation
-	// in the arrival-rate estimate (0 < RateAlpha <= 1; 0 means the
-	// default 0.2). Smaller values smooth bursts; larger track them.
-	RateAlpha float64
 }
 
-// DefaultRateAlpha is the arrival-rate EWMA weight a zero
-// Config.RateAlpha selects.
-const DefaultRateAlpha = 0.2
+// rateAlpha is the EWMA weight of each new arrival-gap observation in
+// the arrival-rate estimate: small enough to smooth bursts, large enough
+// to track a changed rate within a few arrivals.
+const rateAlpha = 0.2
 
 // Request is one queued inference request.
 type Request struct {
@@ -97,7 +94,6 @@ type Queue struct {
 	model    Model
 	slo      time.Duration
 	maxBatch int
-	alpha    float64
 	points   []int // ascending planned batch sizes
 
 	pending []Request
@@ -143,18 +139,10 @@ func NewQueue(cfg Config) (*Queue, error) {
 	if maxBatch < 1 {
 		return nil, fmt.Errorf("batching: MaxBatch %d invalid", cfg.MaxBatch)
 	}
-	alpha := cfg.RateAlpha
-	if alpha == 0 {
-		alpha = DefaultRateAlpha
-	}
-	if alpha < 0 || alpha > 1 {
-		return nil, fmt.Errorf("batching: RateAlpha %v outside (0, 1]", cfg.RateAlpha)
-	}
 	return &Queue{
 		model:    cfg.Model,
 		slo:      cfg.SLO,
 		maxBatch: maxBatch,
-		alpha:    alpha,
 		points:   points,
 		hist:     make(map[int]int64),
 	}, nil
@@ -184,7 +172,7 @@ func (q *Queue) Add(now time.Time, r Request) error {
 		if q.rate == 0 {
 			q.rate = inst
 		} else {
-			q.rate = q.alpha*inst + (1-q.alpha)*q.rate
+			q.rate = rateAlpha*inst + (1-rateAlpha)*q.rate
 		}
 		q.lastArrival = now
 		q.burst = r.Images

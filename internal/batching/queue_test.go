@@ -65,9 +65,6 @@ func TestQueueValidation(t *testing.T) {
 	if _, err := NewQueue(Config{Model: fakeModel{}, SLO: time.Second}); err == nil {
 		t.Error("NewQueue accepted a model with no batches")
 	}
-	if _, err := NewQueue(Config{Model: testModel(), SLO: time.Second, RateAlpha: 2}); err == nil {
-		t.Error("NewQueue accepted RateAlpha > 1")
-	}
 	q := newTestQueue(t, Config{})
 	if q.maxBatch != 16 {
 		t.Errorf("default MaxBatch = %d, want largest planned 16", q.maxBatch)

@@ -91,9 +91,8 @@ func (s *StrategySet) UnmarshalText(text []byte) error {
 // spelling exists because Pruning{} and an all-zero "no pruning" request
 // would otherwise be indistinguishable — Options{Pruning: NoPruning} IS
 // the zero value and therefore selects the defaults. Request the
-// exhaustive search with the Unpruned options value (R=-1, S=-1), or
-// ios.WithNoPruning at the Engine layer. Values below -1 are invalid;
-// Options.Validate rejects them.
+// exhaustive search with the Unpruned options value (R=-1, S=-1).
+// Values below -1 are invalid; Options.Validate rejects them.
 type Pruning struct {
 	// R bounds operators per group (see the bound convention above).
 	R int `json:"r,omitempty"`
@@ -109,7 +108,7 @@ var DefaultPruning = Pruning{R: 3, S: 8}
 // Caution: it is the zero Pruning value, so Options{Pruning: NoPruning}
 // is indistinguishable from unset options and selects the paper defaults
 // instead (see the bound convention on Pruning) — request an exhaustive
-// search through Options with Unpruned or ios.WithNoPruning.
+// search through Options with Unpruned.
 var NoPruning = Pruning{}
 
 // String renders "r=3,s=8" or "none". Non-positive bounds (see the bound

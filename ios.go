@@ -28,14 +28,12 @@
 //	fmt.Printf("latency %.3f ms over %d stages\n", lat*1e3, res.Schedule.NumStages())
 //
 // The Engine is the primary API: construct one per device with NewEngine
-// and functional options (WithWorkers, WithCache, WithMeasureCache,
-// WithProgress, WithBackend, WithNoPruning), then call its context-aware
-// methods.
+// and functional options (WithMeasureCache, WithBlockCache, WithProgress,
+// WithBackend), then call its context-aware methods with per-call
+// Options.
 package ios
 
 import (
-	"context"
-
 	"ios/internal/baseline"
 	"ios/internal/core"
 	"ios/internal/gpusim"
@@ -111,19 +109,13 @@ var Unpruned = core.Unpruned
 // NewGraph returns an empty computation graph.
 func NewGraph(name string) *Graph { return graph.New(name) }
 
-// NewProfiler returns a latency oracle for the device, usable across
-// several Optimize calls, one at a time: calls over the same graph share
-// its per-node lowering table, and a call over another graph re-lowers
-// the nodes it meets (a lowering names the node it was made from, so
+// NewProfiler returns a stage-level latency oracle for the device
+// (MeasureStage, MeasureSchedule), usable for several graphs, one call at
+// a time: calls over the same graph share its per-node lowering table,
+// and a call over another graph re-lowers the nodes it meets (a lowering names the node it was made from, so
 // graphs never read each other's). Attach a measurement cache
 // (SetMeasureCache) to share measurements across graphs too.
 func NewProfiler(dev Device) *Profiler { return profile.New(dev) }
-
-// OptimizeWithProfilerContext runs the search on a caller-provided
-// (possibly shared) profiler under a context.
-func OptimizeWithProfilerContext(ctx context.Context, g *Graph, prof *Profiler, opts Options) (*Result, error) {
-	return core.OptimizeContext(ctx, g, prof, opts)
-}
 
 // LoadSchedule reconstructs a schedule recipe (the JSON emitted by
 // Schedule.MarshalJSON, cmd/iosopt, or the serving API) against the given

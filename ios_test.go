@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ios"
+	"ios/internal/core"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -143,14 +144,14 @@ func TestStrategyVariants(t *testing.T) {
 func TestProfilerReuse(t *testing.T) {
 	prof := ios.NewProfiler(ios.V100)
 	g := ios.Figure2Block(1)
-	if _, err := ios.OptimizeWithProfilerContext(context.Background(), g, prof, ios.Options{}); err != nil {
+	if _, err := core.OptimizeContext(context.Background(), g, prof, ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	m := prof.Measurements
 	// A second run over the same graph hits the shared cache; the DP's
 	// uncached fast path still measures, so just assert it works and the
 	// count advances monotonically.
-	if _, err := ios.OptimizeWithProfilerContext(context.Background(), g, prof, ios.Options{}); err != nil {
+	if _, err := core.OptimizeContext(context.Background(), g, prof, ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if prof.Measurements < m {
@@ -176,7 +177,7 @@ func TestProfilerReuseAcrossGraphs(t *testing.T) {
 		if seqLat, err = prof.MeasureSchedule(seq); err != nil {
 			t.Fatal(err)
 		}
-		res, err := ios.OptimizeWithProfilerContext(ctx, g, prof, ios.Options{})
+		res, err := core.OptimizeContext(ctx, g, prof, ios.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestProfilerReuseAcrossGraphs(t *testing.T) {
 		return seqLat, iosLat, string(js)
 	}
 	reused := ios.NewProfiler(ios.V100)
-	if _, err := ios.OptimizeWithProfilerContext(ctx, ios.SqueezeNet(1), reused, ios.Options{}); err != nil {
+	if _, err := core.OptimizeContext(ctx, ios.SqueezeNet(1), reused, ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	seqLat, iosLat, sched := run(reused)

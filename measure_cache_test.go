@@ -14,12 +14,9 @@ import (
 func TestEngineWithMeasureCache(t *testing.T) {
 	ctx := context.Background()
 	g := ios.SqueezeNet(1)
-	plain, err := ios.NewEngine(ios.V100).Optimize(ctx, g, ios.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := bareSearch(t, ios.V100, g)
 
-	eng := ios.NewEngine(ios.V100, ios.WithMeasureCache(nil)) // nil = fresh private cache
+	eng := ios.NewEngine(ios.V100, ios.WithMeasureCache(nil)) // nil = the engine's own private cache
 	first, err := eng.Optimize(ctx, g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +53,10 @@ func TestEngineWithMeasureCache(t *testing.T) {
 		t.Fatal("no simulator runs saved despite a warm repeat search")
 	}
 
-	// An engine without the option reports zero stats.
+	// An engine without the option owns a private cache: a fresh engine
+	// has seen no traffic, whatever this one did.
 	if st := ios.NewEngine(ios.V100).MeasureCacheStats(); st != (ios.MeasureCacheStats{}) {
-		t.Fatalf("cache-less engine reports stats %+v", st)
+		t.Fatalf("a fresh engine reports stats %+v", st)
 	}
 }
 
@@ -91,11 +89,32 @@ func TestEnginesShareOneMeasureCache(t *testing.T) {
 	if kres.Stats.Measurements == 0 {
 		t.Fatal("K80 search served latencies from V100 cache entries")
 	}
-	kplain, err := ios.NewEngine(ios.K80).Optimize(ctx, ios.Figure2Block(1), ios.Options{})
+	if kplain := bareSearch(t, ios.K80, ios.Figure2Block(1)); kres.Schedule.String() != kplain.Schedule.String() {
+		t.Fatal("shared cache corrupted the K80 search")
+	}
+}
+
+// TestBareEngineSearchesCached: a bare NewEngine measures through its own
+// cache, and the search it returns for NasNet-A — schedule, states and
+// transitions — is the one the core DP finds with no cache at all.
+func TestBareEngineSearchesCached(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("two full NasNet-A searches")
+	}
+	g := ios.NasNetA(1)
+	eng := ios.NewEngine(ios.V100)
+	got, err := eng.Optimize(context.Background(), g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kres.Schedule.String() != kplain.Schedule.String() {
-		t.Fatal("shared cache corrupted the K80 search")
+	want := bareSearch(t, ios.V100, g)
+	if got.Schedule.String() != want.Schedule.String() ||
+		got.Stats.States != want.Stats.States || got.Stats.Transitions != want.Stats.Transitions {
+		t.Fatalf("bare engine: %d states, %d transitions; bare core search: %d and %d (schedules equal: %v)",
+			got.Stats.States, got.Stats.Transitions, want.Stats.States, want.Stats.Transitions,
+			got.Schedule.String() == want.Schedule.String())
+	}
+	if eng.MeasureCacheStats().Saved() == 0 {
+		t.Fatal("a bare engine's NasNet-A search saved no simulator run")
 	}
 }

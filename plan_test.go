@@ -13,15 +13,16 @@ import (
 )
 
 // TestOptimizeBatches: the sweep produces one specialized schedule per
-// batch — each bit-identical to a standalone Optimize at that batch — and
-// a measured matrix whose diagonal wins every column.
+// batch — each bit-identical to a standalone Optimize at that batch under
+// the same per-call options, pruned or not — and a measured matrix whose
+// diagonal wins every column.
 func TestOptimizeBatches(t *testing.T) {
 	ctx := context.Background()
 	eng := ios.NewEngine(ios.V100)
 	g := ios.Figure2Block(1)
 	batches := []int{1, 2, 8}
 
-	p, err := eng.OptimizeBatches(ctx, g, batches)
+	p, err := eng.OptimizeBatches(ctx, g, batches, ios.Options{})
 	if err != nil {
 		t.Fatalf("OptimizeBatches: %v", err)
 	}
@@ -78,13 +79,33 @@ func TestOptimizeBatches(t *testing.T) {
 	if q.Points[2].Schedule.String() != p.Points[2].Schedule.String() {
 		t.Error("schedule changed across plan round trip")
 	}
+
+	// The per-call options reach every point: an unpruned sweep records
+	// its own options and searches each batch exhaustively.
+	u, err := eng.OptimizeBatches(ctx, g, batches, ios.Unpruned)
+	if err != nil {
+		t.Fatalf("unpruned OptimizeBatches: %v", err)
+	}
+	if u.Opts == p.Opts {
+		t.Errorf("unpruned sweep records the default options %q", u.Opts)
+	}
+	for i, b := range u.Batches() {
+		want, err := eng.Optimize(ctx, ios.Figure2Block(b), ios.Unpruned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u.Points[i].Schedule.String() != want.Schedule.String() {
+			t.Errorf("batch %d: unpruned sweep schedule differs from a standalone unpruned Optimize:\n%s\nvs\n%s",
+				b, u.Points[i].Schedule, want.Schedule)
+		}
+	}
 }
 
 func TestOptimizeBatchesCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	eng := ios.NewEngine(ios.V100)
-	if _, err := eng.OptimizeBatches(ctx, ios.Figure2Block(1), []int{1, 2}); !errors.Is(err, context.Canceled) {
+	if _, err := eng.OptimizeBatches(ctx, ios.Figure2Block(1), []int{1, 2}, ios.Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled OptimizeBatches = %v, want context.Canceled", err)
 	}
 }
@@ -92,10 +113,10 @@ func TestOptimizeBatchesCancelled(t *testing.T) {
 func TestOptimizeBatchesRejectsBadSweep(t *testing.T) {
 	ctx := context.Background()
 	eng := ios.NewEngine(ios.V100)
-	if _, err := eng.OptimizeBatches(ctx, ios.Figure2Block(1), nil); err == nil {
+	if _, err := eng.OptimizeBatches(ctx, ios.Figure2Block(1), nil, ios.Options{}); err == nil {
 		t.Error("empty sweep accepted")
 	}
-	if _, err := eng.OptimizeBatches(ctx, ios.Figure2Block(1), []int{1, -4}); err == nil {
+	if _, err := eng.OptimizeBatches(ctx, ios.Figure2Block(1), []int{1, -4}, ios.Options{}); err == nil {
 		t.Error("negative batch accepted")
 	}
 }
