@@ -71,7 +71,7 @@ func main() {
 		sloFlag    = flag.Duration("slo", 20*time.Millisecond, "per-request latency SLO for -auto-batch dispatch decisions; violations are counted in GET /stats, not masked")
 		maxBatch   = flag.Int("max-batch", 0, "cap on -auto-batch dispatch sizes (0 = each plan's largest planned batch)")
 		quietFlag  = flag.Bool("quiet", false, "suppress per-request logging")
-		clusterN   = flag.Int("cluster", 0, "run a simulated fleet of this many nodes in one process, on ports -port..-port+n-1 (-port 0: n ephemeral ports; 0 or 1 = a single node): each node is a full server with private caches behind a consistent-hash warm-cache exchange (block schedules shard by structural fingerprint; a node missing one fetches the canonical entry from its ring owner and rebinds it instead of re-searching; stage measurements stay node-local); node 0 loads -plan-dir and runs -warm/-plan-batches, and the fleet distributes the results; cache files get a per-node \".node<i>\" suffix")
+		clusterN   = flag.Int("cluster", 0, "run a simulated fleet of this many nodes in one process, on ports -port..-port+n-1 (-port 0: n ephemeral ports; 0 or 1 = a single node): each node is a full server with private caches, and every node holds every block schedule (a node loads a peer's whole block cache when it starts and pushes what it searches to every peer; stage measurements stay node-local); node 0 loads -plan-dir and runs -warm/-plan-batches, and the fleet distributes the results; cache files get a per-node \".node<i>\" suffix")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),

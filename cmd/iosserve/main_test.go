@@ -23,8 +23,8 @@ import (
 // TestDaemonLifecycle drives run, the daemon's one lifecycle, as a fleet
 // of one and of three on ephemeral loopback listeners. Node 0 warms
 // SqueezeNet; every node turns ready; a fleet's other nodes answer with
-// node 0's schedule bytes from block schedules fetched over the addresses
-// the listeners advertise, not from searches of their own; a single node
+// node 0's schedule bytes from block schedules pushed to them over the
+// addresses the listeners advertise, not from searches of their own; a single node
 // has no exchange endpoints; and cancelling the context returns nil, stops
 // every goroutine run started and leaves each node's caches saved under
 // its own file name.
@@ -115,8 +115,8 @@ func testLifecycle(t *testing.T, n int) {
 		if st.BlockCache.Misses != 0 {
 			t.Errorf("node %d searched %d blocks itself, want every one from the fleet", i, st.BlockCache.Misses)
 		}
-		if i == n-1 && st.BlockCache.Remote == 0 {
-			t.Errorf("node %d fetched no block from a peer: %+v", i, st.BlockCache)
+		if st.BlockCache.Loaded == 0 {
+			t.Errorf("node %d received no block from a peer: %+v", i, st.BlockCache)
 		}
 	}
 

@@ -56,12 +56,13 @@ type node struct {
 	measureFile, blockFile, planDir string
 }
 
-// run serves one node per listener until ctx ends. Every node listens
-// from the start and answers GET /healthz with 503 until node 0 has
-// loaded -plan-dir and warmed and, in a fleet, the exchange has
-// distributed the results. Whatever ends run — ctx, a failed or
-// interrupted warm-up, a listener error — every node is drained, shut
-// down and saved on the way out. One listener is a fleet of one: the bare
+// run serves one node per listener until ctx ends. Every listener is
+// bound from the start; each node serves, answering GET /healthz with 503,
+// before the next is built, so the next one's snapshot pull finds it
+// answering. A node is ready once node 0 has loaded -plan-dir and warmed
+// and, in a fleet, the exchange has distributed the results. Whatever
+// ends run — ctx, a failed or interrupted warm-up, a listener error —
+// every node is drained, shut down and saved on the way out. One listener is a fleet of one: the bare
 // serve.Server, without the /cluster/* endpoints or a pusher.
 func run(ctx context.Context, cfg config, listeners []net.Listener) error {
 	ctx, cancel := context.WithCancel(ctx)
@@ -98,21 +99,17 @@ func run(ctx context.Context, cfg config, listeners []net.Listener) error {
 	for i, lis := range listeners {
 		members[i] = cluster.Member{ID: fmt.Sprintf("node%d", i), URL: advertise(lis.Addr())}
 	}
+	errc := make(chan error, len(listeners))
+	spawn := func(f func()) {
+		wg.Add(1)
+		go func() { defer wg.Done(); f() }()
+	}
 	for i, lis := range listeners {
 		nd, err := newNode(ctx, cfg, members, i, lis)
 		if err != nil {
 			return err
 		}
 		nodes = append(nodes, nd)
-	}
-
-	errc := make(chan error, len(nodes))
-	spawn := func(f func()) {
-		wg.Add(1)
-		go func() { defer wg.Done(); f() }()
-	}
-	for _, nd := range nodes {
-		nd := nd
 		spawn(func() {
 			if err := nd.http.Serve(nd.lis); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				errc <- fmt.Errorf("%s%w", nd.who, err)
@@ -126,6 +123,11 @@ func run(ctx context.Context, cfg config, listeners []net.Listener) error {
 			spawn(func() { cp.Run(ctx) })
 		}
 		log.Printf("iosserve: %sserving %s schedules on %s", nd.who, cfg.serve.Device.Name, nd.lis.Addr())
+	}
+	for _, nd := range nodes[:len(nodes)-1] { // the last was built knowing every member
+		if err := nd.exchange.SetMembers(members); err != nil {
+			return err
+		}
 	}
 
 	// Plan warm-up supersedes plain warming: a registered plan shadows the
@@ -147,8 +149,8 @@ func run(ctx context.Context, cfg config, listeners []net.Listener) error {
 		return err
 	}
 	if len(nodes) > 1 {
-		// Push the warm-up's entries to their ring owners now instead of
-		// waiting a push interval, then let every node pull the plans.
+		// Push the warm-up's entries to every node now instead of waiting
+		// a push interval, then let every node pull the plans.
 		if _, err := nodes[0].exchange.Sync(ctx); err != nil {
 			log.Printf("iosserve: %sinitial sync: %v (background pusher will retry)", nodes[0].who, err)
 		}
@@ -173,7 +175,9 @@ func run(ctx context.Context, cfg config, listeners []net.Listener) error {
 
 // newNode builds node i of members over lis: a server with fresh caches
 // loaded from its files (and, on node 0, -plan-dir's plans), not ready
-// until run says so, fronted by the exchange in a fleet.
+// until run says so, fronted by the exchange in a fleet. The exchange
+// starts knowing only members[:i+1], the nodes already serving, and
+// pulls its snapshot from the first of them.
 func newNode(ctx context.Context, cfg config, members []cluster.Member, i int, lis net.Listener) (*node, error) {
 	nd := &node{lis: lis, measureFile: cfg.measureFile, blockFile: cfg.blockFile}
 	if len(members) > 1 {
@@ -199,7 +203,7 @@ func newNode(ctx context.Context, cfg config, members []cluster.Member, i int, l
 	nd.http = newHTTPServer(ctx, nd.srv)
 	if len(members) > 1 {
 		var err error
-		if nd.exchange, err = cluster.New(ctx, cluster.Config{Self: members[i].ID, Members: members, Server: nd.srv}); err != nil {
+		if nd.exchange, err = cluster.New(ctx, cluster.Config{Self: members[i].ID, Members: members[:i+1], Server: nd.srv}); err != nil {
 			return nil, err
 		}
 		nd.http.Handler = nd.exchange

@@ -11,8 +11,10 @@ import (
 // records (each entry's wire JSON). Whatever the bytes: Load
 // does not panic; a rejected file leaves the cache exactly as it was; an
 // accepted one saves to a file that loads back as the same entry set.
-// The seed corpus (testdata/fuzz/FuzzLoad) is a valid 3-entry file and
-// the ways of damaging it that TestLoadCorruptWholeRejection names.
+// The seed corpus (testdata/fuzz/FuzzLoad) is a valid 3-entry file, the
+// ways of damaging it that TestLoadCorruptWholeRejection names, and a real
+// GET /cluster/snapshot body (a two-node fleet's SqueezeNet blocks): a
+// joining node loads a peer's snapshot through the same decoder.
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCache()

@@ -91,20 +91,6 @@ func TestMergeAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestExportSubset(t *testing.T) {
-	c := NewCache()
-	fill(t, c, "a", 1)
-	fill(t, c, "b", 2)
-	out := c.Export([][]byte{key("b"), key("missing")})
-	if len(out) != 1 {
-		t.Fatalf("Export returned %d entries, want 1", len(out))
-	}
-	raw, _, err := out[0].Decode()
-	if err != nil || string(raw) != string(key("b")) {
-		t.Fatalf("exported %q (%v), want key b", raw, err)
-	}
-}
-
 // TestSaveFileDuringActiveFills is the crash-consistency story behind
 // periodic checkpointing: SaveFile racing live fills must always produce
 // a loadable, internally consistent file — whatever subset of fills it

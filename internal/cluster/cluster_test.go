@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -120,9 +121,9 @@ func postOptimize(client *http.Client, baseURL, model string, batch int) (serve.
 }
 
 // TestClusterWarmExchangeZeroSearches: a node joining a warm fleet serves
-// its first request entirely from peer-fetched block schedules — zero
-// local block DP searches — and the result is bit-identical to the seed
-// node's locally searched schedule.
+// its first request entirely from the block schedules in the snapshot it
+// loaded — zero local block DP searches — and the result is bit-identical
+// to the seed node's locally searched schedule.
 func TestClusterWarmExchangeZeroSearches(t *testing.T) {
 	ctx := context.Background()
 	h, err := StartHarness(ctx, HarnessConfig{Nodes: 2})
@@ -148,17 +149,17 @@ func TestClusterWarmExchangeZeroSearches(t *testing.T) {
 
 	bs := joined.Server.BlockCache().Stats()
 	if bs.Misses != 0 {
-		t.Errorf("joining node ran %d block DP searches, want 0 (remote=%d)", bs.Misses, bs.Remote)
+		t.Errorf("joining node ran %d block DP searches, want 0 (loaded=%d)", bs.Misses, bs.Loaded)
 	}
-	if bs.Remote == 0 {
-		t.Error("joining node fetched no block entries from peers")
+	if bs.Loaded == 0 {
+		t.Error("joining node loaded no block entries from a peer")
 	}
 	ns := joined.Node.Stats()
-	if ns.BlockFetchHits == 0 {
-		t.Errorf("node stats report no block fetch hits: %+v", ns)
+	if ns.MergedBlocks != bs.Loaded {
+		t.Errorf("node stats report %d merged blocks, the cache loaded %d: %+v", ns.MergedBlocks, bs.Loaded, ns)
 	}
 	if !bytes.Equal(seedResp.Schedule, joinResp.Schedule) {
-		t.Error("peer-fetched schedule is not bit-identical to the seed's local search")
+		t.Error("the snapshot's schedule is not bit-identical to the seed's local search")
 	}
 	if seedResp.LatencyMS != joinResp.LatencyMS {
 		t.Errorf("latency diverged: seed %v vs joined %v", seedResp.LatencyMS, joinResp.LatencyMS)
@@ -181,7 +182,7 @@ func (l *pathLog) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestClusterMeasurementsStayLocal: the exchange carries block schedules
-// only. A node joining a warm fleet fetches every block from a peer and
+// only. A node joining a warm fleet loads every block in one snapshot and
 // re-simulates the stage latencies it needs itself — no measurement is
 // fetched, no peer is asked for one — and because the simulator is
 // deterministic its reported latency equals the seed's bit for bit.
@@ -211,8 +212,8 @@ func TestClusterMeasurementsStayLocal(t *testing.T) {
 	}
 	joinResp := optimizeVia(t, h.Client(), joined.URL, "inception-e", 1)
 
-	if bs := joined.Server.BlockCache().Stats(); bs.Misses != 0 || bs.Remote == 0 {
-		t.Errorf("joining node: %d local block searches, %d peer-fetched; want 0 and some", bs.Misses, bs.Remote)
+	if bs := joined.Server.BlockCache().Stats(); bs.Misses != 0 || bs.Loaded == 0 {
+		t.Errorf("joining node: %d local block searches, %d loaded from a peer; want 0 and some", bs.Misses, bs.Loaded)
 	}
 	if ms := joined.Server.MeasureCache().Stats(); ms.Remote != 0 || ms.Misses == 0 {
 		t.Errorf("joining node: %d measurements fetched, %d simulated; want 0 and some", ms.Remote, ms.Misses)
@@ -222,23 +223,24 @@ func TestClusterMeasurementsStayLocal(t *testing.T) {
 	}
 	log.mu.Lock()
 	defer log.mu.Unlock()
-	blockGets := 0
+	snapshots := 0
 	for _, p := range log.paths {
 		if strings.HasPrefix(p, "/cache/measure/") {
 			t.Errorf("a peer was asked for a measurement: GET %s", p)
 		}
-		if strings.HasPrefix(p, "/cache/block/") {
-			blockGets++
+		if p == "/cluster/snapshot" {
+			snapshots++
 		}
 	}
-	if blockGets == 0 {
-		t.Error("no block fetch crossed the logged client; the path check is vacuous")
+	if snapshots != 1 {
+		t.Errorf("%d snapshot pulls crossed the logged client, want the joiner's one", snapshots)
 	}
 }
 
 // TestClusterFailOneNodeFallsBackLocal: with a peer dead, fresh requests
-// still succeed — bounded retry, mark the peer down, local search — and
-// no client ever sees an error.
+// still succeed with a local search and no client ever sees an error; the
+// push that follows marks the dead peer down without holding back the
+// live one, which then serves the new structure without a search.
 func TestClusterFailOneNodeFallsBackLocal(t *testing.T) {
 	ctx := context.Background()
 	h, err := StartHarness(ctx, HarnessConfig{
@@ -251,7 +253,7 @@ func TestClusterFailOneNodeFallsBackLocal(t *testing.T) {
 	}
 	defer h.Close()
 
-	n0 := h.Nodes()[0]
+	n0, n2 := h.Nodes()[0], h.Nodes()[2]
 	optimizeVia(t, h.Client(), n0.URL, "fig2", 1)
 	if _, err := h.SyncAll(ctx); err != nil {
 		t.Fatalf("sync: %v", err)
@@ -259,8 +261,7 @@ func TestClusterFailOneNodeFallsBackLocal(t *testing.T) {
 
 	h.Kill(1)
 
-	// A structure nobody has yet: every candidate (including the dead
-	// node) misses or errors, and the node must search locally.
+	// A structure nobody has yet: the node searches it locally.
 	resp := optimizeVia(t, h.Client(), n0.URL, "fig2", 2)
 	if resp.Batch != 2 {
 		t.Fatalf("got batch %d, want 2", resp.Batch)
@@ -268,15 +269,25 @@ func TestClusterFailOneNodeFallsBackLocal(t *testing.T) {
 	if n0.Server.BlockCache().Stats().Misses == 0 {
 		t.Error("expected local block searches after peer death")
 	}
-	// The warm structure stays servable from every live node.
+	if _, err := n0.Node.Sync(ctx); err == nil {
+		t.Error("a push to the dead peer reported no error")
+	}
+	if st := n0.Node.Stats(); st.PeersMarkedDown == 0 {
+		t.Errorf("the dead peer was not marked down: %+v", st)
+	}
+	// Both structures stay servable from every live node; the live peer
+	// got the new one despite the dead one.
+	before := n2.Server.BlockCache().Stats().Misses
 	for _, i := range h.Live() {
 		hn := h.Nodes()[i]
-		if _, err := postOptimize(h.Client(), hn.URL, "fig2", 1); err != nil {
-			t.Errorf("live node %s failed a warm request after peer death: %v", hn.ID, err)
+		for _, batch := range []int{1, 2} {
+			if _, err := postOptimize(h.Client(), hn.URL, "fig2", batch); err != nil {
+				t.Errorf("live node %s failed fig2 at batch %d after peer death: %v", hn.ID, batch, err)
+			}
 		}
 	}
-	if st := n0.Node.Stats(); st.PeersMarkedDown == 0 && st.BlockFetchErrors == 0 {
-		t.Logf("note: dead peer was never consulted (stats %+v)", st)
+	if got := n2.Server.BlockCache().Stats().Misses; got != before {
+		t.Errorf("the live peer searched %d blocks, want 0: the push past the dead peer did not reach it", got-before)
 	}
 }
 
@@ -333,12 +344,13 @@ func TestClusterPlanRegistryPull(t *testing.T) {
 	}
 }
 
-// TestClusterPushConvergesOwners: after Sync, each computed entry lives
-// at its ring owner, so a third node's single-entry GETs hit on the first
-// candidate.
+// TestClusterPushConvergesOwners: Sync ships each entry the seed searched
+// to every peer, once: one seed search on a three-node fleet moves exactly
+// twice the seed's entries, the peers push none of them back, and a second
+// round moves nothing.
 func TestClusterPushConvergesOwners(t *testing.T) {
 	ctx := context.Background()
-	h, err := StartHarness(ctx, HarnessConfig{Nodes: 2})
+	h, err := StartHarness(ctx, HarnessConfig{Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,17 +358,27 @@ func TestClusterPushConvergesOwners(t *testing.T) {
 
 	n0 := h.Nodes()[0]
 	optimizeVia(t, h.Client(), n0.URL, "fig2", 1)
+	seeded := n0.Server.BlockCache().Len()
+	if seeded == 0 {
+		t.Fatal("the seed search cached no block entries")
+	}
 	pushed, err := h.SyncAll(ctx)
 	if err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	if pushed == 0 {
-		t.Fatal("nothing pushed: fig2's entries all hashed to the seed? (possible but wildly unlikely)")
+	if pushed != 2*seeded {
+		t.Errorf("one round pushed %d entries, want %d (the seed's %d, to each of two peers)", pushed, 2*seeded, seeded)
 	}
-	if st := h.Nodes()[1].Node.Stats(); st.MergedBlocks == 0 {
-		t.Errorf("peer merged nothing: %+v", st)
+	for _, hn := range h.Nodes()[1:] {
+		if got := hn.Server.BlockCache().Len(); got != seeded {
+			t.Errorf("%s holds %d block entries, want the seed's %d", hn.ID, got, seeded)
+		}
+		if st := hn.Node.Stats(); st.MergedBlocks != int64(seeded) {
+			t.Errorf("%s merged %d entries, want %d: %+v", hn.ID, st.MergedBlocks, seeded, st)
+		}
 	}
-	// A second sync with no new work pushes nothing (cursor advanced).
+	// A second round with no new work pushes nothing (cursors advanced,
+	// merged entries are not echoed).
 	pushed, err = h.SyncAll(ctx)
 	if err != nil || pushed != 0 {
 		t.Errorf("idle sync pushed %d entries (err %v), want 0", pushed, err)
@@ -394,19 +416,19 @@ func TestClusterBackgroundPusher(t *testing.T) {
 }
 
 // TestZeroConfigNodesKeepTheirOwnBlockCaches: two nodes built in one
-// process over zero-config servers hold separate block caches, so neither
-// node's New replaces the other's fetch hook, and each node's miss asks its
-// own peer.
+// process over zero-config servers hold separate block caches, so each
+// node's snapshot pull fills its own cache from its own peer.
 func TestZeroConfigNodesKeepTheirOwnBlockCaches(t *testing.T) {
 	entry := blockEntry("b", 1)
 	key, _ := base64.RawURLEncoding.DecodeString(entry.Key)
+	snapshot := snapshotOf(t, entry)
 	var asked [2]atomic.Int64
 	var nodes [2]*Node
 	for i := range nodes {
 		i := i
 		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			asked[i].Add(1)
-			json.NewEncoder(w).Encode(map[string]any{"entries": []blockcache.WireEntry{entry}})
+			w.Write(snapshot)
 		}))
 		defer peer.Close()
 		ctx, cancel := context.WithCancel(context.Background())
@@ -428,10 +450,124 @@ func TestZeroConfigNodesKeepTheirOwnBlockCaches(t *testing.T) {
 	for i, n := range nodes {
 		ent, claim, err := n.Server().BlockCache().GetOrBegin(nil, key)
 		if err != nil || claim != nil || ent == nil {
-			t.Fatalf("node %d: GetOrBegin = (%v, %v, %v), want the entry its peer holds", i, ent, claim, err)
+			t.Fatalf("node %d: GetOrBegin = (%v, %v, %v), want the entry its peer's snapshot holds", i, ent, claim, err)
 		}
-		if hits, got := n.Stats().BlockFetchHits, asked[i].Load(); hits != 1 || got != 1 {
-			t.Errorf("node %d: %d fetch hits, its peer asked %d times; want 1 and 1", i, hits, got)
+		if merged, got := n.Stats().MergedBlocks, asked[i].Load(); merged != 1 || got != 1 {
+			t.Errorf("node %d: %d entries merged, its peer asked %d times; want 1 and 1", i, merged, got)
 		}
 	}
+}
+
+// snapshotOf is a GET /cluster/snapshot body holding the given entries.
+func snapshotOf(t *testing.T, entries ...blockcache.WireEntry) []byte {
+	t.Helper()
+	c := blockcache.NewCache()
+	if _, err := c.Merge(entries); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHangingPeerCannotStallASearch: a member that accepts connections and
+// never answers costs a cold search on another node nothing — the search
+// sends it no request and finishes far inside the peer timeout.
+func TestHangingPeerCannotStallASearch(t *testing.T) {
+	hang, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			c, err := hang.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		hang.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+
+	ctx := context.Background()
+	const timeout = 10 * time.Second
+	h, err := StartHarness(ctx, HarnessConfig{Nodes: 2, FetchTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	members := []Member{{ID: "hang", URL: "http://" + hang.Addr().String()}}
+	for _, hn := range h.Nodes() {
+		members = append(members, Member{ID: hn.ID, URL: hn.URL})
+	}
+	for _, hn := range h.Nodes() {
+		if err := hn.Node.SetMembers(members); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	n1 := h.Nodes()[1]
+	start := time.Now()
+	optimizeVia(t, h.Client(), n1.URL, "fig2", 1)
+	if took := time.Since(start); took > timeout/10 {
+		t.Errorf("a cold search took %v beside a hanging peer, want far under its %v timeout", took, timeout)
+	}
+	if n1.Server.BlockCache().Stats().Misses == 0 {
+		t.Error("the node ran no block search; the test is vacuous")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(conns) != 0 {
+		t.Errorf("the hanging peer got %d connections during a cold search, want 0", len(conns))
+	}
+}
+
+// TestSameColdKeyOnTwoNodesAtOnce is the price of replication: a structure
+// two nodes are asked for before either has pushed it is searched by both.
+// Both answer 200 with the same bytes, since the search is deterministic.
+func TestSameColdKeyOnTwoNodesAtOnce(t *testing.T) {
+	ctx := context.Background()
+	h, err := StartHarness(ctx, HarnessConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	var wg sync.WaitGroup
+	var resps [2]serve.OptimizeResponse
+	var errs [2]error
+	for i, hn := range h.Nodes() {
+		wg.Add(1)
+		go func(i int, url string) {
+			defer wg.Done()
+			resps[i], errs[i] = postOptimize(h.Client(), url, "inception-e", 1)
+		}(i, hn.URL)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	if !bytes.Equal(resps[0].Schedule, resps[1].Schedule) || resps[0].LatencyMS != resps[1].LatencyMS {
+		t.Error("two nodes searching the same cold key answered differently")
+	}
+	var searched [2]int64
+	for i, hn := range h.Nodes() {
+		searched[i] = hn.Server.BlockCache().Stats().Misses
+	}
+	t.Logf("block searches: node0 %d, node1 %d (%d distinct blocks)", searched[0], searched[1], h.Nodes()[0].Server.BlockCache().Len())
 }

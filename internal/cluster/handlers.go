@@ -1,34 +1,24 @@
 package cluster
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 )
 
-// handleBlockGet serves GET /cache/block/<fp>, fp the base64 raw-URL
-// fingerprint: the single canonical entry in wire form, 404 when this
-// node has not finished it.
-func (n *Node) handleBlockGet(w http.ResponseWriter, r *http.Request) {
+// handleSnapshot serves GET /cluster/snapshot: the whole block cache in
+// the cache-file format (Save), which a joining node loads in one request.
+func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		n.failJSON(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	key, err := base64.RawURLEncoding.DecodeString(strings.TrimPrefix(r.URL.Path, "/cache/block/"))
-	if err != nil || len(key) == 0 {
-		n.failJSON(w, http.StatusBadRequest, fmt.Errorf("use GET /cache/block/<fingerprint>, base64 raw-URL"))
-		return
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if err := n.blocks.Save(w); err != nil {
+		n.logf("cluster %s: write snapshot: %v", n.cfg.Self, err)
 	}
-	entries := n.blocks.Export([][]byte{key})
-	if len(entries) == 0 {
-		n.failJSON(w, http.StatusNotFound, fmt.Errorf("block entry not cached here"))
-		return
-	}
-	n.writeJSON(w, map[string]any{"entries": entries})
 }
 
 // handlePush serves POST /cluster/push: merge a peer's block wire entries

@@ -43,7 +43,7 @@ type HarnessConfig struct {
 
 // HarnessNode is one running node of a harness.
 type HarnessNode struct {
-	// ID is the node's ring identity ("node0", "node1", ...).
+	// ID is the node's member ID ("node0", "node1", ...).
 	ID string
 	// URL is the node's base URL on the loopback interface.
 	URL string
@@ -110,8 +110,8 @@ func (h *Harness) Live() []int {
 
 // Join starts one more node, updates every live node's membership list,
 // and waits for the newcomer's /healthz to report ready. The joining
-// node's caches are empty: every block schedule it serves warm arrives
-// over the exchange.
+// node's caches start empty: every block schedule it serves warm arrives
+// in the snapshot its New pulls from the first live member.
 func (h *Harness) Join(ctx context.Context) (*HarnessNode, error) {
 	id := fmt.Sprintf("node%d", len(h.nodes))
 	cacheSize := h.cfg.CacheSize
@@ -202,7 +202,7 @@ func (h *Harness) waitReady(ctx context.Context, baseURL string) error {
 }
 
 // SyncAll runs one synchronous push round on every live node, so every
-// computed entry is at its ring owner before the next phase — the
+// computed entry is at every live node before the next phase — the
 // deterministic stand-in for the background pusher's eventual
 // convergence.
 func (h *Harness) SyncAll(ctx context.Context) (int, error) {
@@ -221,9 +221,8 @@ func (h *Harness) SyncAll(ctx context.Context) (int, error) {
 }
 
 // Kill abruptly stops node i's HTTP server and cancels its exchange
-// context — the fail-one-node knob. Peers see connection errors, mark it
-// down, and fall back to local searches; the harness keeps its slot so
-// indices stay stable.
+// context — the fail-one-node knob. Peers see connection errors and mark
+// it down; the harness keeps its slot so indices stay stable.
 func (h *Harness) Kill(i int) {
 	hn := h.nodes[i]
 	if hn.killed {

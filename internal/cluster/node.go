@@ -3,13 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,8 +19,8 @@ import (
 	"ios/internal/serve"
 )
 
-// Member identifies one cluster node: a stable ID (the ring hashes it)
-// and the base URL peers reach it at.
+// Member identifies one cluster node: a stable ID and the base URL peers
+// reach it at.
 type Member struct {
 	ID  string `json:"id"`
 	URL string `json:"url"`
@@ -31,24 +30,23 @@ type Member struct {
 type Config struct {
 	// Self is this node's Member.ID; it must appear in Members.
 	Self string
-	// Members is the full membership list, including Self. Every node
-	// must use the same list (ring ownership is a pure function of it);
-	// SetMembers updates it live.
+	// Members is the membership list, including Self; SetMembers updates
+	// it live. New pulls its snapshot from the first peer in it that
+	// answers, so list the peers already serving first.
 	Members []Member
-	// Server is the serving tier this node fronts. The node shards and
-	// exchanges the server's block cache and installs its fetch hook, so
-	// no two nodes may be built over servers sharing one. The
-	// measurement cache stays a node-local memo.
+	// Server is the serving tier this node fronts. The node replicates
+	// the server's block cache; the measurement cache stays a node-local
+	// memo.
 	Server *serve.Server
 	// Client issues peer requests (nil = http.DefaultClient). The
 	// harness injects per-link latency here.
 	Client *http.Client
-	// FetchTimeout bounds one peer fetch (<=0 = 500ms).
+	// FetchTimeout bounds one peer exchange — a snapshot pull, a push,
+	// a plan pull — at four times its value (<=0 = 500ms).
 	FetchTimeout time.Duration
 	// FailureCooldown is how long a peer that failed a request is
-	// skipped before being probed again (<=0 = 1s). It bounds the cost
-	// of a dead node: a few timed-out attempts per cooldown, with every
-	// miss in between falling back to local search instantly.
+	// skipped before being tried again (<=0 = 1s). It bounds the cost
+	// of a dead node: one timed-out push per cooldown.
 	FailureCooldown time.Duration
 	// PushTicks, when non-nil, replaces Run's wall-clock ticker — the
 	// injectable clock for tests.
@@ -57,52 +55,41 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// fetchFanout is how many ring-ordered candidates a fetch tries: the
-// owner plus two successors. The first successor is exactly the key's
-// previous owner after a membership change, so a joining node (which owns
-// part of the keyspace itself) still finds every warm entry; the rest
-// cover an owner that is down.
-const fetchFanout = 3
-
-// pushInterval is Run's period between incremental pushes of locally
-// computed entries to their owners.
+// pushInterval is Run's period between incremental pushes.
 const pushInterval = 500 * time.Millisecond
 
 // Node is one cluster member: an http.Handler that serves the peer
-// exchange endpoints in front of a serve.Server, wires the server's
-// block cache to fetch missing entries from their ring owners, and pushes
-// locally searched entries out. Create with New; all methods are safe for
-// concurrent use.
+// exchange endpoints in front of a serve.Server, joins by loading a
+// peer's snapshot of the block cache, and pushes the entries it searched
+// to every peer. Create with New; all methods are safe for concurrent use.
 //
 // Endpoints (everything else falls through to the serve.Server):
 //
-//	GET  /cache/block/<fp>  one block entry, fp base64 raw-URL (404 if absent)
+//	GET  /cluster/snapshot  the whole block cache, in the cache-file format
 //	POST /cluster/push      {"block":[...]} -> count merged (413 past maxPeerBody)
 //	GET  /cluster/stats     exchange counters (Stats)
 type Node struct {
-	cfg     Config
-	server  *serve.Server
-	blocks  *blockcache.Cache
-	client  *http.Client
-	mux     *http.ServeMux
-	baseCtx context.Context
+	cfg    Config
+	server *serve.Server
+	blocks *blockcache.Cache
+	client *http.Client
+	mux    *http.ServeMux
 
 	// now is the clock behind peer-down cooldowns; tests substitute a fake.
 	now func() time.Time
 
-	mu   sync.Mutex
-	ring *Ring             // guarded by mu
-	urls map[string]string // guarded by mu
+	mu    sync.Mutex
+	peers []Member // guarded by mu: Members without Self, in list order
 	// down maps a peer ID to the time its failure cooldown ends.
 	down map[string]time.Time // guarded by mu
 
-	// pushMu serializes Sync so the incremental snapshot cursor moves
-	// atomically with the pushes it covers.
-	pushMu    sync.Mutex
-	lastBlock uint64 // guarded by pushMu
+	// pushMu serializes Sync, so each peer's cursor moves with the pushes
+	// it covers.
+	pushMu sync.Mutex
+	// sent is, per peer, the Own sequence point it has received up to.
+	sent map[string]uint64 // guarded by pushMu
 
-	fetchHits, fetchMisses, fetchErrors atomic.Int64 // block fetches by outcome
-	pushedBlocks, mergedBlocks          atomic.Int64 // entries shipped to / accepted from peers
+	pushedBlocks, mergedBlocks atomic.Int64 // entries shipped to / accepted from peers
 
 	plansPulled     atomic.Int64
 	peersMarkedDown atomic.Int64
@@ -110,21 +97,18 @@ type Node struct {
 
 // Stats is a snapshot of one node's exchange counters (GET /cluster/stats).
 type Stats struct {
-	// BlockFetchHits count local block-cache misses satisfied by a peer
-	// — each one is a block DP search the fleet did not repeat.
-	BlockFetchHits int64 `json:"block_fetch_hits"`
-	// BlockFetchMisses count fetches no candidate peer could satisfy
-	// (the structure is new fleet-wide); the node searched locally.
-	BlockFetchMisses int64 `json:"block_fetch_misses"`
-	// BlockFetchErrors count fetch attempts that failed to transport
-	// (peer down or timed out) — bounded by the failure cooldown.
-	BlockFetchErrors int64 `json:"block_fetch_errors"`
-	// Always zero now that measurements stay node-local; frozen bench/ compiles against them, the next benchmark issue removes them.
+	// Always 0 since blocks replicate whole instead of being fetched per
+	// key, like the measurement fields below since measurements stayed
+	// node-local. Kept only because the benchmark compiles against them;
+	// they go when bench/ is re-opened.
+	BlockFetchHits     int64 `json:"block_fetch_hits"`
+	BlockFetchMisses   int64 `json:"block_fetch_misses"`
+	BlockFetchErrors   int64 `json:"block_fetch_errors"`
 	MeasureFetchHits   int64 `json:"measure_fetch_hits"`
 	MeasureFetchMisses int64 `json:"measure_fetch_misses"`
 	MeasureFetchErrors int64 `json:"measure_fetch_errors"`
-	// PushedBlocks counts entries shipped to their owners by Sync;
-	// MergedBlocks counts entries accepted from peers' pushes.
+	// PushedBlocks counts entries shipped to peers by Sync; MergedBlocks
+	// counts entries accepted from peers' pushes and the join snapshot.
 	PushedBlocks int64 `json:"pushed_blocks"`
 	MergedBlocks int64 `json:"merged_blocks"`
 	// PlansPulled counts batch plans fetched from peers' registries.
@@ -133,11 +117,12 @@ type Stats struct {
 	PeersMarkedDown int64 `json:"peers_marked_down"`
 }
 
-// New wires a node: it installs the fetch hook on the server's block
-// cache (so that cache must be private to this server) and registers the
-// exchange endpoints. ctx is the node's lifetime — it bounds peer fetches
-// issued from inside the DP hot path, which carries no request context of
-// its own.
+// New wires a node, registers the exchange endpoints and, before it
+// returns, loads the block cache of the first peer that serves its
+// snapshot, so a joining node answers every block the fleet has searched
+// without a search or a per-key request. A peer that fails is marked down
+// and the next is tried; with none, the node starts with what it has and
+// fills by its peers' pushes. ctx bounds the pull.
 func New(ctx context.Context, cfg Config) (*Node, error) {
 	if cfg.Server == nil {
 		return nil, fmt.Errorf("cluster: Config.Server is required")
@@ -153,12 +138,11 @@ func New(ctx context.Context, cfg Config) (*Node, error) {
 		client = http.DefaultClient
 	}
 	n := &Node{
-		cfg:     cfg,
-		server:  cfg.Server,
-		blocks:  cfg.Server.BlockCache(),
-		client:  client,
-		mux:     http.NewServeMux(),
-		baseCtx: ctx,
+		cfg:    cfg,
+		server: cfg.Server,
+		blocks: cfg.Server.BlockCache(),
+		client: client,
+		mux:    http.NewServeMux(),
 		//lint:ioslint-ignore determinism peer-down cooldowns are wall-clock by design; tests substitute a fake by assigning n.now
 		now:  time.Now,
 		down: make(map[string]time.Time),
@@ -166,11 +150,20 @@ func New(ctx context.Context, cfg Config) (*Node, error) {
 	if err := n.SetMembers(cfg.Members); err != nil {
 		return nil, err
 	}
-	n.blocks.SetFetch(n.fetchBlock)
-	n.mux.HandleFunc("/cache/block/", n.handleBlockGet)
+	n.mux.HandleFunc("/cluster/snapshot", n.handleSnapshot)
 	n.mux.HandleFunc("/cluster/push", n.handlePush)
 	n.mux.HandleFunc("/cluster/stats", n.handleStats)
 	n.mux.Handle("/", cfg.Server)
+	for _, p := range n.livePeers() {
+		added, err := n.pullSnapshot(ctx, p.URL)
+		if err == nil {
+			n.mergedBlocks.Add(int64(added))
+			n.logf("cluster %s: loaded %d block entries from %s's snapshot", cfg.Self, added, p.ID)
+			break
+		}
+		n.logf("cluster %s: snapshot from %s: %v", cfg.Self, p.ID, err)
+		n.markDown(p.ID)
+	}
 	return n, nil
 }
 
@@ -181,31 +174,26 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) { n.mux.ServeHT
 // Server returns the serve.Server this node fronts.
 func (n *Node) Server() *serve.Server { return n.server }
 
-// SetMembers replaces the membership list (Self must be present). Every
-// node must converge on the same list; keys whose owner changed are
-// re-fetched from their old owner on first miss (the old owner is the new
-// owner's ring successor), so membership changes never invalidate warm
-// state.
+// SetMembers replaces the membership list (Self must be present, IDs
+// distinct). A new peer's push cursor starts at zero, so it receives every
+// entry this node searched; a departed one's is dropped.
 func (n *Node) SetMembers(members []Member) error {
-	ids := make([]string, 0, len(members))
-	urls := make(map[string]string, len(members))
-	self := false
+	seen := make(map[string]bool, len(members))
+	peers := make([]Member, 0, len(members))
 	for _, m := range members {
-		ids = append(ids, m.ID)
-		urls[m.ID] = strings.TrimSuffix(m.URL, "/")
-		if m.ID == n.cfg.Self {
-			self = true
+		if seen[m.ID] {
+			return fmt.Errorf("cluster: duplicate member %q", m.ID)
+		}
+		seen[m.ID] = true
+		if m.ID != n.cfg.Self {
+			peers = append(peers, Member{ID: m.ID, URL: strings.TrimSuffix(m.URL, "/")})
 		}
 	}
-	if !self {
+	if !seen[n.cfg.Self] {
 		return fmt.Errorf("cluster: Self %q not in members", n.cfg.Self)
 	}
-	ring, err := NewRing(ids, DefaultReplicas)
-	if err != nil {
-		return err
-	}
 	n.mu.Lock()
-	n.ring, n.urls = ring, urls
+	n.peers = peers
 	n.mu.Unlock()
 	return nil
 }
@@ -213,29 +201,23 @@ func (n *Node) SetMembers(members []Member) error {
 // Stats returns a snapshot of the exchange counters.
 func (n *Node) Stats() Stats {
 	return Stats{
-		BlockFetchHits:   n.fetchHits.Load(),
-		BlockFetchMisses: n.fetchMisses.Load(),
-		BlockFetchErrors: n.fetchErrors.Load(),
-		PushedBlocks:     n.pushedBlocks.Load(),
-		MergedBlocks:     n.mergedBlocks.Load(),
-		PlansPulled:      n.plansPulled.Load(),
-		PeersMarkedDown:  n.peersMarkedDown.Load(),
+		PushedBlocks:    n.pushedBlocks.Load(),
+		MergedBlocks:    n.mergedBlocks.Load(),
+		PlansPulled:     n.plansPulled.Load(),
+		PeersMarkedDown: n.peersMarkedDown.Load(),
 	}
 }
 
-// candidates returns the fetch targets for a key: up to fetchFanout ring
-// owners in order, minus self and minus peers inside a failure cooldown.
-func (n *Node) candidates(key []byte) []Member {
+// livePeers returns the peers outside a failure cooldown, in list order.
+func (n *Node) livePeers() []Member {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ids := n.ring.Owners(key, fetchFanout)
 	now := n.now()
-	out := make([]Member, 0, len(ids))
-	for _, id := range ids {
-		if id == n.cfg.Self || now.Before(n.down[id]) {
-			continue
+	out := make([]Member, 0, len(n.peers))
+	for _, p := range n.peers {
+		if !now.Before(n.down[p.ID]) {
+			out = append(out, p)
 		}
-		out = append(out, Member{ID: id, URL: n.urls[id]})
 	}
 	return out
 }
@@ -249,94 +231,45 @@ func (n *Node) markDown(id string) {
 	n.logf("cluster %s: peer %s marked down for %s", n.cfg.Self, id, n.cfg.FailureCooldown)
 }
 
-// fetch hook -----------------------------------------------------------
-
-// fetchBlock is the block cache's SetFetch hook: ask the key's ring owners
-// for the entry before paying a local DP search. A returned entry passed
-// WireEntry.Decode's validation — the same bar a persisted cache file
-// meets — and must echo the fingerprint that was asked for. The hook runs
-// inside the cache's singleflight claim, whose result is shared by every
-// coalesced waiter and which (on the DP hot path) carries no context, so
-// fetches are bounded by the node's lifetime context plus the fetch
-// timeout, not by the first requester's context.
-func (n *Node) fetchBlock(key []byte) (*blockcache.Entry, bool) {
-	we, ok := n.fetchEntry(key) //ioslint:untrusted peer HTTP body
-	if !ok {
-		n.fetchMisses.Add(1)
-		return nil, false
-	}
-	raw, ent, err := we.Decode()
-	if err != nil || !bytes.Equal(raw, key) {
-		n.logf("cluster %s: peer returned bad block entry: %v", n.cfg.Self, err)
-		n.fetchMisses.Add(1)
-		return nil, false
-	}
-	n.fetchHits.Add(1)
-	return ent, true
-}
-
-// maxPeerBody bounds a peer body this node decodes (one wire entry, a
-// plan listing, or a push): a lying or broken peer costs a failed fetch
-// or a refused push, never an unbounded buffer. Well under serve's 16 MB
-// request cap.
+// maxPeerBody bounds a peer body this node decodes (a snapshot, a plan
+// listing, or a push): a lying or broken peer costs a failed pull or a
+// refused push, never an unbounded buffer. It holds a snapshot of some
+// 6,000 zoo-sized block entries (the whole zoo at three batches is 417);
+// a larger one is refused whole, and the node fills by pushes instead.
 const maxPeerBody = 4 << 20
 
-// fetchEntry asks each candidate peer once for one block entry, bounded by
-// FetchTimeout; the owner-plus-two-successors fan-out is the retry. A 404
-// is a definitive per-peer miss and moves straight to the next candidate;
-// a peer that fails transport is marked down for the failure cooldown.
-// Returns (entry, true) on a 200, false when every candidate missed or
-// failed — the caller searches locally, never errors.
-func (n *Node) fetchEntry(key []byte) (blockcache.WireEntry, bool) {
-	var zero blockcache.WireEntry
-	ctx := n.baseCtx
-	if ctx.Err() != nil {
-		return zero, false
-	}
-	fp := base64.RawURLEncoding.EncodeToString(key)
-	for _, peer := range n.candidates(key) {
-		entries, status, err := n.getEntries(ctx, peer.URL+"/cache/block/"+fp)
-		switch {
-		case err != nil:
-			n.fetchErrors.Add(1)
-			if ctx.Err() != nil {
-				return zero, false
-			}
-			n.markDown(peer.ID)
-		case status == http.StatusOK && len(entries) > 0:
-			return entries[0], true
-		case status != http.StatusNotFound:
-			n.fetchErrors.Add(1)
-		}
-	}
-	return zero, false
-}
-
-// getEntries performs one GET of a wire-entry response, decoding at most
-// maxPeerBody bytes of it; the caller validates what comes back.
-func (n *Node) getEntries(ctx context.Context, rawurl string) ([]blockcache.WireEntry, int, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
-	defer cancel()
+// get issues one GET to a peer and returns the body of a 200; any other
+// status is an error.
+func (n *Node) get(ctx context.Context, rawurl string) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawurl, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, resp.StatusCode, nil
+		resp.Body.Close()
+		return nil, fmt.Errorf("cluster: GET %s: HTTP %d", rawurl, resp.StatusCode)
 	}
-	var body struct {
-		Entries []blockcache.WireEntry `json:"entries"`
+	return resp.Body, nil
+}
+
+// pullSnapshot loads one peer's GET /cluster/snapshot into the block
+// cache as a peer's entries (never pushed on). The body passes the same
+// validation as a cache file, all or nothing.
+func (n *Node) pullSnapshot(ctx context.Context, baseURL string) (int, error) {
+	ctx, cancel := context.WithTimeout(ctx, 4*n.cfg.FetchTimeout)
+	defer cancel()
+	body, err := n.get(ctx, baseURL+"/cluster/snapshot")
+	if err != nil {
+		return 0, err
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxPeerBody)).Decode(&body); err != nil {
-		return nil, 0, err
-	}
-	return body.Entries, resp.StatusCode, nil
+	defer body.Close()
+	snapshot := io.LimitReader(body, maxPeerBody) //ioslint:untrusted peer HTTP snapshot body
+	return n.blocks.MergeFrames(snapshot)
 }
 
 // push path ------------------------------------------------------------
@@ -359,65 +292,41 @@ type pushResponse struct {
 // of wedging its cursor behind one oversized body.
 const pushChunkBytes = maxPeerBody / 4
 
-// Sync pushes every block entry published since the last successful Sync
-// to its ring owner (batched per owner), returning how many entries were
-// shipped. Peers inside a failure cooldown are skipped and the cursor is
-// not advanced past a failed round, so missed entries are re-pushed next
-// time — Merge on the receiver deduplicates. Run calls this on a ticker;
-// the harness calls it synchronously to hand a warm keyspace to its
-// owners before a join.
+// Sync pushes to every live peer the block entries this node searched or
+// loaded from a file (Own) since that peer's last successful push, and
+// returns how many entries were shipped. Entries merged from a peer are
+// never pushed on: their origin pushed them to everyone. Each peer has its
+// own cursor, so a peer inside its failure cooldown is skipped without
+// holding back the others, and gets its backlog once it answers again.
+// Run calls this on a ticker; the harness calls it synchronously.
 func (n *Node) Sync(ctx context.Context) (int, error) {
 	n.pushMu.Lock()
 	defer n.pushMu.Unlock()
-	entries, next := n.blocks.Snapshot(n.lastBlock)
 	n.mu.Lock()
-	ring, urls := n.ring, n.urls
+	peers := n.peers
 	n.mu.Unlock()
-	batches := byOwner(ring, n.cfg.Self, entries)
-	owners := make([]string, 0, len(batches))
-	for id := range batches {
-		owners = append(owners, id)
-	}
-	sort.Strings(owners)
+	sent := make(map[string]uint64, len(peers))
 	pushed := 0
-	var firstErr error
-	for _, id := range owners {
-		if n.peerDown(id) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: peer %s down", id)
-			}
+	var errs []error
+	for _, p := range peers {
+		sent[p.ID] = n.sent[p.ID]
+		if n.peerDown(p.ID) {
+			errs = append(errs, fmt.Errorf("cluster: peer %s down", p.ID))
 			continue
 		}
-		sent, err := n.postPush(ctx, urls[id], batches[id])
-		pushed += sent
-		n.pushedBlocks.Add(int64(sent))
+		entries, next := n.blocks.Own(sent[p.ID])
+		got, err := n.postPush(ctx, p.URL, entries)
+		pushed += got
+		n.pushedBlocks.Add(int64(got))
 		if err != nil {
-			n.markDown(id)
-			if firstErr == nil {
-				firstErr = err
-			}
+			n.markDown(p.ID)
+			errs = append(errs, err)
+			continue
 		}
+		sent[p.ID] = next
 	}
-	if firstErr == nil {
-		n.lastBlock = next
-	}
-	return pushed, firstErr
-}
-
-// byOwner groups snapshot entries by the peer that owns them on the ring;
-// entries this node owns itself stay put.
-func byOwner(ring *Ring, self string, entries []blockcache.WireEntry) map[string][]blockcache.WireEntry {
-	out := make(map[string][]blockcache.WireEntry)
-	for _, we := range entries {
-		raw, err := base64.RawURLEncoding.DecodeString(we.Key)
-		if err != nil {
-			continue // cannot happen for our own snapshot
-		}
-		if owner := ring.Owner(raw); owner != self {
-			out[owner] = append(out[owner], we)
-		}
-	}
-	return out
+	n.sent = sent
+	return pushed, errors.Join(errs...)
 }
 
 // peerDown reports whether a peer is inside its failure cooldown.
@@ -427,9 +336,12 @@ func (n *Node) peerDown(id string) bool {
 	return n.now().Before(n.down[id])
 }
 
-// postPush ships one owner's batch, halving it until each body encodes to
-// at most pushChunkBytes, and returns how many entries were delivered.
+// postPush ships a batch to one peer, halving it until each body encodes
+// to at most pushChunkBytes, and returns how many entries were delivered.
 func (n *Node) postPush(ctx context.Context, baseURL string, entries []blockcache.WireEntry) (int, error) {
+	if len(entries) == 0 {
+		return 0, nil
+	}
 	body, err := json.Marshal(pushRequest{Block: entries})
 	if err != nil {
 		return 0, err
@@ -462,10 +374,8 @@ func (n *Node) postPush(ctx context.Context, baseURL string, entries []blockcach
 	return len(entries), nil
 }
 
-// Run pushes incrementally on a ticker until ctx ends. Fetches already
-// work without it (pulls find entries at their owners or fall back), but
-// the pusher is what converges owners on the canonical copy of their key
-// range so later fetches hit on the first candidate.
+// Run pushes on a ticker until ctx ends: every pushInterval, Sync ships
+// what this node searched since the last round to every live peer.
 func (n *Node) Run(ctx context.Context) {
 	ticks := n.cfg.PushTicks
 	if ticks == nil {
@@ -486,26 +396,16 @@ func (n *Node) Run(ctx context.Context) {
 	}
 }
 
-// PullPlans fetches every batch plan registered on any peer and registers
-// the ones this node lacks, returning how many were added. This is the
-// client side of the plan registry (GET /plans/<model>/<device>/<opts>):
+// PullPlans fetches every batch plan registered on any live peer and
+// registers the ones this node lacks, returning how many were added. This
+// is the client side of the plan registry (GET /plans/<model>/<device>/<opts>):
 // a joining node pulls the fleet's specialized plans instead of paying
 // the per-batch searches and n² cross-measurements to rebuild them.
 func (n *Node) PullPlans(ctx context.Context) (int, error) {
-	n.mu.Lock()
-	members := n.ring.Members()
-	urls := make(map[string]string, len(members))
-	for _, id := range members {
-		urls[id] = n.urls[id]
-	}
-	n.mu.Unlock()
 	added := 0
 	var firstErr error
-	for _, id := range members {
-		if id == n.cfg.Self || n.peerDown(id) {
-			continue
-		}
-		got, err := n.pullPlansFrom(ctx, urls[id])
+	for _, p := range n.livePeers() {
+		got, err := n.pullPlansFrom(ctx, p.URL)
 		added += got
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -518,17 +418,13 @@ func (n *Node) PullPlans(ctx context.Context) (int, error) {
 func (n *Node) pullPlansFrom(ctx context.Context, baseURL string) (int, error) {
 	ctx, cancel := context.WithTimeout(ctx, 4*n.cfg.FetchTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/plans", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := n.client.Do(req)
+	body, err := n.get(ctx, baseURL+"/plans")
 	if err != nil {
 		return 0, err
 	}
 	var infos []serve.PlanInfo
-	err = json.NewDecoder(io.LimitReader(resp.Body, maxPeerBody)).Decode(&infos) //ioslint:untrusted peer HTTP plan listing
-	resp.Body.Close()
+	err = json.NewDecoder(io.LimitReader(body, maxPeerBody)).Decode(&infos) //ioslint:untrusted peer HTTP plan listing
+	body.Close()
 	if err != nil {
 		return 0, err
 	}
@@ -553,26 +449,16 @@ func (n *Node) pullPlansFrom(ctx context.Context, baseURL string) (int, error) {
 // that was asked for: plan.Load already rejects structurally invalid
 // plans, but a body whose (model, device, opts) differ from the URL
 // would otherwise register under the wrong key and win every subsequent
-// lookup for that key on this node — the same identity-echo bar the
-// fetch hook applies with bytes.Equal(raw, key).
+// lookup for that key on this node.
 //
 //ioslint:validator
 func (n *Node) pullPlan(ctx context.Context, baseURL string, info serve.PlanInfo) (*plan.Plan, error) {
-	u := baseURL + "/plans/" + url.PathEscape(info.Model) + "/" + url.PathEscape(info.Device) + "/" + url.PathEscape(info.Options)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	body, err := n.get(ctx, baseURL+"/plans/"+url.PathEscape(info.Model)+"/"+url.PathEscape(info.Device)+"/"+url.PathEscape(info.Options))
 	if err != nil {
 		return nil, err
 	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("cluster: pull plan %s/%s/%s: HTTP %d", info.Model, info.Device, info.Options, resp.StatusCode)
-	}
-	p, err := plan.Load(resp.Body) //ioslint:untrusted peer HTTP plan body
+	defer body.Close()
+	p, err := plan.Load(body) //ioslint:untrusted peer HTTP plan body
 	if err != nil {
 		return nil, err
 	}

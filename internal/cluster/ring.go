@@ -6,18 +6,15 @@ import (
 	"strconv"
 )
 
-// DefaultReplicas is the virtual-node count per member: enough points
-// that a three-node ring splits key ranges within a few percent of
-// evenly, few enough that ownership lookup stays a short binary search.
+// DefaultReplicas is the virtual-node count per member.
 const DefaultReplicas = 64
 
-// Ring is a consistent-hash ring over member IDs with virtual nodes.
-// Ownership is a pure function of (member IDs, replicas, key): every node
-// given the same membership list computes the same owner for every key,
-// with no coordination. Adding or removing a member moves only the keys
-// adjacent to its virtual points — the property the warm-cache exchange
-// leans on, since a joining node's key range was, by construction, owned
-// by its ring successors just before the join.
+// Ring is a consistent-hash ring over member IDs with virtual nodes:
+// ownership is a pure function of (member IDs, replicas, key), and adding
+// or removing a member moves only the keys adjacent to its virtual points.
+// Nodes no longer use it, since every node holds every block; it is kept
+// only because the benchmark's cluster.ring_owner_ns probe calls NewRing,
+// and it goes when bench/ is re-opened.
 type Ring struct {
 	points   []ringPoint // sorted by hash
 	ids      []string    // sorted member IDs

@@ -10,7 +10,8 @@ import (
 // UntrustedDirective marks a statement whose results cross a trust
 // boundary — a peer HTTP body, a cache file, request JSON:
 //
-//	wes, ok := n.fetchEntry(ctx, url, key) //ioslint:untrusted peer HTTP body
+//	var body pushRequest
+//	err := json.Unmarshal(raw, &body) //ioslint:untrusted peer HTTP body
 //
 // as a trailing comment or on the line directly above. The values the
 // statement assigns (and the targets of &x arguments, the

@@ -4,10 +4,9 @@
 // measurement cache (internal/measure) and the whole-block schedule cache
 // (internal/blockcache): a concurrent, sharded, capacity-bounded map from
 // canonical fingerprint to an immutable, always-recomputable value, with
-// claim/Commit/Abandon deduplication, a fetch hook that runs inside the
-// claim (Core), and one persistence and peer-exchange path (persist.go:
-// the cache-file frames, and Cache, a Core whose keys are their own wire
-// form). blockcache instantiates Cache with its value type and a Codec
+// claim/Commit/Abandon deduplication (Core), and one persistence and
+// peer-exchange path (persist.go: the cache-file frames, and Cache, a Core
+// whose keys are their own wire form). blockcache instantiates Cache with its value type and a Codec
 // for its wire entry; measure, whose in-memory keys are ids into a
 // dictionary it owns, composes Core and the frame functions itself.
 // Everything with a shard mutex in it lives here.
@@ -118,12 +117,12 @@ type Core[V any] struct {
 	// added, always under its shard mutex, so a Cut holding every shard
 	// mutex observes exactly the entries stamped ≤ its counter read.
 	seq atomic.Uint64
-
-	// fetch, when set, is consulted on a miss — with the claim already
-	// held, so concurrent requesters coalesce onto one remote fetch just
-	// as they would onto one computation. See SetFetch.
-	fetch func(key []byte) (V, bool)
 }
+
+// fromPeer is set in the stamp of an entry merged from a peer (Merge,
+// MergeFrames), which Own skips: a cluster node pushes what it searched
+// or loaded from a file, never what a peer already sent it.
+const fromPeer = 1 << 63
 
 // shard is one independently locked part of a Core: the published table
 // of its completed entries, the claims in flight, and its own traffic
@@ -158,11 +157,11 @@ type shard[V any] struct {
 	coalesced atomic.Int64
 	loaded    atomic.Int64
 	evicted   atomic.Int64
-	remote    atomic.Int64
+	_         [8]byte
 } // 128 bytes (TestAllocationShape)
 
-// entry is one completed fingerprint: its value, publication stamp and
-// key (see keyField). It is written once, before the index word naming it
+// entry is one completed fingerprint: its value, publication stamp (with
+// fromPeer) and key (see keyField). It is written once, before the index word naming it
 // is stored, and never again — eviction tombstones the word and a rebuild
 // copies live entries into fresh storage — so a reader that found the word
 // reads it without a lock. For V = float64 it holds no pointer.
@@ -325,9 +324,9 @@ func find[V any, K string | []byte](sh *shard[V], key K, h uint64) (V, bool) {
 }
 
 // addLocked adds a completed entry for a key the shard holds neither
-// completed nor in flight, shedding one first when the shard is full.
-// Caller holds sh.mu.
-func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V) {
+// completed nor in flight, shedding one first when the shard is full;
+// origin is 0 or fromPeer. Caller holds sh.mu.
+func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V, origin uint64) {
 	if sh.size.Load() >= int64(c.perShardCap) {
 		sh.evictLocked()
 	}
@@ -339,7 +338,7 @@ func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V) {
 		cp := *t
 		t, fresh = &cp, true
 	}
-	ref := sh.storeLocked(t, key, v, c.seq.Add(1))
+	ref := sh.storeLocked(t, key, v, c.seq.Add(1)|origin)
 	if fresh {
 		sh.tab.Store(t)
 	}
@@ -519,7 +518,7 @@ func (cl *Claim[V]) finish(state uint8, v V) {
 	if sh.claims[cl.key] == cl {
 		delete(sh.claims, cl.key)
 		if state == claimDone {
-			cl.c.addLocked(sh, cl.key, h, v)
+			cl.c.addLocked(sh, cl.key, h, v, 0)
 		}
 	}
 	cl.state, cl.val = state, v
@@ -587,13 +586,6 @@ func (c *Core[V]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V], er
 			}
 			sh.claims[cl.key] = cl
 			sh.mu.Unlock()
-			if f := c.fetch; f != nil {
-				if v, ok := runFetch(cl, f, key); ok {
-					cl.Commit(v)
-					sh.remote.Add(1)
-					return v, nil, nil
-				}
-			}
 			sh.misses.Add(1)
 			return zero, cl, nil
 		}
@@ -619,47 +611,10 @@ func (c *Core[V]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V], er
 	}
 }
 
-// SetFetch installs a remote-fetch hook consulted on every miss, while
-// the claim is already held: a hook hit is committed (and counted in
-// Stats.Remote, not Misses) exactly as if the holder had computed it, so
-// concurrent requesters coalesce onto one fetch and the hook's result is
-// shared with every waiter. A hook miss falls through to the normal
-// claim — the caller computes locally. A hook belongs only where a fetch
-// is cheaper than the computation it replaces: the cluster node hooks the
-// block cache (a fetch saves a DP search) and leaves the measurement
-// cache without one (a peer round trip costs more than a simulator run).
-// The hook takes no context: its result belongs to every coalesced
-// waiter, so it must not die with the first requester; the installer
-// bounds it (the cluster node uses its lifetime context plus a
-// per-attempt timeout). The hook is responsible for validating what it
-// returns (peers return wire entries whose Decode runs the same
-// validation as Load) and must not call back into the cache for the same
-// key.
-//
-// SetFetch must be called before the cache is shared between goroutines
-// (it is a plain field write, wired once at cluster-node construction).
-func (c *Core[V]) SetFetch(f func(key []byte) (V, bool)) { c.fetch = f }
-
-// runFetch runs the fetch hook with the claim held, abandoning the claim
-// if the hook panics so the fingerprint is not wedged for every future
-// requester while the panic propagates.
-func runFetch[V any](cl *Claim[V], f func([]byte) (V, bool), key []byte) (v V, ok bool) {
-	returned := false
-	defer func() {
-		if !returned {
-			cl.Abandon()
-		}
-	}()
-	v, ok = f(key)
-	returned = true
-	return v, ok
-}
-
 // Lookup returns the value for a completed fingerprint without claiming or
 // waiting; it reports false for absent and in-flight keys. Counters are
 // untouched. A completed key is found without a lock; anything else is
-// re-probed under the shard mutex. Intended for peer export, tests and
-// tooling.
+// re-probed under the shard mutex. Intended for tests and tooling.
 func (c *Core[V]) Lookup(key []byte) (V, bool) {
 	h := hashKey(key)
 	sh := c.shardFor(h)
@@ -669,23 +624,6 @@ func (c *Core[V]) Lookup(key []byte) (V, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return find(sh, key, h)
-}
-
-// insert adds a completed entry if the key is absent (used by Merge; an
-// existing entry — completed or in flight — wins, since by construction
-// both sides hold the result of the same deterministic computation).
-// Reports whether it inserted.
-func (c *Core[V]) insert(key string, v V) bool {
-	h := hashKey(key)
-	sh := c.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := find(sh, key, h); ok || sh.claims[key] != nil {
-		return false
-	}
-	c.addLocked(sh, key, h, v)
-	sh.loaded.Add(1)
-	return true
 }
 
 // Len returns the number of completed entries (a sum of per-shard
@@ -720,16 +658,15 @@ type Stats struct {
 	// Evicted counts completed entries shed over capacity (0 for
 	// unbounded caches).
 	Evicted int64 `json:"evicted"`
-	// Remote counts misses satisfied by the fetch hook (SetFetch) —
-	// entries pulled from a peer instead of computed locally. A remote
-	// hit is neither a Hit (it was not resident) nor a Miss (nothing was
-	// computed).
+	// Remote is always 0: no fetch fills a miss since blocks replicate
+	// whole. Kept only because the benchmark reads it; it goes when
+	// bench/ is re-opened.
 	Remote int64 `json:"remote"`
 }
 
-// Saved returns the number of computations the cache avoided: every hit,
-// every coalesced wait, and every remote fetch would have been one.
-func (s Stats) Saved() int64 { return s.Hits + s.Coalesced + s.Remote }
+// Saved returns the number of computations the cache avoided: every hit
+// and every coalesced wait would have been one.
+func (s Stats) Saved() int64 { return s.Hits + s.Coalesced }
 
 // Stats returns a snapshot of the traffic counters, summed over the shards.
 func (c *Core[V]) Stats() Stats {
@@ -742,7 +679,6 @@ func (c *Core[V]) Stats() Stats {
 		s.Coalesced += sh.coalesced.Load()
 		s.Loaded += sh.loaded.Load()
 		s.Evicted += sh.evicted.Load()
-		s.Remote += sh.remote.Load()
 	}
 	return s
 }

@@ -307,53 +307,6 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 		}
 	})
 
-	t.Run("FetchHook", func(t *testing.T) {
-		c := fx.new(0)
-		want := fx.val(5)
-		var sawKey []byte
-		c.SetFetch(func(k []byte) (V, bool) {
-			sawKey = append([]byte(nil), k...)
-			return want, true
-		})
-		got, cl, err := c.GetOrBegin(nil, key("r"))
-		if err != nil || cl != nil || !fx.same(got, want) {
-			t.Fatalf("GetOrBegin with a fetch hit = (%v, %v, %v), want the fetched value", got, cl, err)
-		}
-		if !bytes.Equal(sawKey, key("r")) {
-			t.Fatalf("hook saw key %q", sawKey)
-		}
-		if st := c.Stats(); st.Remote != 1 || st.Misses != 0 || st.Size != 1 || st.Saved() != 1 {
-			t.Fatalf("stats after a remote hit = %+v", st)
-		}
-		// A local hit must not consult the hook.
-		c.SetFetch(func([]byte) (V, bool) {
-			t.Error("fetch hook ran on a local hit")
-			var zero V
-			return zero, false
-		})
-		if got, cl, _ := c.GetOrBegin(nil, key("r")); cl != nil || !fx.same(got, want) {
-			t.Fatalf("second lookup = (%v, %v), want a hit", got, cl)
-		}
-		// A hook miss falls through to a normal claim.
-		c.SetFetch(func([]byte) (V, bool) { var zero V; return zero, false })
-		fill(t, c, key("m"), fx.val(6))
-		if st := c.Stats(); st.Misses != 1 || st.Remote != 1 {
-			t.Fatalf("stats after a fetch miss = %+v", st)
-		}
-		// A panicking hook abandons the claim instead of wedging the key.
-		c.SetFetch(func([]byte) (V, bool) { panic("boom") })
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("hook panic did not propagate")
-				}
-			}()
-			c.GetOrBegin(nil, key("p"))
-		}()
-		c.SetFetch(nil)
-		fill(t, c, key("p"), fx.val(7))
-	})
-
 	t.Run("CapacitySheds", func(t *testing.T) {
 		c := fx.new(shardCount) // one completed entry per shard
 		for i := 0; i < 10*shardCount; i++ {
@@ -449,18 +402,46 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 		}
 	})
 
-	t.Run("ExportSubset", func(t *testing.T) {
-		c := fx.new(0)
-		fill(t, c, key("a"), fx.val(1))
-		fill(t, c, key("b"), fx.val(2))
-		_, pending, _ := c.GetOrBegin(nil, key("pending"))
-		defer pending.Abandon()
-		out := c.Export([][]byte{key("b"), key("absent"), key("pending")})
-		if len(out) != 1 {
-			t.Fatalf("Export returned %d entries, want only the completed one", len(out))
+	t.Run("OwnSkipsPeerEntries", func(t *testing.T) {
+		src := fx.new(0)
+		fill(t, src, key("p"), fx.val(1))
+		fill(t, src, key("f"), fx.val(2))
+		pushed, _ := src.Snapshot(0)
+		var file bytes.Buffer
+		if err := src.Save(&file); err != nil {
+			t.Fatal(err)
 		}
-		if k, _, err := out[0].Decode(); err != nil || !bytes.Equal(k, key("b")) {
-			t.Fatalf("exported entry decodes to key %q (%v)", k, err)
+		c := fx.new(0)
+		if _, err := c.Merge(pushed[1:]); err != nil { // key "p"
+			t.Fatal(err)
+		}
+		if _, err := c.MergeFrames(bytes.NewReader(file.Bytes())); err != nil { // "f" new, "p" kept
+			t.Fatal(err)
+		}
+		if own, _ := c.Own(0); len(own) != 0 {
+			t.Fatalf("Own exports %d peer entries, want 0", len(own))
+		}
+		fill(t, c, key("s"), fx.val(3))
+		own, cut := c.Own(0)
+		if len(own) != 1 {
+			t.Fatalf("Own exports %d entries, want the searched one", len(own))
+		}
+		if k, _, _ := own[0].Decode(); !bytes.Equal(k, key("s")) {
+			t.Fatalf("Own exports key %q, want the searched one", k)
+		}
+		if all, _ := c.Snapshot(0); len(all) != 3 {
+			t.Fatalf("Snapshot exports %d entries, want all 3", len(all))
+		}
+		if again, _ := c.Own(cut); len(again) != 0 {
+			t.Fatalf("Own past its own cut exports %d entries, want 0", len(again))
+		}
+		// A file load is this cache's own: a restart pushes what it loaded.
+		restarted := fx.new(0)
+		if _, err := restarted.Load(bytes.NewReader(file.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if own, _ := restarted.Own(0); len(own) != 2 {
+			t.Fatalf("Own after Load exports %d entries, want 2", len(own))
 		}
 	})
 

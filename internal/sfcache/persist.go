@@ -15,7 +15,7 @@ import (
 )
 
 // Wire is the constraint on a cache's wire-entry type W: the unit of
-// cluster peer exchange and an entry's inspectable JSON form (Snapshot(0)
+// cluster pushes and an entry's inspectable JSON form (Snapshot(0)
 // is a whole cache in it). Decode validates an entry from an untrusted
 // peer and returns its raw fingerprint (see DecodeKey) and value; it and
 // Codec.ParseRecord are the only ways outside bytes become cache contents.
@@ -23,8 +23,7 @@ type Wire[V any] interface {
 	Decode() (key []byte, v V, err error)
 }
 
-// EncodeKey is a fingerprint's wire encoding: base64, raw URL alphabet (it
-// doubles as the path segment of a peer GET).
+// EncodeKey is a fingerprint's wire encoding: base64, raw URL alphabet.
 func EncodeKey[K string | []byte](key K) string {
 	return base64.RawURLEncoding.EncodeToString([]byte(key))
 }
@@ -116,10 +115,14 @@ type Table struct {
 // Snapshot exports every completed entry published after the given
 // sequence point, sorted by fingerprint, plus the sequence point to pass
 // to the next incremental Snapshot. Snapshot(0) exports the whole cache,
-// as inspectable JSON; a cluster pusher feeds each call's returned point
-// back in to ship only what was published since its last round.
-func (c *Cache[V, W]) Snapshot(since uint64) ([]W, uint64) {
-	rows, next := c.Cut(since)
+// as inspectable JSON.
+func (c *Cache[V, W]) Snapshot(since uint64) ([]W, uint64) { return c.wire(c.cut(since, false)) }
+
+// Own is Snapshot without the entries merged from a peer: what this cache
+// computed or loaded from a file, which is what a cluster node pushes.
+func (c *Cache[V, W]) Own(since uint64) ([]W, uint64) { return c.wire(c.cut(since, true)) }
+
+func (c *Cache[V, W]) wire(rows []Row[V], next uint64) ([]W, uint64) {
 	out := make([]W, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, c.codec.Encode(EncodeKey(r.Key), r.Val))
@@ -136,7 +139,10 @@ func (c *Cache[V, W]) Snapshot(since uint64) ([]W, uint64) {
 // Entries evicted between cuts are simply absent — they are always
 // recomputable. A row's key is a view of the table's immutable bytes, not
 // a copy.
-func (c *Core[V]) Cut(since uint64) ([]Row[V], uint64) {
+func (c *Core[V]) Cut(since uint64) ([]Row[V], uint64) { return c.cut(since, false) }
+
+// cut is Cut, skipping entries merged from a peer when own is set.
+func (c *Core[V]) cut(since uint64, own bool) ([]Row[V], uint64) {
 	var rows []Row[V]
 	if since == 0 {
 		rows = make([]Row[V], 0, c.Len()) // the whole cache: grow once, not 5x
@@ -147,7 +153,7 @@ func (c *Core[V]) Cut(since uint64) ([]Row[V], uint64) {
 	for i := range c.shards {
 		t := c.shards[i].tab.Load()
 		for j := 0; t != nil && j < len(t.index); j++ {
-			if _, e, k, ok := t.at(j); ok && e.seq > since {
+			if _, e, k, ok := t.at(j); ok && e.seq&^fromPeer > since && (!own || e.seq&fromPeer == 0) {
 				rows = append(rows, Row[V]{Key: keyString(k), Val: e.val})
 			}
 		}
@@ -163,26 +169,13 @@ func (c *Core[V]) Cut(since uint64) ([]Row[V], uint64) {
 // CompareRows orders rows by raw key, the order of a cut and of a file's entries.
 func CompareRows[V any](a, b Row[V]) int { return strings.Compare(a.Key, b.Key) }
 
-// Export returns the wire form of the completed entries among keys, in
-// key order of the input; absent and in-flight keys are skipped. This is
-// the lookup side of peer exchange: a peer asks for specific
-// fingerprints and gets back only what this cache has finished.
-func (c *Cache[V, W]) Export(keys [][]byte) []W {
-	out := make([]W, 0, len(keys))
-	for _, key := range keys {
-		if v, ok := c.Lookup(key); ok {
-			out = append(out, c.codec.Encode(EncodeKey(key), v))
-		}
-	}
-	return out
-}
-
 // Merge validates wire entries and inserts the absent ones, returning
 // how many were added (already-present fingerprints are kept, not
 // overwritten — both sides hold the result of the same deterministic
 // computation). Merge is all-or-nothing: every entry is validated before
 // a single one is inserted, so a corrupt batch leaves the cache exactly as
-// it was. Added entries count toward Stats.Loaded.
+// it was. Added entries count toward Stats.Loaded and are a peer's: Own
+// skips them.
 //
 //ioslint:validator
 func (c *Cache[V, W]) Merge(entries []W) (int, error) {
@@ -194,17 +187,27 @@ func (c *Cache[V, W]) Merge(entries []W) (int, error) {
 		}
 		rows[i] = Row[V]{Key: string(raw), Val: v}
 	}
-	return c.InsertRows(rows), nil
+	return c.insertRows(rows, fromPeer), nil
 }
 
 // InsertRows inserts the absent ones of already validated rows and
-// returns how many it added; they count toward Stats.Loaded.
-func (c *Core[V]) InsertRows(rows []Row[V]) int {
+// returns how many it added; they count toward Stats.Loaded. An existing
+// entry, completed or in flight, wins: both sides hold the result of the
+// same deterministic computation.
+func (c *Core[V]) InsertRows(rows []Row[V]) int { return c.insertRows(rows, 0) }
+
+func (c *Core[V]) insertRows(rows []Row[V], origin uint64) int {
 	added := 0
 	for _, r := range rows {
-		if c.insert(r.Key, r.Val) {
+		h := hashKey(r.Key)
+		sh := c.shardFor(h)
+		sh.mu.Lock()
+		if _, ok := find(sh, r.Key, h); !ok && sh.claims[r.Key] == nil {
+			c.addLocked(sh, r.Key, h, r.Val, origin)
+			sh.loaded.Add(1)
 			added++
 		}
+		sh.mu.Unlock()
 	}
 	return added
 }
@@ -263,11 +266,20 @@ func WriteFrames[V any](w io.Writer, name string, version uint32, tables [][][]b
 // were added (already-present fingerprints are kept, not overwritten).
 //
 // Load is all-or-nothing: see ReadFrames.
-func (c *Cache[V, W]) Load(r io.Reader) (int, error) {
+func (c *Cache[V, W]) Load(r io.Reader) (int, error) { return c.load(r, 0) }
+
+// MergeFrames is Load for a peer's cache in the file format (a cluster
+// snapshot): the same validation, and the entries, like Merge's, are a
+// peer's, which Own skips.
+//
+//ioslint:validator
+func (c *Cache[V, W]) MergeFrames(r io.Reader) (int, error) { return c.load(r, fromPeer) }
+
+func (c *Cache[V, W]) load(r io.Reader, origin uint64) (int, error) {
 	chunks, err := ReadFrames(r, c.codec.Name, c.codec.FileVersion, nil, c.codec.ParseRecord)
 	added := 0
 	for _, rows := range chunks {
-		added += c.InsertRows(rows)
+		added += c.insertRows(rows, origin)
 	}
 	return added, err
 }
