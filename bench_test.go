@@ -27,6 +27,7 @@ import (
 	"ios/internal/core"
 	"ios/internal/expt"
 	"ios/internal/gpusim"
+	"ios/internal/measure"
 	"ios/internal/profile"
 )
 
@@ -190,37 +191,35 @@ func BenchmarkOptimizeNasNet(b *testing.B) {
 }
 
 // BenchmarkOptimizeInceptionV3Warm measures a full IOS search with the
-// structural measurement cache already warm (the serving tier's repeated
-// -model case, and the iosopt/iosserve warm-restart case): every
-// simulator invocation is a cache hit, so this isolates the engine's
-// non-measurement cost. Each iteration's engine has a fresh block cache
-// of its own, so every block is searched.
+// structural measurement cache already warm: every simulator invocation
+// is a cache hit, so this isolates the engine's non-measurement cost.
+// Each iteration searches through core on a fork of one profiler that
+// holds the warm cache, with no block cache, so every block is searched.
 func BenchmarkOptimizeInceptionV3Warm(b *testing.B) {
 	g := ios.InceptionV3(1)
-	cache := ios.NewMeasureCache()
-	if _, err := ios.NewEngine(ios.V100, ios.WithMeasureCache(cache)).Optimize(context.Background(), g, ios.Options{}); err != nil {
+	prof := profile.New(ios.V100)
+	prof.SetMeasureCache(measure.NewCache())
+	if _, err := core.OptimizeContext(context.Background(), g, prof.Fork(), ios.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := ios.NewEngine(ios.V100, ios.WithMeasureCache(cache))
-		if _, err := eng.Optimize(context.Background(), g, ios.Options{}); err != nil {
+		if _, err := core.OptimizeContext(context.Background(), g, prof.Fork(), ios.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkOptimizeInceptionV3Cold measures a full IOS search that fills
-// a fresh measurement cache (a new engine's first-request cost):
-// intra-network structural dedup applies, cross-call reuse does not.
+// BenchmarkOptimizeInceptionV3Cold measures a full IOS search on a fresh
+// engine (its first-request cost): intra-network structural dedup
+// applies, cross-call reuse does not.
 func BenchmarkOptimizeInceptionV3Cold(b *testing.B) {
 	g := ios.InceptionV3(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := ios.NewEngine(ios.V100, ios.WithMeasureCache(ios.NewMeasureCache()))
-		if _, err := eng.Optimize(context.Background(), g, ios.Options{}); err != nil {
+		if _, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,7 +233,7 @@ func BenchmarkMeasureSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prof := ios.NewProfiler(ios.V100)
+	prof := profile.New(ios.V100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -491,7 +490,7 @@ func BenchmarkHardestBlockSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prof := profile.New(gpusim.TeslaV100)
-		prof.SetMeasureCache(ios.NewMeasureCache())
+		prof.SetMeasureCache(measure.NewCache())
 		_, stats, err := core.OptimizeBlockContext(context.Background(), blk, prof, core.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)

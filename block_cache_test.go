@@ -6,13 +6,14 @@ import (
 
 	"ios"
 	"ios/internal/core"
+	"ios/internal/profile"
 )
 
 // bareSearch is the search with no cache of any kind: the core DP on a
 // fresh profiler, the oracle an engine's cached searches must equal.
 func bareSearch(t *testing.T, dev ios.Device, g *ios.Graph) *ios.Result {
 	t.Helper()
-	res, err := core.OptimizeContext(context.Background(), g, ios.NewProfiler(dev), ios.Options{})
+	res, err := core.OptimizeContext(context.Background(), g, profile.New(dev), ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		sFlag      = fs.Int("s", 8, "pruning: max groups per stage")
 		strategy   = fs.String("strategy", "both", "strategy set: both, parallel, merge")
 		progress   = fs.Bool("progress", false, "report search progress (states/transitions/measurements, current level) on stderr")
-		timeout    = fs.Duration("timeout", 0, "abort the search after this long (e.g. 2m; 0 = no limit)")
-		mcacheFile = fs.String("measure-cache", "", "measurement-cache file: loaded before the search (a warm restart skips already-simulated stages) and saved after it; a corrupt or missing file starts cold")
-		bcacheFile = fs.String("block-cache", "", "block-schedule-cache file: loaded before the search (a warm restart skips whole block DP searches with bit-identical results) and saved after it; a corrupt or missing file starts cold")
+		timeout    = fs.Duration("timeout", 0, "abort the search after this long (e.g. 2m; 0 = no limit); a retry resumes from the completed blocks saved to -block-cache and re-searches the one that was in flight (on NasNet-A at most about 2s on 2 vCPUs)")
+		bcacheFile = fs.String("block-cache", "", "block-schedule-cache file: loaded before the search (a warm restart skips whole block DP searches with bit-identical results) and saved as soon as the search returns, finished or not; a corrupt or missing file starts cold")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr,
@@ -100,46 +99,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	// Without a cache file the engine searches on private caches.
-	var mcache *ios.MeasureCache
-	if *mcacheFile != "" {
-		mcache = ios.NewMeasureCache()
-		load(stderr, mcache, "-measure-cache", *mcacheFile, "measurements")
-	}
+	// Without a cache file the engine searches on a private block cache.
 	var bcache *ios.BlockCache
 	if *bcacheFile != "" {
 		bcache = ios.NewBlockCache()
-		load(stderr, bcache, "-block-cache", *bcacheFile, "block schedules")
+		if n, err := bcache.LoadFile(*bcacheFile); err != nil {
+			fmt.Fprintf(stderr, "iosopt: -block-cache %s: %v (starting cold)\n", *bcacheFile, err)
+		} else {
+			fmt.Fprintf(stderr, "iosopt: loaded %d cached block schedules from %s\n", n, *bcacheFile)
+		}
 	}
-	engOpts := []ios.EngineOption{ios.WithMeasureCache(mcache), ios.WithBlockCache(bcache)}
+	engOpts := []ios.EngineOption{ios.WithBlockCache(bcache)}
 	if *progress {
 		engOpts = append(engOpts, ios.WithProgress(progressPrinter(stderr)))
 	}
 	eng := ios.NewEngine(spec, engOpts...)
-	// The caches are worth saving even when the search does not finish: a
-	// timed-out NasNet run has already paid for its simulations and its
-	// completed block searches, and the retry should resume from them
-	// instead of starting cold.
-	saveCaches := func() {
-		if mcache != nil {
-			if err := mcache.SaveFile(*mcacheFile); err != nil {
-				fmt.Fprintf(stderr, "iosopt: save measure cache: %v\n", err)
-			} else {
-				st := mcache.Stats()
-				fmt.Fprintf(stderr, "iosopt: measure cache: %d entries saved to %s (%d simulator runs avoided)\n",
-					st.Size, *mcacheFile, st.Saved())
-			}
-		}
-		if bcache != nil {
-			if err := bcache.SaveFile(*bcacheFile); err != nil {
-				fmt.Fprintf(stderr, "iosopt: save block cache: %v\n", err)
-			} else {
-				st := bcache.Stats()
-				fmt.Fprintf(stderr, "iosopt: block cache: %d entries saved to %s (%d block searches avoided)\n",
-					st.Size, *bcacheFile, st.Saved())
-			}
-		}
-	}
 
 	var (
 		p    *ios.BatchPlan
@@ -155,8 +129,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *progress {
 		fmt.Fprintln(stderr) // finish the \r progress line
 	}
+	// Nothing after the search changes the block cache, so it is saved
+	// now, finished or not: a timed-out NasNet run has already paid for
+	// its completed block searches, and the retry resumes from them.
+	if bcache != nil {
+		if err := bcache.SaveFile(*bcacheFile); err != nil {
+			fmt.Fprintf(stderr, "iosopt: save block cache: %v\n", err)
+		} else {
+			st := bcache.Stats()
+			fmt.Fprintf(stderr, "iosopt: block cache: %d entries saved to %s (%d block searches avoided)\n",
+				st.Size, *bcacheFile, st.Saved())
+		}
+	}
 	if err != nil {
-		saveCaches()
 		switch {
 		case errors.Is(err, context.Canceled):
 			err = fmt.Errorf("interrupted; %s cancelled cleanly", what)
@@ -172,7 +157,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				pt.Batch, pt.Schedule.NumStages(), 1e3*pt.Latency)
 		}
 		p.Render(stderr)
-		saveCaches()
 		if *outFlag == "" {
 			if err := p.Save(stdout); err != nil {
 				return fail(1, err)
@@ -201,7 +185,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "iosopt: %s on %s: %d stages, %.3f ms (sequential %.3f ms, %.2fx); search %s, %d states, %d transitions\n",
 		g.Name, spec.Name, res.Schedule.NumStages(), 1e3*iosLat, 1e3*seqLat, seqLat/iosLat,
 		res.Stats.WallTime.Round(1e6), res.Stats.States, res.Stats.Transitions)
-	saveCaches()
 
 	data, err := res.Schedule.MarshalJSON()
 	if err != nil {
@@ -217,16 +200,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(1, err)
 	}
 	return 0
-}
-
-// load fills a cache from its file, reporting on stderr; a corrupt or
-// missing file leaves the cache empty (a cold start, not an error).
-func load(stderr io.Writer, c interface{ LoadFile(string) (int, error) }, flagName, path, what string) {
-	if n, err := c.LoadFile(path); err != nil {
-		fmt.Fprintf(stderr, "iosopt: %s %s: %v (starting cold)\n", flagName, path, err)
-	} else {
-		fmt.Fprintf(stderr, "iosopt: loaded %d cached %s from %s\n", n, what, path)
-	}
 }
 
 // progressPrinter returns a progress callback that repaints one stderr

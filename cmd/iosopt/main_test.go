@@ -94,28 +94,23 @@ func TestSearchFlagsReachSearchAndSweep(t *testing.T) {
 	}
 }
 
-// TestCacheFilesWarmARerun: a second run on the same -measure-cache and
-// -block-cache files loads what the first saved and emits the same bytes.
+// TestCacheFilesWarmARerun: a second run on the same -block-cache file
+// loads what the first saved and emits the same bytes.
 func TestCacheFilesWarmARerun(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-model", "squeezenet",
-		"-measure-cache", filepath.Join(dir, "m.cache"),
-		"-block-cache", filepath.Join(dir, "b.cache")}
+	args := []string{"-model", "squeezenet", "-block-cache", filepath.Join(t.TempDir(), "b.cache")}
 	code, cold, stderr := iosopt(t, args...)
 	if code != 0 {
 		t.Fatalf("cold run: exit status %d: %s", code, stderr)
 	}
 	if !strings.Contains(stderr, "starting cold") {
-		t.Errorf("cold run did not report missing cache files: %s", stderr)
+		t.Errorf("cold run did not report a missing cache file: %s", stderr)
 	}
 	code, warm, stderr := iosopt(t, args...)
 	if code != 0 {
 		t.Fatalf("warm run: exit status %d: %s", code, stderr)
 	}
-	for _, what := range []string{"measurements", "block schedules"} {
-		if !strings.Contains(stderr, "cached "+what+" from") || strings.Contains(stderr, "loaded 0 cached "+what) {
-			t.Errorf("warm run loaded no cached %s: %s", what, stderr)
-		}
+	if !strings.Contains(stderr, "cached block schedules from") || strings.Contains(stderr, "loaded 0 cached block schedules") {
+		t.Errorf("warm run loaded no cached block schedules: %s", stderr)
 	}
 	if warm != cold {
 		t.Errorf("warm run emitted\n%s\nthe cold run\n%s", warm, cold)
@@ -143,18 +138,50 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestTimeoutStillSavesCaches: a search cut short by -timeout fails, and
-// both cache files are written anyway so a retry resumes from them.
+// the block-cache file is written anyway so a retry resumes from it.
 func TestTimeoutStillSavesCaches(t *testing.T) {
-	dir := t.TempDir()
-	mfile, bfile := filepath.Join(dir, "m.cache"), filepath.Join(dir, "b.cache")
-	code, stdout, stderr := iosopt(t, "-model", "squeezenet", "-timeout", "1ns",
-		"-measure-cache", mfile, "-block-cache", bfile)
+	bfile := filepath.Join(t.TempDir(), "b.cache")
+	code, stdout, stderr := iosopt(t, "-model", "squeezenet", "-timeout", "1ns", "-block-cache", bfile)
 	if code == 0 || stdout != "" || !strings.Contains(stderr, "timed out") {
 		t.Fatalf("exit status %d, stdout %q, stderr %q; want a timeout failure", code, stdout, stderr)
 	}
-	for _, f := range []string{mfile, bfile} {
-		if _, err := os.Stat(f); err != nil {
-			t.Errorf("cache file not written after the timeout: %v", err)
-		}
+	if _, err := os.Stat(bfile); err != nil {
+		t.Errorf("cache file not written after the timeout: %v", err)
+	}
+}
+
+// cancelOnNewline is a stderr that cancels the run's context at the bare
+// "\n" ending the progress line, which iosopt writes right after the
+// search returns and before it measures the schedule.
+type cancelOnNewline struct {
+	bytes.Buffer
+	cancel context.CancelFunc
+}
+
+func (w *cancelOnNewline) Write(p []byte) (int, error) {
+	if string(p) == "\n" {
+		w.cancel()
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestCancelAfterSearchSavesBlockCache: a deadline or Ctrl-C that lands
+// after the search has returned, while the schedule is being measured,
+// fails the run but keeps every block the search completed.
+func TestCancelAfterSearchSavesBlockCache(t *testing.T) {
+	bfile := filepath.Join(t.TempDir(), "b.cache")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stdout bytes.Buffer
+	stderr := &cancelOnNewline{cancel: cancel}
+	code := run(ctx, []string{"-model", "squeezenet", "-progress", "-block-cache", bfile}, &stdout, stderr)
+	if code != 1 || stdout.Len() != 0 {
+		t.Fatalf("exit status %d, stdout %q, stderr %q; want 1 and nothing", code, stdout.String(), stderr.String())
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the progress line never ended; the test is vacuous")
+	}
+	if n, err := ios.NewBlockCache().LoadFile(bfile); err != nil || n == 0 {
+		t.Errorf("the block cache file reloads %d entries (%v), want the search's blocks", n, err)
 	}
 }

@@ -51,13 +51,11 @@ func main() {
 	var cfg config
 	flag.IntVar(&cfg.cacheSize, "cache", serve.DefaultCacheSize, "schedule-cache capacity in entries (0 = unbounded)")
 	flag.DurationVar(&cfg.serve.Deadline, "deadline", 0, "server-side per-request deadline (e.g. 30s); requests over it are shed with 503 and their searches cancelled (0 = none)")
-	flag.StringVar(&cfg.measureFile, "measure-cache", "", "measurement-cache file: loaded on start (a warm restart skips already-simulated stages) and saved on clean shutdown; a corrupt or missing file starts cold")
-	flag.IntVar(&cfg.measureSize, "measure-cache-size", serve.DefaultMeasureCacheSize, "measurement-cache capacity in fingerprints (0 = unbounded); over capacity, entries are shed and re-simulated on next use")
 	flag.StringVar(&cfg.blockFile, "block-cache", "", "block-schedule-cache file: loaded on start (a warm restart skips whole block DP searches with bit-identical results) and saved on clean shutdown; a corrupt or missing file starts cold")
 	flag.IntVar(&cfg.blockSize, "block-cache-size", serve.DefaultBlockCacheSize, "block-schedule-cache capacity in fingerprints (0 = unbounded); over capacity, entries are shed and re-searched on next use")
 	flag.StringVar(&cfg.planDir, "plan-dir", "", "directory of batch-specialization plan JSON files: every *.json in it is registered on start, and plans built this session (-plan-batches) are saved there on shutdown — a restart then serves planned batches without re-running any searches")
 	flag.StringVar(&cfg.warm, "warm", "", "comma-separated zoo models to precompute on start (\"paper\" = the four benchmarks)")
-	flag.DurationVar(&cfg.saveInterval, "save-interval", 0, "periodically save -measure-cache, -block-cache and -plan-dir state at this interval (e.g. 5m) in addition to the save on clean shutdown, so a crash loses at most one interval of warm state (0 = shutdown-only)")
+	flag.DurationVar(&cfg.saveInterval, "save-interval", 0, "periodically save -block-cache and -plan-dir state at this interval (e.g. 5m) in addition to the save on clean shutdown, so a crash loses at most one interval of warm state (0 = shutdown-only)")
 	var (
 		portFlag   = flag.Int("port", 8080, "TCP port to listen on (0 = an ephemeral port per node)")
 		hostFlag   = flag.String("host", "", "host/interface to bind (default: all)")
@@ -71,7 +69,7 @@ func main() {
 		sloFlag    = flag.Duration("slo", 20*time.Millisecond, "per-request latency SLO for -auto-batch dispatch decisions; violations are counted in GET /stats, not masked")
 		maxBatch   = flag.Int("max-batch", 0, "cap on -auto-batch dispatch sizes (0 = each plan's largest planned batch)")
 		quietFlag  = flag.Bool("quiet", false, "suppress per-request logging")
-		clusterN   = flag.Int("cluster", 0, "run a simulated fleet of this many nodes in one process, on ports -port..-port+n-1 (-port 0: n ephemeral ports; 0 or 1 = a single node): each node is a full server with private caches, and every node holds every block schedule (a node loads a peer's whole block cache when it starts and pushes what it searches to every peer; stage measurements stay node-local); node 0 loads -plan-dir and runs -warm/-plan-batches, and the fleet distributes the results; cache files get a per-node \".node<i>\" suffix")
+		clusterN   = flag.Int("cluster", 0, "run a simulated fleet of this many nodes in one process, on ports -port..-port+n-1 (-port 0: n ephemeral ports; 0 or 1 = a single node): each node is a full server with private caches, and every node holds every block schedule (a node loads a peer's whole block cache when it starts and pushes what it searches to every peer; stage measurements stay node-local); node 0 loads -plan-dir and runs -warm/-plan-batches, and the fleet distributes the results; the -block-cache file gets a per-node \".node<i>\" suffix")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +17,6 @@ import (
 
 	"ios/internal/blockcache"
 	"ios/internal/gpusim"
-	"ios/internal/measure"
 	"ios/internal/serve"
 )
 
@@ -39,7 +39,6 @@ func testLifecycle(t *testing.T, n int) {
 	cfg := config{
 		serve:       serve.Config{Device: gpusim.TeslaV100},
 		cacheSize:   serve.DefaultCacheSize,
-		measureFile: filepath.Join(dir, "measure.cache"),
 		blockFile:   filepath.Join(dir, "block.cache"),
 		planDir:     filepath.Join(dir, "plans"),
 		warm:        "squeezenet",
@@ -132,19 +131,16 @@ func testLifecycle(t *testing.T, n int) {
 	}
 
 	for i := 0; i < n; i++ {
-		mf, bf := cfg.measureFile, cfg.blockFile
+		bf := cfg.blockFile
 		if n > 1 {
-			mf, bf = nodeFile(mf, i), nodeFile(bf, i)
-		}
-		if got, err := measure.NewCache().LoadFile(mf); err != nil || got == 0 {
-			t.Errorf("node %d: %s reloads %d measurements: %v", i, mf, got, err)
+			bf = nodeFile(bf, i)
 		}
 		if got, err := blockcache.NewCache().LoadFile(bf); err != nil || got == 0 {
 			t.Errorf("node %d: %s reloads %d block schedules: %v", i, bf, got, err)
 		}
 	}
-	if _, err := os.Stat(nodeFile(cfg.measureFile, 0)); (n == 1) != os.IsNotExist(err) {
-		t.Errorf("nodes=%d: %s exists = %v", n, nodeFile(cfg.measureFile, 0), err == nil)
+	if _, err := os.Stat(nodeFile(cfg.blockFile, 0)); (n == 1) != os.IsNotExist(err) {
+		t.Errorf("nodes=%d: %s exists = %v", n, nodeFile(cfg.blockFile, 0), err == nil)
 	}
 }
 
@@ -186,35 +182,36 @@ func TestStalledBodyIsDropped(t *testing.T) {
 }
 
 // TestCacheFileHelpers: the one load/save pair both the single node and
-// the fleet use round-trips a cache, skips an unset path, and starts cold
-// — without failing — on a file it cannot read.
+// the fleet use round-trips a block cache, skips an unset path, and
+// starts cold — without failing — on a file it cannot read.
 func TestCacheFileHelpers(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "measure.cache")
-	c := measure.NewCache()
-	// A stage of no streams under the V100's context; its id key in a
-	// cache that has met nothing else is {context 0, 0 streams}.
-	key, ok := c.Intern(nil, measure.AppendStreams(measure.Context(gpusim.TeslaV100, 0), nil))
-	if !ok {
-		t.Fatal("the stage cannot be keyed")
+	path := filepath.Join(t.TempDir(), "block.cache")
+	// One stage holding the single operator of a one-operator block.
+	entry := blockcache.WireEntry{
+		Key: base64.RawURLEncoding.EncodeToString([]byte{blockcache.KeyVersion, 'b'}),
+		Ops: 1, States: 1, Transitions: 1,
+		Stages: []blockcache.WireStage{{Strategy: "concurrent", Groups: [][]int{{0}}}},
 	}
-	_, cl, _ := c.GetOrBegin(nil, key)
-	cl.Commit(1e-6)
-	saveCache(c, "node0: ", "measurements", "simulator runs", "")
-	saveCache(c, "node0: ", "measurements", "simulator runs", path)
-	fresh := measure.NewCache()
-	loadCache(fresh, "node0: ", "measurements", "")
+	c := blockcache.NewCache()
+	if _, err := c.Merge([]blockcache.WireEntry{entry}); err != nil {
+		t.Fatal(err)
+	}
+	saveCache(c, "node0: ", "")
+	saveCache(c, "node0: ", path)
+	fresh := blockcache.NewCache()
+	loadCache(fresh, "node0: ", "")
 	if fresh.Len() != 0 {
 		t.Fatal("an unset path loaded something")
 	}
-	loadCache(fresh, "node0: ", "measurements", path)
-	if lat, ok := fresh.Lookup(key); !ok || lat != 1e-6 {
-		t.Fatalf("round trip through the helpers: (%v, %v)", lat, ok)
+	loadCache(fresh, "node0: ", path)
+	if fresh.Len() != 1 {
+		t.Fatalf("round trip through the helpers holds %d entries, want 1", fresh.Len())
 	}
 	if err := os.WriteFile(path, []byte(`{"version":1,"entries":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cold := measure.NewCache()
-	loadCache(cold, "", "measurements", path)
+	cold := blockcache.NewCache()
+	loadCache(cold, "", path)
 	if cold.Len() != 0 {
 		t.Fatal("a version-1 file was not a cold start")
 	}

@@ -17,10 +17,8 @@ import (
 
 	"ios/internal/blockcache"
 	"ios/internal/cluster"
-	"ios/internal/measure"
 	"ios/internal/plan"
 	"ios/internal/serve"
-	"ios/internal/sfcache"
 )
 
 // config is what the flags resolve to: everything run needs to boot,
@@ -28,11 +26,11 @@ import (
 type config struct {
 	// serve is every node's server template; run gives each node its own
 	// caches of the sizes below.
-	serve                             serve.Config
-	cacheSize, measureSize, blockSize int
-	// measureFile and blockFile persist each node's caches ("" = none);
-	// in a fleet node i appends ".node<i>". planDir is node 0's.
-	measureFile, blockFile, planDir string
+	serve                serve.Config
+	cacheSize, blockSize int
+	// blockFile persists each node's block cache ("" = none); in a fleet
+	// node i appends ".node<i>". planDir is node 0's.
+	blockFile, planDir string
 
 	// Warm-up runs on node 0 only; a fleet distributes its results. warm
 	// is the -warm value ("" = no warm-up) and warmNames its models (nil =
@@ -53,7 +51,7 @@ type node struct {
 	http     *http.Server
 	lis      net.Listener
 
-	measureFile, blockFile, planDir string
+	blockFile, planDir string
 }
 
 // run serves one node per listener until ctx ends. Every listener is
@@ -87,9 +85,8 @@ func run(ctx context.Context, cfg config, listeners []net.Listener) error {
 		for _, lis := range listeners {
 			lis.Close() // those no node came to serve; the rest are closed already
 		}
-		// Whatever simulations, searches and plan sweeps completed —
-		// interrupted warm-up included — are exactly what a warm restart
-		// wants.
+		// Whatever block searches and plan sweeps completed — interrupted
+		// warm-up included — are exactly what a warm restart wants.
 		for _, nd := range nodes {
 			nd.save()
 		}
@@ -173,26 +170,24 @@ func run(ctx context.Context, cfg config, listeners []net.Listener) error {
 	}
 }
 
-// newNode builds node i of members over lis: a server with fresh caches
-// loaded from its files (and, on node 0, -plan-dir's plans), not ready
-// until run says so, fronted by the exchange in a fleet. The exchange
-// starts knowing only members[:i+1], the nodes already serving, and
-// pulls its snapshot from the first of them.
+// newNode builds node i of members over lis: a server with fresh caches,
+// its block cache loaded from its file (and, on node 0, -plan-dir's
+// plans), not ready until run says so, fronted by the exchange in a
+// fleet. The exchange starts knowing only members[:i+1], the nodes
+// already serving, and pulls its snapshot from the first of them.
 func newNode(ctx context.Context, cfg config, members []cluster.Member, i int, lis net.Listener) (*node, error) {
-	nd := &node{lis: lis, measureFile: cfg.measureFile, blockFile: cfg.blockFile}
+	nd := &node{lis: lis, blockFile: cfg.blockFile}
 	if len(members) > 1 {
 		nd.who = members[i].ID + ": "
-		nd.measureFile, nd.blockFile = nodeFile(cfg.measureFile, i), nodeFile(cfg.blockFile, i)
+		nd.blockFile = nodeFile(cfg.blockFile, i)
 	}
 	if i == 0 {
 		nd.planDir = cfg.planDir
 	}
 	sc := cfg.serve
 	sc.Cache = serve.NewScheduleCache(cfg.cacheSize)
-	sc.MeasureCache = measure.NewCacheSize(cfg.measureSize)
-	loadCache(sc.MeasureCache, nd.who, "measurements", nd.measureFile)
 	sc.BlockCache = blockcache.NewCacheSize(cfg.blockSize)
-	loadCache(sc.BlockCache, nd.who, "block schedules", nd.blockFile)
+	loadCache(sc.BlockCache, nd.who, nd.blockFile)
 	nd.srv = serve.NewServer(sc)
 	nd.srv.SetReady(false)
 	// Persisted plans register before warm-up, so a plain restart with
@@ -211,10 +206,9 @@ func newNode(ctx context.Context, cfg config, members []cluster.Member, i int, l
 	return nd, nil
 }
 
-// save writes the node's caches and plans to their files.
+// save writes the node's block cache and plans to their files.
 func (nd *node) save() {
-	saveCache(nd.srv.MeasureCache(), nd.who, "measurements", "simulator runs", nd.measureFile)
-	saveCache(nd.srv.BlockCache(), nd.who, "block schedules", "block searches", nd.blockFile)
+	saveCache(nd.srv.BlockCache(), nd.who, nd.blockFile)
 	if nd.planDir != "" {
 		savePlans(nd.srv, nd.planDir)
 	}
@@ -262,33 +256,30 @@ func newHTTPServer(ctx context.Context, h http.Handler) *http.Server {
 	}
 }
 
-// loadCache fills a cache from its file ("" = none), starting it cold on
-// any failure; who prefixes the log lines ("node1: " in a fleet).
-func loadCache(c interface{ LoadFile(string) (int, error) }, who, what, path string) {
+// loadCache fills a block cache from its file ("" = none), starting it
+// cold on any failure; who prefixes the log lines ("node1: " in a fleet).
+func loadCache(c *blockcache.Cache, who, path string) {
 	if path == "" {
 		return
 	}
 	if n, err := c.LoadFile(path); err != nil {
-		log.Printf("iosserve: %s%s file %s: %v (starting cold)", who, what, path, err)
+		log.Printf("iosserve: %sblock schedules file %s: %v (starting cold)", who, path, err)
 	} else {
-		log.Printf("iosserve: %sloaded %d cached %s from %s", who, n, what, path)
+		log.Printf("iosserve: %sloaded %d cached block schedules from %s", who, n, path)
 	}
 }
 
-// saveCache writes a cache to its file ("" = none); avoided names what a hit saved.
-func saveCache(c interface {
-	SaveFile(string) error
-	Stats() sfcache.Stats
-}, who, what, avoided, path string) {
+// saveCache writes a block cache to its file ("" = none).
+func saveCache(c *blockcache.Cache, who, path string) {
 	if path == "" {
 		return
 	}
 	if err := c.SaveFile(path); err != nil {
-		log.Printf("iosserve: %ssave %s: %v", who, what, err)
+		log.Printf("iosserve: %ssave block schedules: %v", who, err)
 		return
 	}
 	st := c.Stats()
-	log.Printf("iosserve: %ssaved %d %s to %s (%d %s avoided this session)", who, st.Size, what, path, st.Saved(), avoided)
+	log.Printf("iosserve: %ssaved %d block schedules to %s (%d block searches avoided this session)", who, st.Size, path, st.Saved())
 }
 
 // loadPlans registers every *.json plan file in dir. Unreadable or

@@ -14,36 +14,6 @@ import (
 	"ios/internal/serve"
 )
 
-// MeasureCache is a structural measurement cache: a
-// concurrent, deduplicating map from a canonical stage fingerprint —
-// computed from the lowered kernel signatures and concurrency-group
-// structure of a stage, invariant to node identity and graph position —
-// to the exact simulated latency of that stage. Every Engine and server
-// owns one (WithMeasureCache or ServerConfig.MeasureCache shares one);
-// it persists across Optimize calls and is shared by every DP worker, so
-// repeated structure (NasNet's stacked cells, re-served models, warm
-// restarts via Save/Load) is simulated once. Cached values are exact
-// simulator outputs: schedules, costs, and search statistics are
-// bit-identical with or without the cache — only the measurement count
-// drops.
-type MeasureCache = measure.Cache
-
-// MeasureCacheStats counts measurement-cache traffic (hits, misses,
-// coalesced in-flight waits, loaded entries).
-type MeasureCacheStats = measure.Stats
-
-// NewMeasureCache returns an empty, unbounded structural measurement
-// cache — right for fixed workloads, whose entry count is bounded by the
-// workload's structure.
-func NewMeasureCache() *MeasureCache { return measure.NewCache() }
-
-// NewMeasureCacheSize returns a measurement cache holding at most
-// maxEntries fingerprints (0 = unbounded). Long-running processes
-// measuring arbitrary graphs should be bounded; over capacity, entries
-// are shed and simply re-simulated on next use — correctness is
-// unaffected.
-func NewMeasureCacheSize(maxEntries int) *MeasureCache { return measure.NewCacheSize(maxEntries) }
-
 // BlockCache is a whole-block schedule cache: a concurrent,
 // deduplicating map from a canonical structural block fingerprint —
 // computed from the block's DAG, its operators' lowered kernel programs,
@@ -119,17 +89,19 @@ func NewSimBackend(dev Device) Backend { return profile.SimBackend(dev) }
 // the wrapped ctx.Err() (errors.Is with context.Canceled /
 // context.DeadlineExceeded holds).
 //
-// An engine owns a measurement cache and a block cache, private unless
-// WithMeasureCache or WithBlockCache shares one. Methods may be called
-// from multiple goroutines: each call forks its own profiler (sharing the
-// engine's device model and caches), and concurrent or repeated searches
-// of the same block structure coalesce into one search in the block cache.
+// An engine owns a block cache, private unless WithBlockCache shares one,
+// and a private memo of stage measurements that no caller sees: a search
+// measures each distinct stage structure once, and Measure is the one
+// public way to price a schedule. Methods may be called from multiple
+// goroutines: each call forks its own profiler (sharing the engine's
+// device model, memo and block cache), and concurrent or repeated
+// searches of the same block structure coalesce into one search in the
+// block cache.
 type Engine struct {
 	backend  Backend
 	progress func(Progress)
-	mcache   *measure.Cache
 	bcache   *blockcache.Cache
-	prof     *Profiler
+	prof     *profile.Profiler
 }
 
 // EngineOption configures NewEngine.
@@ -146,14 +118,6 @@ func WithProgress(fn func(Progress)) EngineOption {
 // b instead of a fresh simulator for the device. The backend's
 // Spec().Name should still identify the device for cache keying.
 func WithBackend(b Backend) EngineOption { return func(e *Engine) { e.backend = b } }
-
-// WithMeasureCache makes the engine measure through c, which it shares
-// with every engine and server given the same cache. Stage simulations
-// are deduplicated by canonical fingerprint; results are bit-identical
-// with any cache, only the number of simulator invocations drops (see
-// MeasureCache). nil keeps the engine's fresh private cache, bounded at
-// serve's DefaultMeasureCacheSize.
-func WithMeasureCache(c *MeasureCache) EngineOption { return func(e *Engine) { e.mcache = c } }
 
 // WithBlockCache makes the engine look block searches up in c, which it
 // shares with every engine and server given the same cache. Block
@@ -173,23 +137,16 @@ func NewEngine(dev Device, opts ...EngineOption) *Engine {
 	if e.backend == nil {
 		e.backend = profile.SimBackend(dev)
 	}
-	if e.mcache == nil {
-		e.mcache = measure.NewCacheSize(serve.DefaultMeasureCacheSize)
-	}
 	if e.bcache == nil {
 		e.bcache = blockcache.NewCacheSize(serve.DefaultBlockCacheSize)
 	}
 	e.prof = profile.NewWithBackend(e.backend, profile.Options{})
-	e.prof.SetMeasureCache(e.mcache)
+	e.prof.SetMeasureCache(measure.NewCacheSize(serve.DefaultMeasureCacheSize))
 	return e
 }
 
 // Device returns the device the engine optimizes for.
 func (e *Engine) Device() Device { return e.backend.Spec() }
-
-// MeasureCacheStats reports the engine's measurement-cache traffic
-// counters.
-func (e *Engine) MeasureCacheStats() MeasureCacheStats { return e.mcache.Stats() }
 
 // BlockCacheStats reports the engine's block-cache traffic counters.
 func (e *Engine) BlockCacheStats() BlockCacheStats { return e.bcache.Stats() }
@@ -208,7 +165,7 @@ func (e *Engine) withBlockCache(opts Options) Options {
 // a pre-cancelled context it returns immediately without measuring a
 // single stage; cancelled mid-search, it drains all workers and returns
 // the wrapped ctx.Err(). The profiler is a fork of the engine's root: it
-// shares the device model and the measurement cache, and lowers the graph
+// shares the device model and the measurement memo, and lowers the graph
 // into its own table, so concurrent calls share nothing unsynchronized.
 func (e *Engine) Optimize(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {

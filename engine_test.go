@@ -202,8 +202,7 @@ func TestEngineCacheKeepsCutTwinsApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := ios.NewMeasureCache()
-	cached := ios.NewEngine(ios.V100, ios.WithMeasureCache(mc))
+	cached := ios.NewEngine(ios.V100)
 	if _, err := cached.Optimize(ctx, g, ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestEngineCacheKeepsCutTwinsApart(t *testing.T) {
 	if st := cached.BlockCacheStats(); st.Misses == built.Misses {
 		t.Errorf("the JSON twin searched no block of its own: block cache %+v, then %+v", built, st)
 	}
-	want, err := ios.NewEngine(ios.V100, ios.WithMeasureCache(mc)).Optimize(ctx, twin, ios.Options{})
+	want, err := ios.NewEngine(ios.V100).Optimize(ctx, twin, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

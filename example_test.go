@@ -42,32 +42,6 @@ func ExampleEngine() {
 	// second call cached: true
 }
 
-// ExampleNewMeasureCache shows the structural measurement cache: stage
-// simulations are deduplicated by canonical fingerprint, so re-optimizing
-// the same architecture — even a freshly built graph value — touches the
-// simulator zero times while returning a bit-identical schedule.
-func ExampleNewMeasureCache() {
-	cache := ios.NewMeasureCache()
-	eng := ios.NewEngine(ios.V100, ios.WithMeasureCache(cache))
-	ctx := context.Background()
-
-	first, err := eng.Optimize(ctx, ios.Figure2Block(1), ios.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	second, err := eng.Optimize(ctx, ios.Figure2Block(1), ios.Options{}) // rebuilt graph, warm cache
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("warm search simulator measurements: %d\n", second.Stats.Measurements)
-	fmt.Printf("identical schedules: %v\n", second.Schedule.String() == first.Schedule.String())
-	fmt.Printf("simulator runs saved so far: %v\n", eng.MeasureCacheStats().Saved() > 0)
-	// Output:
-	// warm search simulator measurements: 0
-	// identical schedules: true
-	// simulator runs saved so far: true
-}
-
 // ExampleEngine_Optimize schedules the paper's Figure 2 block and prints
 // the stage structure IOS discovers (the balanced {a,d} / {b,c}
 // partition).

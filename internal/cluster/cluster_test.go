@@ -472,10 +472,11 @@ func snapshotOf(t *testing.T, entries ...blockcache.WireEntry) []byte {
 	return buf.Bytes()
 }
 
-// TestHangingPeerCannotStallASearch: a member that accepts connections and
-// never answers costs a cold search on another node nothing — the search
-// sends it no request and finishes far inside the peer timeout.
-func TestHangingPeerCannotStallASearch(t *testing.T) {
+// hangingPeer is a member that accepts TCP connections and never answers
+// on them. It returns the member's URL and a count of the connections it
+// has accepted; the test's cleanup closes it.
+func hangingPeer(t *testing.T) (url string, accepted func() int) {
+	t.Helper()
 	hang, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -493,15 +494,26 @@ func TestHangingPeerCannotStallASearch(t *testing.T) {
 			mu.Unlock()
 		}
 	}()
-	defer func() {
+	t.Cleanup(func() {
 		hang.Close()
 		mu.Lock()
 		defer mu.Unlock()
 		for _, c := range conns {
 			c.Close()
 		}
-	}()
+	})
+	return "http://" + hang.Addr().String(), func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(conns)
+	}
+}
 
+// TestHangingPeerCannotStallASearch: a member that accepts connections and
+// never answers costs a cold search on another node nothing — the search
+// sends it no request and finishes far inside the peer timeout.
+func TestHangingPeerCannotStallASearch(t *testing.T) {
+	hangURL, accepted := hangingPeer(t)
 	ctx := context.Background()
 	const timeout = 10 * time.Second
 	h, err := StartHarness(ctx, HarnessConfig{Nodes: 2, FetchTimeout: timeout})
@@ -509,7 +521,7 @@ func TestHangingPeerCannotStallASearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	members := []Member{{ID: "hang", URL: "http://" + hang.Addr().String()}}
+	members := []Member{{ID: "hang", URL: hangURL}}
 	for _, hn := range h.Nodes() {
 		members = append(members, Member{ID: hn.ID, URL: hn.URL})
 	}
@@ -528,10 +540,8 @@ func TestHangingPeerCannotStallASearch(t *testing.T) {
 	if n1.Server.BlockCache().Stats().Misses == 0 {
 		t.Error("the node ran no block search; the test is vacuous")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(conns) != 0 {
-		t.Errorf("the hanging peer got %d connections during a cold search, want 0", len(conns))
+	if got := accepted(); got != 0 {
+		t.Errorf("the hanging peer got %d connections during a cold search, want 0", got)
 	}
 }
 

@@ -242,3 +242,73 @@ func TestSyncKeepsOneCursorPerPeer(t *testing.T) {
 		t.Errorf("idle sync = (%d, %v), want (0, nil)", pushed, err)
 	}
 }
+
+// roundTripFunc is an http.RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestHangingPeerCannotDelayAPush: with members [hanging, live], where the
+// hanging one accepts connections and never answers, the live peer
+// receives the entries within one FetchTimeout of Sync starting, not after
+// the hanging push times out, and the hanging peer's cursor stays put.
+func TestHangingPeerCannotDelayAPush(t *testing.T) {
+	hangURL, _ := hangingPeer(t)
+	liveNode, live := soloNode(t, nil)
+	liveSrv := httptest.NewServer(liveNode)
+	defer liveSrv.Close()
+	// answered fires once the live peer's answer to a push is back.
+	answered := make(chan struct{}, 1)
+	base := &http.Transport{}
+	defer base.CloseIdleConnections()
+	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := base.RoundTrip(r)
+		if err == nil && "http://"+r.URL.Host == liveSrv.URL && r.URL.Path == "/cluster/push" {
+			answered <- struct{}{}
+		}
+		return resp, err
+	})}
+	n, srv := soloNode(t, client)
+	// Members join after New, which would otherwise wait out the hanging
+	// peer's snapshot pull and mark it down.
+	if err := n.SetMembers([]Member{{ID: "self"}, {ID: "hang", URL: hangURL}, {ID: "live", URL: liveSrv.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	n.cfg.FetchTimeout = time.Second
+	entries := []blockcache.WireEntry{blockEntry("a", 1), blockEntry("b", 2)}
+	if _, err := srv.BlockCache().Load(bytes.NewReader(snapshotOf(t, entries...))); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type result struct {
+		pushed int
+		err    error
+	}
+	done := make(chan result, 1)
+	start := time.Now()
+	go func() {
+		pushed, err := n.Sync(ctx)
+		done <- result{pushed, err}
+	}()
+	select {
+	case <-answered:
+		if took := time.Since(start); took > n.cfg.FetchTimeout {
+			t.Errorf("the live peer took its push %v after Sync started, over one FetchTimeout", took)
+		}
+	case <-time.After(n.cfg.FetchTimeout):
+		t.Errorf("the live peer received nothing within one FetchTimeout (%v) of Sync starting", n.cfg.FetchTimeout)
+	}
+	cancel() // ends the hanging push now instead of at its timeout
+	res := <-done
+	if res.err == nil || res.pushed != len(entries) {
+		t.Errorf("sync = (%d, %v), want %d pushed to the live peer and the hanging one's error", res.pushed, res.err, len(entries))
+	}
+	if live.BlockCache().Len() != len(entries) {
+		t.Errorf("the live peer holds %d entries, want %d", live.BlockCache().Len(), len(entries))
+	}
+	if n.sent["hang"] != 0 || n.sent["live"] == 0 {
+		t.Errorf("cursors after the sync: hang %d, live %d; want the hanging one unmoved and the live one advanced", n.sent["hang"], n.sent["live"])
+	}
+}

@@ -295,37 +295,48 @@ const pushChunkBytes = maxPeerBody / 4
 // Sync pushes to every live peer the block entries this node searched or
 // loaded from a file (Own) since that peer's last successful push, and
 // returns how many entries were shipped. Entries merged from a peer are
-// never pushed on: their origin pushed them to everyone. Each peer has its
-// own cursor, so a peer inside its failure cooldown is skipped without
-// holding back the others, and gets its backlog once it answers again.
-// Run calls this on a ticker; the harness calls it synchronously.
+// never pushed on: their origin pushed them to everyone. The pushes run
+// concurrently and Sync returns once all have ended. Each peer has its
+// own cursor, advanced only by its own push, so a peer that hangs or sits
+// in its failure cooldown holds back nobody else, and gets its backlog
+// once it answers again. Run calls this on a ticker; the harness calls it
+// synchronously.
 func (n *Node) Sync(ctx context.Context) (int, error) {
 	n.pushMu.Lock()
 	defer n.pushMu.Unlock()
 	n.mu.Lock()
 	peers := n.peers
 	n.mu.Unlock()
-	sent := make(map[string]uint64, len(peers))
-	pushed := 0
-	var errs []error
-	for _, p := range peers {
-		sent[p.ID] = n.sent[p.ID]
+	next := make([]uint64, len(peers))
+	shipped := make([]int, len(peers))
+	errs := make([]error, len(peers))
+	var wg sync.WaitGroup
+	for i, p := range peers {
+		next[i] = n.sent[p.ID]
 		if n.peerDown(p.ID) {
-			errs = append(errs, fmt.Errorf("cluster: peer %s down", p.ID))
+			errs[i] = fmt.Errorf("cluster: peer %s down", p.ID)
 			continue
 		}
-		entries, next := n.blocks.Own(sent[p.ID])
-		got, err := n.postPush(ctx, p.URL, entries)
-		pushed += got
-		n.pushedBlocks.Add(int64(got))
-		if err != nil {
-			n.markDown(p.ID)
-			errs = append(errs, err)
-			continue
-		}
-		sent[p.ID] = next
+		entries, upTo := n.blocks.Own(next[i])
+		wg.Add(1)
+		go func(i int, p Member) {
+			defer wg.Done()
+			shipped[i], errs[i] = n.postPush(ctx, p.URL, entries)
+			n.pushedBlocks.Add(int64(shipped[i]))
+			if errs[i] != nil {
+				n.markDown(p.ID)
+				return
+			}
+			next[i] = upTo
+		}(i, p)
 	}
-	n.sent = sent
+	wg.Wait()
+	n.sent = make(map[string]uint64, len(peers))
+	pushed := 0
+	for i, p := range peers {
+		n.sent[p.ID] = next[i]
+		pushed += shipped[i]
+	}
 	return pushed, errors.Join(errs...)
 }
 

@@ -177,15 +177,15 @@ func TestMeasureCacheSharedAcrossForks(t *testing.T) {
 	cache := measure.NewCache()
 	p := New(gpusim.TeslaV100)
 	p.SetMeasureCache(cache)
-	if p.MeasureCache() != cache {
-		t.Fatal("MeasureCache accessor lost the cache")
+	if p.mcache != cache {
+		t.Fatal("SetMeasureCache lost the cache")
 	}
 	l1, err := p.MeasureStage(st(g1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := p.Fork()
-	if f.MeasureCache() != cache {
+	if f.mcache != cache {
 		t.Fatal("fork dropped the measurement cache")
 	}
 	l2, err := f.MeasureStage(st(g2)) // different node values, same structure

@@ -197,11 +197,11 @@ func TestMeasureStageCaching(t *testing.T) {
 		p, fork := c.p, c.p.Fork()
 		for i, got := range []float64{lat(p, st), lat(p, st), lat(p, permuted), lat(fork, st), lat(fork, permuted)} {
 			if got != want {
-				t.Errorf("measurement %d = %v, want %v (cache attached: %v)", i, got, want, p.MeasureCache() != nil)
+				t.Errorf("measurement %d = %v, want %v (cache attached: %v)", i, got, want, p.mcache != nil)
 			}
 		}
 		if runs := p.Measurements + fork.Measurements; runs != c.runs {
-			t.Errorf("backend ran %d times, want %d (cache attached: %v)", runs, c.runs, p.MeasureCache() != nil)
+			t.Errorf("backend ran %d times, want %d (cache attached: %v)", runs, c.runs, p.mcache != nil)
 		}
 	}
 }

@@ -142,10 +142,6 @@ func (p *Profiler) SetMeasureCache(c *measure.Cache) {
 	}
 }
 
-// MeasureCache returns the attached structural measurement cache (nil if
-// none).
-func (p *Profiler) MeasureCache() *measure.Cache { return p.mcache }
-
 // Context returns the long-form measurement context, built on first use:
 // the backend spec and lowering options are fixed per profiler, so the
 // bytes are immutable (read-only to callers) and shared with forks.

@@ -136,7 +136,7 @@ func TestSetMeasureCacheDropsTheTable(t *testing.T) {
 	if p.table != nil {
 		t.Fatalf("attaching another cache kept %d lowerings made under the first one's ids", len(p.table))
 	}
-	if len(f.table) == 0 || f.MeasureCache() != first {
+	if len(f.table) == 0 || f.mcache != first {
 		t.Error("attaching another cache to the parent reached into its fork")
 	}
 	for i, st := range seq.Stages {

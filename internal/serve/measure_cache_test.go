@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"ios/internal/core"
 	"ios/internal/gpusim"
 	"ios/internal/measure"
+	"ios/internal/models"
+	"ios/internal/profile"
 )
 
 // TestServerMeasureCacheSharedAcrossRequests: the structural measurement
@@ -63,6 +68,43 @@ func TestServerMeasureCacheSharedAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestServerMemoKeepsDevicesApart: a server measures every device through
+// one cache, whose keys embed the device model. After Figure 2 on the
+// V100, the same block on the K80 must measure stages of its own, not
+// read the V100's, and return the schedule a bare K80 search finds.
+func TestServerMemoKeepsDevicesApart(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{}))
+	defer ts.Close()
+	var k80 OptimizeResponse
+	for _, dev := range []string{"v100", "k80"} {
+		resp, body := postJSON(t, ts.URL+"/optimize", map[string]any{"model": "fig2", "device": dev})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /optimize status %d: %s", dev, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &k80); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if k80.Search.Measurements == 0 {
+		t.Fatal("the K80 search served its latencies from the V100's entries")
+	}
+	bare, err := core.OptimizeContext(context.Background(), models.Figure2Block(1), profile.New(gpusim.TeslaK80), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := bare.Schedule.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, indented); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(k80.Schedule, want.Bytes()) {
+		t.Errorf("the K80 answer after a V100 search is\n%s\na bare K80 search finds\n%s", k80.Schedule, want.Bytes())
+	}
+}
+
 // TestServerMeasureCacheDefaultsToPrivate: a server without an explicit
 // measurement cache gets one of its own, bounded at
 // DefaultMeasureCacheSize, and an explicit one is used as given.
@@ -106,7 +148,7 @@ func TestServerMeasureCacheDefaultsToPrivate(t *testing.T) {
 
 // TestServerWarmRestartFromFile: a server loading a persisted cache
 // re-optimizes a model the previous process served without a single
-// simulator invocation — the warm-restart path of iosserve -measure-cache.
+// simulator invocation.
 func TestServerWarmRestartFromFile(t *testing.T) {
 	path := t.TempDir() + "/measure.json"
 

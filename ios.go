@@ -28,9 +28,10 @@
 //	fmt.Printf("latency %.3f ms over %d stages\n", lat*1e3, res.Schedule.NumStages())
 //
 // The Engine is the primary API: construct one per device with NewEngine
-// and functional options (WithMeasureCache, WithBlockCache, WithProgress,
-// WithBackend), then call its context-aware methods with per-call
-// Options.
+// and functional options (WithBlockCache, WithProgress, WithBackend), then
+// call its context-aware methods with per-call Options. Engine.Measure is
+// the way to price a schedule; the stage-measurement memo a search fills
+// is private to its engine.
 package ios
 
 import (
@@ -38,7 +39,6 @@ import (
 	"ios/internal/core"
 	"ios/internal/gpusim"
 	"ios/internal/graph"
-	"ios/internal/profile"
 	"ios/internal/schedule"
 )
 
@@ -71,8 +71,6 @@ type (
 	Result = core.Result
 	// SearchStats reports the search cost of one optimization.
 	SearchStats = core.Stats
-	// Profiler is the latency oracle used during search.
-	Profiler = profile.Profiler
 )
 
 // Strategy-set values for Options.Strategies.
@@ -108,14 +106,6 @@ var Unpruned = core.Unpruned
 
 // NewGraph returns an empty computation graph.
 func NewGraph(name string) *Graph { return graph.New(name) }
-
-// NewProfiler returns a stage-level latency oracle for the device
-// (MeasureStage, MeasureSchedule), usable for several graphs, one call at
-// a time: calls over the same graph share its per-node lowering table,
-// and a call over another graph re-lowers the nodes it meets (a lowering names the node it was made from, so
-// graphs never read each other's). Attach a measurement cache
-// (SetMeasureCache) to share measurements across graphs too.
-func NewProfiler(dev Device) *Profiler { return profile.New(dev) }
 
 // LoadSchedule reconstructs a schedule recipe (the JSON emitted by
 // Schedule.MarshalJSON, cmd/iosopt, or the serving API) against the given

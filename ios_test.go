@@ -7,6 +7,7 @@ import (
 
 	"ios"
 	"ios/internal/core"
+	"ios/internal/profile"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -142,7 +143,7 @@ func TestStrategyVariants(t *testing.T) {
 }
 
 func TestProfilerReuse(t *testing.T) {
-	prof := ios.NewProfiler(ios.V100)
+	prof := profile.New(ios.V100)
 	g := ios.Figure2Block(1)
 	if _, err := core.OptimizeContext(context.Background(), g, prof, ios.Options{}); err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ func TestProfilerReuse(t *testing.T) {
 // bit-equal to a fresh profiler's.
 func TestProfilerReuseAcrossGraphs(t *testing.T) {
 	ctx := context.Background()
-	run := func(prof *ios.Profiler) (seqLat, iosLat float64, sched string) {
+	run := func(prof *profile.Profiler) (seqLat, iosLat float64, sched string) {
 		t.Helper()
 		g := ios.InceptionV3(1)
 		seq, err := ios.SequentialSchedule(g)
@@ -190,12 +191,12 @@ func TestProfilerReuseAcrossGraphs(t *testing.T) {
 		}
 		return seqLat, iosLat, string(js)
 	}
-	reused := ios.NewProfiler(ios.V100)
+	reused := profile.New(ios.V100)
 	if _, err := core.OptimizeContext(ctx, ios.SqueezeNet(1), reused, ios.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	seqLat, iosLat, sched := run(reused)
-	wantSeq, wantIOS, wantSched := run(ios.NewProfiler(ios.V100))
+	wantSeq, wantIOS, wantSched := run(profile.New(ios.V100))
 	if seqLat != wantSeq || iosLat != wantIOS {
 		t.Errorf("after SqueezeNet, Inception V3 measures %.6g ms sequential and %.6g ms scheduled; a fresh profiler %.6g and %.6g",
 			seqLat*1e3, iosLat*1e3, wantSeq*1e3, wantIOS*1e3)

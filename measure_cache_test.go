@@ -7,16 +7,16 @@ import (
 	"ios"
 )
 
-// TestEngineWithMeasureCache: the structural measurement cache persists
-// across Optimize calls on one engine — a repeated search of the same
-// architecture is measurement-free — and never changes what the search
-// returns.
+// TestEngineWithMeasureCache: an engine's private measurement memo and
+// block cache persist across Optimize calls — a repeated search of the
+// same architecture is measurement-free — and never change what the
+// search returns.
 func TestEngineWithMeasureCache(t *testing.T) {
 	ctx := context.Background()
 	g := ios.SqueezeNet(1)
 	plain := bareSearch(t, ios.V100, g)
 
-	eng := ios.NewEngine(ios.V100, ios.WithMeasureCache(nil)) // nil = the engine's own private cache
+	eng := ios.NewEngine(ios.V100)
 	first, err := eng.Optimize(ctx, g, ios.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -45,52 +45,15 @@ func TestEngineWithMeasureCache(t *testing.T) {
 		t.Fatal("warm search returned a different schedule")
 	}
 
-	st := eng.MeasureCacheStats()
-	if st.Misses == 0 || st.Hits == 0 || st.Size == 0 {
-		t.Fatalf("measure cache stats = %+v, want traffic recorded", st)
-	}
-	if st.Saved() == 0 {
-		t.Fatal("no simulator runs saved despite a warm repeat search")
-	}
-
-	// An engine without the option owns a private cache: a fresh engine
-	// has seen no traffic, whatever this one did.
-	if st := ios.NewEngine(ios.V100).MeasureCacheStats(); st != (ios.MeasureCacheStats{}) {
-		t.Fatalf("a fresh engine reports stats %+v", st)
-	}
-}
-
-// TestEnginesShareOneMeasureCache: two engines (e.g. two devices' worth
-// of serving paths) can share a single cache; fingerprints
-// embed the device model, so entries never cross devices.
-func TestEnginesShareOneMeasureCache(t *testing.T) {
-	ctx := context.Background()
-	cache := ios.NewMeasureCache()
-	a := ios.NewEngine(ios.V100, ios.WithMeasureCache(cache))
-	b := ios.NewEngine(ios.V100, ios.WithMeasureCache(cache))
-	if _, err := a.Optimize(ctx, ios.Figure2Block(1), ios.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := b.Optimize(ctx, ios.Figure2Block(1), ios.Options{})
+	// A fresh engine owns its memo: whatever this one measured, its first
+	// search of the same graph measures every stage again.
+	fresh, err := ios.NewEngine(ios.V100).Optimize(ctx, ios.SqueezeNet(1), ios.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Measurements != 0 {
-		t.Fatalf("second engine re-simulated %d fingerprints the first already measured", res.Stats.Measurements)
-	}
-
-	// A different device on the same shared cache must not hit the
-	// V100's entries: its search measures from scratch and stays correct.
-	k := ios.NewEngine(ios.K80, ios.WithMeasureCache(cache))
-	kres, err := k.Optimize(ctx, ios.Figure2Block(1), ios.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kres.Stats.Measurements == 0 {
-		t.Fatal("K80 search served latencies from V100 cache entries")
-	}
-	if kplain := bareSearch(t, ios.K80, ios.Figure2Block(1)); kres.Schedule.String() != kplain.Schedule.String() {
-		t.Fatal("shared cache corrupted the K80 search")
+	if fresh.Stats.Measurements != first.Stats.Measurements {
+		t.Fatalf("a fresh engine's first search measured %d stages, the first engine's %d",
+			fresh.Stats.Measurements, first.Stats.Measurements)
 	}
 }
 
@@ -114,7 +77,8 @@ func TestBareEngineSearchesCached(t *testing.T) {
 			got.Stats.States, got.Stats.Transitions, want.Stats.States, want.Stats.Transitions,
 			got.Schedule.String() == want.Schedule.String())
 	}
-	if eng.MeasureCacheStats().Saved() == 0 {
-		t.Fatal("a bare engine's NasNet-A search saved no simulator run")
+	if got.Stats.Measurements >= want.Stats.Measurements {
+		t.Fatalf("a bare engine's NasNet-A search measured %d stages, the bare core search %d: its memo saved nothing",
+			got.Stats.Measurements, want.Stats.Measurements)
 	}
 }

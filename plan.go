@@ -25,9 +25,8 @@ type (
 )
 
 // LoadBatchPlan reads a plan previously written with BatchPlan.Save. Like
-// the measurement cache's Load it is all-or-nothing: a corrupt,
-// truncated, or version-mismatched file returns an error, never a
-// half-usable plan.
+// BlockCache.Load it is all-or-nothing: a corrupt, truncated, or
+// version-mismatched file returns an error, never a half-usable plan.
 func LoadBatchPlan(r io.Reader) (*BatchPlan, error) { return plan.Load(r) }
 
 // LoadBatchPlanFile reads the plan file at path; see LoadBatchPlan.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ios"
+	"ios/internal/profile"
 )
 
 // TestOptimizeBatches: the sweep produces one specialized schedule per
@@ -163,7 +164,7 @@ func TestThroughputUnits(t *testing.T) {
 	}
 
 	// Hand-compute the latency: the per-stage sum of simulator seconds.
-	prof := ios.NewProfiler(ios.V100)
+	prof := profile.New(ios.V100)
 	var want float64
 	for _, st := range res.Schedule.Stages {
 		lat, err := prof.MeasureStage(st)
