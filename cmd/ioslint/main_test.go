@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"ios/internal/lint"
 )
 
 // buildTool compiles the ioslint binary once per test process, into a
@@ -87,70 +84,6 @@ func TestBrokenModule(t *testing.T) {
 	}
 	if !strings.Contains(out, "ioslint: 3 finding(s)") {
 		t.Errorf("want exactly 3 findings; got:\n%s", out)
-	}
-}
-
-// TestOnlyFilter restricts the suite to one analyzer.
-func TestOnlyFilter(t *testing.T) {
-	out, code := runTool(t, filepath.Join("testdata", "brokenmod"), "-only", "determinism", "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; output:\n%s", code, out)
-	}
-	if !strings.Contains(out, "[determinism]") || strings.Contains(out, "[wiretaint]") {
-		t.Errorf("-only determinism output wrong:\n%s", out)
-	}
-}
-
-// TestJSONOutput checks machine-readable mode parses, carries the same
-// findings, and keeps the stable rule/position/message field names.
-func TestJSONOutput(t *testing.T) {
-	out, code := runTool(t, filepath.Join("testdata", "brokenmod"), "-json", "./...")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; output:\n%s", code, out)
-	}
-	var findings []struct {
-		Rule     string `json:"rule"`
-		Position struct {
-			File   string `json:"file"`
-			Line   int    `json:"line"`
-			Column int    `json:"column"`
-		} `json:"position"`
-		Message string `json:"message"`
-	}
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out)
-	}
-	if len(findings) != 3 {
-		t.Fatalf("got %d findings, want 3: %v", len(findings), findings)
-	}
-	for _, f := range findings {
-		if f.Rule == "" || f.Position.File == "" || f.Position.Line == 0 || f.Message == "" {
-			t.Errorf("finding missing stable fields: %+v", f)
-		}
-	}
-	// The schema is a contract: the raw keys must appear literally.
-	for _, key := range []string{`"rule"`, `"position"`, `"file"`, `"line"`, `"column"`, `"message"`} {
-		if !strings.Contains(out, key) {
-			t.Errorf("JSON output missing schema key %s:\n%s", key, out)
-		}
-	}
-}
-
-// TestUnknownAnalyzer checks the usage-error path.
-func TestUnknownAnalyzer(t *testing.T) {
-	out, code := runTool(t, filepath.Join("testdata", "brokenmod"), "-only", "nope", "./...")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; output:\n%s", code, out)
-	}
-	if !strings.Contains(out, `unknown analyzer "nope"`) {
-		t.Errorf("missing unknown-analyzer message:\n%s", out)
-	}
-	// The error must list every valid analyzer, so the user can correct
-	// the typo without a second round trip through -list.
-	for _, a := range lint.All() {
-		if !strings.Contains(out, a.Name) {
-			t.Errorf("unknown-analyzer message missing valid name %q:\n%s", a.Name, out)
-		}
 	}
 }
 

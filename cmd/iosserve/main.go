@@ -1,8 +1,10 @@
 // Command iosserve runs the IOS schedule-serving HTTP daemon: a JSON API
 // that optimizes zoo models or submitted computation graphs on demand and
 // caches the resulting schedules, deduplicating concurrent requests for
-// the same (model, batch, device, options) so the optimizer runs once per
-// configuration:
+// the same (model, batch, device) so the optimizer runs once per
+// configuration. The -strategy, -r and -s flags decide every search;
+// requests carry no search options. Caches take the internal/serve
+// default sizes.
 //
 //	iosserve                                    # serve :8080, V100
 //	iosserve -port 9090 -device 2080ti
@@ -49,10 +51,8 @@ import (
 
 func main() {
 	var cfg config
-	flag.IntVar(&cfg.cacheSize, "cache", serve.DefaultCacheSize, "schedule-cache capacity in entries (0 = unbounded)")
 	flag.DurationVar(&cfg.serve.Deadline, "deadline", 0, "server-side per-request deadline (e.g. 30s); requests over it are shed with 503 and their searches cancelled (0 = none)")
 	flag.StringVar(&cfg.blockFile, "block-cache", "", "block-schedule-cache file: loaded on start (a warm restart skips whole block DP searches with bit-identical results) and saved on clean shutdown; a corrupt or missing file starts cold")
-	flag.IntVar(&cfg.blockSize, "block-cache-size", serve.DefaultBlockCacheSize, "block-schedule-cache capacity in fingerprints (0 = unbounded); over capacity, entries are shed and re-searched on next use")
 	flag.StringVar(&cfg.planDir, "plan-dir", "", "directory of batch-specialization plan JSON files: every *.json in it is registered on start, and plans built this session (-plan-batches) are saved there on shutdown — a restart then serves planned batches without re-running any searches")
 	flag.StringVar(&cfg.warm, "warm", "", "comma-separated zoo models to precompute on start (\"paper\" = the four benchmarks)")
 	flag.DurationVar(&cfg.saveInterval, "save-interval", 0, "periodically save -block-cache and -plan-dir state at this interval (e.g. 5m) in addition to the save on clean shutdown, so a crash loses at most one interval of warm state (0 = shutdown-only)")
@@ -62,12 +62,11 @@ func main() {
 		deviceFlag = flag.String("device", "v100", "default device: v100, k80, 2080ti, 1080, 980ti, a100")
 		warmBatch  = flag.String("warm-batch", "1", "comma-separated batch sizes for -warm")
 		planBatch  = flag.String("plan-batches", "", "comma-separated batch sizes: build a batch-specialization plan for each -warm model on start (specialized schedule per batch + measured cross-batch penalty matrix), superseding the plain -warm-batch warm-up for those models; /optimize then serves planned batches from the plan and routes unplanned batches to the nearest specialized schedule (penalties in GET /stats, matrices in GET /plans)")
-		rFlag      = flag.Int("r", 3, "default pruning: max operators per group")
-		sFlag      = flag.Int("s", 8, "default pruning: max groups per stage")
-		strategy   = flag.String("strategy", "both", "default strategy set: both, parallel, merge")
-		autoBatch  = flag.Bool("auto-batch", false, "enable the traffic-adaptive auto-batching front end: POST /infer coalesces single-image requests into batches chosen from each plan's measured performance model under -slo (requires a registered plan: -plan-batches or -plan-dir)")
+		rFlag      = flag.Int("r", 3, "pruning of every search: max operators per group (-1 = unbounded)")
+		sFlag      = flag.Int("s", 8, "pruning of every search: max groups per stage (-1 = unbounded)")
+		strategy   = flag.String("strategy", "both", "strategy set of every search: both, parallel, merge")
+		autoBatch  = flag.Bool("auto-batch", false, "enable the traffic-adaptive auto-batching front end: POST /infer coalesces single-image requests into batches, up to each plan's largest planned batch, chosen from the plan's measured performance model under -slo (requires a registered plan: -plan-batches or -plan-dir)")
 		sloFlag    = flag.Duration("slo", 20*time.Millisecond, "per-request latency SLO for -auto-batch dispatch decisions; violations are counted in GET /stats, not masked")
-		maxBatch   = flag.Int("max-batch", 0, "cap on -auto-batch dispatch sizes (0 = each plan's largest planned batch)")
 		quietFlag  = flag.Bool("quiet", false, "suppress per-request logging")
 		clusterN   = flag.Int("cluster", 0, "run a simulated fleet of this many nodes in one process, on ports -port..-port+n-1 (-port 0: n ephemeral ports; 0 or 1 = a single node): each node is a full server with private caches, and every node holds every block schedule (a node loads a peer's whole block cache when it starts and pushes what it searches to every peer; stage measurements stay node-local); node 0 loads -plan-dir and runs -warm/-plan-batches, and the fleet distributes the results; the -block-cache file gets a per-node \".node<i>\" suffix")
 	)
@@ -92,7 +91,7 @@ func main() {
 	}
 	cfg.serve.Device, cfg.serve.Options = spec, opts
 	if *autoBatch {
-		cfg.serve.Batching = &serve.BatchingConfig{SLO: *sloFlag, MaxBatch: *maxBatch}
+		cfg.serve.Batching = &serve.BatchingConfig{SLO: *sloFlag}
 	}
 	if !*quietFlag {
 		cfg.serve.Logf = log.New(os.Stderr, "iosserve: ", log.LstdFlags).Printf

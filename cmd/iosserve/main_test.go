@@ -38,7 +38,6 @@ func testLifecycle(t *testing.T, n int) {
 	dir := t.TempDir()
 	cfg := config{
 		serve:       serve.Config{Device: gpusim.TeslaV100},
-		cacheSize:   serve.DefaultCacheSize,
 		blockFile:   filepath.Join(dir, "block.cache"),
 		planDir:     filepath.Join(dir, "plans"),
 		warm:        "squeezenet",

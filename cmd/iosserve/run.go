@@ -24,10 +24,9 @@ import (
 // config is what the flags resolve to: everything run needs to boot,
 // warm, serve and save its nodes.
 type config struct {
-	// serve is every node's server template; run gives each node its own
-	// caches of the sizes below.
-	serve                serve.Config
-	cacheSize, blockSize int
+	// serve is every node's server template; each node's server gets
+	// caches of its own at the package default sizes.
+	serve serve.Config
 	// blockFile persists each node's block cache ("" = none); in a fleet
 	// node i appends ".node<i>". planDir is node 0's.
 	blockFile, planDir string
@@ -184,11 +183,8 @@ func newNode(ctx context.Context, cfg config, members []cluster.Member, i int, l
 	if i == 0 {
 		nd.planDir = cfg.planDir
 	}
-	sc := cfg.serve
-	sc.Cache = serve.NewScheduleCache(cfg.cacheSize)
-	sc.BlockCache = blockcache.NewCacheSize(cfg.blockSize)
-	loadCache(sc.BlockCache, nd.who, nd.blockFile)
-	nd.srv = serve.NewServer(sc)
+	nd.srv = serve.NewServer(cfg.serve)
+	loadCache(nd.srv.BlockCache(), nd.who, nd.blockFile)
 	nd.srv.SetReady(false)
 	// Persisted plans register before warm-up, so a plain restart with
 	// -plan-dir serves planned batches as soon as it is ready.

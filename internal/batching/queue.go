@@ -11,6 +11,8 @@
 // only when the model says the bigger batch's amortized per-image
 // latency is strictly better AND the expected wait — derived from the
 // observed arrival rate — still meets the oldest queued request's SLO.
+// No dispatch exceeds the model's largest planned batch, past which the
+// model would extrapolate.
 //
 // The package splits into a deterministic core and an asynchronous
 // wrapper: Queue is a pure state machine over (arrivals, explicit
@@ -52,10 +54,6 @@ type Config struct {
 	// SLO when the device is backlogged — violations are counted, not
 	// masked.
 	SLO time.Duration
-	// MaxBatch caps dispatch sizes. 0 means the model's largest planned
-	// batch — beyond it the model is extrapolating and bigger dispatches
-	// are unquantified bets.
-	MaxBatch int
 }
 
 // rateAlpha is the EWMA weight of each new arrival-gap observation in
@@ -93,7 +91,7 @@ type Dispatch struct {
 type Queue struct {
 	model    Model
 	slo      time.Duration
-	maxBatch int
+	maxBatch int   // the dispatch cap: the largest planned batch, past which the model extrapolates
 	points   []int // ascending planned batch sizes
 
 	pending []Request
@@ -132,17 +130,10 @@ func NewQueue(cfg Config) (*Queue, error) {
 			return nil, fmt.Errorf("batching: model latency at batch %d is %v (must be positive)", b, lat)
 		}
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch == 0 {
-		maxBatch = points[len(points)-1]
-	}
-	if maxBatch < 1 {
-		return nil, fmt.Errorf("batching: MaxBatch %d invalid", cfg.MaxBatch)
-	}
 	return &Queue{
 		model:    cfg.Model,
 		slo:      cfg.SLO,
-		maxBatch: maxBatch,
+		maxBatch: points[len(points)-1],
 		points:   points,
 		hist:     make(map[int]int64),
 	}, nil
@@ -210,7 +201,7 @@ func (q *Queue) lat(batch int) float64 { return q.model.EstimateLatency(batch) }
 
 // frontSize returns how many images the next dispatch would carry:
 // requests are atomic, so it takes whole requests from the front while
-// staying within MaxBatch (always at least the first request).
+// staying within maxBatch (always at least the first request).
 func (q *Queue) frontSize() int {
 	size := 0
 	for i, r := range q.pending {
@@ -301,7 +292,7 @@ func (q *Queue) Decide(now time.Time, busyUntil time.Time) (d Dispatch, dispatch
 }
 
 // fitFront sizes a deadline-pressed dispatch: the largest whole-request
-// front prefix (within MaxBatch) whose model latency still lets the
+// front prefix (within maxBatch) whose model latency still lets the
 // oldest request meet its deadline when started now. When even the
 // first request alone is late, it falls back to the full front — the
 // oldest SLO is lost either way, so throughput wins.
@@ -325,7 +316,7 @@ func (q *Queue) fitFront(now time.Time, start func(time.Time) time.Time, deadlin
 }
 
 // Flush drains the whole queue into immediate dispatches of at most
-// MaxBatch images each (shutdown/drain path: SLO and throughput
+// the largest planned batch each (shutdown/drain path: SLO and throughput
 // considerations no longer apply, every queued request must go).
 func (q *Queue) Flush() []Dispatch {
 	var out []Dispatch

@@ -26,6 +26,14 @@ func testModel() fakeModel {
 	return fakeModel{batches: []int{1, 4, 16}, base: 1e-3, perImage: 1e-4}
 }
 
+// cappedModel is testModel planned only up to maxBatch, which is then
+// the queue's dispatch cap.
+func cappedModel(maxBatch int) fakeModel {
+	m := testModel()
+	m.batches = []int{1, maxBatch}
+	return m
+}
+
 func newTestQueue(t *testing.T, cfg Config) *Queue {
 	t.Helper()
 	if cfg.Model == nil {
@@ -67,7 +75,7 @@ func TestQueueValidation(t *testing.T) {
 	}
 	q := newTestQueue(t, Config{})
 	if q.maxBatch != 16 {
-		t.Errorf("default MaxBatch = %d, want largest planned 16", q.maxBatch)
+		t.Errorf("dispatch cap = %d, want largest planned 16", q.maxBatch)
 	}
 	if err := q.Add(t0, Request{ID: 1, Images: 0}); err == nil {
 		t.Error("Add accepted a zero-image request")
@@ -163,18 +171,19 @@ func TestDecideBusyDevice(t *testing.T) {
 	}
 }
 
-// TestDecideMaxBatchCap: targets beyond MaxBatch are never waited for.
+// TestDecideMaxBatchCap: no dispatch carries more than the largest
+// planned batch, past which the model extrapolates.
 func TestDecideMaxBatchCap(t *testing.T) {
-	q := newTestQueue(t, Config{SLO: 50 * time.Millisecond, MaxBatch: 4})
+	q := newTestQueue(t, Config{Model: cappedModel(4), SLO: 50 * time.Millisecond})
 	var now time.Time
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		now = at(time.Duration(i) * time.Millisecond)
 		addOne(t, q, uint64(i), now)
 	}
-	// 4 queued = MaxBatch: dispatch now even though batch 16 is planned.
+	// 5 queued, cap 4: dispatch the cap now; the fifth waits its turn.
 	d, ok, _ := q.Decide(now, time.Time{})
-	if !ok || d.Images != 4 {
-		t.Fatalf("Decide at MaxBatch = (%+v, %v), want dispatch of 4", d, ok)
+	if !ok || d.Images != 4 || q.Len() != 1 {
+		t.Fatalf("Decide past the cap = (%+v, %v) leaving %d, want dispatch of 4 leaving 1", d, ok, q.Len())
 	}
 }
 
@@ -238,13 +247,13 @@ func TestQueueRemove(t *testing.T) {
 }
 
 func TestQueueFlushAndHistogram(t *testing.T) {
-	q := newTestQueue(t, Config{MaxBatch: 4})
+	q := newTestQueue(t, Config{Model: cappedModel(4)})
 	for i := 0; i < 10; i++ {
 		addOne(t, q, uint64(i), at(time.Duration(i)*time.Millisecond))
 	}
 	ds := q.Flush()
 	if len(ds) != 3 {
-		t.Fatalf("Flush produced %d dispatches, want 3 (4+4+2 under MaxBatch 4)", len(ds))
+		t.Fatalf("Flush produced %d dispatches, want 3 (4+4+2 under cap 4)", len(ds))
 	}
 	if ds[0].Images != 4 || ds[1].Images != 4 || ds[2].Images != 2 {
 		t.Errorf("Flush sizes = %d,%d,%d, want 4,4,2", ds[0].Images, ds[1].Images, ds[2].Images)
@@ -264,9 +273,9 @@ func TestQueueFlushAndHistogram(t *testing.T) {
 }
 
 // TestQueueMultiImageRequests: requests are atomic — frontSize takes
-// whole requests up to MaxBatch but always at least one.
+// whole requests up to the cap but always at least one.
 func TestQueueMultiImageRequests(t *testing.T) {
-	q := newTestQueue(t, Config{MaxBatch: 8})
+	q := newTestQueue(t, Config{Model: cappedModel(8)})
 	if err := q.Add(at(0), Request{ID: 1, Images: 6, Arrived: at(0)}); err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +283,10 @@ func TestQueueMultiImageRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := q.frontSize(); got != 6 {
-		t.Errorf("frontSize = %d, want 6 (second request would exceed MaxBatch)", got)
+		t.Errorf("frontSize = %d, want 6 (second request would exceed the cap)", got)
 	}
 	// An oversized single request still dispatches alone.
-	q2 := newTestQueue(t, Config{MaxBatch: 4})
+	q2 := newTestQueue(t, Config{Model: cappedModel(4)})
 	if err := q2.Add(at(0), Request{ID: 1, Images: 10, Arrived: at(0)}); err != nil {
 		t.Fatal(err)
 	}

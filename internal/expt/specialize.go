@@ -61,23 +61,13 @@ func SpecializeRows(ctx context.Context, c Config, batches []int) ([]SpecializeR
 		if err != nil {
 			return nil, fmt.Errorf("expt: specialize %s: %w", names[k], err)
 		}
-		n := len(p.Points)
 		row := SpecializeRow{
 			Network:      names[k],
 			Ops:          len(p.Points[0].Graph.SchedulableNodes()),
 			Batches:      p.Batches(),
-			LatencyMS:    make([][]float64, n),
-			Penalty:      make([][]float64, n),
 			DiagonalWins: p.DiagonalWins() == nil,
 		}
-		for i := 0; i < n; i++ {
-			row.LatencyMS[i] = make([]float64, n)
-			row.Penalty[i] = make([]float64, n)
-			for j := 0; j < n; j++ {
-				row.LatencyMS[i][j] = 1e3 * p.Latency[i][j]
-				row.Penalty[i][j] = p.Penalty(i, j)
-			}
-		}
+		row.LatencyMS, row.Penalty = p.Matrices()
 		rows = append(rows, row)
 	}
 	return rows, nil

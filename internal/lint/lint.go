@@ -158,8 +158,8 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 
 	// Directive names are validated against the full suite, not the run
-	// subset: `-only determinism` must not misreport a wiretaint ignore
-	// as naming an unknown analyzer.
+	// subset: a run of determinism alone must not misreport a wiretaint
+	// ignore as naming an unknown analyzer.
 	ignores, bad := parseDirectives(pkg, byName(All()))
 	kept := diags[:0]
 	for _, d := range diags {

@@ -110,6 +110,22 @@ func (p *Plan) Penalty(i, j int) float64 {
 	return p.Latency[i][j] / p.Latency[j][j]
 }
 
+// Matrices returns the cross-batch matrices as reports show them: the
+// latency matrix in milliseconds and the penalty matrix, Penalty(i, j) at
+// [i][j].
+func (p *Plan) Matrices() (latencyMS, penalty [][]float64) {
+	n := len(p.Points)
+	latencyMS, penalty = make([][]float64, n), make([][]float64, n)
+	for i := range latencyMS {
+		latencyMS[i], penalty[i] = make([]float64, n), make([]float64, n)
+		for j := 0; j < n; j++ {
+			latencyMS[i][j] = 1e3 * p.Latency[i][j]
+			penalty[i][j] = p.Penalty(i, j)
+		}
+	}
+	return latencyMS, penalty
+}
+
 // EstimatePenalty estimates the penalty of serving batch with point i's
 // schedule. At a planned batch it equals Penalty(i, ·) exactly; between
 // planned batches both the point's latency row and the specialized

@@ -8,7 +8,9 @@
 // race for it, and a bounded memory of recipes after that. The layer is
 // context-aware end to end: requests carry their HTTP context (plus an
 // optional server-side deadline), and an in-flight optimization is
-// cancelled once every request coalesced onto it has gone away.
+// cancelled once every request coalesced onto it has gone away. What a
+// search may cost is the operator's choice: every search runs under
+// Config.Options, and a request names only its target and device.
 package serve
 
 import (

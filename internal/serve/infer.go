@@ -13,37 +13,30 @@ import (
 // This file is the serving tier's traffic-adaptive auto-batching front
 // end: POST /infer accepts single-image (or small-batch) inference
 // requests and coalesces them into batches before answering from the
-// matching registered batch-specialization plan. Dispatch sizes are
-// chosen by internal/batching from the plan's measured performance
-// model under the configured SLO — the server holds a request only when
-// the plan's own matrix says a bigger batch amortizes better AND the
-// observed arrival rate says the wait still meets the oldest request's
-// deadline. One Batcher exists per registered plan, created lazily on
-// the plan's first /infer request.
+// matching registered batch-specialization plan. Dispatch sizes, up to
+// the plan's largest planned batch, are chosen by internal/batching from
+// the plan's measured performance model under the configured SLO — the
+// server holds a request only when the plan's own matrix says a bigger
+// batch amortizes better AND the observed arrival rate says the wait
+// still meets the oldest request's deadline. One Batcher exists per
+// registered plan, created lazily on the plan's first /infer request.
 
-// BatchingConfig enables and tunes the auto-batching front end.
+// BatchingConfig enables the auto-batching front end and sets its SLO.
 type BatchingConfig struct {
 	// SLO is the per-request latency target the dispatch decisions
 	// respect (required, > 0). Violations are counted in /stats, not
 	// masked.
 	SLO time.Duration
-	// MaxBatch caps dispatch sizes; 0 means each plan's largest planned
-	// batch (beyond it the measured model extrapolates).
-	MaxBatch int
 }
 
 // InferRequest is the body of POST /infer. Model names a zoo network
 // with a registered batch-specialization plan; Images is the request's
 // own batch contribution (default 1 — a plain single-image request).
-// Device, Strategy, R and S select the plan the same way /optimize
-// resolves its key.
+// Device selects the plan the same way /optimize resolves its key.
 type InferRequest struct {
-	Model    string `json:"model"`
-	Images   int    `json:"images,omitempty"`
-	Device   string `json:"device,omitempty"`
-	Strategy string `json:"strategy,omitempty"`
-	R        int    `json:"r,omitempty"`
-	S        int    `json:"s,omitempty"`
+	Model  string `json:"model"`
+	Images int    `json:"images,omitempty"`
+	Device string `json:"device,omitempty"`
 }
 
 // InferResponse is the body of a successful POST /infer: how the
@@ -126,11 +119,7 @@ func (s *Server) submit(ctx context.Context, res *resolved) (batching.Result, er
 			s.recordRoute(e.route.Penalty, e.route.Exact)
 			return time.Duration(e.lat * float64(time.Second)), e.route, nil
 		}
-		b, err := batching.NewBatcher(batching.Config{
-			Model:    p,
-			SLO:      s.cfg.Batching.SLO,
-			MaxBatch: s.cfg.Batching.MaxBatch,
-		}, exec)
+		b, err := batching.NewBatcher(batching.Config{Model: p, SLO: s.cfg.Batching.SLO}, exec)
 		if err != nil {
 			s.planMu.Unlock()
 			return batching.Result{}, fmt.Errorf("serve: batcher for plan %s/%s/%s: %w", p.Model, p.Device, p.Opts, err)
@@ -149,7 +138,7 @@ func (s *Server) handleInfer(ctx context.Context, req *InferRequest) (answer, er
 	if req.Images == 0 {
 		req.Images = 1
 	}
-	res, err := s.resolve(req.Model, nil, req.Images, req.Device, req.Strategy, req.R, req.S)
+	res, err := s.resolve(req.Model, nil, req.Images, req.Device)
 	if err != nil {
 		return answer{}, badRequest(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"ios/internal/core"
 	"ios/internal/models"
 	"ios/internal/schedule"
 )
@@ -242,12 +243,25 @@ func TestPlanExactHitsExcludedFromPenaltySum(t *testing.T) {
 	}
 }
 
-// TestPlanDoesNotHijackOtherConfigs pins the routing key: a request whose
-// options fingerprint differs from the plan's must fall through to the
-// normal optimize path.
+// TestPlanDoesNotHijackOtherConfigs pins the routing key: a plan
+// registered under options other than the server's is listed by GET
+// /plans but never serves, so /optimize runs the normal search.
 func TestPlanDoesNotHijackOtherConfigs(t *testing.T) {
-	_, ts := newPlannedServer(t)
-	resp, body := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Model: "squeezenet", Batch: 4, R: 2})
+	other := NewServer(Config{Options: core.Options{Pruning: core.Pruning{R: 2}}})
+	if err := other.WarmPlans(context.Background(), []string{"squeezenet"}, planTestBatches); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t)
+	p := other.Plans()[0]
+	if err := s.RegisterPlan(p); err != nil {
+		t.Fatal(err)
+	}
+	var infos []PlanInfo
+	getJSON(t, ts.URL+"/plans", &infos)
+	if len(infos) != 1 || infos[0].Options != p.Opts {
+		t.Fatalf("GET /plans = %+v, want the one r=2 plan (%s)", infos, p.Opts)
+	}
+	resp, body := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Model: "squeezenet", Batch: 4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -255,12 +269,49 @@ func TestPlanDoesNotHijackOtherConfigs(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Plan != nil {
-		t.Fatalf("request with r=2 served from the r=3 plan (options %s)", out.Options)
+	if out.Plan != nil || out.Options == p.Opts {
+		t.Fatalf("the r=3 server served the r=2 plan (options %s)", out.Options)
 	}
 	if out.Search.States == 0 || out.Search.Measurements == 0 {
 		t.Errorf("fall-through request should have run a real search (states %d, measurements %d)",
 			out.Search.States, out.Search.Measurements)
+	}
+}
+
+// TestMeasureQuotesThePlannedSchedule: on a key with a registered plan,
+// /measure's ios answer is the schedule /optimize serves, at a planned
+// batch and at one routed to it, and it runs no search for it.
+func TestMeasureQuotesThePlannedSchedule(t *testing.T) {
+	_, ts := newPlannedServer(t)
+	var before StatsResponse
+	getJSON(t, ts.URL+"/stats", &before)
+	for _, batch := range []int{4, 8} {
+		resp, body := postJSON(t, ts.URL+"/measure", MeasureRequest{Model: "squeezenet", Batch: batch})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: /measure status %d: %s", batch, resp.StatusCode, body)
+		}
+		var m MeasureResponse
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		resp, body = postJSON(t, ts.URL+"/optimize", OptimizeRequest{Model: "squeezenet", Batch: batch})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: /optimize status %d: %s", batch, resp.StatusCode, body)
+		}
+		var o OptimizeResponse
+		if err := json.Unmarshal(body, &o); err != nil {
+			t.Fatal(err)
+		}
+		if m.Source != "ios" || m.LatencyMS != o.LatencyMS || m.Summary != o.Summary {
+			t.Errorf("batch %d: /measure quotes %.6f ms %+v, /optimize serves %.6f ms %+v",
+				batch, m.LatencyMS, m.Summary, o.LatencyMS, o.Summary)
+		}
+	}
+	var after StatsResponse
+	getJSON(t, ts.URL+"/stats", &after)
+	if after.Cache.Misses != before.Cache.Misses {
+		t.Errorf("/stats cache.misses moved %d -> %d, want no search (the plan answers every planned key)",
+			before.Cache.Misses, after.Cache.Misses)
 	}
 }
 

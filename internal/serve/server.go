@@ -67,8 +67,8 @@ type Config struct {
 	// Device is the default device for requests that do not name one.
 	// Zero value: the Tesla V100 (the paper's primary GPU).
 	Device gpusim.Spec
-	// Options is the default search configuration (zero value: IOS-Both,
-	// r=3, s=8).
+	// Options is the search configuration every request runs under (zero
+	// value: IOS-Both, r=3, s=8); requests carry no search options.
 	Options core.Options
 	// Cache holds optimized schedules; nil allocates a fresh
 	// NewScheduleCache(DefaultCacheSize). Sharing one cache between
@@ -126,7 +126,7 @@ type Server struct {
 	blocks  *blockcache.Cache
 	mux     *http.ServeMux
 	start   time.Time
-	optsFP  string // cfg.Options' fingerprint: what a request overriding no search option resolves to
+	optsFP  string // cfg.Options' fingerprint: the Opts of every request's key
 
 	// requests counts each route's requests under its /stats name, plus
 	// "cancelled"; NewServer fills it and nothing adds a key after.
@@ -179,11 +179,13 @@ type registered struct {
 // planServed is the answer for one (plan, requested batch), a pure function
 // of the two, so it is computed once and written to every later request:
 // the rendered 200 body, the schedule latency at the requested batch in
-// seconds, and the routing. It keeps no schedule and no graph.
+// seconds with the summary /measure quotes, and the routing. It keeps no
+// schedule and no graph.
 type planServed struct {
-	body  []byte
-	lat   float64
-	route PlanRoute
+	body    []byte
+	lat     float64
+	summary schedule.Summary
+	route   PlanRoute
 }
 
 // planMemoCap bounds each plan's answers: requests choose the batch, so an
@@ -374,16 +376,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Graph must be set: Model names a zoo network (see GET /models for the
 // accepted names) built at Batch, while Graph carries a full computation
 // graph in the internal/graph JSON schema (whose input shapes fix the
-// batch). Device, Strategy, R and S override the server defaults; R or S
-// of -1 means unbounded (exhaustive in that dimension).
+// batch). Device overrides the server default; the search runs under the
+// server's Config.Options.
 type OptimizeRequest struct {
-	Model    string          `json:"model,omitempty"`
-	Graph    json.RawMessage `json:"graph,omitempty"`
-	Batch    int             `json:"batch,omitempty"`
-	Device   string          `json:"device,omitempty"`
-	Strategy string          `json:"strategy,omitempty"`
-	R        int             `json:"r,omitempty"`
-	S        int             `json:"s,omitempty"`
+	Model  string          `json:"model,omitempty"`
+	Graph  json.RawMessage `json:"graph,omitempty"`
+	Batch  int             `json:"batch,omitempty"`
+	Device string          `json:"device,omitempty"`
 }
 
 // SearchInfo reports the search cost of the optimization that produced a
@@ -523,7 +522,6 @@ type PlanInfo struct {
 type resolved struct {
 	key   Key
 	spec  gpusim.Spec
-	opts  core.Options
 	batch int
 	// What the graph is made from when the schedule cache does not hold it
 	// (see Server.graph): a zoo builder, or a submission's bytes together
@@ -546,9 +544,9 @@ type submission struct {
 // submission is merely parsed again when next sent.
 const submissionCap = 4096
 
-// resolve validates the model/graph/device/options fields shared by
-// /optimize and /measure and produces the cache key.
-func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, device, strategy string, r, sBound int) (*resolved, error) {
+// resolve validates the model/graph/device fields shared by /optimize,
+// /measure and /infer and produces the cache key, under the server's options.
+func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, device string) (*resolved, error) {
 	if (model == "") == (len(rawGraph) == 0) {
 		return nil, fmt.Errorf("pass exactly one of \"model\" and \"graph\"")
 	}
@@ -559,32 +557,8 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 			return nil, fmt.Errorf("unknown device %q", device)
 		}
 	}
-	// Overrides apply to the canonicalized defaults, so a request
-	// overriding only R keeps the default S (rather than silently
-	// unbounding it).
-	opts, optsFP := s.cfg.Options, s.optsFP
-	if strategy != "" {
-		set, err := core.ParseStrategySet(strategy)
-		if err != nil {
-			return nil, err
-		}
-		opts.Strategies = set
-	}
-	if r != 0 {
-		opts.Pruning.R = r
-	}
-	if sBound != 0 {
-		opts.Pruning.S = sBound
-	}
-	if strategy != "" || r != 0 || sBound != 0 {
-		opts = opts.Canonical()
-		optsFP = opts.Fingerprint()
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 
-	res := &resolved{spec: spec, opts: opts}
+	res := &resolved{spec: spec}
 	if model != "" {
 		entry, ok := models.EntryByName(model)
 		if !ok {
@@ -597,7 +571,7 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 			return nil, fmt.Errorf("batch must be >= 1, got %d", batch)
 		}
 		res.batch = batch
-		res.key = Key{Model: entry.Name, Batch: batch, Device: spec.Name, Opts: optsFP}
+		res.key = Key{Model: entry.Name, Batch: batch, Device: spec.Name, Opts: s.optsFP}
 		res.zoo = entry.Build
 		return res, nil
 	}
@@ -617,7 +591,7 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 		}
 		// Surface block-partition errors here, where they map to a 400: past
 		// this point optimizer failures are reported as server errors.
-		if _, err := g.Partition(opts.MaxBlockOps); err != nil {
+		if _, err := g.Partition(s.cfg.Options.MaxBlockOps); err != nil {
 			return nil, err
 		}
 		fp, err := g.Fingerprint()
@@ -639,7 +613,7 @@ func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, devi
 	if batch != 0 && batch != res.batch {
 		return nil, fmt.Errorf("batch %d conflicts with the submitted graph's input batch %d (the graph's shapes win; omit \"batch\")", batch, res.batch)
 	}
-	res.key = Key{Model: "graph:" + sub.fp, Batch: res.batch, Device: spec.Name, Opts: optsFP}
+	res.key = Key{Model: "graph:" + sub.fp, Batch: res.batch, Device: spec.Name, Opts: s.optsFP}
 	return res, nil
 }
 
@@ -671,7 +645,7 @@ func (s *Server) entry(ctx context.Context, res *resolved) (*Entry, bool, error)
 			return nil, err
 		}
 		prof := s.newProfiler(res.spec)
-		out, err := core.OptimizeContext(ctx, g, prof, res.opts.WithBlockCache(s.blocks))
+		out, err := core.OptimizeContext(ctx, g, prof, s.cfg.Options.WithBlockCache(s.blocks))
 		if err != nil {
 			return nil, err
 		}
@@ -718,7 +692,7 @@ func (s *Server) Warm(ctx context.Context, names []string, batches []int) error 
 	}
 	for _, name := range names {
 		for _, b := range batches {
-			res, err := s.resolve(name, nil, b, "", "", 0, 0)
+			res, err := s.resolve(name, nil, b, "")
 			if err != nil {
 				return fmt.Errorf("serve: warm %s: %w", name, err)
 			}
@@ -748,7 +722,6 @@ func (s *Server) WarmPlans(ctx context.Context, names []string, batches []int) e
 	if len(batches) == 0 {
 		return fmt.Errorf("serve: WarmPlans needs at least one batch size")
 	}
-	opts := s.cfg.Options.Canonical()
 	for _, name := range names {
 		entry, ok := models.EntryByName(name)
 		if !ok {
@@ -758,7 +731,7 @@ func (s *Server) WarmPlans(ctx context.Context, names []string, batches []int) e
 			Graph:       entry.Build(1),
 			Batches:     batches,
 			Device:      s.cfg.Device.Name,
-			Opts:        opts.WithBlockCache(s.blocks),
+			Opts:        s.cfg.Options.WithBlockCache(s.blocks),
 			NewProfiler: func() *profile.Profiler { return s.newProfiler(s.cfg.Device) },
 		})
 		if err != nil {
@@ -778,7 +751,7 @@ func (s *Server) WarmPlans(ctx context.Context, names []string, batches []int) e
 // handlers --------------------------------------------------------------
 
 func (s *Server) handleOptimize(ctx context.Context, req *OptimizeRequest) (answer, error) {
-	res, err := s.resolve(req.Model, req.Graph, req.Batch, req.Device, req.Strategy, req.R, req.S)
+	res, err := s.resolve(req.Model, req.Graph, req.Batch, req.Device)
 	if err != nil {
 		return answer{}, badRequest(err)
 	}
@@ -880,7 +853,7 @@ func (s *Server) plannedEntry(spec gpusim.Spec, rec *registered, batch int) (*pl
 	if err != nil {
 		return nil, err
 	}
-	e = &planServed{body: body, lat: lat, route: route}
+	e = &planServed{body: body, lat: lat, summary: resp.Summary, route: route}
 	s.planMu.Lock()
 	if _, resident := rec.answers[batch]; !resident && len(rec.answers) >= planMemoCap {
 		for victim := range rec.answers {
@@ -900,10 +873,11 @@ type measured struct {
 }
 
 // handleMeasure answers the schedule bytes /optimize returned from the key's
-// completed entry (Peek moves no LRU order and no counter), measures each
-// baseline once per entry, and parses or builds and measures anything else.
+// completed entry (Peek moves no LRU order and no counter), answers ios on a
+// planned key from the plan, as /optimize does, measures each baseline once
+// per entry, and parses or builds and measures anything else.
 func (s *Server) handleMeasure(ctx context.Context, req *MeasureRequest) (answer, error) {
-	res, err := s.resolve(req.Model, req.Graph, req.Batch, req.Device, "", 0, 0)
+	res, err := s.resolve(req.Model, req.Graph, req.Batch, req.Device)
 	if err != nil {
 		return answer{}, badRequest(err)
 	}
@@ -943,6 +917,15 @@ func (s *Server) handleMeasure(ctx context.Context, req *MeasureRequest) (answer
 			return answer{}, badRequest(err)
 		}
 	case req.Baseline == "" || req.Baseline == "ios":
+		source = "ios"
+		if rec := s.planFor(res.key); rec != nil {
+			pe, err := s.plannedEntry(res.spec, rec, res.batch)
+			if err != nil {
+				return answer{}, err
+			}
+			m, cached = &measured{pe.lat, pe.summary}, true
+			break
+		}
 		if e, cached, err = s.entry(ctx, res); err != nil {
 			return answer{}, err
 		}
@@ -952,7 +935,7 @@ func (s *Server) handleMeasure(ctx context.Context, req *MeasureRequest) (answer
 		if err != nil {
 			return answer{}, err
 		}
-		source, m = "ios", &measured{e.Latency, a.summary}
+		m = &measured{e.Latency, a.summary}
 	case req.Baseline == "sequential" || req.Baseline == "greedy":
 		build := baseline.Sequential
 		if req.Baseline == "greedy" {
@@ -1054,23 +1037,8 @@ func (s *Server) handlePlans(*http.Request) (answer, error) {
 	plans := s.Plans()
 	infos := make([]PlanInfo, 0, len(plans))
 	for _, p := range plans {
-		n := len(p.Points)
-		info := PlanInfo{
-			Model:     p.Model,
-			Device:    p.Device,
-			Options:   p.Opts,
-			Batches:   p.Batches(),
-			LatencyMS: make([][]float64, n),
-			Penalty:   make([][]float64, n),
-		}
-		for i := 0; i < n; i++ {
-			info.LatencyMS[i] = make([]float64, n)
-			info.Penalty[i] = make([]float64, n)
-			for j := 0; j < n; j++ {
-				info.LatencyMS[i][j] = 1e3 * p.Latency[i][j]
-				info.Penalty[i][j] = p.Penalty(i, j)
-			}
-		}
+		info := PlanInfo{Model: p.Model, Device: p.Device, Options: p.Opts, Batches: p.Batches()}
+		info.LatencyMS, info.Penalty = p.Matrices()
 		infos = append(infos, info)
 	}
 	return answer{v: infos}, nil

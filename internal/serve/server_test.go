@@ -312,7 +312,6 @@ func TestRequestValidation(t *testing.T) {
 		{"both model and graph", OptimizeRequest{Model: "fig2", Graph: raw}},
 		{"unknown model", OptimizeRequest{Model: "alexnet"}},
 		{"unknown device", OptimizeRequest{Model: "fig2", Device: "tpu"}},
-		{"unknown strategy", OptimizeRequest{Model: "fig2", Strategy: "quantum"}},
 		{"negative batch", OptimizeRequest{Model: "fig2", Batch: -3}},
 		{"batch conflicts with graph", OptimizeRequest{Graph: raw, Batch: 7}},
 		{"malformed graph", OptimizeRequest{Graph: json.RawMessage(`{"nodes": [{"name": "x", "op": "conv"}]}`)}},
@@ -437,13 +436,14 @@ func TestErrorContract(t *testing.T) {
 	}
 }
 
-// TestOptimizeUnboundedPruningIsHonored is a regression test: an explicit
-// r=-1,s=-1 request must run the genuinely exhaustive search (and be
-// cached under the "none" fingerprint), not silently fall back to the
+// TestOptimizeUnboundedPruningIsHonored is a regression test: a server
+// configured with r=-1,s=-1 must run the genuinely exhaustive search (and
+// cache it under the "none" fingerprint), not silently fall back to the
 // default r=3,s=8 pruning via double default-filling.
 func TestOptimizeUnboundedPruningIsHonored(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Model: "fig2", R: -1, S: -1})
+	ts := httptest.NewServer(NewServer(Config{Options: core.Unpruned}))
+	t.Cleanup(ts.Close)
+	resp, body := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Model: "fig2"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -471,7 +471,34 @@ func TestOptimizeUnboundedPruningIsHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Search.Transitions == pruned.Stats.Transitions {
-		t.Fatalf("unpruned request examined the same %d transitions as the pruned search — pruning was silently applied", pruned.Stats.Transitions)
+		t.Fatalf("unpruned server examined the same %d transitions as the pruned search — pruning was silently applied", pruned.Stats.Transitions)
+	}
+}
+
+// TestSearchOptionsInABodyAreIgnored: requests carry no search options, so
+// a body that still names a strategy and unbounded pruning is answered
+// byte for byte as the same body without them, under the server's options.
+func TestSearchOptionsInABodyAreIgnored(t *testing.T) {
+	s := NewServer(Config{})
+	if _, _, err := optimizeOK(s, []byte(`{"model":"fig2"}`)); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := optimizeOK(s, []byte(`{"model":"fig2"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, got, err := optimizeOK(s, []byte(`{"model":"fig2","strategy":"merge","r":-1,"s":-1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("answer with search options in the body:\n%s\nwant the plain body's:\n%s", got, want)
+	}
+	if out.Options != s.cfg.Options.Fingerprint() {
+		t.Errorf("options = %q, want the server's %q", out.Options, s.cfg.Options.Fingerprint())
+	}
+	if st := s.Cache().Stats(); st.Misses != 1 {
+		t.Errorf("schedule-cache misses = %d, want 1 (one key, one search)", st.Misses)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestSubmissionTableStaysWithinCap(t *testing.T) {
 	for i := 0; i <= submissionCap; i++ {
 		g := models.Figure2Block(1)
 		g.Name = fmt.Sprintf("fig2-%d", i)
-		if _, err := s.resolve("", graphJSON(t, g), 0, "", "", 0, 0); err != nil {
+		if _, err := s.resolve("", graphJSON(t, g), 0, ""); err != nil {
 			t.Fatalf("submission %d: %v", i, err)
 		}
 	}
