@@ -30,9 +30,11 @@ package core
 //     summed by the enumerator as it merges components, or a merge
 //     roofline — already cannot beat the state's best candidate (see
 //     visit). Stage latencies of the endings that remain are memoized in a
-//     sharded, per-ending singleflight table of 16-byte pointer-free inline
-//     slots (ending, latency word — published with one store), so each is
-//     measured at most once regardless of which workers race to it, from
+//     sharded, per-ending singleflight table laid out like internal/sfcache's:
+//     16-byte pointer-free slots (ending, latency word — published with one
+//     store) written once into chunks that are never copied, named by an
+//     index of 32-bit tagged refs that growth alone rebuilds. So each ending
+//     is measured at most once regardless of which workers race to it, from
 //     the enumerator's own incrementally tracked component list.
 //
 // Memo, state tables and workers belong to whoever searches blocks, not to the
@@ -70,18 +72,19 @@ import (
 // at its worker count (one for a serial engine: a small block clears one).
 const stageShardCount = 64
 
-// stageSlot memoizes GENERATESTAGE for one ending within a block, inline
-// in its shard's open-addressing table, as two words: the ending is the
-// key (0 marks a free slot — endings are non-empty) and val the measured
-// latency's bits. A latency is ≥ 0 and finite (engineWorker.measure makes
-// anything else an error), which leaves the sign bit to say the stage runs
-// merged and the non-finite patterns to say there is no latency. A worker
-// claims a slot by storing stageInFlight, then key, under the shard lock
-// and publishes with one store of val, so the lock-free fast path holds a
-// complete record whenever it reads anything else. No pointers: the
-// collector never scans the memo, and four slots share a cache line.
+// stageSlot memoizes GENERATESTAGE for one ending within a block, as two
+// words: the ending is the key and val the measured latency's bits. A
+// latency is ≥ 0 and finite (engineWorker.measure makes anything else an
+// error), which leaves the sign bit to say the stage runs merged and the
+// non-finite patterns to say there is no latency. A worker claims an ending
+// under the shard lock by writing a slot — key, then stageInFlight — into
+// the shard's chunks before the index word naming it, and publishes with
+// one store of val, so the lock-free fast path holds a complete record
+// whenever it reads anything else. A slot is written once a block and never
+// moves. No pointers: the collector never scans the memo, and four slots
+// share a cache line.
 type stageSlot struct {
-	key atomic.Uint64
+	key uint64
 	val atomic.Uint64
 }
 
@@ -108,71 +111,142 @@ func stageLatency(v uint64) (lat float64, merge, ok bool) {
 	return math.Float64frombits(bits), v != bits, bits < stageInfeasible
 }
 
-// stageTable is one immutable-size generation of a shard's table; growth
-// builds the next generation and publishes it whole.
-type stageTable struct {
-	slots []stageSlot
-	shift uint8 // 64 - log2(len(slots))
+// The geometry of a shard's memo, internal/sfcache's flat-table layout.
+const (
+	// A shard's chunks hold 16 slots, doubling to 4,096.
+	stageChunkMinBits = 4
+	stageChunkBits    = 12
+	// An index word is an 8-bit tag of the ending's hash above a 24-bit
+	// ref: 0 is a free slot, anything else names the slot at chunk
+	// (ref-1)>>stageChunkBits, position (ref-1)&(1<<stageChunkBits-1).
+	stageRefBits = 24
+	// stageIndexMin is a shard's first index; an index is at most half full.
+	stageIndexMin = 32
+)
+
+// stageChunkLen is the slot count of a shard's chunk c.
+func stageChunkLen(c int) int {
+	if c < stageChunkBits-stageChunkMinBits {
+		return 1 << (stageChunkMinBits + c)
+	}
+	return 1 << stageChunkBits
 }
 
-func newStageTable(log2 uint8) *stageTable {
-	return &stageTable{slots: make([]stageSlot, 1<<log2), shift: 64 - log2}
+// stageView is one generation of a shard's index over its chunks: growth
+// publishes a view with an index twice as large, re-indexing the same
+// slots, so a slot keeps its address for the life of the scratch. chunks
+// has room for every slot the index can take; a new chunk is stored into
+// its next element, the one view that is current, before any word naming
+// a slot in it — so a reader holding an older view never meets a word
+// naming a chunk its list lacks.
+type stageView struct {
+	index  []atomic.Uint32
+	shift  uint8 // 64 - log2(len(index))
+	chunks [][]stageSlot
 }
 
-// probe returns the slot holding k (true), or the free slot where k
-// belongs (false). h is hashKey(k).
-func (t *stageTable) probe(k, h uint64) (*stageSlot, bool) {
-	mask := len(t.slots) - 1
-	for i := int(h >> t.shift); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		switch s.key.Load() {
-		case k:
-			return s, true
-		case 0:
-			return s, false
+func newStageView(words int) *stageView {
+	chunks := 0
+	for held := 0; held < words/2; chunks++ {
+		held += stageChunkLen(chunks)
+	}
+	if chunks >= 1<<(stageRefBits-stageChunkBits) {
+		panic(fmt.Sprintf("core: a stage memo shard of over %d endings outgrows its 24-bit refs", words/4))
+	}
+	return &stageView{
+		index:  make([]atomic.Uint32, words),
+		shift:  uint8(64 - bits.TrailingZeros(uint(words))),
+		chunks: make([][]stageSlot, chunks),
+	}
+}
+
+// find returns k's slot, or nil when the view does not hold it. h is
+// hashKey(k). Takes no lock.
+func (t *stageView) find(k, h uint64) *stageSlot {
+	mask := uint64(len(t.index) - 1)
+	tag := uint32(h>>24) & 0xFF
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		w := t.index[i].Load()
+		if w == 0 {
+			return nil
+		}
+		if w>>stageRefBits == tag {
+			r := w&(1<<stageRefBits-1) - 1
+			if s := &t.chunks[r>>stageChunkBits][r&(1<<stageChunkBits-1)]; s.key == k {
+				return s
+			}
 		}
 	}
+}
+
+// place stores the word naming slot j of chunk c, whose ending hashes to h,
+// in the first free index slot of its probe sequence.
+func (t *stageView) place(h uint64, c, j int) {
+	mask := uint64(len(t.index) - 1)
+	i := h >> t.shift
+	for t.index[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	t.index[i].Store(uint32(h>>24)<<stageRefBits | uint32(c<<stageChunkBits|j) + 1)
 }
 
 // stageShard is one shard of the per-ending stage memo. Lookups of
-// published slots take no lock: they probe whichever table generation tab
-// holds, and anything they cannot settle there (a free or in-flight slot,
-// possibly stale after a growth) falls through to the locked slow path.
-// All writes — claims, publications, growth — happen under mu on the
-// current generation; wake is broadcast after every publication. A shard
-// outlives the block: scratch.acquire empties it for the next one.
+// published slots take no lock: they probe whichever view tab holds, and
+// anything they cannot settle there (an absent or in-flight ending, absent
+// perhaps only from a view a growth has replaced) falls through to the
+// locked slow path. All writes — claims, publications, growth — happen
+// under mu; wake is broadcast after every publication. A shard outlives
+// the block: scratch.acquire empties its index and keeps its chunks for
+// the next one.
 type stageShard struct {
 	mu   sync.Mutex
 	wake sync.Cond
-	tab  atomic.Pointer[stageTable]
-	used int
+	tab  atomic.Pointer[stageView]
+	// Slots in use, chunks in use and slots in use of the last.
+	used, chunk, fill int
 }
 
-// claim returns k's slot in the current generation, inserting it (in
-// flight) when absent. Caller holds sh.mu.
+// claim returns k's slot, inserting it (in flight) when absent. Caller
+// holds sh.mu.
 func (sh *stageShard) claim(k, h uint64) (s *stageSlot, inserted bool) {
 	t := sh.tab.Load()
-	s, found := t.probe(k, h)
-	if found {
+	if s := t.find(k, h); s != nil {
 		return s, false
 	}
-	if 2*(sh.used+1) > len(t.slots) {
-		next := newStageTable(64 - t.shift + 1)
-		for i := range t.slots {
-			old := &t.slots[i]
-			if key := old.key.Load(); key != 0 {
-				n, _ := next.probe(key, hashKey(key))
-				n.val.Store(old.val.Load())
-				n.key.Store(key)
-			}
-		}
-		sh.tab.Store(next)
-		s, _ = next.probe(k, h)
+	if 2*(sh.used+1) > len(t.index) {
+		t = sh.grow(t)
 	}
+	if sh.chunk == 0 || sh.fill == len(t.chunks[sh.chunk-1]) {
+		if t.chunks[sh.chunk] == nil { // kept from an earlier block otherwise
+			t.chunks[sh.chunk] = make([]stageSlot, stageChunkLen(sh.chunk))
+		}
+		sh.chunk, sh.fill = sh.chunk+1, 0
+	}
+	s = &t.chunks[sh.chunk-1][sh.fill]
+	s.key = k
 	s.val.Store(stageInFlight)
-	s.key.Store(k)
+	t.place(h, sh.chunk-1, sh.fill)
+	sh.fill++
 	sh.used++
 	return s, true
+}
+
+// grow publishes the shard's next view: an index twice as large over the
+// same chunks, every slot in use re-indexed. Caller holds sh.mu.
+func (sh *stageShard) grow(old *stageView) *stageView {
+	t := newStageView(2 * len(old.index))
+	copy(t.chunks, old.chunks)
+	for c := 0; c < sh.chunk; c++ {
+		n := len(t.chunks[c])
+		if c == sh.chunk-1 {
+			n = sh.fill
+		}
+		for j := 0; j < n; j++ {
+			t.place(hashKey(t.chunks[c][j].key), c, j)
+		}
+	}
+	sh.tab.Store(t)
+	return t
 }
 
 // setTable is an open-addressing hash table from bitmask to int32, the
@@ -256,8 +330,9 @@ func (t *setTable) grow() {
 // There is one memo per shard count in use (serial: one shard; parallel:
 // 4 × workers), so a small serial block never clears the tables a large
 // parallel one grew. What a block does clear is cheap beside the search
-// that dirtied it: 16 bytes per slot at memclr speed, at most four slots
-// per ending, each of which cost at least a stage measurement — under 1 %.
+// that dirtied it: a memo shard's index, 4 bytes per word at memclr speed
+// and at most four words per ending, each of which cost at least a stage
+// measurement — under 1 % — while its chunks are only overwritten.
 type scratch struct {
 	memos  [7][]stageShard // by log2(shard count); stageShardCount = 1 << 6
 	shards []stageShard    // the memo in use
@@ -280,7 +355,7 @@ type scratch struct {
 
 // acquire empties the scratch for a block of n operators and a memo of the
 // given power-of-two shard count. No search is using it, so the plain clear
-// of atomic slots is ordered before every later access.
+// of atomic index words is ordered before every later access.
 func (sc *scratch) acquire(n, shards int) {
 	memo := &sc.memos[bits.TrailingZeros(uint(shards))]
 	if *memo == nil {
@@ -291,10 +366,10 @@ func (sc *scratch) acquire(n, shards int) {
 		sh := &sc.shards[i]
 		if sh.wake.L == nil {
 			sh.wake.L = &sh.mu
-			sh.tab.Store(newStageTable(4))
+			sh.tab.Store(newStageView(stageIndexMin))
 		}
-		clear(sh.tab.Load().slots)
-		sh.used = 0
+		clear(sh.tab.Load().index)
+		sh.used, sh.chunk, sh.fill = 0, 0, 0
 	}
 	if sc.index.slots == nil {
 		sc.index.slots, sc.index.shift = make([]setSlot, 128), 64-7
@@ -709,22 +784,22 @@ func (e *engine) stage(w *engineWorker, ending bitset.Set, comps []bitset.Set) u
 	k := uint64(ending)
 	h := hashKey(k)
 	sh := &e.shards[h&uint64(len(e.shards)-1)]
-	if s, found := sh.tab.Load().probe(k, h); found {
+	if s := sh.tab.Load().find(k, h); s != nil {
 		if v := s.val.Load(); v != stageInFlight {
 			return v
 		}
 	}
 
-	// Slow path: claim the ending or wait for its claimant. The shard lock
-	// is dropped while measuring, so the slot is found again afterwards —
-	// the table may have grown a generation in between.
+	// Slow path: claim the ending or wait for its claimant. The slot never
+	// moves, so the one claim found is the one published, whatever the index
+	// did while the lock was dropped; publishing under the lock keeps a
+	// waiter from missing the broadcast.
 	sh.mu.Lock()
 	s, inserted := sh.claim(k, h)
 	if inserted {
 		sh.mu.Unlock()
 		v := e.measureStage(w, ending, comps)
 		sh.mu.Lock()
-		s, _ = sh.tab.Load().probe(k, h)
 		s.val.Store(v)
 		sh.mu.Unlock()
 		sh.wake.Broadcast()
@@ -732,7 +807,6 @@ func (e *engine) stage(w *engineWorker, ending bitset.Set, comps []bitset.Set) u
 	}
 	for s.val.Load() == stageInFlight {
 		sh.wake.Wait()
-		s, _ = sh.tab.Load().probe(k, h)
 	}
 	v := s.val.Load()
 	sh.mu.Unlock()

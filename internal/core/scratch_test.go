@@ -54,12 +54,15 @@ func TestStageWordIsTotal(t *testing.T) {
 
 // TestClaimedSlotReadsInFlight: 0 is a latency, so a claimed slot must say
 // it is in flight by itself — through growth too — until its claimant
-// publishes, and acquiring the scratch again forgets everything but the size.
+// publishes; a slot keeps its address while the index grows, which is why
+// a claimant publishes without looking its ending up again; and acquiring
+// the scratch again forgets everything but the size.
 func TestClaimedSlotReadsInFlight(t *testing.T) {
 	sc := new(scratch)
 	sc.acquire(1, 1)
 	sh := &sc.shards[0]
 	const n = 1000
+	slots := make([]*stageSlot, n+1)
 	for k := uint64(1); k <= n; k++ {
 		sh.mu.Lock()
 		s, inserted := sh.claim(k, hashKey(k))
@@ -70,16 +73,23 @@ func TestClaimedSlotReadsInFlight(t *testing.T) {
 		if k%2 == 0 {
 			s.val.Store(stageWord(float64(k), k%4 == 0))
 		}
+		slots[k] = s
 	}
 	tab := sh.tab.Load()
+	if len(tab.index) <= stageIndexMin {
+		t.Fatalf("%d endings left the index at %d words: the test no longer grows it", n, len(tab.index))
+	}
 	for k := uint64(1); k <= n; k++ {
-		s, found := tab.probe(k, hashKey(k))
+		s := tab.find(k, hashKey(k))
 		want := stageInFlight
 		if k%2 == 0 {
 			want = stageWord(float64(k), k%4 == 0)
 		}
-		if !found || s.val.Load() != want {
-			t.Fatalf("ending %d after growth: found %v, reads %#x, want %#x", k, found, s.val.Load(), want)
+		if s != slots[k] {
+			t.Fatalf("ending %d moved from %p to %p while the index grew", k, slots[k], s)
+		}
+		if s.val.Load() != want {
+			t.Fatalf("ending %d after growth reads %#x, want %#x", k, s.val.Load(), want)
 		}
 	}
 	sc.acquire(1, 1)
@@ -87,9 +97,17 @@ func TestClaimedSlotReadsInFlight(t *testing.T) {
 		t.Fatalf("acquired again: used %d, table replaced %v", sh.used, sh.tab.Load() != tab)
 	}
 	for k := uint64(1); k <= n; k++ {
-		if _, found := tab.probe(k, hashKey(k)); found {
+		if s := tab.find(k, hashKey(k)); s != nil {
 			t.Fatalf("ending %d survived the acquisition", k)
 		}
+	}
+	// The next block reuses the chunks in place: its first ending takes the
+	// first slot again.
+	sh.mu.Lock()
+	s, _ := sh.claim(n+1, hashKey(n+1))
+	sh.mu.Unlock()
+	if s != slots[1] {
+		t.Fatalf("the first ending after the acquisition took %p, want the first slot %p", s, slots[1])
 	}
 }
 

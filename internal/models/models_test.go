@@ -278,3 +278,21 @@ func TestRegistryResolvesEveryEntryAndAlias(t *testing.T) {
 		t.Error("ZooNames length mismatch")
 	}
 }
+
+// TestEntryByNameAllocatesNothing: every by-name request resolves its model
+// here, so a lower-case name resolves without rebuilding the zoo table or
+// lower-casing its display names, and Zoo hands out a slice of its own.
+func TestEntryByNameAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := EntryByName(" nasnet-a "); !ok {
+			t.Fatal("nasnet-a does not resolve")
+		}
+	}); allocs != 0 {
+		t.Errorf("EntryByName allocates %.0f times a call, want 0", allocs)
+	}
+	z := Zoo()
+	z[0].Name = "changed"
+	if Zoo()[0].Name != "inception" {
+		t.Error("a caller's edit of Zoo's slice reached the registry")
+	}
+}

@@ -19,22 +19,36 @@ type ZooEntry struct {
 }
 
 // Zoo lists every network reachable by name, the paper's four benchmarks
-// first, in a stable order.
-func Zoo() []ZooEntry {
-	return []ZooEntry{
-		{Name: "inception", Display: "Inception V3", Aliases: []string{"inception_v3", "inceptionv3"}, Build: InceptionV3},
-		{Name: "randwire", Display: "RandWire", Build: RandWire},
-		{Name: "nasnet", Display: "NasNet", Aliases: []string{"nasneta", "nasnet-a"}, Build: NasNetA},
-		{Name: "squeezenet", Display: "SqueezeNet", Build: SqueezeNet},
-		{Name: "resnet34", Display: "ResNet-34", Build: ResNet34},
-		{Name: "resnet50", Display: "ResNet-50", Build: ResNet50},
-		{Name: "vgg16", Display: "VGG-16", Build: VGG16},
-		{Name: "mobilenetv2", Display: "MobileNetV2", Aliases: []string{"mobilenet"}, Build: MobileNetV2},
-		{Name: "shufflenet", Display: "ShuffleNet", Build: ShuffleNet},
-		{Name: "inception-e", Display: "Inception E block", Aliases: []string{"inceptione"}, Build: InceptionE},
-		{Name: "fig2", Display: "Figure-2 block", Aliases: []string{"figure2"}, Build: Figure2Block},
-	}
+// first, in a stable order. The slice is the caller's.
+func Zoo() []ZooEntry { return append([]ZooEntry(nil), zoo...) }
+
+var zoo = []ZooEntry{
+	{Name: "inception", Display: "Inception V3", Aliases: []string{"inception_v3", "inceptionv3"}, Build: InceptionV3},
+	{Name: "randwire", Display: "RandWire", Build: RandWire},
+	{Name: "nasnet", Display: "NasNet", Aliases: []string{"nasneta", "nasnet-a"}, Build: NasNetA},
+	{Name: "squeezenet", Display: "SqueezeNet", Build: SqueezeNet},
+	{Name: "resnet34", Display: "ResNet-34", Build: ResNet34},
+	{Name: "resnet50", Display: "ResNet-50", Build: ResNet50},
+	{Name: "vgg16", Display: "VGG-16", Build: VGG16},
+	{Name: "mobilenetv2", Display: "MobileNetV2", Aliases: []string{"mobilenet"}, Build: MobileNetV2},
+	{Name: "shufflenet", Display: "ShuffleNet", Build: ShuffleNet},
+	{Name: "inception-e", Display: "Inception E block", Aliases: []string{"inceptione"}, Build: InceptionE},
+	{Name: "fig2", Display: "Figure-2 block", Aliases: []string{"figure2"}, Build: Figure2Block},
 }
+
+// zooByName maps every lower-case spelling EntryByName accepts to its
+// entry's index in zoo; of two entries spelled alike, the first wins.
+var zooByName = func() map[string]int {
+	m := make(map[string]int)
+	for i, e := range zoo {
+		for _, name := range append([]string{e.Name, strings.ToLower(e.Display)}, e.Aliases...) {
+			if _, taken := m[name]; !taken {
+				m[name] = i
+			}
+		}
+	}
+	return m
+}()
 
 // ZooNames returns the canonical names in Zoo order.
 func ZooNames() []string {
@@ -58,16 +72,9 @@ func ByName(name string) (Builder, bool) {
 
 // EntryByName resolves a model name to its full zoo entry.
 func EntryByName(name string) (ZooEntry, bool) {
-	want := strings.ToLower(strings.TrimSpace(name))
-	for _, e := range Zoo() {
-		if e.Name == want || strings.ToLower(e.Display) == want {
-			return e, true
-		}
-		for _, a := range e.Aliases {
-			if a == want {
-				return e, true
-			}
-		}
+	i, ok := zooByName[strings.ToLower(strings.TrimSpace(name))]
+	if !ok {
+		return ZooEntry{}, false
 	}
-	return ZooEntry{}, false
+	return zoo[i], true
 }

@@ -17,7 +17,9 @@
 // float64 entry is bytes the collector never traces, and a hit probes the
 // table without taking a lock. Only claims in flight live in a map. A
 // bounded core evicts by tombstoning an index word; the space comes back
-// when the shard's table is next rebuilt.
+// when the shard's table is next rebuilt. A claim holds a short key
+// inline, and a shard keeps one spare claim, the last that finished with
+// no waiter, so an uncontended miss on a short key allocates nothing.
 package sfcache
 
 import (
@@ -138,6 +140,9 @@ type shard[V any] struct {
 	mu sync.Mutex
 	// claims holds the claims in flight, allocated at the first one.
 	claims map[string]*Claim[V] // guarded by mu
+	// spare is a finished claim on a key of up to inlineMax bytes that no
+	// waiter ever saw, which the next such miss takes instead of a new one.
+	spare *Claim[V] // guarded by mu
 	// The writer's position in tab: index words in use (entries and
 	// tombstones); chunks in use and entries in the last; arena blocks in
 	// use and bytes used of the last; the index slot eviction looks at
@@ -157,7 +162,6 @@ type shard[V any] struct {
 	coalesced atomic.Int64
 	loaded    atomic.Int64
 	evicted   atomic.Int64
-	_         [8]byte
 } // 128 bytes (TestAllocationShape)
 
 // entry is one completed fingerprint: its value, publication stamp (with
@@ -174,8 +178,8 @@ type entry[V any] struct {
 // table is one view of a shard's completed entries. Lookups load the
 // shard's current view and probe it without a lock; what they cannot
 // settle there falls through to the locked path, which re-probes the
-// current view. The writer, under the shard mutex, follows the DP stage
-// memo's discipline (internal/core's stageTable): index words are
+// current view. The writer, under the shard mutex, follows the discipline
+// internal/core's stage memo (stageView) shares: index words are
 // accessed only atomically; an entry, and the chunk and arena block
 // holding it — stored into the next empty element of their lists — are
 // written before the word that names it is stored; a word goes from free
@@ -476,19 +480,25 @@ const (
 // Claim is an exclusive lease on one missing fingerprint, returned by
 // GetOrBegin: the holder must compute the value and call Commit — or, if
 // the computation fails for any reason, Abandon — exactly once (every
-// other goroutine asking for the same key waits on it until then).
+// other goroutine asking for the same key waits on it until then). A
+// claim is dead after Commit or Abandon: the core may hand it out again
+// for another key, so the holder must not touch it afterwards.
 //
 // While in flight a claim sits in its shard's claims map. state, val and
 // wake are written under the shard mutex; wake is made by the first
 // requester that has to wait (an uncontended fill never allocates a
 // channel) and closed when the claim finishes, so a waiter woken by it
-// reads state and val without the mutex.
+// reads state and val without the mutex — which is why a claim that ever
+// had a waiter is never reused. A key of up to inlineMax bytes lives in
+// buf; a longer one is a string of its own, which the table may keep as
+// the entry's key bytes, so a claim on it is never reused either.
 type Claim[V any] struct {
 	c     *Core[V]
 	key   string
 	val   V
 	wake  chan struct{}
 	state uint8
+	buf   [inlineMax]byte
 }
 
 // Commit publishes the completed value and releases the claim. The value
@@ -523,6 +533,12 @@ func (cl *Claim[V]) finish(state uint8, v V) {
 	}
 	cl.state, cl.val = state, v
 	w := cl.wake
+	if w == nil && len(cl.key) <= inlineMax {
+		// No waiter holds it and its key is in its own buffer: the shard's spare.
+		var zero V
+		cl.val = zero
+		sh.spare = cl
+	}
 	sh.mu.Unlock()
 	if w != nil {
 		close(w)
@@ -580,7 +596,7 @@ func (c *Core[V]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V], er
 		}
 		cl := sh.claims[string(key)] // no-copy map lookup
 		if cl == nil {
-			cl = &Claim[V]{c: c, key: string(key)}
+			cl = c.claimLocked(sh, key)
 			if sh.claims == nil {
 				sh.claims = make(map[string]*Claim[V])
 			}
@@ -609,6 +625,22 @@ func (c *Core[V]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V], er
 		}
 		return cl.val, nil, nil
 	}
+}
+
+// claimLocked returns a fresh claim on key: the shard's spare when the key
+// fits inline and there is one, else a new claim. Caller holds sh.mu.
+func (c *Core[V]) claimLocked(sh *shard[V], key []byte) *Claim[V] {
+	if len(key) > inlineMax {
+		return &Claim[V]{c: c, key: string(key)}
+	}
+	cl := sh.spare
+	if cl == nil {
+		cl = &Claim[V]{c: c}
+	} else {
+		sh.spare, cl.state = nil, 0
+	}
+	cl.key = unsafe.String(&cl.buf[0], copy(cl.buf[:], key))
+	return cl
 }
 
 // Lookup returns the value for a completed fingerprint without claiming or

@@ -689,16 +689,17 @@ func waitCoalesced[V any, W Wire[V]](t *testing.T, c *Cache[V, W], n int64) {
 
 // TestAllocationShape pins what the benchmark's exact allocation metrics
 // depend on: a completed float64 entry is 40 pointer-free bytes in a
-// chunk, a claim fits 48, a shard fills whole cache lines, a wait channel
-// exists only while a second requester is actually parked, a hit
-// allocates nothing, and an uncontended miss allocates the claim and its
-// key copy.
+// chunk, a claim with its inline key buffer fits 64, a shard fills whole
+// cache lines, a wait channel exists only while a second requester is
+// actually parked, a hit allocates nothing, an uncontended miss on a key
+// of up to inlineMax bytes reuses the shard's spare claim and allocates
+// nothing, and a miss on a longer key allocates the claim and its key copy.
 func TestAllocationShape(t *testing.T) {
 	if sz := unsafe.Sizeof(entry[float64]{}); sz > 40 {
 		t.Fatalf("entry[float64] is %d bytes, want <= 40", sz)
 	}
-	if sz := unsafe.Sizeof(Claim[float64]{}); sz > 48 {
-		t.Fatalf("Claim[float64] is %d bytes, want <= 48: a miss allocates one", sz)
+	if sz := unsafe.Sizeof(Claim[float64]{}); sz > 64 {
+		t.Fatalf("Claim[float64] is %d bytes, want <= 64: a miss on a long key allocates one", sz)
 	}
 	if hasPointers(reflect.TypeOf(entry[float64]{})) {
 		t.Fatal("entry[float64] holds a pointer: the collector would trace every completed measurement")
@@ -748,21 +749,134 @@ func TestAllocationShape(t *testing.T) {
 	for i := 0; i < 100*shardCount; i++ {
 		fill(t, c, key(fmt.Sprintf("warm-%d", i)), 1)
 	}
-	keys := make([][]byte, 4096)
-	for i := range keys {
-		keys[i] = key(fmt.Sprintf("alloc-%d-%s", i, strings.Repeat("x", i%40)))
+	// The table's growth amortizes below one allocation a miss.
+	misses := func(name string, keys [][]byte) float64 {
+		i := 0
+		return testing.AllocsPerRun(len(keys)-1, func() {
+			_, cl, _ := c.GetOrBegin(nil, keys[i])
+			if cl == nil {
+				t.Fatalf("%s key %d: a hit, want a miss", name, i)
+			}
+			cl.Commit(1)
+			i++
+		})
 	}
-	i := 0
-	miss := testing.AllocsPerRun(len(keys)-1, func() {
-		_, cl, _ := c.GetOrBegin(nil, keys[i])
-		cl.Commit(1)
-		i++
-	})
-	if miss > 2 { // the claim and its key; the table's growth amortizes below one
-		t.Fatalf("an uncontended miss allocates %.1f objects, want <= 2", miss)
+	short := make([][]byte, 4096)
+	long := make([][]byte, 4096)
+	for i := range short {
+		short[i] = key(fmt.Sprintf("s-%d-%s", i, strings.Repeat("x", i%12)))
+		long[i] = key(fmt.Sprintf("long-%d-%s", i, strings.Repeat("x", 20+i%40)))
+		if len(short[i]) > inlineMax || len(long[i]) <= inlineMax {
+			t.Fatalf("key %d: %d and %d bytes, want one inline and one not", i, len(short[i]), len(long[i]))
+		}
 	}
-	if hit := testing.AllocsPerRun(100, func() { c.GetOrBegin(nil, keys[len(keys)-1]) }); hit != 0 {
+	if miss := misses("short", short); miss != 0 {
+		t.Fatalf("an uncontended miss on a key of up to %d bytes allocates %.1f objects, want 0: is the spare claim reused?", inlineMax, miss)
+	}
+	if miss := misses("long", long); miss > 2 {
+		t.Fatalf("an uncontended miss on a longer key allocates %.1f objects, want <= 2: the claim and its key", miss)
+	}
+	if hit := testing.AllocsPerRun(100, func() { c.GetOrBegin(nil, long[len(long)-1]) }); hit != 0 {
 		t.Fatalf("a hit allocates %.1f objects, want 0", hit)
+	}
+}
+
+// sameShardKeys returns n distinct short keys that hash to one shard.
+func sameShardKeys(n int) [][]byte {
+	var keys [][]byte
+	for i := 0; len(keys) < n; i++ {
+		k := key(fmt.Sprintf("same-%d", i))
+		if hashKey(k)>>(64-shardBits) == hashKey(key("same-0"))>>(64-shardBits) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestParkedClaimIsNeverReused: a waiter reads a claim's state and value
+// after the claim finishes, without the shard mutex, so a claim a waiter
+// ever parked on must not become the shard's spare — while one no waiter
+// saw does, and the next short-key miss of its shard takes it.
+func TestParkedClaimIsNeverReused(t *testing.T) {
+	c := numFixture.new(0)
+	keys := sameShardKeys(3)
+	sh := c.shardFor(hashKey(keys[0]))
+
+	_, quiet, _ := c.GetOrBegin(nil, keys[0])
+	quiet.Commit(1)
+	if sh.spare != quiet {
+		t.Fatal("a claim no waiter saw did not become the shard's spare")
+	}
+	_, parked, _ := c.GetOrBegin(nil, keys[1])
+	if parked != quiet {
+		t.Fatal("the next short-key miss of the shard did not take its spare")
+	}
+	got := make(chan float64, 1)
+	go func() {
+		v, _, _ := c.GetOrBegin(nil, keys[1])
+		got <- v
+	}()
+	waitCoalesced(t, c, 1)
+	parked.Commit(2)
+	if v := <-got; v != 2 {
+		t.Fatalf("the waiter read %v, want 2", v)
+	}
+	if sh.spare == parked {
+		t.Fatal("a claim a waiter parked on became the shard's spare")
+	}
+	if _, next, _ := c.GetOrBegin(nil, keys[2]); next == parked {
+		t.Fatal("a claim a waiter parked on was handed out again")
+	}
+}
+
+// TestAbandonedWaitersRetryAfterReuse: the shard's spare is handed out
+// while waiters are parked on an abandoned claim of the same shard; they
+// retry, one of them fills the key, and every key reads its own value.
+func TestAbandonedWaitersRetryAfterReuse(t *testing.T) {
+	c := numFixture.new(0)
+	keys := sameShardKeys(3)
+	sh := c.shardFor(hashKey(keys[0]))
+
+	_, owner, _ := c.GetOrBegin(nil, keys[0])
+	const waiters = 3
+	got := make(chan float64, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			v, cl, err := c.GetOrBegin(nil, keys[0])
+			if err != nil {
+				t.Error(err)
+			}
+			if cl != nil {
+				v = 10
+				cl.Commit(v)
+			}
+			got <- v
+		}()
+	}
+	waitCoalesced(t, c, waiters)
+	fill(t, c, keys[1], 11)
+	spare := sh.spare
+	_, reused, _ := c.GetOrBegin(nil, keys[2])
+	if spare == nil || reused != spare {
+		t.Fatal("the miss did not reuse the shard's spare claim")
+	}
+	owner.Abandon()
+	sh.mu.Lock() // the waiters are retrying
+	spare = sh.spare
+	sh.mu.Unlock()
+	if spare == owner {
+		t.Fatal("an abandoned claim with parked waiters became the shard's spare")
+	}
+	for i := 0; i < waiters; i++ {
+		if v := <-got; v != 10 {
+			t.Fatalf("a waiter of the abandoned claim read %v, want 10", v)
+		}
+	}
+	reused.Commit(12)
+	for i, want := range []float64{10, 11, 12} {
+		if v, ok := c.Lookup(keys[i]); !ok || v != want {
+			t.Errorf("key %d reads (%v, %v), want %v", i, v, ok, want)
+		}
 	}
 }
 
