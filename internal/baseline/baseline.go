@@ -15,33 +15,8 @@ import (
 // real engine this is a single CUDA stream issuing kernels back-to-back,
 // so per block it is one stage whose single group lists the block's
 // operators in topological order, with stage barriers only at block
-// boundaries.
+// boundaries. The framework engines of Section 6.2 run it too.
 func Sequential(g *graph.Graph) (*schedule.Schedule, error) {
-	return StreamSequential(g)
-}
-
-// PerOpSequential returns the fully synchronized sequential schedule (one
-// single-operator stage per operator). It exists to quantify barrier
-// overhead; the paper's baseline is the stream form.
-func PerOpSequential(g *graph.Graph) (*schedule.Schedule, error) {
-	s := &schedule.Schedule{Graph: g}
-	for _, n := range g.SchedulableNodes() {
-		s.Stages = append(s.Stages, schedule.Stage{
-			Strategy: schedule.Concurrent,
-			Groups:   [][]*graph.Node{{n}},
-		})
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// StreamSequential returns the stream-style sequential schedule (also used
-// by the framework engines of Section 6.2): per block, a single stage
-// whose one group issues the block's operators back-to-back on one CUDA
-// stream with no intermediate synchronization.
-func StreamSequential(g *graph.Graph) (*schedule.Schedule, error) {
 	blocks, err := g.Partition(0)
 	if err != nil {
 		return nil, err

@@ -3,9 +3,7 @@ package baseline
 import (
 	"testing"
 
-	"ios/internal/gpusim"
 	"ios/internal/models"
-	"ios/internal/profile"
 	"ios/internal/schedule"
 )
 
@@ -25,37 +23,6 @@ func TestSequentialIsValidAndSerial(t *testing.T) {
 		if st.Strategy != schedule.Concurrent {
 			t.Error("sequential stage strategy wrong")
 		}
-	}
-}
-
-func TestPerOpSequential(t *testing.T) {
-	g := models.Figure2Block(1)
-	s, err := PerOpSequential(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.NumStages(), len(g.SchedulableNodes()); got != want {
-		t.Errorf("per-op stages = %d, want %d", got, want)
-	}
-	// Per-op sync makes it at least as slow as the stream form.
-	prof := profile.New(gpusim.TeslaV100)
-	perOp, err := prof.MeasureSchedule(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := Sequential(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamLat, err := prof.MeasureSchedule(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perOp < streamLat {
-		t.Errorf("per-op sequential (%g) faster than stream sequential (%g)", perOp, streamLat)
 	}
 }
 

@@ -323,12 +323,3 @@ func (b *Batcher) Stats() Stats {
 		DispatchHist: b.q.Histogram(),
 	}
 }
-
-// Histogram returns the dispatch-size histogram (size -> dispatches),
-// the input plan.Plan.SuggestBatches wants for picking traffic-matched
-// sweep points.
-func (b *Batcher) Histogram() map[int]int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.q.Histogram()
-}

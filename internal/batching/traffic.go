@@ -7,13 +7,15 @@ import (
 	"time"
 )
 
-// This file is the synthetic-traffic side of the front end: seeded
-// arrival generators (Poisson and bursty ON-OFF) plus virtual-time
-// simulators that drive a Queue — or the fixed-batch / dispatch-
-// immediately baselines — through an arrival trace against a serial
-// device whose service times come from the same measured model. No real
-// time passes: the simulators are event loops over explicit timestamps,
-// so benchmark runs are deterministic given the seed.
+// This file is the synthetic-traffic side of the front end: a seeded
+// Poisson arrival generator plus virtual-time simulators that drive a
+// Queue — or the fixed-batch / dispatch-immediately baselines — through
+// an arrival trace against a serial device whose service times come from
+// the same measured model. TestSimulateAdaptiveBeatsBatch1 runs the
+// adaptive policy against dispatch-immediately on a Poisson trace, and
+// the benchmark's batching.sim_* rows run it on one. No real time
+// passes: the simulators are event loops over explicit timestamps, so
+// runs are deterministic given the seed.
 
 // PoissonArrivals generates n single-image arrival offsets (from a zero
 // origin, ascending) with exponential inter-arrival gaps at the given
@@ -28,34 +30,6 @@ func PoissonArrivals(n int, rate float64, seed int64) []time.Duration {
 	for i := range out {
 		t += rng.ExpFloat64() / rate
 		out[i] = durationOf(t)
-	}
-	return out
-}
-
-// OnOffArrivals generates n single-image arrival offsets from a bursty
-// ON-OFF source: ON periods emit Poisson arrivals at onRate, OFF
-// periods emit nothing; period lengths are exponential with means
-// onMean and offMean. The long-run average rate is
-// onRate·onMean/(onMean+offMean).
-func OnOffArrivals(n int, onRate float64, onMean, offMean time.Duration, seed int64) []time.Duration {
-	if n <= 0 || onRate <= 0 || onMean <= 0 || offMean <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]time.Duration, 0, n)
-	t := 0.0
-	for len(out) < n {
-		onEnd := t + rng.ExpFloat64()*onMean.Seconds()
-		for len(out) < n {
-			gap := rng.ExpFloat64() / onRate
-			if t+gap > onEnd {
-				t = onEnd
-				break
-			}
-			t += gap
-			out = append(out, durationOf(t))
-		}
-		t += rng.ExpFloat64() * offMean.Seconds()
 	}
 	return out
 }

@@ -59,32 +59,6 @@ func TestPoissonArrivalsDeterministic(t *testing.T) {
 	}
 }
 
-func TestOnOffArrivalsDeterministic(t *testing.T) {
-	on, off := 50*time.Millisecond, 150*time.Millisecond
-	a := OnOffArrivals(500, 4000, on, off, 7)
-	b := OnOffArrivals(500, 4000, on, off, 7)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different ON-OFF traces")
-	}
-	if len(a) != 500 {
-		t.Fatalf("trace length = %d, want 500", len(a))
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i] < a[i-1] {
-			t.Fatalf("arrivals not ascending at %d", i)
-		}
-	}
-	// Long-run rate ≈ 4000·50/(50+150) = 1000/s, so 500 arrivals span
-	// roughly 0.5s — allow wide slack, burst structure is noisy.
-	span := a[len(a)-1].Seconds()
-	if span < 0.15 || span > 2 {
-		t.Errorf("ON-OFF span %.3fs implausible for mean rate 1000/s", span)
-	}
-	if OnOffArrivals(5, 4000, 0, off, 7) != nil {
-		t.Error("degenerate ON-OFF inputs should return nil")
-	}
-}
-
 func TestSimulateFixedBatches(t *testing.T) {
 	m := testModel()
 	arrivals := make([]time.Duration, 10)

@@ -3,7 +3,10 @@ package blockcache
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 
+	"ios/internal/atomicfile"
 	"ios/internal/schedule"
 	"ios/internal/sfcache"
 )
@@ -20,37 +23,103 @@ const fileVersion = 2
 // while concurrent requesters wait — so a repeated cell is searched once
 // no matter how many of a network's blocks (or serving requests) race to
 // it — and a waiter whose request is cancelled is not wedged behind a
-// search that can run for seconds.
-type Cache = sfcache.Cache[*Entry, WireEntry]
+// search that can run for seconds. Call NewCache or NewCacheSize.
+type Cache struct {
+	*sfcache.Core[*Entry]
+}
 
 // Claim is an exclusive lease on one missing fingerprint: the holder runs
-// the block search and calls Commit, or Abandon on failure. See
-// sfcache.Claim.
+// the block search and calls Commit, or Abandon on failure.
 type Claim = sfcache.Claim[*Entry]
 
-// Stats is a snapshot of the cache's traffic counters; Misses count block
-// DP searches.
+// Stats is a snapshot of the traffic counters; Misses count block searches.
 type Stats = sfcache.Stats
 
-// NewCache returns an empty, unbounded block cache — the right default for
-// optimizing a fixed set of models, where the entry count is bounded by
-// the models' distinct block structures.
+// NewCache returns an empty, unbounded block cache: for a fixed set of
+// models, their distinct block structures bound it.
 func NewCache() *Cache { return NewCacheSize(0) }
 
 // NewCacheSize returns an empty cache holding at most maxEntries completed
-// entries (0 or negative = unbounded); see sfcache.New.
-func NewCacheSize(maxEntries int) *Cache {
-	return sfcache.New(sfcache.Codec[*Entry, WireEntry]{
-		Name:        "blockcache",
-		FileVersion: fileVersion,
-		Encode:      wireEntry,
-		// A file record is the wire JSON: one validator for file and peers.
-		AppendRecord: func(dst []byte, key string, v *Entry) ([]byte, error) {
+// entries (0 or negative = unbounded); see sfcache.NewCore.
+func NewCacheSize(maxEntries int) *Cache { return &Cache{sfcache.NewCore[*Entry](maxEntries)} }
+
+// Snapshot exports the completed entries published after a sequence point
+// (0: the whole cache, as inspectable JSON), sorted by fingerprint, and
+// the point to pass next; see sfcache.Core.Cut.
+func (c *Cache) Snapshot(since uint64) ([]WireEntry, uint64) { return wireRows(c.Cut(since)) }
+
+// Own is Snapshot without the entries a peer sent (Merge, MergeFrames):
+// what a cluster node pushes.
+func (c *Cache) Own(since uint64) ([]WireEntry, uint64) { return wireRows(c.CutOwn(since)) }
+
+func wireRows(rows []sfcache.Row[*Entry], next uint64) ([]WireEntry, uint64) {
+	out := make([]WireEntry, len(rows))
+	for i, r := range rows {
+		out[i] = wireEntry(sfcache.EncodeKey(r.Key), r.Val)
+	}
+	return out, next
+}
+
+// Merge validates a peer's entries and inserts the absent ones (a present
+// fingerprint is kept), returning how many it added; they count toward
+// Stats.Loaded, and Own skips them. A corrupt entry anywhere rejects the
+// whole batch before anything is inserted.
+//
+//ioslint:validator
+func (c *Cache) Merge(entries []WireEntry) (int, error) {
+	rows := make([]sfcache.Row[*Entry], len(entries))
+	for i, we := range entries {
+		raw, v, err := we.Decode()
+		if err != nil {
+			return 0, fmt.Errorf("blockcache: cache entry %d: %w", i, err)
+		}
+		rows[i] = sfcache.Row[*Entry]{Key: string(raw), Val: v}
+	}
+	return c.InsertPeerRows(rows), nil
+}
+
+// Save writes the completed entries as sfcache's frames, one wire-JSON
+// record each, sorted by fingerprint: equal contents, equal bytes.
+func (c *Cache) Save(w io.Writer) error {
+	rows, _ := c.Cut(0)
+	return sfcache.WriteFrames(w, "blockcache", fileVersion, nil, rows,
+		func(dst []byte, key string, v *Entry) ([]byte, error) {
 			rec, err := json.Marshal(wireEntry(sfcache.EncodeKey(key), v))
 			return append(dst, rec...), err
-		},
-		ParseRecord: parseRecord,
-	}, maxEntries)
+		})
+}
+
+// Load merges a saved cache into c, all or nothing (see
+// sfcache.ReadFrames), returning how many entries it added; Own exports them.
+func (c *Cache) Load(r io.Reader) (int, error) { return c.load(r, c.InsertRows) }
+
+// MergeFrames is Load for a peer's snapshot: its entries, like Merge's,
+// are a peer's.
+//
+//ioslint:validator
+func (c *Cache) MergeFrames(r io.Reader) (int, error) { return c.load(r, c.InsertPeerRows) }
+
+func (c *Cache) load(r io.Reader, insert func([]sfcache.Row[*Entry]) int) (int, error) {
+	chunks, err := sfcache.ReadFrames(r, "blockcache", fileVersion, nil, parseRecord)
+	added := 0
+	for _, rows := range chunks {
+		added += insert(rows)
+	}
+	return added, err
+}
+
+// SaveFile writes the cache to path atomically (see atomicfile.Write);
+// it is safe while fills are in flight.
+func (c *Cache) SaveFile(path string) error { return atomicfile.Write(path, c.Save) }
+
+// LoadFile merges the cache file at path into c; see Load.
+func (c *Cache) LoadFile(path string) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return c.Load(f)
 }
 
 // parseRecord validates one cache-file record: Decode over its JSON.

@@ -1,10 +1,13 @@
 package blockcache
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"ios/internal/sfcache"
 )
 
 func fill(t *testing.T, c *Cache, name string, ops int) {
@@ -88,6 +91,48 @@ func TestMergeAllOrNothing(t *testing.T) {
 	}
 	if st := dst.Stats(); st.Size != 0 {
 		t.Fatalf("rejected Merge still inserted %d entries", st.Size)
+	}
+}
+
+// TestOwnSkipsPeerEntries: a cluster node pushes Own, so Own must leave
+// out what a peer sent — by Merge (a push) or MergeFrames (a join
+// snapshot) — and keep what this cache searched or loaded from its own
+// file, which a restarted node pushes.
+func TestOwnSkipsPeerEntries(t *testing.T) {
+	peer := NewCache()
+	fill(t, peer, "pushed", 1)
+	fill(t, peer, "snap", 2)
+	pushed, _ := peer.Snapshot(0)
+	var file bytes.Buffer
+	if err := peer.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+
+	c := NewCache()
+	if _, err := c.Merge(pushed[:1]); err != nil { // "pushed"
+		t.Fatal(err)
+	}
+	if _, err := c.MergeFrames(bytes.NewReader(file.Bytes())); err != nil { // "snap" new
+		t.Fatal(err)
+	}
+	if own, _ := c.Own(0); len(own) != 0 {
+		t.Fatalf("Own exports %d peer entries, want 0", len(own))
+	}
+	fill(t, c, "searched", 3)
+	own, _ := c.Own(0)
+	if len(own) != 1 || own[0].Key != sfcache.EncodeKey(key("searched")) {
+		t.Fatalf("Own exports %v, want the searched entry alone", own)
+	}
+	if all, _ := c.Snapshot(0); len(all) != 3 {
+		t.Fatalf("Snapshot exports %d entries, want all 3", len(all))
+	}
+
+	restarted := NewCache()
+	if _, err := restarted.Load(bytes.NewReader(file.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if own, _ := restarted.Own(0); len(own) != 2 {
+		t.Fatalf("Own after Load exports %d entries, want both", len(own))
 	}
 }
 

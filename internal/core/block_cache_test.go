@@ -88,7 +88,7 @@ func TestBlockCacheNasNetDedup(t *testing.T) {
 	prof := v100Profiler()
 	distinct := map[string]bool{}
 	for _, b := range blocks {
-		distinct[string(blockcache.Fingerprint(b, prof, Options{}.withDefaults().Fingerprint()))] = true
+		distinct[string(blockcache.Fingerprint(b, prof, Options{}.Canonical().Fingerprint()))] = true
 	}
 	if len(distinct) >= len(blocks) {
 		t.Fatalf("NasNet-A has no repeated block structures (%d blocks, %d fingerprints) — dedup impossible", len(blocks), len(distinct))
@@ -205,7 +205,7 @@ func TestBlockCacheConcurrentOptimize(t *testing.T) {
 	prof := v100Profiler()
 	distinct := map[string]bool{}
 	for _, b := range blocks {
-		distinct[string(blockcache.Fingerprint(b, prof, Options{}.withDefaults().Fingerprint()))] = true
+		distinct[string(blockcache.Fingerprint(b, prof, Options{}.Canonical().Fingerprint()))] = true
 	}
 
 	cache := blockcache.NewCache()
@@ -381,7 +381,7 @@ func TestBlockHitBytesPerBlock(t *testing.T) {
 		t.Fatal("warm schedule differs from the cold one")
 	}
 	graphLevel := allocated(func() {
-		if _, err = g.Partition(opts.withDefaults().MaxBlockOps); err == nil {
+		if _, err = g.Partition(opts.Canonical().MaxBlockOps); err == nil {
 			err = warm.Schedule.Validate()
 		}
 	})

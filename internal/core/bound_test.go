@@ -63,7 +63,7 @@ func boundLowerings() []struct {
 // in full. It returns the number of transitions checked.
 func checkBound(t *testing.T, where string, b *graph.Block, prof *profile.Profiler, prune Pruning) int {
 	t.Helper()
-	e := newEngine(b, prof, Options{Pruning: prune}.withDefaults(), new(scratch))
+	e := newEngine(b, prof, Options{Pruning: prune}.Canonical(), new(scratch))
 	defer e.close()
 	if !e.bounded {
 		t.Fatalf("%s: a simulator profiler does not bound", where)
@@ -147,15 +147,15 @@ func TestPropertyBoundIsAdmissible(t *testing.T) {
 	var random []fixture
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 16; i++ {
-		random = append(random, whole(fmt.Sprintf("random %d", i), randomGraph(rng), NoPruning))
+		random = append(random, whole(fmt.Sprintf("random %d", i), randomGraph(rng), Pruning{}))
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		random = append(random, whole(fmt.Sprintf("RandWireSized(4, seed %d)", seed), models.RandWireSized(1, 4, seed), NoPruning))
+		random = append(random, whole(fmt.Sprintf("RandWireSized(4, seed %d)", seed), models.RandWireSized(1, 4, seed), Pruning{}))
 	}
 	var zoo []fixture
 	for _, z := range models.Zoo() {
 		if z.Name != "randwire" && z.Name != "nasnet" {
-			zoo = append(zoo, whole(z.Name, z.Build(1), NoPruning))
+			zoo = append(zoo, whole(z.Name, z.Build(1), Pruning{}))
 		}
 	}
 	var heavy []fixture

@@ -125,7 +125,7 @@ func TestEngineCancelInsideState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{}.withDefaults()
+	opts := Options{}.Canonical()
 	full := newEngine(b, v100Profiler(), opts, new(scratch))
 	defer full.close()
 	if _, _, err := full.run(context.Background()); err != nil {

@@ -50,7 +50,7 @@ func AnalyzeBlock(b *graph.Block) Complexity {
 			return v
 		}
 		var total float64
-		forEachEnding(b, s, NoPruning, func(ending bitset.Set, _ []bitset.Set) bool {
+		forEachEnding(b, s, Pruning{}, func(ending bitset.Set, _ []bitset.Set) bool {
 			c.Transitions++
 			total += countSchedules(s.Diff(ending))
 			return true

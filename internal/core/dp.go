@@ -66,7 +66,7 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.Canonical()
 	//lint:ioslint-ignore determinism wall-clock telemetry only; WallTime never feeds schedules, costs, or cache keys
 	start := time.Now()
 	// Refuse a dead context before the first simulator invocation: a
@@ -189,7 +189,7 @@ func searchBlock(ctx context.Context, b *graph.Block, prof *profile.Profiler, op
 	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.Canonical()
 	if b.All().IsEmpty() {
 		return nil, Stats{}, nil
 	}

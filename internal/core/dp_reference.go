@@ -42,7 +42,7 @@ type refScheduler struct {
 // optimizeBlockReference runs the reference dynamic program on a single
 // block. Test oracle only; use OptimizeBlockContext.
 func optimizeBlockReference(b *graph.Block, prof *profile.Profiler, opts Options) ([]schedule.Stage, Stats, error) {
-	opts = opts.withDefaults()
+	opts = opts.Canonical()
 	bs := &refScheduler{
 		b: b, prof: prof, opts: opts,
 		cost:   make(map[bitset.Set]float64),

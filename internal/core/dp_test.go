@@ -122,7 +122,7 @@ func TestDPOptimalAgainstBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			forEachEnding(b, s, NoPruning, func(e bitset.Set, _ []bitset.Set) bool {
+			forEachEnding(b, s, Pruning{}, func(e bitset.Set, _ []bitset.Set) bool {
 				groups := groupsOf(b, e)
 				gn := make([][]*graph.Node, len(groups))
 				for i, gs := range groups {
@@ -361,7 +361,7 @@ func TestScheduleCountingFigure5(t *testing.T) {
 			return 1
 		}
 		var total float64
-		forEachEnding(blocks[0], s, NoPruning, func(e bitset.Set, _ []bitset.Set) bool {
+		forEachEnding(blocks[0], s, Pruning{}, func(e bitset.Set, _ []bitset.Set) bool {
 			total += count(s.Diff(e))
 			return true
 		})

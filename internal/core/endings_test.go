@@ -72,7 +72,7 @@ func TestEndingsOfDiamond(t *testing.T) {
 	// irrelevant here).
 	b := buildBlock(t, 4, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 	var got []bitset.Set
-	forEachEnding(b, b.All(), NoPruning, func(e bitset.Set, _ []bitset.Set) bool {
+	forEachEnding(b, b.All(), Pruning{}, func(e bitset.Set, _ []bitset.Set) bool {
 		got = append(got, e)
 		return true
 	})
@@ -111,13 +111,13 @@ func TestEndingsMatchBruteForce(t *testing.T) {
 			}
 		}
 		b := buildBlock(t, n, edges)
-		for _, prune := range []Pruning{NoPruning, {R: 2, S: 2}, {R: 1, S: 3}} {
+		for _, prune := range []Pruning{{}, {R: 2, S: 2}, {R: 1, S: 3}} {
 			// Random sub-state that is a valid DP state (down-set).
 			s := b.All()
 			if trial%2 == 1 {
 				// Remove a random ending to get a smaller down-set.
 				var endings []bitset.Set
-				forEachEnding(b, s, NoPruning, func(e bitset.Set, _ []bitset.Set) bool {
+				forEachEnding(b, s, Pruning{}, func(e bitset.Set, _ []bitset.Set) bool {
 					endings = append(endings, e)
 					return true
 				})
@@ -189,7 +189,7 @@ func TestGroupsOf(t *testing.T) {
 func TestEndingEarlyStop(t *testing.T) {
 	b := buildBlock(t, 4, [][2]int{{0, 1}})
 	count := 0
-	forEachEnding(b, b.All(), NoPruning, func(e bitset.Set, _ []bitset.Set) bool {
+	forEachEnding(b, b.All(), Pruning{}, func(e bitset.Set, _ []bitset.Set) bool {
 		count++
 		return count < 3
 	})
@@ -214,7 +214,7 @@ func TestEnumeratorGroupsMatchBFS(t *testing.T) {
 			}
 		}
 		b := buildBlock(t, n, edges)
-		for _, prune := range []Pruning{NoPruning, {R: 2, S: 2}, {R: 3, S: 8}} {
+		for _, prune := range []Pruning{{}, {R: 2, S: 2}, {R: 3, S: 8}} {
 			forEachEnding(b, b.All(), prune, func(e bitset.Set, groups []bitset.Set) bool {
 				got := append([]bitset.Set(nil), groups...)
 				sortGroups(got)

@@ -89,7 +89,7 @@ func (s *StrategySet) UnmarshalText(text []byte) error {
 // which makes the zero-value Pruning select the paper defaults (r=3,
 // s=8); -1 means "explicitly unbounded" in that dimension. The -1
 // spelling exists because Pruning{} and an all-zero "no pruning" request
-// would otherwise be indistinguishable — Options{Pruning: NoPruning} IS
+// would otherwise be indistinguishable — Options{Pruning: Pruning{}} IS
 // the zero value and therefore selects the defaults. Request the
 // exhaustive search with the Unpruned options value (R=-1, S=-1).
 // Values below -1 are invalid; Options.Validate rejects them.
@@ -102,14 +102,6 @@ type Pruning struct {
 
 // DefaultPruning is the paper's evaluation setting (r = 3, s = 8).
 var DefaultPruning = Pruning{R: 3, S: 8}
-
-// NoPruning explores the full schedule space when passed directly to an
-// enumeration (forEachEnding treats non-positive bounds as unbounded).
-// Caution: it is the zero Pruning value, so Options{Pruning: NoPruning}
-// is indistinguishable from unset options and selects the paper defaults
-// instead (see the bound convention on Pruning) — request an exhaustive
-// search through Options with Unpruned.
-var NoPruning = Pruning{}
 
 // String renders "r=3,s=8" or "none". Non-positive bounds (see the bound
 // convention on Pruning) both render as 0.
@@ -130,14 +122,16 @@ func (p Pruning) maxStageOps() int {
 	return p.R * p.S
 }
 
-// Options configures a search. The JSON form (used by the serving API and
-// stored schedule recipes) spells Strategies as a name ("IOS-Both", or the
-// short "both"/"parallel"/"merge") via StrategySet's text marshaling.
+// Options configures a search. Its JSON form spells Strategies as a name
+// ("IOS-Both", or the short "both"/"parallel"/"merge") via StrategySet's
+// text marshaling. No request and no schedule file carries it: a server
+// searches under its own configured Options, and its answers name them by
+// Fingerprint.
 type Options struct {
 	// Strategies selects the IOS variant (default Both).
 	Strategies StrategySet `json:"strategies,omitempty"`
-	// Pruning bounds the ending enumeration (default r=3, s=8; use
-	// NoPruning for the exhaustive search).
+	// Pruning bounds the ending enumeration (the zero value is the paper
+	// default r=3, s=8; use Unpruned for the exhaustive search).
 	Pruning Pruning `json:"pruning,omitempty"`
 	// MaxBlockOps caps the block partition size (0 = bitset limit).
 	MaxBlockOps int `json:"max_block_ops,omitempty"`
@@ -186,21 +180,6 @@ func (o Options) WithBlockCache(c *blockcache.Cache) Options {
 // none).
 func (o Options) BlockCache() *blockcache.Cache { return o.blockCache }
 
-// withDefaults fills unset options. It is idempotent: explicit unbounded
-// bounds stay -1 (NOT normalized to 0, which would make them
-// indistinguishable from the zero value and silently re-defaulted on a
-// second application), and every consumer of Pruning treats non-positive
-// bounds as unbounded.
-func (o Options) withDefaults() Options {
-	if o.Pruning == (Pruning{}) {
-		// Zero-value Pruning means "paper defaults"; an exhaustive search
-		// is requested with explicit -1 bounds (see the bound convention
-		// on Pruning).
-		o.Pruning = DefaultPruning
-	}
-	return o
-}
-
 // Validate reports whether the options are well-formed: pruning bounds
 // must be positive, 0 (unset), or -1 (explicitly unbounded — see the
 // bound convention on Pruning), and MaxBlockOps must be non-negative.
@@ -220,13 +199,20 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Canonical returns the options as a search will interpret them: defaults
-// filled in, idempotently (negative pruning bounds are preserved as-is;
-// every consumer treats non-positive bounds as unbounded). Two Options
-// with the same Canonical form produce identical searches; for a
-// normalized identity string — under which all "unbounded" spellings
-// collapse — use Fingerprint, which is what schedule caches key on.
-func (o Options) Canonical() Options { return o.withDefaults() }
+// Canonical returns the options as a search will interpret them: a zero
+// Pruning becomes the paper defaults. It is idempotent: explicit unbounded
+// bounds stay -1 (not normalized to 0, which a second application would
+// re-default), and every consumer of Pruning treats non-positive bounds
+// as unbounded. Two Options with the same Canonical form produce
+// identical searches; for a normalized identity string — under which all
+// "unbounded" spellings collapse — use Fingerprint, which is what
+// schedule caches key on.
+func (o Options) Canonical() Options {
+	if o.Pruning == (Pruning{}) {
+		o.Pruning = DefaultPruning
+	}
+	return o
+}
 
 // effectiveWorkers resolves the Workers knob to a concrete pool size.
 func (o Options) effectiveWorkers() int {
@@ -250,5 +236,5 @@ func (o Options) Fingerprint() string {
 }
 
 // Unpruned is the Options value for an exhaustive search: negative bounds
-// mean "explicitly unbounded" (see withDefaults).
+// mean "explicitly unbounded" (see the bound convention on Pruning).
 var Unpruned = Options{Pruning: Pruning{R: -1, S: -1}}

@@ -26,30 +26,30 @@ func TestPruningString(t *testing.T) {
 	if DefaultPruning.String() != "r=3,s=8" {
 		t.Errorf("default pruning string = %q", DefaultPruning.String())
 	}
-	if NoPruning.String() != "none" {
-		t.Errorf("no-pruning string = %q", NoPruning.String())
+	if (Pruning{}).String() != "none" {
+		t.Errorf("no-pruning string = %q", (Pruning{}).String())
 	}
 }
 
 func TestWithDefaults(t *testing.T) {
 	// Zero options take the paper defaults.
-	o := Options{}.withDefaults()
+	o := Options{}.Canonical()
 	if o.Pruning != DefaultPruning {
 		t.Errorf("zero options pruning = %v", o.Pruning)
 	}
 	// Unpruned keeps its explicit -1 bounds (unbounded), and applying
 	// defaults again must not resurrect the default pruning.
-	u := Unpruned.withDefaults()
+	u := Unpruned.Canonical()
 	if u.Pruning.R > 0 || u.Pruning.S > 0 {
 		t.Errorf("unpruned gained bounds: %v", u.Pruning)
 	}
 	// Options is deliberately a comparable struct (progress callbacks are
 	// a parameter of OptimizeWithProgress, not a field), so == works.
-	if again := u.withDefaults(); again != u {
-		t.Errorf("withDefaults is not idempotent: %+v -> %+v", u, again)
+	if again := u.Canonical(); again != u {
+		t.Errorf("Canonical is not idempotent: %+v -> %+v", u, again)
 	}
 	// Explicit pruning is preserved.
-	p := Options{Pruning: Pruning{R: 2, S: 5}}.withDefaults()
+	p := Options{Pruning: Pruning{R: 2, S: 5}}.Canonical()
 	if p.Pruning != (Pruning{R: 2, S: 5}) {
 		t.Errorf("explicit pruning lost: %v", p.Pruning)
 	}
@@ -59,7 +59,7 @@ func TestMaxStageOps(t *testing.T) {
 	if got := DefaultPruning.maxStageOps(); got != 24 {
 		t.Errorf("maxStageOps = %d, want 24", got)
 	}
-	if got := NoPruning.maxStageOps(); got < 1<<20 {
+	if got := (Pruning{}).maxStageOps(); got < 1<<20 {
 		t.Errorf("unbounded maxStageOps = %d", got)
 	}
 	if got := (Pruning{R: 2}).maxStageOps(); got < 1<<20 {

@@ -279,7 +279,7 @@ func TestPropertyWorkersInvariance(t *testing.T) {
 // engineStateSet lists the states the engine's discovery pass finds.
 func engineStateSet(t *testing.T, b *graph.Block, opts Options) map[bitset.Set]bool {
 	t.Helper()
-	e := newEngine(b, v100Profiler(), opts.withDefaults(), new(scratch))
+	e := newEngine(b, v100Profiler(), opts.Canonical(), new(scratch))
 	defer e.close()
 	if err := e.discover(context.Background()); err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func engineStateSet(t *testing.T, b *graph.Block, opts Options) map[bitset.Set]b
 func referenceStateSet(t *testing.T, b *graph.Block, opts Options) map[bitset.Set]bool {
 	t.Helper()
 	bs := &refScheduler{
-		b: b, prof: v100Profiler(), opts: opts.withDefaults(),
+		b: b, prof: v100Profiler(), opts: opts.Canonical(),
 		cost:   make(map[bitset.Set]float64),
 		last:   make(map[bitset.Set]choice),
 		stages: make(map[bitset.Set]stageResult),

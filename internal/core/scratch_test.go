@@ -118,14 +118,14 @@ func TestClaimedSlotReadsInFlight(t *testing.T) {
 func TestWorkersOutliveTheBlock(t *testing.T) {
 	_, big := reuseBlocks(t)
 	sc := new(scratch)
-	first := newEngine(big, v100Profiler(), Options{Workers: 4}.withDefaults(), sc)
+	first := newEngine(big, v100Profiler(), Options{Workers: 4}.Canonical(), sc)
 	if _, _, err := first.run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	first.close()
 	pool := append([]*engineWorker(nil), sc.workers...)
 	prof := v100Profiler()
-	second := newEngine(big, prof, Options{Workers: 2}.withDefaults(), sc)
+	second := newEngine(big, prof, Options{Workers: 2}.Canonical(), sc)
 	if len(pool) != 4 || len(sc.workers) != 4 || len(second.workers) != 2 {
 		t.Fatalf("pool of %d workers, %d after a two-worker engine which took %d; want 4, 4 and 2", len(pool), len(sc.workers), len(second.workers))
 	}
@@ -293,7 +293,7 @@ func TestPropertyScratchReuseIsInvisible(t *testing.T) {
 		// dirty runs a search of the big block over sc that must end in an
 		// error, partway through the compute pass.
 		dirty := func(ctx context.Context, prof *profile.Profiler, plan *cancelPlan) error {
-			e := newEngine(big, prof, Options{Workers: workers}.withDefaults(), sc)
+			e := newEngine(big, prof, Options{Workers: workers}.Canonical(), sc)
 			defer e.close()
 			if plan != nil {
 				plan.held = func() {
@@ -340,13 +340,13 @@ func TestPropertyScratchReuseIsInvisible(t *testing.T) {
 
 			where := fmt.Sprintf("workers %d, search %d (%d ops, %s)", workers, i, len(b.Nodes), opts.Fingerprint())
 			reusedProf, freshProf, refProf := v100Profiler(), v100Profiler(), v100Profiler()
-			reused := newEngine(b, reusedProf, opts.withDefaults(), sc)
+			reused := newEngine(b, reusedProf, opts.Canonical(), sc)
 			stages, stats, err := reused.run(context.Background())
 			reused.close()
 			if err != nil {
 				t.Fatalf("%s: reused scratch: %v", where, err)
 			}
-			fresh := newEngine(b, freshProf, opts.withDefaults(), new(scratch))
+			fresh := newEngine(b, freshProf, opts.Canonical(), new(scratch))
 			freshStages, freshStats, err := fresh.run(context.Background())
 			fresh.close()
 			if err != nil {

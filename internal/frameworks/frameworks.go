@@ -153,7 +153,7 @@ func (f Framework) Measure(ctx context.Context, g *graph.Graph, spec gpusim.Spec
 		}
 		sched = res.Schedule
 	} else {
-		sched, err = baseline.StreamSequential(g)
+		sched, err = baseline.Sequential(g)
 		if err != nil {
 			return Measurement{}, err
 		}

@@ -9,7 +9,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ios/internal/graph"
@@ -254,56 +253,6 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// GroupsOf partitions ops into connected components under the graph's
-// edges restricted to ops (the paper's group rule: "if two operators are
-// connected by an edge, they are partitioned into the same group").
-// Operators within each group are ordered topologically (by node ID) and
-// groups are ordered by their smallest member for determinism.
-func GroupsOf(ops []*graph.Node) [][]*graph.Node {
-	in := make(map[*graph.Node]bool, len(ops))
-	for _, n := range ops {
-		in[n] = true
-	}
-	parent := make(map[*graph.Node]*graph.Node, len(ops))
-	var find func(n *graph.Node) *graph.Node
-	find = func(n *graph.Node) *graph.Node {
-		if parent[n] == n {
-			return n
-		}
-		r := find(parent[n])
-		parent[n] = r
-		return r
-	}
-	for _, n := range ops {
-		parent[n] = n
-	}
-	union := func(a, b *graph.Node) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, n := range ops {
-		for _, p := range n.Inputs {
-			if in[p] {
-				union(n, p)
-			}
-		}
-	}
-	byRoot := make(map[*graph.Node][]*graph.Node)
-	for _, n := range ops {
-		r := find(n)
-		byRoot[r] = append(byRoot[r], n)
-	}
-	groups := make([][]*graph.Node, 0, len(byRoot))
-	for _, g := range byRoot {
-		graph.SortNodesByID(g)
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i][0].ID < groups[j][0].ID })
-	return groups
-}
-
 // Transfer returns the schedule's stages over g's nodes of the same names,
 // validated against g: the move of a schedule onto its architecture at
 // another batch size (Graph.WithBatch keeps every name) or onto another
@@ -329,13 +278,4 @@ func (s *Schedule) Transfer(g *graph.Graph) (*Schedule, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Concat appends the stages of other to s. Both must refer to the same
-// graph; used to assemble a network schedule from per-block schedules.
-func (s *Schedule) Concat(other *Schedule) {
-	if other.Graph != s.Graph {
-		panic("schedule: Concat across different graphs")
-	}
-	s.Stages = append(s.Stages, other.Stages...)
 }

@@ -124,22 +124,6 @@ func TestValidateRejectsScheduledInput(t *testing.T) {
 	}
 }
 
-func TestGroupsOfConnectivity(t *testing.T) {
-	g, n := diamond()
-	_ = g
-	groups := GroupsOf([]*graph.Node{n["a"], n["b"], n["d"]})
-	// a-b connected, d isolated.
-	if len(groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(groups))
-	}
-	if len(groups[0]) != 2 || groups[0][0] != n["a"] || groups[0][1] != n["b"] {
-		t.Errorf("first group = %v", groups[0])
-	}
-	if len(groups[1]) != 1 || groups[1][0] != n["d"] {
-		t.Errorf("second group = %v", groups[1])
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	g, n := diamond()
 	s := &Schedule{Graph: g, Stages: []Stage{

@@ -4,11 +4,11 @@
 // measurement cache (internal/measure) and the whole-block schedule cache
 // (internal/blockcache): a concurrent, sharded, capacity-bounded map from
 // canonical fingerprint to an immutable, always-recomputable value, with
-// claim/Commit/Abandon deduplication (Core), and one persistence and
-// peer-exchange path (persist.go: the cache-file frames, and Cache, a Core
-// whose keys are their own wire form). blockcache instantiates Cache with its value type and a Codec
-// for its wire entry; measure, whose in-memory keys are ids into a
-// dictionary it owns, composes Core and the frame functions itself.
+// claim/Commit/Abandon deduplication (Core), and the one persistence and
+// peer-exchange path (persist.go): exact cuts of a Core's completed
+// entries, validated row inserts, and the cache-file frames. Each cache
+// owns its codec — its wire entry, its file records and their validators —
+// and composes Core with WriteFrames and ReadFrames itself.
 // Everything with a shard mutex in it lives here.
 //
 // A shard keeps its completed entries in a flat table — entries in chunks
@@ -114,16 +114,16 @@ type Core[V any] struct {
 	// evicted.
 	perShardCap int
 
-	// seq is the publication counter behind Snapshot's incremental
+	// seq is the publication counter behind Cut's incremental
 	// export: every completed entry is stamped with seq+1 when it is
 	// added, always under its shard mutex, so a Cut holding every shard
 	// mutex observes exactly the entries stamped ≤ its counter read.
 	seq atomic.Uint64
 }
 
-// fromPeer is set in the stamp of an entry merged from a peer (Merge,
-// MergeFrames), which Own skips: a cluster node pushes what it searched
-// or loaded from a file, never what a peer already sent it.
+// fromPeer is set in the stamp of an entry a peer sent (InsertPeerRows),
+// which CutOwn skips: a cluster node pushes what it searched or loaded
+// from a file, never what a peer already sent it.
 const fromPeer = 1 << 63
 
 // shard is one independently locked part of a Core: the published table

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,32 +19,21 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"ios/internal/atomicfile"
 )
 
 // The cache-mechanics suite runs once over each of the two value shapes the
 // repository instantiates the core with: a float64 (internal/measure) and a
-// pointer (internal/blockcache). The codecs below are minimal stand-ins for
-// those packages' — a version byte on the key, one rejectable field, and
-// the same two file-record shapes: raw key + fixed-width value, and the
-// wire entry's JSON.
+// pointer (internal/blockcache). Each shape brings the file-record
+// functions a cache composes with the frames — raw key + fixed-width value
+// for the float64, JSON for the pointer — with a version byte on the key
+// and one rejectable value.
 
-const testKeyVersion = 7
-
-type numWire struct {
-	Key string  `json:"key"`
-	N   float64 `json:"n"`
-}
-
-func (w numWire) Decode() ([]byte, float64, error) {
-	raw, err := DecodeKey(w.Key, testKeyVersion)
-	if err != nil {
-		return nil, 0, err
-	}
-	if w.N < 0 {
-		return nil, 0, fmt.Errorf("negative value %v", w.N)
-	}
-	return raw, w.N, nil
-}
+const (
+	testKeyVersion  = 7
+	testFileVersion = 3
+)
 
 type box struct{ n int }
 
@@ -52,67 +42,85 @@ type boxWire struct {
 	N   int    `json:"n"`
 }
 
-func (w boxWire) Decode() ([]byte, *box, error) {
-	raw, err := DecodeKey(w.Key, testKeyVersion)
-	if err != nil {
-		return nil, nil, err
-	}
-	if w.N < 0 {
-		return nil, nil, fmt.Errorf("negative value %d", w.N)
-	}
-	return raw, &box{n: w.N}, nil
-}
-
 // fixture is what the suite needs to know about one instantiation.
-type fixture[V any, W Wire[V]] struct {
-	new func(maxEntries int) *Cache[V, W]
+type fixture[V any] struct {
 	// val builds the i'th distinct value; same reports whether two values
 	// are the same cache content (identity for pointers).
 	val  func(i int) V
 	same func(a, b V) bool
-	// poison returns a copy of a wire entry that Decode must reject.
-	poison func(W) W
+	// bad is a value parseRecord rejects.
+	bad V
+	// appendRecord and parseRecord are the shape's file record.
+	appendRecord func(dst []byte, key string, v V) ([]byte, error)
+	parseRecord  func(rec []byte) ([]byte, V, error)
 }
 
-var numFixture = fixture[float64, numWire]{
-	new: func(max int) *Cache[float64, numWire] {
-		return New(Codec[float64, numWire]{Name: "num", FileVersion: 3,
-			Encode: func(k string, v float64) numWire { return numWire{Key: k, N: v} },
-			AppendRecord: func(dst []byte, k string, v float64) ([]byte, error) {
-				return binary.LittleEndian.AppendUint64(append(dst, k...), uint64(int64(v*2))), nil
-			},
-			ParseRecord: func(rec []byte) ([]byte, float64, error) {
-				if len(rec) < 8 {
-					return nil, 0, fmt.Errorf("short record")
-				}
-				w := numWire{Key: EncodeKey(rec[:len(rec)-8]), N: float64(int64(binary.LittleEndian.Uint64(rec[len(rec)-8:]))) / 2}
-				return w.Decode()
-			}}, max)
+var numFixture = fixture[float64]{
+	val:  func(i int) float64 { return float64(i) + 0.5 },
+	same: func(a, b float64) bool { return a == b },
+	bad:  -1,
+	appendRecord: func(dst []byte, k string, v float64) ([]byte, error) {
+		return binary.LittleEndian.AppendUint64(append(dst, k...), uint64(int64(v*2))), nil
 	},
-	val:    func(i int) float64 { return float64(i) + 0.5 },
-	same:   func(a, b float64) bool { return a == b },
-	poison: func(w numWire) numWire { w.N = -1; return w },
+	parseRecord: func(rec []byte) ([]byte, float64, error) {
+		if len(rec) < 8 {
+			return nil, 0, fmt.Errorf("short record")
+		}
+		k, v := rec[:len(rec)-8], float64(int64(binary.LittleEndian.Uint64(rec[len(rec)-8:])))/2
+		if err := CheckKey(k, testKeyVersion); err != nil {
+			return nil, 0, err
+		}
+		if v < 0 {
+			return nil, 0, fmt.Errorf("negative value %v", v)
+		}
+		return k, v, nil
+	},
 }
 
-var boxFixture = fixture[*box, boxWire]{
-	new: func(max int) *Cache[*box, boxWire] {
-		return New(Codec[*box, boxWire]{Name: "box", FileVersion: 3,
-			Encode: func(k string, v *box) boxWire { return boxWire{Key: k, N: v.n} },
-			AppendRecord: func(dst []byte, k string, v *box) ([]byte, error) {
-				rec, err := json.Marshal(boxWire{Key: EncodeKey(k), N: v.n})
-				return append(dst, rec...), err
-			},
-			ParseRecord: func(rec []byte) ([]byte, *box, error) {
-				var w boxWire
-				if err := json.Unmarshal(rec, &w); err != nil {
-					return nil, nil, err
-				}
-				return w.Decode()
-			}}, max)
+var boxFixture = fixture[*box]{
+	val:  func(i int) *box { return &box{n: i} },
+	same: func(a, b *box) bool { return a == b },
+	bad:  &box{n: -1},
+	appendRecord: func(dst []byte, k string, v *box) ([]byte, error) {
+		rec, err := json.Marshal(boxWire{Key: EncodeKey(k), N: v.n})
+		return append(dst, rec...), err
 	},
-	val:    func(i int) *box { return &box{n: i} },
-	same:   func(a, b *box) bool { return a == b },
-	poison: func(w boxWire) boxWire { w.N = -1; return w },
+	parseRecord: func(rec []byte) ([]byte, *box, error) {
+		var w boxWire
+		if err := json.Unmarshal(rec, &w); err != nil {
+			return nil, nil, err
+		}
+		raw, err := DecodeKey(w.Key, testKeyVersion)
+		if err != nil {
+			return nil, nil, err
+		}
+		if w.N < 0 {
+			return nil, nil, fmt.Errorf("negative value %d", w.N)
+		}
+		return raw, &box{n: w.N}, nil
+	},
+}
+
+// save writes c's completed entries as a cache file, as a cache's Save does.
+func (fx fixture[V]) save(c *Core[V], w io.Writer) error {
+	rows, _ := c.Cut(0)
+	return fx.write(w, rows)
+}
+
+func (fx fixture[V]) write(w io.Writer, rows []Row[V]) error {
+	return WriteFrames(w, "test", testFileVersion, nil, rows, fx.appendRecord)
+}
+
+// load reads a cache file and inserts its rows with insert (InsertRows for
+// a cache's own file, InsertPeerRows for a peer's snapshot), as a cache's
+// Load and MergeFrames do.
+func (fx fixture[V]) load(insert func([]Row[V]) int, data []byte) (int, error) {
+	chunks, err := ReadFrames(bytes.NewReader(data), "test", testFileVersion, nil, fx.parseRecord)
+	added := 0
+	for _, rows := range chunks {
+		added += insert(rows)
+	}
+	return added, err
 }
 
 func TestCache(t *testing.T) {
@@ -135,7 +143,7 @@ func frame(version uint32, count uint64, recs ...[]byte) []byte {
 }
 
 // fill commits v under k, failing the test if k was already present.
-func fill[V any, W Wire[V]](t *testing.T, c *Cache[V, W], k []byte, v V) {
+func fill[V any](t *testing.T, c *Core[V], k []byte, v V) {
 	t.Helper()
 	_, cl, err := c.GetOrBegin(nil, k)
 	if err != nil || cl == nil {
@@ -144,9 +152,9 @@ func fill[V any, W Wire[V]](t *testing.T, c *Cache[V, W], k []byte, v V) {
 	cl.Commit(v)
 }
 
-func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
+func runSuite[V any](t *testing.T, fx fixture[V]) {
 	t.Run("MissCommitHit", func(t *testing.T) {
-		c := fx.new(0)
+		c := NewCore[V](0)
 		_, cl, err := c.GetOrBegin(nil, key("a"))
 		if err != nil || cl == nil {
 			t.Fatalf("first GetOrBegin = (_, %v, %v), want a claim", cl, err)
@@ -170,7 +178,7 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 	})
 
 	t.Run("KeyIsCopied", func(t *testing.T) {
-		c := fx.new(0)
+		c := NewCore[V](0)
 		k := key("scratch")
 		fill(t, c, k, fx.val(1))
 		for i := range k {
@@ -182,7 +190,7 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 	})
 
 	t.Run("Coalesces", func(t *testing.T) {
-		c := fx.new(0)
+		c := NewCore[V](0)
 		const n = 16
 		want := fx.val(42)
 		var (
@@ -232,7 +240,7 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 	})
 
 	t.Run("CancelledWaiter", func(t *testing.T) {
-		c := fx.new(0)
+		c := NewCore[V](0)
 		_, owner, _ := c.GetOrBegin(nil, key("slow"))
 		done := make(chan struct{})
 		errc := make(chan error, 1)
@@ -263,7 +271,7 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 	})
 
 	t.Run("AbandonUnwedgesWaiters", func(t *testing.T) {
-		c := fx.new(0)
+		c := NewCore[V](0)
 		_, owner, _ := c.GetOrBegin(nil, key("k"))
 		want := fx.val(9)
 		got := make(chan V, 1)
@@ -294,7 +302,7 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 	})
 
 	t.Run("AbandonOnPanicUnwedges", func(t *testing.T) {
-		c := fx.new(0)
+		c := NewCore[V](0)
 		func() {
 			defer func() { recover() }()
 			_, cl, _ := c.GetOrBegin(nil, key("p"))
@@ -308,7 +316,7 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 	})
 
 	t.Run("CapacitySheds", func(t *testing.T) {
-		c := fx.new(shardCount) // one completed entry per shard
+		c := NewCore[V](shardCount) // one completed entry per shard
 		for i := 0; i < 10*shardCount; i++ {
 			fill(t, c, key(fmt.Sprintf("k%d", i)), fx.val(i))
 		}
@@ -320,7 +328,7 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 		}
 		// In-flight claims are never evicted, whatever pressure their shard
 		// is under.
-		c2 := fx.new(shardCount)
+		c2 := NewCore[V](shardCount)
 		_, live, _ := c2.GetOrBegin(nil, key("live"))
 		for i := 0; i < 10*shardCount; i++ {
 			fill(t, c2, key(fmt.Sprintf("x%d", i)), fx.val(i))
@@ -331,7 +339,7 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 			t.Fatal("an in-flight claim was evicted by capacity pressure")
 		}
 		// Unbounded caches never evict.
-		u := fx.new(0)
+		u := NewCore[V](0)
 		for i := 0; i < 10*shardCount; i++ {
 			fill(t, u, key(fmt.Sprintf("k%d", i)), fx.val(i))
 		}
@@ -341,142 +349,142 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 	})
 
 	t.Run("SnapshotIncremental", func(t *testing.T) {
-		c := fx.new(0)
+		c := NewCore[V](0)
 		fill(t, c, key("b"), fx.val(2))
 		fill(t, c, key("a"), fx.val(1))
-		full, cut := c.Snapshot(0)
+		full, cut := c.Cut(0)
 		if len(full) != 2 {
-			t.Fatalf("full snapshot has %d entries, want 2", len(full))
+			t.Fatalf("full cut has %d entries, want 2", len(full))
 		}
-		if ka, _, _ := full[0].Decode(); !bytes.Equal(ka, key("a")) {
-			t.Fatalf("snapshot not sorted by fingerprint: first key %q", ka)
+		if full[0].Key != string(key("a")) {
+			t.Fatalf("cut not sorted by fingerprint: first key %q", full[0].Key)
 		}
 		// In-flight (uncommitted) fills are invisible.
 		_, pending, _ := c.GetOrBegin(nil, key("pending"))
-		if got, _ := c.Snapshot(0); len(got) != 2 {
-			t.Fatalf("snapshot saw an uncommitted fill: %d entries", len(got))
+		if got, _ := c.Cut(0); len(got) != 2 {
+			t.Fatalf("cut saw an uncommitted fill: %d entries", len(got))
 		}
 		pending.Abandon()
-		if inc, _ := c.Snapshot(cut); len(inc) != 0 {
-			t.Fatalf("incremental snapshot at the cut has %d entries, want 0", len(inc))
+		if inc, _ := c.Cut(cut); len(inc) != 0 {
+			t.Fatalf("incremental cut at the cut has %d entries, want 0", len(inc))
 		}
 		fill(t, c, key("c"), fx.val(3))
-		inc, cut2 := c.Snapshot(cut)
+		inc, cut2 := c.Cut(cut)
 		if len(inc) != 1 || cut2 <= cut {
-			t.Fatalf("incremental snapshot = %d entries, cut %d -> %d; want exactly the new entry and an advanced cut", len(inc), cut, cut2)
+			t.Fatalf("incremental cut = %d entries, cut %d -> %d; want exactly the new entry and an advanced cut", len(inc), cut, cut2)
 		}
-		if k, _, err := inc[0].Decode(); err != nil || !bytes.Equal(k, key("c")) {
-			t.Fatalf("incremental entry decodes to key %q (%v), want the new one", k, err)
+		if inc[0].Key != string(key("c")) {
+			t.Fatalf("incremental entry has key %q, want the new one", inc[0].Key)
 		}
 	})
 
 	t.Run("MergeDedupAllOrNothing", func(t *testing.T) {
-		src := fx.new(0)
+		src := NewCore[V](0)
 		fill(t, src, key("a"), fx.val(1))
 		fill(t, src, key("b"), fx.val(2))
-		entries, _ := src.Snapshot(0)
+		rows, _ := src.Cut(0)
 
-		dst := fx.new(0)
+		dst := NewCore[V](0)
 		resident := fx.val(10)
 		fill(t, dst, key("a"), resident)
-		if added, err := dst.Merge(entries); err != nil || added != 1 {
-			t.Fatalf("Merge = (%d, %v), want (1, nil): one fingerprint was already resident", added, err)
+		if added := dst.InsertPeerRows(rows); added != 1 {
+			t.Fatalf("InsertPeerRows = %d, want 1: one fingerprint was already resident", added)
 		}
 		if v, _ := dst.Lookup(key("a")); !fx.same(v, resident) {
-			t.Fatal("Merge replaced a resident entry")
+			t.Fatal("InsertPeerRows replaced a resident entry")
 		}
-		if added, err := dst.Merge(entries); err != nil || added != 0 {
-			t.Fatalf("re-Merge = (%d, %v), want (0, nil)", added, err)
+		if added := dst.InsertPeerRows(rows); added != 0 {
+			t.Fatalf("re-InsertPeerRows = %d, want 0", added)
 		}
 		if st := dst.Stats(); st.Loaded != 1 || st.Size != 2 {
-			t.Fatalf("stats after merges = %+v, want 1 loaded / 2 resident", st)
+			t.Fatalf("stats after inserts = %+v, want 1 loaded / 2 resident", st)
 		}
-		// One bad entry anywhere rejects the whole batch.
-		fresh := fx.new(0)
-		_, err := fresh.Merge([]W{entries[0], fx.poison(entries[1])})
-		if err == nil || !strings.Contains(err.Error(), "cache entry 1") {
-			t.Fatalf("Merge of a poisoned batch: err = %v, want entry 1 rejected", err)
+		// One bad record anywhere rejects the whole file.
+		var file bytes.Buffer
+		if err := fx.write(&file, []Row[V]{rows[0], {Key: rows[1].Key, Val: fx.bad}}); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewCore[V](0)
+		_, err := fx.load(fresh.InsertPeerRows, file.Bytes())
+		if err == nil || !strings.Contains(err.Error(), "entry 1:") {
+			t.Fatalf("load of a poisoned file: err = %v, want entry 1 rejected", err)
 		}
 		if st := fresh.Stats(); st.Size != 0 || st.Loaded != 0 {
-			t.Fatalf("rejected Merge still changed the cache: %+v", st)
+			t.Fatalf("rejected load still changed the cache: %+v", st)
 		}
 	})
 
 	t.Run("OwnSkipsPeerEntries", func(t *testing.T) {
-		src := fx.new(0)
+		src := NewCore[V](0)
 		fill(t, src, key("p"), fx.val(1))
 		fill(t, src, key("f"), fx.val(2))
-		pushed, _ := src.Snapshot(0)
+		pushed, _ := src.Cut(0)
 		var file bytes.Buffer
-		if err := src.Save(&file); err != nil {
+		if err := fx.save(src, &file); err != nil {
 			t.Fatal(err)
 		}
-		c := fx.new(0)
-		if _, err := c.Merge(pushed[1:]); err != nil { // key "p"
+		c := NewCore[V](0)
+		// A peer pushes key "p", then its snapshot: "f" new, "p" kept.
+		c.InsertPeerRows(pushed[1:])
+		if _, err := fx.load(c.InsertPeerRows, file.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.MergeFrames(bytes.NewReader(file.Bytes())); err != nil { // "f" new, "p" kept
-			t.Fatal(err)
-		}
-		if own, _ := c.Own(0); len(own) != 0 {
-			t.Fatalf("Own exports %d peer entries, want 0", len(own))
+		if own, _ := c.CutOwn(0); len(own) != 0 {
+			t.Fatalf("CutOwn exports %d peer entries, want 0", len(own))
 		}
 		fill(t, c, key("s"), fx.val(3))
-		own, cut := c.Own(0)
-		if len(own) != 1 {
-			t.Fatalf("Own exports %d entries, want the searched one", len(own))
+		own, cut := c.CutOwn(0)
+		if len(own) != 1 || own[0].Key != string(key("s")) {
+			t.Fatalf("CutOwn exports %v, want the searched entry alone", own)
 		}
-		if k, _, _ := own[0].Decode(); !bytes.Equal(k, key("s")) {
-			t.Fatalf("Own exports key %q, want the searched one", k)
+		if all, _ := c.Cut(0); len(all) != 3 {
+			t.Fatalf("Cut exports %d entries, want all 3", len(all))
 		}
-		if all, _ := c.Snapshot(0); len(all) != 3 {
-			t.Fatalf("Snapshot exports %d entries, want all 3", len(all))
-		}
-		if again, _ := c.Own(cut); len(again) != 0 {
-			t.Fatalf("Own past its own cut exports %d entries, want 0", len(again))
+		if again, _ := c.CutOwn(cut); len(again) != 0 {
+			t.Fatalf("CutOwn past its own cut exports %d entries, want 0", len(again))
 		}
 		// A file load is this cache's own: a restart pushes what it loaded.
-		restarted := fx.new(0)
-		if _, err := restarted.Load(bytes.NewReader(file.Bytes())); err != nil {
+		restarted := NewCore[V](0)
+		if _, err := fx.load(restarted.InsertRows, file.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		if own, _ := restarted.Own(0); len(own) != 2 {
-			t.Fatalf("Own after Load exports %d entries, want 2", len(own))
+		if own, _ := restarted.CutOwn(0); len(own) != 2 {
+			t.Fatalf("CutOwn after a file load exports %d entries, want 2", len(own))
 		}
 	})
 
 	t.Run("SaveLoad", func(t *testing.T) {
-		c := fx.new(0)
+		c := NewCore[V](0)
 		for i := 0; i < 5; i++ {
 			fill(t, c, key(fmt.Sprintf("k%d", i)), fx.val(i))
 		}
 		var a, b bytes.Buffer
-		if err := c.Save(&a); err != nil {
+		if err := fx.save(c, &a); err != nil {
 			t.Fatal(err)
 		}
-		dst := fx.new(0)
-		if n, err := dst.Load(bytes.NewReader(a.Bytes())); err != nil || n != 5 || dst.Stats().Loaded != 5 {
-			t.Fatalf("Load = (%d, %v), loaded %d; want 5", n, err, dst.Stats().Loaded)
+		dst := NewCore[V](0)
+		if n, err := fx.load(dst.InsertRows, a.Bytes()); err != nil || n != 5 || dst.Stats().Loaded != 5 {
+			t.Fatalf("load = (%d, %v), loaded %d; want 5", n, err, dst.Stats().Loaded)
 		}
 		// The file is a pure function of the contents: a cache rebuilt from
 		// it, in a different insertion order, saves the same bytes.
-		if err := dst.Save(&b); err != nil {
+		if err := fx.save(dst, &b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("Save is not byte-stable across a round trip:\n%x\n%x", a.Bytes(), b.Bytes())
+			t.Fatalf("the file is not byte-stable across a round trip:\n%x\n%x", a.Bytes(), b.Bytes())
 		}
-		// Hostile bytes: whatever is wrong with the file, Load rejects it
-		// whole and the destination — which already holds an entry — is
+		// Hostile bytes: whatever is wrong with the file, ReadFrames rejects
+		// it whole and the destination — which already holds an entry — is
 		// exactly as it was.
 		good := a.Bytes()
-		dst = fx.new(0)
+		dst = NewCore[V](0)
 		fill(t, dst, key("resident"), fx.val(9))
 		reject := func(name string, data []byte, wantErr string) {
 			t.Helper()
-			_, err := dst.Load(bytes.NewReader(data))
+			_, err := fx.load(dst.InsertRows, data)
 			if err == nil || !strings.Contains(err.Error(), wantErr) {
-				t.Errorf("%s: Load = %v, want an error containing %q", name, err, wantErr)
+				t.Errorf("%s: load = %v, want an error containing %q", name, err, wantErr)
 			}
 			if st := dst.Stats(); st.Size != 1 || st.Loaded != 0 {
 				t.Fatalf("%s: rejected load changed the cache: %+v", name, st)
@@ -501,19 +509,16 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 		reject("trailing bytes", append(bytes.Clone(good), 0), "after the checksum")
 		reject("empty", nil, "header")
 		reject("v1 JSON file", []byte(`{"version":1,"entries":[]}`+"\n"), "version")
-		if n, err := dst.Load(bytes.NewReader(frame(3, 0))); err != nil || n != 0 {
-			t.Errorf("Load of a file of no entries = (%d, %v), want (0, nil)", n, err)
-		}
-		if _, err := fx.new(0).LoadFile(filepath.Join(t.TempDir(), "missing.json")); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("LoadFile of a missing path = %v, want os.ErrNotExist", err)
+		if n, err := fx.load(dst.InsertRows, frame(3, 0)); err != nil || n != 0 {
+			t.Errorf("load of a file of no entries = (%d, %v), want (0, nil)", n, err)
 		}
 	})
 
 	// SaveFileDuringActiveFills: checkpointing a cache under live fills
 	// always yields a loadable, consistent file. Run with -race.
 	t.Run("SaveFileDuringActiveFills", func(t *testing.T) {
-		c := fx.new(0)
-		path := filepath.Join(t.TempDir(), "cache.json")
+		c := NewCore[V](0)
+		path := filepath.Join(t.TempDir(), "cache")
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -540,10 +545,14 @@ func runSuite[V any, W Wire[V]](t *testing.T, fx fixture[V, W]) {
 			wg.Wait()
 		}()
 		for i := 0; i < 25; i++ {
-			if err := c.SaveFile(path); err != nil {
+			if err := atomicfile.Write(path, func(w io.Writer) error { return fx.save(c, w) }); err != nil {
 				t.Fatalf("save %d: %v", i, err)
 			}
-			if _, err := fx.new(0).LoadFile(path); err != nil {
+			data, err := os.ReadFile(path)
+			if err == nil {
+				_, err = fx.load(NewCore[V](0).InsertRows, data)
+			}
+			if err != nil {
 				t.Fatalf("load of save %d: %v", i, err)
 			}
 		}
@@ -677,7 +686,7 @@ func TestHitTakesNoLock(t *testing.T) {
 }
 
 // waitCoalesced blocks until n requesters have parked on in-flight fills.
-func waitCoalesced[V any, W Wire[V]](t *testing.T, c *Cache[V, W], n int64) {
+func waitCoalesced[V any](t *testing.T, c *Core[V], n int64) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); c.Stats().Coalesced < n; {
 		if time.Now().After(deadline) {
@@ -707,7 +716,7 @@ func TestAllocationShape(t *testing.T) {
 	if sz := unsafe.Sizeof(shard[float64]{}); sz%64 != 0 {
 		t.Fatalf("shard is %d bytes, want a multiple of the 64-byte cache line", sz)
 	}
-	c := numFixture.new(0)
+	c := NewCore[float64](0)
 	waits := func() (n int) {
 		for i := range c.shards {
 			c.shards[i].mu.Lock()
@@ -737,11 +746,9 @@ func TestAllocationShape(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Merge([]numWire{{Key: EncodeKey(key("m")), N: 2}}); err != nil {
-		t.Fatal(err)
-	}
+	c.InsertPeerRows([]Row[float64]{{Key: string(key("m")), Val: 2}})
 	if waits() != 0 {
-		t.Fatal("a completed fill or a Merge insert left a wait channel behind")
+		t.Fatal("a completed fill or a peer row insert left a wait channel behind")
 	}
 
 	// Past the first chunks and the first claim of every shard, so what
@@ -798,7 +805,7 @@ func sameShardKeys(n int) [][]byte {
 // ever parked on must not become the shard's spare — while one no waiter
 // saw does, and the next short-key miss of its shard takes it.
 func TestParkedClaimIsNeverReused(t *testing.T) {
-	c := numFixture.new(0)
+	c := NewCore[float64](0)
 	keys := sameShardKeys(3)
 	sh := c.shardFor(hashKey(keys[0]))
 
@@ -833,7 +840,7 @@ func TestParkedClaimIsNeverReused(t *testing.T) {
 // while waiters are parked on an abandoned claim of the same shard; they
 // retry, one of them fills the key, and every key reads its own value.
 func TestAbandonedWaitersRetryAfterReuse(t *testing.T) {
-	c := numFixture.new(0)
+	c := NewCore[float64](0)
 	keys := sameShardKeys(3)
 	sh := c.shardFor(hashKey(keys[0]))
 

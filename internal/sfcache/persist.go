@@ -7,28 +7,17 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"slices"
 	"strings"
-
-	"ios/internal/atomicfile"
 )
-
-// Wire is the constraint on a cache's wire-entry type W: the unit of
-// cluster pushes and an entry's inspectable JSON form (Snapshot(0)
-// is a whole cache in it). Decode validates an entry from an untrusted
-// peer and returns its raw fingerprint (see DecodeKey) and value; it and
-// Codec.ParseRecord are the only ways outside bytes become cache contents.
-type Wire[V any] interface {
-	Decode() (key []byte, v V, err error)
-}
 
 // EncodeKey is a fingerprint's wire encoding: base64, raw URL alphabet.
 func EncodeKey[K string | []byte](key K) string {
 	return base64.RawURLEncoding.EncodeToString([]byte(key))
 }
 
-// DecodeKey is the key half of every Wire.Decode: base64 reversed, then CheckKey.
+// DecodeKey is the key half of a wire entry's Decode: base64 reversed,
+// then CheckKey.
 func DecodeKey(s string, keyVersion byte) ([]byte, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(s)
 	if err != nil {
@@ -44,40 +33,6 @@ func CheckKey(raw []byte, keyVersion byte) error {
 		return fmt.Errorf("key encoding version mismatch (cache built by an incompatible version)")
 	}
 	return nil
-}
-
-// Codec is what a package supplies to instantiate the core: how a
-// completed value is rendered into its wire entry (W's Decode method is
-// the other direction) and its cache-file record, and the file's stamp.
-type Codec[V any, W Wire[V]] struct {
-	// Name prefixes error messages.
-	Name string
-	// FileVersion is the persisted-file format version (independent of
-	// the key-encoding version embedded in every key's first byte).
-	FileVersion uint32
-	// Encode renders one completed entry; key is the fingerprint already
-	// in its wire encoding (what DecodeKey reverses).
-	Encode func(key string, v V) W
-	// AppendRecord appends an entry's cache-file record; key is raw.
-	AppendRecord func(dst []byte, key string, v V) ([]byte, error)
-	// ParseRecord validates one record of an untrusted cache file as W's
-	// Decode does a peer's entry. The key may alias rec, which Load reuses.
-	ParseRecord func(rec []byte) (key []byte, v V, err error)
-}
-
-// Cache is a Core whose keys are their own wire form: the codec renders an
-// entry for a peer or a cache file as it stands. W is V's wire entry.
-//
-// The zero value is not usable; call New.
-type Cache[V any, W Wire[V]] struct {
-	*Core[V]
-	codec Codec[V, W]
-}
-
-// New returns an empty cache holding at most maxEntries completed
-// fingerprints (0 or negative = unbounded); see NewCore.
-func New[V any, W Wire[V]](codec Codec[V, W], maxEntries int) *Cache[V, W] {
-	return &Cache[V, W]{Core: NewCore[V](maxEntries), codec: codec}
 }
 
 // A cache file is frames: fileMagic, the format version and the entry
@@ -112,24 +67,6 @@ type Table struct {
 	Parse func(i int, rec []byte) error
 }
 
-// Snapshot exports every completed entry published after the given
-// sequence point, sorted by fingerprint, plus the sequence point to pass
-// to the next incremental Snapshot. Snapshot(0) exports the whole cache,
-// as inspectable JSON.
-func (c *Cache[V, W]) Snapshot(since uint64) ([]W, uint64) { return c.wire(c.cut(since, false)) }
-
-// Own is Snapshot without the entries merged from a peer: what this cache
-// computed or loaded from a file, which is what a cluster node pushes.
-func (c *Cache[V, W]) Own(since uint64) ([]W, uint64) { return c.wire(c.cut(since, true)) }
-
-func (c *Cache[V, W]) wire(rows []Row[V], next uint64) ([]W, uint64) {
-	out := make([]W, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, c.codec.Encode(EncodeKey(r.Key), r.Val))
-	}
-	return out, next
-}
-
 // Cut returns the completed entries published after the given sequence
 // point as rows sorted by raw key, plus the next sequence point.
 //
@@ -140,6 +77,11 @@ func (c *Cache[V, W]) wire(rows []Row[V], next uint64) ([]W, uint64) {
 // recomputable. A row's key is a view of the table's immutable bytes, not
 // a copy.
 func (c *Core[V]) Cut(since uint64) ([]Row[V], uint64) { return c.cut(since, false) }
+
+// CutOwn is Cut without the entries inserted by InsertPeerRows: what this
+// cache computed or loaded from its own file, which is what a cluster node
+// pushes to its peers.
+func (c *Core[V]) CutOwn(since uint64) ([]Row[V], uint64) { return c.cut(since, true) }
 
 // cut is Cut, skipping entries merged from a peer when own is set.
 func (c *Core[V]) cut(since uint64, own bool) ([]Row[V], uint64) {
@@ -169,32 +111,14 @@ func (c *Core[V]) cut(since uint64, own bool) ([]Row[V], uint64) {
 // CompareRows orders rows by raw key, the order of a cut and of a file's entries.
 func CompareRows[V any](a, b Row[V]) int { return strings.Compare(a.Key, b.Key) }
 
-// Merge validates wire entries and inserts the absent ones, returning
-// how many were added (already-present fingerprints are kept, not
-// overwritten — both sides hold the result of the same deterministic
-// computation). Merge is all-or-nothing: every entry is validated before
-// a single one is inserted, so a corrupt batch leaves the cache exactly as
-// it was. Added entries count toward Stats.Loaded and are a peer's: Own
-// skips them.
-//
-//ioslint:validator
-func (c *Cache[V, W]) Merge(entries []W) (int, error) {
-	rows := make([]Row[V], len(entries))
-	for i, we := range entries {
-		raw, v, err := we.Decode()
-		if err != nil {
-			return 0, fmt.Errorf("%s: cache entry %d: %w", c.codec.Name, i, err)
-		}
-		rows[i] = Row[V]{Key: string(raw), Val: v}
-	}
-	return c.insertRows(rows, fromPeer), nil
-}
-
 // InsertRows inserts the absent ones of already validated rows and
 // returns how many it added; they count toward Stats.Loaded. An existing
 // entry, completed or in flight, wins: both sides hold the result of the
 // same deterministic computation.
 func (c *Core[V]) InsertRows(rows []Row[V]) int { return c.insertRows(rows, 0) }
+
+// InsertPeerRows is InsertRows for rows a peer sent: CutOwn skips them.
+func (c *Core[V]) InsertPeerRows(rows []Row[V]) int { return c.insertRows(rows, fromPeer) }
 
 func (c *Core[V]) insertRows(rows []Row[V], origin uint64) int {
 	added := 0
@@ -210,15 +134,6 @@ func (c *Core[V]) insertRows(rows []Row[V], origin uint64) int {
 		sh.mu.Unlock()
 	}
 	return added
-}
-
-// Save writes every completed entry as a cache file (see fileMagic).
-// In-flight entries are skipped (their owners have not published yet).
-// Entries are sorted by fingerprint, so the file is a pure function of the
-// cache contents: identical runs produce byte-identical cache files.
-func (c *Cache[V, W]) Save(w io.Writer) error {
-	rows, _ := c.Cut(0)
-	return WriteFrames(w, c.codec.Name, c.codec.FileVersion, nil, rows, c.codec.AppendRecord)
 }
 
 // WriteFrames writes a cache file (see fileMagic): the header, each
@@ -260,28 +175,6 @@ func WriteFrames[V any](w io.Writer, name string, version uint32, tables [][][]b
 	}
 	_, err := w.Write(binary.LittleEndian.AppendUint32(hdr[:0], sum.Sum32()))
 	return err
-}
-
-// Load merges a previously saved cache into c, returning how many entries
-// were added (already-present fingerprints are kept, not overwritten).
-//
-// Load is all-or-nothing: see ReadFrames.
-func (c *Cache[V, W]) Load(r io.Reader) (int, error) { return c.load(r, 0) }
-
-// MergeFrames is Load for a peer's cache in the file format (a cluster
-// snapshot): the same validation, and the entries, like Merge's, are a
-// peer's, which Own skips.
-//
-//ioslint:validator
-func (c *Cache[V, W]) MergeFrames(r io.Reader) (int, error) { return c.load(r, fromPeer) }
-
-func (c *Cache[V, W]) load(r io.Reader, origin uint64) (int, error) {
-	chunks, err := ReadFrames(r, c.codec.Name, c.codec.FileVersion, nil, c.codec.ParseRecord)
-	added := 0
-	for _, rows := range chunks {
-		added += c.insertRows(rows, origin)
-	}
-	return added, err
 }
 
 // frameReader reads a cache file's uvarints and records, checksumming
@@ -388,23 +281,4 @@ func ReadFrames[V any](r io.Reader, name string, version uint32, tables []Table,
 		return fail("bytes after the checksum")
 	}
 	return append(chunks, cur), nil
-}
-
-// SaveFile writes the cache to path atomically (see atomicfile.Write), so
-// a crash mid-save never truncates a previously good cache file. Safe to
-// call while fills are in flight: Save cuts a consistent set of completed
-// entries, so the file is loadable all-or-nothing regardless of what was
-// mid-computation during the save.
-func (c *Cache[V, W]) SaveFile(path string) error {
-	return atomicfile.Write(path, c.Save)
-}
-
-// LoadFile merges the cache file at path into c; see Load.
-func (c *Cache[V, W]) LoadFile(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return c.Load(f)
 }
