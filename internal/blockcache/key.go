@@ -30,6 +30,8 @@
 package blockcache
 
 import (
+	"slices"
+
 	"ios/internal/gpusim"
 	"ios/internal/graph"
 	"ios/internal/measure"
@@ -93,18 +95,18 @@ const (
 // otherwise identical cell fingerprint distinct and defeat the cache on
 // exactly the networks it targets.
 func Fingerprint(b *graph.Block, prof *profile.Profiler, optsFingerprint string) []byte {
-	key := make([]byte, 0, 256+64*len(b.Nodes))
-	key = append(key, KeyVersion)
+	return AppendFingerprint(make([]byte, 0, 256+64*len(b.Nodes)), b, prof, optsFingerprint)
+}
+
+// AppendFingerprint appends the block's Fingerprint to dst and returns the
+// extended buffer, so a searcher can encode block after block into one.
+func AppendFingerprint(dst []byte, b *graph.Block, prof *profile.Profiler, optsFingerprint string) []byte {
+	key := append(dst, KeyVersion)
 	key = append(key, prof.Context()...)
 	key = appendInt(key, len(optsFingerprint))
 	key = append(key, optsFingerprint...)
 
-	local := make(map[*graph.Node]int, len(b.Nodes))
-	for i, n := range b.Nodes {
-		local[n] = i
-	}
-	enc := &keyEncoder{key: key, local: local, boundary: make(map[*graph.Node]int)}
-
+	enc := keyEncoder{key: key, block: b.Nodes}
 	enc.key = appendInt(enc.key, len(b.Nodes))
 	var streams [1]gpusim.Stream
 	for _, n := range b.Nodes {
@@ -131,11 +133,29 @@ func Fingerprint(b *graph.Block, prof *profile.Profiler, optsFingerprint string)
 }
 
 // keyEncoder threads the boundary-node numbering through one block's
-// encoding.
+// encoding. Its lookups search short slices, and it holds the first boundary
+// nodes inline, so encoding a block allocates nothing but the key's growth.
 type keyEncoder struct {
-	key      []byte
-	local    map[*graph.Node]int
-	boundary map[*graph.Node]int
+	key   []byte
+	block []*graph.Node
+	seen  [16]*graph.Node // the first boundary nodes, in first-touch order
+	more  []*graph.Node   // and the rest
+}
+
+// boundary returns n's boundary index, or -1 after numbering n as the next.
+func (e *keyEncoder) boundary(n *graph.Node) int {
+	if i := slices.Index(e.seen[:], n); i >= 0 {
+		return i
+	}
+	if i := slices.Index(e.more, n); i >= 0 {
+		return len(e.seen) + i
+	}
+	if i := slices.Index(e.seen[:], nil); i >= 0 {
+		e.seen[i] = n
+	} else {
+		e.more = append(e.more, n)
+	}
+	return -1
 }
 
 // appendRefs encodes a node list (inputs or consumers) in slice order —
@@ -151,17 +171,16 @@ func (e *keyEncoder) appendRefs(nodes []*graph.Node) {
 // appendRef encodes one node reference; a boundary node's first touch
 // inlines its record.
 func (e *keyEncoder) appendRef(n *graph.Node) {
-	if i, ok := e.local[n]; ok {
+	if i := slices.Index(e.block, n); i >= 0 {
 		e.key = append(e.key, refLocal)
 		e.key = appendInt(e.key, i)
 		return
 	}
-	if i, ok := e.boundary[n]; ok {
+	if i := e.boundary(n); i >= 0 {
 		e.key = append(e.key, refBoundary)
 		e.key = appendInt(e.key, i)
 		return
 	}
-	e.boundary[n] = len(e.boundary)
 	e.key = append(e.key, refNewBoundary)
 	e.key = appendInt(e.key, int(n.Op.Kind))
 	e.appendShape(n.Output)

@@ -6,6 +6,9 @@
 package blockcache_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -14,6 +17,7 @@ import (
 	"ios/internal/gpusim"
 	"ios/internal/graph"
 	"ios/internal/measure"
+	"ios/internal/models"
 	"ios/internal/profile"
 )
 
@@ -90,5 +94,50 @@ func TestFingerprintLeadsWithVersionBytes(t *testing.T) {
 	}
 	if key[1] != measure.KeyVersion {
 		t.Errorf("fingerprint byte 1 = %d, want measure.KeyVersion %d (embedded measurement context)", key[1], measure.KeyVersion)
+	}
+}
+
+// TestFingerprintBytesArePinned pins the encoding itself: a digest of the
+// fingerprint of every block of every zoo network, and of a block whose
+// operators read 24 boundary nodes — two concats, which inline their
+// inputs, and 22 convolutions, each read twice — so the boundary numbering runs past the encoder's
+// inline slots. A difference means cache files and peers stop agreeing on
+// keys: bump KeyVersion instead of re-pinning.
+func TestFingerprintBytesArePinned(t *testing.T) {
+	const want = "0acf2b137a731610ba4f2f3215ff34af199f9de64da9d167e77048eaa7ddf865"
+	wide := graph.New("wide")
+	in := wide.Input("in", graph.Shape{N: 1, C: 8, H: 8, W: 8})
+	var convs []*graph.Node
+	for i := 0; i < 22; i++ {
+		convs = append(convs, wide.Conv("", in, graph.ConvOpts{Out: 8, Kernel: 1}))
+	}
+	cats := []*graph.Node{wide.Concat("", convs[0], convs[1]), wide.Concat("", convs[2], convs[0])}
+	wide.CutBlock()
+	wide.Concat("", cats[0], cats[1])
+	for i := range convs {
+		wide.Add("", convs[i], convs[(i+5)%len(convs)])
+	}
+	graphs := []*graph.Graph{wide}
+	for _, z := range models.Zoo() {
+		graphs = append(graphs, z.Build(1))
+	}
+	optsFP := core.Options{}.Fingerprint()
+	h, keys := sha256.New(), 0
+	for _, g := range graphs {
+		blocks, err := g.Partition(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := profile.New(gpusim.TeslaV100)
+		for _, b := range blocks {
+			key := blockcache.Fingerprint(b, prof, optsFP)
+			h.Write(binary.AppendUvarint(nil, uint64(len(key))))
+			h.Write(key)
+			keys++
+		}
+	}
+	t.Logf("%d keys of %d graphs", keys, len(graphs))
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("fingerprints digest to %s, want %s", got, want)
 	}
 }

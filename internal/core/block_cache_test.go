@@ -335,19 +335,25 @@ func TestBlockCachePersistCrossRestart(t *testing.T) {
 // TestBlockHitBytesPerBlock pins what a block costs when there is nothing to
 // search: ResNet-50 re-searched against a warm block cache, a warm
 // measurement cache and a prelowered profiler — every block a hit — pays per
-// block its fingerprint, its rebound stages and its slot in the result, and
-// nothing else: the profiler fork and the engine workers belong to the
-// searcher. What the search allocates for the graph as a whole, its partition
-// and its schedule's validation, is measured the same way and taken off, so
-// the figure is the block loop's alone; a profiler forked per block (a
-// simulator each) reads 1,960 bytes a block where this reads 1,356. Two
-// searchers, whatever the host; TotalAlloc counts bytes, so the figure is the
-// same everywhere.
+// block its rebound stages and its slot in the result, and nothing else: the
+// profiler fork belongs to the searcher, and the scratch, whose buffer the
+// fingerprint is encoded into, to the pool. What the search allocates for the
+// graph as a whole, its partition and its schedule's validation, is measured
+// the same way and taken off, so the figure is the block loop's alone, and
+// has a budget of its own. The block loop reads 447 to 492 bytes a block,
+// where a fingerprint of its own key buffer and node maps read 1,356 and a
+// profiler forked per block (a simulator each) 1,960; the partition and the
+// validation read 6,856 bytes, where node-keyed maps read 25,424. Two
+// searchers, whatever the host; TotalAlloc counts bytes, so the figures are
+// the same everywhere.
 func TestBlockHitBytesPerBlock(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without the race detector's instrumentation")
 	}
-	const budget = 1700.0 // bytes per block; the search measures 1,356
+	const (
+		budget      = 590.0  // bytes per block; the search measures 447 to 492
+		graphBudget = 8200.0 // bytes for the partition and the validation; they measure 6,856
+	)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	allocated := func(f func()) float64 {
 		var before, after runtime.MemStats
@@ -392,7 +398,10 @@ func TestBlockHitBytesPerBlock(t *testing.T) {
 	t.Logf("%.0f bytes allocated per block hit (%d blocks; %.0f bytes for the search, %.0f of them the partition and the validation)",
 		perBlock, warm.Stats.Blocks, search, graphLevel)
 	if perBlock > budget {
-		t.Errorf("a block hit allocates %.0f bytes, budget %.0f: is a profiler forked, or an engine worker built, per block again?",
+		t.Errorf("a block hit allocates %.0f bytes, budget %.0f: is a profiler forked, an engine worker built or a fingerprint buffer made per block again?",
 			perBlock, budget)
+	}
+	if graphLevel > graphBudget {
+		t.Errorf("the partition and the validation allocate %.0f bytes, budget %.0f: do they build node-keyed maps again?", graphLevel, graphBudget)
 	}
 }

@@ -91,9 +91,10 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 
 	// Blocks are independent subproblems; search them in parallel, each
 	// searcher on one fork of the profiler (same device model, the root's
-	// lowering table, a private simulator) and one scratch, both reused
-	// from block to block until this call returns — a block-cache hit
-	// allocates neither. Results are deterministic regardless of interleaving.
+	// lowering table, a private simulator) and one pooled scratch, both reused
+	// from block to block — a block-cache hit allocates neither — and the
+	// scratch back in the pool before wg.Wait returns. Results are
+	// deterministic regardless of interleaving.
 	type blockOut struct {
 		stages []schedule.Stage
 		stats  Stats
@@ -106,7 +107,8 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc, sp := new(scratch), prof.Fork()
+			sc, sp := scratches.Get().(*scratch), prof.Fork()
+			defer sc.release()
 			for {
 				i := int(next.Add(1) - 1)
 				// A cancelled search's outs are never read (see below).
@@ -181,7 +183,9 @@ type choice struct {
 // search that fails or is cancelled abandons its claim so the fingerprint
 // stays searchable.
 func OptimizeBlockContext(ctx context.Context, b *graph.Block, prof *profile.Profiler, opts Options) ([]schedule.Stage, Stats, error) {
-	return searchBlock(ctx, b, prof, opts, new(scratch))
+	sc := scratches.Get().(*scratch)
+	defer sc.release()
+	return searchBlock(ctx, b, prof, opts, sc)
 }
 
 // searchBlock is OptimizeBlockContext over the caller's scratch (see scratch).
@@ -200,8 +204,8 @@ func searchBlock(ctx context.Context, b *graph.Block, prof *profile.Profiler, op
 
 	var claim *blockcache.Claim
 	if bc := opts.blockCache; bc != nil {
-		key := blockcache.Fingerprint(b, prof, opts.Fingerprint())
-		ent, cl, err := bc.GetOrBegin(ctx.Done(), key)
+		sc.key = blockcache.AppendFingerprint(sc.key[:0], b, prof, opts.Fingerprint())
+		ent, cl, err := bc.GetOrBegin(ctx.Done(), sc.key)
 		if err != nil {
 			return nil, Stats{}, wrapCancelled(ctx.Err())
 		}

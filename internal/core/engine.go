@@ -37,7 +37,7 @@ package core
 //     is measured at most once regardless of which workers race to it, from
 //     the enumerator's own incrementally tracked component list.
 //
-// Memo, state tables and workers belong to whoever searches blocks, not to the
+// Memo, state tables and workers belong to a pooled scratch, not to the
 // block: an engine empties the scratch it is handed and leaves it grown.
 //
 // Equivalence with the reference recursion is bit-exact (asserted by
@@ -321,12 +321,12 @@ func (t *setTable) grow() {
 	}
 }
 
-// scratch is the working memory of block searches, owned by the goroutine
-// that searches blocks and reused from block to block at the size the
-// previous ones grew it to: a graph's blocks grow these tables once per
-// searcher, not once each. newEngine empties it at acquisition, never at
-// release — a failed or cancelled search leaves failed slots and half a
-// level of cost/last behind, and nothing reads a scratch between engines.
+// scratch is the working memory of block searches, held by one goroutine
+// that searches blocks and reused from block to block and, through scratches,
+// from call to call at the size earlier blocks grew it to. newEngine empties
+// it at acquisition, never at release — a failed or cancelled search leaves
+// failed slots and half a level of cost/last behind, and nothing reads a
+// scratch between engines; release only drops the last graph and profilers.
 // There is one memo per shard count in use (serial: one shard; parallel:
 // 4 × workers), so a small serial block never clears the tables a large
 // parallel one grew. What a block does clear is cheap beside the search
@@ -351,6 +351,21 @@ type scratch struct {
 	// pool, of which newEngine re-points as many as the block takes.
 	solo    []float64
 	workers []*engineWorker
+	key     []byte // the block's fingerprint; the block cache copies what it keeps
+}
+
+// scratches pools scratch across searches. A pooled scratch holds no graph,
+// and the collector empties the pool: an idle process keeps none alive.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// release drops the last block's graph and profilers and pools the scratch.
+func (sc *scratch) release() {
+	for _, w := range sc.workers {
+		w.e, w.prof, w.err, w.enum.b = nil, nil, nil, nil
+		clear(w.stageNodes[:])
+		clear(w.groupArena[:])
+	}
+	scratches.Put(sc)
 }
 
 // acquire empties the scratch for a block of n operators and a memo of the

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"ios/internal/gpusim"
 	"ios/internal/graph"
+	"ios/internal/models"
 	"ios/internal/profile"
 	"ios/internal/schedule"
 )
@@ -270,6 +272,10 @@ func TestLyingBackendIsAMeasurementError(t *testing.T) {
 // state, or whose backend fails mid-level, so that whatever such a search
 // leaves behind — another block's endings under the same bitmasks, a
 // failed slot, half a level of costs and choices — is shown to be cleared.
+// Then through the pool, from call to call: a scratch that NasNet-A's
+// hardest block grew on four workers, and that a cancelled or a failing
+// search of it left dirty, serves whole searches of other graphs, which equal
+// the same searches over a fresh scratch.
 func TestPropertyScratchReuseIsInvisible(t *testing.T) {
 	pool, big := reuseBlocks(t)
 	settings := []Options{
@@ -290,32 +296,8 @@ func TestPropertyScratchReuseIsInvisible(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		sc := new(scratch)
-		// dirty runs a search of the big block over sc that must end in an
-		// error, partway through the compute pass.
-		dirty := func(ctx context.Context, prof *profile.Profiler, plan *cancelPlan) error {
-			e := newEngine(big, prof, Options{Workers: workers}.Canonical(), sc)
-			defer e.close()
-			if plan != nil {
-				plan.held = func() {
-					for !e.stop.Load() {
-						runtime.Gosched()
-					}
-				}
-			}
-			stages, _, err := e.run(ctx)
-			if err == nil || stages != nil {
-				t.Fatalf("workers %d: dirtying search succeeded", workers)
-			}
-			var published int
-			for _, c := range sc.last {
-				if !c.ending.IsEmpty() {
-					published++
-				}
-			}
-			if published == 0 || published == len(sc.last) {
-				t.Fatalf("workers %d: dirtying search published %d of %d states: it did not stop mid-compute", workers, published, len(sc.last))
-			}
-			return err
+		dirty := func(ctx context.Context, prof *profile.Profiler, plan *cancelPlan) {
+			dirtySearch(t, ctx, big, prof, plan, Options{Workers: workers}, sc)
 		}
 
 		rng := rand.New(rand.NewSource(int64(29 + workers)))
@@ -328,14 +310,10 @@ func TestPropertyScratchReuseIsInvisible(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				plan := &cancelPlan{after: halfway, cancel: cancel}
 				prof := profile.NewWithBackend(cancelAfterBackend{profile.SimBackend(gpusim.TeslaV100), plan}, profile.Options{})
-				if err := dirty(ctx, prof, plan); !errors.Is(err, context.Canceled) {
-					t.Fatalf("workers %d: cancelled dirtying search: err = %v", workers, err)
-				}
+				dirty(ctx, prof, plan)
 				cancel()
 			case 5:
-				if err := dirty(context.Background(), lyingProfiler(halfway, math.NaN()), nil); errors.Is(err, context.Canceled) {
-					t.Fatalf("workers %d: failing dirtying search: err = %v", workers, err)
-				}
+				dirty(context.Background(), lyingProfiler(halfway, math.NaN()), nil)
 			}
 
 			where := fmt.Sprintf("workers %d, search %d (%d ops, %s)", workers, i, len(b.Nodes), opts.Fingerprint())
@@ -383,6 +361,111 @@ func TestPropertyScratchReuseIsInvisible(t *testing.T) {
 				t.Errorf("%s: %d measurements over the reused scratch, %d fresh, at most %d wanted (the reference's)", where,
 					reusedProf.Measurements, freshProf.Measurements, refProf.Measurements)
 			}
+		}
+	}
+	pooledReuse(t, big)
+}
+
+// dirtySearch runs a search of b over sc that must end partway through the
+// compute pass: cancelled when plan is given (its backend cancels ctx),
+// failed by prof's backend otherwise.
+func dirtySearch(t *testing.T, ctx context.Context, b *graph.Block, prof *profile.Profiler, plan *cancelPlan, opts Options, sc *scratch) {
+	t.Helper()
+	e := newEngine(b, prof, opts.Canonical(), sc)
+	defer e.close()
+	if plan != nil {
+		plan.held = func() {
+			for !e.stop.Load() {
+				runtime.Gosched()
+			}
+		}
+	}
+	stages, _, err := e.run(ctx)
+	if err == nil || stages != nil {
+		t.Fatalf("workers %d: dirtying search succeeded", opts.Workers)
+	}
+	if cancelled := errors.Is(err, context.Canceled); cancelled != (plan != nil) {
+		t.Fatalf("workers %d: dirtying search (cancelled: %v) failed with %v", opts.Workers, plan != nil, err)
+	}
+	var published int
+	for _, c := range sc.last {
+		if !c.ending.IsEmpty() {
+			published++
+		}
+	}
+	if published == 0 || published == len(sc.last) {
+		t.Fatalf("workers %d: dirtying search published %d of %d states: it did not stop mid-compute", opts.Workers, published, len(sc.last))
+	}
+}
+
+// pooledReuse is TestPropertyScratchReuseIsInvisible's pass through the pool.
+// One P and no collection make it deterministic which scratch a search takes:
+// the one pooled last. Under the race detector, whose slowdown makes
+// NasNet-A's block a minute's work, big, the largest random block, grows the
+// scratch instead.
+func pooledReuse(t *testing.T, big *graph.Block) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	heavy, err := HardestBlock(models.NasNetA(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raceEnabled {
+		heavy = big
+	}
+	opts := Options{Workers: 4}
+	cancellable := func(plan *cancelPlan) *profile.Profiler {
+		return profile.NewWithBackend(cancelAfterBackend{profile.SimBackend(gpusim.TeslaV100), plan}, profile.Options{})
+	}
+	search := func(g *graph.Graph) *Result {
+		res, err := OptimizeContext(ctx, g, v100Profiler(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	drain := func() { // until the pool makes a new scratch
+		for scratches.Get().(*scratch).workers != nil {
+		}
+	}
+	for i, g := range []*graph.Graph{models.InceptionV3(1), models.SqueezeNet(1)} {
+		cancelled := i == 0
+		drain()
+		fresh := search(g)
+		drain()
+		sc, counter := new(scratch), &cancelPlan{after: -1}
+		grown := newEngine(heavy, cancellable(counter), opts.Canonical(), sc)
+		if _, _, err := grown.run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		grown.close()
+		halfway := counter.runs.Load() / 2
+		if cancelled {
+			ctx, cancel := context.WithCancel(ctx)
+			plan := &cancelPlan{after: halfway, cancel: cancel}
+			dirtySearch(t, ctx, heavy, cancellable(plan), plan, opts, sc)
+			cancel()
+		} else {
+			dirtySearch(t, ctx, heavy, lyingProfiler(halfway, math.NaN()), nil, opts, sc)
+		}
+		sc.release()
+		reused := search(g)
+		// A search puts its scratch back: the pool holds sc again only if sc
+		// served it. (The race detector's pool drops a scratch at random.)
+		if got := scratches.Get().(*scratch); got != sc && !raceEnabled {
+			t.Fatalf("%s: the search did not take the dirtied scratch", g.Name)
+		}
+		kind := "failing"
+		if cancelled {
+			kind = "cancelled"
+		}
+		where := fmt.Sprintf("%s after a %s search of a %d-operator block", g.Name, kind, len(heavy.Nodes))
+		if got, want := reused.Schedule.String(), fresh.Schedule.String(); got != want {
+			t.Fatalf("%s: schedule over the pooled scratch:\n%s\nover a fresh one:\n%s", where, got, want)
+		}
+		if r, f := reused.Stats, fresh.Stats; r.Blocks != f.Blocks || r.States != f.States || r.Transitions != f.Transitions || r.Measurements != f.Measurements {
+			t.Errorf("%s: stats %+v over the pooled scratch, %+v over a fresh one", where, r, f)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func (g *Graph) Partition(maxBlockOps int) ([]*Block, error) {
 	if len(g.cuts) > 0 {
 		return g.partitionManual(sched, maxBlockOps)
 	}
-	pos := make(map[int]int, len(sched)) // node ID -> position in sched
+	pos := make([]int, len(g.Nodes)) // node ID -> position in sched (a consumer is never an input)
 	for i, n := range sched {
 		pos[n.ID] = i
 	}
@@ -93,9 +93,7 @@ func (g *Graph) Partition(maxBlockOps int) ([]*Block, error) {
 	for i, node := range sched {
 		maxTo[i] = i
 		for _, c := range node.Outputs() {
-			if j, ok := pos[c.ID]; ok && j > maxTo[i] {
-				maxTo[i] = j
-			}
+			maxTo[i] = max(maxTo[i], pos[c.ID])
 		}
 	}
 	// Graph inputs count as producers at position -1: a network whose
@@ -107,9 +105,7 @@ func (g *Graph) Partition(maxBlockOps int) ([]*Block, error) {
 			continue
 		}
 		for _, c := range node.Outputs() {
-			if j, ok := pos[c.ID]; ok && j > furthestBefore {
-				furthestBefore = j
-			}
+			furthestBefore = max(furthestBefore, pos[c.ID])
 		}
 	}
 	cut := make([]bool, n) // cut after position i?
@@ -175,34 +171,35 @@ func (g *Graph) partitionManual(sched []*Node, maxBlockOps int) ([]*Block, error
 // finishBlocks validates block sizes and topological consistency across
 // blocks, and builds the intra-block adjacency bitsets.
 func finishBlocks(g *Graph, blocks []*Block) error {
-	blockOf := make(map[int]int)
+	// at[id] places node id: its block and its block-local index. A graph
+	// input is in no block; it reads as block 0, which no edge runs back to.
+	type place struct{ block, local int32 }
+	at := make([]place, len(g.Nodes))
 	for _, b := range blocks {
 		if len(b.Nodes) > bitset.MaxElems {
 			return fmt.Errorf("graph %q: block %d has %d ops > %d", g.Name, b.Index, len(b.Nodes), bitset.MaxElems)
 		}
-		for _, n := range b.Nodes {
-			blockOf[n.ID] = b.Index
+		for i, n := range b.Nodes {
+			at[n.ID] = place{int32(b.Index), int32(i)}
 		}
 	}
+	adj := make([]bitset.Set, 2*len(g.Nodes)) // each block's succ, then its pred
 	for _, b := range blocks {
-		local := make(map[int]int, len(b.Nodes))
-		for i, node := range b.Nodes {
-			local[node.ID] = i
-		}
-		b.succ = make([]bitset.Set, len(b.Nodes))
-		b.pred = make([]bitset.Set, len(b.Nodes))
+		n := len(b.Nodes)
+		b.succ, b.pred, adj = adj[:n:n], adj[n:2*n:2*n], adj[2*n:]
 		for i, node := range b.Nodes {
 			for _, in := range node.Inputs {
 				if in.Op.Kind == OpInput {
 					continue
 				}
-				if blockOf[in.ID] > b.Index {
+				if from := int(at[in.ID].block); from > b.Index {
 					return fmt.Errorf("graph %q: edge %q->%q runs backwards across blocks %d->%d",
-						g.Name, in.Name, node.Name, blockOf[in.ID], b.Index)
+						g.Name, in.Name, node.Name, from, b.Index)
 				}
 			}
 			for _, c := range node.Outputs() {
-				if j, ok := local[c.ID]; ok {
+				if p := at[c.ID]; int(p.block) == b.Index {
+					j := int(p.local)
 					b.succ[i] = b.succ[i].Add(j)
 					b.pred[j] = b.pred[j].Add(i)
 				}

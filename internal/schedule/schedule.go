@@ -195,9 +195,12 @@ func CanMerge(ops []*graph.Node) bool {
 //   - within a stage, no edge connects two of its operators across groups;
 //   - a merge stage's operators are merge-eligible (CanMerge).
 func (s *Schedule) Validate() error {
-	stageOf := make(map[*graph.Node]int)
-	groupOf := make(map[*graph.Node]int)
-	posOf := make(map[*graph.Node]int)
+	// at[n.ID] places a node of the graph, stage 1-based (0: unscheduled);
+	// a node of another graph only counts, its stage in foreign.
+	type place struct{ stage, group, pos int32 }
+	at := make([]place, len(s.Graph.Nodes))
+	foreign := map[*graph.Node]int32{}
+	covered := 0
 	for si, st := range s.Stages {
 		if len(st.Groups) == 0 {
 			return fmt.Errorf("schedule: stage %d has no groups", si+1)
@@ -213,39 +216,48 @@ func (s *Schedule) Validate() error {
 				if n.Op.Kind == graph.OpInput {
 					return fmt.Errorf("schedule: input node %q scheduled in stage %d", n.Name, si+1)
 				}
-				if prev, dup := stageOf[n]; dup {
-					return fmt.Errorf("schedule: node %q in both stage %d and stage %d", n.Name, prev+1, si+1)
+				var prev int32 // the 1-based stage n is already in, if any
+				if uint(n.ID) < uint(len(at)) && s.Graph.Nodes[n.ID] == n {
+					prev, at[n.ID] = at[n.ID].stage, place{int32(si + 1), int32(gi), int32(pi)}
+				} else {
+					prev, foreign[n] = foreign[n], int32(si+1)
 				}
-				stageOf[n] = si
-				groupOf[n] = gi
-				posOf[n] = pi
+				if prev > 0 {
+					return fmt.Errorf("schedule: node %q in both stage %d and stage %d", n.Name, prev, si+1)
+				}
+				covered++
 			}
 		}
 	}
-	want := s.Graph.SchedulableNodes()
-	if len(stageOf) != len(want) {
-		return fmt.Errorf("schedule: covers %d of %d operators", len(stageOf), len(want))
+	ops := 0
+	for _, n := range s.Graph.Nodes {
+		if n.Op.Kind != graph.OpInput {
+			ops++
+		}
 	}
-	for _, n := range want {
-		if _, ok := stageOf[n]; !ok {
+	if covered != ops {
+		return fmt.Errorf("schedule: covers %d of %d operators", covered, ops)
+	}
+	for _, n := range s.Graph.Nodes {
+		if n.Op.Kind != graph.OpInput && at[n.ID].stage == 0 {
 			return fmt.Errorf("schedule: operator %q not scheduled", n.Name)
 		}
 	}
-	for _, v := range want {
+	for _, v := range s.Graph.Nodes {
 		for _, u := range v.Inputs {
 			if u.Op.Kind == graph.OpInput {
 				continue
 			}
-			su, sv := stageOf[u], stageOf[v]
-			if su > sv {
-				return fmt.Errorf("schedule: edge %q->%q runs backwards (stage %d -> %d)", u.Name, v.Name, su+1, sv+1)
+			pu, pv := at[u.ID], at[v.ID]
+			if pu.stage > pv.stage {
+				return fmt.Errorf("schedule: edge %q->%q runs backwards (stage %d -> %d)", u.Name, v.Name, pu.stage, pv.stage)
 			}
-			if su == sv {
-				if groupOf[u] != groupOf[v] {
-					return fmt.Errorf("schedule: edge %q->%q crosses groups within stage %d", u.Name, v.Name, su+1)
+			if pu.stage == pv.stage {
+				if pu.group != pv.group {
+					return fmt.Errorf("schedule: edge %q->%q crosses groups within stage %d", u.Name, v.Name, pu.stage)
 				}
-				if posOf[u] >= posOf[v] {
-					return fmt.Errorf("schedule: edge %q->%q violates group order in stage %d", u.Name, v.Name, su+1)
+				if pu.pos >= pv.pos {
+					return fmt.Errorf("schedule: edge %q->%q violates group order in stage %d", u.Name, v.Name, pu.stage)
 				}
 			}
 		}

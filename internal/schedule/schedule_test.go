@@ -197,3 +197,57 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("empty schedule summary = %+v", empty)
 	}
 }
+
+// TestValidateMessages pins the exact error of every way Validate refuses a
+// schedule, the first refusal in stage order winning, and the refusals of
+// schedules that name nodes of another build of the same graph: such a node
+// counts towards coverage like any other, and its twin in the schedule's
+// graph goes unscheduled.
+func TestValidateMessages(t *testing.T) {
+	g, n := diamond()
+	_, twin := diamond()
+	in := g.NodeByName("in")
+	type groups = [][]*graph.Node
+	conc := func(gs groups) Stage { return Stage{Strategy: Concurrent, Groups: gs} }
+	rest := []Stage{conc(groups{{n["b"]}, {n["c"]}}), conc(groups{{n["cat"]}})}
+	with := func(first ...Stage) []Stage { return append(first, rest...) }
+	for _, tc := range []struct {
+		name   string
+		stages []Stage
+		want   string
+	}{
+		{"no groups", with(conc(groups{{n["a"]}, {n["d"]}}), conc(nil)),
+			"schedule: stage 2 has no groups"},
+		{"empty group", with(conc(groups{{n["a"]}, {}, {n["d"]}})),
+			"schedule: stage 1 group 2 is empty"},
+		{"merge-ineligible", with(Stage{Strategy: Merge, Groups: groups{{n["a"], n["cat"]}}}),
+			"schedule: stage 1 merges operators that are not merge-eligible"},
+		{"scheduled input", with(conc(groups{{n["a"]}, {n["d"], in}})),
+			`schedule: input node "in" scheduled in stage 1`},
+		{"duplicate", with(conc(groups{{n["a"]}, {n["d"]}}), conc(groups{{n["d"]}})),
+			`schedule: node "d" in both stage 1 and stage 2`},
+		{"coverage", with(conc(groups{{n["a"]}})),
+			"schedule: covers 4 of 5 operators"},
+		{"backwards edge", []Stage{conc(groups{{n["b"]}, {n["c"]}, {n["d"]}}), conc(groups{{n["a"]}, {n["cat"]}})},
+			`schedule: edge "a"->"b" runs backwards (stage 2 -> 1)`},
+		{"cross-group edge", []Stage{conc(groups{{n["a"]}, {n["b"]}, {n["d"]}}), conc(groups{{n["c"]}, {n["cat"]}})},
+			`schedule: edge "a"->"b" crosses groups within stage 1`},
+		{"group order", []Stage{conc(groups{{n["b"], n["a"]}, {n["d"]}}), conc(groups{{n["c"]}, {n["cat"]}})},
+			`schedule: edge "a"->"b" violates group order in stage 1`},
+		{"twin in place of its node", with(conc(groups{{n["a"]}, {twin["d"]}})),
+			`schedule: operator "d" not scheduled`},
+		{"twin beside its node", with(conc(groups{{n["a"]}, {n["d"], twin["d"]}})),
+			"schedule: covers 6 of 5 operators"},
+		{"twin twice", with(conc(groups{{n["a"]}, {twin["d"]}}), conc(groups{{twin["d"]}})),
+			`schedule: node "d" in both stage 1 and stage 2`},
+		{"twin before a later refusal", with(conc(groups{{twin["a"]}, {n["d"]}}), conc(nil)),
+			"schedule: stage 2 has no groups"},
+		{"all twins", []Stage{conc(groups{{twin["a"]}, {twin["d"]}}), conc(groups{{twin["b"]}, {twin["c"]}}), conc(groups{{twin["cat"]}})},
+			`schedule: operator "a" not scheduled`},
+	} {
+		err := (&Schedule{Graph: g, Stages: tc.stages}).Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
