@@ -1,7 +1,8 @@
 // Command ioslint is the repository's static-analysis gate: a
 // multichecker over the custom analyzers in internal/lint, which
-// mechanically enforce the determinism, fingerprint-soundness and
-// wire-taint conventions the serving stack's correctness claims rest on.
+// mechanically enforce the determinism and wire-taint conventions the
+// serving stack's correctness claims rest on. Cache-key soundness is a
+// test, not an analyzer: blockcache's TestKeyEncodersCoverIncludeFields.
 //
 // Usage:
 //

@@ -195,8 +195,6 @@ func (e *keyEncoder) appendRef(n *graph.Node) {
 
 // appendOp encodes the full operator record: every field the search can
 // read through lowering, merge eligibility, or merged-kernel construction.
-//
-//ioslint:fingerprint ios/internal/graph.Op
 func (e *keyEncoder) appendOp(op graph.Op) {
 	e.key = appendInt(e.key, int(op.Kind))
 	e.key = appendInt(e.key, op.OutChannels)
@@ -213,8 +211,6 @@ func (e *keyEncoder) appendOp(op graph.Op) {
 }
 
 // appendShape encodes an NCHW tensor shape.
-//
-//ioslint:fingerprint ios/internal/graph.Shape
 func (e *keyEncoder) appendShape(s graph.Shape) {
 	e.key = appendInt(e.key, s.N)
 	e.key = appendInt(e.key, s.C)

@@ -23,9 +23,9 @@ import (
 
 // blockKeyV1Includes pins the exact fp:"include" field sets, in
 // declaration order, that KeyVersion 1 of the block encoding covers
-// (appendOp consumes Op; appendShape consumes Shape). The ioslint
-// fingerprint analyzer separately proves the encoders consume every
-// listed field.
+// (appendOp consumes Op; appendShape consumes Shape).
+// TestKeyEncodersCoverIncludeFields separately proves each listed field
+// moves the encoders' output.
 var blockKeyV1Includes = []struct {
 	typ  reflect.Type
 	want []string

@@ -28,9 +28,10 @@ package gpusim
 //
 // Every field influences simulated latency, so every field is
 // fp:"include": the measurement cache's context key (measure.Context)
-// must encode all of them, and ioslint's fingerprint analyzer enforces
-// that any field added here is either encoded there or explicitly
-// tagged fp:"exempt".
+// must encode all of them. blockcache's TestKeyEncodersCoverIncludeFields
+// perturbs each field and fails unless an included one moves the key, so
+// a field added here is either encoded there or explicitly tagged
+// fp:"exempt".
 type Spec struct {
 	// Name identifies the device in reports. It is part of cache
 	// identity too: presets share numeric parameters across generations

@@ -83,7 +83,7 @@ func TestFingerprintCoversWhatJSONEmits(t *testing.T) {
 	}
 	baseFP := fingerprint(t, base)
 	emitted, omitted := 0, 0
-	check := func(what string, mutate func(g *graph.Graph)) {
+	check := func(what string, mutate func(g *graph.Graph)) bool {
 		t.Helper()
 		g := everyKind()
 		mutate(g)
@@ -101,19 +101,23 @@ func TestFingerprintCoversWhatJSONEmits(t *testing.T) {
 		} else {
 			omitted++
 		}
+		return fpChanged
 	}
 
 	check("graph name", func(g *graph.Graph) { g.Name += "'" })
 	opType := reflect.TypeOf(graph.Op{})
+	moved := map[string]bool{} // Op fields that moved the fingerprint on some node
 	for i := range base.Nodes {
 		node := base.Nodes[i].Name
 		for f := 0; f < opType.NumField(); f++ {
 			field := opType.Field(f).Name
 			for _, delta := range []int64{1, 2} {
-				check(fmt.Sprintf("%s Op.%s%+d", node, field, delta), func(g *graph.Graph) {
+				if check(fmt.Sprintf("%s Op.%s%+d", node, field, delta), func(g *graph.Graph) {
 					v := reflect.ValueOf(&g.Nodes[i].Op).Elem().Field(f)
 					v.SetInt(v.Int() + delta)
-				})
+				}) {
+					moved[field] = true
+				}
 			}
 		}
 		for d, dim := range []string{"N", "C", "H", "W"} {
@@ -124,6 +128,11 @@ func TestFingerprintCoversWhatJSONEmits(t *testing.T) {
 		check(node+" name", func(g *graph.Graph) { g.Nodes[i].Name += "'" })
 		if len(base.Nodes[i].Inputs) > 0 && i > 1 {
 			check(node+" input", func(g *graph.Graph) { g.Nodes[i].Inputs[0] = g.Nodes[i-1] })
+		}
+	}
+	for f := 0; f < opType.NumField(); f++ {
+		if field := opType.Field(f); field.Tag.Get("fp") == "include" && !moved[field.Name] {
+			t.Errorf("Op.%s is fp:\"include\" but moved the fingerprint on no node", field.Name)
 		}
 	}
 	if emitted == 0 || omitted == 0 {

@@ -82,8 +82,6 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 // such as optimized schedules; a graph and its JSON round trip share one
 // exactly when the graph has no manual cuts. The batch size is part of the
 // input shapes and therefore of the hash. The error is always nil.
-//
-//ioslint:fingerprint Op
 func (g *Graph) Fingerprint() (string, error) {
 	h := sha256.New()
 	var buf [512]byte

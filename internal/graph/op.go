@@ -116,9 +116,10 @@ func (p PoolKind) String() string {
 //
 // Every field can influence lowering, merge eligibility, or merged-kernel
 // construction, so every field is fp:"include": the block cache's
-// structural fingerprint (blockcache appendOp) must encode all of them,
-// and ioslint's fingerprint analyzer enforces that any field added here
-// is either encoded there or explicitly tagged fp:"exempt".
+// structural fingerprint (blockcache appendOp) must encode all of them.
+// blockcache's TestKeyEncodersCoverIncludeFields perturbs each field and
+// fails unless an included one moves the key, so a field added here is
+// either encoded there or explicitly tagged fp:"exempt".
 type Op struct {
 	Kind OpKind `fp:"include"`
 

@@ -4,8 +4,8 @@ import "fmt"
 
 // Shape is an NCHW tensor shape. Fully connected activations use C as the
 // feature dimension with H = W = 1. All four dimensions enter the block
-// cache's structural fingerprint (blockcache appendShape), enforced by
-// ioslint's fingerprint analyzer via the fp tag.
+// cache's structural fingerprint (blockcache appendShape), which
+// blockcache's TestKeyEncodersCoverIncludeFields checks field by field.
 type Shape struct {
 	N, C, H, W int `fp:"include"`
 }

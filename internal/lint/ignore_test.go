@@ -103,18 +103,26 @@ func now() time.Time {
 		`ignore directive for "determinism" has no reason`)
 }
 
+// TestIgnoreUnknownAnalyzerReported: an ignore naming no analyzer — a
+// typo, or one the suite no longer has — is itself a finding.
 func TestIgnoreUnknownAnalyzerReported(t *testing.T) {
 	diags := run(t, `package p
 
 //lint:ioslint-ignore nosuchanalyzer because reasons
 func f() {}
+
+//lint:ioslint-ignore fingerprint the encoder reads every field
+func g() {}
 `)
-	assertMessages(t, diags, `ignore directive names unknown analyzer "nosuchanalyzer"`)
+	assertMessages(t, diags,
+		`ignore directive names unknown analyzer "nosuchanalyzer"`,
+		`ignore directive names unknown analyzer "fingerprint"`)
 }
 
 // TestMisspelledDirectiveReported: a package marked with a misspelled
 // //ioslint:deterministic is never checked for determinism, so the
-// marker itself must be the finding.
+// marker itself must be the finding; so is a marker no analyzer reads
+// any more.
 func TestMisspelledDirectiveReported(t *testing.T) {
 	diags := run(t, `//ioslint:determinstic
 package p
@@ -125,8 +133,15 @@ func now() time.Time { return time.Now() }
 
 //ioslint:validator
 func check(b []byte) error { return nil }
+
+type Spec struct{ Name string }
+
+//ioslint:fingerprint Spec
+func key(s Spec) string { return s.Name }
 `)
-	assertMessages(t, diags, `unknown directive //ioslint:determinstic`)
+	assertMessages(t, diags,
+		`unknown directive //ioslint:determinstic`,
+		`unknown directive //ioslint:fingerprint`)
 }
 
 func TestStaleIgnoreReported(t *testing.T) {

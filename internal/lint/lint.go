@@ -1,12 +1,13 @@
 // Package lint is the repository's custom static-analysis suite: a small
-// go/analysis-style framework plus three analyzers that mechanically
-// enforce the invariants every correctness claim in this reproduction
-// rests on — reproducible outputs across cache hits and restarts,
-// measurement and block caches that never alias distinct
-// configurations, and peer and file bytes that are validated before a
-// cache or plan registry trusts them. Each guards a defect class this
-// tree has actually had; encoding the convention here makes the next
-// violation a build-time error instead of a cache-aliasing bug.
+// go/analysis-style framework plus two analyzers that mechanically
+// enforce invariants correctness claims in this reproduction rest on —
+// reproducible outputs across cache hits and restarts, and peer and file
+// bytes that are validated before a cache or plan registry trusts them.
+// Each guards a defect class this tree has actually had; encoding the
+// convention here makes the next violation a build-time error instead of
+// a wrong answer. That cache keys cover every latency-relevant field is
+// not checked here but by a test that perturbs each field of each
+// fingerprinted type (blockcache's TestKeyEncodersCoverIncludeFields).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic, an analysistest-style fixture runner in
@@ -22,15 +23,12 @@
 //     (time.Now and friends), global math/rand state, and ranging over a
 //     map where the iteration order can reach an append, serialized
 //     output, or fingerprint encoder.
-//   - fingerprint: enforces the fp:"include"/fp:"exempt" struct-tag
-//     convention on fingerprinted records and verifies every included
-//     field is consumed by its `//ioslint:fingerprint`-annotated encoder.
 //   - wiretaint: values from //ioslint:untrusted sources (peer HTTP
 //     bodies, cache files, request JSON) must pass through an
 //     //ioslint:validator function before reaching Commit, Merge, or
 //     RegisterPlan sinks.
 //
-// Those four //ioslint: directives are the whole vocabulary: any other
+// Those three //ioslint: directives are the whole vocabulary: any other
 // //ioslint:<word> is reported, so a misspelled marker can never
 // silently switch its check off.
 //
@@ -101,7 +99,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in report order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Fingerprint, WireTaint}
+	return []*Analyzer{Determinism, WireTaint}
 }
 
 // byName maps analyzer names for directive validation.
@@ -120,7 +118,6 @@ const IgnoreDirective = "lint:ioslint-ignore"
 // directives are the //ioslint: markers the analyzers read.
 var directives = map[string]bool{
 	DeterministicDirective: true,
-	FingerprintDirective:   true,
 	UntrustedDirective:     true,
 	ValidatorDirective:     true,
 }
@@ -208,7 +205,7 @@ func parseDirectives(pkg *Package, known map[string]bool) (igs []*ignore, bad []
 				if strings.HasPrefix(text, "ioslint:") {
 					if word := strings.Fields(text)[0]; !directives[word] {
 						bad = append(bad, Diagnostic{Pos: pkg.Fset.Position(c.Pos()), Analyzer: "ioslint",
-							Message: fmt.Sprintf("unknown directive //%s: the directives are deterministic, fingerprint, untrusted and validator", word)})
+							Message: fmt.Sprintf("unknown directive //%s: the directives are deterministic, untrusted and validator", word)})
 					}
 					continue
 				}

@@ -399,3 +399,42 @@ func (tp *taintPass) exprTainted(e ast.Expr) bool {
 		return false
 	}
 }
+
+// cutDirective extracts the argument of a "//<name> <arg>" comment.
+func cutDirective(comment, name string) (string, bool) {
+	text, ok := strings.CutPrefix(comment, "//")
+	if !ok {
+		return "", false
+	}
+	text, ok = strings.CutPrefix(strings.TrimSpace(text), name)
+	if !ok || (text != "" && text[0] != ' ' && text[0] != '\t') {
+		return "", false
+	}
+	return strings.TrimSpace(text), true
+}
+
+// calledFunc resolves a call expression's callee to its declared
+// function object, if it is a plain function or method call. Calls into
+// generic code — an explicitly instantiated function f[T](...), or a
+// method of an instantiated generic type — resolve to the generic
+// declaration, the object collectValidators records a validator under.
+func calledFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+	fun := call.Fun
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	var fn *types.Func
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		fn, _ = pass.Info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = pass.Info.Uses[fun.Sel].(*types.Func)
+	}
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
+}

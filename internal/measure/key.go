@@ -73,8 +73,6 @@ const KeyVersion = 1
 // cache. Custom backends sharing a cache must therefore use distinct
 // Spec names — the same convention the serving tier's schedule cache
 // already relies on.
-//
-//ioslint:fingerprint ios/internal/gpusim.Spec
 func Context(spec gpusim.Spec, extraLaunchOverhead float64) []byte {
 	key := make([]byte, 0, 96+len(spec.Name))
 	key = append(key, KeyVersion)
@@ -106,8 +104,6 @@ func Context(spec gpusim.Spec, extraLaunchOverhead float64) []byte {
 // is preserved: callers measuring canonically ordered stages (as the DP
 // engine and MeasureStage both do) get position-invariant sharing without
 // this package having to assert that the simulator is order-invariant.
-//
-//ioslint:fingerprint ios/internal/gpusim.Kernel
 func AppendStreams(key []byte, streams []gpusim.Stream) []byte {
 	key = appendInt(key, len(streams))
 	for _, s := range streams {
@@ -129,8 +125,6 @@ type Signature struct {
 }
 
 // SignatureOf returns the kernel's signature.
-//
-//ioslint:fingerprint ios/internal/gpusim.Kernel
 func SignatureOf(k *gpusim.Kernel) Signature {
 	return Signature{
 		flops: math.Float64bits(k.FLOPs), bytes: math.Float64bits(k.Bytes),

@@ -16,8 +16,9 @@ import (
 
 // keyVersion1Includes pins the exact fp:"include" field sets, in
 // declaration order, that KeyVersion 1 of the encoding covers (Context
-// consumes Spec; AppendStreams consumes Kernel). The ioslint fingerprint
-// analyzer separately proves the encoders consume every listed field.
+// consumes Spec; AppendStreams consumes Kernel). blockcache's
+// TestKeyEncodersCoverIncludeFields separately proves each listed field
+// moves the encoders' output.
 var keyVersion1Includes = []struct {
 	typ  reflect.Type
 	want []string
