@@ -104,7 +104,7 @@ func NewBatcher(cfg Config, exec Exec) (*Batcher, error) {
 	b := &Batcher{
 		cfg:  cfg,
 		exec: exec,
-		//lint:ioslint-ignore determinism injected clock default; tests substitute a fake by assigning b.now
+		// The injected clock's default; tests substitute a fake by assigning b.now.
 		now:     time.Now,
 		q:       q,
 		waiters: make(map[uint64]chan Result),
@@ -187,7 +187,7 @@ func (b *Batcher) armTimerLocked(wake time.Time) {
 		d = 0
 	}
 	if b.timer == nil {
-		//lint:ioslint-ignore determinism real timer drives flush wake-ups only; queue decisions consume explicit timestamps
+		// A real timer drives flush wake-ups only; queue decisions consume explicit timestamps.
 		b.timer = time.AfterFunc(d, b.onTimer)
 	} else {
 		b.timer.Stop()

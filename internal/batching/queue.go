@@ -1,5 +1,3 @@
-//ioslint:deterministic
-
 // Package batching is the traffic-adaptive auto-batching front end:
 // it coalesces a stream of single-image (or small-batch) inference
 // requests into batches under a per-request latency SLO, choosing every

@@ -64,8 +64,6 @@ func wireRows(rows []sfcache.Row[*Entry], next uint64) ([]WireEntry, uint64) {
 // fingerprint is kept), returning how many it added; they count toward
 // Stats.Loaded, and Own skips them. A corrupt entry anywhere rejects the
 // whole batch before anything is inserted.
-//
-//ioslint:validator
 func (c *Cache) Merge(entries []WireEntry) (int, error) {
 	rows := make([]sfcache.Row[*Entry], len(entries))
 	for i, we := range entries {
@@ -95,8 +93,6 @@ func (c *Cache) Load(r io.Reader) (int, error) { return c.load(r, c.InsertRows) 
 
 // MergeFrames is Load for a peer's snapshot: its entries, like Merge's,
 // are a peer's.
-//
-//ioslint:validator
 func (c *Cache) MergeFrames(r io.Reader) (int, error) { return c.load(r, c.InsertPeerRows) }
 
 func (c *Cache) load(r io.Reader, insert func([]sfcache.Row[*Entry]) int) (int, error) {
@@ -123,8 +119,6 @@ func (c *Cache) LoadFile(path string) (int, error) {
 }
 
 // parseRecord validates one cache-file record: Decode over its JSON.
-//
-//ioslint:validator
 func parseRecord(rec []byte) ([]byte, *Entry, error) {
 	var we WireEntry
 	if err := json.Unmarshal(rec, &we); err != nil {
@@ -159,8 +153,6 @@ type WireStage struct {
 // incompatible fingerprint-encoding version, unknown strategies, and
 // structurally inconsistent stage lists (Entry.validate — every block
 // operator scheduled exactly once, groups non-empty).
-//
-//ioslint:validator
 func (we WireEntry) Decode() ([]byte, *Entry, error) {
 	raw, err := sfcache.DecodeKey(we.Key, KeyVersion)
 	if err != nil {

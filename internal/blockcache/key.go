@@ -1,5 +1,3 @@
-//ioslint:deterministic
-
 // Package blockcache is the whole-block schedule cache behind IOS's
 // search layer: a process-wide, concurrency-safe map from a canonical
 // structural fingerprint of one block — its DAG, its operators' lowered

@@ -1,5 +1,3 @@
-//ioslint:deterministic
-
 // Package cluster replicates the block-schedule cache across a fleet of
 // serve.Server nodes, so each distinct block DP search runs once
 // fleet-wide instead of once per process.

@@ -41,7 +41,7 @@ func (n *Node) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var preq pushRequest
-	if err := json.Unmarshal(body, &preq); err != nil { //ioslint:untrusted peer push request JSON
+	if err := json.Unmarshal(body, &preq); err != nil {
 		n.failJSON(w, http.StatusBadRequest, fmt.Errorf("parse push: %v", err))
 		return
 	}

@@ -78,23 +78,23 @@ func bigEntries(size int) []blockcache.WireEntry {
 }
 
 // TestOversizedPeerResponsesAreMisses: a peer that answers with a body
-// past maxPeerBody costs a failed pull, nothing more. Every body below is
-// valid and echoes exactly what was asked for, so without the bound each
-// one would be accepted — the size is the only defect.
+// past maxPeerBody — a snapshot, a plan listing, a plan — costs a failed
+// pull, nothing more. Every body below is valid and echoes exactly what
+// was asked for, so without the bound each one would be accepted — the
+// size is the only defect.
 func TestOversizedPeerResponsesAreMisses(t *testing.T) {
 	backlog := bigEntries(maxPeerBody)
 	snapshot := snapshotOf(t, backlog...)
 	if added, err := blockcache.NewCache().MergeFrames(bytes.NewReader(snapshot)); err != nil || added != len(backlog) {
 		t.Fatalf("the snapshot unbounded loads (%d, %v), want all %d entries: the test is vacuous", added, err, len(backlog))
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster/snapshot", func(w http.ResponseWriter, r *http.Request) { w.Write(snapshot) })
-	mux.HandleFunc("/plans", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(strings.Repeat(" ", maxPeerBody+1) + "[]"))
-	})
-	evil := httptest.NewServer(mux)
-	defer evil.Close()
-	n, srv := soloNode(t, evil.Client(), Member{ID: "evil", URL: evil.URL})
+	_, info, planBytes := zooPlan(t, "fig2")
+	padding := strings.Repeat(" ", maxPeerBody+1)
+	evil := &fakePeer{}
+	evil.set(snapshot, []byte(padding+"[]"), nil)
+	es := httptest.NewServer(evil)
+	defer es.Close()
+	n, srv := soloNode(t, es.Client(), Member{ID: "evil", URL: es.URL})
 
 	if got := srv.BlockCache().Len(); got != 0 {
 		t.Fatalf("an oversized snapshot left %d entries in the cache, want 0", got)
@@ -107,6 +107,12 @@ func TestOversizedPeerResponsesAreMisses(t *testing.T) {
 	n.now = func() time.Time { return time.Now().Add(time.Hour) }
 	if added, err := n.PullPlans(context.Background()); err == nil || added != 0 {
 		t.Fatalf("PullPlans from an oversized listing = (%d, %v), want an error and nothing registered", added, err)
+	}
+	// A valid listing, and at the plan's URL the plan it lists behind
+	// padding.
+	evil.set(nil, listing(t, info), append([]byte(padding), planBytes...))
+	if added, err := n.PullPlans(context.Background()); err == nil || added != 0 || len(srv.Plans()) != 0 {
+		t.Fatalf("PullPlans of an oversized plan = (%d, %v) and %d plans registered, want an error and none", added, err, len(srv.Plans()))
 	}
 }
 

@@ -143,9 +143,8 @@ func New(ctx context.Context, cfg Config) (*Node, error) {
 		blocks: cfg.Server.BlockCache(),
 		client: client,
 		mux:    http.NewServeMux(),
-		//lint:ioslint-ignore determinism peer-down cooldowns are wall-clock by design; tests substitute a fake by assigning n.now
-		now:  time.Now,
-		down: make(map[string]time.Time),
+		now:    time.Now,
+		down:   make(map[string]time.Time),
 	}
 	if err := n.SetMembers(cfg.Members); err != nil {
 		return nil, err
@@ -232,10 +231,12 @@ func (n *Node) markDown(id string) {
 }
 
 // maxPeerBody bounds a peer body this node decodes (a snapshot, a plan
-// listing, or a push): a lying or broken peer costs a failed pull or a
-// refused push, never an unbounded buffer. It holds a snapshot of some
-// 6,000 zoo-sized block entries (the whole zoo at three batches is 417);
-// a larger one is refused whole, and the node fills by pushes instead.
+// listing, a plan, or a push): a lying or broken peer costs a failed pull
+// or a refused push, never an unbounded buffer. It holds a snapshot of
+// some 6,000 zoo-sized block entries (the whole zoo at three batches is
+// 417), or 32 times the zoo's largest plan (NasNet-A at batches 1, 8 and
+// 32: 128 KiB). A larger snapshot is refused whole, and the node fills by
+// pushes instead.
 const maxPeerBody = 4 << 20
 
 // get issues one GET to a peer and returns the body of a 200; any other
@@ -268,8 +269,7 @@ func (n *Node) pullSnapshot(ctx context.Context, baseURL string) (int, error) {
 		return 0, err
 	}
 	defer body.Close()
-	snapshot := io.LimitReader(body, maxPeerBody) //ioslint:untrusted peer HTTP snapshot body
-	return n.blocks.MergeFrames(snapshot)
+	return n.blocks.MergeFrames(io.LimitReader(body, maxPeerBody))
 }
 
 // push path ------------------------------------------------------------
@@ -390,7 +390,6 @@ func (n *Node) postPush(ctx context.Context, baseURL string, entries []blockcach
 func (n *Node) Run(ctx context.Context) {
 	ticks := n.cfg.PushTicks
 	if ticks == nil {
-		//lint:ioslint-ignore determinism the background push cadence is wall-clock by design; tests inject PushTicks
 		t := time.NewTicker(pushInterval)
 		defer t.Stop()
 		ticks = t.C
@@ -434,7 +433,7 @@ func (n *Node) pullPlansFrom(ctx context.Context, baseURL string) (int, error) {
 		return 0, err
 	}
 	var infos []serve.PlanInfo
-	err = json.NewDecoder(io.LimitReader(body, maxPeerBody)).Decode(&infos) //ioslint:untrusted peer HTTP plan listing
+	err = json.NewDecoder(io.LimitReader(body, maxPeerBody)).Decode(&infos)
 	body.Close()
 	if err != nil {
 		return 0, err
@@ -461,15 +460,13 @@ func (n *Node) pullPlansFrom(ctx context.Context, baseURL string) (int, error) {
 // plans, but a body whose (model, device, opts) differ from the URL
 // would otherwise register under the wrong key and win every subsequent
 // lookup for that key on this node.
-//
-//ioslint:validator
 func (n *Node) pullPlan(ctx context.Context, baseURL string, info serve.PlanInfo) (*plan.Plan, error) {
 	body, err := n.get(ctx, baseURL+"/plans/"+url.PathEscape(info.Model)+"/"+url.PathEscape(info.Device)+"/"+url.PathEscape(info.Options))
 	if err != nil {
 		return nil, err
 	}
 	defer body.Close()
-	p, err := plan.Load(body) //ioslint:untrusted peer HTTP plan body
+	p, err := plan.Load(io.LimitReader(body, maxPeerBody))
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 		return nil, err
 	}
 	opts = opts.Canonical()
-	//lint:ioslint-ignore determinism wall-clock telemetry only; WallTime never feeds schedules, costs, or cache keys
+	// Wall-clock telemetry only: WallTime never feeds schedules, costs or cache keys.
 	start := time.Now()
 	// Refuse a dead context before the first simulator invocation: a
 	// pre-cancelled search must not measure a single stage.
@@ -137,7 +137,6 @@ func OptimizeWithProgress(ctx context.Context, g *graph.Graph, prof *profile.Pro
 		stats.Measurements += out.stats.Measurements
 	}
 	stats.Measurements += prof.Measurements - m0
-	//lint:ioslint-ignore determinism wall-clock telemetry only; WallTime never feeds schedules, costs, or cache keys
 	stats.WallTime = time.Since(start)
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("core: produced invalid schedule: %w", err)

@@ -1,5 +1,3 @@
-//ioslint:deterministic
-
 // Package core implements the Inter-Operator Scheduler — the paper's
 // primary contribution (Algorithm 1). It finds, per block of a computation
 // graph, the latency-optimal partition into stages by dynamic programming

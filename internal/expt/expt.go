@@ -1,5 +1,3 @@
-//ioslint:deterministic
-
 // Package expt regenerates every table and figure of the paper's
 // evaluation (Names is the experiment index). Each experiment is a
 // function that computes structured rows and renders them as text;

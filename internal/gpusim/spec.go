@@ -1,5 +1,3 @@
-//ioslint:deterministic
-
 // Package gpusim simulates a CUDA-capable GPU executing kernels from
 // multiple streams. It is the repository's substitute for cuDNN on real
 // NVIDIA hardware: a deterministic fluid (processor-sharing) model in

@@ -137,8 +137,6 @@ func (c *Cache) Snapshot(since uint64) ([]WireEntry, uint64) {
 // corrupt batch leaves cache and dictionary exactly as they were. An
 // entry a full dictionary cannot key is skipped. Added entries count
 // toward Stats.Loaded.
-//
-//ioslint:validator
 func (c *Cache) Merge(entries []WireEntry) (int, error) {
 	rows := make([]sfcache.Row[float64], len(entries))
 	for i, we := range entries {
@@ -265,8 +263,6 @@ func (fd *fileDict) ascending(i int, rec []byte) error {
 }
 
 // parseContext validates one record of the context table.
-//
-//ioslint:validator
 func (fd *fileDict) parseContext(i int, rec []byte) error {
 	if err := checkContext(rec); err != nil {
 		return err
@@ -276,8 +272,6 @@ func (fd *fileDict) parseContext(i int, rec []byte) error {
 }
 
 // parseKernel validates one record of the kernel-signature table.
-//
-//ioslint:validator
 func (fd *fileDict) parseKernel(i int, rec []byte) error {
 	r := keyReader{b: rec}
 	s := r.signature()
@@ -294,8 +288,6 @@ func (fd *fileDict) parseKernel(i int, rec []byte) error {
 // parseRecord validates one entry record — an id key whose every id is
 // inside the file's tables, then a latency a simulator can return — as
 // Decode validates a peer's entry; key aliases rec.
-//
-//ioslint:validator
 func (fd *fileDict) parseRecord(rec []byte) ([]byte, float64, error) {
 	if len(rec) < 8 {
 		return nil, 0, fmt.Errorf("%d-byte record", len(rec))
@@ -388,8 +380,6 @@ type WireEntry struct {
 // fingerprint-encoding version, keys that are not a Context followed by
 // AppendStreams of kernels a simulator accepts, and non-finite or
 // negative latencies.
-//
-//ioslint:validator
 func (we WireEntry) Decode() ([]byte, float64, error) {
 	raw, err := sfcache.DecodeKey(we.Key, KeyVersion)
 	if err != nil {

@@ -1,5 +1,3 @@
-//ioslint:deterministic
-
 // Package measure is the structural measurement cache behind IOS's
 // profiling layer: a process-wide, concurrency-safe map from a canonical
 // stage fingerprint to the exact simulated latency of that stage.

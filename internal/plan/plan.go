@@ -1,5 +1,3 @@
-//ioslint:deterministic
-
 // Package plan is the batch-specialization subsystem: it turns the
 // paper's Table 3 observation — a schedule tuned for one batch size loses
 // real throughput when reused at another — into a first-class serving

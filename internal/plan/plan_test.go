@@ -230,6 +230,26 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSavedBytesAreDeterministic: two sweeps of one graph, each over its
+// own measurement cache and given its batches in a different order, save
+// and render the same bytes.
+func TestSavedBytesAreDeterministic(t *testing.T) {
+	var saved, rendered [2]bytes.Buffer
+	for i, batches := range [][]int{{1, 4, 16}, {16, 4, 1, 4}} {
+		p := buildTestPlan(t, batches)
+		if err := p.Save(&saved[i]); err != nil {
+			t.Fatal(err)
+		}
+		p.Render(&rendered[i])
+	}
+	if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+		t.Errorf("Save differs between the two sweeps:\n%s\nvs\n%s", saved[0].Bytes(), saved[1].Bytes())
+	}
+	if !bytes.Equal(rendered[0].Bytes(), rendered[1].Bytes()) {
+		t.Errorf("Render differs between the two sweeps:\n%s\nvs\n%s", rendered[0].Bytes(), rendered[1].Bytes())
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	p := buildTestPlan(t, []int{1, 2})
 	path := t.TempDir() + "/plan.json"

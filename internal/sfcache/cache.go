@@ -1,5 +1,3 @@
-//ioslint:deterministic
-
 // Package sfcache is the one singleflight cache core behind the stage
 // measurement cache (internal/measure) and the whole-block schedule cache
 // (internal/blockcache): a concurrent, sharded, capacity-bounded map from

@@ -188,7 +188,7 @@ type frameReader struct {
 // uvarint reads a count or a record length of at most max.
 func (fr *frameReader) uvarint(max uint64) (uint64, bool) {
 	// A peek cut short by the end of the file fails in Uvarint.
-	b, _ := fr.br.Peek(binary.MaxVarintLen32) //ioslint:untrusted persisted cache file bytes
+	b, _ := fr.br.Peek(binary.MaxVarintLen32)
 	n, w := binary.Uvarint(b)
 	if w <= 0 || n > max {
 		return 0, false
@@ -246,7 +246,7 @@ func ReadFrames[V any](r io.Reader, name string, version uint32, tables []Table,
 			return fail("dictionary table %d: truncated or oversize count", ti)
 		}
 		for i := 0; i < int(n); i++ {
-			rec, err := fr.record() //ioslint:untrusted persisted cache file bytes
+			rec, err := fr.record()
 			if err == nil {
 				err = t.Parse(i, rec)
 			}
@@ -258,7 +258,7 @@ func ReadFrames[V any](r io.Reader, name string, version uint32, tables []Table,
 	var chunks [][]Row[V]
 	cur := make([]Row[V], 0, min(count, loadChunk))
 	for i := uint64(0); i < count; i++ {
-		rec, err := fr.record() //ioslint:untrusted persisted cache file bytes
+		rec, err := fr.record()
 		if err != nil {
 			return fail("entry %d of %d: %w", i, count, err)
 		}
