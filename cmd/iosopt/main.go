@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -186,7 +187,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		g.Name, spec.Name, res.Schedule.NumStages(), 1e3*iosLat, 1e3*seqLat, seqLat/iosLat,
 		res.Stats.WallTime.Round(1e6), res.Stats.States, res.Stats.Transitions)
 
-	data, err := res.Schedule.MarshalJSON()
+	data, err := json.MarshalIndent(res.Schedule, "", "  ")
 	if err != nil {
 		return fail(1, err)
 	}

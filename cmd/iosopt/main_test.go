@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,18 +21,94 @@ func iosopt(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// engineSchedule is what a library caller gets for the same search.
+// engineSchedule is what a library caller gets for the same search, in
+// the indented form iosopt writes.
 func engineSchedule(t *testing.T, g *ios.Graph, opts ios.Options) string {
 	t.Helper()
 	res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := res.Schedule.MarshalJSON()
+	return indented(t, res.Schedule)
+}
+
+// indented is a schedule as iosopt writes it: indented JSON and a newline.
+func indented(t *testing.T, s *ios.Schedule) string {
+	t.Helper()
+	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(data) + "\n"
+}
+
+// recipeFile is the schedule file's form, built from the schedule's
+// stages independently of Schedule.MarshalJSON: the recipe struct
+// json.MarshalIndent'ed with two-space indents, and a newline.
+func recipeFile(t *testing.T, s *ios.Schedule) string {
+	t.Helper()
+	type stage struct {
+		Strategy string     `json:"strategy"`
+		Groups   [][]string `json:"groups"`
+	}
+	recipe := struct {
+		Graph  string  `json:"graph"`
+		Stages []stage `json:"stages"`
+	}{Graph: s.Graph.Name}
+	for _, st := range s.Stages {
+		js := stage{Strategy: st.Strategy.String()}
+		for _, g := range st.Groups {
+			names := make([]string, len(g))
+			for i, n := range g {
+				names[i] = n.Name
+			}
+			js.Groups = append(js.Groups, names)
+		}
+		recipe.Stages = append(recipe.Stages, js)
+	}
+	data, err := json.MarshalIndent(recipe, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data) + "\n"
+}
+
+// TestScheduleFileKeepsItsBytes: the file -o writes is the schedule's
+// recipe indented by two spaces, byte for byte, although
+// Schedule.MarshalJSON emits compact JSON.
+func TestScheduleFileKeepsItsBytes(t *testing.T) {
+	for _, tc := range []struct {
+		model string
+		g     *ios.Graph
+	}{
+		{"fig2", ios.Figure2Block(1)},
+		{"inception_v3", ios.InceptionV3(1)},
+	} {
+		out := filepath.Join(t.TempDir(), "s.json")
+		code, stdout, stderr := iosopt(t, "-model", tc.model, "-o", out)
+		if code != 0 || stdout != "" {
+			t.Fatalf("%s: exit status %d, stdout %q: %s", tc.model, code, stdout, stderr)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), tc.g, ios.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := recipeFile(t, res.Schedule); string(got) != want {
+			t.Errorf("%s: -o wrote\n%s\nthe indented recipe is\n%s", tc.model, got, want)
+		}
+		compact, err := res.Schedule.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.Compact(&want, got); err != nil || !bytes.Equal(compact, want.Bytes()) {
+			t.Errorf("%s: MarshalJSON is not the file compacted (%v):\n%s", tc.model, err, compact)
+		}
+	}
 }
 
 // TestScheduleIsTheEngines: iosopt's stdout is the schedule JSON an
@@ -84,11 +161,7 @@ func TestSearchFlagsReachSearchAndSweep(t *testing.T) {
 		t.Errorf("plan options %q, want %q", p.Opts, opts.Fingerprint())
 	}
 	for i, b := range p.Batches() {
-		got, err := p.Points[i].Schedule.MarshalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := engineSchedule(t, ios.Figure2Block(b), opts); string(got)+"\n" != want {
+		if got, want := indented(t, p.Points[i].Schedule), engineSchedule(t, ios.Figure2Block(b), opts); got != want {
 			t.Errorf("batch %d: sweep point\n%s\nthe engine returns\n%s", b, got, want)
 		}
 	}

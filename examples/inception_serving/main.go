@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -58,7 +59,7 @@ func main() {
 
 	// Persist the schedule recipe; cmd/iosviz can render it and a serving
 	// binary would load it next to the weights.
-	data, err := res.Schedule.MarshalJSON()
+	data, err := json.MarshalIndent(res.Schedule, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}

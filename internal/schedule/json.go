@@ -20,7 +20,9 @@ type jsonStage struct {
 
 // MarshalJSON serializes the schedule by node name, so it can be stored
 // alongside a model definition and reloaded later (the paper's "schedule
-// recipe" that specialization produces per device and batch size).
+// recipe" that specialization produces per device and batch size). The
+// JSON is compact, as a document embedding it gets it; a file meant for
+// people indents it at the write (json.MarshalIndent(s, "", "  ")).
 func (s *Schedule) MarshalJSON() ([]byte, error) {
 	out := jsonSchedule{Graph: s.Graph.Name}
 	for _, st := range s.Stages {
@@ -34,7 +36,7 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 		}
 		out.Stages = append(out.Stages, js)
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return json.Marshal(out)
 }
 
 // FromJSON reconstructs a schedule against the given graph.

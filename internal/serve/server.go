@@ -154,10 +154,6 @@ type Server struct {
 	// graph and no bytes.
 	subMu       sync.Mutex
 	submissions map[[sha256.Size]byte]submission // guarded by subMu
-
-	zooOnce sync.Once
-	zooBody []byte // the rendered GET /models answer
-	zooErr  error
 }
 
 // planKey addresses a registered plan: a serving Key minus the batch.
@@ -524,10 +520,11 @@ type resolved struct {
 	spec  gpusim.Spec
 	batch int
 	// What the graph is made from when the schedule cache does not hold it
-	// (see Server.graph): a zoo builder, or a submission's bytes together
-	// with their parse if this request is the one that parsed them.
+	// (see Server.graph): a zoo builder, or a submission's bytes (the
+	// request body's; see route) together with their parse if this request
+	// is the one that parsed them.
 	zoo    models.Builder
-	raw    json.RawMessage
+	raw    []byte
 	parsed *graph.Graph
 }
 
@@ -546,7 +543,7 @@ const submissionCap = 4096
 
 // resolve validates the model/graph/device fields shared by /optimize,
 // /measure and /infer and produces the cache key, under the server's options.
-func (s *Server) resolve(model string, rawGraph json.RawMessage, batch int, device string) (*resolved, error) {
+func (s *Server) resolve(model string, rawGraph []byte, batch int, device string) (*resolved, error) {
 	if (model == "") == (len(rawGraph) == 0) {
 		return nil, fmt.Errorf("pass exactly one of \"model\" and \"graph\"")
 	}
@@ -750,7 +747,7 @@ func (s *Server) WarmPlans(ctx context.Context, names []string, batches []int) e
 
 // handlers --------------------------------------------------------------
 
-func (s *Server) handleOptimize(ctx context.Context, req *OptimizeRequest) (answer, error) {
+func (s *Server) handleOptimize(ctx context.Context, req *optimizeWire) (answer, error) {
 	res, err := s.resolve(req.Model, req.Graph, req.Batch, req.Device)
 	if err != nil {
 		return answer{}, badRequest(err)
@@ -821,6 +818,7 @@ func (s *Server) plannedEntry(spec gpusim.Spec, rec *registered, batch int) (*pl
 	p := rec.plan
 	pt, penalty, exact := p.Route(batch)
 	g, sched, lat := pt.Graph, pt.Schedule, pt.Latency
+	prof := s.newProfiler(spec) // lowers g once for both measurements
 	if !exact {
 		var err error
 		if g, err = pt.Graph.WithBatch(batch); err != nil {
@@ -829,7 +827,7 @@ func (s *Server) plannedEntry(spec gpusim.Spec, rec *registered, batch int) (*pl
 		if sched, err = pt.Schedule.Transfer(g); err != nil {
 			return nil, fmt.Errorf("plan: route batch %d to planned batch %d: %w", batch, pt.Batch, err)
 		}
-		if lat, err = s.newProfiler(spec).MeasureSchedule(sched); err != nil {
+		if lat, err = prof.MeasureSchedule(sched); err != nil {
 			return nil, err
 		}
 	}
@@ -837,7 +835,7 @@ func (s *Server) plannedEntry(spec gpusim.Spec, rec *registered, batch int) (*pl
 	if err != nil {
 		return nil, err
 	}
-	seqLat, err := s.newProfiler(spec).MeasureSchedule(seq)
+	seqLat, err := prof.MeasureSchedule(seq)
 	if err != nil {
 		return nil, err
 	}
@@ -876,7 +874,7 @@ type measured struct {
 // completed entry (Peek moves no LRU order and no counter), answers ios on a
 // planned key from the plan, as /optimize does, measures each baseline once
 // per entry, and parses or builds and measures anything else.
-func (s *Server) handleMeasure(ctx context.Context, req *MeasureRequest) (answer, error) {
+func (s *Server) handleMeasure(ctx context.Context, req *measureWire) (answer, error) {
 	res, err := s.resolve(req.Model, req.Graph, req.Batch, req.Device)
 	if err != nil {
 		return answer{}, badRequest(err)
@@ -987,22 +985,26 @@ func (s *Server) handleMeasure(ctx context.Context, req *MeasureRequest) (answer
 	}}, nil
 }
 
+// zooAnswer is the rendered GET /models answer. The zoo is static, so it is
+// built and rendered once per process, whichever server asks first.
+var zooAnswer = sync.OnceValues(func() ([]byte, error) {
+	var infos []ModelInfo
+	for _, e := range models.Zoo() {
+		g := e.Build(1)
+		infos = append(infos, ModelInfo{
+			Name:    e.Name,
+			Display: e.Display,
+			Aliases: e.Aliases,
+			Ops:     len(g.SchedulableNodes()),
+			Width:   g.Width(),
+		})
+	}
+	return render(infos)
+})
+
 func (s *Server) handleModels(*http.Request) (answer, error) {
-	s.zooOnce.Do(func() {
-		var infos []ModelInfo
-		for _, e := range models.Zoo() {
-			g := e.Build(1)
-			infos = append(infos, ModelInfo{
-				Name:    e.Name,
-				Display: e.Display,
-				Aliases: e.Aliases,
-				Ops:     len(g.SchedulableNodes()),
-				Width:   g.Width(),
-			})
-		}
-		s.zooBody, s.zooErr = render(infos)
-	})
-	return answer{body: s.zooBody}, s.zooErr
+	body, err := zooAnswer()
+	return answer{body: body}, err
 }
 
 func (s *Server) handleStats(*http.Request) (answer, error) {
@@ -1107,11 +1109,41 @@ func (s *Server) handleHealthz(*http.Request) (answer, error) {
 
 // A route is one row of the route table. Its handler answers a request
 // under the request's context (bounded by Config.Deadline); body is the
-// request body when the route reads one, else nil.
+// request body when the route reads one, else nil. The body is a pooled
+// buffer (see bodies) that a later request reuses once the handler
+// returns, and a request's raw fields alias it (see rawField), so no
+// handler keeps body bytes past its return: nothing it stores, and neither
+// the answer nor the error it returns, may reference them. A search the
+// request starts is no exception: ScheduleCache.GetOrCompute runs its
+// owner's compute inline, so res.raw is parsed before the handler returns.
 type route struct {
 	method, path string
 	reads        bool
 	handle       func(ctx context.Context, r *http.Request, body []byte) (answer, error)
+}
+
+// rawField is a raw JSON request field decoded without a copy: unlike
+// json.RawMessage, it references the body it was decoded from, which is
+// reused once the handler returns (see route).
+type rawField []byte
+
+func (f *rawField) UnmarshalJSON(b []byte) error {
+	*f = b
+	return nil
+}
+
+// optimizeWire and measureWire are what /optimize and /measure bodies
+// decode into: the exported request with its raw fields shadowed by
+// rawFields (the embedded ones stay nil).
+type optimizeWire struct {
+	OptimizeRequest
+	Graph rawField `json:"graph"`
+}
+
+type measureWire struct {
+	MeasureRequest
+	Graph    rawField `json:"graph"`
+	Schedule rawField `json:"schedule"`
 }
 
 // postRoute is a route whose handler takes the JSON body decoded into a fresh T.
@@ -1187,6 +1219,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, rt route) {
 	}
 }
 
+// bodies pools the buffers request bodies are read into, so a warm request
+// reuses one an answered request put back. A buffer grown past
+// maxPresizeBytes + bytes.MinRead is dropped instead: one 16 MB body must
+// not stay resident.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // call runs a route's handler once the method checks out and the body, on
 // a route that reads one, has arrived within maxBodyBytes.
 func (s *Server) call(ctx context.Context, w http.ResponseWriter, r *http.Request, rt route) (answer, error) {
@@ -1196,10 +1234,16 @@ func (s *Server) call(ctx context.Context, w http.ResponseWriter, r *http.Reques
 	if !rt.reads {
 		return rt.handle(ctx, r, nil)
 	}
-	// Pre-sized from Content-Length (plus the bytes.MinRead of slack ReadFrom
+	body := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if body.Cap() <= maxPresizeBytes+bytes.MinRead {
+			body.Reset()
+			bodies.Put(body)
+		}
+	}()
+	// Grown from Content-Length (plus the bytes.MinRead of slack ReadFrom
 	// wants to see EOF without growing), but only up to maxPresizeBytes: the
 	// header is the client's word, and memory is spent on bytes that arrive.
-	var body bytes.Buffer
 	if n := r.ContentLength; n > 0 {
 		body.Grow(int(min(n, maxPresizeBytes)) + bytes.MinRead)
 	}
@@ -1290,7 +1334,7 @@ func (e *Entry) response(cached bool, route *PlanRoute) (OptimizeResponse, error
 		Speedup:      ratio(e.SequentialLatency, e.Latency),
 		Throughput:   ratio(float64(e.Key.Batch), e.Latency),
 		Summary:      e.Schedule.Summarize(),
-		Schedule:     schedJSON, // indented; encoding compacts it
+		Schedule:     schedJSON,
 		Search: SearchInfo{
 			Blocks:       e.Stats.Blocks,
 			States:       e.Stats.States,
