@@ -81,10 +81,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return fail(2, fmt.Errorf("unknown device %q", *deviceFlag))
 	}
-	opts := ios.Options{Pruning: ios.Pruning{R: *rFlag, S: *sFlag}}
-	if err := opts.Strategies.UnmarshalText([]byte(*strategy)); err != nil {
+	strat, err := ios.ParseStrategySet(*strategy)
+	if err != nil {
 		return fail(2, err)
 	}
+	opts := ios.Options{Strategies: strat, Pruning: ios.Pruning{R: *rFlag, S: *sFlag}}
 	if err := opts.Validate(); err != nil {
 		return fail(2, err)
 	}

@@ -38,13 +38,6 @@ type BlockCacheStats = blockcache.Stats
 // distinct block structures.
 func NewBlockCache() *BlockCache { return blockcache.NewCache() }
 
-// NewBlockCacheSize returns a block cache holding at most maxEntries
-// completed block schedules (0 = unbounded). Long-running processes
-// optimizing arbitrary graphs should be bounded; over capacity, entries
-// are shed and simply re-searched on next use — correctness is
-// unaffected.
-func NewBlockCacheSize(maxEntries int) *BlockCache { return blockcache.NewCacheSize(maxEntries) }
-
 // Progress is one search-progress snapshot, delivered to the callback
 // installed with WithProgress at every level barrier of the DP engine.
 // See the core package for field semantics.
@@ -200,8 +193,8 @@ func (e *Engine) OptimizeBatches(ctx context.Context, g *Graph, batches []int, o
 
 // Measure returns the end-to-end latency in seconds of executing the
 // schedule on the engine's device, checking ctx between stages. A
-// schedule built for a different graph is not silently re-wrapped: every
-// stage must reference nodes of g, or Measure fails with a descriptive
+// schedule built for a different graph is not silently re-wrapped: it
+// must validate as a schedule of g, or Measure fails with a descriptive
 // error. In particular a schedule
 // optimized at a different batch size is rejected with an error naming
 // both batches — schedules are batch-specialized (Table 3), so measuring
@@ -242,11 +235,11 @@ func (e *Engine) Throughput(ctx context.Context, g *Graph, s *Schedule) (float64
 }
 
 // adoptSchedule returns a schedule bound to g, verifying — rather than
-// assuming — that the stages reference g's own nodes when the schedule
-// was built against a different Schedule.Graph value. The cross-batch
-// case gets its own diagnosis: node-identity checks alone would report a
-// generic "different graph" for a schedule optimized at another batch
-// size of the same architecture, hiding the actual mistake.
+// assuming — that the stages schedule g (Schedule.Validate) when the
+// schedule was built against a different Schedule.Graph value. The
+// cross-batch case gets its own diagnosis: the node checks alone would
+// report a generic "different graph" for a schedule optimized at another
+// batch size of the same architecture, hiding the actual mistake.
 func adoptSchedule(g *Graph, s *Schedule) (*Schedule, error) {
 	if s.Graph == g {
 		return s, nil
@@ -258,16 +251,9 @@ func adoptSchedule(g *Graph, s *Schedule) (*Schedule, error) {
 				sb, g.Name, gb)
 		}
 	}
-	for si, st := range s.Stages {
-		for _, grp := range st.Groups {
-			for _, n := range grp {
-				if n.ID >= len(g.Nodes) || g.Nodes[n.ID] != n {
-					return nil, fmt.Errorf(
-						"ios: schedule stage %d references node %q of a different graph (schedules are graph-specific; rebuild or reload the schedule for %q)",
-						si+1, n.Name, g.Name)
-				}
-			}
-		}
+	out := &schedule.Schedule{Graph: g, Stages: s.Stages}
+	if err := out.Validate(); err != nil {
+		return nil, fmt.Errorf("ios: schedule does not fit graph %q; is it of a different graph? (schedules are graph-specific; rebuild or reload it for %q): %w", g.Name, g.Name, err)
 	}
-	return &schedule.Schedule{Graph: g, Stages: s.Stages}, nil
+	return out, nil
 }

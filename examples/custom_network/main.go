@@ -7,6 +7,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -76,7 +77,7 @@ func main() {
 
 	// Export the graph so the CLI can re-optimize it:
 	//   go run ./cmd/iosopt -graph detector_head.graph.json -device 2080ti
-	data, err := g.MarshalJSON()
+	data, err := json.MarshalIndent(g, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}

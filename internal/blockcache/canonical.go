@@ -46,21 +46,15 @@ type Entry struct {
 // block — such a schedule was not produced by a per-block search and must
 // not be cached.
 func Canonicalize(b *graph.Block, stages []schedule.Stage) ([]Stage, error) {
-	local := make(map[*graph.Node]int, len(b.Nodes))
-	for i, n := range b.Nodes {
-		local[n] = i
-	}
 	out := make([]Stage, len(stages))
 	for si, st := range stages {
 		cs := Stage{Strategy: st.Strategy, Groups: make([][]int, len(st.Groups))}
 		for gi, grp := range st.Groups {
 			idx := make([]int, len(grp))
 			for ni, n := range grp {
-				i, ok := local[n]
-				if !ok {
+				if idx[ni] = b.LocalIndex(n); idx[ni] < 0 {
 					return nil, fmt.Errorf("blockcache: stage %d references node %q outside block %d", si+1, n.Name, b.Index)
 				}
-				idx[ni] = i
 			}
 			cs.Groups[gi] = idx
 		}
@@ -70,44 +64,38 @@ func Canonicalize(b *graph.Block, stages []schedule.Stage) ([]Stage, error) {
 }
 
 // Rebind instantiates a cached entry's canonical stages onto a block's
-// nodes: local index i becomes b.Nodes[i]. It validates shape — the entry
-// must cover exactly the block's operators, each once — so a corrupted or
-// mismatched entry yields an error (callers fall back to searching), never
-// a malformed schedule.
+// nodes — local index i becomes b.Nodes[i] — and checks them against the
+// block by schedule.CheckStages, the rules Schedule.Validate applies to a
+// graph: a corrupt, mismatched or ill-ordered entry yields an error
+// (callers fall back to searching), never a schedule Validate refuses.
 func Rebind(b *graph.Block, e *Entry) ([]schedule.Stage, error) {
 	if e.Ops != len(b.Nodes) {
 		return nil, fmt.Errorf("blockcache: entry covers %d ops, block %d has %d", e.Ops, b.Index, len(b.Nodes))
 	}
-	seen := make([]bool, len(b.Nodes))
-	covered := 0
-	out := make([]schedule.Stage, len(e.Stages))
+	out, nodes := make([]schedule.Stage, len(e.Stages)), make([]*graph.Node, 0, e.Ops)
 	for si, cs := range e.Stages {
 		st := schedule.Stage{Strategy: cs.Strategy, Groups: make([][]*graph.Node, len(cs.Groups))}
 		for gi, idx := range cs.Groups {
-			grp := make([]*graph.Node, len(idx))
-			for ni, i := range idx {
+			from := len(nodes)
+			for _, i := range idx {
 				if i < 0 || i >= len(b.Nodes) {
 					return nil, fmt.Errorf("blockcache: stage %d has operator index %d out of range [0,%d)", si+1, i, len(b.Nodes))
 				}
-				if seen[i] {
-					return nil, fmt.Errorf("blockcache: operator index %d scheduled twice", i)
-				}
-				seen[i] = true
-				covered++
-				grp[ni] = b.Nodes[i]
+				nodes = append(nodes, b.Nodes[i])
 			}
-			st.Groups[gi] = grp
+			st.Groups[gi] = nodes[from:len(nodes):len(nodes)]
 		}
 		out[si] = st
 	}
-	if covered != len(b.Nodes) {
-		return nil, fmt.Errorf("blockcache: entry schedules %d of %d operators", covered, len(b.Nodes))
+	if err := schedule.CheckStages(out, b.Nodes, b.LocalIndex); err != nil {
+		return nil, fmt.Errorf("blockcache: block %d: %w", b.Index, err)
 	}
 	return out, nil
 }
 
-// validate checks an entry's internal consistency without a block: the
-// structural rules Rebind enforces, against the entry's own Ops count.
+// validate checks an entry's internal consistency without a block, against
+// its own Ops count: known strategies, non-empty groups, every operator
+// index in range and scheduled once.
 // Load applies it to every persisted entry before inserting any.
 func (e *Entry) validate() error {
 	if e.Ops < 1 {

@@ -160,7 +160,7 @@ func (we WireEntry) Decode() ([]byte, *Entry, error) {
 	}
 	v := &Entry{Ops: we.Ops, States: we.States, Transitions: we.Transitions}
 	for si, ws := range we.Stages {
-		strat, err := parseStrategy(ws.Strategy)
+		strat, err := schedule.ParseStrategy(ws.Strategy)
 		if err != nil {
 			return nil, nil, fmt.Errorf("stage %d: %w", si+1, err)
 		}
@@ -180,16 +180,4 @@ func wireEntry(key string, v *Entry) WireEntry {
 		we.Stages = append(we.Stages, WireStage{Strategy: st.Strategy.String(), Groups: st.Groups})
 	}
 	return we
-}
-
-// parseStrategy maps a persisted strategy name back to its value,
-// accepting the same spellings as schedule.FromJSON.
-func parseStrategy(name string) (schedule.Strategy, error) {
-	switch name {
-	case schedule.Concurrent.String(), "concurrent":
-		return schedule.Concurrent, nil
-	case schedule.Merge.String(), "merge":
-		return schedule.Merge, nil
-	}
-	return 0, fmt.Errorf("blockcache: unknown strategy %q", name)
 }

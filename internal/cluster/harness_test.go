@@ -113,6 +113,13 @@ func (h *Harness) Live() []int {
 // node's caches start empty: every block schedule it serves warm arrives
 // in the snapshot its New pulls from the first live member.
 func (h *Harness) Join(ctx context.Context) (*HarnessNode, error) {
+	return h.JoinWith(ctx, blockcache.NewCache())
+}
+
+// JoinWith is Join with the given block cache, as a node started on a
+// block-cache file has: the entries loaded into it are its own, which its
+// pushes ship.
+func (h *Harness) JoinWith(ctx context.Context, bc *blockcache.Cache) (*HarnessNode, error) {
 	id := fmt.Sprintf("node%d", len(h.nodes))
 	cacheSize := h.cfg.CacheSize
 	if cacheSize <= 0 {
@@ -123,7 +130,7 @@ func (h *Harness) Join(ctx context.Context) (*HarnessNode, error) {
 		Options:      h.cfg.Options,
 		Cache:        serve.NewScheduleCache(cacheSize),
 		MeasureCache: measure.NewCache(),
-		BlockCache:   blockcache.NewCache(),
+		BlockCache:   bc,
 		Logf:         h.cfg.Logf,
 	})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -272,5 +273,70 @@ func TestHostilePeerBytesAreRefused(t *testing.T) {
 	}
 	if srv.LookupPlan(aInfo.Model, aInfo.Device, aInfo.Options) == nil {
 		t.Error("the valid plan pull registered nothing")
+	}
+}
+
+// TestHostileBlockFileJoinsAFleet: a node whose block-cache file holds
+// Inception V3's searched entries with their stages reversed — every
+// operator index in range and scheduled once, so the file loads, but an
+// entry of more than one dependent stage now runs an edge backwards —
+// joins a fleet and pushes them to every peer. Every node still answers
+// /optimize 200 with the schedule a single node searches: each refuses the
+// hits such an entry gives and searches the block locally.
+func TestHostileBlockFileJoinsAFleet(t *testing.T) {
+	ctx := context.Background()
+	solo := serve.NewServer(serve.Config{})
+	body := []byte(`{"model":"inception_v3"}`)
+	w := httptest.NewRecorder()
+	solo.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body)))
+	var want serve.OptimizeResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &want); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("single node: %d %s", w.Code, w.Body)
+	}
+	entries, _ := solo.BlockCache().Snapshot(0)
+	reversed := 0
+	for i := range entries {
+		st := slices.Clone(entries[i].Stages)
+		slices.Reverse(st)
+		if entries[i].Stages = st; len(st) > 1 {
+			reversed++
+		}
+	}
+	file := t.TempDir() + "/hostile.cache"
+	hostile := blockcache.NewCache()
+	if _, err := hostile.Merge(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := hostile.SaveFile(file); err != nil {
+		t.Fatal(err)
+	}
+
+	h, err := StartHarness(ctx, HarnessConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	bc := blockcache.NewCache()
+	if _, err := bc.LoadFile(file); err != nil {
+		t.Fatalf("the hostile file does not load: %v", err)
+	}
+	if _, err := h.JoinWith(ctx, bc); err != nil {
+		t.Fatal(err)
+	}
+	if pushed, err := h.SyncAll(ctx); err != nil || pushed < 2*len(entries) {
+		t.Fatalf("pushed %d entries (%v), want the file's %d to each of 2 peers", pushed, err, len(entries))
+	}
+	t.Logf("%d of %d entries reversed", reversed, len(entries))
+	for _, hn := range h.Nodes() {
+		if got := hn.Server.BlockCache().Len(); got < len(entries) {
+			t.Fatalf("%s holds %d block entries, want the file's %d", hn.ID, got, len(entries))
+		}
+		got, err := postOptimize(h.Client(), hn.URL, "inception_v3", 1)
+		if err != nil {
+			t.Fatalf("%s: %v", hn.ID, err)
+		}
+		if !bytes.Equal(got.Schedule, want.Schedule) {
+			t.Errorf("%s answers a schedule other than the single node's", hn.ID)
+		}
 	}
 }

@@ -218,9 +218,11 @@ func searchBlock(ctx context.Context, b *graph.Block, prof *profile.Profiler, op
 					Measurements: prof.Measurements - m0}
 				return stages, stats, nil
 			}
-			// A structurally invalid entry (possible only through a
-			// corrupted shared cache) falls back to an uncached search
-			// rather than failing the optimization.
+			// An entry Rebind refuses — its stages break the rules of
+			// schedule.CheckStages on this block, as a corrupt file or
+			// peer can make them — is searched locally instead of
+			// failing the optimization. The entry stays in the cache, so
+			// every later hit on its key searches again.
 		} else {
 			claim = cl
 		}

@@ -63,21 +63,6 @@ func ParseStrategySet(name string) (StrategySet, error) {
 	return Both, fmt.Errorf("core: unknown strategy set %q (want both, parallel, or merge)", name)
 }
 
-// MarshalText implements encoding.TextMarshaler, so Options round-trips
-// through JSON with readable strategy names.
-func (s StrategySet) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler; it accepts anything
-// ParseStrategySet does.
-func (s *StrategySet) UnmarshalText(text []byte) error {
-	v, err := ParseStrategySet(string(text))
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
-}
-
 // Pruning is the schedule-pruning strategy P of Section 4.3: an ending S'
 // satisfies P iff it has at most S groups and each group has at most R
 // operators. The paper's default is r=3, s=8.
@@ -93,9 +78,9 @@ func (s *StrategySet) UnmarshalText(text []byte) error {
 // Values below -1 are invalid; Options.Validate rejects them.
 type Pruning struct {
 	// R bounds operators per group (see the bound convention above).
-	R int `json:"r,omitempty"`
+	R int
 	// S bounds groups per stage (see the bound convention above).
-	S int `json:"s,omitempty"`
+	S int
 }
 
 // DefaultPruning is the paper's evaluation setting (r = 3, s = 8).
@@ -120,19 +105,17 @@ func (p Pruning) maxStageOps() int {
 	return p.R * p.S
 }
 
-// Options configures a search. Its JSON form spells Strategies as a name
-// ("IOS-Both", or the short "both"/"parallel"/"merge") via StrategySet's
-// text marshaling. No request and no schedule file carries it: a server
-// searches under its own configured Options, and its answers name them by
-// Fingerprint.
+// Options configures a search. No request and no schedule file carries
+// it: a server searches under its own configured Options, and its answers
+// name them by Fingerprint.
 type Options struct {
 	// Strategies selects the IOS variant (default Both).
-	Strategies StrategySet `json:"strategies,omitempty"`
+	Strategies StrategySet
 	// Pruning bounds the ending enumeration (the zero value is the paper
 	// default r=3, s=8; use Unpruned for the exhaustive search).
-	Pruning Pruning `json:"pruning,omitempty"`
+	Pruning Pruning
 	// MaxBlockOps caps the block partition size (0 = bitset limit).
-	MaxBlockOps int `json:"max_block_ops,omitempty"`
+	MaxBlockOps int
 	// Workers caps the per-block DP engine's worker pool (goroutines with
 	// private simulators processing one cardinality level's states in
 	// parallel). 0 or negative means GOMAXPROCS; the engine additionally
@@ -141,7 +124,7 @@ type Options struct {
 	// engine produces bit-identical schedules, costs, and search
 	// statistics at every setting, which is why Fingerprint deliberately
 	// excludes it (cached schedules are shared across worker counts).
-	Workers int `json:"workers,omitempty"`
+	Workers int
 
 	// tracker is the shared cross-block progress aggregator, installed by
 	// OptimizeWithProgress so parallel block searches feed one monotonic

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
-	"strings"
 	"testing"
 
 	"ios/internal/graph"
@@ -99,32 +97,6 @@ func TestParseStrategySet(t *testing.T) {
 	}
 }
 
-func TestOptionsJSONRoundTrip(t *testing.T) {
-	in := Options{Strategies: MergeOnly, Pruning: Pruning{R: 2, S: 4}, MaxBlockOps: 30}
-	data, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"IOS-Merge"`) {
-		t.Errorf("strategy not serialized by name: %s", data)
-	}
-	var out Options
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Errorf("round trip: %+v != %+v", out, in)
-	}
-	// The short CLI spellings parse too.
-	var short Options
-	if err := json.Unmarshal([]byte(`{"strategies": "parallel"}`), &short); err != nil {
-		t.Fatal(err)
-	}
-	if short.Strategies != ParallelOnly {
-		t.Errorf("short spelling parsed to %v", short.Strategies)
-	}
-}
-
 func TestOptionsFingerprint(t *testing.T) {
 	if got := (Options{}).Fingerprint(); got != "IOS-Both/r=3,s=8" {
 		t.Errorf("zero options fingerprint = %q", got)
@@ -148,19 +120,5 @@ func TestWorkersExcludedFromFingerprint(t *testing.T) {
 	b := Options{Workers: 16}.Fingerprint()
 	if a != b {
 		t.Errorf("fingerprint depends on Workers: %q vs %q", a, b)
-	}
-}
-
-func TestWorkersJSONRoundTrip(t *testing.T) {
-	var got Options
-	data, err := json.Marshal(Options{Workers: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Workers != 7 {
-		t.Errorf("workers round-trip = %d, want 7", got.Workers)
 	}
 }

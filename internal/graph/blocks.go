@@ -42,11 +42,21 @@ func (b *Block) Preds(i int) bitset.Set { return b.pred[i] }
 // All returns the set of all operator indices in the block.
 func (b *Block) All() bitset.Set { return bitset.Full(len(b.Nodes)) }
 
-// LocalIndex returns the block-local index of a node, or -1.
+// LocalIndex returns the block-local index of a node, or -1. A block's
+// nodes ascend by ID, consecutively unless a graph input sits between two
+// of them, so the ID's offset from the first node finds a member in one
+// probe, and only an ID within the block's range that the probe misses is
+// looked for node by node.
 func (b *Block) LocalIndex(n *Node) int {
-	for i, m := range b.Nodes {
-		if m == n {
-			return i
+	first, last := b.Nodes[0].ID, b.Nodes[len(b.Nodes)-1].ID
+	if i := n.ID - first; uint(i) < uint(len(b.Nodes)) && b.Nodes[i] == n {
+		return i
+	}
+	if first <= n.ID && n.ID <= last {
+		for i, m := range b.Nodes {
+			if m == n {
+				return i
+			}
 		}
 	}
 	return -1

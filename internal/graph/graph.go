@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Node is a single operator in a computation graph. Nodes are created
 // through the Graph builder methods, which compute output shapes and keep
@@ -88,6 +85,15 @@ func (g *Graph) nodeName(name string, kind OpKind) string {
 	return name
 }
 
+// Index returns n's position in g.Nodes, its ID, or -1 for a node of
+// another graph.
+func (g *Graph) Index(n *Node) int {
+	if uint(n.ID) < uint(len(g.Nodes)) && g.Nodes[n.ID] == n {
+		return n.ID
+	}
+	return -1
+}
+
 // add appends a node, wiring consumer lists and validating the name.
 func (g *Graph) add(name string, op Op, inputs []*Node, out Shape) *Node {
 	name = g.nodeName(name, op.Kind)
@@ -98,7 +104,7 @@ func (g *Graph) add(name string, op Op, inputs []*Node, out Shape) *Node {
 		if in == nil {
 			panic(fmt.Sprintf("graph %q: node %q has nil input", g.Name, name))
 		}
-		if in.ID >= len(g.Nodes) || g.Nodes[in.ID] != in {
+		if g.Index(in) < 0 {
 			panic(fmt.Sprintf("graph %q: node %q input %q belongs to a different graph", g.Name, name, in.Name))
 		}
 	}
@@ -430,11 +436,4 @@ func (g *Graph) SchedulableNodes() []*Node {
 		}
 	}
 	return out
-}
-
-// SortNodesByID sorts a node slice by ID in place and returns it; handy for
-// deterministic reporting.
-func SortNodesByID(nodes []*Node) []*Node {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	return nodes
 }

@@ -248,7 +248,7 @@ func TestValidateInputBatchMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mangled := strings.Replace(string(data), "[\n        2,\n        3,\n        8,\n        8\n      ]", "[\n        4,\n        3,\n        8,\n        8\n      ]", 1)
+	mangled := strings.Replace(string(data), "[2,3,8,8]", "[4,3,8,8]", 1)
 	if mangled == string(data) {
 		t.Fatal("test setup: shape replacement did not apply")
 	}

@@ -40,7 +40,8 @@ type jsonNode struct {
 	OutFeatures int `json:"out_features,omitempty"`
 }
 
-// MarshalJSON serializes the graph.
+// MarshalJSON serializes the graph as compact JSON; a file meant for people
+// indents it at the write (json.MarshalIndent(g, "", "  ")).
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	out := jsonGraph{Name: g.Name}
 	for _, n := range g.Nodes {
@@ -69,7 +70,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		}
 		out.Nodes = append(out.Nodes, jn)
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return json.Marshal(out)
 }
 
 // Fingerprint returns a short stable content hash of the graph: 16 hex

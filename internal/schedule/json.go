@@ -47,14 +47,9 @@ func FromJSON(data []byte, g *graph.Graph) (*Schedule, error) {
 	}
 	s := &Schedule{Graph: g}
 	for si, jst := range js.Stages {
-		var strat Strategy
-		switch jst.Strategy {
-		case Concurrent.String(), "concurrent":
-			strat = Concurrent
-		case Merge.String(), "merge":
-			strat = Merge
-		default:
-			return nil, fmt.Errorf("schedule: stage %d: unknown strategy %q", si+1, jst.Strategy)
+		strat, err := ParseStrategy(jst.Strategy)
+		if err != nil {
+			return nil, fmt.Errorf("schedule: stage %d: %w", si+1, err)
 		}
 		st := Stage{Strategy: strat}
 		for _, names := range jst.Groups {

@@ -34,6 +34,18 @@ func (s Strategy) String() string {
 	return "concurrent execution"
 }
 
+// ParseStrategy maps a strategy's String, or the short "concurrent" or
+// "merge", back to it. The caller's error says where the name came from.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case Concurrent.String(), "concurrent":
+		return Concurrent, nil
+	case Merge.String(), "merge":
+		return Merge, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q", name)
+}
+
 // Stage is one step of a schedule.
 type Stage struct {
 	// Strategy selects how the stage's operators are parallelized.
@@ -184,28 +196,46 @@ func CanMerge(ops []*graph.Node) bool {
 	return true
 }
 
-// Validate checks that the schedule is feasible for its graph:
+// Validate checks that the schedule is feasible for its graph: the stage
+// rules of CheckStages over all of the graph's nodes.
+func (s *Schedule) Validate() error { return CheckStages(s.Stages, s.Graph.Nodes, s.Graph.Index) }
+
+// CheckStages checks a stage list against scope, the nodes it must
+// schedule — a graph's, or a block's — where index(n) is n's position in
+// scope, or -1 for a node outside it:
 //
-//   - the stages partition the graph's schedulable operators;
-//   - every edge (u, v) has stage(u) <= stage(v) — i.e. each stage's
-//     operator set is an ending of the suffix it closes (Section 4.1);
-//   - within a stage, groups are disjoint, operators connected by an edge
-//     share a group (the concurrent-execution rule), and each group's
-//     order respects dependencies;
-//   - within a stage, no edge connects two of its operators across groups;
+//   - the stages partition scope's operators (its non-input nodes);
+//   - every edge (u, v) within scope has stage(u) <= stage(v) — i.e. each
+//     stage's operator set is an ending of the suffix it closes
+//     (Section 4.1); an edge from outside scope is not its concern;
+//   - within a stage, groups are non-empty and disjoint, operators
+//     connected by an edge share a group (the concurrent-execution rule),
+//     and each group's order respects dependencies;
 //   - a merge stage's operators are merge-eligible (CanMerge).
-func (s *Schedule) Validate() error {
-	// at[n.ID] places a node of the graph, stage 1-based (0: unscheduled);
-	// a node of another graph only counts, its stage in foreign.
+//
+// A node outside scope counts towards coverage, so its twin in scope goes
+// unscheduled. Refusals come in stage order, then coverage, then edges.
+// Over a scope of up to 64 nodes it allocates nothing.
+func CheckStages(stages []Stage, scope []*graph.Node, index func(*graph.Node) int) error {
+	// at[i] places scope[i], stage 1-based (0: unscheduled); a node
+	// outside scope only counts, its stage in foreign.
 	type place struct{ stage, group, pos int32 }
-	at := make([]place, len(s.Graph.Nodes))
-	foreign := map[*graph.Node]int32{}
+	var small [64]place
+	at := small[:min(len(scope), len(small))]
+	if len(scope) > len(small) {
+		at = make([]place, len(scope))
+	}
+	var foreign map[*graph.Node]int32
 	covered := 0
-	for si, st := range s.Stages {
+	for si, st := range stages {
 		if len(st.Groups) == 0 {
 			return fmt.Errorf("schedule: stage %d has no groups", si+1)
 		}
-		if st.Strategy == Merge && !CanMerge(st.Ops()) {
+		merged := st.Groups[0] // a search's merge stage is one group: no copy
+		if st.Strategy == Merge && len(st.Groups) > 1 {
+			merged = st.Ops()
+		}
+		if st.Strategy == Merge && !CanMerge(merged) {
 			return fmt.Errorf("schedule: stage %d merges operators that are not merge-eligible", si+1)
 		}
 		for gi, grp := range st.Groups {
@@ -217,9 +247,12 @@ func (s *Schedule) Validate() error {
 					return fmt.Errorf("schedule: input node %q scheduled in stage %d", n.Name, si+1)
 				}
 				var prev int32 // the 1-based stage n is already in, if any
-				if uint(n.ID) < uint(len(at)) && s.Graph.Nodes[n.ID] == n {
-					prev, at[n.ID] = at[n.ID].stage, place{int32(si + 1), int32(gi), int32(pi)}
+				if i := index(n); i >= 0 {
+					prev, at[i] = at[i].stage, place{int32(si + 1), int32(gi), int32(pi)}
 				} else {
+					if foreign == nil {
+						foreign = map[*graph.Node]int32{}
+					}
 					prev, foreign[n] = foreign[n], int32(si+1)
 				}
 				if prev > 0 {
@@ -229,26 +262,30 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	ops := 0
-	for _, n := range s.Graph.Nodes {
+	ops, missing := 0, -1
+	for i, n := range scope {
 		if n.Op.Kind != graph.OpInput {
-			ops++
+			if ops++; at[i].stage == 0 && missing < 0 {
+				missing = i
+			}
 		}
 	}
 	if covered != ops {
 		return fmt.Errorf("schedule: covers %d of %d operators", covered, ops)
 	}
-	for _, n := range s.Graph.Nodes {
-		if n.Op.Kind != graph.OpInput && at[n.ID].stage == 0 {
-			return fmt.Errorf("schedule: operator %q not scheduled", n.Name)
-		}
+	if missing >= 0 {
+		return fmt.Errorf("schedule: operator %q not scheduled", scope[missing].Name)
 	}
-	for _, v := range s.Graph.Nodes {
+	for i, v := range scope {
 		for _, u := range v.Inputs {
 			if u.Op.Kind == graph.OpInput {
 				continue
 			}
-			pu, pv := at[u.ID], at[v.ID]
+			j := index(u)
+			if j < 0 {
+				continue
+			}
+			pu, pv := at[j], at[i]
 			if pu.stage > pv.stage {
 				return fmt.Errorf("schedule: edge %q->%q runs backwards (stage %d -> %d)", u.Name, v.Name, pu.stage, pv.stage)
 			}

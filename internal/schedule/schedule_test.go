@@ -29,6 +29,10 @@ func TestValidateAcceptsGoodSchedule(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// A scope of at most 64 nodes is placed in CheckStages' own array.
+	if n := testing.AllocsPerRun(10, func() { _ = s.Validate() }); n != 0 {
+		t.Errorf("Validate of a 6-node graph allocates %.0f times, want 0", n)
+	}
 }
 
 func TestValidateRejectsMissingOp(t *testing.T) {

@@ -154,3 +154,20 @@ func TestScheduleFieldIsMarshalJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeBodyBufferIsNotPooled: a body that grows its buffer past the
+// keep bound is answered, and its buffer does not go back to the pool,
+// where it would stay resident.
+func TestLargeBodyBufferIsNotPooled(t *testing.T) {
+	s := NewServer(Config{})
+	body := mustMarshal(t, OptimizeRequest{Graph: graphJSON(t, models.SqueezeNet(1))})
+	big := append(append(body[:len(body)-1:len(body)-1], bytes.Repeat([]byte(" "), 1<<20)...), '}')
+	if code, answer := post(s, "/optimize", big); code != http.StatusOK {
+		t.Fatalf("a 1 MB submission: %d %s", code, answer)
+	}
+	b := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(b)
+	if b.Cap() > maxPresizeBytes+bytes.MinRead {
+		t.Errorf("the pool holds a %d-byte buffer, keep bound %d", b.Cap(), maxPresizeBytes+bytes.MinRead)
+	}
+}

@@ -52,10 +52,11 @@ const DefaultCacheSize = 256
 
 // maxBodyBytes bounds request bodies (graph JSONs are well under this);
 // maxPresizeBytes bounds what a request's Content-Length alone can make the
-// server allocate before any of the body has arrived.
+// server allocate before any of the body has arrived. Plus bytes.MinRead it
+// is nine whole pages, which the allocator does not round past bodies' bound.
 const (
 	maxBodyBytes    = 16 << 20
-	maxPresizeBytes = 64 << 10
+	maxPresizeBytes = 72<<10 - bytes.MinRead
 )
 
 // Config configures a Server. The zero value serves the V100 with paper

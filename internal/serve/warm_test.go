@@ -376,7 +376,9 @@ func allocPerRequest(t *testing.T, s *Server, n int, request func() *http.Reques
 // schedule field, 2.3 and 2.8 KB). A plan's first answer at an unplanned
 // batch lowers the graph on one profiler for both of its measurements
 // (two fresh ones allocated 147 KB for Inception V3 at batch 5; one, 110).
-// Request construction is included.
+// Request construction is included. A repeated submission padded past
+// 64 KB reads into a pooled buffer too (one allocated and dropped per
+// request cost 75.5 KB while the keep bound sat below its capacity).
 func TestWarmHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -410,6 +412,14 @@ func TestWarmHitAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget("/optimize", body, 4<<10, "is a repeated submission parsed again, or its bytes copied?")
+	// The same graph padded to 66,016 bytes, past 64 KB: its presized
+	// buffer (72 KB) must go back to the pool like a small one's.
+	padded := append(body[:len(body)-1:len(body)-1], bytes.Repeat([]byte(" "), 66016-len(body))...)
+	padded = append(padded, '}')
+	if _, _, err := optimizeOK(s, padded); err != nil {
+		t.Fatal(err)
+	}
+	budget("/optimize", padded, 4<<10, "is a body past 64 KB read into a fresh buffer, the pool's keep bound below what a presize allocates?")
 
 	opt, _, err := optimizeOK(s, mustMarshal(t, OptimizeRequest{Model: "squeezenet"}))
 	if err != nil {

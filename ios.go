@@ -104,6 +104,10 @@ var DefaultPruning = core.DefaultPruning
 // Unpruned requests the exhaustive search.
 var Unpruned = core.Unpruned
 
+// ParseStrategySet maps "both", "parallel" or "merge" (or a figure legend
+// such as "IOS-Merge") to its Options.Strategies value.
+var ParseStrategySet = core.ParseStrategySet
+
 // NewGraph returns an empty computation graph.
 func NewGraph(name string) *Graph { return graph.New(name) }
 
