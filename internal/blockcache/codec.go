@@ -32,7 +32,9 @@ type Cache struct {
 // the block search and calls Commit, or Abandon on failure.
 type Claim = sfcache.Claim[*Entry]
 
-// Stats is a snapshot of the traffic counters; Misses count block searches.
+// Stats is a snapshot of the traffic counters; Misses count block
+// searches, and Rejected the entries searched again in place because
+// Rebind refused them.
 type Stats = sfcache.Stats
 
 // NewCache returns an empty, unbounded block cache: for a fixed set of

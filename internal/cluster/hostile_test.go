@@ -338,5 +338,19 @@ func TestHostileBlockFileJoinsAFleet(t *testing.T) {
 		if !bytes.Equal(got.Schedule, want.Schedule) {
 			t.Errorf("%s answers a schedule other than the single node's", hn.ID)
 		}
+		resp, err := h.Client().Get(hn.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats serve.StatsResponse
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := stats.BlockCache.Rejected; r == 0 || r > int64(reversed) || stats.BlockCache.Misses != r {
+			t.Errorf("%s's /stats shows %d block entries rejected and %d searched, want the same count, between 1 and the %d reversed",
+				hn.ID, r, stats.BlockCache.Misses, reversed)
+		}
 	}
 }

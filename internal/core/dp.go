@@ -178,9 +178,10 @@ type choice struct {
 // the block's canonical structural fingerprint is consulted first: a hit
 // rebinds the cached schedule onto this block's nodes without running the
 // search, a miss claims the fingerprint (concurrent searches of the same
-// structure wait for this one) and publishes the result on success. A
-// search that fails or is cancelled abandons its claim so the fingerprint
-// stays searchable.
+// structure wait for this one) and publishes the result on success, and a
+// hit whose entry blockcache.Rebind refuses claims the fingerprint back
+// and publishes the result in the entry's place. A search that fails or is
+// cancelled abandons its claim so the fingerprint stays searchable.
 func OptimizeBlockContext(ctx context.Context, b *graph.Block, prof *profile.Profiler, opts Options) ([]schedule.Stage, Stats, error) {
 	sc := scratches.Get().(*scratch)
 	defer sc.release()
@@ -205,10 +206,7 @@ func searchBlock(ctx context.Context, b *graph.Block, prof *profile.Profiler, op
 	if bc := opts.blockCache; bc != nil {
 		sc.key = blockcache.AppendFingerprint(sc.key[:0], b, prof, opts.Fingerprint())
 		ent, cl, err := bc.GetOrBegin(ctx.Done(), sc.key)
-		if err != nil {
-			return nil, Stats{}, wrapCancelled(ctx.Err())
-		}
-		if cl == nil {
+		for err == nil && cl == nil {
 			if stages, rerr := blockcache.Rebind(b, ent); rerr == nil {
 				// Keep the progress stream's cumulative counters in sync
 				// with the final Stats, which include the recorded cost.
@@ -220,12 +218,15 @@ func searchBlock(ctx context.Context, b *graph.Block, prof *profile.Profiler, op
 			}
 			// An entry Rebind refuses — its stages break the rules of
 			// schedule.CheckStages on this block, as a corrupt file or
-			// peer can make them — is searched locally instead of
-			// failing the optimization. The entry stays in the cache, so
-			// every later hit on its key searches again.
-		} else {
-			claim = cl
+			// peer can make them — is taken back: the block is searched
+			// locally under a claim, and the result replaces the entry
+			// for the waiters and every later hit.
+			ent, cl, err = bc.ReplaceOrBegin(ctx.Done(), sc.key, ent)
 		}
+		if err != nil {
+			return nil, Stats{}, wrapCancelled(ctx.Err())
+		}
+		claim = cl
 	}
 	committed := false
 	if claim != nil {

@@ -323,7 +323,10 @@ func (t *setTable) grow() {
 
 // scratch is the working memory of block searches, held by one goroutine
 // that searches blocks and reused from block to block and, through scratches,
-// from call to call at the size earlier blocks grew it to. newEngine empties
+// from call to call at the size earlier blocks grew it to. A collection
+// empties the pool and so drops every idle scratch and its memory; what
+// survives is sizes, the counts a fresh scratch's tables are sized from at
+// acquisition, so it does not grow them again by doubling. newEngine empties
 // it at acquisition, never at release — a failed or cancelled search leaves
 // failed slots and half a level of cost/last behind, and nothing reads a
 // scratch between engines; release only drops the last graph and profilers.
@@ -358,6 +361,30 @@ type scratch struct {
 // and the collector empties the pool: an idle process keeps none alive.
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
+// sizes records, per block operator count, the most a block of that size
+// has needed in this process: stage-memo endings, as its fullest memo
+// shard's count times the shard count, and states. It is counts, not
+// memory, so it outlives the collections that empty scratches, and
+// acquire sizes a scratch's memo index and state index from it.
+var sizes [bitset.MaxElems + 1]struct{ endings, states atomic.Int64 }
+
+// raise stores v in a if it is larger.
+func raise(a *atomic.Int64, v int64) {
+	for old := a.Load(); v > old && !a.CompareAndSwap(old, v); old = a.Load() {
+	}
+}
+
+// record raises sizes for the engine's block from what its search used.
+func (e *engine) record() {
+	fullest := 0
+	for i := range e.shards {
+		fullest = max(fullest, e.shards[i].used)
+	}
+	size := &sizes[len(e.b.Nodes)]
+	raise(&size.endings, int64(fullest*len(e.shards)))
+	raise(&size.states, int64(len(e.states)))
+}
+
 // release drops the last block's graph and profilers and pools the scratch.
 func (sc *scratch) release() {
 	for _, w := range sc.workers {
@@ -369,28 +396,48 @@ func (sc *scratch) release() {
 }
 
 // acquire empties the scratch for a block of n operators and a memo of the
-// given power-of-two shard count. No search is using it, so the plain clear
-// of atomic index words is ordered before every later access.
+// given power-of-two shard count, first growing its memo index, state index
+// and state list to what sizes says blocks of n operators have needed. No
+// search is using it, so the plain clear of atomic index words is ordered
+// before every later access.
 func (sc *scratch) acquire(n, shards int) {
 	memo := &sc.memos[bits.TrailingZeros(uint(shards))]
 	if *memo == nil {
 		*memo = make([]stageShard, shards)
 	}
 	sc.shards = *memo
+	words := stageIndexMin // an index is at most half full
+	for perShard := (sizes[n].endings.Load() + int64(shards) - 1) / int64(shards); int64(words) < 2*perShard; {
+		words *= 2
+	}
 	for i := range sc.shards {
 		sh := &sc.shards[i]
-		if sh.wake.L == nil {
-			sh.wake.L = &sh.mu
-			sh.tab.Store(newStageView(stageIndexMin))
+		sh.wake.L = &sh.mu
+		if t := sh.tab.Load(); t == nil || len(t.index) < words {
+			grown := newStageView(words)
+			if t != nil {
+				copy(grown.chunks, t.chunks)
+			}
+			sh.tab.Store(grown)
+		} else {
+			clear(t.index)
 		}
-		clear(sh.tab.Load().index)
 		sh.used, sh.chunk, sh.fill = 0, 0, 0
 	}
-	if sc.index.slots == nil {
-		sc.index.slots, sc.index.shift = make([]setSlot, 128), 64-7
+	states := int(sizes[n].states.Load())
+	slots := 128 // a setTable is at most half full
+	for slots < 2*states {
+		slots *= 2
 	}
-	clear(sc.index.slots)
+	if len(sc.index.slots) < slots {
+		sc.index.slots, sc.index.shift = make([]setSlot, slots), uint8(64-bits.TrailingZeros(uint(slots)))
+	} else {
+		clear(sc.index.slots)
+	}
 	sc.index.used = 0
+	if cap(sc.states) < states {
+		sc.states = make([]bitset.Set, 0, states)
+	}
 	sc.states = sc.states[:0]
 	for len(sc.levels) <= n {
 		sc.levels = append(sc.levels, nil)
@@ -537,6 +584,7 @@ func (e *engine) run(ctx context.Context) ([]schedule.Stage, Stats, error) {
 	if err := e.compute(ctx); err != nil {
 		return nil, e.stats, err
 	}
+	e.record()
 	stages, err := e.reconstruct()
 	return stages, e.stats, err
 }

@@ -113,6 +113,50 @@ func TestClaimedSlotReadsInFlight(t *testing.T) {
 	}
 }
 
+// TestTablesAreSizedFromEarlierBlocks: a collection empties the scratch
+// pool, but not what blocks needed: after a search of a block and two
+// collections, a fresh scratch searching a block of the same operator count
+// publishes no second memo view on any shard and grows neither its state
+// index nor its state list — on a one-shard memo and a sixteen-shard one.
+func TestTablesAreSizedFromEarlierBlocks(t *testing.T) {
+	b, err := HardestBlock(models.RandWire(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, workers := range []int{1, 4} {
+		opts := Options{Workers: workers}
+		if _, _, err := OptimizeBlockContext(ctx, b, v100Profiler(), opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		sc := scratches.Get().(*scratch)
+		if sc.workers != nil && !raceEnabled {
+			t.Fatal("two collections left a scratch in the pool")
+		}
+		e := newEngine(b, v100Profiler(), opts.Canonical(), sc)
+		views := make([]*stageView, len(sc.shards))
+		for i := range sc.shards {
+			views[i] = sc.shards[i].tab.Load()
+		}
+		slots, states := unsafe.SliceData(sc.index.slots), unsafe.SliceData(sc.states)
+		if _, _, err := e.run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		e.close()
+		for i := range sc.shards {
+			if sc.shards[i].tab.Load() != views[i] {
+				t.Errorf("%d workers: memo shard %d of %d grew its index during the search", workers, i, len(sc.shards))
+			}
+		}
+		if unsafe.SliceData(sc.index.slots) != slots || unsafe.SliceData(sc.states) != states {
+			t.Errorf("%d workers: the state index or the state list grew during the search", workers)
+		}
+		sc.release()
+	}
+}
+
 // TestWorkersOutliveTheBlock: the worker pool is the searcher's. An engine
 // builds the workers its scratch lacks and no others, and points those it
 // takes at its own block — worker 0 at the profiler it was handed, the rest

@@ -69,7 +69,9 @@ func (c Config) optimize(ctx context.Context, g *graph.Graph, strategies core.St
 	return core.OptimizeContext(ctx, g, profile.New(c.Device), opts)
 }
 
-// latencyOf resolves one named schedule policy on a graph.
+// latencyOf resolves one named schedule policy on a graph: "Sequential",
+// "Greedy", "IOS" (IOS-Both) or any name core.ParseStrategySet takes but
+// the empty one.
 func (c Config) latencyOf(ctx context.Context, g *graph.Graph, policy string) (float64, *core.Stats, error) {
 	var (
 		s   *schedule.Schedule
@@ -81,26 +83,19 @@ func (c Config) latencyOf(ctx context.Context, g *graph.Graph, policy string) (f
 		s, err = baseline.Sequential(g)
 	case "Greedy":
 		s, err = baseline.Greedy(g)
-	case "IOS-Merge":
-		var res *core.Result
-		res, err = c.optimize(ctx, g, core.MergeOnly)
-		if err == nil {
-			s, st = res.Schedule, &res.Stats
-		}
-	case "IOS-Parallel":
-		var res *core.Result
-		res, err = c.optimize(ctx, g, core.ParallelOnly)
-		if err == nil {
-			s, st = res.Schedule, &res.Stats
-		}
-	case "IOS-Both", "IOS":
-		var res *core.Result
-		res, err = c.optimize(ctx, g, core.Both)
-		if err == nil {
-			s, st = res.Schedule, &res.Stats
-		}
 	default:
-		return 0, nil, fmt.Errorf("expt: unknown policy %q", policy)
+		name := policy
+		if name == "IOS" {
+			name = "IOS-Both"
+		}
+		set, perr := core.ParseStrategySet(name)
+		if perr != nil || name == "" { // "" parses as the default set
+			return 0, nil, fmt.Errorf("expt: unknown policy %q", policy)
+		}
+		var res *core.Result
+		if res, err = c.optimize(ctx, g, set); err == nil {
+			s, st = res.Schedule, &res.Stats
+		}
 	}
 	if err != nil {
 		return 0, nil, err

@@ -164,8 +164,10 @@ func TestQuickLightweight(t *testing.T) {
 func TestLatencyOfUnknownPolicy(t *testing.T) {
 	c := quickCfg().withDefaults()
 	g := benchmarksFirst(c)
-	if _, _, err := c.latencyOf(context.Background(), g, "nope"); err == nil {
-		t.Error("unknown policy accepted")
+	for _, policy := range []string{"nope", ""} {
+		if _, _, err := c.latencyOf(context.Background(), g, policy); err == nil {
+			t.Errorf("policy %q accepted", policy)
+		}
 	}
 }
 

@@ -16,8 +16,11 @@
 // table without taking a lock. Only claims in flight live in a map. A
 // bounded core evicts by tombstoning an index word; the space comes back
 // when the shard's table is next rebuilt. A claim holds a short key
-// inline, and a shard keeps one spare claim, the last that finished with
-// no waiter, so an uncontended miss on a short key allocates nothing.
+// inline and a key of up to bigKey bytes in a buffer its shard lends it,
+// and a shard keeps one spare claim, the last that finished with no
+// waiter, so an uncontended miss on any key the table copies into its
+// arena allocates nothing. The spare and the key buffer belong to the
+// shard, not to a sync.Pool, so a collection does not take them.
 package sfcache
 
 import (
@@ -117,6 +120,8 @@ type Core[V any] struct {
 	// added, always under its shard mutex, so a Cut holding every shard
 	// mutex observes exactly the entries stamped ≤ its counter read.
 	seq atomic.Uint64
+	// rejected counts the completed entries ReplaceOrBegin took back.
+	rejected atomic.Int64
 }
 
 // fromPeer is set in the stamp of an entry a peer sent (InsertPeerRows),
@@ -127,7 +132,7 @@ const fromPeer = 1 << 63
 // shard is one independently locked part of a Core: the published table
 // of its completed entries, the claims in flight, and its own traffic
 // counters (every lookup writes one, so they sit with the shard, not on
-// one line all shards share). Padded to two cache lines so neighbouring
+// one line all shards share). Padded to whole cache lines so neighbouring
 // shards' mutexes and counters do not share one.
 type shard[V any] struct {
 	// tab is the current view of the completed entries; nil until the
@@ -138,9 +143,13 @@ type shard[V any] struct {
 	mu sync.Mutex
 	// claims holds the claims in flight, allocated at the first one.
 	claims map[string]*Claim[V] // guarded by mu
-	// spare is a finished claim on a key of up to inlineMax bytes that no
-	// waiter ever saw, which the next such miss takes instead of a new one.
+	// spare is a finished claim that no waiter ever saw, which the next
+	// miss takes instead of a new one.
 	spare *Claim[V] // guarded by mu
+	// keys is the buffer a claim on a key of inlineMax+1 to bigKey bytes
+	// holds its key in — the table copies such a key, so the buffer is free
+	// again once the claim finishes; nil while a claim holds it.
+	keys *[bigKey]byte // guarded by mu
 	// The writer's position in tab: index words in use (entries and
 	// tombstones); chunks in use and entries in the last; arena blocks in
 	// use and bytes used of the last; the index slot eviction looks at
@@ -160,7 +169,9 @@ type shard[V any] struct {
 	coalesced atomic.Int64
 	loaded    atomic.Int64
 	evicted   atomic.Int64
-} // 128 bytes (TestAllocationShape)
+
+	_ [56]byte
+} // 192 bytes (TestAllocationShape)
 
 // entry is one completed fingerprint: its value, publication stamp (with
 // fromPeer) and key (see keyField). It is written once, before the index word naming it
@@ -310,6 +321,19 @@ func (t *table[V]) at(i int) (uint32, *entry[V], []byte, bool) {
 	}
 	e, k, _ := t.entry(w)
 	return w, e, k, true
+}
+
+// locate returns key's completed entry and the index slot naming it; a
+// nil entry when it is absent. h is hashKey(key). The caller holds the
+// shard mutex, so the view settles every word (see at).
+func (t *table[V]) locate(key []byte, h uint64) (*entry[V], int) {
+	mask := len(t.index) - 1
+	for i := int(h << shardBits >> t.shift); t.index[i].Load() != 0; i = (i + 1) & mask {
+		if _, e, k, ok := t.at(i); ok && string(k) == string(key) {
+			return e, i
+		}
+	}
+	return nil, 0
 }
 
 // shardFor is the shard of a key whose hash is h.
@@ -488,8 +512,9 @@ const (
 // channel) and closed when the claim finishes, so a waiter woken by it
 // reads state and val without the mutex — which is why a claim that ever
 // had a waiter is never reused. A key of up to inlineMax bytes lives in
-// buf; a longer one is a string of its own, which the table may keep as
-// the entry's key bytes, so a claim on it is never reused either.
+// buf, one of up to bigKey bytes in its shard's key buffer (shard.keys),
+// and a longer one is a string of its own, which the table keeps as the
+// entry's key bytes.
 type Claim[V any] struct {
 	c     *Core[V]
 	key   string
@@ -530,11 +555,16 @@ func (cl *Claim[V]) finish(state uint8, v V) {
 		}
 	}
 	cl.state, cl.val = state, v
+	if n := len(cl.key); n > inlineMax && n <= bigKey && sh.keys == nil {
+		// beginLocked copied the key to the start of a key buffer, which
+		// the table has copied in turn, and a waiter reads no key.
+		sh.keys = (*[bigKey]byte)(unsafe.Pointer(unsafe.StringData(cl.key)))
+	}
 	w := cl.wake
-	if w == nil && len(cl.key) <= inlineMax {
-		// No waiter holds it and its key is in its own buffer: the shard's spare.
+	if w == nil {
+		// No waiter holds it: the shard's spare.
 		var zero V
-		cl.val = zero
+		cl.key, cl.val = "", zero
 		sh.spare = cl
 	}
 	sh.mu.Unlock()
@@ -594,13 +624,8 @@ func (c *Core[V]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V], er
 		}
 		cl := sh.claims[string(key)] // no-copy map lookup
 		if cl == nil {
-			cl = c.claimLocked(sh, key)
-			if sh.claims == nil {
-				sh.claims = make(map[string]*Claim[V])
-			}
-			sh.claims[cl.key] = cl
+			cl = c.beginLocked(sh, key)
 			sh.mu.Unlock()
-			sh.misses.Add(1)
 			return zero, cl, nil
 		}
 		// In flight on another goroutine: wait for its Commit or Abandon,
@@ -625,19 +650,60 @@ func (c *Core[V]) GetOrBegin(done <-chan struct{}, key []byte) (V, *Claim[V], er
 	}
 }
 
-// claimLocked returns a fresh claim on key: the shard's spare when the key
-// fits inline and there is one, else a new claim. Caller holds sh.mu.
-func (c *Core[V]) claimLocked(sh *shard[V], key []byte) *Claim[V] {
-	if len(key) > inlineMax {
-		return &Claim[V]{c: c, key: string(key)}
+// ReplaceOrBegin is GetOrBegin for a caller that refuses the value a hit
+// on key returned: while the completed entry for key still holds refused,
+// the entry is removed and the caller gets the claim on key, whose Commit
+// puts the value it computes in the entry's place, for the waiters and
+// later hits. Otherwise — the entry was replaced
+// meanwhile, is in flight, or is gone — it answers as GetOrBegin does.
+// Values are compared with ==, so V's dynamic values must be comparable.
+// Each entry taken back counts in Stats.Rejected.
+func (c *Core[V]) ReplaceOrBegin(done <-chan struct{}, key []byte, refused V) (V, *Claim[V], error) {
+	h := hashKey(key)
+	sh := c.shardFor(h)
+	sh.mu.Lock()
+	if t := sh.tab.Load(); t != nil {
+		if e, i := t.locate(key, h); e != nil && any(e.val) == any(refused) {
+			t.index[i].Store(tombstone)
+			sh.size.Add(-1)
+			c.rejected.Add(1)
+			cl := c.beginLocked(sh, key)
+			sh.mu.Unlock()
+			var zero V
+			return zero, cl, nil
+		}
 	}
+	sh.mu.Unlock()
+	return c.GetOrBegin(done, key)
+}
+
+// beginLocked claims key, which the shard holds neither completed nor in
+// flight, and counts the miss. Caller holds sh.mu.
+func (c *Core[V]) beginLocked(sh *shard[V], key []byte) *Claim[V] {
 	cl := sh.spare
 	if cl == nil {
 		cl = &Claim[V]{c: c}
 	} else {
 		sh.spare, cl.state = nil, 0
 	}
-	cl.key = unsafe.String(&cl.buf[0], copy(cl.buf[:], key))
+	switch {
+	case len(key) <= inlineMax:
+		cl.key = unsafe.String(&cl.buf[0], copy(cl.buf[:], key))
+	case len(key) <= bigKey:
+		b := sh.keys
+		if b == nil {
+			b = new([bigKey]byte) // another claim holds the shard's
+		}
+		sh.keys = nil
+		cl.key = unsafe.String(&b[0], copy(b[:], key))
+	default:
+		cl.key = string(key)
+	}
+	if sh.claims == nil {
+		sh.claims = make(map[string]*Claim[V])
+	}
+	sh.claims[cl.key] = cl
+	sh.misses.Add(1)
 	return cl
 }
 
@@ -688,6 +754,10 @@ type Stats struct {
 	// Evicted counts completed entries shed over capacity (0 for
 	// unbounded caches).
 	Evicted int64 `json:"evicted"`
+	// Rejected counts completed entries a caller refused and computed
+	// again in their place (ReplaceOrBegin): block-cache entries whose
+	// stages blockcache.Rebind refuses. Each was a hit, then a miss.
+	Rejected int64 `json:"rejected"`
 	// Remote is always 0: no fetch fills a miss since blocks replicate
 	// whole. Kept only because the benchmark reads it; it goes when
 	// bench/ is re-opened.
@@ -700,7 +770,7 @@ func (s Stats) Saved() int64 { return s.Hits + s.Coalesced }
 
 // Stats returns a snapshot of the traffic counters, summed over the shards.
 func (c *Core[V]) Stats() Stats {
-	var s Stats
+	s := Stats{Rejected: c.rejected.Load()}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		s.Size += int(sh.size.Load())

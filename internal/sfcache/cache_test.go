@@ -702,7 +702,8 @@ func waitCoalesced[V any](t *testing.T, c *Core[V], n int64) {
 // cache lines, a wait channel exists only while a second requester is
 // actually parked, a hit allocates nothing, an uncontended miss on a key
 // of up to inlineMax bytes reuses the shard's spare claim and allocates
-// nothing, and a miss on a longer key allocates the claim and its key copy.
+// nothing, and a miss on a longer key allocates at most a claim and a key
+// buffer (TestLongKeyMissAllocatesNothing: none once its shard lends one).
 func TestAllocationShape(t *testing.T) {
 	if sz := unsafe.Sizeof(entry[float64]{}); sz > 40 {
 		t.Fatalf("entry[float64] is %d bytes, want <= 40", sz)
@@ -781,19 +782,112 @@ func TestAllocationShape(t *testing.T) {
 		t.Fatalf("an uncontended miss on a key of up to %d bytes allocates %.1f objects, want 0: is the spare claim reused?", inlineMax, miss)
 	}
 	if miss := misses("long", long); miss > 2 {
-		t.Fatalf("an uncontended miss on a longer key allocates %.1f objects, want <= 2: the claim and its key", miss)
+		t.Fatalf("an uncontended miss on a longer key allocates %.1f objects, want <= 2: a claim and a key buffer at most", miss)
 	}
 	if hit := testing.AllocsPerRun(100, func() { c.GetOrBegin(nil, long[len(long)-1]) }); hit != 0 {
 		t.Fatalf("a hit allocates %.1f objects, want 0", hit)
 	}
 }
 
-// sameShardKeys returns n distinct short keys that hash to one shard.
-func sameShardKeys(n int) [][]byte {
+// TestLongKeyMissAllocatesNothing: a miss on a key the table copies into
+// its arena — over inlineMax bytes and up to bigKey, as a measurement id
+// key of a many-kernel stage is — takes the shard's spare claim and holds
+// its key in the shard's key buffer, so an uncontended miss and its commit
+// allocate nothing once the table's growth is amortized; two such claims
+// in flight on one shard each keep their own key.
+func TestLongKeyMissAllocatesNothing(t *testing.T) {
+	for _, size := range []int{inlineMax + 1, bigKey} {
+		c := NewCore[float64](0)
+		keys := make([][]byte, 8192)
+		for i := range keys {
+			k := key(fmt.Sprintf("%d-", i))
+			keys[i] = append(k, strings.Repeat("k", size-len(k))...)
+		}
+		for _, k := range keys[:4096] { // each shard's first claim and key buffer
+			fill(t, c, k, 1)
+		}
+		i := 4096
+		miss := testing.AllocsPerRun(len(keys)-i-1, func() {
+			_, cl, _ := c.GetOrBegin(nil, keys[i])
+			if cl == nil {
+				t.Fatalf("%d-byte key %d: a hit, want a miss", size, i)
+			}
+			cl.Commit(float64(i))
+			i++
+		})
+		if miss != 0 {
+			t.Errorf("an uncontended miss and commit on a %d-byte key allocates %.1f objects, want 0: is the shard's spare claim or key buffer not reused?", size, miss)
+		}
+	}
+
+	c := NewCore[float64](0)
+	keys := sameShardKeys(3, bigKey)
+	_, a, _ := c.GetOrBegin(nil, keys[0])
+	_, b, _ := c.GetOrBegin(nil, keys[1]) // the shard's buffer is a's
+	a.Commit(1)
+	_, d, _ := c.GetOrBegin(nil, keys[2]) // and now d's
+	b.Commit(2)
+	d.Commit(3)
+	for i, want := range []float64{1, 2, 3} {
+		if v, ok := c.Lookup(keys[i]); !ok || v != want {
+			t.Errorf("key %d reads (%v, %v), want %v", i, v, ok, want)
+		}
+	}
+}
+
+// TestReplaceOrBegin: a caller that refuses the value a hit returned takes
+// the key back while the entry still holds that value — the entry leaves,
+// a waiter parks on the new claim and reads what it commits, as do later
+// hits and a cut — and otherwise gets what GetOrBegin would: the value that
+// replaced the refused one, or a claim on an absent key.
+func TestReplaceOrBegin(t *testing.T) {
+	c := NewCore[float64](0)
+	long := append(key("long-"), strings.Repeat("x", bigKey)...)
+	for _, k := range [][]byte{key("k"), long} {
+		fill(t, c, k, 1)
+		if v, cl, err := c.ReplaceOrBegin(nil, k, 2); err != nil || cl != nil || v != 1 {
+			t.Fatalf("refusing a value the entry does not hold: (%v, %v, %v), want a hit on 1", v, cl, err)
+		}
+		_, cl, err := c.ReplaceOrBegin(nil, k, 1)
+		if err != nil || cl == nil {
+			t.Fatalf("refusing the entry's value: (_, %v, %v), want a claim", cl, err)
+		}
+		coalesced := c.Stats().Coalesced
+		got := make(chan float64, 1)
+		go func() {
+			v, _, _ := c.GetOrBegin(nil, k)
+			got <- v
+		}()
+		waitCoalesced(t, c, coalesced+1)
+		cl.Commit(3)
+		if v := <-got; v != 3 {
+			t.Fatalf("the waiter on the replacing claim read %v, want 3", v)
+		}
+		if v, ok := c.Lookup(k); !ok || v != 3 {
+			t.Fatalf("after the replacement the key reads (%v, %v), want 3", v, ok)
+		}
+	}
+	rows, _ := c.Cut(0)
+	if len(rows) != 2 || rows[0].Val != 3 || rows[1].Val != 3 {
+		t.Fatalf("the cut holds %+v, want the two replacements only", rows)
+	}
+	if _, cl, _ := c.ReplaceOrBegin(nil, key("absent"), 1); cl == nil {
+		t.Fatal("an absent key gave no claim")
+	} else {
+		cl.Abandon()
+	}
+	if st := c.Stats(); st.Rejected != 2 || st.Size != 2 || st.Misses != 5 {
+		t.Fatalf("stats %+v, want 2 rejected, 2 entries and 5 misses", st)
+	}
+}
+
+// sameShardKeys returns n distinct keys of size bytes that hash to one shard.
+func sameShardKeys(n, size int) [][]byte {
 	var keys [][]byte
 	for i := 0; len(keys) < n; i++ {
-		k := key(fmt.Sprintf("same-%d", i))
-		if hashKey(k)>>(64-shardBits) == hashKey(key("same-0"))>>(64-shardBits) {
+		k := key(fmt.Sprintf("same-%d-", i))
+		k = append(k, strings.Repeat("s", max(0, size-len(k)))...)
+		if len(keys) == 0 || hashKey(k)>>(64-shardBits) == hashKey(keys[0])>>(64-shardBits) {
 			keys = append(keys, k)
 		}
 	}
@@ -806,7 +900,7 @@ func sameShardKeys(n int) [][]byte {
 // saw does, and the next short-key miss of its shard takes it.
 func TestParkedClaimIsNeverReused(t *testing.T) {
 	c := NewCore[float64](0)
-	keys := sameShardKeys(3)
+	keys := sameShardKeys(3, 0)
 	sh := c.shardFor(hashKey(keys[0]))
 
 	_, quiet, _ := c.GetOrBegin(nil, keys[0])
@@ -841,7 +935,7 @@ func TestParkedClaimIsNeverReused(t *testing.T) {
 // retry, one of them fills the key, and every key reads its own value.
 func TestAbandonedWaitersRetryAfterReuse(t *testing.T) {
 	c := NewCore[float64](0)
-	keys := sameShardKeys(3)
+	keys := sameShardKeys(3, 0)
 	sh := c.shardFor(hashKey(keys[0]))
 
 	_, owner, _ := c.GetOrBegin(nil, keys[0])
