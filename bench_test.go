@@ -243,58 +243,9 @@ func BenchmarkMeasureSchedule(b *testing.B) {
 	}
 }
 
-// Serving-layer benchmarks: the schedule cache on its hit path, its miss
-// path (a full IOS search of the requested model), and the end-to-end
-// HTTP /optimize endpoint under concurrent load — the request pattern a
-// deployed iosserve sees once schedules are warm.
-
-// BenchmarkScheduleCacheHit measures the cost of serving one schedule from
-// a warm cache (the steady-state cost per request of the serving tier).
-func BenchmarkScheduleCacheHit(b *testing.B) {
-	cache := ios.NewScheduleCache(16)
-	key := ios.CacheKey{Model: "inception", Batch: 1, Device: "Tesla V100", Opts: ios.Options{}.Fingerprint()}
-	compute := func(context.Context) (*ios.CacheEntry, error) {
-		g := ios.InceptionV3(1)
-		res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &ios.CacheEntry{Graph: g, Schedule: res.Schedule, Stats: res.Stats}, nil
-	}
-	if _, _, err := cache.GetOrCompute(context.Background(), key, compute); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, cached, err := cache.GetOrCompute(context.Background(), key, compute); err != nil || !cached {
-			b.Fatalf("cached=%v err=%v", cached, err)
-		}
-	}
-}
-
-// BenchmarkScheduleCacheMiss measures the cold-path cost: every iteration
-// purges the cache, so each request pays a full Figure-2-block search.
-func BenchmarkScheduleCacheMiss(b *testing.B) {
-	cache := ios.NewScheduleCache(16)
-	key := ios.CacheKey{Model: "fig2", Batch: 1, Device: "Tesla V100", Opts: ios.Options{}.Fingerprint()}
-	compute := func(context.Context) (*ios.CacheEntry, error) {
-		g := ios.Figure2Block(1)
-		res, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &ios.CacheEntry{Graph: g, Schedule: res.Schedule, Stats: res.Stats}, nil
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.Purge()
-		if _, cached, err := cache.GetOrCompute(context.Background(), key, compute); err != nil || cached {
-			b.Fatalf("cached=%v err=%v", cached, err)
-		}
-	}
-}
+// Serving-layer benchmarks: the end-to-end HTTP /optimize endpoint under
+// concurrent load — the request pattern a deployed iosserve sees once
+// schedules are warm.
 
 // BenchmarkServeOptimizeWarm measures the HTTP /optimize endpoint on a
 // warm cache, requests issued concurrently (RunParallel), including JSON

@@ -140,7 +140,7 @@ func TestScheduleFieldIsMarshalJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, ok := s.Cache().Peek(Key{Model: opt.Model, Batch: opt.Batch, Device: opt.Device, Opts: opt.Options})
+			e, ok := s.Cache().Lookup(Key{Model: opt.Model, Batch: opt.Batch, Device: opt.Device, Opts: opt.Options})
 			if !ok {
 				t.Fatalf("%s: no entry", opt.Model)
 			}

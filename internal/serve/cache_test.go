@@ -3,8 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,32 @@ func TestCacheHitMiss(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 2 || st.Size != 2 {
 		t.Fatalf("stats = %+v, want 1 hit, 2 misses, size 2", st)
+	}
+	keys := c.Keys()
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Batch < keys[j].Batch })
+	if want := []Key{testKey("a", 1), testKey("a", 2)}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("keys = %v, want %v", keys, want)
+	}
+}
+
+// TestCacheKeyEncodingIsInjective: two keys whose String forms are equal
+// are two entries, each computed once.
+func TestCacheKeyEncodingIsInjective(t *testing.T) {
+	a := Key{Model: "m/b1/d", Batch: 1, Device: "x", Opts: "o"}
+	b := Key{Model: "m", Batch: 1, Device: "d/b1/x", Opts: "o"}
+	if a.String() != b.String() {
+		t.Fatalf("the keys' String forms differ (%q, %q); the test wants a collision", a, b)
+	}
+	c := NewScheduleCache(8)
+	calls := 0
+	for _, k := range []Key{a, b, a, b} {
+		e, _, err := c.GetOrCompute(context.Background(), k, func(context.Context) (*Entry, error) { calls++; return &Entry{}, nil })
+		if err != nil || e.Key != k {
+			t.Fatalf("GetOrCompute(%#v) = entry for %#v, err %v", k, e.Key, err)
+		}
+	}
+	if calls != 2 || c.Len() != 2 {
+		t.Fatalf("%d computes, %d entries; want 2 and 2", calls, c.Len())
 	}
 }
 
@@ -125,52 +152,8 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2 (failure must not be cached)", calls)
 	}
-	st := c.Stats()
-	if st.Errors != 1 {
-		t.Fatalf("errors = %d, want 1", st.Errors)
-	}
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewScheduleCache(2)
-	get := func(model string) {
-		t.Helper()
-		if _, _, err := c.GetOrCompute(context.Background(), testKey(model, 1), func(context.Context) (*Entry, error) { return &Entry{}, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	get("a")
-	get("b")
-	get("a") // refresh a: b is now the LRU entry
-	get("c") // evicts b
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-	if _, ok := c.Peek(testKey("b", 1)); ok {
-		t.Fatal("b should have been evicted (LRU)")
-	}
-	for _, m := range []string{"a", "c"} {
-		if _, ok := c.Peek(testKey(m, 1)); !ok {
-			t.Fatalf("%s should be resident", m)
-		}
-	}
-	if ev := c.Stats().Evictions; ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-}
-
-func TestCachePurgeAndKeys(t *testing.T) {
-	c := NewScheduleCache(0)
-	for i := 0; i < 5; i++ {
-		model := fmt.Sprintf("m%d", i)
-		c.GetOrCompute(context.Background(), testKey(model, 1), func(context.Context) (*Entry, error) { return &Entry{}, nil })
-	}
-	if len(c.Keys()) != 5 {
-		t.Fatalf("keys = %d, want 5 (capacity 0 = unbounded)", len(c.Keys()))
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("len after purge = %d, want 0", c.Len())
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 || st.Size != 1 {
+		t.Fatalf("stats = %+v, want 2 misses, no hit, size 1", st)
 	}
 }
 
@@ -182,9 +165,10 @@ func TestKeyString(t *testing.T) {
 	}
 }
 
-// TestCachePanicInComputeDoesNotPoisonKey guards against a stuck slot: a
-// panicking computation must unblock coalesced waiters with an error and
-// leave the key retryable instead of deadlocking it forever.
+// TestCachePanicInComputeDoesNotPoisonKey guards against a stuck key: a
+// panicking computation comes back to its owner as an error, caches
+// nothing, and a coalesced waiter computes the key afresh instead of
+// deadlocking on it.
 func TestCachePanicInComputeDoesNotPoisonKey(t *testing.T) {
 	c := NewScheduleCache(8)
 	key := testKey("a", 1)
@@ -193,6 +177,8 @@ func TestCachePanicInComputeDoesNotPoisonKey(t *testing.T) {
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	var panicErr, waiterErr error
+	var waiterEntry *Entry
+	var waiterCached bool
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -204,29 +190,31 @@ func TestCachePanicInComputeDoesNotPoisonKey(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		<-started // the slot is registered and compute is in flight
-		_, _, waiterErr = c.GetOrCompute(context.Background(), key, func(context.Context) (*Entry, error) {
-			t.Error("waiter ran its own compute while one was in flight")
+		<-started // the key is claimed and compute is in flight
+		waiterEntry, waiterCached, waiterErr = c.GetOrCompute(context.Background(), key, func(context.Context) (*Entry, error) {
 			return &Entry{}, nil
 		})
 	}()
 	<-started
 	// Release the panic only once the waiter has provably coalesced onto
-	// the in-flight slot (it bumps Coalesced under the lock before
-	// blocking on the slot's done channel).
+	// the in-flight claim.
 	for c.Stats().Coalesced == 0 {
 		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
 
-	for who, err := range map[string]error{"computer": panicErr, "waiter": waiterErr} {
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("%s error = %v, want computation-panicked error", who, err)
-		}
+	if panicErr == nil || !strings.Contains(panicErr.Error(), "panicked") {
+		t.Fatalf("owner error = %v, want computation-panicked error", panicErr)
 	}
-	// The key is retryable, not poisoned.
-	if _, cached, err := c.GetOrCompute(context.Background(), key, func(context.Context) (*Entry, error) { return &Entry{}, nil }); err != nil || cached {
-		t.Fatalf("retry after panic: cached=%v err=%v", cached, err)
+	if waiterErr != nil || waiterCached || waiterEntry == nil {
+		t.Fatalf("waiter: entry=%v cached=%v err=%v, want its own fresh compute", waiterEntry, waiterCached, waiterErr)
+	}
+	// The key is not wedged: it holds the waiter's entry.
+	if e, cached, err := c.GetOrCompute(context.Background(), key, func(context.Context) (*Entry, error) { return &Entry{}, nil }); err != nil || !cached || e != waiterEntry {
+		t.Fatalf("after the panic: cached=%v err=%v, want a hit on the waiter's entry", cached, err)
+	}
+	if st := c.Stats(); st.Misses != 2 {
+		t.Fatalf("misses = %d, want 2 (the panicked run and the waiter's)", st.Misses)
 	}
 }

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -64,15 +66,15 @@ func TestCacheWaiterCancelUnblocksPromptly(t *testing.T) {
 	if ownerErr != nil || ownerEntry == nil {
 		t.Fatalf("owner err = %v entry = %v, want completed entry", ownerErr, ownerEntry)
 	}
-	if _, ok := c.Peek(key); !ok {
+	if _, ok := c.Lookup(key); !ok {
 		t.Fatal("completed entry was not cached")
 	}
 }
 
-// TestCacheCancelFreesSlotAndRetrySucceeds: when every requester of an
-// in-flight key is gone the run's context is cancelled; the failed run is
-// not cached (no poisoned entry), its singleflight slot is freed, and a
-// retry computes fresh and succeeds.
+// TestCacheCancelFreesSlotAndRetrySucceeds: compute runs under its
+// owner's context, so the owner's cancel stops it; the failed run is not
+// cached (no poisoned entry), its claim is abandoned, and a retry computes
+// fresh and succeeds.
 func TestCacheCancelFreesSlotAndRetrySucceeds(t *testing.T) {
 	c := NewScheduleCache(8)
 	key := testKey("a", 1)
@@ -99,18 +101,14 @@ func TestCacheCancelFreesSlotAndRetrySucceeds(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled run did not unwind")
 	}
-	if _, ok := c.Peek(key); ok {
+	if _, ok := c.Lookup(key); ok {
 		t.Fatal("cancelled run left a poisoned cache entry")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("cancelled run left %d resident slots, want 0", c.Len())
-	}
-	st := c.Stats()
-	if st.Cancelled != 1 {
-		t.Fatalf("cancelled = %d, want 1", st.Cancelled)
+	if st := c.Stats(); st.Size != 0 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want no entry after the one cancelled run", st)
 	}
 
-	// The retry owns a fresh slot and succeeds.
+	// The retry claims the key afresh and succeeds.
 	e, cached, err := c.GetOrCompute(context.Background(), key, func(context.Context) (*Entry, error) {
 		return &Entry{}, nil
 	})
@@ -132,8 +130,12 @@ func TestCachePreCancelledContextShortCircuits(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if c.Len() != 0 {
-		t.Fatal("pre-cancelled request left a slot behind")
+	if st := c.Stats(); st.Size != 0 || st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("pre-cancelled request moved the stats: %+v", st)
+	}
+	// Nor did it leave a claim behind.
+	if _, cached, err := c.GetOrCompute(context.Background(), testKey("a", 1), func(context.Context) (*Entry, error) { return &Entry{}, nil }); err != nil || cached {
+		t.Fatalf("after a pre-cancelled request: cached=%v err=%v, want a fresh compute", cached, err)
 	}
 }
 
@@ -177,7 +179,8 @@ func TestServerDeadlineReturns503(t *testing.T) {
 		t.Fatalf("error %q does not mention the deadline/cancellation", errResp["error"])
 	}
 
-	// /stats records the shed request and the cancelled search.
+	// /stats records the shed request, and the cache holds only the fast
+	// request's entry: both searched, the shed search cached nothing.
 	resp, body := getBody(t, ts.URL+"/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats returned %d", resp.StatusCode)
@@ -189,19 +192,20 @@ func TestServerDeadlineReturns503(t *testing.T) {
 	if st.Requests["cancelled"] < 1 {
 		t.Fatalf("stats cancelled requests = %d, want >= 1", st.Requests["cancelled"])
 	}
-	if st.Cache.Cancelled < 1 {
-		t.Fatalf("stats cancelled searches = %d, want >= 1", st.Cache.Cancelled)
+	if st.Cache.Misses != 2 || st.Cache.Size != 1 {
+		t.Fatalf("stats cache = %+v, want 2 searches and 1 entry", st.Cache)
 	}
-	// The timed-out key is retryable: no poisoned or stuck slot remains.
+	// The timed-out key is retryable: no poisoned entry remains.
 	deadlineKey := Key{Model: "nasnet", Batch: 1, Device: "Tesla V100", Opts: s.cfg.Options.Fingerprint()}
-	if _, ok := s.Cache().Peek(deadlineKey); ok {
+	if _, ok := s.Cache().Lookup(deadlineKey); ok {
 		t.Fatal("timed-out search left a cache entry")
 	}
 }
 
 // TestServerClientDisconnectFreesSlot cancels the client side of an
-// expensive request and verifies the server tears the search down and
-// frees its singleflight slot, leaving the server fully responsive.
+// expensive request and verifies the server stops the search and abandons
+// its claim: nothing is cached, the key computes afresh, and the server
+// stays fully responsive.
 func TestServerClientDisconnectFreesSlot(t *testing.T) {
 	s := NewServer(Config{Logf: t.Logf})
 	ts := httptest.NewServer(s)
@@ -219,34 +223,101 @@ func TestServerClientDisconnectFreesSlot(t *testing.T) {
 		_, err := http.DefaultClient.Do(req)
 		errCh <- err
 	}()
-	// Wait for the search to be registered in flight, then disconnect.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Cache().Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("search never became in-flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Wait for the search to claim its key, then disconnect.
+	waitFor(t, 10*time.Second, "the search never claimed its key", func() bool { return s.Cache().Stats().Misses == 1 })
 	cancel()
 	if err := <-errCh; err == nil {
 		t.Fatal("client request unexpectedly completed")
 	}
-	// The server notices nobody is waiting, cancels the search, and frees
-	// the slot — a retry would start fresh.
-	deadline = time.Now().Add(30 * time.Second)
-	for s.Cache().Len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("cancelled search still holds %d slots after 30s", s.Cache().Len())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The handler notices the disconnect, stops the search and answers
+	// 503, counted as a shed request.
+	waitFor(t, 30*time.Second, "the cancelled search never returned", func() bool { return s.requests["cancelled"].Load() == 1 })
+	key := Key{Model: "nasnet", Batch: 1, Device: "Tesla V100", Opts: s.optsFP}
+	if _, ok := s.Cache().Lookup(key); ok || s.Cache().Len() != 0 {
+		t.Fatalf("the cancelled search left %d entries", s.Cache().Len())
 	}
-	if n := s.Cache().Stats().Cancelled; n != 1 {
-		t.Fatalf("cancelled searches = %d, want 1", n)
+	// Its claim is gone: the key computes afresh.
+	if _, cached, err := s.Cache().GetOrCompute(context.Background(), key, func(context.Context) (*Entry, error) { return &Entry{}, nil }); err != nil || cached {
+		t.Fatalf("retry after the disconnect: cached=%v err=%v, want a fresh compute", cached, err)
 	}
 	// The server still answers cheap requests promptly.
 	resp, _ := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Model: "fig2"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("follow-up request returned %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestServerOwnerDisconnectWaiterTakesOver: the owner of a cold NasNet-A
+// search disconnects mid-search while a second request waits on the key.
+// The owner's search stops and abandons its claim; the waiter takes the
+// search over and answers the bytes a lone search answers. Every block the
+// owner finished is a block-cache hit for the waiter, so the block
+// searches are the distinct blocks plus at most the blocks in flight at
+// the cancel — one per block searcher, at most GOMAXPROCS.
+func TestServerOwnerDisconnectWaiterTakesOver(t *testing.T) {
+	body := mustMarshal(t, OptimizeRequest{Model: "nasnet"})
+	lone := NewServer(Config{})
+	want, _, err := optimizeOK(lone, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := lone.BlockCache().Len()
+
+	s := NewServer(Config{Logf: t.Logf})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	owner := make(chan int, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, newPost("/optimize", body).WithContext(ctx))
+		owner <- w.Code
+	}()
+	waitFor(t, 10*time.Second, "the owner never claimed the key", func() bool { return s.Cache().Stats().Misses == 1 })
+	type result struct {
+		resp OptimizeResponse
+		err  error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		resp, _, err := optimizeOK(s, body)
+		waiter <- result{resp, err}
+	}()
+	waitFor(t, 10*time.Second, "the waiter never coalesced onto the owner's search", func() bool { return s.Cache().Stats().Coalesced == 1 })
+	waitFor(t, 30*time.Second, "the owner's search finished no block", func() bool { return s.BlockCache().Len() > 0 })
+	atCancel := s.BlockCache().Stats()
+	cancel()
+	if atCancel.Size >= distinct {
+		t.Fatalf("the owner's search finished all %d blocks before the cancel; the test needs it mid-search", distinct)
+	}
+
+	if code := <-owner; code != http.StatusServiceUnavailable {
+		t.Errorf("the disconnected owner got %d, want 503", code)
+	}
+	got := <-waiter
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.resp.Cached || !bytes.Equal(got.resp.Schedule, want.Schedule) {
+		t.Errorf("waiter: cached %v, same schedule as a lone search %v; want its own search and the lone bytes", got.resp.Cached, bytes.Equal(got.resp.Schedule, want.Schedule))
+	}
+	bs := s.BlockCache().Stats()
+	t.Logf("%d distinct blocks; at the cancel %d finished and %d in flight; %d block searches in all", distinct, atCancel.Size, atCancel.Misses-int64(atCancel.Size), bs.Misses)
+	if bs.Size != distinct || bs.Misses > int64(distinct+runtime.GOMAXPROCS(0)) {
+		t.Errorf("block cache: %d entries after %d searches, want %d entries after at most %d (distinct blocks + one in flight per searcher)",
+			bs.Size, bs.Misses, distinct, distinct+runtime.GOMAXPROCS(0))
+	}
+	if st := s.Cache().Stats(); st.Misses != 2 || st.Size != 1 {
+		t.Errorf("schedule cache = %+v, want 2 searches (owner, then waiter) and 1 entry", st)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test with msg after d.
+func waitFor(t *testing.T, d time.Duration, msg string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
 	}
 }
 

@@ -71,9 +71,10 @@ type Config struct {
 	// Options is the search configuration every request runs under (zero
 	// value: IOS-Both, r=3, s=8); requests carry no search options.
 	Options core.Options
-	// Cache holds optimized schedules; nil allocates a fresh
+	// Cache holds finished schedules; nil allocates a fresh
 	// NewScheduleCache(DefaultCacheSize). Sharing one cache between
-	// servers shares their schedules.
+	// servers shares their schedules. A failed or cancelled search caches
+	// nothing: a request waiting on its key searches again.
 	Cache *ScheduleCache
 	// MeasureCache deduplicates simulator stage measurements by
 	// structural fingerprint across every request this server runs
@@ -97,11 +98,11 @@ type Config struct {
 	// /infer (a POST gets 404).
 	Batching *BatchingConfig
 	// Deadline, when positive, bounds each request's server-side
-	// processing time: the request context gets this timeout, an
-	// optimization that outlives it is cancelled (unless other live
-	// requests coalesced onto the same search), and the requester
-	// receives 503 + a JSON error. Zero means no server-side deadline —
-	// requests are still cancelled when their client disconnects.
+	// processing time: the request context gets this timeout, a search
+	// the request started stops when it expires (a request still waiting
+	// on the key takes the search over), and the requester receives 503 +
+	// a JSON error. Zero means no server-side deadline — requests are
+	// still cancelled when their client disconnects.
 	Deadline time.Duration
 	// Logf, when set, receives one line per served request.
 	Logf func(format string, args ...any)
@@ -188,9 +189,8 @@ type planServed struct {
 // planMemoCap bounds each plan's answers: requests choose the batch, so an
 // adversarial client could otherwise grow them without limit. A plan
 // holding planMemoCap answers sheds one arbitrary resident answer per
-// insertion (map iteration order, the policy sfcache uses): values are
-// deterministic, so an evicted batch is merely recomputed when next asked
-// for.
+// insertion (the first in map iteration order): values are deterministic,
+// so an evicted batch is merely recomputed when next asked for.
 const planMemoCap = 4096
 
 // NewServer returns a ready-to-mount server.
@@ -616,11 +616,11 @@ func (s *Server) resolve(model string, rawGraph []byte, batch int, device string
 }
 
 // graph returns a resolved request's graph: the one the completed
-// schedule-cache entry for its key already holds (Peek moves no LRU order
-// and no counter), else a zoo build or the submission parsed. Every /optimize
+// schedule-cache entry for its key already holds (Lookup moves no
+// counter), else a zoo build or the submission parsed. Every /optimize
 // miss and every /measure gets its graph here.
 func (s *Server) graph(res *resolved) (*graph.Graph, error) {
-	if e, ok := s.cache.Peek(res.key); ok && e.Graph != nil {
+	if e, ok := s.cache.Lookup(res.key); ok && e.Graph != nil {
 		return e.Graph, nil
 	}
 	switch {
@@ -633,9 +633,10 @@ func (s *Server) graph(res *resolved) (*graph.Graph, error) {
 	}
 }
 
-// entry runs the cached optimization for a resolved request under the
-// request's context: the search is cancelled (and its singleflight slot
-// freed for retries) once every request interested in this key is gone.
+// entry answers a resolved request from the schedule cache, searching on a
+// miss under the request's own context: when the request goes away its
+// search stops, nothing is cached, and a request still waiting on the key
+// searches in its place.
 func (s *Server) entry(ctx context.Context, res *resolved) (*Entry, bool, error) {
 	return s.cache.GetOrCompute(ctx, res.key, func(ctx context.Context) (*Entry, error) {
 		g, err := s.graph(res)
@@ -872,7 +873,7 @@ type measured struct {
 }
 
 // handleMeasure answers the schedule bytes /optimize returned from the key's
-// completed entry (Peek moves no LRU order and no counter), answers ios on a
+// completed entry (Lookup moves no counter), answers ios on a
 // planned key from the plan, as /optimize does, measures each baseline once
 // per entry, and parses or builds and measures anything else.
 func (s *Server) handleMeasure(ctx context.Context, req *measureWire) (answer, error) {
@@ -880,7 +881,7 @@ func (s *Server) handleMeasure(ctx context.Context, req *measureWire) (answer, e
 	if err != nil {
 		return answer{}, badRequest(err)
 	}
-	e, _ := s.cache.Peek(res.key)
+	e, _ := s.cache.Lookup(res.key)
 
 	var (
 		sched  *schedule.Schedule // measured below, if set
@@ -1115,8 +1116,10 @@ func (s *Server) handleHealthz(*http.Request) (answer, error) {
 // returns, and a request's raw fields alias it (see rawField), so no
 // handler keeps body bytes past its return: nothing it stores, and neither
 // the answer nor the error it returns, may reference them. A search the
-// request starts is no exception: ScheduleCache.GetOrCompute runs its
-// owner's compute inline, so res.raw is parsed before the handler returns.
+// request starts is no exception: ScheduleCache.GetOrCompute runs compute
+// inline under the request's context, and a waiter that takes a search
+// over runs its own compute on its own body, so res.raw is parsed before
+// the handler returns.
 type route struct {
 	method, path string
 	reads        bool
@@ -1281,6 +1284,12 @@ func (s *Server) failure(ctx context.Context, err error) answer {
 	s.logf("error %d: %v", code, err)
 	body, _ := render(map[string]string{"error": err.Error()})
 	return answer{code: code, body: body}
+}
+
+// isCancelErr reports whether an error chain ends in a context
+// cancellation or deadline expiry.
+func isCancelErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // ratio divides, reporting 0 for a zero denominator: degenerate graphs

@@ -136,7 +136,7 @@ func TestRenderedAnswersMatchStructEncoder(t *testing.T) {
 		if !second.Cached || !bytes.Equal(raw2, raw3) {
 			t.Errorf("%s: later answers: cached=%v, same bytes=%v", name, second.Cached, bytes.Equal(raw2, raw3))
 		}
-		e, ok := s.Cache().Peek(Key{Model: name, Batch: 1, Device: "Tesla V100", Opts: s.optsFP})
+		e, ok := s.Cache().Lookup(Key{Model: name, Batch: 1, Device: "Tesla V100", Opts: s.optsFP})
 		if !ok {
 			t.Fatalf("%s: no cache entry", name)
 		}
@@ -168,7 +168,7 @@ func TestExternalEntryServedIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := Key{Model: "squeezenet", Batch: 1, Device: "Tesla V100", Opts: own.optsFP}
-	src, _ := own.Cache().Peek(key)
+	src, _ := own.Cache().Lookup(key)
 
 	cache := NewScheduleCache(4)
 	_, _, err = cache.GetOrCompute(context.Background(), key, func(context.Context) (*Entry, error) {
@@ -228,8 +228,9 @@ func TestPlanAnswersRenderedOnce(t *testing.T) {
 }
 
 // TestWarmAnswersUnderPurgeAndReRegister: 8 clients on one cached key and
-// one plan-routed key read the same answers while the schedule cache is
-// purged and the plan re-registered under them.
+// one plan-routed key read the same answers while the plan is
+// re-registered under them. (The schedule cache has no purge: entries
+// leave it only by eviction, which TestSubmissionHitAfterEviction covers.)
 func TestWarmAnswersUnderPurgeAndReRegister(t *testing.T) {
 	s := NewServer(Config{})
 	ctx := context.Background()
@@ -271,7 +272,6 @@ func TestWarmAnswersUnderPurgeAndReRegister(t *testing.T) {
 				return
 			default:
 			}
-			s.Cache().Purge()
 			if err := s.RegisterPlan(plans[i%2]); err != nil {
 				t.Error(err)
 				return
@@ -459,7 +459,7 @@ func TestMeasureFromEntryIsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, ok := warm.Cache().Peek(Key{Model: opt.Model, Batch: opt.Batch, Device: opt.Device, Opts: opt.Options})
+		e, ok := warm.Cache().Lookup(Key{Model: opt.Model, Batch: opt.Batch, Device: opt.Device, Opts: opt.Options})
 		if !ok {
 			t.Fatalf("%s: no entry after /optimize", opt.Model)
 		}

@@ -1,6 +1,7 @@
 // Package sfcache is the one singleflight cache core behind the stage
-// measurement cache (internal/measure) and the whole-block schedule cache
-// (internal/blockcache): a concurrent, sharded, capacity-bounded map from
+// measurement cache (internal/measure), the whole-block schedule cache
+// (internal/blockcache) and the serving tier's schedule cache
+// (internal/serve): a concurrent, sharded, capacity-bounded map from
 // canonical fingerprint to an immutable, always-recomputable value, with
 // claim/Commit/Abandon deduplication (Core), and the one persistence and
 // peer-exchange path (persist.go): exact cuts of a Core's completed
@@ -710,7 +711,7 @@ func (c *Core[V]) beginLocked(sh *shard[V], key []byte) *Claim[V] {
 // Lookup returns the value for a completed fingerprint without claiming or
 // waiting; it reports false for absent and in-flight keys. Counters are
 // untouched. A completed key is found without a lock; anything else is
-// re-probed under the shard mutex. Intended for tests and tooling.
+// re-probed under the shard mutex.
 func (c *Core[V]) Lookup(key []byte) (V, bool) {
 	h := hashKey(key)
 	sh := c.shardFor(h)
@@ -720,6 +721,21 @@ func (c *Core[V]) Lookup(key []byte) (V, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return find(sh, key, h)
+}
+
+// Get is GetOrBegin's first probe on its own: the value for a completed
+// fingerprint, counted as a hit, or false, counting nothing, for an absent
+// or in-flight key. It takes no lock. A caller whose done channel costs an
+// allocation to make (a cancellable context's Done makes its channel on
+// first call) asks Get first and GetOrBegin only on a miss.
+func (c *Core[V]) Get(key []byte) (V, bool) {
+	h := hashKey(key)
+	sh := c.shardFor(h)
+	v, ok := find(sh, key, h)
+	if ok {
+		sh.hits.Add(1)
+	}
+	return v, ok
 }
 
 // Len returns the number of completed entries (a sum of per-shard

@@ -162,18 +162,24 @@ func runSuite[V any](t *testing.T, fx fixture[V]) {
 		if _, ok := c.Lookup(key("a")); ok {
 			t.Fatal("Lookup saw an in-flight claim")
 		}
+		if _, ok := c.Get(key("a")); ok {
+			t.Fatal("Get saw an in-flight claim")
+		}
 		want := fx.val(1)
 		cl.Commit(want)
 		got, cl2, err := c.GetOrBegin(nil, key("a"))
 		if err != nil || cl2 != nil || !fx.same(got, want) {
 			t.Fatalf("second GetOrBegin = (%v, %v, %v), want a hit on the committed value", got, cl2, err)
 		}
-		st := c.Stats()
-		if st.Hits != 1 || st.Misses != 1 || st.Coalesced != 0 || st.Size != 1 || c.Len() != 1 {
-			t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 entry", st)
+		if got, ok := c.Get(key("a")); !ok || !fx.same(got, want) {
+			t.Fatalf("Get = (%v, %v), want a hit on the committed value", got, ok)
 		}
-		if st.Saved() != 1 {
-			t.Fatalf("Saved() = %d, want 1", st.Saved())
+		st := c.Stats()
+		if st.Hits != 2 || st.Misses != 1 || st.Coalesced != 0 || st.Size != 1 || c.Len() != 1 {
+			t.Fatalf("stats = %+v, want 2 hits / 1 miss / 1 entry (Lookup counts nothing, Get a hit, a Get miss nothing)", st)
+		}
+		if st.Saved() != 2 {
+			t.Fatalf("Saved() = %d, want 2", st.Saved())
 		}
 	})
 
@@ -672,6 +678,10 @@ func TestHitTakesNoLock(t *testing.T) {
 				done <- fmt.Errorf("Lookup(key %d) = (%v, %v)", i, v, ok)
 				return
 			}
+			if v, ok := c.Get(k); !ok || v != float64(i) {
+				done <- fmt.Errorf("Get(key %d) = (%v, %v)", i, v, ok)
+				return
+			}
 		}
 		done <- nil
 	}()
@@ -681,7 +691,7 @@ func TestHitTakesNoLock(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("a hit or a Lookup on a completed key blocked on a held shard mutex")
+		t.Fatal("a hit, a Lookup or a Get on a completed key blocked on a held shard mutex")
 	}
 }
 

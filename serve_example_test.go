@@ -1,7 +1,6 @@
 package ios_test
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -40,37 +39,4 @@ func ExampleServer() {
 	// Output:
 	// model fig2 on Tesla V100: 3 stages, faster than sequential: true
 	// first cached: false, second cached: true
-}
-
-// ExampleScheduleCache shows the cache's request coalescing contract:
-// repeated requests for one (model, batch, device, options) key run the
-// optimizer exactly once, however they are interleaved.
-func ExampleScheduleCache() {
-	cache := ios.NewScheduleCache(16)
-	key := ios.CacheKey{Model: "fig2", Batch: 1, Device: "Tesla V100", Opts: ios.Options{}.Fingerprint()}
-
-	runs := 0
-	optimize := func(ctx context.Context) (*ios.CacheEntry, error) {
-		runs++
-		g := ios.Figure2Block(1)
-		res, err := ios.NewEngine(ios.V100).Optimize(ctx, g, ios.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &ios.CacheEntry{Graph: g, Schedule: res.Schedule, Stats: res.Stats}, nil
-	}
-
-	for i := 0; i < 3; i++ {
-		entry, cached, err := cache.GetOrCompute(context.Background(), key, optimize)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("request %d: cached=%v stages=%d\n", i+1, cached, entry.Schedule.NumStages())
-	}
-	fmt.Printf("optimizer ran %d time(s) for 3 requests\n", runs)
-	// Output:
-	// request 1: cached=false stages=3
-	// request 2: cached=true stages=3
-	// request 3: cached=true stages=3
-	// optimizer ran 1 time(s) for 3 requests
 }
