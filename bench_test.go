@@ -6,7 +6,9 @@ package ios_test
 // scheduling, the IOS dynamic program, and simulated measurement — so
 // `go test -bench=.` reproduces every reported result. The rendered rows/series are produced
 // by cmd/iosbench; here output goes to io.Discard and the benchmark value
-// is the wall time of regenerating the experiment.
+// is the wall time of regenerating the experiment. Each iteration is one
+// run with its own measurement memo and block cache, as iosbench's is, so
+// it times a cold run, never the hits a previous iteration left behind.
 //
 // Benchmarks for the two search-heavy networks (RandWire, NasNet) run the
 // full configuration; expect a few tens of seconds each on one core.

@@ -168,18 +168,6 @@ func SimulateFixed(model Model, batch int, slo time.Duration, arrivals []time.Du
 	return summarize(fmt.Sprintf("fixed:%d", batch), arrivals, lat, slo, deviceFree.Sub(base), dispatches, hist), nil
 }
 
-// SimulateImmediate runs the dispatch-immediately baseline: every
-// request launches alone the moment it arrives (batch 1, zero queueing
-// delay, minimum device efficiency).
-func SimulateImmediate(model Model, slo time.Duration, arrivals []time.Duration) (SimResult, error) {
-	res, err := SimulateFixed(model, 1, slo, arrivals)
-	if err != nil {
-		return SimResult{}, err
-	}
-	res.Policy = "batch1"
-	return res, nil
-}
-
 // summarize folds per-request latencies into a SimResult.
 func summarize(policy string, arrivals []time.Duration, lat []time.Duration, slo, makespan time.Duration, dispatches int64, hist map[int]int64) SimResult {
 	res := SimResult{

@@ -86,7 +86,7 @@ func TestSimulateFixedBatches(t *testing.T) {
 func TestSimulateImmediate(t *testing.T) {
 	m := testModel()
 	arrivals := PoissonArrivals(200, 500, 1) // well under batch-1 capacity
-	res, err := SimulateImmediate(m, 20*time.Millisecond, arrivals)
+	res, err := simulateImmediate(m, 20*time.Millisecond, arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSimulateAdaptiveBeatsBatch1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch1, err := SimulateImmediate(m, slo, arrivals)
+	batch1, err := simulateImmediate(m, slo, arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,4 +205,16 @@ func TestSimulateHistogramFeedsSuggestBatches(t *testing.T) {
 			t.Errorf("suggested batch %d outside observed dispatch range [%d, %d]", b, lo, hi)
 		}
 	}
+}
+
+// simulateImmediate runs the dispatch-immediately baseline: every
+// request launches alone the moment it arrives (batch 1, zero queueing
+// delay, minimum device efficiency).
+func simulateImmediate(model Model, slo time.Duration, arrivals []time.Duration) (SimResult, error) {
+	res, err := SimulateFixed(model, 1, slo, arrivals)
+	if err != nil {
+		return SimResult{}, err
+	}
+	res.Policy = "batch1"
+	return res, nil
 }

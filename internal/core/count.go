@@ -62,32 +62,6 @@ func AnalyzeBlock(b *graph.Block) Complexity {
 	return c
 }
 
-// CountPruned walks the DP state space under a pruning strategy without
-// performing any measurements, returning the number of states and
-// transitions — the pure search-space size that Figure 9's optimization
-// cost tracks.
-func CountPruned(b *graph.Block, prune Pruning) (states int, transitions int64) {
-	if len(b.Nodes) == 0 {
-		return 0, 0
-	}
-	seen := make(map[bitset.Set]bool)
-	var visit func(s bitset.Set)
-	visit = func(s bitset.Set) {
-		if s.IsEmpty() || seen[s] {
-			return
-		}
-		seen[s] = true
-		states++
-		forEachEnding(b, s, prune, func(ending bitset.Set, _ []bitset.Set) bool {
-			transitions++
-			visit(s.Diff(ending))
-			return true
-		})
-	}
-	visit(b.All())
-	return states, transitions
-}
-
 // transitionBound evaluates C(n/d+2, 2)^d with the real-valued n/d the
 // paper uses.
 func transitionBound(n, d int) float64 {

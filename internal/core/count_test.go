@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"ios/internal/models"
 )
 
 // TestFigure13BoundIsTight reproduces Appendix A's tightness analysis: on
@@ -46,7 +44,7 @@ func TestFigure13BoundIsTight(t *testing.T) {
 // family (the builder adds a concat sink for d > 1, which perturbs the
 // pure-chain count but keeps the width).
 func TestFigure13ModelBuilder(t *testing.T) {
-	g := models.Figure13Chains(3, 4)
+	g := figure13Chains(3, 4)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}

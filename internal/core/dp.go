@@ -171,8 +171,8 @@ type choice struct {
 // The search is the level-synchronous bottom-up engine of engine.go,
 // parallel across opts.Workers goroutines; its costs, schedules, states and
 // transitions are identical to the original memoized recursion (retained in
-// dp_reference.go as the oracle the property tests compare against) for any
-// worker count, and its measurements at most the recursion's.
+// dp_reference_test.go as the oracle the property tests compare against)
+// for any worker count, and its measurements at most the recursion's.
 //
 // When a whole-block schedule cache is attached (Options.WithBlockCache),
 // the block's canonical structural fingerprint is consulted first: a hit

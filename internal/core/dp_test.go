@@ -22,7 +22,7 @@ func TestOptimizeFigure5Toy(t *testing.T) {
 	// strategy) finds the two-stage schedule [{a,c-ish}...]; the exact
 	// grouping depends on latencies, but the schedule must be valid and
 	// no worse than sequential and greedy.
-	g := models.Figure5Toy(1)
+	g := figure5Toy(1)
 	prof := v100Profiler()
 	res, err := OptimizeContext(context.Background(), g, prof, Options{})
 	if err != nil {
@@ -346,7 +346,7 @@ func TestScheduleCountingFigure5(t *testing.T) {
 	// States/partition count: sequences of endings covering {a,b,c}.
 	// Endings of {a,b,c}: {b}, {c}, {b,c}, {a,b}, {a,b,c}... then
 	// recursively. Hand count = 8? Assert against brute force instead.
-	g := models.Figure5Toy(1)
+	g := figure5Toy(1)
 	blocks, err := g.Partition(0)
 	if err != nil {
 		t.Fatal(err)
@@ -373,4 +373,30 @@ func TestScheduleCountingFigure5(t *testing.T) {
 	if comp.D != 2 {
 		t.Errorf("toy width = %d, want 2", comp.D)
 	}
+}
+
+// CountPruned walks the DP state space under a pruning strategy without
+// performing any measurements, returning the number of states and
+// transitions — the pure search-space size that Figure 9's optimization
+// cost tracks.
+func CountPruned(b *graph.Block, prune Pruning) (states int, transitions int64) {
+	if len(b.Nodes) == 0 {
+		return 0, 0
+	}
+	seen := make(map[bitset.Set]bool)
+	var visit func(s bitset.Set)
+	visit = func(s bitset.Set) {
+		if s.IsEmpty() || seen[s] {
+			return
+		}
+		seen[s] = true
+		states++
+		forEachEnding(b, s, prune, func(ending bitset.Set, _ []bitset.Set) bool {
+			transitions++
+			visit(s.Diff(ending))
+			return true
+		})
+	}
+	visit(b.All())
+	return states, transitions
 }

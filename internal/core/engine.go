@@ -1,7 +1,7 @@
 package core
 
 // The level-synchronous bottom-up DP engine. The original implementation
-// of Algorithm 1 (kept as the oracle in dp_reference.go) is a memoized
+// of Algorithm 1 (kept as the oracle in dp_reference_test.go) is a memoized
 // top-down recursion: single-threaded, copying the ending enumerator's
 // component list on every branch, and re-deriving each ending's group
 // structure with a BFS. This engine computes the identical dynamic program

@@ -11,9 +11,11 @@ import (
 	"io"
 
 	"ios/internal/baseline"
+	"ios/internal/blockcache"
 	"ios/internal/core"
 	"ios/internal/gpusim"
 	"ios/internal/graph"
+	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/profile"
 	"ios/internal/schedule"
@@ -31,6 +33,17 @@ type Config struct {
 	// reduced versions so the experiment finishes in seconds; used by
 	// tests. Reported shapes are unaffected.
 	Quick bool
+
+	// caches is the run's own measurement memo and block cache, made by
+	// withDefaults: one experiment run searches and measures through
+	// them as a server does, and the next run starts cold.
+	caches *caches
+}
+
+// caches is what one experiment run searches and measures through.
+type caches struct {
+	measure *measure.Cache
+	blocks  *blockcache.Cache
 }
 
 func (c Config) withDefaults() Config {
@@ -40,7 +53,22 @@ func (c Config) withDefaults() Config {
 	if c.Batch == 0 {
 		c.Batch = 1
 	}
+	if c.caches == nil {
+		c.caches = &caches{measure: measure.NewCache(), blocks: blockcache.NewCache()}
+	}
 	return c
+}
+
+// profiler returns a profiler for dev on the run's measurement memo.
+func (c Config) profiler(dev gpusim.Spec) *profile.Profiler {
+	p := profile.New(dev)
+	p.SetMeasureCache(c.caches.measure)
+	return p
+}
+
+// search runs IOS on g through the run's block cache.
+func (c Config) search(ctx context.Context, g *graph.Graph, prof *profile.Profiler, opts core.Options) (*core.Result, error) {
+	return core.OptimizeContext(ctx, g, prof, opts.WithBlockCache(c.caches.blocks))
 }
 
 // benchmarks returns the benchmark networks at the configured batch size.
@@ -57,25 +85,24 @@ func (c Config) benchmarks() ([]string, []*graph.Graph) {
 	return names, graphs
 }
 
-// measureSchedule measures a schedule on a fresh profiler for the device.
+// measureSchedule measures a schedule on the configured device.
 func (c Config) measureSchedule(s *schedule.Schedule) (float64, error) {
-	return profile.New(c.Device).MeasureSchedule(s)
+	return c.profiler(c.Device).MeasureSchedule(s)
 }
 
-// optimize runs IOS with the given strategy set.
+// optimize runs IOS with the given strategy set on the configured device.
 func (c Config) optimize(ctx context.Context, g *graph.Graph, strategies core.StrategySet) (*core.Result, error) {
 	opts := c.Opts
 	opts.Strategies = strategies
-	return core.OptimizeContext(ctx, g, profile.New(c.Device), opts)
+	return c.search(ctx, g, c.profiler(c.Device), opts)
 }
 
-// latencyOf resolves one named schedule policy on a graph: "Sequential",
+// latencyOf resolves one named schedule policy on a graph — "Sequential",
 // "Greedy", "IOS" (IOS-Both) or any name core.ParseStrategySet takes but
-// the empty one.
-func (c Config) latencyOf(ctx context.Context, g *graph.Graph, policy string) (float64, *core.Stats, error) {
+// the empty one — and returns its measured latency and the schedule.
+func (c Config) latencyOf(ctx context.Context, g *graph.Graph, policy string) (float64, *schedule.Schedule, error) {
 	var (
 		s   *schedule.Schedule
-		st  *core.Stats
 		err error
 	)
 	switch policy {
@@ -94,14 +121,14 @@ func (c Config) latencyOf(ctx context.Context, g *graph.Graph, policy string) (f
 		}
 		var res *core.Result
 		if res, err = c.optimize(ctx, g, set); err == nil {
-			s, st = res.Schedule, &res.Stats
+			s = res.Schedule
 		}
 	}
 	if err != nil {
 		return 0, nil, err
 	}
 	lat, err := c.measureSchedule(s)
-	return lat, st, err
+	return lat, s, err
 }
 
 // Runner is an experiment entry point: it writes its report to w, and
@@ -136,11 +163,4 @@ func Names() []string {
 		"fig9", "table3", "fig10", "fig11", "fig12", "fig14", "fig15", "fig16", "resnet",
 		"specialize"},
 		ExtensionNames()...)
-}
-
-// benchmarksFirst returns the first benchmark graph for a config (test
-// helper kept here to reuse the unexported config methods).
-func benchmarksFirst(c Config) *graph.Graph {
-	_, graphs := c.benchmarks()
-	return graphs[0]
 }

@@ -6,12 +6,20 @@ import (
 	"strings"
 	"testing"
 
+	"ios/internal/core"
 	"ios/internal/gpusim"
+	"ios/internal/graph"
 )
 
 // quickCfg uses the reduced model set so every experiment finishes fast.
 func quickCfg() Config {
 	return Config{Device: gpusim.TeslaV100, Batch: 1, Quick: true}
+}
+
+// benchmarksFirst returns the first benchmark graph for a config.
+func benchmarksFirst(c Config) *graph.Graph {
+	_, graphs := c.benchmarks()
+	return graphs[0]
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
@@ -168,6 +176,39 @@ func TestLatencyOfUnknownPolicy(t *testing.T) {
 		if _, _, err := c.latencyOf(context.Background(), g, policy); err == nil {
 			t.Errorf("policy %q accepted", policy)
 		}
+	}
+}
+
+// TestRunSearchesOnce pins the per-run caches: a second search of a graph
+// within one run measures nothing (every block is a block-cache hit),
+// while a fresh Config — the next run — starts cold and measures again.
+func TestRunSearchesOnce(t *testing.T) {
+	ctx := context.Background()
+	c := quickCfg().withDefaults()
+	g := benchmarksFirst(c)
+	first, err := c.optimize(ctx, g, core.Both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.Measurements == 0 {
+		t.Fatal("a run's first search measured nothing")
+	}
+	again, err := c.optimize(ctx, g, core.Both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.Measurements != 0 {
+		t.Errorf("a run's second search of %s measured %d stages, want 0", g.Name, again.Stats.Measurements)
+	}
+	if again.Schedule.String() != first.Schedule.String() {
+		t.Errorf("the cached schedule differs from the searched one")
+	}
+	fresh, err := quickCfg().withDefaults().optimize(ctx, g, core.Both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Stats.Measurements != first.Stats.Measurements {
+		t.Errorf("a fresh run's search measured %d stages, want the first run's %d", fresh.Stats.Measurements, first.Stats.Measurements)
 	}
 }
 

@@ -66,7 +66,8 @@ func Combo(ctx context.Context, c Config, w io.Writer) error {
 			return 1
 		}
 		comboProf := profile.NewWithOptions(c.Device, comboOpts)
-		res, err := core.OptimizeContext(ctx, g, comboProf, c.Opts)
+		comboProf.SetMeasureCache(c.caches.measure)
+		res, err := c.search(ctx, g, comboProf, c.Opts)
 		if err != nil {
 			return err
 		}
@@ -122,28 +123,19 @@ func AblationContention(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable("Ablation: contention coefficient vs IOS speedup (SqueezeNet)",
 		"contention", "seq ms", "ios ms", "speedup", "ios stages")
+	g := models.SqueezeNet(c.Batch)
 	for _, coef := range []float64{0, 0.04, 0.08, 0.16, 0.32, 0.64} {
-		dev := c.Device
-		dev.ContentionCoef = coef
-		g := models.SqueezeNet(c.Batch)
-		prof := profile.New(dev)
-		seq, err := baseline.Sequential(g)
+		dc := c
+		dc.Device.ContentionCoef = coef
+		seqLat, _, err := dc.latencyOf(ctx, g, "Sequential")
 		if err != nil {
 			return err
 		}
-		seqLat, err := prof.MeasureSchedule(seq)
+		iosLat, ios, err := dc.latencyOf(ctx, g, "IOS")
 		if err != nil {
 			return err
 		}
-		res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
-		if err != nil {
-			return err
-		}
-		iosLat, err := prof.MeasureSchedule(res.Schedule)
-		if err != nil {
-			return err
-		}
-		t.AddRow(coef, 1e3*seqLat, 1e3*iosLat, seqLat/iosLat, res.Schedule.NumStages())
+		t.AddRow(coef, 1e3*seqLat, 1e3*iosLat, seqLat/iosLat, ios.NumStages())
 	}
 	t.Render(w)
 	fmt.Fprintln(w, "(speedup decays as contention rises; IOS adapts by serializing more)")
@@ -158,24 +150,17 @@ func AblationDevices(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	t := report.NewTable("Ablation: IOS speedup by device generation (Inception V3, batch 1)",
 		"device", "peak TFLOP/s", "seq ms", "ios ms", "speedup")
+	g := models.InceptionV3(c.Batch)
 	for _, dev := range []gpusim.Spec{
 		gpusim.GTX980Ti, gpusim.GTX1080, gpusim.TeslaK80, gpusim.RTX2080Ti, gpusim.TeslaV100, gpusim.TeslaA100,
 	} {
-		g := models.InceptionV3(c.Batch)
-		prof := profile.New(dev)
-		seq, err := baseline.Sequential(g)
+		dc := c
+		dc.Device = dev
+		seqLat, _, err := dc.latencyOf(ctx, g, "Sequential")
 		if err != nil {
 			return err
 		}
-		seqLat, err := prof.MeasureSchedule(seq)
-		if err != nil {
-			return err
-		}
-		res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
-		if err != nil {
-			return err
-		}
-		iosLat, err := prof.MeasureSchedule(res.Schedule)
+		iosLat, _, err := dc.latencyOf(ctx, g, "IOS")
 		if err != nil {
 			return err
 		}
@@ -195,18 +180,13 @@ func AblationSerialTail(ctx context.Context, c Config, w io.Writer) error {
 		"pruning", "ios ms", "stages")
 	g := models.SqueezeNet(c.Batch)
 	for _, p := range []core.Pruning{{R: 1, S: 8}, {R: 2, S: 8}, {R: 3, S: 8}, {R: 6, S: 8}} {
-		opts := c.Opts
-		opts.Pruning = p
-		prof := profile.New(c.Device)
-		res, err := core.OptimizeContext(ctx, g, prof, opts)
+		pc := c
+		pc.Opts.Pruning = p
+		lat, ios, err := pc.latencyOf(ctx, g, "IOS")
 		if err != nil {
 			return err
 		}
-		lat, err := prof.MeasureSchedule(res.Schedule)
-		if err != nil {
-			return err
-		}
-		t.AddRow(p.String(), 1e3*lat, res.Schedule.NumStages())
+		t.AddRow(p.String(), 1e3*lat, ios.NumStages())
 	}
 	t.Render(w)
 	fmt.Fprintln(w, "(with the serial tail, even r=1 keeps long chains available, so latency degrades gracefully)")
@@ -224,32 +204,14 @@ func Lightweight(ctx context.Context, c Config, w io.Writer) error {
 		"network", "ops", "seq ms", "greedy ms", "ios ms", "ios speedup")
 	for _, b := range []models.Builder{models.MobileNetV2, models.ShuffleNet, models.SqueezeNet} {
 		g := b(c.Batch)
-		prof := profile.New(c.Device)
-		seq, err := baseline.Sequential(g)
-		if err != nil {
-			return err
+		var lat [3]float64
+		for i, policy := range []string{"Sequential", "Greedy", "IOS"} {
+			var err error
+			if lat[i], _, err = c.latencyOf(ctx, g, policy); err != nil {
+				return err
+			}
 		}
-		seqLat, err := prof.MeasureSchedule(seq)
-		if err != nil {
-			return err
-		}
-		grd, err := baseline.Greedy(g)
-		if err != nil {
-			return err
-		}
-		grdLat, err := prof.MeasureSchedule(grd)
-		if err != nil {
-			return err
-		}
-		res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
-		if err != nil {
-			return err
-		}
-		iosLat, err := prof.MeasureSchedule(res.Schedule)
-		if err != nil {
-			return err
-		}
-		t.AddRow(g.Name, g.ComputeStats().Ops, 1e3*seqLat, 1e3*grdLat, 1e3*iosLat, seqLat/iosLat)
+		t.AddRow(g.Name, g.ComputeStats().Ops, 1e3*lat[0], 1e3*lat[1], 1e3*lat[2], lat[0]/lat[2])
 	}
 	t.Render(w)
 	fmt.Fprintln(w, "(mostly chain-structured nets gain less than multi-branch ones, as Section 2 implies)")

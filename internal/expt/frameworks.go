@@ -146,6 +146,8 @@ func Fig12(ctx context.Context, c Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		// A fresh, memo-less search, not the run's caches: the GPU-hours
+		// line prices a cold search's measurements.
 		prof := profile.New(c.Device)
 		res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"ios/internal/gpusim"
 	"ios/internal/graph"
 	"ios/internal/models"
-	"ios/internal/profile"
 	"ios/internal/report"
 	"ios/internal/schedule"
 )
@@ -72,7 +71,7 @@ func scheduleComparison(ctx context.Context, c Config, w io.Writer, title string
 func Fig2(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	g := models.Figure2Block(c.Batch)
-	prof := profile.New(c.Device)
+	prof := c.profiler(c.Device)
 
 	seq, err := baseline.Sequential(g)
 	if err != nil {
@@ -82,7 +81,7 @@ func Fig2(ctx context.Context, c Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
+	res, err := c.search(ctx, g, prof, c.Opts)
 	if err != nil {
 		return err
 	}
@@ -134,12 +133,12 @@ func stageOpsString(st schedule.Stage) string {
 func Fig8(ctx context.Context, c Config, w io.Writer) error {
 	c = c.withDefaults()
 	g := models.Figure2Block(c.Batch)
-	prof := profile.New(c.Device)
+	prof := c.profiler(c.Device)
 	seq, err := baseline.Sequential(g)
 	if err != nil {
 		return err
 	}
-	res, err := core.OptimizeContext(ctx, g, prof, c.Opts)
+	res, err := c.search(ctx, g, prof, c.Opts)
 	if err != nil {
 		return err
 	}
@@ -186,13 +185,14 @@ func Fig16(ctx context.Context, c Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	prof := profile.New(c.Device)
+	prof := c.profiler(c.Device)
+	opts := c.Opts.WithBlockCache(c.caches.blocks)
 	t := report.NewTable(fmt.Sprintf("Figure 16: per-block speedup, Inception V3 on %s", c.Device.Name),
 		"block", "ops", "width", "seq ms", "ios ms", "speedup")
 	var seqTotal, iosTotal float64
 	idx := 0
 	for _, b := range blocks {
-		stages, _, err := core.OptimizeBlockContext(ctx, b, prof, c.Opts)
+		stages, _, err := core.OptimizeBlockContext(ctx, b, prof, opts)
 		if err != nil {
 			return err
 		}

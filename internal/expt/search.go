@@ -109,6 +109,8 @@ func Fig9(ctx context.Context, c Config, w io.Writer) error {
 			for _, r := range []int{3, 2, 1} {
 				opts := c.Opts
 				opts.Pruning = core.Pruning{R: r, S: s}
+				// A fresh, memo-less search, not the run's caches:
+				// the measurements column counts a cold search's cost.
 				prof := profile.New(c.Device)
 				res, err := core.OptimizeContext(ctx, g, prof, opts)
 				if err != nil {

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"ios/internal/core"
 	"ios/internal/gpusim"
 	"ios/internal/models"
-	"ios/internal/profile"
 	"ios/internal/report"
 	"ios/internal/schedule"
 )
@@ -45,7 +43,9 @@ func Table3(ctx context.Context, c Config, w io.Writer) error {
 	schedByDev := make(map[string]*schedule.Schedule)
 	g := build(c.Batch)
 	for _, dev := range devices {
-		res, err := core.OptimizeContext(ctx, g, profile.New(dev), c.Opts)
+		dc := c
+		dc.Device = dev
+		res, err := dc.optimize(ctx, g, c.Opts.Strategies)
 		if err != nil {
 			return err
 		}
@@ -54,9 +54,11 @@ func Table3(ctx context.Context, c Config, w io.Writer) error {
 	t2 := report.NewTable("Table 3 (2): device specialization, Inception V3, batch 1 (latency ms)",
 		"execute \\ optimized for", devices[0].Name, devices[1].Name)
 	for _, execDev := range devices {
+		ec := c
+		ec.Device = execDev
 		row := []interface{}{execDev.Name}
 		for _, optDev := range devices {
-			lat, err := profile.New(execDev).MeasureSchedule(schedByDev[optDev.Name])
+			lat, err := ec.measureSchedule(schedByDev[optDev.Name])
 			if err != nil {
 				return err
 			}

@@ -6,10 +6,8 @@ import (
 	"io"
 
 	"ios/internal/graph"
-	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/plan"
-	"ios/internal/profile"
 	"ios/internal/report"
 )
 
@@ -17,10 +15,10 @@ import (
 // "specialize"): a network's full cross-batch latency and penalty
 // matrices — the schedule specialized at batch i measured at batch j,
 // the shape of the paper's Table 3 — produced by the internal/plan sweep
-// (one search per batch, in order, sharing one structural measurement
-// cache). DiagonalWins asserts the paper's headline property: in every
-// column (execution batch), the specialized schedule is at least as fast
-// as any reused one.
+// (one search per batch, in order, through the run's caches).
+// DiagonalWins asserts the paper's headline property: in every column
+// (execution batch), the specialized schedule is at least as fast as any
+// reused one.
 type SpecializeRow struct {
 	Network string
 	Ops     int
@@ -75,16 +73,14 @@ func SpecializeRows(ctx context.Context, c Config, batches []int) ([]SpecializeR
 
 // buildPlan runs the internal/plan sweep of g over batches on the
 // configured device and options. Every search and cross-measurement of
-// the sweep shares one structural measurement cache.
+// the sweep goes through the run's measurement memo and block cache.
 func (c Config) buildPlan(ctx context.Context, g *graph.Graph, batches []int) (*plan.Plan, error) {
-	root := profile.New(c.Device)
-	root.SetMeasureCache(measure.NewCache())
 	return plan.Build(ctx, plan.BuildConfig{
 		Graph:       g,
 		Batches:     batches,
 		Device:      c.Device.Name,
-		Opts:        c.Opts,
-		NewProfiler: root.Fork,
+		Opts:        c.Opts.WithBlockCache(c.caches.blocks),
+		NewProfiler: c.profiler(c.Device).Fork,
 	})
 }
 
@@ -106,6 +102,7 @@ func addExecutedRows(t *report.Table, p *plan.Plan) {
 // "specialize") at the paper's Table 3 batch set, and fails after
 // printing a network whose specialized schedule lost a column.
 func Specialize(ctx context.Context, c Config, w io.Writer) error {
+	c = c.withDefaults()
 	rows, err := SpecializeRows(ctx, c, nil)
 	if err != nil {
 		return err
@@ -116,7 +113,7 @@ func Specialize(ctx context.Context, c Config, w io.Writer) error {
 			head = append(head, fmt.Sprintf("b%d", b))
 		}
 		t := report.NewTable(fmt.Sprintf("Batch specialization, %s on %s (latency ms)",
-			r.Network, c.withDefaults().Device.Name), head...)
+			r.Network, c.Device.Name), head...)
 		for i, b := range r.Batches {
 			cells := []interface{}{fmt.Sprintf("batch %d", b)}
 			for j := range r.Batches {

@@ -21,8 +21,8 @@
 //
 // A key has two forms, both exact. The long form (Context + AppendStreams,
 // KeyVersion 1) spells every device field and kernel signature out: it is
-// the canonical, inspectable encoding — what StageFingerprint returns,
-// what WireEntry, Snapshot and Merge speak, what block-cache keys embed —
+// the canonical, inspectable encoding — what WireEntry, Snapshot and
+// Merge speak, what block-cache keys embed —
 // and it means the same in every process. The id form is what a Cache
 // holds in memory and in its file: the cache interns each distinct
 // context and each distinct kernel Signature it meets to a small integer

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ios/internal/baseline"
@@ -86,7 +87,7 @@ func TestFingerprintSoundnessRandomDAGs(t *testing.T) {
 		prof := New(gpusim.TeslaV100) // no cache: soundness is about raw latencies
 		for i := 0; i < 40; i++ {
 			st := randomStage(rng, g.SchedulableNodes())
-			fp, err := prof.StageFingerprint(st)
+			fp, err := prof.stageFingerprint(st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +132,7 @@ func TestFingerprintCollisionResistanceZoo(t *testing.T) {
 				t.Fatalf("%s: %v", g.Name, err)
 			}
 			for _, st := range s.Stages {
-				fp, err := prof.StageFingerprint(st)
+				fp, err := prof.stageFingerprint(st)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -233,7 +234,7 @@ func TestMeasureStageUsesSharedCache(t *testing.T) {
 }
 
 // keyChecker asserts, stage by stage, that the id key a profiler caches a
-// stage under (stageKey) and the stage's long-form StageFingerprint name
+// stage under (stageKey) and the stage's long-form stageFingerprint name
 // each other: two stages get equal id keys if and only if their
 // fingerprints are equal, and the key is the one the cache itself derives
 // from the fingerprint (measure.Cache.Intern), so the profiler's assembly
@@ -253,7 +254,7 @@ func newKeyChecker(t *testing.T) *keyChecker {
 
 func (kc *keyChecker) check(p *Profiler, st schedule.Stage) {
 	kc.t.Helper()
-	fp, err := p.StageFingerprint(st)
+	fp, err := p.stageFingerprint(st)
 	if err != nil {
 		kc.t.Fatal(err)
 	}
@@ -393,4 +394,20 @@ func TestFullDictionaryMeasuresUncached(t *testing.T) {
 			t.Fatalf("second pass: %d hits, %d backend runs of %d stages; want the keyed stages hit and the rest run", st.Hits, p.Measurements, len(s.Stages))
 		}
 	}
+}
+
+// stageFingerprint returns the stage's canonical measurement fingerprint
+// in its long form: the device-model context plus the lowered per-stream
+// kernel signatures, group order normalized. Two stages with equal
+// fingerprints have bit-identical measured latencies; node identity,
+// names, and graph position do not enter. The key a stage is cached under
+// (stageKey) is this fingerprint with the attached cache's ids for the
+// context and each signature: equal exactly when the fingerprints are.
+// The returned slice is freshly allocated.
+func (p *Profiler) stageFingerprint(st schedule.Stage) ([]byte, error) {
+	streams, err := p.stageStreamsPooled(canonicalStage(st))
+	if err != nil {
+		return nil, err
+	}
+	return measure.AppendStreams(slices.Clone(p.Context()), streams), nil
 }

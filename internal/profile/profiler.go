@@ -121,8 +121,7 @@ func (p *Profiler) Options() Options { return p.opts }
 // SetMeasureCache attaches a shared structural measurement cache: every
 // simulator invocation first consults (and on a miss fills) c, keyed by
 // which kernels run on which stream on this profiler's device model — the
-// id form of the stage's fingerprint (see StageFingerprint and package
-// measure). Cached values are exact simulator outputs, so results are
+// id form of the stage's measurement key (see package measure). Cached values are exact simulator outputs, so results are
 // bit-identical with or without the cache — only Measurements drops. The
 // cache is concurrency-safe and survives this profiler: share one
 // instance across profilers, searches, and servers to amortize repeated
@@ -217,22 +216,6 @@ func groupLess(a, b []*graph.Node) bool {
 		return len(a) < len(b)
 	}
 	return a[0].ID < b[0].ID
-}
-
-// StageFingerprint returns the stage's canonical measurement fingerprint
-// in its long form: the device-model context plus the lowered per-stream
-// kernel signatures, group order normalized. Two stages with equal
-// fingerprints have bit-identical measured latencies; node identity,
-// names, and graph position do not enter. The key a stage is cached under
-// (stageKey) is this fingerprint with the attached cache's ids for the
-// context and each signature: equal exactly when the fingerprints are.
-// The returned slice is freshly allocated.
-func (p *Profiler) StageFingerprint(st schedule.Stage) ([]byte, error) {
-	streams, err := p.stageStreamsPooled(canonicalStage(st))
-	if err != nil {
-		return nil, err
-	}
-	return measure.AppendStreams(slices.Clone(p.Context()), streams), nil
 }
 
 // find returns the node's entry in the lowering table; nil when it holds

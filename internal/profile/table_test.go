@@ -140,7 +140,7 @@ func TestSetMeasureCacheDropsTheTable(t *testing.T) {
 		t.Error("attaching another cache to the parent reached into its fork")
 	}
 	for i, st := range seq.Stages {
-		fp, err := p.StageFingerprint(st)
+		fp, err := p.stageFingerprint(st)
 		if err != nil {
 			t.Fatal(err)
 		}
