@@ -40,8 +40,8 @@ type (
 	ServerBatchingConfig = serve.BatchingConfig
 )
 
-// NewBatcher starts an auto-batcher that hands coalesced dispatches to
-// exec. Close it to release its goroutine.
+// NewBatcher returns an auto-batcher that hands coalesced dispatches to
+// exec.
 func NewBatcher(cfg BatcherConfig, exec batching.Exec) (*Batcher, error) {
 	return batching.NewBatcher(cfg, exec)
 }

@@ -14,8 +14,10 @@ var ErrClosed = errors.New("batching: batcher closed")
 // Exec runs one dispatched batch and returns its service latency (the
 // time the batch occupies the device) plus an arbitrary payload shared
 // by every request of the dispatch (e.g. the serving tier's routing
-// record). Exec is called from a single goroutine — dispatches execute
-// serially, modeling one device lane.
+// record). Exec calls never overlap and come in decision order —
+// dispatches execute serially, modeling one device lane — each on the
+// goroutine that decided it (a Submit, the SLO timer or Drain) or on one
+// already executing. A panicking Exec fails its dispatch's requests.
 type Exec func(d Dispatch) (service time.Duration, payload any, err error)
 
 // Result is one request's completion record.
@@ -59,23 +61,24 @@ type Stats struct {
 }
 
 // Batcher is the asynchronous auto-batching front end: it wraps a Queue
-// with real arrival timestamps, an SLO timer, and a single executor
-// goroutine that runs dispatches serially against a virtual device
-// timeline (service latencies are the measured/simulated values the
-// executor reports; a dispatch cannot start before its predecessor's
-// virtual completion). Safe for concurrent use.
+// with real arrival timestamps and an SLO timer, and runs dispatches
+// serially against a virtual device timeline (service latencies are the
+// measured/simulated values Exec reports; a dispatch cannot start before
+// its predecessor's virtual completion). It owns no goroutine: the
+// goroutine that decides a dispatch executes it, unless another is
+// executing already, which then runs it next. Safe for concurrent use.
 type Batcher struct {
 	cfg  Config
 	exec Exec
 	now  func() time.Time
 
 	mu         sync.Mutex
-	cond       *sync.Cond             // signals the executor: work queued or closing
 	q          *Queue                 // guarded by mu
 	waiters    map[uint64]chan Result // guarded by mu
 	nextID     uint64                 // guarded by mu
 	execQ      []timedDispatch        // guarded by mu
 	inflight   int                    // guarded by mu
+	running    bool                   // guarded by mu: a goroutine is executing execQ
 	deviceFree time.Time              // guarded by mu
 	violations int64                  // guarded by mu
 	timer      *time.Timer            // guarded by mu
@@ -91,8 +94,8 @@ type timedDispatch struct {
 	at time.Time
 }
 
-// NewBatcher validates cfg and starts the executor goroutine. Call
-// Close to drain and stop it.
+// NewBatcher validates cfg and returns an idle batcher. Close drains it
+// and refuses later submissions.
 func NewBatcher(cfg Config, exec Exec) (*Batcher, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("batching: nil Exec")
@@ -101,17 +104,14 @@ func NewBatcher(cfg Config, exec Exec) (*Batcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Batcher{
+	return &Batcher{
 		cfg:  cfg,
 		exec: exec,
 		// The injected clock's default; tests substitute a fake by assigning b.now.
 		now:     time.Now,
 		q:       q,
 		waiters: make(map[uint64]chan Result),
-	}
-	b.cond = sync.NewCond(&b.mu)
-	go b.run()
-	return b, nil
+	}, nil
 }
 
 // Submit enqueues a request of images images and blocks until its batch
@@ -153,21 +153,17 @@ func (b *Batcher) Submit(ctx context.Context, images int) (Result, error) {
 }
 
 // decideLocked runs the queue's decision loop, moving every ready
-// dispatch to the executor and (re)arming the SLO timer for a waiting
-// queue. Callers hold b.mu.
+// dispatch to execQ, (re)arms the SLO timer for a waiting queue, and
+// executes execQ (runLocked). Callers hold b.mu.
 func (b *Batcher) decideLocked() {
 	now := b.now()
-	for {
-		d, ok, wake := b.q.Decide(now, b.deviceFree)
-		if ok {
-			b.execQ = append(b.execQ, timedDispatch{d: d, at: now})
-			b.inflight++
-			b.cond.Signal()
-			continue
-		}
-		b.armTimerLocked(wake)
-		return
+	d, ok, wake := b.q.Decide(now, b.deviceFree)
+	for ; ok; d, ok, wake = b.q.Decide(now, b.deviceFree) {
+		b.execQ = append(b.execQ, timedDispatch{d: d, at: now})
+		b.inflight++
 	}
+	b.armTimerLocked(wake)
+	b.runLocked()
 }
 
 // armTimerLocked points the single SLO timer at wake (zero stops it).
@@ -206,24 +202,20 @@ func (b *Batcher) onTimer() {
 	b.mu.Unlock()
 }
 
-// run is the executor: it serializes dispatch execution and advances
-// the virtual device timeline.
-func (b *Batcher) run() {
-	b.mu.Lock()
-	for {
-		for len(b.execQ) == 0 && !b.closed {
-			b.cond.Wait()
-		}
-		if len(b.execQ) == 0 && b.closed {
-			b.mu.Unlock()
-			return
-		}
+// runLocked executes execQ in order, advancing the virtual device
+// timeline, until it is empty — unless another goroutine is executing
+// it already, which then runs what was added. Callers hold b.mu, which
+// is released around each Exec.
+func (b *Batcher) runLocked() {
+	if b.running {
+		return
+	}
+	b.running = true
+	for len(b.execQ) > 0 {
 		td := b.execQ[0]
 		b.execQ = b.execQ[1:]
 		b.mu.Unlock()
-
-		service, payload, err := b.exec(td.d)
-
+		service, payload, err := b.call(td.d)
 		b.mu.Lock()
 		start := td.at
 		if b.deviceFree.After(start) {
@@ -253,17 +245,28 @@ func (b *Batcher) run() {
 			}
 		}
 		b.inflight--
-		if b.inflight == 0 && len(b.execQ) == 0 {
-			for _, ch := range b.idle {
-				close(ch)
-			}
-			b.idle = nil
-		}
 	}
+	b.running = false
+	for _, ch := range b.idle {
+		close(ch)
+	}
+	b.idle = nil
 }
 
-// Drain flushes every queued request into immediate dispatches and
-// waits until all in-flight work has executed (or ctx is done). New
+// call runs Exec on one dispatch, turning a panic into the dispatch's
+// error so the batcher stays usable.
+func (b *Batcher) call(d Dispatch) (service time.Duration, payload any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("batching: exec panicked: %v", r)
+		}
+	}()
+	return b.exec(d)
+}
+
+// Drain flushes every queued request into immediate dispatches, executes
+// them, and waits until all in-flight work has executed (or ctx is done;
+// ctx cannot interrupt the dispatches Drain executes itself). New
 // submissions remain accepted; call Close for a terminal drain.
 func (b *Batcher) Drain(ctx context.Context) error {
 	b.mu.Lock()
@@ -272,14 +275,14 @@ func (b *Batcher) Drain(ctx context.Context) error {
 		b.execQ = append(b.execQ, timedDispatch{d: d, at: now})
 		b.inflight++
 	}
-	b.cond.Signal()
 	b.armTimerLocked(time.Time{})
-	ch := make(chan struct{})
-	if b.inflight == 0 && len(b.execQ) == 0 {
-		close(ch)
-	} else {
-		b.idle = append(b.idle, ch)
+	b.runLocked()
+	if b.inflight == 0 { // nothing is executing: runLocked ran it all
+		b.mu.Unlock()
+		return nil
 	}
+	ch := make(chan struct{}) // closed when the executing goroutine finishes
+	b.idle = append(b.idle, ch)
 	b.mu.Unlock()
 	select {
 	case <-ch:
@@ -289,8 +292,9 @@ func (b *Batcher) Drain(ctx context.Context) error {
 	}
 }
 
-// Close drains the queue, waits for in-flight dispatches, and stops the
-// executor. Subsequent Submits fail with ErrClosed; Close is idempotent.
+// Close is a terminal Drain: it executes the queue and waits for
+// in-flight dispatches. Subsequent Submits fail with ErrClosed; Close is
+// idempotent.
 func (b *Batcher) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -299,14 +303,7 @@ func (b *Batcher) Close() error {
 	}
 	b.closed = true
 	b.mu.Unlock()
-	err := b.Drain(context.Background())
-	b.mu.Lock()
-	if b.timer != nil {
-		b.timer.Stop()
-	}
-	b.cond.Broadcast() // wake the executor so it observes closed+empty
-	b.mu.Unlock()
-	return err
+	return b.Drain(context.Background())
 }
 
 // Stats returns a snapshot of the batcher's counters.

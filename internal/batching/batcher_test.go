@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,5 +263,48 @@ func TestBatcherConcurrentSubmits(t *testing.T) {
 	}
 	if histTotal != st.Dispatches {
 		t.Errorf("histogram total %d != dispatches %d", histTotal, st.Dispatches)
+	}
+}
+
+// TestBatcherOwnsNoGoroutine: a batcher that is never closed leaves the
+// goroutine count where it was once its Submits have returned — each
+// dispatch ran on the goroutine that decided it.
+func TestBatcherOwnsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var dispatches, images atomic.Int64
+	b, err := NewBatcher(Config{Model: testModel(), SLO: 20 * time.Millisecond}, countingExec(&dispatches, &images))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := b.Submit(context.Background(), 1); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= base }, "the goroutine count back at its baseline")
+	if images.Load() != 3 {
+		t.Errorf("exec saw %d images, want 3", images.Load())
+	}
+}
+
+// TestBatcherExecPanic: a panicking Exec fails its dispatch's requests
+// with an error, and the next Submit completes.
+func TestBatcherExecPanic(t *testing.T) {
+	var calls atomic.Int64
+	b := newTestBatcher(t, Config{}, func(d Dispatch) (time.Duration, any, error) {
+		if calls.Add(1) == 1 {
+			panic("device on fire")
+		}
+		return 100 * time.Microsecond, nil, nil
+	})
+	res, err := b.Submit(context.Background(), 1)
+	if err == nil || res.Err == nil || !strings.Contains(err.Error(), "device on fire") {
+		t.Fatalf("Submit over a panicking Exec = (%+v, %v), want its panic as the error", res, err)
+	}
+	if res, err := b.Submit(context.Background(), 1); err != nil || res.Batch != 1 {
+		t.Fatalf("Submit after the panic = (%+v, %v), want a completed batch of 1", res, err)
+	}
+	if st := b.Stats(); st.InFlight != 0 || st.QueueDepth != 0 {
+		t.Errorf("stats = %+v, want an idle batcher", st)
 	}
 }

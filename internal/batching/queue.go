@@ -16,8 +16,9 @@
 // wrapper: Queue is a pure state machine over (arrivals, explicit
 // timestamps) with no goroutines, timers, or sleeps — unit tests and
 // the virtual-time traffic simulator (Simulate*) drive it with a fake
-// clock — while Batcher wraps a Queue with real timers, a serialized
-// executor, and a virtual device timeline for the serving tier.
+// clock — while Batcher wraps a Queue with real timers, serialized
+// execution on the goroutines that decide dispatches, and a virtual
+// device timeline for the serving tier.
 package batching
 
 import (

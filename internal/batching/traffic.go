@@ -1,21 +1,21 @@
 package batching
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"time"
 )
 
 // This file is the synthetic-traffic side of the front end: a seeded
-// Poisson arrival generator plus virtual-time simulators that drive a
-// Queue — or the fixed-batch / dispatch-immediately baselines — through
-// an arrival trace against a serial device whose service times come from
-// the same measured model. TestSimulateAdaptiveBeatsBatch1 runs the
-// adaptive policy against dispatch-immediately on a Poisson trace, and
-// the benchmark's batching.sim_* rows run it on one. No real time
-// passes: the simulators are event loops over explicit timestamps, so
-// runs are deterministic given the seed.
+// Poisson arrival generator plus a virtual-time simulator that drives a
+// Queue through an arrival trace against a serial device whose service
+// times come from the same measured model (the fixed-batch and
+// dispatch-immediately baselines live with the tests).
+// TestSimulateAdaptiveBeatsBatch1 runs the adaptive policy against
+// dispatch-immediately on a Poisson trace, and the benchmark's
+// batching.sim_* rows run it on one. No real time passes: the simulators
+// are event loops over explicit timestamps, so runs are deterministic
+// given the seed.
 
 // PoissonArrivals generates n single-image arrival offsets (from a zero
 // origin, ascending) with exponential inter-arrival gaps at the given
@@ -122,50 +122,6 @@ func SimulateAdaptive(cfg Config, arrivals []time.Duration) (SimResult, error) {
 		wake = dispatchAt(next)
 	}
 	return summarize("adaptive", arrivals, lat, cfg.SLO, deviceFree.Sub(base), q.dispatches, q.Histogram()), nil
-}
-
-// SimulateFixed runs the fixed-batch baseline: wait until exactly batch
-// images are queued (or the trace has ended), then dispatch. This is
-// the policy a server with a hardcoded batch size implements; it has no
-// SLO awareness, so tail latency under light traffic is unbounded by
-// anything but the trace end.
-func SimulateFixed(model Model, batch int, slo time.Duration, arrivals []time.Duration) (SimResult, error) {
-	if batch < 1 {
-		return SimResult{}, fmt.Errorf("batching: fixed batch %d < 1", batch)
-	}
-	base := time.Unix(0, 0)
-	lat := make([]time.Duration, len(arrivals))
-	deviceFree := base
-	var dispatches int64
-	hist := make(map[int]int64)
-	flush := func(now time.Time, idx []int) {
-		if len(idx) == 0 {
-			return
-		}
-		start := now
-		if deviceFree.After(start) {
-			start = deviceFree
-		}
-		done := start.Add(durationOf(model.EstimateLatency(len(idx))))
-		deviceFree = done
-		dispatches++
-		hist[len(idx)]++
-		for _, id := range idx {
-			lat[id] = done.Sub(base.Add(arrivals[id]))
-		}
-	}
-	var pend []int
-	for i, off := range arrivals {
-		pend = append(pend, i)
-		if len(pend) >= batch {
-			flush(base.Add(off), pend)
-			pend = pend[:0]
-		}
-	}
-	if len(pend) > 0 {
-		flush(base.Add(arrivals[len(arrivals)-1]), pend)
-	}
-	return summarize(fmt.Sprintf("fixed:%d", batch), arrivals, lat, slo, deviceFree.Sub(base), dispatches, hist), nil
 }
 
 // summarize folds per-request latencies into a SimResult.

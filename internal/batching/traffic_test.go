@@ -1,6 +1,7 @@
 package batching
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func TestSimulateFixedBatches(t *testing.T) {
 	for i := range arrivals {
 		arrivals[i] = time.Duration(i) * time.Millisecond
 	}
-	res, err := SimulateFixed(m, 4, 20*time.Millisecond, arrivals)
+	res, err := simulateFixed(m, 4, 20*time.Millisecond, arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +79,8 @@ func TestSimulateFixedBatches(t *testing.T) {
 	if res.Requests != 10 || res.Images != 10 {
 		t.Errorf("requests/images = %d/%d, want 10/10", res.Requests, res.Images)
 	}
-	if _, err := SimulateFixed(m, 0, time.Second, arrivals); err == nil {
-		t.Error("SimulateFixed accepted batch 0")
+	if _, err := simulateFixed(m, 0, time.Second, arrivals); err == nil {
+		t.Error("simulateFixed accepted batch 0")
 	}
 }
 
@@ -211,10 +212,54 @@ func TestSimulateHistogramFeedsSuggestBatches(t *testing.T) {
 // request launches alone the moment it arrives (batch 1, zero queueing
 // delay, minimum device efficiency).
 func simulateImmediate(model Model, slo time.Duration, arrivals []time.Duration) (SimResult, error) {
-	res, err := SimulateFixed(model, 1, slo, arrivals)
+	res, err := simulateFixed(model, 1, slo, arrivals)
 	if err != nil {
 		return SimResult{}, err
 	}
 	res.Policy = "batch1"
 	return res, nil
+}
+
+// simulateFixed runs the fixed-batch baseline: wait until exactly batch
+// images are queued (or the trace has ended), then dispatch. This is
+// the policy a server with a hardcoded batch size implements; it has no
+// SLO awareness, so tail latency under light traffic is unbounded by
+// anything but the trace end.
+func simulateFixed(model Model, batch int, slo time.Duration, arrivals []time.Duration) (SimResult, error) {
+	if batch < 1 {
+		return SimResult{}, fmt.Errorf("batching: fixed batch %d < 1", batch)
+	}
+	base := time.Unix(0, 0)
+	lat := make([]time.Duration, len(arrivals))
+	deviceFree := base
+	var dispatches int64
+	hist := make(map[int]int64)
+	flush := func(now time.Time, idx []int) {
+		if len(idx) == 0 {
+			return
+		}
+		start := now
+		if deviceFree.After(start) {
+			start = deviceFree
+		}
+		done := start.Add(durationOf(model.EstimateLatency(len(idx))))
+		deviceFree = done
+		dispatches++
+		hist[len(idx)]++
+		for _, id := range idx {
+			lat[id] = done.Sub(base.Add(arrivals[id]))
+		}
+	}
+	var pend []int
+	for i, off := range arrivals {
+		pend = append(pend, i)
+		if len(pend) >= batch {
+			flush(base.Add(off), pend)
+			pend = pend[:0]
+		}
+	}
+	if len(pend) > 0 {
+		flush(base.Add(arrivals[len(arrivals)-1]), pend)
+	}
+	return summarize(fmt.Sprintf("fixed:%d", batch), arrivals, lat, slo, deviceFree.Sub(base), dispatches, hist), nil
 }

@@ -31,7 +31,7 @@ func entryFor(n int) *Entry {
 }
 
 // shardCount mirrors sfcache's shard count: the capacity test sizes its
-// cache at one completed entry per shard.
+// cache at as many entries as the core has shards and overfills it tenfold.
 const shardCount = 32
 
 // frame builds a cache file the way sfcache lays it out — magic, version,
@@ -239,7 +239,7 @@ func TestAbandonOnPanicUnwedges(t *testing.T) {
 }
 
 func TestCapacityBoundSheds(t *testing.T) {
-	c := NewCacheSize(shardCount) // one completed entry per shard
+	c := NewCacheSize(shardCount)
 	for i := 0; i < 10*shardCount; i++ {
 		_, claim, _ := c.GetOrBegin(nil, key(fmt.Sprintf("k%d", i)))
 		claim.Commit(entryFor(1))
@@ -250,7 +250,7 @@ func TestCapacityBoundSheds(t *testing.T) {
 	if ev := c.Stats().Evicted; ev == 0 {
 		t.Fatal("no evictions counted despite overflowing the cap")
 	}
-	// In-flight claims are never evicted: overflow the shard of a live claim.
+	// In-flight claims are never evicted: overflow a cache holding a live claim.
 	c2 := NewCacheSize(shardCount)
 	_, live, _ := c2.GetOrBegin(nil, key("live"))
 	for i := 0; i < 10*shardCount; i++ {

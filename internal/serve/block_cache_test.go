@@ -74,7 +74,7 @@ func TestServerBlockCacheDefaultsToPrivate(t *testing.T) {
 	if a.BlockCache() == b.BlockCache() {
 		t.Fatal("two default servers share a block cache")
 	}
-	// Half as many again as the bound, so every shard passes its share.
+	// Half as many again as the bound, which the cache sheds back to.
 	bc := a.BlockCache()
 	for i := 0; i < DefaultBlockCacheSize*3/2; i++ {
 		_, claim, _ := bc.GetOrBegin(nil, []byte(fmt.Sprintf("k%d", i)))

@@ -93,15 +93,15 @@ type CacheStats = sfcache.Stats
 // ScheduleCache is the store of finished schedules, one per Key, with
 // request coalescing: any number of goroutines may ask for the same Key
 // concurrently and one of them runs the optimizer while the rest wait for
-// its result. It holds completed entries only, up to its capacity; see
-// sfcache.Core for the sharding and the eviction rule. The zero value is
-// not usable; call NewScheduleCache.
+// its result. It holds completed entries only, up to its capacity counted
+// over the whole cache; see sfcache.Core for the eviction rule. The zero
+// value is not usable; call NewScheduleCache.
 type ScheduleCache struct{ core *sfcache.Core[*Entry] }
 
 // NewScheduleCache returns a cache holding up to capacity completed
-// entries (capacity <= 0 means unbounded). The capacity is split evenly
-// over sfcache's shards, and a full shard sheds one arbitrary entry: an
-// evicted key costs one search over a warm block cache.
+// entries (capacity <= 0 means unbounded). A full cache sheds arbitrary
+// entries past its capacity: an evicted key costs one search over a warm
+// block cache.
 func NewScheduleCache(capacity int) *ScheduleCache {
 	return &ScheduleCache{sfcache.NewCore[*Entry](capacity)}
 }
@@ -118,34 +118,51 @@ func NewScheduleCache(capacity int) *ScheduleCache {
 // retries it, running compute itself. So a requester that goes away stops
 // its own search, and one still waiting takes it over. A waiter whose ctx
 // ends unblocks at once with ctx.Err().
-func (c *ScheduleCache) GetOrCompute(ctx context.Context, key Key, compute func(ctx context.Context) (*Entry, error)) (e *Entry, cached bool, err error) {
+func (c *ScheduleCache) GetOrCompute(ctx context.Context, key Key, compute func(ctx context.Context) (*Entry, error)) (*Entry, bool, error) {
 	var buf [128]byte
-	k := appendKey(buf[:0], key)
+	return getOrCompute(ctx, c.core, appendKey(buf[:0], key), func(ctx context.Context) (*Entry, error) {
+		e, err := compute(ctx)
+		if err == nil {
+			e.Key = key // a nil entry panics: abandoned as any panic is
+		}
+		return e, err
+	})
+}
+
+// getOrCompute is the one claim path of the server's bounded tables — the
+// schedule cache, the submission table and each plan's answers: the value
+// core holds for key, or else the value compute returns, run once per key
+// however many goroutines ask at once. cached reports whether this caller
+// avoided running compute itself. A failed compute — an error, a
+// cancellation, a panic (returned as an error) — stores nothing, and a
+// caller waiting on the key retries it. A waiter whose ctx ends unblocks at
+// once with ctx.Err().
+func getOrCompute[V any](ctx context.Context, core *sfcache.Core[V], key []byte, compute func(ctx context.Context) (V, error)) (v V, cached bool, err error) {
 	// A hit first: ctx.Done() makes a cancellable context's channel on its
 	// first call, which a hit does not need.
-	if e, ok := c.core.Get(k); ok {
-		return e, true, nil
+	if v, ok := core.Get(key); ok {
+		return v, true, nil
 	}
-	e, claim, err := c.core.GetOrBegin(ctx.Done(), k)
+	v, claim, err := core.GetOrBegin(ctx.Done(), key)
 	if err != nil {
-		return nil, false, ctx.Err() // sfcache.ErrCancelled: ctx is done
+		return v, false, ctx.Err() // sfcache.ErrCancelled: ctx is done
 	}
 	if claim == nil {
-		return e, true, nil
+		return v, true, nil
 	}
+	var zero V
 	defer func() {
 		if r := recover(); r != nil {
 			claim.Abandon()
-			e, err = nil, fmt.Errorf("serve: schedule computation panicked: %v", r)
+			v, err = zero, fmt.Errorf("serve: computation panicked: %v", r)
 		}
 	}()
-	if e, err = compute(ctx); err != nil {
+	if v, err = compute(ctx); err != nil {
 		claim.Abandon()
-		return nil, false, err
+		return zero, false, err
 	}
-	e.Key = key // a nil entry panics: abandoned as above
-	claim.Commit(e)
-	return e, false, nil
+	claim.Commit(v)
+	return v, false, nil
 }
 
 // Lookup returns the completed entry for key without computing, waiting or

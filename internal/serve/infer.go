@@ -101,7 +101,7 @@ type BatchStats struct {
 // submit queues a request on its plan's auto-batcher, creating it on the
 // plan's first /infer request: the caller found the plan, and plans are
 // replaced, never removed. Under planMu a batcher only joins the current
-// record, where a replacement finds it to close. Its executor answers each
+// record, where a replacement finds it to close. Its Exec answers each
 // dispatch from the record like /optimize would and reports the plan's
 // measured latency for the batch as the service time, so the virtual
 // device timeline and the /stats plan counters see the numbers a sequence
@@ -112,7 +112,9 @@ func (s *Server) submit(ctx context.Context, res *resolved) (batching.Result, er
 	if rec.batcher == nil {
 		spec, p := res.spec, rec.plan
 		exec := func(d batching.Dispatch) (time.Duration, any, error) {
-			e, err := s.plannedEntry(spec, rec, d.Images)
+			// A dispatch serves many requests, so no one request's context
+			// governs its answer.
+			e, err := s.plannedEntry(context.Background(), spec, rec, d.Images)
 			if err != nil {
 				return 0, nil, err
 			}

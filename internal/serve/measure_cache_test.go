@@ -120,8 +120,8 @@ func TestServerMeasureCacheDefaultsToPrivate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the overfill runs on one goroutine; under the race detector it only costs seconds")
 	}
-	// An eighth more stages than the bound, so every shard passes its
-	// share: one stream of two kernels out of side distinct signatures.
+	// An eighth more stages than the bound, which the cache sheds back to:
+	// one stream of two kernels out of side distinct signatures.
 	mc := a.MeasureCache()
 	const side = 600
 	kernel := func(i int) gpusim.Kernel {

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -342,6 +344,47 @@ func TestOptimizeRejectsInconsistentInputBatches(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstPlanAnswerComputesOnce: eight concurrent first
+// /optimize requests for one unplanned batch of a registered plan get one
+// answer, computed once: the plan's answer core counts one miss, and the
+// other seven waited for it or hit it.
+func TestConcurrentFirstPlanAnswerComputesOnce(t *testing.T) {
+	s := NewServer(Config{})
+	if err := s.WarmPlans(context.Background(), []string{"inception"}, []int{1, 8}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	body := mustMarshal(t, OptimizeRequest{Model: "inception", Batch: 5})
+	answers := make([][]byte, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			var err error
+			if _, answers[i], err = optimizeOK(s, body); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, a := range answers {
+		if !bytes.Equal(a, answers[0]) {
+			t.Fatalf("request %d answered\n%.200s\nrequest 0\n%.200s", i, a, answers[0])
+		}
+	}
+	rec := s.planFor(Key{Model: "inception", Device: s.cfg.Device.Name, Opts: s.optsFP})
+	if st := rec.answers.Stats(); st.Misses != 1 || st.Hits+st.Coalesced != n-1 || st.Size != 1 {
+		t.Errorf("plan answers after %d concurrent first requests: %+v, want 1 miss, %d hits or waits, 1 entry", n, st, n-1)
+	}
+}
+
+// answerKey is the key of a batch's answer in its plan's answer core.
+func answerKey(batch int) []byte { return binary.AppendVarint(nil, int64(batch)) }
+
 // TestPlanMemoEvictsWhenFull: a batch sweep past planMemoCap leaves the
 // plan's answers at or under their cap, and the newest batch — asked for
 // after they filled — is resident, so its second request is answered from
@@ -359,12 +402,11 @@ func TestPlanMemoEvictsWhenFull(t *testing.T) {
 	}
 	rec := s.planFor(Key{Model: "fig2", Device: "Tesla V100", Opts: s.optsFP})
 	memoized := func() *planServed {
-		s.planMu.Lock()
-		defer s.planMu.Unlock()
-		if n := len(rec.answers); n > planMemoCap {
+		if n := rec.answers.Len(); n > planMemoCap {
 			t.Fatalf("plan holds %d answers, cap %d", n, planMemoCap)
 		}
-		return rec.answers[last]
+		e, _ := rec.answers.Lookup(answerKey(last))
+		return e
 	}
 	first := memoized()
 	if first == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,6 +29,7 @@ import (
 	"ios/internal/plan"
 	"ios/internal/profile"
 	"ios/internal/schedule"
+	"ios/internal/sfcache"
 )
 
 // DefaultMeasureCacheSize bounds the measurement cache a zero Config gets.
@@ -72,9 +74,10 @@ type Config struct {
 	// value: IOS-Both, r=3, s=8); requests carry no search options.
 	Options core.Options
 	// Cache holds finished schedules; nil allocates a fresh
-	// NewScheduleCache(DefaultCacheSize). Sharing one cache between
-	// servers shares their schedules. A failed or cancelled search caches
-	// nothing: a request waiting on its key searches again.
+	// NewScheduleCache(DefaultCacheSize), which holds DefaultCacheSize
+	// entries before it sheds any. Sharing one cache between servers
+	// shares their schedules and its capacity. A failed or cancelled
+	// search caches nothing: a request waiting on its key searches again.
 	Cache *ScheduleCache
 	// MeasureCache deduplicates simulator stage measurements by
 	// structural fingerprint across every request this server runs
@@ -141,8 +144,8 @@ type Server struct {
 	ready atomic.Bool
 
 	// The plan registry, keyed by the specialization axes minus batch
-	// (which plans span). planMu also guards every record's answers and
-	// batcher, and the float penalty counters, which atomics cannot cover.
+	// (which plans span). planMu also guards every record's batcher, and
+	// the float penalty counters, which atomics cannot cover.
 	planMu      sync.Mutex
 	plans       map[planKey]*registered // guarded by planMu
 	planExact   int64                   // guarded by planMu
@@ -154,8 +157,7 @@ type Server struct {
 	// submissions maps the SHA-256 of a graph submission's exact bytes to
 	// what they resolved to, for successful resolutions only; it holds no
 	// graph and no bytes.
-	subMu       sync.Mutex
-	submissions map[[sha256.Size]byte]submission // guarded by subMu
+	submissions *sfcache.Core[submission]
 }
 
 // planKey addresses a registered plan: a serving Key minus the batch.
@@ -164,13 +166,14 @@ type planKey struct {
 }
 
 // registered is one registered plan with what it serves: its answer per
-// requested batch (at most planMemoCap for this plan) and its auto-batcher,
-// created on the plan's first /infer request. Registering a plan under the
-// same key replaces the whole record, so the old answers go with it and its
-// batcher is closed. answers and batcher are under Server.planMu.
+// requested batch (at most planMemoCap for this plan), keyed by the batch's
+// varint, and its auto-batcher, created on the plan's first /infer request.
+// Registering a plan under the same key replaces the whole record, so the
+// old answers go with it and its batcher is closed. batcher is under
+// Server.planMu.
 type registered struct {
 	plan    *plan.Plan
-	answers map[int]*planServed
+	answers *sfcache.Core[*planServed]
 	batcher *batching.Batcher
 }
 
@@ -186,11 +189,11 @@ type planServed struct {
 	route   PlanRoute
 }
 
-// planMemoCap bounds each plan's answers: requests choose the batch, so an
-// adversarial client could otherwise grow them without limit. A plan
-// holding planMemoCap answers sheds one arbitrary resident answer per
-// insertion (the first in map iteration order): values are deterministic,
-// so an evicted batch is merely recomputed when next asked for.
+// planMemoCap is the capacity of each plan's answer core: requests choose
+// the batch, so an adversarial client could otherwise grow them without
+// limit. Past it the core sheds arbitrary answers: values are
+// deterministic, so an evicted batch is merely recomputed when next asked
+// for.
 const planMemoCap = 4096
 
 // NewServer returns a ready-to-mount server.
@@ -213,7 +216,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, cache: cache, measure: mc, blocks: bc, mux: http.NewServeMux(), start: time.Now(),
 		optsFP: cfg.Options.Fingerprint(), plans: make(map[planKey]*registered),
-		submissions: make(map[[sha256.Size]byte]submission),
+		submissions: sfcache.NewCore[submission](submissionCap),
 		requests:    map[string]*atomic.Int64{"cancelled": new(atomic.Int64)}}
 	infer := postRoute("/infer", s.handleInfer)
 	if cfg.Batching == nil { // refused before any body is read
@@ -273,7 +276,7 @@ func (s *Server) RegisterPlan(p *plan.Plan) error {
 	key := planKey{p.Model, p.Device, p.Opts}
 	s.planMu.Lock()
 	old := s.plans[key]
-	s.plans[key] = &registered{plan: p, answers: make(map[int]*planServed)}
+	s.plans[key] = &registered{plan: p, answers: sfcache.NewCore[*planServed](planMemoCap)}
 	s.planMu.Unlock()
 	// Out of the map, old gets no batcher any more (submit sets one only on
 	// the current record). Close drains: its queued requests are answered
@@ -536,10 +539,10 @@ type submission struct {
 	batch int
 }
 
-// submissionCap bounds the submission table: clients choose the bytes, so
-// an adversarial one could otherwise grow it without limit. A full table
-// sheds one arbitrary entry per insertion, as planMemoCap does; a shed
-// submission is merely parsed again when next sent.
+// submissionCap is the capacity of the submission table's core: clients
+// choose the bytes, so an adversarial one could otherwise grow it without
+// limit. Past it the core sheds arbitrary submissions, as a plan's answers
+// do; a shed submission is merely parsed again when next sent.
 const submissionCap = 4096
 
 // resolve validates the model/graph/device fields shared by /optimize,
@@ -575,37 +578,31 @@ func (s *Server) resolve(model string, rawGraph []byte, batch int, device string
 	}
 
 	// Bytes that resolved before resolve the same way again, without a
-	// parse. Only bytes that resolved are recorded, so a bad graph is
-	// parsed, and refused, every time it comes.
+	// parse, and concurrent first submissions of the same bytes parse them
+	// once. Only bytes that resolved are recorded, so a bad graph is
+	// parsed, and refused, every time it comes. A parse is bounded by the
+	// body cap, so waiting on another request's needs no cancellation.
 	sum := sha256.Sum256(rawGraph)
-	s.subMu.Lock()
-	sub, seen := s.submissions[sum]
-	s.subMu.Unlock()
 	res.raw = rawGraph
-	if !seen {
+	sub, _, err := getOrCompute(context.Background(), s.submissions, sum[:], func(context.Context) (submission, error) {
 		g, err := graph.FromJSON(rawGraph)
 		if err != nil {
-			return nil, err
+			return submission{}, err
 		}
 		// Surface block-partition errors here, where they map to a 400: past
 		// this point optimizer failures are reported as server errors.
 		if _, err := g.Partition(s.cfg.Options.MaxBlockOps); err != nil {
-			return nil, err
+			return submission{}, err
 		}
 		fp, err := g.Fingerprint()
 		if err != nil {
-			return nil, err
+			return submission{}, err
 		}
-		sub, res.parsed = submission{fp: fp, batch: g.Batch()}, g
-		s.subMu.Lock()
-		if len(s.submissions) >= submissionCap {
-			for victim := range s.submissions {
-				delete(s.submissions, victim)
-				break
-			}
-		}
-		s.submissions[sum] = sub
-		s.subMu.Unlock()
+		res.parsed = g
+		return submission{fp: fp, batch: g.Batch()}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.batch = sub.batch
 	if batch != 0 && batch != res.batch {
@@ -788,7 +785,7 @@ func (s *Server) servePlanned(ctx context.Context, res *resolved, rec *registere
 	if err := ctx.Err(); err != nil {
 		return answer{}, err
 	}
-	e, err := s.plannedEntry(res.spec, rec, res.batch)
+	e, err := s.plannedEntry(ctx, res.spec, rec, res.batch)
 	if err != nil {
 		return answer{}, err
 	}
@@ -801,23 +798,23 @@ func (s *Server) servePlanned(ctx context.Context, res *resolved, rec *registere
 }
 
 // plannedEntry returns a plan's answer for a requested batch, computing it
-// on the first request: route the batch, transfer the routed schedule to
-// it (exact hits reuse the plan point verbatim), measure it and the
-// sequential baseline, and render the whole answer.
+// once, on the first request, while concurrent first requests wait for it:
+// route the batch, transfer the routed schedule to it (exact hits reuse
+// the plan point verbatim), measure it and the sequential baseline, and
+// render the whole answer.
 // The requested batch's graph comes from the plan point itself
 // (pt.Graph.WithBatch), so the entry works for any registered plan —
-// including ones loaded from disk — without zoo resolution. Every value
-// is a deterministic function of the inputs, so concurrent first
-// requests may compute duplicates, and last-write-wins is benign.
-func (s *Server) plannedEntry(spec gpusim.Spec, rec *registered, batch int) (*planServed, error) {
-	s.planMu.Lock()
-	e, ok := rec.answers[batch]
-	s.planMu.Unlock()
-	if ok {
-		return e, nil
-	}
+// including ones loaded from disk — without zoo resolution.
+func (s *Server) plannedEntry(ctx context.Context, spec gpusim.Spec, rec *registered, batch int) (*planServed, error) {
+	var buf [binary.MaxVarintLen64]byte
+	e, _, err := getOrCompute(ctx, rec.answers, binary.AppendVarint(buf[:0], int64(batch)), func(context.Context) (*planServed, error) {
+		return s.planAnswer(spec, rec.plan, batch)
+	})
+	return e, err
+}
 
-	p := rec.plan
+// planAnswer computes plannedEntry's answer for one batch.
+func (s *Server) planAnswer(spec gpusim.Spec, p *plan.Plan, batch int) (*planServed, error) {
 	pt, penalty, exact := p.Route(batch)
 	g, sched, lat := pt.Graph, pt.Schedule, pt.Latency
 	prof := s.newProfiler(spec) // lowers g once for both measurements
@@ -853,17 +850,7 @@ func (s *Server) plannedEntry(spec gpusim.Spec, rec *registered, batch int) (*pl
 	if err != nil {
 		return nil, err
 	}
-	e = &planServed{body: body, lat: lat, summary: resp.Summary, route: route}
-	s.planMu.Lock()
-	if _, resident := rec.answers[batch]; !resident && len(rec.answers) >= planMemoCap {
-		for victim := range rec.answers {
-			delete(rec.answers, victim)
-			break
-		}
-	}
-	rec.answers[batch] = e
-	s.planMu.Unlock()
-	return e, nil
+	return &planServed{body: body, lat: lat, summary: resp.Summary, route: route}, nil
 }
 
 // measured is what a /measure answer quotes: latency (seconds) and summary.
@@ -919,7 +906,7 @@ func (s *Server) handleMeasure(ctx context.Context, req *measureWire) (answer, e
 	case req.Baseline == "" || req.Baseline == "ios":
 		source = "ios"
 		if rec := s.planFor(res.key); rec != nil {
-			pe, err := s.plannedEntry(res.spec, rec, res.batch)
+			pe, err := s.plannedEntry(ctx, res.spec, rec, res.batch)
 			if err != nil {
 				return answer{}, err
 			}

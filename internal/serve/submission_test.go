@@ -23,11 +23,7 @@ func graphJSON(t *testing.T, g *graph.Graph) json.RawMessage {
 	return raw
 }
 
-func submissions(s *Server) int {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	return len(s.submissions)
-}
+func submissions(s *Server) int { return s.submissions.Len() }
 
 // TestRefusedSubmissionIsRefusedEveryTime: bytes that do not resolve are
 // not recorded, so each of three submissions is parsed and answered 400.
@@ -85,11 +81,46 @@ func TestSubmissionTableStaysWithinCap(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstSubmissionsParseOnce: eight concurrent first
+// submissions of one graph body parse it once — the submission table
+// counts one miss, and the other seven waited for it or hit it — and all
+// get the same answer.
+func TestConcurrentFirstSubmissionsParseOnce(t *testing.T) {
+	s := NewServer(Config{})
+	const n = 8
+	body := mustMarshal(t, OptimizeRequest{Graph: graphJSON(t, models.InceptionE(1))})
+	schedules := make([]json.RawMessage, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range schedules {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			r, _, err := optimizeOK(s, body)
+			if err != nil {
+				t.Error(err)
+			}
+			schedules[i] = r.Schedule
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, sc := range schedules {
+		if !bytes.Equal(sc, schedules[0]) {
+			t.Fatalf("request %d got another schedule than request 0", i)
+		}
+	}
+	if st := s.submissions.Stats(); st.Misses != 1 || st.Hits+st.Coalesced != n-1 || st.Size != 1 {
+		t.Errorf("submission table after %d concurrent first submissions: %+v, want 1 miss, %d hits or waits, 1 entry", n, st, n-1)
+	}
+}
+
 // TestSubmissionHitAfterEviction: a repeat submission whose schedule the
 // cache has since evicted is parsed from its bytes again and answered with
-// the very schedule its first answer carried. Capacity 1 is one entry per
-// shard, so distinct graphs are submitted until one lands in the first's
-// shard and sheds it (the key hash is unseeded: the count is fixed).
+// the very schedule its first answer carried. Distinct graphs are
+// submitted to a cache of capacity 1 until the first is the entry shed
+// (an arbitrary one; the key hash is unseeded, so the count is fixed).
 func TestSubmissionHitAfterEviction(t *testing.T) {
 	s := NewServer(Config{Cache: NewScheduleCache(1)})
 	first := mustMarshal(t, OptimizeRequest{Graph: graphJSON(t, models.Figure2Block(1))})

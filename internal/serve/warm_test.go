@@ -315,10 +315,7 @@ func TestPlanMemoStaysWithinCap(t *testing.T) {
 		}
 	}
 	rec := s.planFor(Key{Model: "fig2", Device: "Tesla V100", Opts: s.optsFP})
-	s.planMu.Lock()
-	got := len(rec.answers)
-	s.planMu.Unlock()
-	if got != planMemoCap {
+	if got := rec.answers.Len(); got != planMemoCap {
 		t.Errorf("plan holds %d answers, cap %d", got, planMemoCap)
 	}
 }
@@ -436,9 +433,11 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	rec := s.planFor(Key{Model: "inception", Device: s.cfg.Device.Name, Opts: s.optsFP})
 	body = mustMarshal(t, OptimizeRequest{Model: "inception", Batch: 5})
 	first := allocPerRequest(t, s, 50, func() *http.Request {
-		s.planMu.Lock()
-		clear(rec.answers)
-		s.planMu.Unlock()
+		// Taken back and abandoned, the answer is gone from the core.
+		if e, ok := rec.answers.Lookup(answerKey(5)); ok {
+			_, cl, _ := rec.answers.ReplaceOrBegin(nil, answerKey(5), e)
+			cl.Abandon()
+		}
 		return newPost("/optimize", body)
 	})
 	t.Logf("/optimize %s, first answer: %.0f B per request", body, first)

@@ -1,9 +1,10 @@
 // Package sfcache is the one singleflight cache core behind the stage
 // measurement cache (internal/measure), the whole-block schedule cache
-// (internal/blockcache) and the serving tier's schedule cache
-// (internal/serve): a concurrent, sharded, capacity-bounded map from
-// canonical fingerprint to an immutable, always-recomputable value, with
-// claim/Commit/Abandon deduplication (Core), and the one persistence and
+// (internal/blockcache) and the serving tier's schedule cache, submission
+// table and plan answers (internal/serve): a concurrent, sharded map from
+// canonical fingerprint to an immutable, always-recomputable value, its
+// capacity counted over all its shards, with claim/Commit/Abandon
+// deduplication (Core), and the one persistence and
 // peer-exchange path (persist.go): exact cuts of a Core's completed
 // entries, validated row inserts, and the cache-file frames. Each cache
 // owns its codec — its wire entry, its file records and their validators —
@@ -109,12 +110,17 @@ var ErrCancelled = errors.New("sfcache: wait cancelled")
 // The zero value is not usable; call NewCore.
 type Core[V any] struct {
 	shards [shardCount]shard[V]
-	// perShardCap bounds each shard's completed entries (maxShardEntries
-	// when the core is unbounded): values are always recomputable, so a
-	// full shard sheds an arbitrary completed entry rather than keeping
-	// LRU bookkeeping on the lookup hot path. In-flight claims are never
-	// evicted.
-	perShardCap int
+	// capacity bounds the completed entries over every shard (0:
+	// unbounded, up to maxShardEntries a shard): values are always
+	// recomputable, so a full core sheds arbitrary completed entries (shed)
+	// rather than keeping LRU bookkeeping on the lookup hot path. In-flight
+	// claims are never evicted.
+	capacity int
+	// cursor is the shard shed looks at next.
+	cursor atomic.Uint32
+	// size counts the completed entries over all shards, so Len, Stats and
+	// shed never scan the tables; it changes with each shard's live count.
+	size atomic.Int64
 
 	// seq is the publication counter behind Cut's incremental
 	// export: every completed entry is stamped with seq+1 when it is
@@ -151,10 +157,11 @@ type shard[V any] struct {
 	// holds its key in — the table copies such a key, so the buffer is free
 	// again once the claim finishes; nil while a claim holds it.
 	keys *[bigKey]byte // guarded by mu
-	// The writer's position in tab: index words in use (entries and
-	// tombstones); chunks in use and entries in the last; arena blocks in
-	// use and bytes used of the last; the index slot eviction looks at
-	// next.
+	// The writer's position in tab: completed entries; index words in use
+	// (entries and tombstones); chunks in use and entries in the last;
+	// arena blocks in use and bytes used of the last; the index slot
+	// eviction looks at next.
+	live      int // guarded by mu
 	used      int // guarded by mu
 	chunk     int // guarded by mu
 	fill      int // guarded by mu
@@ -162,9 +169,6 @@ type shard[V any] struct {
 	arenaFill int // guarded by mu
 	sweep     int // guarded by mu
 
-	// size counts completed entries so Len/Stats never scan the tables —
-	// /stats polls them on a hot cache. Written under mu, read by Len.
-	size      atomic.Int64
 	hits      atomic.Int64
 	misses    atomic.Int64
 	coalesced atomic.Int64
@@ -351,11 +355,12 @@ func find[V any, K string | []byte](sh *shard[V], key K, h uint64) (V, bool) {
 }
 
 // addLocked adds a completed entry for a key the shard holds neither
-// completed nor in flight, shedding one first when the shard is full;
-// origin is 0 or fromPeer. Caller holds sh.mu.
+// completed nor in flight, shedding one of the shard's first when its
+// table is at maxShardEntries; origin is 0 or fromPeer. Caller holds sh.mu
+// and calls shed once it has released it.
 func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V, origin uint64) {
-	if sh.size.Load() >= int64(c.perShardCap) {
-		sh.evictLocked()
+	if sh.live >= maxShardEntries {
+		c.evictLocked(sh)
 	}
 	t := sh.tab.Load()
 	fresh := false // t is unpublished, so its slices may grow in place
@@ -371,7 +376,8 @@ func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V, origin uint
 	}
 	t.place(h, tagged(h, ref))
 	sh.used++
-	sh.size.Add(1)
+	sh.live++
+	c.size.Add(1)
 }
 
 // arenaFullLocked reports whether storing a key of n bytes in t needs an
@@ -441,7 +447,7 @@ func (sh *shard[V]) storeLocked(t *table[V], key string, v V, seq uint64) uint32
 // and only re-indexed; otherwise the live entries are copied into fresh
 // storage, which drops the evicted ones. Caller holds sh.mu.
 func (sh *shard[V]) rebuildLocked(old *table[V]) *table[V] {
-	live := int(sh.size.Load())
+	live := sh.live
 	slots := minIndex
 	for 8*live > 3*slots {
 		slots *= 2
@@ -477,11 +483,28 @@ func (sh *shard[V]) rebuildLocked(old *table[V]) *table[V] {
 	return t
 }
 
-// evictLocked sheds one completed entry — the next live one in index
-// order from where the last eviction stopped, an arbitrary choice — by
-// tombstoning its index word. Caller holds sh.mu; the shard holds at
-// least one completed entry.
-func (sh *shard[V]) evictLocked() {
+// shed evicts arbitrary completed entries until a bounded core holds at
+// most its capacity, visiting the shards from a rotating cursor and
+// holding one shard mutex at a time. It runs after a commit or an insert
+// has released its shard mutex. Two sheds that race over one excess entry
+// may both evict, leaving the core one below capacity: an eviction costs
+// a recomputation, never correctness.
+func (c *Core[V]) shed() {
+	for c.capacity > 0 && c.Len() > c.capacity {
+		sh := &c.shards[c.cursor.Add(1)%shardCount]
+		sh.mu.Lock()
+		if sh.live > 0 {
+			c.evictLocked(sh)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// evictLocked sheds one completed entry of the shard — the next live one
+// in index order from where the last eviction stopped, an arbitrary
+// choice — by tombstoning its index word. Caller holds sh.mu; the shard
+// holds at least one completed entry.
+func (c *Core[V]) evictLocked(sh *shard[V]) {
 	t := sh.tab.Load()
 	for i := sh.sweep; ; i = (i + 1) & (len(t.index) - 1) {
 		if w := t.index[i].Load(); w != 0 && w&refMask != tombstone {
@@ -490,7 +513,8 @@ func (sh *shard[V]) evictLocked() {
 			break
 		}
 	}
-	sh.size.Add(-1)
+	sh.live--
+	c.size.Add(-1)
 	sh.evicted.Add(1)
 }
 
@@ -542,9 +566,9 @@ func (cl *Claim[V]) Abandon() {
 }
 
 // finish moves the claim to its final state — a commit adds the entry to
-// the table, stamped, under the same lock — and wakes the waiters, if any
-// ever arrived. Nothing blocks while holding a shard mutex, so the brief
-// lock cannot deadlock.
+// the table, stamped, under the same lock, and sheds once it is released —
+// and wakes the waiters, if any ever arrived. Nothing blocks while
+// holding a shard mutex, so the brief lock cannot deadlock.
 func (cl *Claim[V]) finish(state uint8, v V) {
 	h := hashKey(cl.key)
 	sh := cl.c.shardFor(h)
@@ -572,22 +596,23 @@ func (cl *Claim[V]) finish(state uint8, v V) {
 	if w != nil {
 		close(w)
 	}
+	if state == claimDone {
+		cl.c.shed() // c is the one field a reuse of the claim leaves alone
+	}
 }
 
 // NewCore returns an empty cache core holding at most maxEntries completed
-// fingerprints (0 or negative = unbounded, up to maxShardEntries a shard).
-// Long-running processes caching results for arbitrary client-supplied
-// graphs — the serving tier — should be bounded: the cache otherwise only
-// ever grows. Over capacity, arbitrary completed entries are shed
-// (eviction costs a recomputation, never correctness); in-flight claims
-// are never evicted. A shard's table is allocated at its first entry, so
-// an empty core is one object.
+// fingerprints, counted over the whole core (0 or negative = unbounded, up
+// to maxShardEntries a shard). Long-running processes caching results for
+// arbitrary client-supplied graphs — the serving tier — should be bounded:
+// the cache otherwise only ever grows. A bounded core sheds nothing before
+// it holds maxEntries; past that, each commit or insert sheds arbitrary
+// completed entries until it is back at maxEntries (eviction costs a
+// recomputation, never correctness); in-flight claims are never evicted.
+// A shard's table is allocated at its first entry, so an empty core is
+// one object.
 func NewCore[V any](maxEntries int) *Core[V] {
-	c := &Core[V]{perShardCap: maxShardEntries}
-	if maxEntries > 0 {
-		c.perShardCap = min((maxEntries+shardCount-1)/shardCount, maxShardEntries)
-	}
-	return c
+	return &Core[V]{capacity: max(maxEntries, 0)}
 }
 
 // GetOrBegin looks up a fingerprint. On a hit (or after waiting out
@@ -666,7 +691,8 @@ func (c *Core[V]) ReplaceOrBegin(done <-chan struct{}, key []byte, refused V) (V
 	if t := sh.tab.Load(); t != nil {
 		if e, i := t.locate(key, h); e != nil && any(e.val) == any(refused) {
 			t.index[i].Store(tombstone)
-			sh.size.Add(-1)
+			sh.live--
+			c.size.Add(-1)
 			c.rejected.Add(1)
 			cl := c.beginLocked(sh, key)
 			sh.mu.Unlock()
@@ -738,16 +764,9 @@ func (c *Core[V]) Get(key []byte) (V, bool) {
 	return v, ok
 }
 
-// Len returns the number of completed entries (a sum of per-shard
-// counters, not a table scan — Stats is polled per /stats request on hot
-// caches).
-func (c *Core[V]) Len() int {
-	n := int64(0)
-	for i := range c.shards {
-		n += c.shards[i].size.Load()
-	}
-	return int(n)
-}
+// Len returns the number of completed entries (a counter, not a table
+// scan — Stats is polled per /stats request on hot caches).
+func (c *Core[V]) Len() int { return int(c.size.Load()) }
 
 // Stats is a snapshot of a cache's traffic counters. All counters are
 // cumulative since the cache was created.
@@ -786,10 +805,9 @@ func (s Stats) Saved() int64 { return s.Hits + s.Coalesced }
 
 // Stats returns a snapshot of the traffic counters, summed over the shards.
 func (c *Core[V]) Stats() Stats {
-	s := Stats{Rejected: c.rejected.Load()}
+	s := Stats{Size: c.Len(), Rejected: c.rejected.Load()}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		s.Size += int(sh.size.Load())
 		s.Hits += sh.hits.Load()
 		s.Misses += sh.misses.Load()
 		s.Coalesced += sh.coalesced.Load()

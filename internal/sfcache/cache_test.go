@@ -565,8 +565,9 @@ func runSuite[V any](t *testing.T, fx fixture[V]) {
 	})
 }
 
-// TestConcurrentBoundedCore drives a core bounded to four entries a shard
-// — so every shard evicts and rebuilds its table over and over — from many
+// TestConcurrentBoundedCore drives a core bounded to four times as many
+// entries as it has shards — so its shards evict and rebuild their tables
+// over and over — from many
 // goroutines at once, over a key space ten times its capacity — a third of
 // the keys inline, a third packed in the arena, a third arena blocks of
 // their own. Each value is a pure function of its
@@ -649,6 +650,47 @@ func TestConcurrentBoundedCore(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCapacityCountsTheWholeCore: a core of capacity N sheds nothing while
+// it takes N distinct entries, however they fall over the shards, and
+// after N+k it holds exactly N, having evicted k — whether the entries
+// were committed or loaded through InsertRows.
+func TestCapacityCountsTheWholeCore(t *testing.T) {
+	const k = 7
+	for _, n := range []int{1, 256, 16384} {
+		keys := make([][]byte, n+k)
+		for i := range keys {
+			keys[i] = key(fmt.Sprintf("k%d", i))
+		}
+		check := func(c *Core[float64], how string, len, evicted int) {
+			t.Helper()
+			if st := c.Stats(); st.Size != len || c.Len() != len || st.Evicted != int64(evicted) {
+				t.Fatalf("capacity %d, %s: Len %d, %+v; want %d entries and %d evicted", n, how, c.Len(), st, len, evicted)
+			}
+		}
+		c := NewCore[float64](n)
+		for i, kk := range keys[:n] {
+			fill(t, c, kk, float64(i))
+		}
+		check(c, "N commits", n, 0)
+		for i, kk := range keys[n:] {
+			fill(t, c, kk, float64(n+i))
+		}
+		check(c, "N+k commits", n, k)
+
+		rows := make([]Row[float64], len(keys))
+		for i, kk := range keys {
+			rows[i] = Row[float64]{Key: string(kk), Val: float64(i)}
+		}
+		c = NewCore[float64](n)
+		if added := c.InsertRows(rows[:n]); added != n {
+			t.Fatalf("capacity %d: InsertRows added %d of %d", n, added, n)
+		}
+		check(c, "N inserted rows", n, 0)
+		c.InsertRows(rows[n:])
+		check(c, "N+k inserted rows", n, k)
 	}
 }
 

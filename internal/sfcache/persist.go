@@ -112,9 +112,10 @@ func (c *Core[V]) cut(since uint64, own bool) ([]Row[V], uint64) {
 func CompareRows[V any](a, b Row[V]) int { return strings.Compare(a.Key, b.Key) }
 
 // InsertRows inserts the absent ones of already validated rows and
-// returns how many it added; they count toward Stats.Loaded. An existing
-// entry, completed or in flight, wins: both sides hold the result of the
-// same deterministic computation.
+// returns how many it added; they count toward Stats.Loaded. A bounded
+// core sheds after each row, so it holds at most its capacity once the
+// call returns. An existing entry, completed or in flight, wins: both
+// sides hold the result of the same deterministic computation.
 func (c *Core[V]) InsertRows(rows []Row[V]) int { return c.insertRows(rows, 0) }
 
 // InsertPeerRows is InsertRows for rows a peer sent: CutOwn skips them.
@@ -132,6 +133,7 @@ func (c *Core[V]) insertRows(rows []Row[V], origin uint64) int {
 			added++
 		}
 		sh.mu.Unlock()
+		c.shed()
 	}
 	return added
 }
