@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ios/internal/baseline"
+	"ios/internal/graph"
 	"ios/internal/models"
 )
 
@@ -127,20 +128,19 @@ func TestPooledBodiesStayIsolated(t *testing.T) {
 // in one pass.
 func TestScheduleFieldIsMarshalJSON(t *testing.T) {
 	s := NewServer(Config{})
-	for _, body := range [][]byte{
-		mustMarshal(t, OptimizeRequest{Model: "inception"}),
-		mustMarshal(t, OptimizeRequest{Graph: graphJSON(t, models.SqueezeNet(1))}),
+	for _, c := range []struct {
+		body []byte
+		g    *graph.Graph
+	}{
+		{mustMarshal(t, OptimizeRequest{Model: "inception"}), models.InceptionV3(1)},
+		{mustMarshal(t, OptimizeRequest{Graph: graphJSON(t, models.SqueezeNet(1))}), models.SqueezeNet(1)},
 	} {
+		raw, err := searched(t, s, c.g).MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 2; i++ { // the searching answer, then the rendered one
-			opt, _, err := optimizeOK(s, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, ok := s.Cache().Lookup(Key{Model: opt.Model, Batch: opt.Batch, Device: opt.Device, Opts: opt.Options})
-			if !ok {
-				t.Fatalf("%s: no entry", opt.Model)
-			}
-			raw, err := e.Schedule.MarshalJSON()
+			opt, _, err := optimizeOK(s, c.body)
 			if err != nil {
 				t.Fatal(err)
 			}

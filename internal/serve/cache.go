@@ -7,6 +7,9 @@
 // run per distinct configuration no matter how many requests race for it,
 // and a bounded store of finished answers after that, on the singleflight
 // core (internal/sfcache) of the block and measurement caches beneath it.
+// An answer (Entry) keeps the bytes it is served as and the numbers it
+// reports, not the graph and schedule it was rendered from, so what a
+// store holds grows with its answers, not with the graphs submitted.
 // A search runs under the context of the request that started it (plus an
 // optional server-side deadline); when that request goes away its search
 // stops, and a request still waiting on the key searches in its place from
@@ -20,10 +23,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"ios/internal/core"
-	"ios/internal/graph"
 	"ios/internal/schedule"
 	"ios/internal/sfcache"
 )
@@ -61,28 +62,28 @@ func appendKey(b []byte, k Key) []byte {
 	return binary.AppendVarint(b, int64(k.Batch))
 }
 
-// Entry is one cached optimization result: the schedule recipe together
-// with the measurements a serving response reports.
+// Entry is one finished /optimize answer, the one kind the schedule cache
+// and each plan's answers hold: the numbers it reports, its body rendered
+// once from the schedule it answers with, and the figures /measure quotes.
+// It keeps neither that schedule nor its graph. newEntry builds it; an
+// Entry made any other way has no body to serve.
 type Entry struct {
 	// Key the entry was computed under.
 	Key Key
-	// Graph is the computation graph the schedule targets.
-	Graph *graph.Graph
-	// Schedule is the IOS-optimized execution plan.
-	Schedule *schedule.Schedule
-	// Stats is the search cost of producing it.
+	// Stats is the search cost of producing it (zero for a plan's answer,
+	// which no search produced).
 	Stats core.Stats
 	// Latency is the schedule's simulated end-to-end latency (seconds).
 	Latency float64
 	// SequentialLatency is the sequential baseline's latency (seconds),
 	// kept so responses can quote the speedup without re-measuring.
 	SequentialLatency float64
-	// ComputedAt stamps when the optimization ran.
-	ComputedAt time.Time
-	// answer is what every hit is answered from, serialized once (at
-	// compute time by a Server, on first use otherwise); see rendered.
-	answer atomic.Pointer[optimizeAnswer]
-	// The baselines' /measure figures, measured on first use (handleMeasure).
+
+	body    []byte           // the /optimize 200 body, "cached":true
+	summary schedule.Summary // the schedule's, which /measure's ios answer quotes
+	route   *PlanRoute       // a plan's answer's routing; nil for a searched one
+	// The baselines' /measure figures: sequential set by newEntry, greedy
+	// measured on first use (handleMeasure).
 	sequential, greedy atomic.Pointer[measured]
 }
 
@@ -90,7 +91,7 @@ type Entry struct {
 // core keeps, as /stats reports for the block and measurement caches.
 type CacheStats = sfcache.Stats
 
-// ScheduleCache is the store of finished schedules, one per Key, with
+// ScheduleCache is the store of finished answers, one Entry per Key, with
 // request coalescing: any number of goroutines may ask for the same Key
 // concurrently and one of them runs the optimizer while the rest wait for
 // its result. It holds completed entries only, up to its capacity counted

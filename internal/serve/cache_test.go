@@ -92,7 +92,7 @@ func TestCacheDeduplicatesConcurrentRequests(t *testing.T) {
 			return nil, err
 		}
 		totalMeasurements.Add(int64(res.Stats.Measurements))
-		return &Entry{Graph: g, Schedule: res.Schedule, Stats: res.Stats}, nil
+		return &Entry{Stats: res.Stats}, nil
 	}
 
 	// A start barrier maximizes the racing window.

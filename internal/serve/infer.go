@@ -119,7 +119,7 @@ func (s *Server) submit(ctx context.Context, res *resolved) (batching.Result, er
 				return 0, nil, err
 			}
 			s.recordRoute(e.route.Penalty, e.route.Exact)
-			return time.Duration(e.lat * float64(time.Second)), e.route, nil
+			return time.Duration(e.Latency * float64(time.Second)), *e.route, nil
 		}
 		b, err := batching.NewBatcher(batching.Config{Model: p, SLO: s.cfg.Batching.SLO}, exec)
 		if err != nil {

@@ -17,9 +17,9 @@ import (
 
 // TestServerMeasureCacheSharedAcrossRequests: the structural measurement
 // cache deduplicates simulator work across endpoints — after /optimize
-// fills it, a /measure of the sequential baseline for the same model
-// reuses the search's stage simulations — and its counters surface in
-// /stats.
+// fills it, a /measure of the greedy baseline for the same model reuses
+// the search's stage simulations (the sequential one was measured with the
+// search) — and its counters surface in /stats.
 func TestServerMeasureCacheSharedAcrossRequests(t *testing.T) {
 	mc := measure.NewCache()
 	s := NewServer(Config{Logf: t.Logf, MeasureCache: mc})
@@ -35,9 +35,9 @@ func TestServerMeasureCacheSharedAcrossRequests(t *testing.T) {
 		t.Fatal("optimize filled nothing into the measurement cache")
 	}
 
-	// The sequential baseline's stages are single-operator chains whose
-	// stream programs the search already simulated: all hits, no misses.
-	resp, _ = postJSON(t, ts.URL+"/measure", map[string]any{"model": "squeezenet", "baseline": "sequential"})
+	// The greedy baseline's stages are ones whose stream programs the
+	// search already simulated: all hits, no misses.
+	resp, _ = postJSON(t, ts.URL+"/measure", map[string]any{"model": "squeezenet", "baseline": "greedy"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/measure status %d", resp.StatusCode)
 	}

@@ -317,6 +317,47 @@ func TestMeasureQuotesThePlannedSchedule(t *testing.T) {
 	}
 }
 
+// TestMeasureOnAPlannedKeyAnswersFromItsEntry: on a key with a registered
+// plan, at a planned batch and at one routed to it, /measure answers both
+// baselines and the schedule /optimize serves from the plan's answer for
+// the batch, byte for byte what a server with no plan answers. The
+// sequential baseline and the schedule look no stage up, and the greedy
+// baseline only on its first call.
+func TestMeasureOnAPlannedKeyAnswersFromItsEntry(t *testing.T) {
+	planned, _ := newPlannedServer(t)
+	bare := NewServer(Config{})
+	for _, batch := range []int{4, 8} {
+		opt, _, err := optimizeOK(planned, mustMarshal(t, OptimizeRequest{Model: "squeezenet", Batch: batch}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []MeasureRequest{
+			{Model: "squeezenet", Batch: batch, Baseline: "sequential"},
+			{Model: "squeezenet", Batch: batch, Baseline: "greedy"},
+			{Model: "squeezenet", Batch: batch, Schedule: opt.Schedule},
+		} {
+			body := mustMarshal(t, req)
+			code, want := post(bare, "/measure", body)
+			if code != http.StatusOK {
+				t.Fatalf("batch %d: the plan-less server answered %d: %s", batch, code, want)
+			}
+			for i := 0; i < 2; i++ {
+				before := planned.MeasureCache().Stats()
+				code, got := post(planned, "/measure", body)
+				if code != http.StatusOK || !bytes.Equal(got, want) {
+					t.Errorf("batch %d %.40s call %d: %d\n got %s\nwant %s", batch, body, i, code, got, want)
+				}
+				if after := planned.MeasureCache().Stats(); (after != before) != (i == 0 && req.Baseline == "greedy") {
+					t.Errorf("batch %d %.40s call %d: measurement cache %+v -> %+v", batch, body, i, before, after)
+				}
+			}
+		}
+	}
+	if st := planned.Cache().Stats(); st.Misses != 0 {
+		t.Errorf("a planned key was searched: %+v", st)
+	}
+}
+
 // TestOptimizeRejectsInconsistentInputBatches covers the serving side of
 // the Graph.Batch bugfix: a multi-input graph whose inputs disagree on
 // the batch dimension must be a 400, not a cache entry under the first
@@ -401,7 +442,7 @@ func TestPlanMemoEvictsWhenFull(t *testing.T) {
 		}
 	}
 	rec := s.planFor(Key{Model: "fig2", Device: "Tesla V100", Opts: s.optsFP})
-	memoized := func() *planServed {
+	memoized := func() *Entry {
 		if n := rec.answers.Len(); n > planMemoCap {
 			t.Fatalf("plan holds %d answers, cap %d", n, planMemoCap)
 		}

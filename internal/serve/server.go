@@ -73,7 +73,7 @@ type Config struct {
 	// Options is the search configuration every request runs under (zero
 	// value: IOS-Both, r=3, s=8); requests carry no search options.
 	Options core.Options
-	// Cache holds finished schedules; nil allocates a fresh
+	// Cache holds finished answers (see Entry); nil allocates a fresh
 	// NewScheduleCache(DefaultCacheSize), which holds DefaultCacheSize
 	// entries before it sheds any. Sharing one cache between servers
 	// shares their schedules and its capacity. A failed or cancelled
@@ -166,27 +166,16 @@ type planKey struct {
 }
 
 // registered is one registered plan with what it serves: its answer per
-// requested batch (at most planMemoCap for this plan), keyed by the batch's
-// varint, and its auto-batcher, created on the plan's first /infer request.
+// requested batch (at most planMemoCap for this plan), an Entry keyed by the
+// batch's varint, and its auto-batcher, created on the plan's first /infer
+// request.
 // Registering a plan under the same key replaces the whole record, so the
 // old answers go with it and its batcher is closed. batcher is under
 // Server.planMu.
 type registered struct {
 	plan    *plan.Plan
-	answers *sfcache.Core[*planServed]
+	answers *sfcache.Core[*Entry]
 	batcher *batching.Batcher
-}
-
-// planServed is the answer for one (plan, requested batch), a pure function
-// of the two, so it is computed once and written to every later request:
-// the rendered 200 body, the schedule latency at the requested batch in
-// seconds with the summary /measure quotes, and the routing. It keeps no
-// schedule and no graph.
-type planServed struct {
-	body    []byte
-	lat     float64
-	summary schedule.Summary
-	route   PlanRoute
 }
 
 // planMemoCap is the capacity of each plan's answer core: requests choose
@@ -276,7 +265,7 @@ func (s *Server) RegisterPlan(p *plan.Plan) error {
 	key := planKey{p.Model, p.Device, p.Opts}
 	s.planMu.Lock()
 	old := s.plans[key]
-	s.plans[key] = &registered{plan: p, answers: sfcache.NewCore[*planServed](planMemoCap)}
+	s.plans[key] = &registered{plan: p, answers: sfcache.NewCore[*Entry](planMemoCap)}
 	s.planMu.Unlock()
 	// Out of the map, old gets no batcher any more (submit sets one only on
 	// the current record). Close drains: its queued requests are answered
@@ -523,10 +512,9 @@ type resolved struct {
 	key   Key
 	spec  gpusim.Spec
 	batch int
-	// What the graph is made from when the schedule cache does not hold it
-	// (see Server.graph): a zoo builder, or a submission's bytes (the
-	// request body's; see route) together with their parse if this request
-	// is the one that parsed them.
+	// What the graph is made from (see graph): a zoo builder, or a
+	// submission's bytes (the request body's; see route) together with
+	// their parse if this request is the one that parsed them.
 	zoo    models.Builder
 	raw    []byte
 	parsed *graph.Graph
@@ -612,14 +600,10 @@ func (s *Server) resolve(model string, rawGraph []byte, batch int, device string
 	return res, nil
 }
 
-// graph returns a resolved request's graph: the one the completed
-// schedule-cache entry for its key already holds (Lookup moves no
-// counter), else a zoo build or the submission parsed. Every /optimize
-// miss and every /measure gets its graph here.
-func (s *Server) graph(res *resolved) (*graph.Graph, error) {
-	if e, ok := s.cache.Lookup(res.key); ok && e.Graph != nil {
-		return e.Graph, nil
-	}
+// graph returns the request's graph: a zoo build, or the submission
+// parsed. Every search and every /measure that measures builds its graph
+// here; no answer keeps one.
+func (res *resolved) graph() (*graph.Graph, error) {
 	switch {
 	case res.zoo != nil:
 		return res.zoo(res.batch), nil
@@ -636,7 +620,7 @@ func (s *Server) graph(res *resolved) (*graph.Graph, error) {
 // searches in its place.
 func (s *Server) entry(ctx context.Context, res *resolved) (*Entry, bool, error) {
 	return s.cache.GetOrCompute(ctx, res.key, func(ctx context.Context) (*Entry, error) {
-		g, err := s.graph(res)
+		g, err := res.graph()
 		if err != nil {
 			return nil, err
 		}
@@ -649,30 +633,13 @@ func (s *Server) entry(ctx context.Context, res *resolved) (*Entry, bool, error)
 		if err != nil {
 			return nil, err
 		}
-		seq, err := baseline.Sequential(g)
-		if err != nil {
-			return nil, err
-		}
-		seqLat, err := prof.MeasureSchedule(seq)
-		if err != nil {
-			return nil, err
-		}
-		e := &Entry{
-			Key:               res.key,
-			Graph:             g,
-			Schedule:          out.Schedule,
-			Stats:             out.Stats,
-			Latency:           lat,
-			SequentialLatency: seqLat,
-			ComputedAt:        time.Now(),
-		}
-		// Serialized here, once, so no hit ever marshals.
-		if _, err := e.rendered(); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return newEntry(res.key, prof, g, out.Schedule, lat, out.Stats, nil)
 	})
 }
+
+// paperModels are the paper's four benchmark networks, what Warm and
+// WarmPlans precompute when given no names.
+var paperModels = []string{"inception", "randwire", "nasnet", "squeezenet"}
 
 // Warm precomputes schedules for the named zoo models (nil = the paper's
 // four benchmarks) at the given batch sizes (nil = batch 1) on the
@@ -681,7 +648,7 @@ func (s *Server) entry(ctx context.Context, res *resolved) (*Entry, bool, error)
 // during daemon start-up).
 func (s *Server) Warm(ctx context.Context, names []string, batches []int) error {
 	if names == nil {
-		names = []string{"inception", "randwire", "nasnet", "squeezenet"}
+		names = paperModels
 	}
 	if len(batches) == 0 {
 		batches = []int{1}
@@ -713,7 +680,7 @@ func (s *Server) Warm(ctx context.Context, names []string, batches []int) error 
 // Cancelling ctx aborts the remaining sweeps.
 func (s *Server) WarmPlans(ctx context.Context, names []string, batches []int) error {
 	if names == nil {
-		names = []string{"inception", "randwire", "nasnet", "squeezenet"}
+		names = paperModels
 	}
 	if len(batches) == 0 {
 		return fmt.Errorf("serve: WarmPlans needs at least one batch size")
@@ -762,14 +729,9 @@ func (s *Server) handleOptimize(ctx context.Context, req *optimizeWire) (answer,
 		s.logf("optimize %s cached=%v %.3fms", res.key, cached, 1e3*e.Latency)
 	}
 	if !cached { // the one requester whose search produced the entry
-		resp, err := e.response(false, nil)
-		return answer{v: resp}, err
+		return answer{body: e.uncached()}, nil
 	}
-	a, err := e.rendered()
-	if err != nil {
-		return answer{}, err
-	}
-	return answer{body: a.body}, nil
+	return answer{body: e.body}, nil
 }
 
 // servePlanned answers an /optimize request from a registered
@@ -792,7 +754,7 @@ func (s *Server) servePlanned(ctx context.Context, res *resolved, rec *registere
 	s.recordRoute(e.route.Penalty, e.route.Exact)
 	if s.cfg.Logf != nil {
 		s.logf("optimize %s plan batch=%d->%d exact=%v penalty=%.3f %.3fms",
-			res.key, res.batch, e.route.PlannedBatch, e.route.Exact, e.route.Penalty, 1e3*e.lat)
+			res.key, res.batch, e.route.PlannedBatch, e.route.Exact, e.route.Penalty, 1e3*e.Latency)
 	}
 	return answer{body: e.body}, nil
 }
@@ -805,52 +767,30 @@ func (s *Server) servePlanned(ctx context.Context, res *resolved, rec *registere
 // The requested batch's graph comes from the plan point itself
 // (pt.Graph.WithBatch), so the entry works for any registered plan —
 // including ones loaded from disk — without zoo resolution.
-func (s *Server) plannedEntry(ctx context.Context, spec gpusim.Spec, rec *registered, batch int) (*planServed, error) {
+func (s *Server) plannedEntry(ctx context.Context, spec gpusim.Spec, rec *registered, batch int) (*Entry, error) {
 	var buf [binary.MaxVarintLen64]byte
-	e, _, err := getOrCompute(ctx, rec.answers, binary.AppendVarint(buf[:0], int64(batch)), func(context.Context) (*planServed, error) {
-		return s.planAnswer(spec, rec.plan, batch)
+	e, _, err := getOrCompute(ctx, rec.answers, binary.AppendVarint(buf[:0], int64(batch)), func(context.Context) (*Entry, error) {
+		p := rec.plan
+		pt, penalty, exact := p.Route(batch)
+		g, sched, lat := pt.Graph, pt.Schedule, pt.Latency
+		prof := s.newProfiler(spec) // lowers g once for both measurements
+		if !exact {
+			var err error
+			if g, err = pt.Graph.WithBatch(batch); err != nil {
+				return nil, err
+			}
+			if sched, err = pt.Schedule.Transfer(g); err != nil {
+				return nil, fmt.Errorf("plan: route batch %d to planned batch %d: %w", batch, pt.Batch, err)
+			}
+			if lat, err = prof.MeasureSchedule(sched); err != nil {
+				return nil, err
+			}
+		}
+		// No search ran (the plan precomputed it): cached, at zero search cost.
+		return newEntry(Key{Model: p.Model, Batch: batch, Device: spec.Name, Opts: p.Opts}, prof, g, sched, lat,
+			core.Stats{}, &PlanRoute{PlannedBatch: pt.Batch, Exact: exact, Penalty: penalty})
 	})
 	return e, err
-}
-
-// planAnswer computes plannedEntry's answer for one batch.
-func (s *Server) planAnswer(spec gpusim.Spec, p *plan.Plan, batch int) (*planServed, error) {
-	pt, penalty, exact := p.Route(batch)
-	g, sched, lat := pt.Graph, pt.Schedule, pt.Latency
-	prof := s.newProfiler(spec) // lowers g once for both measurements
-	if !exact {
-		var err error
-		if g, err = pt.Graph.WithBatch(batch); err != nil {
-			return nil, err
-		}
-		if sched, err = pt.Schedule.Transfer(g); err != nil {
-			return nil, fmt.Errorf("plan: route batch %d to planned batch %d: %w", batch, pt.Batch, err)
-		}
-		if lat, err = prof.MeasureSchedule(sched); err != nil {
-			return nil, err
-		}
-	}
-	seq, err := baseline.Sequential(g)
-	if err != nil {
-		return nil, err
-	}
-	seqLat, err := prof.MeasureSchedule(seq)
-	if err != nil {
-		return nil, err
-	}
-	// No search ran (the plan precomputed it): cached, at zero search cost.
-	route := PlanRoute{PlannedBatch: pt.Batch, Exact: exact, Penalty: penalty}
-	planned := Entry{Key: Key{Model: p.Model, Batch: batch, Device: spec.Name, Opts: p.Opts},
-		Schedule: sched, Latency: lat, SequentialLatency: seqLat}
-	resp, err := planned.response(true, &route)
-	if err != nil {
-		return nil, err
-	}
-	body, err := render(resp)
-	if err != nil {
-		return nil, err
-	}
-	return &planServed{body: body, lat: lat, summary: resp.Summary, route: route}, nil
 }
 
 // measured is what a /measure answer quotes: latency (seconds) and summary.
@@ -859,16 +799,24 @@ type measured struct {
 	summary schedule.Summary
 }
 
-// handleMeasure answers the schedule bytes /optimize returned from the key's
-// completed entry (Lookup moves no counter), answers ios on a
-// planned key from the plan, as /optimize does, measures each baseline once
-// per entry, and parses or builds and measures anything else.
+// handleMeasure answers from the key's entry where it can: the schedule
+// bytes /optimize returned and ios quote it, and each baseline is measured
+// once per entry. A planned key's entry is its plan's answer, computed
+// first as /optimize would; any other key's is the schedule cache's
+// completed one, if any (Lookup moves no counter). Anything else is parsed
+// or built, and measured.
 func (s *Server) handleMeasure(ctx context.Context, req *measureWire) (answer, error) {
 	res, err := s.resolve(req.Model, req.Graph, req.Batch, req.Device)
 	if err != nil {
 		return answer{}, badRequest(err)
 	}
+	rec := s.planFor(res.key)
 	e, _ := s.cache.Lookup(res.key)
+	if rec != nil {
+		if e, err = s.plannedEntry(ctx, res.spec, rec, res.batch); err != nil {
+			return answer{}, err
+		}
+	}
 
 	var (
 		sched  *schedule.Schedule // measured below, if set
@@ -883,17 +831,11 @@ func (s *Server) handleMeasure(ctx context.Context, req *measureWire) (answer, e
 			return answer{}, badRequest(fmt.Errorf("pass at most one of \"schedule\" and \"baseline\""))
 		}
 		source = "schedule"
-		if e != nil {
-			a, err := e.rendered()
-			if err != nil {
-				return answer{}, err
-			}
-			if bytes.Equal(req.Schedule, a.schedule()) {
-				m = &measured{e.Latency, a.summary}
-				break
-			}
+		if e != nil && bytes.Equal(req.Schedule, e.schedule()) {
+			m = &measured{e.Latency, e.summary}
+			break
 		}
-		g, err := s.graph(res)
+		g, err := res.graph()
 		if err == nil {
 			sched, err = schedule.FromJSON(req.Schedule, g)
 		}
@@ -904,25 +846,15 @@ func (s *Server) handleMeasure(ctx context.Context, req *measureWire) (answer, e
 			return answer{}, badRequest(err)
 		}
 	case req.Baseline == "" || req.Baseline == "ios":
-		source = "ios"
-		if rec := s.planFor(res.key); rec != nil {
-			pe, err := s.plannedEntry(ctx, res.spec, rec, res.batch)
-			if err != nil {
+		source, cached = "ios", rec != nil
+		if rec == nil {
+			if e, cached, err = s.entry(ctx, res); err != nil {
 				return answer{}, err
 			}
-			m, cached = &measured{pe.lat, pe.summary}, true
-			break
-		}
-		if e, cached, err = s.entry(ctx, res); err != nil {
-			return answer{}, err
 		}
 		// The entry already carries this schedule's measured latency and
 		// summary; answer from it instead of re-simulating the whole network.
-		a, err := e.rendered()
-		if err != nil {
-			return answer{}, err
-		}
-		m = &measured{e.Latency, a.summary}
+		m = &measured{e.Latency, e.summary}
 	case req.Baseline == "sequential" || req.Baseline == "greedy":
 		build := baseline.Sequential
 		if req.Baseline == "greedy" {
@@ -936,7 +868,7 @@ func (s *Server) handleMeasure(ctx context.Context, req *measureWire) (answer, e
 				break
 			}
 		}
-		g, err := s.graph(res)
+		g, err := res.graph()
 		if err != nil {
 			return answer{}, badRequest(err)
 		}
@@ -1301,62 +1233,65 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// optimizeAnswer is what every hit on a cache entry is answered from.
-type optimizeAnswer struct {
-	body    []byte           // the /optimize 200 body, "cached":true
-	summary schedule.Summary // what /measure's ios answer quotes
+// newEntry is the one way an answer is made, from a search's outputs or a
+// plan point's: it measures the sequential baseline of g on prof, which has
+// lowered g already, and renders the /optimize body for sched under key —
+// "cached":true, with route for a plan's answer. What it returns holds no
+// schedule and no graph.
+func newEntry(key Key, prof *profile.Profiler, g *graph.Graph, sched *schedule.Schedule, lat float64, stats core.Stats, route *PlanRoute) (*Entry, error) {
+	seq, err := baseline.Sequential(g)
+	if err != nil {
+		return nil, err
+	}
+	seqLat, err := prof.MeasureSchedule(seq)
+	if err != nil {
+		return nil, err
+	}
+	schedJSON, err := sched.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	e := &Entry{Key: key, Stats: stats, Latency: lat, SequentialLatency: seqLat, summary: sched.Summarize(), route: route}
+	e.sequential.Store(&measured{seqLat, seq.Summarize()})
+	if e.body, err = render(OptimizeResponse{
+		Model:        key.Model,
+		Device:       key.Device,
+		Batch:        key.Batch,
+		Options:      key.Opts,
+		Cached:       true,
+		LatencyMS:    1e3 * lat,
+		SequentialMS: 1e3 * seqLat,
+		Speedup:      ratio(seqLat, lat),
+		Throughput:   ratio(float64(key.Batch), lat),
+		Summary:      e.summary,
+		Schedule:     schedJSON,
+		Search: SearchInfo{
+			Blocks:       stats.Blocks,
+			States:       stats.States,
+			Transitions:  stats.Transitions,
+			Measurements: stats.Measurements,
+			WallMS:       float64(stats.WallTime) / float64(time.Millisecond),
+		},
+		Plan: route,
+	}); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// uncached is the answer for the one requester whose search made e: its
+// body saying "cached":false. No string before the flag can hold its key
+// (strings escape quotes).
+func (e *Entry) uncached() []byte {
+	i := bytes.Index(e.body, []byte(`,"cached":true`))
+	b := append(make([]byte, 0, len(e.body)+1), e.body[:i]...)
+	return append(append(b, `,"cached":false`...), e.body[i+len(`,"cached":true`):]...)
 }
 
 // schedule returns the compact schedule JSON inside the body: no earlier
-// field holds the key (strings escape quotes), and only "search" follows.
-func (a *optimizeAnswer) schedule() []byte {
-	start := bytes.Index(a.body, []byte(`,"schedule":`)) + len(`,"schedule":`)
-	return a.body[start:bytes.LastIndex(a.body, []byte(`,"search":{`))]
-}
-
-// response builds the entry's /optimize answer, serializing its schedule.
-func (e *Entry) response(cached bool, route *PlanRoute) (OptimizeResponse, error) {
-	schedJSON, err := e.Schedule.MarshalJSON()
-	if err != nil {
-		return OptimizeResponse{}, err
-	}
-	return OptimizeResponse{
-		Model:        e.Key.Model,
-		Device:       e.Key.Device,
-		Batch:        e.Key.Batch,
-		Options:      e.Key.Opts,
-		Cached:       cached,
-		LatencyMS:    1e3 * e.Latency,
-		SequentialMS: 1e3 * e.SequentialLatency,
-		Speedup:      ratio(e.SequentialLatency, e.Latency),
-		Throughput:   ratio(float64(e.Key.Batch), e.Latency),
-		Summary:      e.Schedule.Summarize(),
-		Schedule:     schedJSON,
-		Search: SearchInfo{
-			Blocks:       e.Stats.Blocks,
-			States:       e.Stats.States,
-			Transitions:  e.Stats.Transitions,
-			Measurements: e.Stats.Measurements,
-			WallMS:       float64(e.Stats.WallTime) / float64(time.Millisecond),
-		},
-		Plan: route,
-	}, nil
-}
-
-// rendered returns the entry's answer to a hit, rendering it on first use
-// (concurrent first users may each render; one result is published).
-func (e *Entry) rendered() (*optimizeAnswer, error) {
-	if a := e.answer.Load(); a != nil {
-		return a, nil
-	}
-	resp, err := e.response(true, nil)
-	if err != nil {
-		return nil, err
-	}
-	body, err := render(resp)
-	if err != nil {
-		return nil, err
-	}
-	e.answer.CompareAndSwap(nil, &optimizeAnswer{body: body, summary: resp.Summary})
-	return e.answer.Load(), nil
+// field holds the key (strings escape quotes), and only "search" and a
+// plan's route follow.
+func (e *Entry) schedule() []byte {
+	start := bytes.Index(e.body, []byte(`,"schedule":`)) + len(`,"schedule":`)
+	return e.body[start:bytes.LastIndex(e.body, []byte(`,"search":{`))]
 }

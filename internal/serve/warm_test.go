@@ -15,8 +15,13 @@ import (
 	"time"
 
 	"ios/internal/baseline"
+	"ios/internal/blockcache"
+	"ios/internal/core"
+	"ios/internal/graph"
+	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/plan"
+	"ios/internal/profile"
 	"ios/internal/schedule"
 )
 
@@ -76,11 +81,24 @@ func optimizeOK(s *Server, body []byte) (OptimizeResponse, []byte, error) {
 	return out, raw, json.Unmarshal(raw, &out)
 }
 
-// structEncoded is the answer the per-request struct encoder used to build
-// from a cache entry: the reference the rendered bytes must decode equal to.
-func structEncoded(t *testing.T, e *Entry) OptimizeResponse {
+// searched is the schedule a bare search of g under s's options finds — a
+// fresh profiler, no block cache: what the entry for g's key on s was
+// rendered from, found again without it.
+func searched(t *testing.T, s *Server, g *graph.Graph) *schedule.Schedule {
 	t.Helper()
-	indented, err := e.Schedule.MarshalJSON()
+	out, err := core.OptimizeContext(context.Background(), g, profile.New(s.cfg.Device), s.cfg.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Schedule
+}
+
+// structEncoded is the answer the per-request struct encoder used to build
+// from a cache entry and the schedule it was found with: the reference the
+// rendered bytes must decode equal to.
+func structEncoded(t *testing.T, e *Entry, sched *schedule.Schedule) OptimizeResponse {
+	t.Helper()
+	indented, err := sched.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +115,7 @@ func structEncoded(t *testing.T, e *Entry) OptimizeResponse {
 		SequentialMS: 1e3 * e.SequentialLatency,
 		Speedup:      ratio(e.SequentialLatency, e.Latency),
 		Throughput:   ratio(float64(e.Key.Batch), e.Latency),
-		Summary:      e.Schedule.Summarize(),
+		Summary:      sched.Summarize(),
 		Schedule:     compact.Bytes(),
 		Search: SearchInfo{
 			Blocks:       e.Stats.Blocks,
@@ -140,7 +158,8 @@ func TestRenderedAnswersMatchStructEncoder(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no cache entry", name)
 		}
-		want := structEncoded(t, e)
+		entry, _ := models.EntryByName(name)
+		want := structEncoded(t, e, searched(t, s, entry.Build(1)))
 		if !reflect.DeepEqual(first, want) {
 			t.Errorf("%s: first answer\n got %+v\nwant %+v", name, first, want)
 		}
@@ -148,15 +167,15 @@ func TestRenderedAnswersMatchStructEncoder(t *testing.T) {
 		if !reflect.DeepEqual(second, want) {
 			t.Errorf("%s: cached answer\n got %+v\nwant %+v", name, second, want)
 		}
-		if a := e.answer.Load(); a == nil || !bytes.Equal(a.body, raw2) {
+		if !bytes.Equal(e.body, raw2) {
 			t.Errorf("%s: a hit was not answered with the entry's one rendered body", name)
 		}
 	}
 }
 
 // TestExternalEntryServedIdentically: an entry put into the schedule cache
-// from outside Server.entry (nothing rendered yet) is rendered on first use
-// to the bytes a server-computed entry has.
+// from outside Server.entry, rendered by newEntry from a search of its own,
+// is served as the bytes a server-computed entry has.
 func TestExternalEntryServedIdentically(t *testing.T) {
 	body := mustMarshal(t, OptimizeRequest{Model: "squeezenet"})
 	own := NewServer(Config{})
@@ -170,10 +189,18 @@ func TestExternalEntryServedIdentically(t *testing.T) {
 	key := Key{Model: "squeezenet", Batch: 1, Device: "Tesla V100", Opts: own.optsFP}
 	src, _ := own.Cache().Lookup(key)
 
+	g := models.SqueezeNet(1)
+	sched := searched(t, own, g)
+
+	prof := profile.New(own.cfg.Device)
+	lat, err := prof.MeasureSchedule(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	cache := NewScheduleCache(4)
 	_, _, err = cache.GetOrCompute(context.Background(), key, func(context.Context) (*Entry, error) {
-		return &Entry{Graph: src.Graph, Schedule: src.Schedule, Stats: src.Stats,
-			Latency: src.Latency, SequentialLatency: src.SequentialLatency}, nil
+		return newEntry(key, prof, g, sched, lat, src.Stats, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +246,7 @@ func TestPlanAnswersRenderedOnce(t *testing.T) {
 			t.Errorf("batch %d: answer %+v", batch, first)
 		}
 		if exact {
-			want := structEncoded(t, &Entry{Schedule: pt.Schedule})
+			want := structEncoded(t, &Entry{}, pt.Schedule)
 			if first.LatencyMS != 1e3*pt.Latency || !bytes.Equal(first.Schedule, want.Schedule) || first.Summary != want.Summary {
 				t.Errorf("batch %d: exact answer differs from the plan point", batch)
 			}
@@ -446,13 +473,69 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	}
 }
 
+// TestAnswersRetainTheirBodies is the schedule cache's byte bound per
+// answer: distinct 2,000-op chain submissions (1×1 convolutions on 8×8
+// inputs, 113 KB answers) leave, after two collections, at most twice
+// their rendered bodies live in the server. Entries that hold their parsed
+// graph and schedule as well retain about 7.6 times.
+func TestAnswersRetainTheirBodies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	const n, ops = 4, 2000
+	// The block and measurement caches outlive the server: what it frees
+	// is its answers, its tables and itself.
+	blocks, measures := blockcache.NewCacheSize(DefaultBlockCacheSize), measure.NewCacheSize(DefaultMeasureCacheSize)
+	s := NewServer(Config{BlockCache: blocks, MeasureCache: measures})
+	for i := 0; i < n; i++ {
+		g := graph.New("chain")
+		x := g.Input("in", graph.Shape{N: 1, C: 8 + i, H: 8, W: 8})
+		for j := 0; j < ops; j++ {
+			x = g.Conv(fmt.Sprintf("c%d", j), x, graph.ConvOpts{Out: 8 + i, Kernel: 1})
+		}
+		if _, _, err := optimizeOK(s, mustMarshal(t, OptimizeRequest{Graph: graphJSON(t, g)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := s.Cache().Keys()
+	if len(keys) != n {
+		t.Fatalf("%d entries for %d distinct submissions", len(keys), n)
+	}
+	bodies := 0
+	for _, k := range keys {
+		e, _ := s.Cache().Lookup(k)
+		bodies += len(e.body)
+	}
+	live := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	held := live()
+	runtime.KeepAlive(s) // the last use: the next collection frees the server
+	retained := held - live()
+	runtime.KeepAlive(blocks)
+	runtime.KeepAlive(measures)
+	t.Logf("%d answers: %d bytes rendered, %d retained (%.2f×)", n, bodies, retained, float64(retained)/float64(bodies))
+	if retained > 2*int64(bodies) {
+		t.Errorf("%d answers with %d bytes of bodies retain %d bytes: does an entry hold its graph or schedule again?", n, bodies, retained)
+	}
+}
+
 // TestMeasureFromEntryIsByteIdentical: on a cached key, /measure answers the
 // schedule bytes /optimize returned and both baselines from the entry, byte
-// for byte what a server that never optimized the key answers, and repeat
-// calls measure nothing. A re-indented copy of the schedule and another
-// valid schedule are parsed and measured as before.
+// for byte what a server that never optimized the key answers; the
+// sequential baseline was measured with the search, and repeat calls
+// measure nothing. A re-indented copy of the schedule and another valid
+// schedule are parsed and measured as before.
 func TestMeasureFromEntryIsByteIdentical(t *testing.T) {
-	for _, target := range []MeasureRequest{{Model: "squeezenet"}, {Graph: graphJSON(t, models.InceptionV3(1))}} {
+	inception := models.InceptionV3(1)
+	for _, target := range []struct {
+		MeasureRequest
+		g *graph.Graph
+	}{{MeasureRequest{Model: "squeezenet"}, models.SqueezeNet(1)}, {MeasureRequest{Graph: graphJSON(t, inception)}, inception}} {
 		warm, cold := NewServer(Config{}), NewServer(Config{})
 		opt, _, err := optimizeOK(warm, mustMarshal(t, OptimizeRequest{Model: target.Model, Graph: target.Graph}))
 		if err != nil {
@@ -466,7 +549,7 @@ func TestMeasureFromEntryIsByteIdentical(t *testing.T) {
 		// compact a re-indented one.
 		measure := func(s *Server, sched []byte, which string) []byte {
 			t.Helper()
-			req := target
+			req := target.MeasureRequest
 			req.Baseline = which
 			body := mustMarshal(t, req)
 			if sched != nil {
@@ -485,11 +568,11 @@ func TestMeasureFromEntryIsByteIdentical(t *testing.T) {
 		// Two other valid schedules: the greedy baseline, and the returned
 		// one with a stage's first two groups swapped, which has the
 		// returned bytes' length.
-		greedy, err := baseline.Greedy(e.Graph)
+		greedy, err := baseline.Greedy(target.g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		swapped, err := schedule.FromJSON(opt.Schedule, e.Graph)
+		swapped, err := schedule.FromJSON(opt.Schedule, target.g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,17 +625,17 @@ func TestMeasureFromEntryIsByteIdentical(t *testing.T) {
 					t.Errorf("%s %s call %d: measure misses %d → %d, schedule cache hits %d → %d, misses %d → %d",
 						opt.Model, c.name, i, ms.Misses, ms2.Misses, cs.Hits, cs2.Hits, cs.Misses, cs2.Misses)
 				}
-				// The entry path looks no stage up; the parse path, and each
-				// baseline's first call, measure through the cache.
+				// The entry path looks no stage up; the parse path, and the
+				// greedy baseline's first call, measure through the cache.
 				looked := ms2.Hits+ms2.Misses != ms.Hits+ms.Misses
-				if looked != (!c.fromEntry || (i == 0 && c.baseline != "")) {
+				if looked != (!c.fromEntry || (i == 0 && c.baseline == "greedy")) {
 					t.Errorf("%s %s call %d: measurement cache hits %d → %d, misses %d → %d",
 						opt.Model, c.name, i, ms.Hits, ms2.Hits, ms.Misses, ms2.Misses)
 				}
 			}
 		}
 		if m := e.sequential.Load(); m == nil || math.Float64bits(m.lat) != math.Float64bits(e.SequentialLatency) {
-			t.Errorf("%s: lazily measured sequential %+v, entry's %v", opt.Model, m, e.SequentialLatency)
+			t.Errorf("%s: sequential slot %+v, entry's %v", opt.Model, m, e.SequentialLatency)
 		}
 		if st := cold.Cache().Stats(); st.Misses != 0 || st.Size != 0 {
 			t.Errorf("%s: the reference server optimized: %+v", opt.Model, st)
