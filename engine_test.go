@@ -3,6 +3,8 @@ package ios_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -221,5 +223,44 @@ func TestEngineCacheKeepsCutTwinsApart(t *testing.T) {
 	if got.Schedule.String() != want.Schedule.String() {
 		t.Errorf("the cached engine answered the JSON twin with %d stages, its own search finds %d",
 			len(got.Schedule.Stages), len(want.Schedule.Stages))
+	}
+}
+
+// TestColdSearchAllocatesLittleMoreThanPooled: a search's working memory
+// is pooled, and a collection empties the pool, so a search after one starts
+// from nothing. What it then allocates beyond a search that found a pooled
+// scratch is that scratch — the stage memo above all — and it stays small:
+// a cold NasNet-A search of a fresh NewEngine, after two collections, at most
+// 1.6× one that follows it, on two searchers. With the memo keyed by ending
+// the cold search read 2.41×; keyed by what a stage measures, 1.53×. The
+// state tables (about 0.7 MB a scratch) keep it above 1.25×. TotalAlloc
+// counts bytes, and no collection runs between the two searches, so the
+// figure is exact.
+func TestColdSearchAllocatesLittleMoreThanPooled(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("three NasNet-A searches; the allocation budget is measured without the race detector's instrumentation")
+	}
+	const budget = 1.6
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := ios.NasNetA(1)
+	search := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ios.NewEngine(ios.V100).Optimize(context.Background(), g, ios.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	search() // the blocks' table sizes are known from here on, as in a serving process
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cold := search()
+	pooled := search()
+	ratio := float64(cold) / float64(pooled)
+	t.Logf("cold search %.2f MB, pooled %.2f MB: %.2f×", float64(cold)/1e6, float64(pooled)/1e6, ratio)
+	if ratio > budget {
+		t.Errorf("a cold search allocated %.2f× one that found a pooled scratch, budget %.2f×: is the stage memo keyed by ending again?", ratio, budget)
 	}
 }

@@ -53,8 +53,13 @@ type enumerator struct {
 	solo   []float64    // per block operator: its solo duration (see forEach)
 	comps  []bitset.Set // connected components of the current candidate
 	sums   []float64    // sums[i]: comps[i]'s solo durations, summed
+	class  []int32      // class[i]: classOf(comps[i]), or 0 with no classOf
 	undo   []bitset.Set // stack of components displaced by in-place merges
 	undoS  []float64    // and of their sums
+	undoC  []int32      // and of their classes
+	// classOf, when set, names a component for the stage memo (see
+	// engineWorker.classOf); it is called once per component formed.
+	classOf func(bitset.Set) int32
 }
 
 // forEach invokes fn for every ending S' of S that satisfies the pruning
@@ -64,7 +69,8 @@ type enumerator struct {
 // and while fn runs, en.sums[i] is the sum of those of groups[i]: merged and
 // undone with the components, in an order fixed by the recursion too, so the
 // engine's stage bound costs one read per group instead of a walk over the
-// ending.
+// ending. So is en.class[i], groups[i]'s name under en.classOf, so the
+// engine's stage-memo key costs one read per group too.
 func (en *enumerator) forEach(b *graph.Block, s bitset.Set, prune Pruning, solo []float64, fn endingFunc) {
 	en.b, en.s, en.prune, en.solo, en.fn = b, s, prune, solo, fn
 	en.maxOps = prune.maxStageOps()
@@ -80,8 +86,8 @@ func (en *enumerator) forEach(b *graph.Block, s bitset.Set, prune Pruning, solo 
 		en.succIn = append(en.succIn, b.Succs(e).Intersect(s))
 		en.nbrs = append(en.nbrs, b.Succs(e).Union(b.Preds(e)))
 	}
-	en.comps, en.sums = en.comps[:0], en.sums[:0]
-	en.undo, en.undoS = en.undo[:0], en.undoS[:0]
+	en.comps, en.sums, en.class = en.comps[:0], en.sums[:0], en.class[:0]
+	en.undo, en.undoS, en.undoC = en.undo[:0], en.undoS[:0], en.undoC[:0]
 	en.rec(len(en.elems)-1, bitset.Empty(), 0)
 	en.fn, en.solo = nil, nil // do not pin the callback or the durations between calls
 }
@@ -121,6 +127,7 @@ func (en *enumerator) rec(k int, cur bitset.Set, size int) {
 		if en.comps[i].Intersects(nbrs) {
 			merged, sum = merged.Union(en.comps[i]), sum+en.sums[i]
 			en.undo, en.undoS = append(en.undo, en.comps[i]), append(en.undoS, en.sums[i])
+			en.undoC = append(en.undoC, en.class[i])
 			displaced++
 			en.remove(i)
 			continue
@@ -133,7 +140,11 @@ func (en *enumerator) rec(k int, cur bitset.Set, size int) {
 		en.restore(displaced)
 		return
 	}
-	en.comps, en.sums = append(en.comps, merged), append(en.sums, sum)
+	var class int32
+	if en.classOf != nil {
+		class = en.classOf(merged)
+	}
+	en.comps, en.sums, en.class = append(en.comps, merged), append(en.sums, sum), append(en.class, class)
 	en.rec(k-1, cur.Add(e), size+1)
 	// Deeper include/undo cycles restore comps set-wise but may permute
 	// it, so merged is not necessarily still at the tail; it is, however,
@@ -147,23 +158,24 @@ func (en *enumerator) rec(k int, cur bitset.Set, size int) {
 	en.restore(displaced)
 }
 
-// remove deletes component i (and its sum), moving the last one into its
-// place.
+// remove deletes component i (and its sum and class), moving the last one
+// into its place.
 func (en *enumerator) remove(i int) {
 	last := len(en.comps) - 1
-	en.comps[i], en.sums[i] = en.comps[last], en.sums[last]
-	en.comps, en.sums = en.comps[:last], en.sums[:last]
+	en.comps[i], en.sums[i], en.class[i] = en.comps[last], en.sums[last], en.class[last]
+	en.comps, en.sums, en.class = en.comps[:last], en.sums[:last], en.class[:last]
 }
 
-// restore pops n displaced components and their sums off the undo stacks
-// back into comps and sums.
+// restore pops n displaced components and their sums and classes off the
+// undo stacks back into comps, sums and class.
 func (en *enumerator) restore(n int) {
 	if n == 0 {
 		return
 	}
 	top := len(en.undo) - n
 	en.comps, en.sums = append(en.comps, en.undo[top:]...), append(en.sums, en.undoS[top:]...)
-	en.undo, en.undoS = en.undo[:top], en.undoS[:top]
+	en.class = append(en.class, en.undoC[top:]...)
+	en.undo, en.undoS, en.undoC = en.undo[:top], en.undoS[:top], en.undoC[:top]
 }
 
 // forEachEnding is the convenience wrapper over a throwaway enumerator,

@@ -6,7 +6,7 @@ package core
 // component list on every branch, and re-deriving each ending's group
 // structure with a BFS. This engine computes the identical dynamic program
 // keeping, like Algorithm 1 itself, memory in the number of *states*
-// (cost[S], choice[S]) and of distinct endings (the stage memo) — never in
+// (cost[S], choice[S]) and of distinct stages (the stage memo) — never in
 // the number of transitions:
 //
 //  1. Discovery (top-down, by decreasing cardinality, serial): a single
@@ -30,12 +30,17 @@ package core
 //     summed by the enumerator as it merges components, or a merge
 //     roofline — already cannot beat the state's best candidate (see
 //     visit). Stage latencies of the endings that remain are memoized in a
-//     sharded, per-ending singleflight table laid out like internal/sfcache's:
-//     16-byte pointer-free slots (ending, latency word — published with one
-//     store) written once into chunks that are never copied, named by an
-//     index of 32-bit tagged refs that growth alone rebuilds. So each ending
-//     is measured at most once regardless of which workers race to it, from
-//     the enumerator's own incrementally tracked component list.
+//     sharded singleflight table laid out like internal/sfcache's: 16-byte
+//     pointer-free slots (key, latency word — published with one store)
+//     written once into chunks that are never copied, named by an index of
+//     32-bit tagged refs that growth alone rebuilds. The key is what the
+//     stage measures where that fits a word: its groups' classes (small
+//     per-block ids of their operators' kernel ids, carried by the
+//     enumerator beside the components) in measurement order, so the many
+//     endings of a repeated cell that run the same kernels share one slot;
+//     else the ending itself (see memoKey). So each stage is measured at most
+//     once regardless of which endings and workers race to it, from the
+//     enumerator's own incrementally tracked component list.
 //
 // Memo, state tables and workers belong to a pooled scratch, not to the
 // block: an engine empties the scratch it is handed and leaves it grown.
@@ -54,8 +59,10 @@ package core
 // and the candidates before it, never on scheduling.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"sync"
@@ -67,22 +74,22 @@ import (
 	"ios/internal/schedule"
 )
 
-// stageShardCount is the maximum shard count of the per-ending stage
-// memo; the engine uses enough shards to keep lock contention negligible
-// at its worker count (one for a serial engine: a small block clears one).
+// stageShardCount is the maximum shard count of the stage memo; the engine
+// uses enough shards to keep lock contention negligible at its worker count
+// (one for a serial engine: a small block clears one).
 const stageShardCount = 64
 
-// stageSlot memoizes GENERATESTAGE for one ending within a block, as two
-// words: the ending is the key and val the measured latency's bits. A
-// latency is ≥ 0 and finite (engineWorker.measure makes anything else an
-// error), which leaves the sign bit to say the stage runs merged and the
-// non-finite patterns to say there is no latency. A worker claims an ending
-// under the shard lock by writing a slot — key, then stageInFlight — into
-// the shard's chunks before the index word naming it, and publishes with
-// one store of val, so the lock-free fast path holds a complete record
-// whenever it reads anything else. A slot is written once a block and never
-// moves. No pointers: the collector never scans the memo, and four slots
-// share a cache line.
+// stageSlot memoizes GENERATESTAGE for one stage within a block, as two
+// words: key is the stage's memo key — its class key or its ending, see
+// memoKey — and val the measured latency's bits. A latency is ≥ 0 and
+// finite (engineWorker.measure makes anything else an error), which leaves
+// the sign bit to say the stage runs merged and the non-finite patterns to
+// say there is no latency. A worker claims a key under the shard lock by
+// writing a slot — key, then stageInFlight — into the shard's chunks before
+// the index word naming it, and publishes with one store of val, so the
+// lock-free fast path holds a complete record whenever it reads anything
+// else. A slot is written once a block and never moves. No pointers: the
+// collector never scans the memo, and four slots share a cache line.
 type stageSlot struct {
 	key uint64
 	val atomic.Uint64
@@ -116,7 +123,7 @@ const (
 	// A shard's chunks hold 16 slots, doubling to 4,096.
 	stageChunkMinBits = 4
 	stageChunkBits    = 12
-	// An index word is an 8-bit tag of the ending's hash above a 24-bit
+	// An index word is an 8-bit tag of the key's hash above a 24-bit
 	// ref: 0 is a free slot, anything else names the slot at chunk
 	// (ref-1)>>stageChunkBits, position (ref-1)&(1<<stageChunkBits-1).
 	stageRefBits = 24
@@ -151,7 +158,7 @@ func newStageView(words int) *stageView {
 		held += stageChunkLen(chunks)
 	}
 	if chunks >= 1<<(stageRefBits-stageChunkBits) {
-		panic(fmt.Sprintf("core: a stage memo shard of over %d endings outgrows its 24-bit refs", words/4))
+		panic(fmt.Sprintf("core: a stage memo shard of over %d keys outgrows its 24-bit refs", words/4))
 	}
 	return &stageView{
 		index:  make([]atomic.Uint32, words),
@@ -179,7 +186,7 @@ func (t *stageView) find(k, h uint64) *stageSlot {
 	}
 }
 
-// place stores the word naming slot j of chunk c, whose ending hashes to h,
+// place stores the word naming slot j of chunk c, whose key hashes to h,
 // in the first free index slot of its probe sequence.
 func (t *stageView) place(h uint64, c, j int) {
 	mask := uint64(len(t.index) - 1)
@@ -190,11 +197,10 @@ func (t *stageView) place(h uint64, c, j int) {
 	t.index[i].Store(uint32(h>>24)<<stageRefBits | uint32(c<<stageChunkBits|j) + 1)
 }
 
-// stageShard is one shard of the per-ending stage memo. Lookups of
-// published slots take no lock: they probe whichever view tab holds, and
-// anything they cannot settle there (an absent or in-flight ending, absent
-// perhaps only from a view a growth has replaced) falls through to the
-// locked slow path. All writes — claims, publications, growth — happen
+// stageShard is one shard of the stage memo. Lookups of published slots
+// take no lock: they probe whichever view tab holds, and anything they
+// cannot settle there (an absent or in-flight key, absent perhaps only from
+// a view a growth has replaced) falls through to the locked slow path. All writes — claims, publications, growth — happen
 // under mu; wake is broadcast after every publication. A shard outlives
 // the block: scratch.acquire empties its index and keeps its chunks for
 // the next one.
@@ -321,6 +327,106 @@ func (t *setTable) grow() {
 	}
 }
 
+// A class key (see memoKey) sets classTag, which no ending key of a block
+// under bitset.MaxElems operators has, and holds its field width in the
+// bits from classBits up; the fields take the classBits below.
+const (
+	classTag  = 1 << 63
+	classBits = 57
+)
+
+// classSeed hashes kernel-id sequences for classes; any seed will do.
+var classSeed = maphash.MakeSeed()
+
+// classes names the components of a block's stages for the stage memo's class
+// keys: a component's class is a small id of its operators' kernel-id
+// sequence — their Profiler.KernelIDs strung together in block order, the
+// bytes MeasureStage keys a group's stream by — so components that run the
+// same kernels share a class, and class 0 is the components that launch
+// none. Workers share one per block; each keeps what it has asked in its own
+// table (engineWorker.classOf), so the lock is taken once per component per
+// worker. Kept from block to block, like the memo.
+type classes struct {
+	mu sync.Mutex
+	// Block operator i's kernel ids are ids[at[i]:at[i+1]], copied: a pooled
+	// scratch holds nothing of the lowering table.
+	ids []byte
+	at  []int32
+	// The classes' sequences, back to back: class c's ends at ends[c]. index
+	// is an open-addressing table over their hashes of class+1 (0: free).
+	seqs  []byte
+	ends  []int32
+	index []int32
+}
+
+// reset empties the table for block b, whose operators prof has lowered. It
+// reports false when an operator's stages are not keyed, so neither are
+// they here: the block's memo keeps ending keys.
+func (c *classes) reset(b *graph.Block, prof *profile.Profiler) bool {
+	c.ids, c.at = c.ids[:0], append(c.at[:0], 0)
+	for _, n := range b.Nodes {
+		ids, ok := prof.KernelIDs(n)
+		if !ok {
+			return false
+		}
+		c.ids = append(c.ids, ids...)
+		c.at = append(c.at, int32(len(c.ids)))
+	}
+	c.seqs, c.ends = c.seqs[:0], c.ends[:0]
+	if c.index == nil {
+		c.index = make([]int32, 16)
+	} else {
+		clear(c.index)
+	}
+	c.intern(bitset.Empty()) // class 0: the components that launch no kernel
+	return true
+}
+
+// seq is class id's kernel-id sequence. Caller holds c.mu.
+func (c *classes) seq(id int32) []byte {
+	var start int32
+	if id > 0 {
+		start = c.ends[id-1]
+	}
+	return c.seqs[start:c.ends[id]]
+}
+
+// intern returns the class of a component of the block, naming a new one
+// when no component before it ran the same kernels.
+func (c *classes) intern(comp bitset.Set) int32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	start := len(c.seqs)
+	for i := comp.NextAfter(-1); i >= 0; i = comp.NextAfter(i) {
+		c.seqs = append(c.seqs, c.ids[c.at[i]:c.at[i+1]]...)
+	}
+	seq := c.seqs[start:]
+	h := maphash.Bytes(classSeed, seq)
+	mask := uint64(len(c.index) - 1)
+	i := h & mask
+	for ; c.index[i] != 0; i = (i + 1) & mask {
+		if id := c.index[i] - 1; bytes.Equal(c.seq(id), seq) {
+			c.seqs = c.seqs[:start]
+			return id
+		}
+	}
+	id := int32(len(c.ends))
+	c.ends = append(c.ends, int32(len(c.seqs)))
+	c.index[i] = id + 1
+	if 2*len(c.ends) > len(c.index) { // at most half full
+		c.index = make([]int32, 2*len(c.index))
+		mask = uint64(len(c.index) - 1)
+		for old := int32(0); old < int32(len(c.ends)); old++ {
+			j := maphash.Bytes(classSeed, c.seq(old)) & mask
+			for c.index[j] != 0 {
+				j = (j + 1) & mask
+			}
+			c.index[j] = old + 1
+		}
+	}
+	return id
+}
+
 // scratch is the working memory of block searches, held by one goroutine
 // that searches blocks and reused from block to block and, through scratches,
 // from call to call at the size earlier blocks grew it to. A collection
@@ -334,8 +440,11 @@ func (t *setTable) grow() {
 // 4 × workers), so a small serial block never clears the tables a large
 // parallel one grew. What a block does clear is cheap beside the search
 // that dirtied it: a memo shard's index, 4 bytes per word at memclr speed
-// and at most four words per ending, each of which cost at least a stage
-// measurement — under 1 % — while its chunks are only overwritten.
+// and at most four words per key, each of which cost at least a stage
+// measurement — under 1 % — while its chunks are only overwritten; the
+// component classes' index and each worker's table of the components it
+// has named, a few words per component. A warm scratch's block set-up
+// allocates nothing.
 type scratch struct {
 	memos  [7][]stageShard // by log2(shard count); stageShardCount = 1 << 6
 	shards []stageShard    // the memo in use
@@ -354,7 +463,8 @@ type scratch struct {
 	// pool, of which newEngine re-points as many as the block takes.
 	solo    []float64
 	workers []*engineWorker
-	key     []byte // the block's fingerprint; the block cache copies what it keeps
+	key     []byte  // the block's fingerprint; the block cache copies what it keeps
+	classes classes // the block's component classes, for the memo's class keys
 }
 
 // scratches pools scratch across searches. A pooled scratch holds no graph,
@@ -362,11 +472,12 @@ type scratch struct {
 var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // sizes records, per block operator count, the most a block of that size
-// has needed in this process: stage-memo endings, as its fullest memo
-// shard's count times the shard count, and states. It is counts, not
-// memory, so it outlives the collections that empty scratches, and
-// acquire sizes a scratch's memo index and state index from it.
-var sizes [bitset.MaxElems + 1]struct{ endings, states atomic.Int64 }
+// has needed in this process: stage-memo keys (class keys and ending keys
+// alike, see memoKey), as its fullest memo shard's count times the shard
+// count, and states. It is counts, not memory, so it outlives the
+// collections that empty scratches, and acquire sizes a scratch's memo index
+// and state index from it.
+var sizes [bitset.MaxElems + 1]struct{ keys, states atomic.Int64 }
 
 // raise stores v in a if it is larger.
 func raise(a *atomic.Int64, v int64) {
@@ -381,7 +492,7 @@ func (e *engine) record() {
 		fullest = max(fullest, e.shards[i].used)
 	}
 	size := &sizes[len(e.b.Nodes)]
-	raise(&size.endings, int64(fullest*len(e.shards)))
+	raise(&size.keys, int64(fullest*len(e.shards)))
 	raise(&size.states, int64(len(e.states)))
 }
 
@@ -407,7 +518,7 @@ func (sc *scratch) acquire(n, shards int) {
 	}
 	sc.shards = *memo
 	words := stageIndexMin // an index is at most half full
-	for perShard := (sizes[n].endings.Load() + int64(shards) - 1) / int64(shards); int64(words) < 2*perShard; {
+	for perShard := (sizes[n].keys.Load() + int64(shards) - 1) / int64(shards); int64(words) < 2*perShard; {
 		words *= 2
 	}
 	for i := range sc.shards {
@@ -458,10 +569,13 @@ type engine struct {
 	stageSync float64
 	// bounded: the profiler bounds stage latencies from below
 	// (Profiler.CanBound), so visit skips the endings whose bound already
-	// loses. convs are the block's single-input, ungrouped convolutions, the
-	// only operators a merge stage can hold.
-	bounded bool
-	convs   bitset.Set
+	// loses. classKeys: the memo keys stages by class form (see memoKey);
+	// off with no measurement cache — no kernel ids — and for a block of
+	// bitset.MaxElems operators, whose endings use classTag's bit. convs are
+	// the block's single-input, ungrouped convolutions, the only operators a
+	// merge stage can hold.
+	bounded, classKeys bool
+	convs              bitset.Set
 
 	*scratch // the stage memo, the state space and its cost tables, the pool
 
@@ -495,6 +609,12 @@ type engineWorker struct {
 	best       float64
 	bestChoice choice
 	onEnding   endingFunc
+	// known maps the components this worker has named in the block to their
+	// classes (see classOf); classify is classOf bound once, for the
+	// enumerator, and order memoKey's sorting scratch.
+	known    setTable
+	classify func(bitset.Set) int32
+	order    [classBits / 2]uint64 // a class key's fields are at least 2 bits wide
 	// Fixed-capacity (bitset.MaxElems) measurement scratch for stage setup
 	// in measureStage.
 	groupSets  [bitset.MaxElems]bitset.Set
@@ -538,6 +658,7 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch
 			e.convs = e.convs.Add(i)
 		}
 	}
+	e.classKeys = len(b.Nodes) < bitset.MaxElems && sc.classes.reset(b, prof)
 	shards := 1
 	if workers > 1 {
 		for shards < 4*workers && shards < stageShardCount {
@@ -547,7 +668,7 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch
 	sc.acquire(len(b.Nodes), shards)
 	for len(sc.workers) < workers {
 		w := new(engineWorker)
-		w.onEnding = w.visit
+		w.onEnding, w.classify = w.visit, w.classOf
 		sc.workers = append(sc.workers, w)
 	}
 	e.workers = sc.workers[:workers]
@@ -556,8 +677,29 @@ func newEngine(b *graph.Block, prof *profile.Profiler, opts Options, sc *scratch
 		if i > 0 {
 			w.prof = prof.Fork()
 		}
+		w.enum.classOf = nil
+		if e.classKeys {
+			w.enum.classOf = w.classify
+			if w.known.slots == nil {
+				w.known.slots, w.known.shift = make([]setSlot, 32), 64-5
+			} else {
+				clear(w.known.slots)
+			}
+			w.known.used = 0
+		}
 	}
 	return e
+}
+
+// classOf is the class of a component of the block (see classes), asked of
+// the shared table only the first time this worker meets the component.
+func (w *engineWorker) classOf(comp bitset.Set) int32 {
+	if id, ok := w.known.get(comp); ok {
+		return id
+	}
+	id := w.e.classes.intern(comp)
+	w.known.put(comp, id)
+	return id
 }
 
 // close folds the forked workers' measurement counts back into the
@@ -779,7 +921,7 @@ func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
 	if e.bounded && sub+w.lowerBound(ending, comps) >= w.best {
 		return true
 	}
-	v := e.stage(w, ending, comps)
+	v := e.stage(w, w.memoKey(ending, comps), ending, comps)
 	lat, merge, ok := stageLatency(v)
 	if !ok {
 		// Infeasible under the strategy restriction: skip. A failed
@@ -796,6 +938,13 @@ func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
 	return true
 }
 
+// mergeable reports whether an ending may also run merged: at least two
+// operators, each its own group, all within the block's convolutions — what
+// schedule.CanMerge needs of them, which reads more of the graph.
+func (e *engine) mergeable(ending bitset.Set, comps []bitset.Set) bool {
+	return e.opts.Strategies != ParallelOnly && len(comps) >= 2 && len(comps) == ending.Len() && ending.SubsetOf(e.convs)
+}
+
 // boundMargin is the relative slack lowerBound leaves for rounding: its sums
 // associate differently from the simulator's event clock, and without it
 // the bound of Figure 2's ending {1,4} reads 1.5837679158643166e-4 against
@@ -806,9 +955,8 @@ const boundMargin = 1e-9
 // profiler (Profiler.CanBound). Run concurrently, each group's stream takes
 // at least its operators' solo durations, whose sums the enumerator keeps
 // beside comps, so the stage takes the barrier plus the longest of them.
-// An ending that may also run merged — at least two operators, each its own
-// group, all within the block's convolutions — is bounded by the smaller of
-// that and the merge roofline.
+// An ending that may also run merged is bounded by the smaller of that and
+// the merge roofline.
 func (w *engineWorker) lowerBound(ending bitset.Set, comps []bitset.Set) float64 {
 	e := w.e
 	var longest float64
@@ -816,7 +964,7 @@ func (w *engineWorker) lowerBound(ending bitset.Set, comps []bitset.Set) float64
 		longest = max(longest, s)
 	}
 	lb := e.stageSync + longest
-	if e.opts.Strategies != ParallelOnly && len(comps) >= 2 && len(comps) == ending.Len() && ending.SubsetOf(e.convs) {
+	if e.mergeable(ending, comps) {
 		nodes := w.stageNodes[:0]
 		for i := ending.NextAfter(-1); i >= 0; i = ending.NextAfter(i) {
 			nodes = append(nodes, e.b.Nodes[i])
@@ -840,11 +988,50 @@ func (w *engineWorker) serialLatency(s bitset.Set) float64 {
 	return total
 }
 
-// stage returns the memoized word of an ending (see stageSlot), measuring
-// it if this worker is the first to ask. The fast path — the ending is
-// already published — takes no lock.
-func (e *engine) stage(w *engineWorker, ending bitset.Set, comps []bitset.Set) uint64 {
-	k := uint64(ending)
+// memoKey is the ending's key in the stage memo: the ending itself, or,
+// where the block has class keys (see classes) and the ending cannot run
+// merged, its class form — classTag, the field width, and its groups'
+// classes in the order measureStage gives the groups, each plus one in a
+// field of that width. Profiler.MeasureStage keys the stage by exactly the
+// kernel ids the classes name, in that order, so endings of one class form
+// measure bit-identically and the memo holds each stage once. A form whose
+// fields do not fit keeps the ending key: both key spaces name one latency.
+func (w *engineWorker) memoKey(ending bitset.Set, comps []bitset.Set) uint64 {
+	if !w.e.classKeys || w.e.mergeable(ending, comps) {
+		return uint64(ending)
+	}
+	var most int32
+	for _, c := range w.enum.class[:len(comps)] {
+		most = max(most, c)
+	}
+	width := bits.Len32(uint32(most) + 1)
+	if most == 0 || len(comps)*width > classBits {
+		// A stage that launches no kernel has no measurement key either:
+		// MeasureStage measures each such ending, and the memo keeps them.
+		return uint64(ending)
+	}
+	// Smallest operator above class: sorting the words orders the classes
+	// as sortGroups orders the groups.
+	order := w.order[:len(comps)]
+	for i, g := range comps {
+		order[i] = uint64(g.Min())<<32 | uint64(w.enum.class[i])
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && order[j] < order[j-1]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	k := classTag | uint64(width)<<classBits
+	for i, o := range order {
+		k |= (uint64(uint32(o)) + 1) << (i * width)
+	}
+	return k
+}
+
+// stage returns the memoized word of an ending under its memo key k (see
+// memoKey and stageSlot), measuring it if this worker is the first to ask
+// for k. The fast path — k is already published — takes no lock.
+func (e *engine) stage(w *engineWorker, k uint64, ending bitset.Set, comps []bitset.Set) uint64 {
 	h := hashKey(k)
 	sh := &e.shards[h&uint64(len(e.shards)-1)]
 	if s := sh.tab.Load().find(k, h); s != nil {
@@ -853,7 +1040,7 @@ func (e *engine) stage(w *engineWorker, ending bitset.Set, comps []bitset.Set) u
 		}
 	}
 
-	// Slow path: claim the ending or wait for its claimant. The slot never
+	// Slow path: claim the key or wait for its claimant. The slot never
 	// moves, so the one claim found is the one published, whatever the index
 	// did while the lock was dropped; publishing under the lock keeps a
 	// waiter from missing the broadcast.

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"os"
 	"testing"
 
 	"ios/internal/gpusim"
+	"ios/internal/graph"
 	"ios/internal/measure"
 	"ios/internal/models"
 	"ios/internal/profile"
@@ -158,4 +162,110 @@ func TestMeasureCacheSharedAcrossSearches(t *testing.T) {
 	if par.Schedule.String() != res.Schedule.String() {
 		t.Error("warm parallel search returned a different schedule")
 	}
+}
+
+// TestCachedEngineMatchesUncached holds the stage memo's class keys to the
+// bit-identity bar. A block keys stages by class only with a measurement
+// cache attached, and TestEngineMatchesReferenceZoo and
+// TestPropertyEngineMatchesReference search without one, so here, block by
+// block, a cached engine at one worker and at four must list the states an
+// uncached engine lists with bit-identical costs and the same choices — so
+// the same schedule, States and Transitions — and measure at most what the
+// uncached engine measures, the same at both worker counts. On the zoo
+// networks TestEngineMatchesReferenceZoo checks (RandWire and NasNet-A, which
+// hold most of the repeated stages, under IOS_FULL_EQUIV=1) and on random
+// DAGs under every strategy set and three prunings.
+func TestCachedEngineMatchesUncached(t *testing.T) {
+	type search struct {
+		g    *graph.Graph
+		opts Options
+	}
+	var searches []search
+	builders := []models.Builder{
+		models.Figure2Block, models.InceptionE, models.SqueezeNet, models.InceptionV3,
+	}
+	if os.Getenv("IOS_FULL_EQUIV") != "" {
+		builders = append(builders, models.RandWire, models.NasNetA)
+	} else if testing.Short() {
+		builders = builders[:3]
+	}
+	for _, build := range builders {
+		searches = append(searches, search{build(1), Options{}})
+	}
+	rng := rand.New(rand.NewSource(5))
+	strategies := []StrategySet{Both, ParallelOnly, MergeOnly}
+	prunings := []Pruning{DefaultPruning, {R: 2, S: 2}, {R: -1, S: -1}}
+	for trial := 0; trial < 12; trial++ {
+		searches = append(searches, search{randomGraph(rng), Options{Strategies: strategies[trial%3], Pruning: prunings[trial%3]}})
+	}
+
+	var keys, uncachedKeys int
+	ctx := context.Background()
+	for _, s := range searches {
+		blocks, err := s.g.Partition(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			refProf := v100Profiler()
+			ref := newEngine(b, refProf, s.opts.Canonical(), new(scratch))
+			refStages, refStats, err := ref.run(ctx)
+			ref.close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			uncachedKeys += memoKeys(ref)
+			measured := -1
+			for _, workers := range []int{1, 4} {
+				where := fmt.Sprintf("%s block %d, %d workers (%s)", s.g.Name, b.Index, workers, s.opts.Fingerprint())
+				opts := s.opts
+				opts.Workers = workers
+				prof := cachedProfiler(measure.NewCache())
+				e := newEngine(b, prof, opts.Canonical(), new(scratch))
+				stages, stats, err := e.run(ctx)
+				e.close()
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if !e.classKeys {
+					t.Fatalf("%s: the cached engine keys no stage by class", where)
+				}
+				if len(e.states) != len(ref.states) {
+					t.Fatalf("%s: %d states cached, %d uncached", where, len(e.states), len(ref.states))
+				}
+				for id := range ref.states {
+					if e.states[id] != ref.states[id] || e.cost[id] != ref.cost[id] || e.last[id] != ref.last[id] {
+						t.Fatalf("%s: state %v cost %g choice %+v cached; %v %g %+v uncached", where,
+							e.states[id], e.cost[id], e.last[id], ref.states[id], ref.cost[id], ref.last[id])
+					}
+				}
+				if got, want := stagesString(s.g, stages), stagesString(s.g, refStages); got != want {
+					t.Fatalf("%s: cached schedule\n%s\nuncached\n%s", where, got, want)
+				}
+				if stats.States != refStats.States || stats.Transitions != refStats.Transitions {
+					t.Errorf("%s: stats %+v cached, %+v uncached", where, stats, refStats)
+				}
+				if prof.Measurements > refProf.Measurements || (measured >= 0 && prof.Measurements != measured) {
+					t.Errorf("%s: %d measurements cached, %d uncached, %d at one worker", where, prof.Measurements, refProf.Measurements, measured)
+				}
+				measured = prof.Measurements
+				if workers == 1 {
+					keys += memoKeys(e)
+				}
+			}
+		}
+	}
+	t.Logf("the cached engines memoized %d stages where the uncached ones memoized %d endings", keys, uncachedKeys)
+	if keys >= uncachedKeys {
+		t.Errorf("class keys memoized %d stages for %d endings: none shared a key", keys, uncachedKeys)
+	}
+}
+
+// memoKeys counts the keys an engine's stage memo holds.
+func memoKeys(e *engine) int {
+	n := 0
+	for i := range e.shards {
+		n += e.shards[i].used
+	}
+	return n
 }

@@ -268,6 +268,16 @@ func (p *Profiler) store(ln *lowering) {
 // Kernels returns the node's kernel sequence in the lowering table, read-only.
 func (p *Profiler) Kernels(n *graph.Node) []gpusim.Kernel { return p.lowered(n).kernels }
 
+// KernelIDs returns the encoded ids of the node's kernels in the attached
+// measurement cache's dictionary, the bytes a concurrent stage's key strings
+// together for it, read-only; ok is false when the node's stages are not
+// keyed (no cache attached, or no room in its dictionary). It allocates
+// nothing for a node already in the lowering table.
+func (p *Profiler) KernelIDs(n *graph.Node) (ids []byte, ok bool) {
+	ln := p.lowered(n)
+	return ln.ids, ln.keyed
+}
+
 // setCount writes n as the uvarint whose first byte was reserved at
 // key[at], making room when it needs more.
 func setCount(key []byte, at, n int) []byte {
