@@ -45,7 +45,7 @@ func NewCache() *Cache { return NewCacheSize(0) }
 // entries (0 or negative = unbounded); see sfcache.NewCore.
 func NewCacheSize(maxEntries int) *Cache { return &Cache{sfcache.NewCore[*Entry](maxEntries)} }
 
-// Snapshot exports the completed entries published after a sequence point
+// Snapshot exports the completed entries published after a cut point
 // (0: the whole cache, as inspectable JSON), sorted by fingerprint, and
 // the point to pass next; see sfcache.Core.Cut.
 func (c *Cache) Snapshot(since uint64) ([]WireEntry, uint64) { return wireRows(c.Cut(since)) }

@@ -86,7 +86,7 @@ type Node struct {
 	// pushMu serializes Sync, so each peer's cursor moves with the pushes
 	// it covers.
 	pushMu sync.Mutex
-	// sent is, per peer, the Own sequence point it has received up to.
+	// sent is, per peer, the Own cut point it has received up to.
 	sent map[string]uint64 // guarded by pushMu
 
 	pushedBlocks, mergedBlocks atomic.Int64 // entries shipped to / accepted from peers

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"ios/internal/bitset"
 	"ios/internal/gpusim"
 	"ios/internal/graph"
 	"ios/internal/measure"
@@ -268,4 +269,94 @@ func memoKeys(e *engine) int {
 		n += e.shards[i].used
 	}
 	return n
+}
+
+// TestWideStageKeepsItsEndingKey: a stage of fifteen operators that each
+// run their own kernel has fifteen groups of classes up to 15, five bits
+// each: 75 bits, more than classBits holds. Such an ending keeps its
+// ending key in the memo — packed, its fields would run into the width
+// and the tag, and two stages could share a key — while the block's
+// narrower stages take class keys; every state costs what the uncached
+// engine computes.
+func TestWideStageKeepsItsEndingKey(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("the search takes 14 M transitions")
+	}
+	const width = 15
+	g := graph.New("wide")
+	in := g.Input("in", graph.Shape{N: 1, C: 8, H: 16, W: 16})
+	branches := make([]*graph.Node, width)
+	for i := range branches {
+		branches[i] = g.Conv(fmt.Sprintf("c%d", i), in, graph.ConvOpts{Out: 8 + 8*i, Kernel: 1})
+	}
+	g.Concat("out", branches...)
+	blocks, err := g.Partition(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b *graph.Block
+	for _, bl := range blocks {
+		if len(bl.Nodes) > width {
+			b = bl
+		}
+	}
+	if b == nil {
+		t.Fatalf("no block holds the %d branches", width)
+	}
+	var wide bitset.Set
+	for i, n := range b.Nodes {
+		if n.Op.Kind == graph.OpConv {
+			wide = wide.Add(i)
+		}
+	}
+	if wide.Len() != width {
+		t.Fatalf("the block holds %d convolutions, want %d", wide.Len(), width)
+	}
+
+	ctx := context.Background()
+	opts := Options{Strategies: ParallelOnly, Pruning: Pruning{R: 1, S: -1}}.Canonical()
+	ref := newEngine(b, v100Profiler(), opts, new(scratch))
+	if _, _, err := ref.run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ref.close()
+	e := newEngine(b, cachedProfiler(measure.NewCache()), opts, new(scratch))
+	if _, _, err := e.run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	e.close()
+	if !e.classKeys {
+		t.Fatal("the cached engine keys no stage by class")
+	}
+	if len(e.states) != len(ref.states) {
+		t.Fatalf("%d states cached, %d uncached", len(e.states), len(ref.states))
+	}
+	for id := range ref.states {
+		if e.states[id] != ref.states[id] || e.cost[id] != ref.cost[id] || e.last[id] != ref.last[id] {
+			t.Fatalf("state %v cost %g choice %+v cached; %v %g %+v uncached",
+				e.states[id], e.cost[id], e.last[id], ref.states[id], ref.cost[id], ref.last[id])
+		}
+	}
+	inMemo := func(k uint64) bool {
+		h := hashKey(k)
+		return e.shards[h&uint64(len(e.shards)-1)].tab.Load().find(k, h) != nil
+	}
+	if !inMemo(uint64(wide)) {
+		t.Error("the fifteen-group stage is not in the memo under its ending key")
+	}
+	classKeyed := 0
+	for i := range e.shards {
+		v := e.shards[i].tab.Load()
+		for j := range v.index {
+			if w := v.index[j].Load(); w != 0 {
+				r := w&(1<<stageRefBits-1) - 1
+				if v.chunks[r>>stageChunkBits][r&(1<<stageChunkBits-1)].key&classTag != 0 {
+					classKeyed++
+				}
+			}
+		}
+	}
+	if classKeyed == 0 || classKeyed == memoKeys(e) {
+		t.Errorf("%d of the memo's %d keys are class keys, want the narrow stages' alone", classKeyed, memoKeys(e))
+	}
 }

@@ -27,10 +27,10 @@ const maxDictEntries = 1 << 24
 // simulated latency in seconds, plus the dictionary the ids refer to. The
 // first goroutine to miss a key claims it and runs the simulator while
 // concurrent requesters wait, so a stage is never simulated twice. A
-// completed entry is 40 pointer-free bytes in its shard's flat table — the
-// latency, a publication stamp and the ~19-byte key inline (a longer one
-// sits in the shard's byte arena) — that a hit reads without a lock and
-// the collector never traces.
+// completed entry is 16 pointer-free bytes in its shard's flat table — the
+// latency, a publication stamp and a ref to its key, which sits once in the
+// shard's byte arena as a length byte and the ~19 key bytes — that a hit
+// reads without a lock and the collector never traces.
 //
 // The zero value is not usable; call NewCache or NewCacheSize.
 type Cache struct {
@@ -113,9 +113,9 @@ func rekey(rows []sfcache.Row[float64], ctx, kern step) []sfcache.Row[float64] {
 	return kept
 }
 
-// Snapshot exports every completed entry published after the given
-// sequence point in the long form, sorted by it, plus the sequence point
-// to pass to the next incremental Snapshot. Snapshot(0) is the whole
+// Snapshot exports every completed entry published after the given cut
+// point in the long form, sorted by it, plus the cut point to pass to the
+// next incremental Snapshot. Snapshot(0) is the whole
 // cache as inspectable JSON, and equal for equal contents whatever order
 // the dictionary was filled in. The cut is exact; see sfcache.Core.Cut.
 func (c *Cache) Snapshot(since uint64) ([]WireEntry, uint64) {

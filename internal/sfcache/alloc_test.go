@@ -22,9 +22,11 @@ import (
 // behind (150 k entries for NasNet-A + RandWire). The keys have the length
 // mix of the id keys such a search leaves — 85 % of 10–23 bytes, the rest
 // up to 47 — and a float64 value each. A shard's flat table holds them in
-// a chunk per 256 entries, an arena block per 16 KB of long keys and one
-// index: 55.5 bytes an entry and 37 heap objects a shard, where a map of
-// cells held 94 bytes and two objects an entry, each one traced by the
+// a chunk per 256 16-byte entries, an arena block per 16 KB of key records
+// (a length byte and the key, each key once) and one index: 45.1 bytes an
+// entry and 43 heap objects a shard. Entries of 40 bytes that held a key of
+// up to 23 bytes inline, and a longer one in the arena, read 55.6; a map
+// of cells held 94 bytes and two objects an entry, each one traced by the
 // collector.
 func TestCoreBytesPerEntry(t *testing.T) {
 	if raceEnabled {
@@ -45,8 +47,8 @@ func TestCoreBytesPerEntry(t *testing.T) {
 	perEntry := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 	perShard := (float64(after.HeapObjects) - float64(before.HeapObjects)) / sfcache.ShardCount
 	t.Logf("%d entries: %.1f B an entry, %.1f heap objects a shard", n, perEntry, perShard)
-	if perEntry > 64 {
-		t.Errorf("the core keeps %.1f bytes an entry, budget 64: is a completed entry a heap object again?", perEntry)
+	if perEntry > 48 {
+		t.Errorf("the core keeps %.1f bytes an entry, budget 48: is an entry over 16 bytes, or a key stored twice, again?", perEntry)
 	}
 	if perShard > 64 {
 		t.Errorf("the core keeps %.0f heap objects a shard, budget 64: does a completed entry allocate?", perShard)
@@ -113,11 +115,12 @@ func BenchmarkCoreHit(b *testing.B) {
 // key and the latency): a file of real RandWire stage keys — 101,494 of
 // them from searches at batches 1, 2, 4 and 8, since a search measures only
 // the stages that can win — loads for little more than what the table keeps
-// — the 40-byte entry, its index words and arena bytes, the chunk lists'
-// growth — plus the 24-byte staged row and its key string (123 B; 115 on
-// the 110,731 entries three batches left while every stage was measured; a
-// map of cells read 143, the version-2 file of 300-byte long-form keys 415,
-// the JSON body before it 3.9 x its own, larger, file), and saves for the
+// — the 16-byte entry, its index words and key record, the chunk lists'
+// growth — plus the 24-byte staged row and its key string (113 B; 40-byte
+// entries holding short keys inline read 123, and 115 on the 110,731
+// entries three batches left while every stage was measured; a map of
+// cells read 143, the version-2 file of 300-byte long-form keys 415, the
+// JSON body before it 3.9 x its own, larger, file), and saves for the
 // cut's row, whose key views the table, plus the key under the file's
 // numbering (49 B; a wire entry and its base64 per row read 6 x the JSON
 // file).
@@ -162,7 +165,7 @@ func TestLoadAllocBudget(t *testing.T) {
 	if saved > 56*n {
 		t.Errorf("SaveFile allocates %.0f bytes an entry, budget 56: is a wire entry, or a long-form key, built per row again?", saved/n)
 	}
-	if loaded > 132*n {
-		t.Errorf("LoadFile allocates %.0f bytes an entry, budget 132: is the file, or a second copy of each key, held again?", loaded/n)
+	if loaded > 120*n {
+		t.Errorf("LoadFile allocates %.0f bytes an entry, budget 120: is the file, or a second copy of each key, held again?", loaded/n)
 	}
 }

@@ -11,22 +11,22 @@
 // and composes Core with WriteFrames and ReadFrames itself.
 // Everything with a shard mutex in it lives here.
 //
-// A shard keeps its completed entries in a flat table — entries in chunks
-// that are never copied, the key inline or in a byte arena, and an
-// open-addressing index of 32-bit words naming them — so a completed
-// float64 entry is bytes the collector never traces, and a hit probes the
-// table without taking a lock. Only claims in flight live in a map. A
-// bounded core evicts by tombstoning an index word; the space comes back
-// when the shard's table is next rebuilt. A claim holds a short key
-// inline and a key of up to bigKey bytes in a buffer its shard lends it,
-// and a shard keeps one spare claim, the last that finished with no
-// waiter, so an uncontended miss on any key the table copies into its
-// arena allocates nothing. The spare and the key buffer belong to the
-// shard, not to a sync.Pool, so a collection does not take them.
+// A shard keeps its completed entries in a flat table — 16-byte entries
+// (value, stamp, key ref) in chunks that are never copied, each key stored
+// once as a length-prefixed record in a byte arena, and an open-addressing
+// index of 32-bit words naming the entries — so a completed float64 entry
+// is bytes the collector never traces, and a hit probes the table without
+// taking a lock. Only claims in flight live in a map. A bounded core
+// evicts by tombstoning an index word; the space comes back when the
+// shard's table is next rebuilt. A claim holds a short key inline and a
+// key of up to bigKey bytes in a buffer its shard lends it, and a shard
+// keeps one spare claim, the last that finished with no waiter, so an
+// uncontended miss on any key the table copies into its arena allocates
+// nothing. The spare and the key buffer belong to the shard, not to a
+// sync.Pool, so a collection does not take them.
 package sfcache
 
 import (
-	"encoding/binary"
 	"errors"
 	"math/bits"
 	"sync"
@@ -45,29 +45,41 @@ const (
 
 // The geometry of a shard's table.
 const (
-	// keyField is the bytes of key an entry holds: a key of up to
-	// inlineMax bytes inline, its length in the last byte; a longer key's
-	// arena block, offset and length, and longKey in the last byte. The
-	// measurement cache's id keys are ~19 bytes (85 % fit inline, none
-	// passes 47); a block key runs to kilobytes.
-	keyField  = 24
-	inlineMax = keyField - 1
-	longKey   = 0xFF
+	// inlineMax is the longest key a claim holds in its own buffer; a
+	// longer one up to bigKey bytes borrows its shard's key buffer. The
+	// measurement cache's id keys are ~19 bytes (81 % fit, none passes
+	// 47); a block key runs to kilobytes.
+	inlineMax = 23
 
 	// Chunks hold minChunk entries, doubling to chunkCap, so a shard of a
-	// few entries stays small; a full one is 10 KB of float64 entries.
+	// few entries stays small; a full one is 4 KB of float64 entries.
 	minChunkBits = 2
 	minChunk     = 1 << minChunkBits
 	chunkBits    = 8
 	chunkCap     = 1 << chunkBits
 
-	// Arena blocks double from minArena to maxArena bytes. A key longer
-	// than bigKey (a block key) is a block of its own: the bytes of the
-	// string it arrived in — the claim's copy, or a loaded row's — which
-	// are immutable, so it is stored without a second copy.
+	// A key of up to bigKey bytes is a record in an arena block: its
+	// length in one byte, then its bytes. Record blocks double from
+	// minArena to maxArena bytes. A longer key (a block key) is a block of
+	// its own: the bytes of the string it arrived in — the claim's copy,
+	// or a loaded row's — which are immutable, so it is stored without a
+	// second copy.
 	minArena = 256
 	maxArena = 16 << 10
 	bigKey   = 128
+
+	// An entry's key ref is its arena block above the record's offset in
+	// it, ownBlock for a block of its own, so a ref names refBlocks
+	// blocks. A shard holding maxBlocks of them sheds a quarter of its
+	// entries and compacts before it adds another (see addLocked). The
+	// 4,096 blocks between the two cover what a copying rebuild can add by
+	// packing the live records in another order: under 800 for the most
+	// records a table holds. Records of up to bigKey bytes fill maxBlocks
+	// only past 7 M; block keys, a block each, at 61,440.
+	offBits   = 16
+	ownBlock  = 1<<offBits - 1
+	refBlocks = 1 << (32 - offBits)
+	maxBlocks = refBlocks - 1<<12
 
 	// An index word is an 8-bit tag of the key's hash above a 24-bit ref:
 	// 0 is a free slot, tombstone an evicted entry, and anything else names
@@ -122,11 +134,15 @@ type Core[V any] struct {
 	// shed never scan the tables; it changes with each shard's live count.
 	size atomic.Int64
 
-	// seq is the publication counter behind Cut's incremental
-	// export: every completed entry is stamped with seq+1 when it is
-	// added, always under its shard mutex, so a Cut holding every shard
-	// mutex observes exactly the entries stamped ≤ its counter read.
-	seq atomic.Uint64
+	// epoch is the cut point behind Cut's incremental export: every
+	// completed entry is stamped epoch+1 when it is added, always under
+	// its shard mutex, and a Cut, holding every shard mutex, returns it,
+	// first advancing it when some entry carries epoch+1 — so the entries
+	// stamped after any cut point a Cut returned are exactly those added
+	// since, and cuts that find nothing new (a cluster's idle pushes)
+	// leave it alone. It counts the cuts that found something, in the 31
+	// bits below fromPeer.
+	epoch atomic.Uint32
 	// rejected counts the completed entries ReplaceOrBegin took back.
 	rejected atomic.Int64
 }
@@ -134,7 +150,7 @@ type Core[V any] struct {
 // fromPeer is set in the stamp of an entry a peer sent (InsertPeerRows),
 // which CutOwn skips: a cluster node pushes what it searched or loaded
 // from a file, never what a peer already sent it.
-const fromPeer = 1 << 63
+const fromPeer = 1 << 31
 
 // shard is one independently locked part of a Core: the published table
 // of its completed entries, the claims in flight, and its own traffic
@@ -159,13 +175,14 @@ type shard[V any] struct {
 	keys *[bigKey]byte // guarded by mu
 	// The writer's position in tab: completed entries; index words in use
 	// (entries and tombstones); chunks in use and entries in the last;
-	// arena blocks in use and bytes used of the last; the index slot
-	// eviction looks at next.
+	// arena blocks in use, the record block being filled (plus one; 0 for
+	// none) and its bytes used; the index slot eviction looks at next.
 	live      int // guarded by mu
 	used      int // guarded by mu
 	chunk     int // guarded by mu
 	fill      int // guarded by mu
 	blocks    int // guarded by mu
+	open      int // guarded by mu
 	arenaFill int // guarded by mu
 	sweep     int // guarded by mu
 
@@ -175,18 +192,19 @@ type shard[V any] struct {
 	loaded    atomic.Int64
 	evicted   atomic.Int64
 
-	_ [56]byte
+	_ [48]byte
 } // 192 bytes (TestAllocationShape)
 
-// entry is one completed fingerprint: its value, publication stamp (with
-// fromPeer) and key (see keyField). It is written once, before the index word naming it
-// is stored, and never again — eviction tombstones the word and a rebuild
-// copies live entries into fresh storage — so a reader that found the word
-// reads it without a lock. For V = float64 it holds no pointer.
+// entry is one completed fingerprint: its value, publication stamp (its
+// epoch, with fromPeer) and key ref (see ownBlock). It is written once,
+// before the index word naming it is stored, and never again — eviction
+// tombstones the word and a rebuild copies live entries into fresh
+// storage — so a reader that found the word reads it without a lock. For
+// V = float64 it is 16 bytes and holds no pointer.
 type entry[V any] struct {
-	val V
-	seq uint64
-	key [keyField]byte
+	val   V
+	stamp uint32
+	ref   uint32
 }
 
 // table is one view of a shard's completed entries. Lookups load the
@@ -205,7 +223,10 @@ type entry[V any] struct {
 // settle, like a free slot (the key may be in a later generation). A
 // rebuild publishes a new generation: a larger index over the same
 // storage, or, once entries have been evicted, the live entries copied
-// into fresh storage, which is how eviction's space comes back.
+// into fresh storage, which is how eviction's space comes back. Record
+// bytes are written, like entries, before the word naming them, and a
+// record block's bytes past its last record are written only as later
+// records, which no published word names yet.
 type table[V any] struct {
 	index  []atomic.Uint32
 	shift  uint8 // 64 - log2(len(index))
@@ -270,14 +291,15 @@ func chunksFor(n int) int {
 func (t *table[V]) entry(w uint32) (*entry[V], []byte, bool) {
 	r := w&refMask - 1
 	e := &t.chunks[r>>chunkBits][r&(chunkCap-1)]
-	if n := e.key[inlineMax]; n != longKey {
-		return e, e.key[:n], true
-	}
-	b, off, n := binary.LittleEndian.Uint32(e.key[0:]), binary.LittleEndian.Uint32(e.key[4:]), binary.LittleEndian.Uint32(e.key[8:])
-	if int(b) >= len(t.arena) {
+	b, off := int(e.ref>>offBits), int(e.ref&ownBlock)
+	if b >= len(t.arena) {
 		return nil, nil, false
 	}
-	return e, t.arena[b][off : off+n], true
+	blk := t.arena[b]
+	if off == ownBlock {
+		return e, blk, true
+	}
+	return e, blk[off+1 : off+1+int(blk[off])], true
 }
 
 // get probes the view for a completed key; false when the view does not
@@ -356,21 +378,31 @@ func find[V any, K string | []byte](sh *shard[V], key K, h uint64) (V, bool) {
 
 // addLocked adds a completed entry for a key the shard holds neither
 // completed nor in flight, shedding one of the shard's first when its
-// table is at maxShardEntries; origin is 0 or fromPeer. Caller holds sh.mu
-// and calls shed once it has released it.
-func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V, origin uint64) {
+// table is at maxShardEntries, and a quarter of them when it holds
+// maxBlocks arena blocks; origin is 0 or fromPeer. Caller holds sh.mu and
+// calls shed once it has released it.
+func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V, origin uint32) {
 	if sh.live >= maxShardEntries {
 		c.evictLocked(sh)
 	}
 	t := sh.tab.Load()
+	for t != nil && sh.blocks >= maxBlocks {
+		// The compaction drops the evicted entries' records, and with
+		// them their blocks.
+		for n := (sh.live + 3) / 4; n > 0; n-- {
+			c.evictLocked(sh)
+		}
+		t = sh.rebuildLocked(t)
+		sh.tab.Store(t)
+	}
 	fresh := false // t is unpublished, so its slices may grow in place
 	if t == nil || 4*(sh.used+1) > 3*len(t.index) {
 		t, fresh = sh.rebuildLocked(t), true
-	} else if sh.arenaFullLocked(t, len(key)) {
+	} else if sh.blocks == len(t.arena) && sh.newBlockLocked(t, len(key)) {
 		cp := *t
 		t, fresh = &cp, true
 	}
-	ref := sh.storeLocked(t, key, v, c.seq.Add(1)|origin)
+	ref := sh.storeLocked(t, key, v, c.epoch.Load()+1|origin)
 	if fresh {
 		sh.tab.Store(t)
 	}
@@ -380,11 +412,11 @@ func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V, origin uint
 	c.size.Add(1)
 }
 
-// arenaFullLocked reports whether storing a key of n bytes in t needs an
-// arena block t's list has no room for. Caller holds sh.mu.
-func (sh *shard[V]) arenaFullLocked(t *table[V], n int) bool {
-	return n > inlineMax && sh.blocks == len(t.arena) &&
-		(n > bigKey || sh.blocks == 0 || sh.arenaFill+n > len(t.arena[sh.blocks-1]))
+// newBlockLocked reports whether storing a key of n bytes in t takes a
+// new arena block: a block of its own, or a record block when the one
+// being filled lacks room. Caller holds sh.mu.
+func (sh *shard[V]) newBlockLocked(t *table[V], n int) bool {
+	return n > bigKey || sh.open == 0 || sh.arenaFill+1+n > len(t.arena[sh.open-1])
 }
 
 // addBlockLocked stores an arena block in the next element of t's list,
@@ -400,9 +432,9 @@ func (sh *shard[V]) addBlockLocked(t *table[V], b []byte) {
 	sh.blocks++
 }
 
-// storeLocked writes an entry into t's storage and returns its ref.
-// Caller holds sh.mu.
-func (sh *shard[V]) storeLocked(t *table[V], key string, v V, seq uint64) uint32 {
+// storeLocked writes an entry into t's storage and returns the index ref
+// naming it. Caller holds sh.mu.
+func (sh *shard[V]) storeLocked(t *table[V], key string, v V, stamp uint32) uint32 {
 	if sh.chunk == 0 || sh.fill == len(t.chunks[sh.chunk-1]) {
 		t.chunks[sh.chunk] = make([]entry[V], chunkLen(sh.chunk))
 		sh.chunk++
@@ -410,32 +442,24 @@ func (sh *shard[V]) storeLocked(t *table[V], key string, v V, seq uint64) uint32
 	}
 	c := sh.chunk - 1
 	e := &t.chunks[c][sh.fill]
-	e.val, e.seq = v, seq
-	if len(key) <= inlineMax {
-		copy(e.key[:], key)
-		e.key[inlineMax] = byte(len(key))
+	e.val, e.stamp = v, stamp
+	if len(key) > bigKey { // a block of its own, full, so never written
+		e.ref = uint32(sh.blocks)<<offBits | ownBlock
+		sh.addBlockLocked(t, unsafe.Slice(unsafe.StringData(key), len(key)))
 	} else {
-		off := sh.arenaFill
-		switch {
-		case len(key) > bigKey: // a block of its own, full, so never written
-			sh.addBlockLocked(t, unsafe.Slice(unsafe.StringData(key), len(key)))
-			off = 0
-		case sh.blocks == 0 || off+len(key) > len(t.arena[sh.blocks-1]):
+		if sh.newBlockLocked(t, len(key)) {
 			n := minArena
-			if sh.blocks > 0 {
-				n = min(2*len(t.arena[sh.blocks-1]), maxArena)
+			if sh.open > 0 {
+				n = min(2*len(t.arena[sh.open-1]), maxArena)
 			}
 			sh.addBlockLocked(t, make([]byte, n))
-			off = 0
-			fallthrough
-		default:
-			copy(t.arena[sh.blocks-1][off:], key)
+			sh.open, sh.arenaFill = sh.blocks, 0
 		}
-		binary.LittleEndian.PutUint32(e.key[0:], uint32(sh.blocks-1))
-		binary.LittleEndian.PutUint32(e.key[4:], uint32(off))
-		binary.LittleEndian.PutUint32(e.key[8:], uint32(len(key)))
-		e.key[inlineMax] = longKey
-		sh.arenaFill = off + len(key)
+		b := t.arena[sh.open-1][sh.arenaFill:]
+		b[0] = byte(len(key))
+		copy(b[1:], key)
+		e.ref = uint32(sh.open-1)<<offBits | uint32(sh.arenaFill)
+		sh.arenaFill += 1 + len(key)
 	}
 	ref := uint32(c<<chunkBits|sh.fill) + 1
 	sh.fill++
@@ -466,7 +490,7 @@ func (sh *shard[V]) rebuildLocked(old *table[V]) *table[V] {
 		copy(t.chunks, old.chunks[:sh.chunk])
 		t.arena = old.arena
 	} else {
-		sh.chunk, sh.fill, sh.blocks, sh.arenaFill = 0, 0, 0, 0
+		sh.chunk, sh.fill, sh.blocks, sh.open, sh.arenaFill = 0, 0, 0, 0, 0
 	}
 	for i := range old.index {
 		w, e, k, ok := old.at(i)
@@ -475,7 +499,7 @@ func (sh *shard[V]) rebuildLocked(old *table[V]) *table[V] {
 		}
 		h := hashKey(k)
 		if !shared {
-			w = tagged(h, sh.storeLocked(t, keyString(k), e.val, e.seq))
+			w = tagged(h, sh.storeLocked(t, keyString(k), e.val, e.stamp))
 		}
 		t.place(h, w)
 		sh.used++

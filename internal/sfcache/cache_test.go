@@ -749,16 +749,17 @@ func waitCoalesced[V any](t *testing.T, c *Core[V], n int64) {
 }
 
 // TestAllocationShape pins what the benchmark's exact allocation metrics
-// depend on: a completed float64 entry is 40 pointer-free bytes in a
-// chunk, a claim with its inline key buffer fits 64, a shard fills whole
-// cache lines, a wait channel exists only while a second requester is
-// actually parked, a hit allocates nothing, an uncontended miss on a key
-// of up to inlineMax bytes reuses the shard's spare claim and allocates
-// nothing, and a miss on a longer key allocates at most a claim and a key
-// buffer (TestLongKeyMissAllocatesNothing: none once its shard lends one).
+// depend on: a completed float64 entry is 16 pointer-free bytes in a
+// chunk (its key a record in the arena), a claim with its inline key
+// buffer fits 64, a shard fills whole cache lines, a wait channel exists
+// only while a second requester is actually parked, a hit allocates
+// nothing, an uncontended miss on a key of up to inlineMax bytes reuses
+// the shard's spare claim and allocates nothing, and a miss on a longer
+// key allocates at most a claim and a key buffer
+// (TestLongKeyMissAllocatesNothing: none once its shard lends one).
 func TestAllocationShape(t *testing.T) {
-	if sz := unsafe.Sizeof(entry[float64]{}); sz > 40 {
-		t.Fatalf("entry[float64] is %d bytes, want <= 40", sz)
+	if sz := unsafe.Sizeof(entry[float64]{}); sz > 16 {
+		t.Fatalf("entry[float64] is %d bytes, want <= 16", sz)
 	}
 	if sz := unsafe.Sizeof(Claim[float64]{}); sz > 64 {
 		t.Fatalf("Claim[float64] is %d bytes, want <= 64: a miss on a long key allocates one", sz)

@@ -67,12 +67,14 @@ type Table struct {
 	Parse func(i int, rec []byte) error
 }
 
-// Cut returns the completed entries published after the given sequence
-// point as rows sorted by raw key, plus the next sequence point.
+// Cut returns the completed entries published after the given cut point
+// — 0, or one a Cut or CutOwn of this core returned — as rows sorted by
+// raw key, plus the next cut point.
 //
-// The cut is exact: publication stamps the sequence under the entry's
-// shard mutex, and Cut holds every shard mutex while it scans and reads
-// the counter, so no concurrent Commit can land inside the cut unseen.
+// The cut is exact: publication stamps the epoch under the entry's shard
+// mutex, and Cut holds every shard mutex while it scans, advances the
+// epoch and reads it, so no concurrent Commit can land inside the cut
+// unseen.
 // Entries evicted between cuts are simply absent — they are always
 // recomputable. A row's key is a view of the table's immutable bytes, not
 // a copy.
@@ -92,15 +94,28 @@ func (c *Core[V]) cut(since uint64, own bool) ([]Row[V], uint64) {
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
 	}
+	now := c.epoch.Load() + 1 // the stamp of what was added since the last advance
+	found := false
 	for i := range c.shards {
 		t := c.shards[i].tab.Load()
 		for j := 0; t != nil && j < len(t.index); j++ {
-			if _, e, k, ok := t.at(j); ok && e.seq&^fromPeer > since && (!own || e.seq&fromPeer == 0) {
+			_, e, k, ok := t.at(j)
+			if !ok {
+				continue
+			}
+			stamp := e.stamp &^ fromPeer
+			found = found || stamp == now
+			if uint64(stamp) > since && (!own || e.stamp&fromPeer == 0) {
 				rows = append(rows, Row[V]{Key: keyString(k), Val: e.val})
 			}
 		}
 	}
-	next := c.seq.Load()
+	// Past 2^31-2 advances the epoch stays: a later cut then exports the
+	// entries of the last stamp again, which an insert keeps only once.
+	if found && now < fromPeer-1 {
+		c.epoch.Store(now)
+	}
+	next := uint64(c.epoch.Load())
 	for i := range c.shards {
 		c.shards[i].mu.Unlock()
 	}
@@ -121,7 +136,7 @@ func (c *Core[V]) InsertRows(rows []Row[V]) int { return c.insertRows(rows, 0) }
 // InsertPeerRows is InsertRows for rows a peer sent: CutOwn skips them.
 func (c *Core[V]) InsertPeerRows(rows []Row[V]) int { return c.insertRows(rows, fromPeer) }
 
-func (c *Core[V]) insertRows(rows []Row[V], origin uint64) int {
+func (c *Core[V]) insertRows(rows []Row[V], origin uint32) int {
 	added := 0
 	for _, r := range rows {
 		h := hashKey(r.Key)
