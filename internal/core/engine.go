@@ -210,6 +210,10 @@ type stageShard struct {
 	tab  atomic.Pointer[stageView]
 	// Slots in use, chunks in use and slots in use of the last.
 	used, chunk, fill int
+	// first is the length of a first chunk made fresh: the slots sizes
+	// says the block needs, so a scratch the collector took makes them in
+	// one chunk, not through doubling ones.
+	first int
 }
 
 // claim returns k's slot, inserting it (in flight) when absent. Caller
@@ -224,7 +228,11 @@ func (sh *stageShard) claim(k, h uint64) (s *stageSlot, inserted bool) {
 	}
 	if sh.chunk == 0 || sh.fill == len(t.chunks[sh.chunk-1]) {
 		if t.chunks[sh.chunk] == nil { // kept from an earlier block otherwise
-			t.chunks[sh.chunk] = make([]stageSlot, stageChunkLen(sh.chunk))
+			n := stageChunkLen(sh.chunk)
+			if sh.chunk == 0 {
+				n = max(n, sh.first)
+			}
+			t.chunks[sh.chunk] = make([]stageSlot, n)
 		}
 		sh.chunk, sh.fill = sh.chunk+1, 0
 	}
@@ -256,14 +264,14 @@ func (sh *stageShard) grow(old *stageView) *stageView {
 }
 
 // setTable is an open-addressing hash table from bitmask to int32, the
-// engine's replacement for map[bitset.Set]int32 on the per-transition
-// state-index lookup (it runs millions of times per block; Go's map is
-// several times slower than two or three linear probes). Key and value
-// share a slot so a probe touches one cache line. Keys are non-empty sets,
-// so 0 marks a free slot. The hash is the splitmix64 finalizer: block
-// bitmasks are highly structured (order ideals share long runs of bits),
-// and weaker multiplicative hashes cluster badly enough on them to
-// dominate the whole search.
+// engine's replacement for map[bitset.Set]int32 on the per-ending
+// component lookup (engineWorker.known: it runs millions of times per
+// block; Go's map is several times slower than two or three linear
+// probes). Key and value share a slot so a probe touches one cache line.
+// Keys are non-empty sets, so 0 marks a free slot. The hash is the
+// splitmix64 finalizer: block bitmasks are highly structured (order
+// ideals share long runs of bits), and weaker multiplicative hashes
+// cluster badly enough on them to dominate the whole search.
 type setTable struct {
 	slots []setSlot
 	used  int
@@ -327,6 +335,57 @@ func (t *setTable) grow() {
 	}
 }
 
+// stateIndex is the state index, the inverse of a block's state list: an
+// open-addressing table of 32-bit words, each a state's id+1 (0: a free
+// slot), probed by the state's hash and settled by comparing the listed
+// state, so a slot is a quarter of setTable's — and the index a quarter of
+// what a scratch the collector took costs to rebuild. At most half full.
+type stateIndex struct {
+	words []uint32
+	used  int
+	shift uint8 // 64 - log2(len(words))
+}
+
+// get returns the id of s in states, the list the index names.
+func (t *stateIndex) get(states []bitset.Set, s bitset.Set) (int32, bool) {
+	mask := len(t.words) - 1
+	for i := int(hashKey(uint64(s)) >> t.shift); ; i = (i + 1) & mask {
+		w := t.words[i]
+		if w == 0 {
+			return 0, false
+		}
+		if states[w-1] == s {
+			return int32(w - 1), true
+		}
+	}
+}
+
+// add names states[id], which get does not find, in the index.
+func (t *stateIndex) add(states []bitset.Set, id int32) {
+	if 2*(t.used+1) > len(t.words) {
+		old := t.words
+		t.words, t.shift = make([]uint32, 2*len(old)), t.shift-1
+		for _, w := range old {
+			if w != 0 {
+				t.place(states[w-1], w)
+			}
+		}
+	}
+	t.place(states[id], uint32(id)+1)
+	t.used++
+}
+
+// place stores word w for state s in the first free slot of its probe
+// sequence.
+func (t *stateIndex) place(s bitset.Set, w uint32) {
+	mask := len(t.words) - 1
+	i := int(hashKey(uint64(s)) >> t.shift)
+	for t.words[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.words[i] = w
+}
+
 // A class key (see memoKey) sets classTag, which no ending key of a block
 // under bitset.MaxElems operators has, and holds its field width in the
 // bits from classBits up; the fields take the classBits below.
@@ -341,7 +400,7 @@ var classSeed = maphash.MakeSeed()
 // classes names the components of a block's stages for the stage memo's class
 // keys: a component's class is a small id of its operators' kernel-id
 // sequence — their Profiler.KernelIDs strung together in block order, the
-// bytes MeasureStage keys a group's stream by — so components that run the
+// bytes MeasureStage names a group's stream by — so components that run the
 // same kernels share a class, and class 0 is the components that launch
 // none. Workers share one per block; each keeps what it has asked in its own
 // table (engineWorker.classOf), so the lock is taken once per component per
@@ -453,7 +512,7 @@ type scratch struct {
 	// i, index its inverse, levels[k] the states of cardinality k; all
 	// read-only during pass 2. cost and last are indexed like states, each
 	// slot written lock-free by the one worker that owns the state.
-	index  setTable
+	index  stateIndex
 	states []bitset.Set
 	levels [][]int32
 	cost   []float64
@@ -517,8 +576,9 @@ func (sc *scratch) acquire(n, shards int) {
 		*memo = make([]stageShard, shards)
 	}
 	sc.shards = *memo
+	perShard := int((sizes[n].keys.Load() + int64(shards) - 1) / int64(shards))
 	words := stageIndexMin // an index is at most half full
-	for perShard := (sizes[n].keys.Load() + int64(shards) - 1) / int64(shards); int64(words) < 2*perShard; {
+	for words < 2*perShard {
 		words *= 2
 	}
 	for i := range sc.shards {
@@ -534,16 +594,17 @@ func (sc *scratch) acquire(n, shards int) {
 			clear(t.index)
 		}
 		sh.used, sh.chunk, sh.fill = 0, 0, 0
+		sh.first = min(perShard, 1<<stageChunkBits)
 	}
 	states := int(sizes[n].states.Load())
-	slots := 128 // a setTable is at most half full
+	slots := 128 // a stateIndex is at most half full
 	for slots < 2*states {
 		slots *= 2
 	}
-	if len(sc.index.slots) < slots {
-		sc.index.slots, sc.index.shift = make([]setSlot, slots), uint8(64-bits.TrailingZeros(uint(slots)))
+	if len(sc.index.words) < slots {
+		sc.index.words, sc.index.shift = make([]uint32, slots), uint8(64-bits.TrailingZeros(uint(slots)))
 	} else {
-		clear(sc.index.slots)
+		clear(sc.index.words)
 	}
 	sc.index.used = 0
 	if cap(sc.states) < states {
@@ -792,12 +853,12 @@ func (e *engine) discover(ctx context.Context) error {
 
 // addState registers a state if unseen.
 func (e *engine) addState(s bitset.Set) {
-	if _, ok := e.index.get(s); ok {
+	if _, ok := e.index.get(e.states, s); ok {
 		return
 	}
 	id := int32(len(e.states))
-	e.index.put(s, id)
 	e.states = append(e.states, s)
+	e.index.add(e.states, id)
 	e.levels[s.Len()] = append(e.levels[s.Len()], id)
 }
 
@@ -912,7 +973,7 @@ func (w *engineWorker) visit(ending bitset.Set, comps []bitset.Set) bool {
 	w.stats.Transitions++
 	var sub float64
 	if rem := w.s.Diff(ending); !rem.IsEmpty() {
-		ci, ok := e.index.get(rem) // strictly lower level: complete
+		ci, ok := e.index.get(e.states, rem) // strictly lower level: complete
 		if !ok {
 			panic(fmt.Sprintf("core: remainder %v of state %v is not a listed state", rem, w.s))
 		}
@@ -992,10 +1053,11 @@ func (w *engineWorker) serialLatency(s bitset.Set) float64 {
 // where the block has class keys (see classes) and the ending cannot run
 // merged, its class form — classTag, the field width, and its groups'
 // classes in the order measureStage gives the groups, each plus one in a
-// field of that width. Profiler.MeasureStage keys the stage by exactly the
-// kernel ids the classes name, in that order, so endings of one class form
-// measure bit-identically and the memo holds each stage once. A form whose
-// fields do not fit keeps the ending key: both key spaces name one latency.
+// field of that width. Profiler.MeasureStage keys the stage by the streams
+// of exactly the kernel ids the classes name, in that order, so endings of
+// one class form measure bit-identically and the memo holds each stage once.
+// A form whose fields do not fit keeps the ending key: both key spaces name
+// one latency.
 func (w *engineWorker) memoKey(ending bitset.Set, comps []bitset.Set) uint64 {
 	if !w.e.classKeys || w.e.mergeable(ending, comps) {
 		return uint64(ending)
@@ -1131,7 +1193,7 @@ func (w *engineWorker) measure(ending bitset.Set, st schedule.Stage) (float64, e
 func (e *engine) reconstruct() ([]schedule.Stage, error) {
 	var rev []schedule.Stage
 	for s := e.b.All(); !s.IsEmpty(); {
-		id, ok := e.index.get(s)
+		id, ok := e.index.get(e.states, s)
 		if !ok || e.last[id].ending.IsEmpty() {
 			return nil, fmt.Errorf("no feasible schedule for state %v (over-restrictive strategy set?)", s)
 		}

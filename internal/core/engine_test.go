@@ -151,11 +151,11 @@ func TestSearchBytesPerTransition(t *testing.T) {
 // hundred thousand runs they save: the keys RandWire's hardest block leaves
 // in a fresh cache — at batches 1, 2 and 4, since a search that skips the
 // endings that cannot win leaves 3,114 at batch 1, not 7,596 — average at most
-// 32 bytes — they are ids into the cache's dictionary, where the long form
-// they stand for runs to 300 — and a hit through Profiler.MeasureStage
-// allocates nothing. The keys themselves are read, not the heap.
+// 8 bytes — a context id and one id per stream into the cache's dictionary,
+// where the long form they stand for runs to 300 — and a hit through
+// Profiler.MeasureStage allocates nothing. The keys themselves are read, not the heap.
 func TestStageKeyBudget(t *testing.T) {
-	const budget = 32.0 // key bytes per entry; the blocks measure 17.5
+	const budget = 8.0 // key bytes per entry; the blocks measure 7.0 (17.5 before streams were ids)
 	cache := measure.NewCache()
 	var prof *profile.Profiler
 	var stages []schedule.Stage
@@ -193,7 +193,7 @@ func TestStageKeyBudget(t *testing.T) {
 	perEntry := float64(resident) / float64(len(entries))
 	t.Logf("%d entries: %.1f key bytes each resident, %.1f in the long form", len(entries), perEntry, float64(long)/float64(len(entries)))
 	if perEntry > budget {
-		t.Errorf("the cache holds %.1f key bytes per entry, budget %.1f: are stages keyed by their long form again?", perEntry, budget)
+		t.Errorf("the cache holds %.1f key bytes per entry, budget %.1f: are stages keyed by their kernels or their long form again?", perEntry, budget)
 	}
 	if raceEnabled {
 		return // the race detector's instrumentation allocates

@@ -140,7 +140,7 @@ func TestTablesAreSizedFromEarlierBlocks(t *testing.T) {
 		for i := range sc.shards {
 			views[i] = sc.shards[i].tab.Load()
 		}
-		slots, states := unsafe.SliceData(sc.index.slots), unsafe.SliceData(sc.states)
+		slots, states := unsafe.SliceData(sc.index.words), unsafe.SliceData(sc.states)
 		if _, _, err := e.run(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestTablesAreSizedFromEarlierBlocks(t *testing.T) {
 				t.Errorf("%d workers: memo shard %d of %d grew its index during the search", workers, i, len(sc.shards))
 			}
 		}
-		if unsafe.SliceData(sc.index.slots) != slots || unsafe.SliceData(sc.states) != states {
+		if unsafe.SliceData(sc.index.words) != slots || unsafe.SliceData(sc.states) != states {
 			t.Errorf("%d workers: the state index or the state list grew during the search", workers)
 		}
 		sc.release()

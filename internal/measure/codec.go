@@ -16,9 +16,9 @@ import (
 // fileVersion is the persisted-file format version (independent of
 // KeyVersion, which versions the long-form key encoding and leads every
 // context in the file's dictionary).
-const fileVersion = 3
+const fileVersion = 4
 
-// maxDictEntries caps the count either dictionary table of a file may
+// maxDictEntries caps the count any dictionary table of a file may
 // declare; ids are uint32 with one value reserved.
 const maxDictEntries = 1 << 24
 
@@ -29,7 +29,7 @@ const maxDictEntries = 1 << 24
 // concurrent requesters wait, so a stage is never simulated twice. A
 // completed entry is 16 pointer-free bytes in its shard's flat table — the
 // latency, a publication stamp and a ref to its key, which sits once in the
-// shard's byte arena as a length byte and the ~19 key bytes — that a hit
+// shard's byte arena as a length byte and the ~8 key bytes — that a hit
 // reads without a lock and the collector never traces.
 //
 // The zero value is not usable; call NewCache or NewCacheSize.
@@ -56,7 +56,7 @@ func NewCache() *Cache { return NewCacheSize(0) }
 // each table of its dictionary, at most as many entries: a client
 // submitting endless novel shapes cannot grow either.
 func NewCacheSize(maxEntries int) *Cache {
-	return &Cache{core: sfcache.NewCore[float64](maxEntries), dict: dict{max: max(maxEntries, 0)}}
+	return &Cache{core: sfcache.NewCore[float64](maxEntries), dict: newDict(max(maxEntries, 0))}
 }
 
 // ContextID returns the id of a measurement context (Context's bytes) in
@@ -68,12 +68,18 @@ func (c *Cache) ContextID(ctx []byte) (uint32, bool) { return c.dict.context(ctx
 // signature no simulator accepts.
 func (c *Cache) KernelID(s Signature) (uint32, bool) { return c.dict.kernel(s) }
 
+// StreamID is ContextID for a stream record — a concurrency group's
+// kernel count, then its kernels' KernelIDs, all uvarints — the element
+// an id key names its streams by; false also for a record that is not
+// one. A known record takes no lock and allocates nothing.
+func (c *Cache) StreamID(rec []byte) (uint32, bool) { return c.dict.stream(rec) }
+
 // Intern appends to dst the id key of a long-form key in this cache,
 // interning what is new. It reports false for a malformed key and for one
 // the dictionary has no room for.
 func (c *Cache) Intern(dst, long []byte) ([]byte, bool) {
-	ctx, kern := c.dict.intern()
-	key, err := new(keyReader).rewrite(dst, long, ctx, kern)
+	ctx, stream := c.dict.intern()
+	key, err := new(keyReader).rewrite(dst, long, ctx, stream)
 	return key, err == nil
 }
 
@@ -97,7 +103,7 @@ func (c *Cache) Stats() Stats { return c.core.Stats() }
 
 // rekey rewrites every row's key through the steps and drops the rows a
 // step has no translation for.
-func rekey(rows []sfcache.Row[float64], ctx, kern step) []sfcache.Row[float64] {
+func rekey(rows []sfcache.Row[float64], ctx, stream step) []sfcache.Row[float64] {
 	var (
 		in, out []byte
 		kr      keyReader
@@ -106,7 +112,7 @@ func rekey(rows []sfcache.Row[float64], ctx, kern step) []sfcache.Row[float64] {
 	for _, r := range rows {
 		var err error
 		in = append(in[:0], r.Key...)
-		if out, err = kr.rewrite(out[:0], in, ctx, kern); err == nil {
+		if out, err = kr.rewrite(out[:0], in, ctx, stream); err == nil {
 			kept = append(kept, sfcache.Row[float64]{Key: string(out), Val: r.Val})
 		}
 	}
@@ -120,8 +126,8 @@ func rekey(rows []sfcache.Row[float64], ctx, kern step) []sfcache.Row[float64] {
 // the dictionary was filled in. The cut is exact; see sfcache.Core.Cut.
 func (c *Cache) Snapshot(since uint64) ([]WireEntry, uint64) {
 	rows, next := c.core.Cut(since)
-	ctx, kern := expand(c.dict.tables()) // read after the cut: they cover its ids
-	rows = rekey(rows, ctx, kern)
+	ctx, stream := expand(c.dict.tables()) // read after the cut: they cover its ids
+	rows = rekey(rows, ctx, stream)
 	slices.SortFunc(rows, sfcache.CompareRows[float64])
 	out := make([]WireEntry, len(rows))
 	for i, r := range rows {
@@ -146,14 +152,14 @@ func (c *Cache) Merge(entries []WireEntry) (int, error) {
 		}
 		rows[i] = sfcache.Row[float64]{Key: string(raw), Val: lat}
 	}
-	ctx, kern := c.dict.intern()
-	return c.core.InsertRows(rekey(rows, ctx, kern)), nil
+	ctx, stream := c.dict.intern()
+	return c.core.InsertRows(rekey(rows, ctx, stream)), nil
 }
 
 // canonical numbers the entries of one dictionary table that table marks
-// (anything but absent) by the rank of their long form, writes the ranks
-// into table, and returns the long forms in that order.
-func canonical(table []uint32, long func(id int) []byte) [][]byte {
+// (anything but absent) by the rank of their file records, writes the
+// ranks into table, and returns the records in that order.
+func canonical(table []uint32, record func(id int) []byte) [][]byte {
 	type entry struct {
 		id  int
 		rec []byte
@@ -161,7 +167,7 @@ func canonical(table []uint32, long func(id int) []byte) [][]byte {
 	var used []entry
 	for id, m := range table {
 		if m != absent {
-			used = append(used, entry{id, long(id)})
+			used = append(used, entry{id, record(id)})
 		}
 	}
 	slices.SortFunc(used, func(a, b entry) int { return bytes.Compare(a.rec, b.rec) })
@@ -173,57 +179,58 @@ func canonical(table []uint32, long func(id int) []byte) [][]byte {
 }
 
 // Save writes every completed entry as a cache file: sfcache's frames
-// (see sfcache.WriteFrames) with two dictionary tables — the contexts and
-// the kernel signatures, each in its long form — ahead of the entries,
+// (see sfcache.WriteFrames) with three dictionary tables ahead of the
+// entries — the contexts and the kernel signatures, each in its long
+// form, then the streams, each its record under the file's kernel table —
 // and per entry the id key under those tables, then the latency's 8 bits,
 // little-endian. In-flight entries are skipped.
 //
 // The file is written under a canonical numbering, not the cache's own:
-// only the dictionary entries the saved rows name, sorted by long form,
-// and the rows sorted after translation. A file is therefore a pure
+// only the dictionary entries the saved rows name, contexts and kernels
+// sorted by long form, streams by their records under the kernels' new
+// ids, and the rows sorted after translation. A file is therefore a pure
 // function of the cache's contents — identical contents give identical
 // bytes, whatever order parallel workers filled the dictionary in.
 func (c *Cache) Save(w io.Writer) error {
 	rows, _ := c.core.Cut(0)
-	ctxs, kerns := c.dict.tables() // read after the cut: they cover its ids
-	ctxMap, kernMap := make([]uint32, len(ctxs)), make([]uint32, len(kerns))
-	for _, m := range [][]uint32{ctxMap, kernMap} {
-		for i := range m {
-			m[i] = absent
-		}
-	}
-	mark := func(table []uint32) step {
-		return func(dst []byte, r *keyReader) ([]byte, bool) {
-			id := r.int()
-			if id >= uint64(len(table)) {
-				return dst, false
-			}
-			table[id] = 0
-			return dst, true
-		}
-	}
-	markCtx, markKern := mark(ctxMap), mark(kernMap)
+	ctxs, kerns, streams := c.dict.tables() // read after the cut: they cover its ids
+	ctxMap, kernMap, streamMap := unmarked(len(ctxs)), unmarked(len(kerns)), unmarked(streams.len())
 	var (
 		in, out []byte
 		kr      keyReader
 	)
+	markCtx, markStream, markKern := mark(ctxMap), mark(streamMap), mark(kernMap)
 	for _, r := range rows {
 		var err error
 		in = append(in[:0], r.Key...)
-		if out, err = kr.rewrite(out[:0], in, markCtx, markKern); err != nil {
+		if out, err = kr.rewrite(out[:0], in, markCtx, markStream); err != nil {
 			return fmt.Errorf("measure: save cache: key %x: %w", in, err)
 		}
 	}
+	for id, m := range streamMap {
+		if m != absent {
+			kr.b = streams.at(id)
+			out, _ = kr.kernels(out[:0], markKern)
+		}
+	}
+	// Kernels first: a stream's file record names the kernels' new ids.
+	kernRecs := canonical(kernMap, func(id int) []byte { return kerns[id].appendTo(nil) })
+	toKern := renumber(kernMap)
 	tables := [][][]byte{
 		canonical(ctxMap, func(id int) []byte { return []byte(ctxs[id]) }),
-		canonical(kernMap, func(id int) []byte { return kerns[id].appendTo(nil) }),
+		kernRecs,
+		canonical(streamMap, func(id int) []byte {
+			kr.b = streams.at(id)
+			rec, _ := kr.kernels(nil, toKern)
+			return rec
+		}),
 	}
 	for _, t := range tables {
 		if len(t) > maxDictEntries {
 			return fmt.Errorf("measure: save cache: a %d-entry dictionary table is over the %d-entry cap", len(t), maxDictEntries)
 		}
 	}
-	rows = rekey(rows, renumber(ctxMap), renumber(kernMap))
+	rows = rekey(rows, renumber(ctxMap), renumber(streamMap))
 	slices.SortFunc(rows, sfcache.CompareRows[float64])
 	return sfcache.WriteFrames(w, "measure", fileVersion, tables, rows,
 		func(dst []byte, key string, lat float64) ([]byte, error) {
@@ -231,29 +238,53 @@ func (c *Cache) Save(w io.Writer) error {
 		})
 }
 
-// fileDict is the dictionary of a file being loaded: its two tables,
-// validated record by record as ReadFrames streams them, against which
-// the entry records that follow are checked.
-type fileDict struct {
-	ctxs  []string
-	kerns []Signature
-	prev  []byte // the last record, for the order check
+// unmarked is a renumber table of n ids, none of them marked.
+func unmarked(n int) []uint32 {
+	table := make([]uint32, n)
+	for i := range table {
+		table[i] = absent
+	}
+	return table
+}
 
-	// parseRecord's scratch and its steps: an id must lie inside its table.
-	buf       []byte
-	kr        keyReader
-	ctx, kern step
+// mark is the step that marks an id in table (see canonical), appending
+// nothing; an id outside the table has no translation.
+func mark(table []uint32) step {
+	return func(dst []byte, r *keyReader) ([]byte, bool) {
+		id := r.int()
+		if id >= uint64(len(table)) {
+			return dst, false
+		}
+		table[id] = 0
+		return dst, true
+	}
+}
+
+// fileDict is the dictionary of a file being loaded: its three tables,
+// validated record by record as ReadFrames streams them, against which
+// the records that follow are checked.
+type fileDict struct {
+	ctxs    []string
+	kerns   []Signature
+	streams streamTable // records under kerns' ids
+	prev    []byte      // the last record, for the order check
+
+	// The parsers' scratch and parseRecord's steps: an id must lie inside
+	// its table.
+	buf         []byte
+	kr          keyReader
+	ctx, stream step
 }
 
 func newFileDict() *fileDict {
 	fd := &fileDict{}
 	fd.ctx = func(dst []byte, r *keyReader) ([]byte, bool) { return dst, r.int() < uint64(len(fd.ctxs)) }
-	fd.kern = func(dst []byte, r *keyReader) ([]byte, bool) { return dst, r.int() < uint64(len(fd.kerns)) }
+	fd.stream = func(dst []byte, r *keyReader) ([]byte, bool) { return dst, r.int() < uint64(fd.streams.len()) }
 	return fd
 }
 
 // ascending enforces the canonical order within a table — strictly
-// ascending long forms — which also rules out duplicates.
+// ascending records — which also rules out duplicates.
 func (fd *fileDict) ascending(i int, rec []byte) error {
 	if i > 0 && bytes.Compare(fd.prev, rec) >= 0 {
 		return fmt.Errorf("duplicate or out of order")
@@ -285,6 +316,22 @@ func (fd *fileDict) parseKernel(i int, rec []byte) error {
 	return fd.ascending(i, rec)
 }
 
+// parseStream validates one record of the stream table: a kernel count
+// and that many ids inside the kernel table.
+func (fd *fileDict) parseStream(i int, rec []byte) error {
+	fd.kr.b, fd.kr.err = rec, nil
+	var ok bool
+	fd.buf, ok = fd.kr.kernels(fd.buf[:0], inTable(len(fd.kerns)))
+	switch {
+	case fd.kr.err != nil || len(fd.kr.b) != 0:
+		return fmt.Errorf("malformed stream")
+	case !ok:
+		return fmt.Errorf("stream names a kernel past the kernel table")
+	}
+	fd.streams.add(rec)
+	return fd.ascending(i, rec)
+}
+
 // parseRecord validates one entry record — an id key whose every id is
 // inside the file's tables, then a latency a simulator can return — as
 // Decode validates a peer's entry; key aliases rec.
@@ -294,7 +341,7 @@ func (fd *fileDict) parseRecord(rec []byte) ([]byte, float64, error) {
 	}
 	key, lat := rec[:len(rec)-8], math.Float64frombits(binary.LittleEndian.Uint64(rec[len(rec)-8:]))
 	var err error
-	if fd.buf, err = fd.kr.rewrite(fd.buf[:0], key, fd.ctx, fd.kern); err != nil {
+	if fd.buf, err = fd.kr.rewrite(fd.buf[:0], key, fd.ctx, fd.stream); err != nil {
 		return nil, 0, err
 	}
 	return key, lat, checkLatency(lat)
@@ -303,19 +350,20 @@ func (fd *fileDict) parseRecord(rec []byte) ([]byte, float64, error) {
 // Load merges a previously saved cache into c, returning how many entries
 // were added (keys already present are kept, not overwritten).
 //
-// Load is all-or-nothing: the frame (see sfcache.ReadFrames), both
+// Load is all-or-nothing: the frame (see sfcache.ReadFrames), the three
 // dictionary tables and every id of every record are validated before the
 // first signature is interned or the first entry inserted, so a corrupt,
 // truncated or version-mismatched file is an error that leaves cache and
 // dictionary exactly as they were — callers start cold. The file's ids are
-// then mapped to this cache's by table index; when the map is the
-// identity — a restart into an empty cache — the keys go in as read.
-// Entries a full dictionary cannot key are dropped.
+// then mapped to this cache's by table index, a stream through its
+// kernels'; when the map is the identity — a restart into an empty cache —
+// the keys go in as read. Entries a full dictionary cannot key are dropped.
 func (c *Cache) Load(r io.Reader) (int, error) {
 	fd := newFileDict()
 	chunks, err := sfcache.ReadFrames(r, "measure", fileVersion, []sfcache.Table{
 		{Max: maxDictEntries, Parse: fd.parseContext},
 		{Max: maxDictEntries, Parse: fd.parseKernel},
+		{Max: maxDictEntries, Parse: fd.parseStream},
 	}, fd.parseRecord)
 	if err != nil {
 		return 0, err
@@ -326,13 +374,21 @@ func (c *Cache) Load(r io.Reader) (int, error) {
 		same = same && ctxMap[i] == uint32(i)
 	}
 	for i, s := range fd.kerns {
-		kernMap[i], _ = c.dict.kernel(s)
-		same = same && kernMap[i] == uint32(i)
+		kernMap[i], _ = c.dict.kernel(s) // rows name no kernel: only streams map them
+	}
+	streamMap, toKern := unmarked(fd.streams.len()), renumber(kernMap)
+	for i := range streamMap {
+		fd.kr.b = fd.streams.at(i) // validated: the reader's error stays nil
+		if rec, ok := fd.kr.kernels(fd.buf[:0], toKern); ok {
+			fd.buf = rec
+			streamMap[i], _ = c.dict.stream(rec)
+		}
+		same = same && streamMap[i] == uint32(i)
 	}
 	added := 0
 	for _, rows := range chunks {
 		if !same {
-			rows = rekey(rows, renumber(ctxMap), renumber(kernMap))
+			rows = rekey(rows, renumber(ctxMap), renumber(streamMap))
 		}
 		added += c.core.InsertRows(rows)
 	}
@@ -388,8 +444,10 @@ func (we WireEntry) Decode() ([]byte, float64, error) {
 	_, err = new(keyReader).rewrite(nil, raw,
 		func(dst []byte, r *keyReader) ([]byte, bool) { r.context(); return dst, true },
 		func(dst []byte, r *keyReader) ([]byte, bool) {
-			s := r.signature()
-			return dst, r.err != nil || s.check() == nil
+			return r.kernels(dst, func(dst []byte, r *keyReader) ([]byte, bool) {
+				s := r.signature()
+				return dst, r.err != nil || s.check() == nil
+			})
 		})
 	if err != nil {
 		return nil, 0, err

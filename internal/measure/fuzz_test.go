@@ -10,26 +10,26 @@ import (
 )
 
 // FuzzLoad attacks the cache-file loader with the measurement codec's
-// file: the two dictionary tables, then records of id key and eight
+// file: the three dictionary tables, then records of id key and eight
 // latency bytes. Whatever the bytes: Load does not panic; a rejected file
 // leaves the cache and its dictionary exactly as they were; an accepted
 // one saves to a file that loads back as the same entry set. The seed
-// corpus (testdata/fuzz/FuzzLoad) is a valid 3-entry file and the ways of
-// damaging it, its dictionary included, that
-// TestLoadCorruptFallsBackCleanly names, plus files of the two earlier
+// corpus (testdata/fuzz/FuzzLoad) is a valid version-4 file of 3 entries
+// and the ways of damaging it, its three dictionary tables included, that
+// TestLoadCorruptFallsBackCleanly names, plus files of the three earlier
 // versions.
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCache()
 		_, cl, _ := c.GetOrBegin(nil, idKey(c, []gpusim.Stream{{kernel(5, 5)}}))
 		cl.Commit(1)
-		ctxs, kerns := dictLen(c)
+		ctxs, kerns, streams := dictLen(c)
 		if _, err := c.Load(bytes.NewReader(data)); err != nil {
 			if st := c.Stats(); st.Size != 1 || st.Loaded != 0 {
 				t.Fatalf("a rejected file (%v) changed the cache: %+v", err, st)
 			}
-			if nc, nk := dictLen(c); nc != ctxs || nk != kerns {
-				t.Fatalf("a rejected file (%v) grew the dictionary to %d contexts, %d signatures", err, nc, nk)
+			if nc, nk, ns := dictLen(c); nc != ctxs || nk != kerns || ns != streams {
+				t.Fatalf("a rejected file (%v) grew the dictionary to %d contexts, %d signatures, %d streams", err, nc, nk, ns)
 			}
 			return
 		}
@@ -67,14 +67,14 @@ func FuzzMerge(f *testing.F) {
 		_, cl, _ := c.GetOrBegin(nil, idKey(c, []gpusim.Stream{{kernel(5, 5)}}))
 		cl.Commit(1)
 		before, _ := c.Snapshot(0)
-		ctxs, kerns := dictLen(c)
+		ctxs, kerns, streams := dictLen(c)
 		added, err := c.Merge(entries)
 		if err != nil {
 			if got, _ := c.Snapshot(0); !reflect.DeepEqual(got, before) || c.Stats().Loaded != 0 {
 				t.Fatalf("a rejected batch (%v) changed the cache: %+v", err, got)
 			}
-			if nc, nk := dictLen(c); nc != ctxs || nk != kerns {
-				t.Fatalf("a rejected batch (%v) grew the dictionary to %d contexts, %d signatures", err, nc, nk)
+			if nc, nk, ns := dictLen(c); nc != ctxs || nk != kerns || ns != streams {
+				t.Fatalf("a rejected batch (%v) grew the dictionary to %d contexts, %d signatures, %d streams", err, nc, nk, ns)
 			}
 			return
 		}

@@ -25,12 +25,14 @@
 // Merge speak, what block-cache keys embed —
 // and it means the same in every process. The id form is what a Cache
 // holds in memory and in its file: the cache interns each distinct
-// context and each distinct kernel Signature it meets to a small integer
-// (a search meets a few dozen) and keys a stage by
+// context, each distinct kernel Signature and each distinct stream — a
+// concurrency group's program, the record #kernels ‖ kernel ids — it
+// meets to a small integer (a search meets a few dozen kernels and a few
+// hundred streams) and keys a stage by
 //
-//	ctx-id ‖ #streams ‖ per stream: #kernels ‖ kernel ids
+//	ctx-id ‖ #streams ‖ stream ids
 //
-// all uvarints — some 20 bytes where the long form takes 300. Ids are
+// all uvarints — some 8 bytes where the long form takes 300. Ids are
 // relative to one cache's dictionary (append-only, numbered in arrival
 // order), so an id key never leaves its cache: Snapshot translates to
 // the long form, Merge from it, and a cache file carries the dictionary
@@ -235,28 +237,25 @@ func checkContext(ctx []byte) error {
 	return nil
 }
 
-// A step reads one element of a key from r — a context or a kernel, in
-// whichever form the key has — and appends its translation to dst; false
-// means it has none.
+// A step reads one element of a key from r — a context, a stream or a
+// kernel, in whichever form the key has — and appends its translation to
+// dst; false means it has none.
 type step func(dst []byte, r *keyReader) ([]byte, bool)
 
-// rewrite walks a key of either form — a context, the stream count, per
-// stream the kernel count and that many kernels — copying the counts to
-// dst as both forms write them and letting ctx and kern translate the
-// elements. It fails on a malformed key, on bytes left over, and with
+// rewrite walks a key of either form — a context, the stream count and
+// that many streams — copying the count to dst as both forms write it and
+// letting ctx and stream translate the elements: in the long form a
+// stream is its kernel count and that many signatures, in the id form
+// one id. It fails on a malformed key, on bytes left over, and with
 // errNoID when a step does. The reader is the caller's so that a loop
 // over many keys allocates one.
-func (r *keyReader) rewrite(dst, key []byte, ctx, kern step) ([]byte, error) {
+func (r *keyReader) rewrite(dst, key []byte, ctx, stream step) ([]byte, error) {
 	r.b, r.err = key, nil
 	dst, ok := ctx(dst, r)
 	streams := r.int()
 	dst = binary.AppendUvarint(dst, streams)
 	for ; ok && r.err == nil && streams > 0; streams-- {
-		kernels := r.int()
-		dst = binary.AppendUvarint(dst, kernels)
-		for ; ok && r.err == nil && kernels > 0; kernels-- {
-			dst, ok = kern(dst, r)
-		}
+		dst, ok = stream(dst, r)
 	}
 	switch {
 	case r.err != nil:
@@ -269,9 +268,22 @@ func (r *keyReader) rewrite(dst, key []byte, ctx, kern step) ([]byte, error) {
 	return dst, nil
 }
 
+// kernels walks one stream — a long-form key's, or a stream record of the
+// dictionary — copying its kernel count to dst and letting kern translate
+// that many kernels.
+func (r *keyReader) kernels(dst []byte, kern step) ([]byte, bool) {
+	n := r.int()
+	dst = binary.AppendUvarint(dst, n)
+	ok := true
+	for ; ok && r.err == nil && n > 0; n-- {
+		dst, ok = kern(dst, r)
+	}
+	return dst, ok
+}
+
 // errNoID reports an element a step could not translate: a signature no
 // simulator accepts, a full dictionary, an id outside its table.
-var errNoID = errors.New("key names a context or kernel the dictionary cannot hold")
+var errNoID = errors.New("key names a context, stream or kernel the dictionary cannot hold")
 
 // appendFloat appends the IEEE-754 bit pattern, little-endian. Encoding
 // bits (not a decimal rendering) keeps the key exact: distinct float64

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -124,16 +125,21 @@ func TestSingleflightCoalesces(t *testing.T) {
 // correctly — evicted fingerprints just re-measure.
 func TestCapacityBoundSheds(t *testing.T) {
 	const cap = 64
-	// One kernel signature per key would fill the bounded dictionary
-	// (see TestBoundedDictionaryStopsAtCap): the keys are streams of
-	// different lengths over one signature instead.
+	// One kernel signature or one stream per key would fill the bounded
+	// dictionary (see TestBoundedDictionaryStopsAtCap): key i is a stage of
+	// one stream per octal digit of i, as many kernels of one signature as
+	// the digit says — up to four of eight streams — instead.
 	c := NewCacheSize(cap)
 	mk := func(i int) []byte {
-		s := make(gpusim.Stream, i)
-		for k := range s {
-			s[k] = kernel(1, 1)
+		var streams []gpusim.Stream
+		for _, d := range strconv.FormatInt(int64(i), 8) {
+			s := make(gpusim.Stream, d-'0')
+			for k := range s {
+				s[k] = kernel(1, 1)
+			}
+			streams = append(streams, s)
 		}
-		return testKey([]gpusim.Stream{s})
+		return testKey(streams)
 	}
 	for i := 0; i < 10*cap; i++ {
 		_, claim, _ := c.GetOrBegin(nil, mustIntern(c, mk(i)))
@@ -286,11 +292,12 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// frame builds a version-3 cache file the way sfcache lays it out — magic,
-// version, count, the two dictionary tables (each a count and its
-// length-prefixed records), length-prefixed entry records, CRC-32C — with
-// a correct checksum, so a case that lies elsewhere is rejected for the
-// lie. A nil dict writes no tables at all (the version-2 layout).
+// frame builds a cache file the way sfcache lays it out — magic, version,
+// count, the dictionary tables (each a count and its length-prefixed
+// records; three from version 4 on), length-prefixed entry records,
+// CRC-32C — with a correct checksum, so a case that lies elsewhere is
+// rejected for the lie. A nil dict writes no tables at all (the version-2
+// layout).
 func frame(version uint32, count uint64, dict [][][]byte, recs ...[]byte) []byte {
 	b := binary.LittleEndian.AppendUint32([]byte("IOSF"), version)
 	b = binary.LittleEndian.AppendUint64(b, count)
@@ -321,10 +328,10 @@ func record(key []byte, lat float64) []byte {
 // sig is a kernel signature's dictionary record: its long form.
 func sig(k gpusim.Kernel) []byte { return SignatureOf(&k).appendTo(nil) }
 
-// dictLen reports the sizes of a cache's two dictionary tables.
-func dictLen(c *Cache) (ctxs, kerns int) {
-	cs, ks := c.dict.tables()
-	return len(cs), len(ks)
+// dictLen reports the sizes of a cache's three dictionary tables.
+func dictLen(c *Cache) (ctxs, kerns, streams int) {
+	cs, ks, ss := c.dict.tables()
+	return len(cs), len(ks), ss.len()
 }
 
 // TestLoadCorruptFallsBackCleanly: every corruption mode must reject the
@@ -339,12 +346,12 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One context, two signatures (sorted by long form: 9.0's little-endian
-	// bits order before 1.0's), and keys over them: context 0, one stream
-	// of one kernel.
+	// bits order before 1.0's), a stream of one kernel of each, and keys
+	// over them: context 0, one stream.
 	v100 := Context(gpusim.TeslaV100, 0)
-	dict := [][][]byte{{v100}, {sig(kernel(9, 9)), sig(kernel(1, 1))}}
-	key, other := []byte{0, 1, 1, 0}, []byte{0, 1, 1, 1}
-	one := [][][]byte{{v100}, {sig(kernel(9, 9))}}
+	dict := [][][]byte{{v100}, {sig(kernel(9, 9)), sig(kernel(1, 1))}, {{1, 0}, {1, 1}}}
+	key, other := []byte{0, 1, 0}, []byte{0, 1, 1}
+	one := [][][]byte{{v100}, {sig(kernel(9, 9))}, {{1, 0}}}
 	if want := frame(fileVersion, 1, one, record(key, 2e-6)); !bytes.Equal(saved.Bytes(), want) {
 		t.Fatalf("Save wrote\n%x\nwant the frame\n%x", saved.Bytes(), want)
 	}
@@ -361,33 +368,41 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 	foreign := append([]byte{KeyVersion + 1}, v100[1:]...)
 	nan, neg, noBlocks := kernel(math.NaN(), 1), kernel(1, -1), kernel(1, 1)
 	noBlocks.Blocks = 0
-	lying := frame(fileVersion, 0, [][][]byte{{v100}, nil})
+	lying := frame(fileVersion, 0, [][][]byte{{v100}, nil, nil})
 	lying[16] = 2 // the context table's count
 	lying = reseal(lying)
 	cases := []corruption{
 		{"not a cache file", []byte("<html>not a cache</html>"), "version"},
 		{"v1 JSON file", []byte(`{"version":1,"entries":[{"key":"AQ","latency":1}]}` + "\n"), "version"},
 		{"wrong file version", frame(99, 0, dict), "version 99"},
-		{"version-2 file", frame(2, 1, nil, record(testKey(stage), 1)), "cache file version 2, want 3"},
+		{"version-2 file", frame(2, 1, nil, record(testKey(stage), 1)), "cache file version 2, want 4"},
+		{"version-3 file", frame(3, 1, dict[:2], record([]byte{0, 1, 1, 0}, 1)), "cache file version 3, want 4"},
 		{"short record", frame(fileVersion, 1, dict, []byte{0, 1, 2}), "3-byte record"},
 		{"empty key", frame(fileVersion, 1, dict, record(nil, 1)), "malformed key"},
 		{"long-form key", frame(fileVersion, 1, dict, record(testKey(stage), 1)), "entry 0"},
-		{"key with a padded uvarint", frame(fileVersion, 1, dict, record([]byte{0x80, 0, 1, 1, 0}, 1)), "malformed key"},
-		{"key cut short", frame(fileVersion, 1, dict, record([]byte{0, 1, 2, 0}, 1)), "malformed key"},
-		{"bytes after the key", frame(fileVersion, 1, dict, record([]byte{0, 1, 1, 0, 0}, 1)), "after the last stream"},
-		{"context id past the dictionary", frame(fileVersion, 1, dict, record([]byte{1, 1, 1, 0}, 1)), "dictionary"},
-		{"kernel id past the dictionary", frame(fileVersion, 1, dict, record([]byte{0, 1, 1, 2}, 1)), "dictionary"},
-		{"duplicate context", frame(fileVersion, 0, [][][]byte{{v100, v100}, nil}), "table 0 entry 1 of 2: duplicate"},
-		{"contexts out of order", frame(fileVersion, 0, [][][]byte{{v100, k80}, nil}), "out of order"},
-		{"signatures out of order", frame(fileVersion, 0, [][][]byte{nil, {sig(kernel(1, 1)), sig(kernel(9, 9))}}), "out of order"},
-		{"context of a foreign key version", frame(fileVersion, 0, [][][]byte{{foreign}, nil}), "key encoding version"},
-		{"context cut short", frame(fileVersion, 0, [][][]byte{{v100[:len(v100)-1]}, nil}), "malformed"},
-		{"context with a tail", frame(fileVersion, 0, [][][]byte{{append(bytes.Clone(v100), 0)}, nil}), "malformed context"},
-		{"duplicate signature", frame(fileVersion, 0, [][][]byte{nil, {sig(kernel(1, 1)), sig(kernel(1, 1))}}), "table 1 entry 1 of 2: duplicate"},
-		{"NaN signature", frame(fileVersion, 0, [][][]byte{nil, {sig(nan)}}), "invalid kernel signature"},
-		{"negative signature", frame(fileVersion, 0, [][][]byte{nil, {sig(neg)}}), "negative work"},
-		{"signature without blocks", frame(fileVersion, 0, [][][]byte{nil, {sig(noBlocks)}}), "0 blocks"},
-		{"signature with a tail", frame(fileVersion, 0, [][][]byte{nil, {append(sig(kernel(1, 1)), 0)}}), "malformed kernel signature"},
+		{"key with a padded uvarint", frame(fileVersion, 1, dict, record([]byte{0x80, 0, 1, 0}, 1)), "malformed key"},
+		{"key cut short", frame(fileVersion, 1, dict, record([]byte{0, 2, 0}, 1)), "malformed key"},
+		{"bytes after the key", frame(fileVersion, 1, dict, record([]byte{0, 1, 0, 0}, 1)), "after the last stream"},
+		{"context id past the dictionary", frame(fileVersion, 1, dict, record([]byte{1, 1, 0}, 1)), "dictionary"},
+		{"stream id past the dictionary", frame(fileVersion, 1, dict, record([]byte{0, 1, 2}, 1)), "dictionary"},
+		{"duplicate context", frame(fileVersion, 0, [][][]byte{{v100, v100}, nil, nil}), "table 0 entry 1 of 2: duplicate"},
+		{"contexts out of order", frame(fileVersion, 0, [][][]byte{{v100, k80}, nil, nil}), "out of order"},
+		{"signatures out of order", frame(fileVersion, 0, [][][]byte{nil, {sig(kernel(1, 1)), sig(kernel(9, 9))}, nil}), "out of order"},
+		{"context of a foreign key version", frame(fileVersion, 0, [][][]byte{{foreign}, nil, nil}), "key encoding version"},
+		{"context cut short", frame(fileVersion, 0, [][][]byte{{v100[:len(v100)-1]}, nil, nil}), "malformed"},
+		{"context with a tail", frame(fileVersion, 0, [][][]byte{{append(bytes.Clone(v100), 0)}, nil, nil}), "malformed context"},
+		{"duplicate signature", frame(fileVersion, 0, [][][]byte{nil, {sig(kernel(1, 1)), sig(kernel(1, 1))}, nil}), "table 1 entry 1 of 2: duplicate"},
+		{"NaN signature", frame(fileVersion, 0, [][][]byte{nil, {sig(nan)}, nil}), "invalid kernel signature"},
+		{"negative signature", frame(fileVersion, 0, [][][]byte{nil, {sig(neg)}, nil}), "negative work"},
+		{"signature without blocks", frame(fileVersion, 0, [][][]byte{nil, {sig(noBlocks)}, nil}), "0 blocks"},
+		{"signature with a tail", frame(fileVersion, 0, [][][]byte{nil, {append(sig(kernel(1, 1)), 0)}, nil}), "malformed kernel signature"},
+		{"stream of a kernel past its table", frame(fileVersion, 0, [][][]byte{nil, {sig(kernel(9, 9))}, {{1, 1}}}), "table 2 entry 0 of 1: stream names a kernel past the kernel table"},
+		{"stream of no kernel table", frame(fileVersion, 0, [][][]byte{{v100}, nil, {{1, 0}}}), "stream names a kernel past"},
+		{"duplicate stream", frame(fileVersion, 0, [][][]byte{dict[0], dict[1], {{1, 0}, {1, 0}}}), "table 2 entry 1 of 2: duplicate"},
+		{"streams out of order", frame(fileVersion, 0, [][][]byte{dict[0], dict[1], {{1, 1}, {1, 0}}}), "table 2 entry 1 of 2: duplicate or out of order"},
+		{"stream cut short", frame(fileVersion, 0, [][][]byte{dict[0], dict[1], {{2, 0}}}), "malformed stream"},
+		{"stream with a tail", frame(fileVersion, 0, [][][]byte{dict[0], dict[1], {{1, 0, 0}}}), "malformed stream"},
+		{"stream with a padded uvarint", frame(fileVersion, 0, [][][]byte{dict[0], dict[1], {{0x81, 0, 0}}}), "malformed stream"},
 		{"dictionary count past its cap", append(frame(fileVersion, 0, nil)[:16], 0x81, 0x80, 0x80, 0x08), "table 0: truncated or oversize count"},
 		{"dictionary count larger than the table", lying, "table 0 entry 1 of 2"},
 		{"negative latency", frame(fileVersion, 2, dict, record(other, 1), record(key, -1)), "entry 1: invalid latency"},
@@ -395,7 +410,7 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 		{"infinite latency", frame(fileVersion, 1, dict, record(key, math.Inf(1))), "invalid latency"},
 		{"count larger than the entries", frame(fileVersion, 2, dict, record(key, 1)), "entry 1 of 2"},
 		{"count smaller than the entries", frame(fileVersion, 1, dict, record(other, 1), record(key, 1)), "checksum"},
-		{"record length past the cap", append(frame(fileVersion, 1, [][][]byte{nil, nil})[:18], 0x81, 0x80, 0x40), "oversize"},
+		{"record length past the cap", append(frame(fileVersion, 1, [][][]byte{nil, nil, nil})[:19], 0x81, 0x80, 0x40), "oversize"},
 		{"trailing bytes", append(bytes.Clone(saved.Bytes()), '\n'), "after the checksum"},
 	}
 	for n := 0; n < saved.Len(); n++ {
@@ -414,8 +429,8 @@ func TestLoadCorruptFallsBackCleanly(t *testing.T) {
 		if st := c.Stats(); st.Size != 0 || st.Loaded != 0 {
 			t.Errorf("%s: corrupt load left %d entries behind (%d loaded)", tc.name, st.Size, st.Loaded)
 		}
-		if ctxs, kerns := dictLen(c); ctxs != 0 || kerns != 0 {
-			t.Errorf("%s: corrupt load interned %d contexts and %d signatures", tc.name, ctxs, kerns)
+		if ctxs, kerns, streams := dictLen(c); ctxs != 0 || kerns != 0 || streams != 0 {
+			t.Errorf("%s: corrupt load interned %d contexts, %d signatures and %d streams", tc.name, ctxs, kerns, streams)
 		}
 		// The cache must remain fully usable after a failed load.
 		key := idKey(c, stage)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ios/internal/gpusim"
+	"ios/internal/sfcache"
 )
 
 func fillKey(i int) []byte {
@@ -82,14 +83,22 @@ func TestMergeAllOrNothing(t *testing.T) {
 	entries, _ := src.Snapshot(0)
 	bad := entries[0]
 	bad.Latency = -1
-	batch := []WireEntry{entries[0], bad}
+	// A kernel no simulator accepts, in the second stream of a key.
+	noBlocks := kernel(1, 1)
+	noBlocks.Blocks = 0
+	badSig := WireEntry{Key: sfcache.EncodeKey(testKey([]gpusim.Stream{{kernel(1, 1)}, {noBlocks}})), Latency: 1}
 
-	dst := NewCache()
-	if added, err := dst.Merge(batch); err == nil {
-		t.Fatalf("Merge accepted a negative latency (added %d)", added)
-	}
-	if st := dst.Stats(); st.Size != 0 {
-		t.Fatalf("rejected Merge still inserted %d entries", st.Size)
+	for _, batch := range [][]WireEntry{{entries[0], bad}, {entries[0], badSig}} {
+		dst := NewCache()
+		if added, err := dst.Merge(batch); err == nil {
+			t.Fatalf("Merge accepted %+v (added %d)", batch[1], added)
+		}
+		if st := dst.Stats(); st.Size != 0 {
+			t.Fatalf("rejected Merge still inserted %d entries", st.Size)
+		}
+		if ctxs, kerns, streams := dictLen(dst); ctxs+kerns+streams != 0 {
+			t.Fatalf("rejected Merge grew the dictionary to %d contexts, %d signatures, %d streams", ctxs, kerns, streams)
+		}
 	}
 }
 

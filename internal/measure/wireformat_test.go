@@ -47,8 +47,8 @@ func TestWireFileVersionPinned(t *testing.T) {
 	if buf.Len() < 16 || string(buf.Bytes()[:4]) != "IOSF" {
 		t.Fatalf("cache file does not start with a frame header: %x", buf.Bytes())
 	}
-	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:8]); v != 3 {
-		t.Fatalf("persisted cache file version = %d, want 3: a format change must re-pin this test so old files are rejected loudly", v)
+	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:8]); v != 4 {
+		t.Fatalf("persisted cache file version = %d, want 4: a format change must re-pin this test so old files are rejected loudly", v)
 	}
 }
 

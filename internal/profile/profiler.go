@@ -69,7 +69,7 @@ type Profiler struct {
 // lowering is one node's entry in the lowering table: the node it was made
 // from (Node.ID is unique within one graph only), its kernel sequence and,
 // with a measurement cache attached, the kernels' ids in that cache's
-// dictionary, encoded as a stage key strings them together. keyed is false
+// dictionary, encoded as a stream record strings them together. keyed is false
 // with no cache attached and when the dictionary could not take one of the
 // kernels; a stage holding such a node is measured without the cache.
 // solo, once timed, is the node's single-stream duration (its kernels run
@@ -298,11 +298,12 @@ func (p *Profiler) fused(st schedule.Stage) ([]gpusim.Kernel, error) {
 
 // stageKey assembles, in scratch valid until the next keyed measurement,
 // the id key of a canonically ordered stage and its fused kernels (see
-// fused): the context id, the stream count, and per stream its kernel count
-// and kernel ids — strung together from the bytes lower stored, without
-// touching a kernel. It returns nil for a stage that cannot be keyed (no
-// cache attached, or no room in its dictionary for a signature) and for
-// one with no kernels at all.
+// fused): the context id, the stream count and per stream its id — the id
+// of its record, its kernel count and kernel ids strung together from the
+// bytes lower stored, written where the id then goes, without touching a
+// kernel. It returns nil for a stage that cannot be keyed (no cache
+// attached, or no room in its dictionary for a signature or a stream) and
+// for one with no kernels at all.
 func (p *Profiler) stageKey(st schedule.Stage, fused []gpusim.Kernel) []byte {
 	if p.ctxID == nil {
 		return nil
@@ -314,7 +315,7 @@ func (p *Profiler) stageKey(st schedule.Stage, fused []gpusim.Kernel) []byte {
 	streamsAt, streams := len(key), 0
 	key = append(key, 0)
 	for _, grp := range st.Groups {
-		kernelsAt, kernels := len(key), 0
+		recAt, kernels := len(key), 0
 		key = append(key, 0)
 		for _, n := range grp {
 			ln := p.lowered(n)
@@ -325,10 +326,16 @@ func (p *Profiler) stageKey(st schedule.Stage, fused []gpusim.Kernel) []byte {
 			key = append(key, ln.ids...)
 		}
 		if kernels == 0 {
-			key = key[:kernelsAt] // a group of free ops launches no stream
+			key = key[:recAt] // a group of free ops launches no stream
 			continue
 		}
-		key = setCount(key, kernelsAt, kernels)
+		key = setCount(key, recAt, kernels)
+		id, ok := p.mcache.StreamID(key[recAt:])
+		if !ok {
+			p.keyBuf = key
+			return nil
+		}
+		key = binary.AppendUvarint(key[:recAt], uint64(id))
 		streams++
 	}
 	p.keyBuf = key
@@ -339,13 +346,19 @@ func (p *Profiler) stageKey(st schedule.Stage, fused []gpusim.Kernel) []byte {
 	return p.keyBuf
 }
 
-// streamKey is the id key of one stream of n kernels with the given
-// encoded ids.
+// streamKey is the id key of one stream, the record of n kernels with the
+// given encoded ids; nil when the dictionary has no room for it.
 func (p *Profiler) streamKey(n int, ids []byte) []byte {
-	p.keyBuf = append(p.keyBuf[:0], p.ctxID...)
-	p.keyBuf = append(p.keyBuf, 1)
-	p.keyBuf = binary.AppendUvarint(p.keyBuf, uint64(n))
-	p.keyBuf = append(p.keyBuf, ids...)
+	key := append(p.keyBuf[:0], p.ctxID...)
+	key = append(key, 1)
+	recAt := len(key)
+	key = binary.AppendUvarint(key, uint64(n))
+	p.keyBuf = append(key, ids...)
+	id, ok := p.mcache.StreamID(p.keyBuf[recAt:])
+	if !ok {
+		return nil
+	}
+	p.keyBuf = binary.AppendUvarint(p.keyBuf[:recAt], uint64(id))
 	return p.keyBuf
 }
 

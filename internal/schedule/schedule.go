@@ -14,8 +14,9 @@ import (
 	"ios/internal/graph"
 )
 
-// Strategy is a stage's parallelization strategy.
-type Strategy int
+// Strategy is a stage's parallelization strategy. One byte, so a value
+// that carries one beside a bitmask (the DP's per-state choice) stays 16.
+type Strategy uint8
 
 const (
 	// Concurrent is the paper's "concurrent execution": disjoint groups

@@ -121,7 +121,9 @@ func TestServerMeasureCacheDefaultsToPrivate(t *testing.T) {
 		t.Skip("the overfill runs on one goroutine; under the race detector it only costs seconds")
 	}
 	// An eighth more stages than the bound, which the cache sheds back to:
-	// one stream of two kernels out of side distinct signatures.
+	// two streams of one kernel each out of side distinct signatures (a
+	// new stream per stage would fill the dictionary's stream table, which
+	// the bound caps too, before the cache).
 	mc := a.MeasureCache()
 	const side = 600
 	kernel := func(i int) gpusim.Kernel {
@@ -130,7 +132,7 @@ func TestServerMeasureCacheDefaultsToPrivate(t *testing.T) {
 	ctx := measure.Context(gpusim.TeslaV100, 0)
 	var long, key []byte
 	for i := 0; i < DefaultMeasureCacheSize*9/8; i++ {
-		long = measure.AppendStreams(append(long[:0], ctx...), []gpusim.Stream{{kernel(i / side), kernel(i % side)}})
+		long = measure.AppendStreams(append(long[:0], ctx...), []gpusim.Stream{{kernel(i / side)}, {kernel(i % side)}})
 		var ok bool
 		if key, ok = mc.Intern(key[:0], long); !ok {
 			t.Fatalf("stage %d cannot be keyed", i)

@@ -47,8 +47,9 @@ const (
 const (
 	// inlineMax is the longest key a claim holds in its own buffer; a
 	// longer one up to bigKey bytes borrows its shard's key buffer. The
-	// measurement cache's id keys are ~19 bytes (81 % fit, none passes
-	// 47); a block key runs to kilobytes.
+	// measurement cache's id keys, one id per stream, are ~8–10 bytes
+	// (all fit, none passes 18), and its dictionary's stream records
+	// a few; a block key runs to kilobytes.
 	inlineMax = 23
 
 	// Chunks hold minChunk entries, doubling to chunkCap, so a shard of a
@@ -143,6 +144,12 @@ type Core[V any] struct {
 	// leave it alone. It counts the cuts that found something, in the 31
 	// bits below fromPeer.
 	epoch atomic.Uint32
+	// dirty is set, under the entry's shard mutex and before its index word,
+	// when an entry is added, and cleared by a cut that leaves no entry
+	// stamped epoch+1 — one that advances the epoch or finds nothing. So a
+	// cut at the current cut point that reads it clear has nothing to
+	// export and returns without a lock or a scan.
+	dirty atomic.Bool
 	// rejected counts the completed entries ReplaceOrBegin took back.
 	rejected atomic.Int64
 }
@@ -235,7 +242,7 @@ type table[V any] struct {
 }
 
 // hashKey hashes a key, folding eight key bytes per step (every lookup
-// pays this: a measurement's id key is ~20 bytes and a hit on it must cost
+// pays this: a measurement's id key is ~10 bytes and a hit on it must cost
 // less than the simulator run it saves; a block key runs to kilobytes).
 // Each step multiplies — which carries every input bit upward — and then
 // folds the high half back down, so keys that share a prefix and differ in
@@ -401,6 +408,9 @@ func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V, origin uint
 	} else if sh.blocks == len(t.arena) && sh.newBlockLocked(t, len(key)) {
 		cp := *t
 		t, fresh = &cp, true
+	}
+	if !c.dirty.Load() { // a load, not a store, on the commit path
+		c.dirty.Store(true)
 	}
 	ref := sh.storeLocked(t, key, v, c.epoch.Load()+1|origin)
 	if fresh {

@@ -44,7 +44,7 @@ func CheckKey(raw []byte, keyVersion byte) error {
 const (
 	fileMagic     = "IOSF"
 	fileHeaderLen = len(fileMagic) + 4 + 8
-	// maxRecordLen caps a record (a stage key is ~20 bytes, a block's JSON a few KB).
+	// maxRecordLen caps a record (a stage key is ~10 bytes, a block's JSON a few KB).
 	maxRecordLen = 1 << 20
 	// loadChunk is how many parsed entries ReadFrames stages per allocation.
 	loadChunk = 4096
@@ -74,7 +74,8 @@ type Table struct {
 // The cut is exact: publication stamps the epoch under the entry's shard
 // mutex, and Cut holds every shard mutex while it scans, advances the
 // epoch and reads it, so no concurrent Commit can land inside the cut
-// unseen.
+// unseen. A cut at the current cut point with nothing added since — a
+// cluster's idle push — takes no lock and scans nothing.
 // Entries evicted between cuts are simply absent — they are always
 // recomputable. A row's key is a view of the table's immutable bytes, not
 // a copy.
@@ -87,6 +88,12 @@ func (c *Core[V]) CutOwn(since uint64) ([]Row[V], uint64) { return c.cut(since, 
 
 // cut is Cut, skipping entries merged from a peer when own is set.
 func (c *Core[V]) cut(since uint64, own bool) ([]Row[V], uint64) {
+	// dirty first: read clear, no entry was stamped past the epoch it then
+	// held, and since equal to the epoch read after it means that was the
+	// same epoch — a cut point only a cut returned.
+	if !c.dirty.Load() && since == uint64(c.epoch.Load()) {
+		return nil, since
+	}
 	var rows []Row[V]
 	if since == 0 {
 		rows = make([]Row[V], 0, c.Len()) // the whole cache: grow once, not 5x
@@ -113,7 +120,10 @@ func (c *Core[V]) cut(since uint64, own bool) ([]Row[V], uint64) {
 	// Past 2^31-2 advances the epoch stays: a later cut then exports the
 	// entries of the last stamp again, which an insert keeps only once.
 	if found && now < fromPeer-1 {
-		c.epoch.Store(now)
+		c.epoch.Store(now) // before dirty clears: see the first line
+		c.dirty.Store(false)
+	} else if !found {
+		c.dirty.Store(false)
 	}
 	next := uint64(c.epoch.Load())
 	for i := range c.shards {

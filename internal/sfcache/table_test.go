@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestLockFreeHitsRaceGrowth: lock-free hits on every kind of key — one a
@@ -232,6 +233,54 @@ func TestCutsSplitConcurrentCommits(t *testing.T) {
 				t.Fatalf("round %d: CutOwn exported %q %d times, want once", round, k, n)
 			}
 		}
+	}
+}
+
+// TestIdleCutTakesNoLock: a cut at the current cut point with nothing
+// added since — a cluster's idle push, every 500 ms per peer — returns
+// while a shard mutex is held elsewhere, so it neither locks the shards
+// nor scans them; once an entry is added, a cut waits for the mutex and
+// finds it.
+func TestIdleCutTakesNoLock(t *testing.T) {
+	c := NewCore[float64](0)
+	for i := 0; i < 100; i++ {
+		fill(t, c, key(fmt.Sprint(i)), 1)
+	}
+	_, since := c.CutOwn(0)
+	sh := &c.shards[3]
+	sh.mu.Lock()
+	idle := make(chan uint64)
+	go func() {
+		_, next := c.CutOwn(since)
+		_, next2 := c.Cut(next)
+		idle <- next2
+	}()
+	select {
+	case next := <-idle:
+		if next != since {
+			t.Errorf("idle cuts moved the cut point %d -> %d", since, next)
+		}
+	case <-time.After(5 * time.Second):
+		sh.mu.Unlock()
+		t.Fatal("an idle cut waited on a shard mutex")
+	}
+	sh.mu.Unlock()
+
+	fill(t, c, key("new"), 2)
+	sh.mu.Lock()
+	busy := make(chan []Row[float64])
+	go func() {
+		rows, _ := c.CutOwn(since)
+		busy <- rows
+	}()
+	select {
+	case <-busy:
+		t.Fatal("a cut with an entry to export did not wait for the shard mutex")
+	case <-time.After(50 * time.Millisecond):
+	}
+	sh.mu.Unlock()
+	if rows := <-busy; len(rows) != 1 || rows[0].Key != string(key("new")) {
+		t.Fatalf("the cut after a commit exported %v, want the new key", rows)
 	}
 }
 
