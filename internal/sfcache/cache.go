@@ -61,13 +61,15 @@ const (
 
 	// A key of up to bigKey bytes is a record in an arena block: its
 	// length in one byte, then its bytes. Record blocks double from
-	// minArena to maxArena bytes. A longer key (a block key) is a block of
-	// its own: the bytes of the string it arrived in — the claim's copy,
-	// or a loaded row's — which are immutable, so it is stored without a
-	// second copy.
-	minArena = 256
-	maxArena = 16 << 10
-	bigKey   = 128
+	// minArena, less a shard's stagger (see storeLocked), to maxArena
+	// bytes; the smallest first block still holds a record of bigKey
+	// bytes. A longer key (a block key) is a block of its own: the bytes
+	// of the string it arrived in — the claim's copy, or a loaded row's —
+	// which are immutable, so it is stored without a second copy.
+	minArena     = 256
+	maxArena     = 16 << 10
+	arenaStagger = minArena / 2 / shardCount
+	bigKey       = 128
 
 	// An entry's key ref is its arena block above the record's offset in
 	// it, ownBlock for a block of its own, so a ref names refBlocks
@@ -412,7 +414,7 @@ func (c *Core[V]) addLocked(sh *shard[V], key string, h uint64, v V, origin uint
 	if !c.dirty.Load() { // a load, not a store, on the commit path
 		c.dirty.Store(true)
 	}
-	ref := sh.storeLocked(t, key, v, c.epoch.Load()+1|origin)
+	ref := sh.storeLocked(t, key, h, v, c.epoch.Load()+1|origin)
 	if fresh {
 		sh.tab.Store(t)
 	}
@@ -442,9 +444,17 @@ func (sh *shard[V]) addBlockLocked(t *table[V], b []byte) {
 	sh.blocks++
 }
 
-// storeLocked writes an entry into t's storage and returns the index ref
-// naming it. Caller holds sh.mu.
-func (sh *shard[V]) storeLocked(t *table[V], key string, v V, stamp uint32) uint32 {
+// storeLocked writes an entry for a key whose hash is h into t's storage
+// and returns the index ref naming it. Caller holds sh.mu.
+//
+// Shard i's first record block is minArena-i*arenaStagger bytes (256 down
+// to 132), and the blocks double from there, so the fills at which the
+// shards open a block are spread across a whole block. Keys spread evenly
+// over the shards: with equal first blocks every shard would open its
+// next block within a few records of the others, and the core's memory
+// would step by shardCount blocks — half a megabyte at maxArena — on a
+// few more key bytes.
+func (sh *shard[V]) storeLocked(t *table[V], key string, h uint64, v V, stamp uint32) uint32 {
 	if sh.chunk == 0 || sh.fill == len(t.chunks[sh.chunk-1]) {
 		t.chunks[sh.chunk] = make([]entry[V], chunkLen(sh.chunk))
 		sh.chunk++
@@ -458,7 +468,7 @@ func (sh *shard[V]) storeLocked(t *table[V], key string, v V, stamp uint32) uint
 		sh.addBlockLocked(t, unsafe.Slice(unsafe.StringData(key), len(key)))
 	} else {
 		if sh.newBlockLocked(t, len(key)) {
-			n := minArena
+			n := minArena - int(h>>(64-shardBits))*arenaStagger
 			if sh.open > 0 {
 				n = min(2*len(t.arena[sh.open-1]), maxArena)
 			}
@@ -509,7 +519,7 @@ func (sh *shard[V]) rebuildLocked(old *table[V]) *table[V] {
 		}
 		h := hashKey(k)
 		if !shared {
-			w = tagged(h, sh.storeLocked(t, keyString(k), e.val, e.stamp))
+			w = tagged(h, sh.storeLocked(t, keyString(k), h, e.val, e.stamp))
 		}
 		t.place(h, w)
 		sh.used++

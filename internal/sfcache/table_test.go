@@ -3,6 +3,7 @@ package sfcache
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -327,4 +328,49 @@ func TestIdleCutsKeepTheEpoch(t *testing.T) {
 	if rows, _ := c.CutOwn(uint64(last)); len(rows) != 1 {
 		t.Fatalf("own cut at the last epoch: %v, want key b", rows)
 	}
+}
+
+// TestArenaGrowsWithoutSteps: keys of one length spread evenly over the
+// shards, so if every shard's record blocks opened at the same fills, all
+// would open their next block within some hundred keys of each other, and
+// the arena's bytes past its records would swing by up to shardCount
+// blocks — half a megabyte — as a few more keys arrive. Filled with
+// 10-byte keys, about a measurement cache's, from 50,000 keys (17 KB a
+// shard) to 200,000, the bytes past the records stay under one block a
+// shard and within a band of a quarter of that.
+func TestArenaGrowsWithoutSteps(t *testing.T) {
+	if first := minArena - (shardCount-1)*arenaStagger; first < 1+bigKey {
+		t.Fatalf("the smallest first block, %d bytes, cannot hold a record of %d", first, 1+bigKey)
+	}
+	const keys, from, keyLen = 200_000, 50_000, 10
+	c := NewCore[float64](0)
+	arena := func() int {
+		n := 0
+		for i := range c.shards {
+			sh := &c.shards[i]
+			if tab := sh.tab.Load(); tab != nil {
+				for _, b := range tab.arena[:sh.blocks] {
+					n += len(b)
+				}
+			}
+		}
+		return n
+	}
+	k := make([]byte, keyLen)
+	k[0] = testKeyVersion
+	lo, hi := math.MaxInt, 0
+	for i := 1; i <= keys; i++ {
+		binary.LittleEndian.PutUint64(k[1:], uint64(i))
+		fill(t, c, k, 1)
+		if i < from || i%16 != 0 {
+			continue
+		}
+		slack := arena() - i*(1+keyLen)
+		lo, hi = min(lo, slack), max(hi, slack)
+	}
+	if hi > shardCount*maxArena || hi-lo > shardCount/4*maxArena {
+		t.Fatalf("from %d to %d keys the arena held %d to %d bytes past its records, want a band of at most %d under %d",
+			from, keys, lo, hi, shardCount/4*maxArena, shardCount*maxArena)
+	}
+	t.Logf("from %d to %d keys the arena held %d to %d bytes past its records", from, keys, lo, hi)
 }
